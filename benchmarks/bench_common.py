@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Every module in this directory regenerates one table or figure from the
-paper's evaluation (see DESIGN.md §3 for the index).  Benchmarks attach the
+paper's evaluation (README "Paper figures" is the index).  Benchmarks attach the
 regenerated series to ``benchmark.extra_info`` so the JSON output of
 ``pytest benchmarks/ --benchmark-only --benchmark-json=results.json`` contains
 the data alongside the timings, and also print a compact table so a plain run

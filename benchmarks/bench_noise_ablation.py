@@ -1,7 +1,7 @@
 """Ablation: noise design choices (sampled vs exact, truncation, amount).
 
-DESIGN.md §4 calls out the noise knobs this reproduction exposes.  This
-benchmark quantifies them:
+The noise knobs this reproduction exposes (``VuvuzelaConfig.exact_noise``,
+the ``LaplaceParams`` of each protocol), quantified:
 
 * **Sampled vs exact noise** — the paper's evaluation adds exactly mu noise
   per server "to not let noise affect the clarity of the graphs" (§8.1); real

@@ -101,7 +101,7 @@ def run_tcp(
         )
     with DeploymentLauncher(config, **launcher_kwargs) as deployment:
         sessions = _sessions(deployment.add_session, num_clients)
-        report = deployment.run_session(
+        report = deployment.run_continuous(
             rounds, dialing_interval=DIALING_INTERVAL, pipeline_depth=depth
         )
         received = (

@@ -44,14 +44,9 @@ def run(deployment_like, shape: str) -> None:
           f"({CONVERSATION_ROUNDS} conversation rounds, dialing every "
           f"{DIALING_INTERVAL}, pipeline_depth=2)")
 
-    if shape == "tcp":
-        report = deployment_like.run_session(
-            CONVERSATION_ROUNDS, dialing_interval=DIALING_INTERVAL, pipeline_depth=2
-        )
-    else:
-        report = deployment_like.run_continuous(
-            CONVERSATION_ROUNDS, dialing_interval=DIALING_INTERVAL, pipeline_depth=2
-        )
+    report = deployment_like.run_continuous(
+        CONVERSATION_ROUNDS, dialing_interval=DIALING_INTERVAL, pipeline_depth=2
+    )
 
     print(f"[{shape}] ran {len(report.conversation)} conversation + "
           f"{len(report.dialing)} dialing rounds in "

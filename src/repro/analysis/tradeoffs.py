@@ -1,6 +1,6 @@
 """Privacy/performance trade-off sweeps (the design-choice ablations).
 
-DESIGN.md calls out the knobs a deployment must pick: how much noise (which
+The paper leaves a deployment three knobs to pick: how much noise (which
 buys rounds of privacy but costs latency), how many servers (which buys
 distrust tolerance but costs latency quadratically), and how many invitation
 dead drops (which trades server noise volume against client downloads).

@@ -26,6 +26,11 @@ Rounds are driven through the entry server's control API: the launcher opens
 a submission window (deadline and/or expected request count), the client
 connections submit — each submission long-polls until the round resolves —
 and the launcher collects the round's accounting.
+
+Everything that is not transport or process supervision — population, ledger
+records, ``run_conversation_round`` / ``run_dialing_round`` /
+``run_continuous`` / ``run_swarm_round`` — is inherited from
+:class:`~repro.core.driver.RoundDriver`; this module supplies the TCP seam.
 """
 
 from __future__ import annotations
@@ -42,21 +47,18 @@ from queue import Empty, Queue
 
 from . import topology
 from .config import VuvuzelaConfig
-from ..client import ClientConnection
+from .driver import RoundDriver
+from ..client import ClientConnection, VuvuzelaClient
 from ..deaddrop import InvitationDropStore
-from ..errors import LedgerError, NetworkError, ProtocolError
-from ..ledger import client_digest
+from ..errors import NetworkError, ProtocolError
 from ..net import LinkConditioner, LinkProfile, MessageKind, TcpTransport
-from ..privacy import PrivacyAccountant, conversation_guarantee, dialing_guarantee
-from ..server.wire import (
-    decode_batch_verdicts,
-    decode_collect_reply,
-    encode_collect_request,
-    encode_submission_batch,
-)
-from ..runtime import RoundScheduler, make_protocol
+from ..server.wire import decode_collect_reply, encode_collect_request
 from ..runtime.protocols import RoundProtocol
-from ..runtime.scheduler import ClientSession, ScheduledRound, ScheduleReport
+from ..runtime.scheduler import ScheduledRound
+
+#: Client names per ``RESPONSE_COLLECT`` frame when a swarm round's responses
+#: are pulled down from the entry.
+COLLECT_CHUNK = 4096
 
 
 @dataclass
@@ -92,9 +94,30 @@ class NetworkRoundResult:
     #: successful re-run (0 = clean round).
     aborts: int = 0
 
+    def ledger_fields(self) -> dict:
+        """The entry's window accounting, as the ledger records it."""
+        return {
+            "attempts": self.aborts + 1,
+            "aborted_attempts": self.aborts,
+            "accepted": self.accepted,
+            "refused": self.refused,
+            "late": self.late,
+        }
 
-class DeploymentLauncher:
-    """Spawns entry + N chain servers as subprocesses and connects clients."""
+
+class DeploymentLauncher(RoundDriver):
+    """Spawns entry + N chain servers as subprocesses and connects clients.
+
+    The TCP :class:`~repro.core.driver.RoundDriver`: server processes make the
+    noise draws and own the windows; the launcher drives every round over the
+    control plane, so it observes — and records — the same lifecycle the
+    in-process shape does.
+    """
+
+    shape = "tcp"
+    #: One connection, strictly ordered chunks: verdicts of chunk k gate the
+    #: framing of chunk k+1, so pipelining adds nothing over TCP.
+    swarm_pipelined = False
 
     def __init__(
         self,
@@ -108,7 +131,7 @@ class DeploymentLauncher:
         probe_timeout: float = 2.0,
         deadline_only_windows: bool = False,
     ) -> None:
-        self.config = config or VuvuzelaConfig.small()
+        super().__init__(config)
         topology.require_seed(self.config)
         self.host = host
         self.python = python
@@ -151,24 +174,12 @@ class DeploymentLauncher:
         #: ``servers`` is only assigned once the whole chain is up, so a
         #: failed startup must still be able to reap its partial chain.
         self._spawned: list[ServerProcess] = []
-        self._root = topology.root_rng(self.config)
-        self._server_publics = [
-            kp.public for kp in topology.server_keypairs(self.config, self._root)
-        ]
+        #: Every known client's connection, online or parked (a parked one
+        #: keeps its counters and gets a fresh transport on resume).
         self._connections: dict[str, ClientConnection] = {}
         self._control: TcpTransport | None = None
         self._probe: TcpTransport | None = None
         self._started = False
-        self._protocols = {name: make_protocol(name, self.config) for name in ("conversation", "dialing")}
-        #: The continuous overlapping scheduler, driven by this launcher over
-        #: TCP exactly as :class:`VuvuzelaSystem` drives it in-process.
-        self.scheduler = RoundScheduler(
-            self,
-            pipeline_depth=self.config.pipeline_depth,
-            dialing_interval=self.config.dialing_interval,
-        )
-        #: Optional round ledger (attach with :meth:`attach_ledger`).
-        self.ledger = None
         #: Fault rules shipped to live processes, by normalized target name —
         #: re-sent to a chain server when :meth:`restart_server` respawns it
         #: (a fresh process has a fresh, empty injector).
@@ -180,35 +191,6 @@ class DeploymentLauncher:
         #: One launcher-side conditioner shared by every client connection's
         #: transport: the client-edge WAN weather (DSL/3G access links, §8).
         self._client_conditioner: LinkConditioner | None = None
-        #: Clients parked mid-session (crash/outage churn): connection and
-        #: session survive off-network so a resume keeps §3.1 sequence state
-        #: and the undelivered outbox.
-        self._parked: dict[str, tuple[ClientConnection, ClientSession | None]] = {}
-        #: Replay support: forced first-attempt numbers by (protocol, round),
-        #: shipped in the open-round command (see :meth:`force_attempts`).
-        self._forced_attempts: dict[tuple[str, int], int] = {}
-        #: Launcher-side mirror of the entry's round counters, so an
-        #: open-round command can look its round's forced attempt up *before*
-        #: the entry allocates the number.
-        self._round_counters = {"conversation": 0, "dialing": 0}
-        #: The launcher-side DP accounting mirror: server processes make the
-        #: noise draws, but the launcher drives every round, so it checkpoints
-        #: the (ε, δ) composition per resolved round — the same numbers the
-        #: in-process shape records, which keeps the ledgers diffable.
-        self._accountants = {
-            "conversation": PrivacyAccountant(
-                per_round=conversation_guarantee(self.config.conversation_noise),
-                target_epsilon=self.config.target_epsilon,
-                target_delta=self.config.target_delta,
-                composition_d=self.config.composition_d,
-            ),
-            "dialing": PrivacyAccountant(
-                per_round=dialing_guarantee(self.config.dialing_noise),
-                target_epsilon=self.config.target_epsilon,
-                target_delta=self.config.target_delta,
-                composition_d=self.config.composition_d,
-            ),
-        }
 
     # ------------------------------------------------------------- subprocesses
 
@@ -262,7 +244,7 @@ class DeploymentLauncher:
             return self
         self._started = True
         # A fresh entry process allocates rounds from zero again.
-        self._round_counters = {"conversation": 0, "dialing": 0}
+        self._next_rounds = {"conversation": 0, "dialing": 0}
         config_json = self.config.to_json()
         next_port: int | None = None
         chain: list[ServerProcess] = []
@@ -316,12 +298,7 @@ class DeploymentLauncher:
         again — it spawns a fresh deployment (new processes, new ports), so
         clients must be re-added afterwards.
         """
-        if self.ledger is not None:
-            try:
-                self.ledger.append("session_end", {"shape": "tcp"})
-            except LedgerError:
-                pass  # the writer was already closed by its owner
-            self.ledger = None
+        self._end_session()
         if self._control is not None:
             for server in self.servers:
                 if not server.alive:
@@ -347,10 +324,10 @@ class DeploymentLauncher:
                 except subprocess.TimeoutExpired:
                     process.kill()
         for connection in self._connections.values():
-            if isinstance(connection.transport, TcpTransport):
-                connection.transport.close()
+            connection.transport.close()  # idempotent: parked ones closed at park time
         self._connections = {}
-        self._parked = {}  # parked transports were closed at park time
+        self.clients = {}
+        self._parked = {}
         if self._control is not None:
             self._control.close()
         if self._probe is not None:
@@ -370,55 +347,20 @@ class DeploymentLauncher:
     def __exit__(self, *_exc) -> None:
         self.stop()
 
-    # ------------------------------------------------------------------ ledger
+    # ------------------------------------------------------- driver seam: ledger
 
-    def attach_ledger(self, ledger) -> None:
-        """Record this deployment's lifecycle into ``ledger`` from now on.
-
-        The launcher process is the ledger's single writer: it owns the
-        clients (so it can digest delivered plaintexts) and drives every
-        round (so it observes every open/close/abort through the control
-        plane) — server processes never touch the file.
-        """
-        self.ledger = ledger
+    def _bind_ledger(self, ledger) -> dict:
         if self._client_conditioner is not None:
             self._client_conditioner.ledger = ledger
-        ledger.append(
-            "session_start",
-            {
-                "shape": "tcp",
-                "config": self.config.to_dict(),
-                # A TCP replay must rebuild the launcher in the same window
-                # mode: deadline-only windows never close early on expected
-                # counts, which changes the refused/late accounting.  The
-                # effective deadline rides along because it may have been a
-                # launcher-level override rather than a config knob.
-                "deadline_only_windows": self.deadline_only_windows,
-                "round_deadline_seconds": self.round_deadline_seconds,
-            },
-        )
-        for name in self._connections:
-            ledger.append("client_added", {"name": name})
-        self.scheduler.record_existing(ledger)
-
-    def ledger_client_digests(self) -> dict:
-        """Per-client fingerprints of user-visible state (see ledger docs).
-
-        Parked clients are included — their state is frozen while parked and
-        a replay parks the same clients at the same boundaries, so digests
-        stay comparable across a churny schedule.
-        """
-        population = {
-            name: connection.client for name, connection in self._connections.items()
+        # A TCP replay must rebuild the launcher in the same window mode:
+        # deadline-only windows never close early on expected counts, which
+        # changes the refused/late accounting.  The effective deadline rides
+        # along because it may have been a launcher-level override rather
+        # than a config knob.
+        return {
+            "deadline_only_windows": self.deadline_only_windows,
+            "round_deadline_seconds": self.round_deadline_seconds,
         }
-        population.update(
-            {name: connection.client for name, (connection, _) in self._parked.items()}
-        )
-        return {name: client_digest(population[name]) for name in sorted(population)}
-
-    def _record(self, type_: str, data: dict) -> None:
-        if self.ledger is not None:
-            self.ledger.append(type_, data)
 
     def _retry_transient(self, call, *, timeout: float = 10.0):
         """Run a control-plane call, tolerating a just-(re)started server.
@@ -438,62 +380,6 @@ class DeploymentLauncher:
                 if time.monotonic() >= deadline:
                     raise
                 time.sleep(0.1)
-
-    def _ledger_round_record(
-        self, protocol: RoundProtocol, result: NetworkRoundResult
-    ) -> dict:
-        """The same shape-invariant round record the in-process system writes.
-
-        The launcher reads the chain's observables over the control plane
-        (noise totals, the access histogram, the invitation store), so a TCP
-        recording diffs cleanly against an in-process replay.
-        """
-        round_number = result.round_number
-        record = {
-            "protocol": protocol.name,
-            "round": round_number,
-            "attempts": result.aborts + 1,
-            "aborted_attempts": result.aborts,
-            "accepted": result.accepted,
-            "refused": result.refused,
-            "late": result.late,
-        }
-        if protocol.name == "conversation":
-            histogram = self._retry_transient(
-                lambda: self.access_histogram(round_number)
-            )
-            record.update(
-                noise=self._retry_transient(
-                    lambda: self.chain_noise("conversation", round_number)
-                ),
-                histogram=[
-                    int(histogram["singles"]),
-                    int(histogram["pairs"]),
-                    int(histogram["collisions"]),
-                ],
-            )
-        else:
-            store = self._retry_transient(
-                lambda: self.invitation_store(round_number)
-            )
-            record.update(
-                noise_invitations=self._retry_transient(
-                    lambda: self.chain_noise("dialing", round_number)
-                )
-                + sum(store.noise_count(bucket) for bucket in range(store.num_buckets)),
-                bucket_sizes={
-                    str(bucket): size
-                    for bucket, size in sorted(store.bucket_sizes().items())
-                },
-            )
-        accountant = self._accountants[protocol.name]
-        guarantee = accountant.current_guarantee()
-        record["accountant"] = {
-            "rounds_used": accountant.rounds_used,
-            "epsilon": guarantee.epsilon,
-            "delta": guarantee.delta,
-        }
-        return record
 
     # --------------------------------------------------------- crash recovery
 
@@ -626,13 +512,9 @@ class DeploymentLauncher:
         form (``{"action": "kill", "destination": "server-1/conversation",
         "count": 1}`` kills the first batch forwarded to server 1).
         """
-        command = {"cmd": "inject-fault", "rule": rule, "seed": seed}
-        if target == "entry":
-            reply = self.entry_control(command)
-            normalized = "entry"
-        else:
-            reply = self.server_control(target, command)
-            normalized = f"server-{self._chain_index(target)}"
+        normalized, reply = self._process_control(
+            target, {"cmd": "inject-fault", "rule": rule, "seed": seed}
+        )
         self._injected_rules.setdefault(normalized, []).append((dict(rule), seed))
         self._record(
             "fault_rule_added", {"target": normalized, "rule": dict(rule), "seed": seed}
@@ -640,20 +522,20 @@ class DeploymentLauncher:
         return reply
 
     def heal_faults(self, target: str | int) -> dict:
-        command = {"cmd": "heal-faults"}
-        if target == "entry":
-            reply = self.entry_control(command)
-            normalized = "entry"
-        else:
-            reply = self.server_control(target, command)
-            normalized = f"server-{self._chain_index(target)}"
+        normalized, reply = self._process_control(target, {"cmd": "heal-faults"})
         self._injected_rules.pop(normalized, None)
         self._record("faults_healed", {"target": normalized})
         return reply
 
     def aborted_total(self) -> int:
-        """How many round attempts the entry has aborted (and retried) so far."""
         return int(self.entry_control({"cmd": "aborted-total"})["aborted"])
+
+    def buffered_total(self) -> int:
+        return int(self.entry_control({"cmd": "buffered-total"})["buffered"])
+
+    def resubmission_parked(self) -> dict:
+        parked = int(self.entry_control({"cmd": "resubmission-total"})["parked"])
+        return {"total": parked} if parked else {}
 
     # ------------------------------------------------------- link conditioning
 
@@ -672,13 +554,9 @@ class DeploymentLauncher:
         same recording replays bit-identically in either deployment shape.
         """
         profile_dict = self._profile_dict(profile)
-        command = {"cmd": "condition-link", "profile": profile_dict, "seed": seed}
-        if target == "entry":
-            reply = self.entry_control(command)
-            normalized = "entry"
-        else:
-            reply = self.server_control(target, command)
-            normalized = f"server-{self._chain_index(target)}"
+        normalized, reply = self._process_control(
+            target, {"cmd": "condition-link", "profile": profile_dict, "seed": seed}
+        )
         self._conditioned.setdefault(normalized, []).append((profile_dict, seed))
         self._record(
             "link_profile_added",
@@ -689,22 +567,16 @@ class DeploymentLauncher:
     def condition_clients(
         self, profile: LinkProfile | dict, *, seed: int = 0
     ) -> LinkConditioner:
-        """Condition the client access links (the paper's DSL/3G edge, §8).
-
-        One launcher-side conditioner is shared by every client connection's
-        transport — existing, future and resumed ones — so a single seed
-        governs all client-edge weather.  Asking for a different seed once a
-        conditioner exists is an error, as with :meth:`inject_fault` seeds.
-        """
+        """The conditioner lives launcher-side, on every client connection's
+        transport."""
         profile_obj = (
             profile if isinstance(profile, LinkProfile) else LinkProfile.from_dict(profile)
         )
         if self._client_conditioner is None:
             self._client_conditioner = LinkConditioner(seed)
             self._client_conditioner.ledger = self.ledger
-            for connection in self._connections.values():
-                if isinstance(connection.transport, TcpTransport):
-                    connection.transport.link_conditioner = self._client_conditioner
+            for name in self.clients:
+                self._connections[name].transport.link_conditioner = self._client_conditioner
         elif self._client_conditioner.seed != seed:
             raise ProtocolError(
                 f"a link conditioner seeded with {self._client_conditioner.seed} "
@@ -718,37 +590,16 @@ class DeploymentLauncher:
         if self._client_conditioner is not None:
             self._client_conditioner.heal()
         for normalized in list(self._conditioned):
-            command = {"cmd": "heal-links"}
             try:
-                if normalized == "entry":
-                    self.entry_control(command)
-                else:
-                    self.server_control(normalized, command)
+                self._process_control(normalized, {"cmd": "heal-links"})
             except (NetworkError, ProtocolError):
                 pass  # the process may be mid-crash; healing must not wedge
             self._record("links_healed", {"target": normalized})
         self._conditioned.clear()
 
-    def link_stats(self, target: str | int | None = None) -> dict:
-        """One process's conditioner counters (``None`` = the client edge)."""
-        if target is None:
-            if self._client_conditioner is None:
-                return {"profiles": 0, "conditioned": 0, "lost": 0, "held": 0,
-                        "hold_seconds_total": 0.0}
-            return self._client_conditioner.stats()
-        command = {"cmd": "link-stats"}
-        if target == "entry":
-            return self.entry_control(command)
-        return self.server_control(target, command)
-
-    def force_attempts(self, plan: dict[tuple[str, int], int]) -> None:
-        """Replay support: pre-set first-attempt numbers by (protocol, round).
-
-        A recorded round that resolved on attempt N is replayed by opening
-        its window *at* attempt N — the chain then draws N's noise streams
-        directly instead of re-living the aborted attempts.
-        """
-        self._forced_attempts.update(plan)
+    def link_stats(self) -> dict:
+        # No conditioner yet is a clear sky: a fresh one's all-zero counters.
+        return (self._client_conditioner or LinkConditioner()).stats()
 
     # ------------------------------------------------------------ control plane
 
@@ -772,7 +623,8 @@ class DeploymentLauncher:
         self, endpoint: str, command: dict, transport: TcpTransport | None = None
     ) -> dict:
         transport = transport if transport is not None else self._control
-        assert transport is not None, "deployment not started"
+        if transport is None:
+            raise NetworkError("deployment is not running; call start() first")
         reply = transport.send("launcher", endpoint, json.dumps(command).encode("utf-8"))
         if reply is None:
             raise NetworkError(f"control request to {endpoint} got no reply")
@@ -784,168 +636,119 @@ class DeploymentLauncher:
     def server_control(self, name_or_index: str | int, command: dict) -> dict:
         return self._control_rpc(topology.control_name(self._chain_index(name_or_index)), command)
 
-    # ----------------------------------------------------------------- clients
+    def _process_control(self, target: str | int, command: dict) -> tuple[str, dict]:
+        """Send ``command`` to ``"entry"`` or a chain server; returns the
+        process's normalized name with its reply."""
+        if target == "entry":
+            return "entry", self.entry_control(command)
+        return f"server-{self._chain_index(target)}", self.server_control(target, command)
 
-    def add_client(
-        self,
-        name: str,
-        *,
-        register: bool = True,
-        max_submit_attempts: int = 4,
-        retry_backoff_seconds: float = 0.2,
+    # --------------------------------------------------- driver seam: population
+
+    def _connect_client(
+        self, client: VuvuzelaClient, *, register: bool = True, **retry_options
     ) -> ClientConnection:
-        """Create a client with deployment-deterministic keys, on its own TCP
-        connection to the entry server (the §7 many-connections shape)."""
-        if name in self._connections:
-            raise ProtocolError(f"a client named {name!r} already exists")
-        assert self.entry_process is not None, "deployment not started"
-        client = topology.build_client(self.config, name, self._root, self._server_publics)
+        """Give ``client`` its own fresh TCP connection to the entry server
+        (the §7 many-connections shape); a resumed client keeps its
+        :class:`ClientConnection` and its counters.  ``retry_options`` are
+        the connection's ``max_submit_attempts`` / ``retry_backoff_seconds``."""
+        if self.entry_process is None:
+            raise NetworkError("deployment is not running; call start() first")
         transport = TcpTransport(request_timeout=self.request_timeout)
         transport.add_route("entry", self.entry_process.host, self.entry_process.port)
-        if self._client_conditioner is not None:
-            transport.link_conditioner = self._client_conditioner
-        connection = ClientConnection(
-            client=client,
-            transport=transport,
-            max_submit_attempts=max_submit_attempts,
-            retry_backoff_seconds=retry_backoff_seconds,
-        )
+        transport.link_conditioner = self._client_conditioner
+        connection = self._connections.get(client.name)
+        if connection is None:
+            connection = self._connections[client.name] = ClientConnection(
+                client=client, transport=transport, **retry_options
+            )
+        else:
+            connection.transport = transport
+            connection.reconnects += 1
         if register and self.config.require_registration:
-            self.entry_control({"cmd": "register", "name": name})
-        self._connections[name] = connection
-        self._record("client_added", {"name": name})
+            self.entry_control({"cmd": "register", "name": client.name})
         return connection
 
-    def remove_client(self, name: str) -> None:
-        """Disconnect a client mid-session (churn): its cover traffic stops.
-
-        Per-client rng streams are forked by name at creation, so removing
-        one never shifts the draws of the clients that remain.  The entry
-        process is told to forget the departed client so its parked refunds,
-        dedup digests and pending state do not leak across a long session."""
-        if name in self._parked:
-            connection, _ = self._parked.pop(name)
-        elif name in self._connections:
-            connection = self._connections.pop(name)
-            self.scheduler.remove_session(name)
-            if self.config.require_registration:
-                try:
-                    self.entry_control({"cmd": "revoke", "name": name})
-                except (NetworkError, ProtocolError):
-                    pass  # the entry may be mid-crash; churn must not wedge
-        else:
-            raise ProtocolError(f"no client named {name!r}")
-        try:
-            self.entry_control({"cmd": "forget-client", "name": name})
-        except (NetworkError, ProtocolError):
-            pass  # best-effort pruning, same crash caveat as the revoke
-        if isinstance(connection.transport, TcpTransport):
-            connection.transport.close()
-        self._record("client_removed", {"name": name})
-
-    def park_client(self, name: str) -> None:
-        """Take a client offline mid-session, keeping its state for a resume.
-
-        Models a crashed or disconnected client (the §3.1 offline case): its
-        session leaves the schedule and its TCP connection closes, but the
-        client object — send sequencer, receive dedup tracker, undelivered
-        outbox — is parked so :meth:`resume_client` brings the same user
-        back.  On resume the outbox retransmits and the receiver's sequence
-        tracker suppresses any duplicates the retransmission causes.
-        """
-        if name not in self._connections:
-            raise ProtocolError(f"no client named {name!r}")
-        connection = self._connections.pop(name)
-        session = self.scheduler.remove_session(name)
+    def _disconnect_client(self, name: str) -> None:
         if self.config.require_registration:
             try:
                 self.entry_control({"cmd": "revoke", "name": name})
             except (NetworkError, ProtocolError):
                 pass  # the entry may be mid-crash; churn must not wedge
-        if isinstance(connection.transport, TcpTransport):
-            connection.transport.close()
-        self._parked[name] = (connection, session)
-        self._record("client_parked", {"name": name})
+        self._connections[name].transport.close()
 
-    def resume_client(self, name: str) -> ClientConnection:
-        """Reconnect a parked client on a fresh TCP connection, state intact."""
-        if name not in self._parked:
-            raise ProtocolError(f"no parked client named {name!r}")
-        assert self.entry_process is not None, "deployment not started"
-        connection, session = self._parked.pop(name)
-        transport = TcpTransport(request_timeout=self.request_timeout)
-        transport.add_route("entry", self.entry_process.host, self.entry_process.port)
-        if self._client_conditioner is not None:
-            transport.link_conditioner = self._client_conditioner
-        connection.transport = transport
-        connection.reconnects += 1
-        if self.config.require_registration:
-            self.entry_control({"cmd": "register", "name": name})
-        self._connections[name] = connection
-        if session is not None:
-            self.scheduler.restore_session(session)
-        self._record("client_resumed", {"name": name})
-        return connection
+    def _forget_client(self, name: str) -> None:
+        try:
+            self.entry_control({"cmd": "forget-client", "name": name})
+        except (NetworkError, ProtocolError):
+            pass  # best-effort pruning, same crash caveat as the revoke
+        del self._connections[name]
 
     def connection(self, name: str) -> ClientConnection:
         return self._connections[name]
 
-    def client(self, name: str):
-        """The underlying client object, parked or connected (system parity)."""
-        if name in self._connections:
-            return self._connections[name].client
-        if name in self._parked:
-            return self._parked[name][0].client
-        raise ProtocolError(f"no client named {name!r}")
+    # --------------------------------------------- driver seam: scheduled rounds
 
-    def add_session(self, name: str, **session_kwargs) -> ClientSession:
-        """Create a TCP client and wrap it in a scheduler session in one step."""
-        connection = self._connections.get(name) or self.add_client(name)
-        return self.scheduler.add_session(
-            ClientSession(client=connection.client, **session_kwargs)
-        )
+    def _participants(self, given: list | None) -> list[ClientConnection]:
+        if given is not None:
+            return list(given)
+        return [self._connections[name] for name in self.clients]
 
-    # -------------------------------------------------- scheduler round driver
+    def open_scheduled_round(
+        self, protocol: RoundProtocol, participants: list | None = None
+    ) -> ScheduledRound:
+        """Open the protocol's next round window on the entry process.
 
-    def protocol(self, name: str) -> RoundProtocol:
-        return self._protocols[name]
-
-    def open_scheduled_round(self, protocol: RoundProtocol) -> ScheduledRound:
-        """Open the protocol's next round window on the entry process."""
-        if self.deadline_only_windows:
-            expected = None
-        else:
-            connections = list(self._connections.values())
+        Unless the deployment runs deadline-only windows, the window closes
+        as soon as every participating client's requests arrived (or at the
+        deadline, whichever is first).
+        """
+        expected = None
+        if not self.deadline_only_windows:
+            connections = self._participants(participants)
             expected = sum(protocol.requests_per_client(c.client) for c in connections) or None
         round_number = self.open_round(protocol.name, expected=expected)
-        return ScheduledRound(protocol.name, round_number)
+        return ScheduledRound(protocol.name, round_number, participants=participants)
 
     def discard_scheduled_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> None:
-        """Force-close a window that will never be driven (failure cleanup),
-        so the entry's in-order drive gate is not wedged on it forever."""
         try:
-            self.entry_control(
-                {"cmd": "close-round", "protocol": protocol.name, "round": opened.round_number}
-            )
+            self._close_round(protocol, opened)
         except (NetworkError, ProtocolError):
             pass  # best-effort: the entry may be the thing that failed
+
+    def _close_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> dict:
+        return self.entry_control(
+            {"cmd": "close-round", "protocol": protocol.name, "round": opened.round_number}
+        )
+
+    def _measure_round(self, protocol: RoundProtocol, opened: ScheduledRound):
+        started = time.perf_counter()
+
+        def finish(result: dict, **_client_side_counts) -> NetworkRoundResult:
+            # The entry's own window accounting supersedes client-side counts.
+            return self._resolve_round(
+                protocol,
+                NetworkRoundResult(
+                    protocol=protocol.name,
+                    round_number=opened.round_number,
+                    accepted=result["accepted"],
+                    refused=result["refused"],
+                    late=result["late"],
+                    responded=result["responded"],
+                    wall_clock_seconds=time.perf_counter() - started,
+                    aborts=int(result.get("aborts", 0)),
+                ),
+            )
+
+        return finish
 
     def drive_scheduled_round(
         self, protocol: RoundProtocol, opened: ScheduledRound
     ) -> NetworkRoundResult:
         """Submit every connection, wait out the round, poll invitations."""
-        return self._drive(protocol, opened.round_number, list(self._connections.values()))
-
-    def _drive(
-        self,
-        protocol: RoundProtocol,
-        round_number: int,
-        connections: list[ClientConnection],
-        *,
-        poll: bool = True,
-        started: float | None = None,
-    ) -> NetworkRoundResult:
-        started = time.perf_counter() if started is None else started
+        round_number = opened.round_number
+        connections = self._participants(opened.participants)
+        finish = self._measure_round(protocol, opened)
         if connections:
             # Each submission long-polls until the round resolves, so the
             # clients submit concurrently on their own connections.
@@ -957,47 +760,12 @@ class DeploymentLauncher:
                     )
                 )
         result = self.wait_round(protocol.name, round_number)
-        if poll and protocol.polls_invitations and connections:
+        if protocol.polls_invitations:
             # Every client downloads its invitation dead drop from the entry
             # over the same envelope path it submits on (DIAL_DOWNLOAD).
             for connection in connections:
                 connection.poll_invitations(round_number)
-        outcome = NetworkRoundResult(
-            protocol=protocol.name,
-            round_number=round_number,
-            accepted=result["accepted"],
-            refused=result["refused"],
-            late=result["late"],
-            responded=result["responded"],
-            wall_clock_seconds=time.perf_counter() - started,
-            aborts=int(result.get("aborts", 0)),
-        )
-        self._accountants[protocol.name].spend(1)
-        if self.ledger is not None:
-            self.ledger.append(
-                "round_metrics", self._ledger_round_record(protocol, outcome)
-            )
-        return outcome
-
-    def run_session(
-        self,
-        conversation_rounds: int,
-        *,
-        dialing_interval: int | None = None,
-        pipeline_depth: int | None = None,
-        churn=None,
-    ) -> ScheduleReport:
-        """Run a continuous overlapped schedule over TCP (see the scheduler).
-
-        ``churn`` is an optional list of :class:`~repro.runtime.ChurnEvent`
-        population changes applied at round boundaries inside the schedule.
-        """
-        return self.scheduler.run_session(
-            conversation_rounds,
-            dialing_interval=dialing_interval,
-            pipeline_depth=pipeline_depth,
-            churn=churn,
-        )
+        return finish(result)
 
     # ------------------------------------------------------------------ rounds
 
@@ -1016,11 +784,11 @@ class DeploymentLauncher:
         # The entry allocates the round number, but it allocates sequentially
         # from zero, so the launcher's mirror predicts it — which lets a
         # replay ship the recorded first-attempt number with the open.
-        forced = self._forced_attempts.get((protocol, self._round_counters[protocol]))
+        forced = self._forced_attempts.get((protocol, self._next_rounds[protocol]))
         if forced is not None:
             command["attempt"] = forced
         round_number = int(self.entry_control(command)["round"])
-        self._round_counters[protocol] = round_number + 1
+        self._next_rounds[protocol] = round_number + 1
         return round_number
 
     def wait_round(self, protocol: str, round_number: int, *, wait: float = 60.0) -> dict:
@@ -1031,125 +799,29 @@ class DeploymentLauncher:
             raise ProtocolError(f"{protocol} round {round_number}: {result['error']}")
         return result
 
-    def run_protocol_round(
-        self,
-        protocol_name: str,
-        connections: list[ClientConnection] | None = None,
-        *,
-        deadline: float | None = None,
-        poll: bool = True,
-    ) -> NetworkRoundResult:
-        """One full round of either protocol: open, submit, resolve, poll.
+    # ---------------------------------------------- driver seam: swarm transport
 
-        The window closes as soon as every participating client's requests
-        arrived (or at the deadline, whichever is first) — each submission
-        long-polls, so clients submit concurrently on their own connections.
-        """
-        protocol = self.protocol(protocol_name)
-        connections = list(self._connections.values()) if connections is None else connections
-        self._record("single_round", {"protocol": protocol_name})
-        expected = sum(protocol.requests_per_client(c.client) for c in connections)
-        started = time.perf_counter()
-        round_number = self.open_round(
-            protocol.name, deadline=deadline, expected=expected or None
-        )
-        return self._drive(
-            protocol, round_number, connections, poll=poll, started=started
-        )
+    def _swarm_send(self, frame: bytes, kind: MessageKind, round_number: int) -> bytes | None:
+        """The swarm's frames travel on the control connection straight to
+        the entry's coordinator, which replies with an immediate verdict (or
+        collect) frame."""
+        return self._control.send("swarm", "entry", frame, kind=kind, round_number=round_number)
 
-    def run_conversation_round(
-        self,
-        connections: list[ClientConnection] | None = None,
-        *,
-        deadline: float | None = None,
-    ) -> NetworkRoundResult:
-        """One full conversation round (a thin wrapper over the pipeline)."""
-        return self.run_protocol_round("conversation", connections, deadline=deadline)
-
-    def run_dialing_round(
-        self,
-        connections: list[ClientConnection] | None = None,
-        *,
-        deadline: float | None = None,
-        poll: bool = True,
-    ) -> NetworkRoundResult:
-        """One full dialing round, including the invitation download."""
-        return self.run_protocol_round(
-            "dialing", connections, deadline=deadline, poll=poll
-        )
-
-    def run_swarm_round(
-        self,
-        swarm,
-        *,
-        chunk_size: int = 0,
-        collect_chunk: int = 4096,
-    ) -> tuple[NetworkRoundResult, "object", "object"]:
-        """Drive one conversation round from a :class:`ClientSwarm` over TCP.
-
-        The swarm's wires travel as ``SUBMISSION_BATCH`` frames straight to the
-        entry's coordinator, which gates each chunk under the same window logic
-        the per-client path uses and replies with an immediate verdict frame —
-        submitting sequentially on one connection is the backpressure: the next
-        chunk is not framed until the previous chunk's verdicts are back.  The
-        round is then closed explicitly and the onion responses are pulled down
-        with ``RESPONSE_COLLECT`` frames in name-chunks.
-
-        Returns ``(result, ingest_stats, outcome)``.
-        """
-        if self._control is None:
-            raise NetworkError("deployment is not running; call start() first")
-        protocol = self.protocol("conversation")
-        control = self._control
-        self._record("swarm_round", {"wires": len(swarm.names)})
-        started = time.perf_counter()
-        # No expected count: the window must not close itself inside the last
-        # chunk's verdict reply — the launcher closes it explicitly below.
-        round_number = self.open_round(protocol.name)
-        peak_buffer = 0
-
-        def submit(chunk) -> bytes:
-            nonlocal peak_buffer
-            frame = encode_submission_batch(protocol.kind, round_number, chunk.entries)
-            reply = control.send(
-                "swarm",
-                "entry",
-                frame,
-                kind=MessageKind.SUBMISSION_BATCH,
-                round_number=round_number,
-            )
-            if reply is None:
-                raise NetworkError(f"entry dropped a swarm batch in round {round_number}")
-            got_round, verdicts = decode_batch_verdicts(reply)
-            if got_round != round_number:
-                raise ProtocolError(
-                    f"batch verdicts for round {got_round}, expected {round_number}"
-                )
-            buffered = int(self.entry_control({"cmd": "buffered-total"})["buffered"])
-            peak_buffer = max(peak_buffer, buffered)
-            return verdicts
-
-        # One connection, strictly ordered chunks: verdicts of chunk k gate
-        # the framing of chunk k+1, so pipelining adds nothing over TCP.
-        stats = swarm.submit_round(
-            round_number, submit, chunk_size=chunk_size, pipeline=False
-        )
-        stats.peak_server_buffer = peak_buffer
-        self.entry_control(
-            {"cmd": "close-round", "protocol": protocol.name, "round": round_number}
-        )
+    def _close_swarm_round(
+        self, protocol: RoundProtocol, opened: ScheduledRound, names: list[str]
+    ) -> tuple[dict, dict]:
+        """Close the round explicitly, then pull the onion responses down
+        with ``RESPONSE_COLLECT`` frames in name-chunks."""
+        round_number = opened.round_number
+        self._close_round(protocol, opened)
         result = self.wait_round(protocol.name, round_number)
         grouped: dict[str, list[bytes]] = {}
-        names = swarm.names
-        step = max(1, int(collect_chunk))
-        for start in range(0, len(names), step):
-            batch = names[start : start + step]
-            reply = control.send(
-                "swarm",
-                "entry",
+        for start in range(0, len(names), COLLECT_CHUNK):
+            batch = names[start : start + COLLECT_CHUNK]
+            reply = self._swarm_send(
                 encode_collect_request(protocol.kind, round_number, batch),
-                kind=MessageKind.RESPONSE_COLLECT,
-                round_number=round_number,
+                MessageKind.RESPONSE_COLLECT,
+                round_number,
             )
             if reply is None:
                 raise NetworkError(f"entry dropped a collect request in round {round_number}")
@@ -1158,48 +830,34 @@ class DeploymentLauncher:
                 raise ProtocolError(
                     f"collected responses for round {got_round}, expected {round_number}"
                 )
-            for name, wires in zip(batch, responses):
-                grouped[name] = wires
-        outcome = swarm.handle_round_responses(round_number, grouped)
-        network_result = NetworkRoundResult(
-            protocol=protocol.name,
-            round_number=round_number,
-            accepted=result["accepted"],
-            refused=result["refused"],
-            late=result["late"],
-            responded=result["responded"],
-            wall_clock_seconds=time.perf_counter() - started,
-            aborts=int(result.get("aborts", 0)),
-        )
-        self._accountants[protocol.name].spend(1)
-        if self.ledger is not None:
-            self.ledger.append(
-                "round_metrics", self._ledger_round_record(protocol, network_result)
-            )
-        return network_result, stats, outcome
+            grouped.update(zip(batch, responses))
+        return result, grouped
 
-    # ------------------------------------------------------------ observability
+    # ------------------------------------------------ driver seam: observables
+
+    def _chain_observable(self, index: int, command: dict) -> dict:
+        """One chain server's answer about a resolved round.  A round
+        resolves the instant a crashed server rejoins the chain, so the read
+        tolerates a control listener that is still coming up."""
+        return self._retry_transient(lambda: self.server_control(index, command))
 
     def invitation_store(self, round_number: int) -> InvitationDropStore:
         """Download a dialing round's invitation store from the last server
         (the paper serves this from a CDN; here it is a control RPC)."""
-        reply = self.server_control(
+        reply = self._chain_observable(
             self.config.num_servers - 1, {"cmd": "invitations", "round": round_number}
         )
         return InvitationDropStore.restore(reply["store"])
 
     def chain_noise(self, protocol: str, round_number: int) -> int:
-        """Total cover traffic the chain added to one round (all servers)."""
+        command = {"cmd": "noise", "protocol": protocol, "round": round_number}
         return sum(
-            self.server_control(index, {"cmd": "noise", "protocol": protocol, "round": round_number})[
-                "count"
-            ]
+            self._chain_observable(index, command)["count"]
             for index in range(self.config.num_servers)
         )
 
     def access_histogram(self, round_number: int) -> dict:
-        """The last server's observable (m1, m2) histogram for one round."""
-        return self.server_control(
+        return self._chain_observable(
             self.config.num_servers - 1, {"cmd": "histogram", "round": round_number}
         )
 

@@ -37,6 +37,17 @@ class RoundMetrics:
     bytes_moved: int = 0
     wall_clock_seconds: float = 0.0
 
+    def ledger_fields(self) -> dict:
+        """The window accounting this round contributes to its ledger record
+        (timing fields are never recorded)."""
+        return {
+            "attempts": self.attempts,
+            "aborted_attempts": self.aborted_attempts,
+            "client_requests": self.client_requests,
+            "refused": self.refused_requests,
+            "late": self.late_requests,
+        }
+
 
 @dataclass
 class ConversationRoundMetrics(RoundMetrics):
@@ -46,6 +57,13 @@ class ConversationRoundMetrics(RoundMetrics):
     lost_requests: int = 0
     noise_requests: int = 0
     histogram: AccessHistogram | None = None
+
+    def ledger_fields(self) -> dict:
+        return {
+            **super().ledger_fields(),
+            "delivered": self.delivered_responses,
+            "lost": self.lost_requests,
+        }
 
     @property
     def total_requests(self) -> int:
@@ -64,6 +82,9 @@ class DialingRoundMetrics(RoundMetrics):
     real_invitations: int = 0
     noise_invitations: int = 0
     bucket_sizes: dict[int, int] = field(default_factory=dict)
+
+    def ledger_fields(self) -> dict:
+        return {**super().ledger_fields(), "real_invitations": self.real_invitations}
 
     @property
     def total_invitations(self) -> int:

@@ -6,10 +6,12 @@ untrusted entry server, and the in-process network they communicate over; it
 hands out :class:`~repro.client.VuvuzelaClient` instances; and it drives
 rounds through the protocol-agnostic pipeline — one
 :class:`~repro.runtime.RoundProtocol` plug-in per protocol, one
-:class:`~repro.runtime.RoundScheduler` for sequencing.
-``run_conversation_round`` / ``run_dialing_round`` are thin wrappers over
-that scheduler; :meth:`run_continuous` runs the overlapped continuous
-schedule (conversation ∥ dialing) the deployment story actually needs.
+:class:`~repro.runtime.RoundScheduler` for sequencing.  Everything a
+deployment shape shares with the TCP launcher — population, ledger records,
+``run_conversation_round`` / ``run_dialing_round`` / ``run_continuous`` /
+``run_swarm_round`` — is inherited from
+:class:`~repro.core.driver.RoundDriver`; this module supplies the in-process
+seam.
 
 This is the class the examples and the integration tests use; the deployment
 simulator (:mod:`repro.simulation`) reuses its structure but replaces real
@@ -22,48 +24,21 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass
 
 from . import topology
 from .config import VuvuzelaConfig
+from .driver import RoundDriver
 from .metrics import RoundMetrics, SystemMetrics
 from .topology import NoiseLedger
 from ..client import VuvuzelaClient
 from ..deaddrop import InvitationDropStore
-from ..errors import LedgerError, ProtocolError
-from ..ledger import client_digest
-from ..net import FaultInjector, LinkConditioner, MessageKind, Network
-from ..privacy import PrivacyAccountant, conversation_guarantee, dialing_guarantee
-from ..runtime import (
-    PrecomputeManager,
-    RoundCoordinator,
-    RoundEngine,
-    RoundScheduler,
-    build_protocols,
-)
+from ..errors import ProtocolError
+from ..net import FaultInjector, FaultRule, LinkConditioner, LinkProfile, MessageKind, Network
+from ..runtime import PrecomputeManager, RoundCoordinator, RoundEngine
 from ..runtime.protocols import RoundProtocol
-from ..runtime.scheduler import ClientSession, ScheduledRound, ScheduleReport
+from ..runtime.scheduler import ScheduledRound
 from ..server import ACK, ChainServerEndpoint, EntryServer
-from ..server.wire import decode_batch_verdicts, encode_submission_batch
-
-
-from dataclasses import dataclass
-
-
-@dataclass
-class SwarmRoundReport:
-    """Everything one swarm-driven round produced, in one place.
-
-    ``metrics`` is the same :class:`~repro.core.metrics.RoundMetrics` shape a
-    per-client round reports; ``ingest`` carries the chunked admission path's
-    backpressure observables; ``outcome`` is the swarm's bulk-decoded view of
-    the responses; ``phases`` splits the round's wall clock into measured
-    wrap / admission / chain / decode seconds.
-    """
-
-    metrics: RoundMetrics
-    ingest: "object"
-    outcome: "object"
-    phases: dict | None = None
 
 
 @dataclass
@@ -71,9 +46,9 @@ class SwarmSessionReport:
     """A continuous multi-round swarm session, with per-round phase splits.
 
     The session shape the cross-round precompute pipeline is measured on:
-    ``rounds`` holds each round's :class:`SwarmRoundReport` (phase split
-    included), ``precompute`` the pipeline's hit/miss/discard counters (and
-    the swarm's prebuild counters) when the pipeline was on.
+    ``rounds`` holds each round's :class:`~repro.core.driver.SwarmRoundReport`
+    (phase split included), ``precompute`` the pipeline's hit/miss/discard
+    counters (and the swarm's prebuild counters) when the pipeline was on.
     """
 
     rounds: list = None  # type: ignore[assignment]
@@ -105,31 +80,22 @@ class SwarmSessionReport:
         return totals
 
 
-class VuvuzelaSystem:
-    """A complete, runnable Vuvuzela deployment.
+class VuvuzelaSystem(RoundDriver):
+    """A complete, runnable Vuvuzela deployment in one process.
 
-    The system doubles as the scheduler's
-    :class:`~repro.runtime.scheduler.RoundDriver` for the in-process shape:
-    it opens submission windows on its coordinator and drives each round by
-    submitting every client, closing the window, distributing responses and
-    collecting the protocol's metrics.
+    The in-process :class:`~repro.core.driver.RoundDriver`: it opens
+    submission windows on its own coordinator and drives each round by
+    submitting every client over the in-memory network, closing the window,
+    distributing responses and collecting the protocol's metrics.
     """
 
+    shape = "in-process"
+
     def __init__(self, config: VuvuzelaConfig | None = None) -> None:
-        self.config = config or VuvuzelaConfig.small()
-        self._rng = topology.root_rng(self.config)
+        super().__init__(config)
         self.network = Network()
         self.metrics = SystemMetrics()
-        self.clients: dict[str, VuvuzelaClient] = {}
-        # Clients parked mid-session (crash/churn): the client object and its
-        # session survive off-network so a later resume keeps §3.1 sequence
-        # state and undelivered outbox messages.
-        self._parked: dict[str, tuple[VuvuzelaClient, ClientSession | None]] = {}
-        self._next_rounds: dict[str, int] = {"conversation": 0, "dialing": 0}
         self._round_lock = threading.Lock()
-
-        self.server_keypairs = topology.server_keypairs(self.config, self._rng)
-        self.server_public_keys = [kp.public for kp in self.server_keypairs]
 
         # One engine for the whole deployment: every chain server of both
         # protocols shards its round crypto onto the same worker pool.
@@ -145,9 +111,7 @@ class VuvuzelaSystem:
         self.dialing_processor = topology.build_dialing_processor(self.config, self._rng)
         self._build_chain_endpoints()
 
-        # The protocol plug-ins, bound to this deployment's observables:
-        # everything protocol-specific the round pipeline needs.
-        self.protocols = build_protocols(self.config)
+        # Bind the protocol plug-ins to this deployment's observables.
         self.protocols["conversation"].bind(
             self.conversation_processor, self._conversation_noise_ledger
         )
@@ -156,7 +120,7 @@ class VuvuzelaSystem:
         self.entry = EntryServer(
             network=self.network,
             first_server={
-                self.protocols[name].kind: self._endpoint_name(0, name)
+                self.protocols[name].kind: topology.endpoint_name(0, name)
                 for name in self.protocols
             },
             require_registration=self.config.require_registration,
@@ -179,37 +143,6 @@ class VuvuzelaSystem:
             max_round_attempts=self.config.max_round_attempts,
         )
 
-        self.conversation_accountant = PrivacyAccountant(
-            per_round=conversation_guarantee(self.config.conversation_noise),
-            target_epsilon=self.config.target_epsilon,
-            target_delta=self.config.target_delta,
-            composition_d=self.config.composition_d,
-        )
-        self.dialing_accountant = PrivacyAccountant(
-            per_round=dialing_guarantee(self.config.dialing_noise),
-            target_epsilon=self.config.target_epsilon,
-            target_delta=self.config.target_delta,
-            composition_d=self.config.composition_d,
-        )
-        self._accountants = {
-            "conversation": self.conversation_accountant,
-            "dialing": self.dialing_accountant,
-        }
-
-        self.scheduler = RoundScheduler(
-            self,
-            pipeline_depth=self.config.pipeline_depth,
-            dialing_interval=self.config.dialing_interval,
-        )
-
-        #: Optional round ledger (attach with :meth:`attach_ledger`).
-        self.ledger = None
-
-        #: Optional cross-round precompute pipeline (see
-        #: :meth:`enable_precompute`).  ``None`` means every round builds its
-        #: speculative-able material inline — the two are byte-identical.
-        self.precompute: PrecomputeManager | None = None
-
     def enable_precompute(self) -> PrecomputeManager:
         """Turn the cross-round precompute pipeline on for this deployment.
 
@@ -225,10 +158,6 @@ class VuvuzelaSystem:
         return self.precompute
 
     # ------------------------------------------------------------------ setup
-
-    @staticmethod
-    def _endpoint_name(index: int, protocol: str) -> str:
-        return topology.endpoint_name(index, protocol)
 
     def _build_chain_endpoints(self) -> None:
         self.conversation_endpoints: list[ChainServerEndpoint] = []
@@ -250,192 +179,79 @@ class VuvuzelaSystem:
             self.conversation_endpoints.append(conversation_endpoint)
             self.dialing_endpoints.append(dialing_endpoint)
 
-    # ------------------------------------------------------------------ ledger
+    # ------------------------------------------------------- driver seam: ledger
 
-    def attach_ledger(self, ledger) -> None:
-        """Record this deployment's lifecycle into ``ledger`` from now on.
-
-        Every round driven after attachment appends its lifecycle records
-        (window open/close, seeds, faults, aborts, metrics) to the ledger;
-        clients and sessions that already exist are back-filled so a replay
-        starting from the session_start record can reconstruct them.
-        """
-        self.ledger = ledger
+    def _bind_ledger(self, ledger) -> dict:
+        """Every round driven after attachment appends its lifecycle records
+        (window open/close, seeds, faults, aborts) through the coordinator
+        and the network's chaos hooks."""
         self.coordinator.ledger = ledger
         if self.network.fault_injector is not None:
             self.network.fault_injector.ledger = ledger
         if self.network.link_conditioner is not None:
             self.network.link_conditioner.ledger = ledger
-        ledger.append(
-            "session_start",
-            {"shape": "in-process", "config": self.config.to_dict()},
-        )
-        for name in self.clients:
-            ledger.append("client_added", {"name": name})
-        self.scheduler.record_existing(ledger)
+        return {}
 
-    def ledger_client_digests(self) -> dict:
-        """Per-client fingerprints of user-visible state (see ledger docs).
+    # --------------------------------------------------- driver seam: population
 
-        Parked clients are included: their state is frozen while parked, and
-        a replay parks the same clients at the same boundaries, so the
-        digests stay comparable across a churny schedule.
-        """
-        population = dict(self.clients)
-        population.update({name: client for name, (client, _) in self._parked.items()})
-        return {name: client_digest(population[name]) for name in sorted(population)}
-
-    def _ledger_round_record(self, protocol: RoundProtocol, metrics: RoundMetrics) -> dict:
-        """The shape-invariant observables of one resolved round.
-
-        Exactly the fields the byte-identity guarantee covers (plus the
-        window accounting); the TCP launcher records the same keys from its
-        control RPCs, which is what lets replay diff either recording.
-        """
-        record = {
-            "protocol": protocol.name,
-            "round": metrics.round_number,
-            "attempts": metrics.attempts,
-            "aborted_attempts": metrics.aborted_attempts,
-            "client_requests": metrics.client_requests,
-            "refused": metrics.refused_requests,
-            "late": metrics.late_requests,
-        }
-        if protocol.name == "conversation":
-            histogram = metrics.histogram
-            record.update(
-                delivered=metrics.delivered_responses,
-                lost=metrics.lost_requests,
-                noise=metrics.noise_requests,
-                histogram=(
-                    [histogram.singles, histogram.pairs, histogram.collisions]
-                    if histogram is not None
-                    else None
-                ),
-            )
-        else:
-            record.update(
-                real_invitations=metrics.real_invitations,
-                noise_invitations=metrics.noise_invitations,
-                bucket_sizes={
-                    str(bucket): size
-                    for bucket, size in sorted(metrics.bucket_sizes.items())
-                },
-            )
-        guarantee = self._accountants[protocol.name].current_guarantee()
-        record["accountant"] = {
-            "rounds_used": self._accountants[protocol.name].rounds_used,
-            "epsilon": guarantee.epsilon,
-            "delta": guarantee.delta,
-        }
-        return record
-
-    # ----------------------------------------------------------------- clients
-
-    def add_client(self, name: str) -> VuvuzelaClient:
-        """Create a client, register it on the network and return it."""
-        if name in self.clients:
-            raise ProtocolError(f"a client named {name!r} already exists")
-        client = topology.build_client(self.config, name, self._rng, self.server_public_keys)
+    def _connect_client(self, client: VuvuzelaClient) -> VuvuzelaClient:
         # Clients are passive endpoints: the system pushes responses to them.
-        self.network.register(name, lambda envelope: b"")
+        self.network.register(client.name, lambda envelope: b"")
         if self.config.require_registration:
-            self.entry.register_account(name)
-        self.clients[name] = client
-        if self.ledger is not None:
-            self.ledger.append("client_added", {"name": name})
+            self.entry.register_account(client.name)
         return client
 
-    def remove_client(self, name: str) -> None:
-        """Deregister a client mid-session (churn): its cover traffic stops.
-
-        Client rng streams are forked per client name at creation, so a
-        removal never shifts the draws of the clients that remain — which is
-        what keeps churn deterministic and replayable.  A permanently
-        departed client's coordinator state (parked refunds, dedup digests,
-        per-round pending entries) is pruned so a long churny session does
-        not leak it.
-        """
-        if name in self._parked:
-            del self._parked[name]
-        elif name in self.clients:
-            self.scheduler.remove_session(name)
-            self.network.unregister(name)
-            if self.config.require_registration:
-                self.entry.revoke_account(name)
-            del self.clients[name]
-        else:
-            raise ProtocolError(f"no client named {name!r}")
-        self.coordinator.forget_client(name)
-        if self.ledger is not None:
-            self.ledger.append("client_removed", {"name": name})
-
-    def park_client(self, name: str) -> None:
-        """Take a client off the network mid-session, keeping its state.
-
-        Models a crash or a connectivity outage: the client stops submitting
-        (its session leaves the schedule) and its account is revoked, but the
-        client object — send sequencer, receive dedup tracker, undelivered
-        outbox — is parked so :meth:`resume_client` can bring the same user
-        back.  The rounds missed while parked are exactly the §3.1 "client
-        offline" case: on resume the outbox retransmits and the sequence
-        tracker suppresses any duplicate the retransmission causes.
-        """
-        if name not in self.clients:
-            raise ProtocolError(f"no client named {name!r}")
-        session = self.scheduler.remove_session(name)
+    def _disconnect_client(self, name: str) -> None:
         self.network.unregister(name)
         if self.config.require_registration:
             self.entry.revoke_account(name)
-        self._parked[name] = (self.clients.pop(name), session)
-        if self.ledger is not None:
-            self.ledger.append("client_parked", {"name": name})
 
-    def resume_client(self, name: str) -> VuvuzelaClient:
-        """Bring a parked client back online with its session state intact."""
-        if name not in self._parked:
-            raise ProtocolError(f"no parked client named {name!r}")
-        client, session = self._parked.pop(name)
-        self.network.register(name, lambda envelope: b"")
-        if self.config.require_registration:
-            self.entry.register_account(name)
-        self.clients[name] = client
-        if session is not None:
-            self.scheduler.restore_session(session)
-        if self.ledger is not None:
-            self.ledger.append("client_resumed", {"name": name})
-        return client
+    def _forget_client(self, name: str) -> None:
+        self.coordinator.forget_client(name)
 
-    def client(self, name: str) -> VuvuzelaClient:
-        """The client object, parked or active (launcher parity)."""
-        if name in self.clients:
-            return self.clients[name]
-        if name in self._parked:
-            return self._parked[name][0]
-        raise ProtocolError(f"no client named {name!r}")
+    # --------------------------------------------- driver seam: scheduled rounds
 
-    def add_session(self, name: str, **session_kwargs) -> ClientSession:
-        """Create a client and wrap it in a scheduler session in one step."""
-        client = self.clients.get(name) or self.add_client(name)
-        return self.scheduler.add_session(ClientSession(client=client, **session_kwargs))
-
-    # -------------------------------------------------- scheduler round driver
-
-    def protocol(self, name: str) -> RoundProtocol:
-        return self.protocols[name]
-
-    def open_scheduled_round(self, protocol: RoundProtocol) -> ScheduledRound:
+    def open_scheduled_round(
+        self, protocol: RoundProtocol, participants: list | None = None
+    ) -> ScheduledRound:
         """Allocate the protocol's next round number and open its window."""
         with self._round_lock:
             round_number = self._next_rounds[protocol.name]
             self._next_rounds[protocol.name] += 1
-        window = self.coordinator.open_round(protocol.kind, round_number)
-        return ScheduledRound(protocol.name, round_number, handle=window)
+        window = self.coordinator.open_round(
+            protocol.kind,
+            round_number,
+            attempt=self._forced_attempts.get((protocol.name, round_number), 1),
+        )
+        return ScheduledRound(
+            protocol.name, round_number, handle=window, participants=participants
+        )
 
     def discard_scheduled_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> None:
-        """Resolve a pre-opened window that will never be driven: close it as
-        an (empty) round so later rounds' chain drives are not gated on it."""
         self.coordinator.close_round(opened.handle)
+
+    def _measure_round(self, protocol: RoundProtocol, opened: ScheduledRound):
+        """``bytes_moved`` is a whole-network byte delta over the round's wall
+        clock, so when rounds overlap (``pipeline_depth`` >= 2) a concurrent
+        round's traffic lands in both rounds' deltas — a timing-window
+        measure, like ``wall_clock_seconds``, not a protocol observable.
+        The byte-identity guarantee covers plaintexts, buckets and noise,
+        never these two fields."""
+        started = time.perf_counter()
+        bytes_before = self.network.total_bytes()
+
+        def finish(closed, **counts) -> RoundMetrics:
+            metrics = protocol.collect_metrics(
+                opened.round_number,
+                closed,
+                bytes_moved=self.network.total_bytes() - bytes_before,
+                wall_clock_seconds=time.perf_counter() - started,
+                **counts,
+            )
+            self.metrics.record(metrics)
+            return self._resolve_round(protocol, metrics)
+
+        return finish
 
     def drive_scheduled_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> RoundMetrics:
         """Submit every client, resolve the round, deliver, account.
@@ -443,23 +259,19 @@ class VuvuzelaSystem:
         One code path for both protocols: the protocol plug-in builds the
         wires, consumes the responses, and shapes the metrics; the driver
         owns submission, window close and response distribution.
-
-        ``bytes_moved`` is a whole-network byte delta over the round's wall
-        clock, so when rounds overlap (``pipeline_depth`` >= 2) a concurrent
-        round's traffic lands in both rounds' deltas — a timing-window
-        measure, like ``wall_clock_seconds``, not a protocol observable.
-        The byte-identity guarantee covers plaintexts, buckets and noise,
-        never these two fields.
         """
         round_number = opened.round_number
-        window = opened.handle
-        started = time.perf_counter()
-        bytes_before = self.network.total_bytes()
-        extra = protocol.before_round(self.clients)
+        clients = (
+            self.clients
+            if opened.participants is None
+            else {client.name: client for client in opened.participants}
+        )
+        finish = self._measure_round(protocol, opened)
+        extra = protocol.before_round(clients)
 
         submitted: dict[str, list[bool]] = {}
         total_requests = 0
-        for name, client in self.clients.items():
+        for name, client in clients.items():
             flags: list[bool] = []
             for wire in protocol.build_wires(client, round_number):
                 ack = self.network.send(
@@ -473,11 +285,11 @@ class VuvuzelaSystem:
             submitted[name] = flags
             total_requests += len(flags)
 
-        result = self.coordinator.close_round(window)
+        result = self.coordinator.close_round(opened.handle)
         grouped = result.responses
 
         delivered = lost = 0
-        for name, client in self.clients.items():
+        for name, client in clients.items():
             available = list(grouped.get(name, []))
             responses: list[bytes | None] = []
             for was_submitted in submitted[name]:
@@ -507,118 +319,24 @@ class VuvuzelaSystem:
             # front) — the same serving path networked clients hit with a
             # DIAL_DOWNLOAD envelope — so its bytes are transport-invariant.
             store = self.download_invitations(round_number)
-            for client in self.clients.values():
+            for client in clients.values():
                 client.poll_invitations(round_number, store)
 
-        self._accountants[protocol.name].spend(1)
-        metrics = protocol.collect_metrics(
-            round_number,
-            result,
-            client_requests=total_requests,
-            delivered=delivered,
-            lost=lost,
-            extra=extra,
-            bytes_moved=self.network.total_bytes() - bytes_before,
-            wall_clock_seconds=time.perf_counter() - started,
+        return finish(
+            result, client_requests=total_requests, delivered=delivered, lost=lost, extra=extra
         )
-        self.metrics.record(metrics)
-        if self.ledger is not None:
-            self.ledger.append("round_metrics", self._ledger_round_record(protocol, metrics))
-        return metrics
 
-    # ------------------------------------------------------------ swarm rounds
+    # ---------------------------------------------- driver seam: swarm transport
 
-    def run_swarm_round(
-        self, swarm, *, chunk_size: int = 0, overlap=None
-    ) -> "SwarmRoundReport":
-        """Drive one conversation round offered by a whole client swarm.
+    def _swarm_send(self, frame: bytes, kind: MessageKind, round_number: int) -> bytes | None:
+        return self.network.send(
+            "swarm", self.entry.name, frame, kind=kind, round_number=round_number
+        )
 
-        The swarm counterpart of :meth:`drive_scheduled_round`: the population
-        lives in a :class:`~repro.simulation.ClientSwarm` instead of
-        ``self.clients``, requests arrive in ``SUBMISSION_BATCH`` chunks
-        through the coordinator's batched gate instead of one envelope per
-        client, and responses are decoded in bulk by the swarm (no per-client
-        push — the swarm consumes the grouped responses directly).  Every
-        server-side observable — admission verdicts, window accounting, the
-        chain drive, noise, metrics, the ledger record — goes through the
-        same code as the per-client path.
-
-        ``overlap``, when given, is called once after ingest finishes (the
-        chain-drive window begins); it may kick background work — the session
-        driver uses it to prebuild the *next* round — and must return either
-        ``None`` or a join callable, which is invoked after the chain
-        resolves and before the swarm decodes, so background work never
-        races the swarm's own decode state.
-        """
-        protocol = self.protocols["conversation"]
-        opened = self.open_scheduled_round(protocol)
-        round_number = opened.round_number
-        started = time.perf_counter()
-        bytes_before = self.network.total_bytes()
-        extra = protocol.before_round({})
-
-        peak_buffer = 0
-
-        def submit(chunk) -> bytes:
-            nonlocal peak_buffer
-            reply = self.network.send(
-                "swarm",
-                self.entry.name,
-                encode_submission_batch(protocol.kind, round_number, chunk.entries),
-                kind=MessageKind.SUBMISSION_BATCH,
-                round_number=round_number,
-            )
-            if reply is None:
-                raise ProtocolError(
-                    f"round {round_number}: the entry dropped a submission batch"
-                )
-            reply_round, verdicts = decode_batch_verdicts(reply)
-            if reply_round != round_number:
-                raise ProtocolError(
-                    f"round {round_number}: verdict frame for round {reply_round}"
-                )
-            peak_buffer = max(
-                peak_buffer, self.entry.pending_requests(protocol.kind, round_number)
-            )
-            return verdicts
-
-        stats = swarm.submit_round(round_number, submit, chunk_size=chunk_size)
-        stats.peak_server_buffer = peak_buffer
-        join = overlap() if overlap is not None else None
-        chain_started = time.perf_counter()
+    def _close_swarm_round(self, protocol: RoundProtocol, opened: ScheduledRound, names):
+        # No per-client push: the swarm consumes the grouped responses directly.
         result = self.coordinator.close_round(opened.handle)
-        chain_seconds = time.perf_counter() - chain_started
-        if join is not None:
-            join()
-        decode_started = time.perf_counter()
-        outcome = swarm.handle_round_responses(round_number, result.responses)
-        decode_seconds = time.perf_counter() - decode_started
-
-        self._accountants[protocol.name].spend(1)
-        metrics = protocol.collect_metrics(
-            round_number,
-            result,
-            client_requests=stats.wires,
-            delivered=outcome.delivered,
-            lost=outcome.lost,
-            extra=extra,
-            bytes_moved=self.network.total_bytes() - bytes_before,
-            wall_clock_seconds=time.perf_counter() - started,
-        )
-        self.metrics.record(metrics)
-        if self.ledger is not None:
-            self.ledger.append("round_metrics", self._ledger_round_record(protocol, metrics))
-        phases = {
-            "round": round_number,
-            "wrap_seconds": stats.wrap_seconds,
-            "admission_seconds": stats.admission_seconds,
-            "chain_seconds": chain_seconds,
-            "decode_seconds": decode_seconds,
-            "total_seconds": metrics.wall_clock_seconds,
-        }
-        return SwarmRoundReport(
-            metrics=metrics, ingest=stats, outcome=outcome, phases=phases
-        )
+        return result, result.responses
 
     def run_swarm_session(
         self, swarm, rounds: int, *, chunk_size: int = 0, precompute: bool = False
@@ -680,49 +398,7 @@ class VuvuzelaSystem:
             report.precompute["swarm"] = swarm.prebuild_stats()
         return report
 
-    # ---------------------------------------------------------- round driving
-
-    @property
-    def next_conversation_round(self) -> int:
-        return self._next_rounds["conversation"]
-
-    @property
-    def next_dialing_round(self) -> int:
-        return self._next_rounds["dialing"]
-
-    def run_conversation_round(self):
-        """Run one complete conversation round for every registered client."""
-        return self.scheduler.run_round("conversation")
-
-    def run_dialing_round(self):
-        """Run one complete dialing round, including client invitation polling."""
-        return self.scheduler.run_round("dialing")
-
-    def run_continuous(
-        self,
-        conversation_rounds: int,
-        *,
-        dialing_interval: int | None = None,
-        pipeline_depth: int | None = None,
-        churn=None,
-    ) -> ScheduleReport:
-        """Run a continuous overlapped schedule (see :class:`RoundScheduler`).
-
-        ``churn`` is an optional list of :class:`~repro.runtime.ChurnEvent`
-        population changes applied at round boundaries inside the schedule.
-        """
-        return self.scheduler.run_session(
-            conversation_rounds,
-            dialing_interval=dialing_interval,
-            pipeline_depth=pipeline_depth,
-            churn=churn,
-        )
-
-    #: Same schedule, launcher-compatible name: deployment code can drive
-    #: either shape through ``run_session`` without caring which it holds.
-    run_session = run_continuous
-
-    # -------------------------------------------------------------- lifecycle
+    # --------------------------------------------- driver seam: chaos surface
 
     def fault_injector(self, seed: int = 0) -> FaultInjector:
         """The deployment's chaos hook, attached to the network on first use.
@@ -765,6 +441,48 @@ class VuvuzelaSystem:
             )
         return self.network.link_conditioner
 
+    def inject_fault(self, target: str | int, rule: dict, *, seed: int = 0) -> FaultRule:
+        """Install one fault rule (JSON form).  ``target`` names the sending
+        process over TCP; in-process every hop shares the one network-wide
+        injector, so it only has to be a valid target."""
+        return self.fault_injector(seed).add_rule(FaultRule.from_dict(rule))
+
+    def heal_faults(self, target: str | int) -> None:
+        if self.network.fault_injector is not None:
+            self.network.fault_injector.heal()
+
+    def condition_clients(self, profile: LinkProfile | dict, *, seed: int = 0) -> LinkConditioner:
+        """In-process every hop shares the network-wide conditioner; profiles
+        scope themselves by their ``destination`` / ``kind`` match."""
+        conditioner = self.link_conditioner(seed)
+        conditioner.add_profile(
+            profile if isinstance(profile, LinkProfile) else LinkProfile.from_dict(profile)
+        )
+        return conditioner
+
+    def heal_links(self) -> None:
+        if self.network.link_conditioner is not None:
+            self.network.link_conditioner.heal()
+
+    def link_stats(self) -> dict:
+        # No conditioner yet is a clear sky: a fresh one's all-zero counters.
+        return (self.network.link_conditioner or LinkConditioner()).stats()
+
+    def aborted_total(self) -> int:
+        return self.coordinator.rounds_aborted
+
+    def buffered_total(self) -> int:
+        return self.entry.buffered_total()
+
+    def resubmission_parked(self) -> dict:
+        return {
+            f"{kind.value}/{round_number}": len(entries)
+            for (kind, round_number), entries in self.coordinator.resubmission_queue.items()
+            if entries
+        }
+
+    # -------------------------------------------------------------- lifecycle
+
     def close(self) -> None:
         """Shut the coordinator and the engine's worker pool down (idempotent).
 
@@ -772,12 +490,7 @@ class VuvuzelaSystem:
         close is only needed for deployments configured with a threaded or
         process-sharded engine (the default serial engine owns no pool).
         """
-        if self.ledger is not None:
-            try:
-                self.ledger.append("session_end", {"shape": "in-process"})
-            except LedgerError:
-                pass  # the writer was already closed by its owner
-            self.ledger = None
+        self._end_session()
         if self.precompute is not None:
             self.precompute.close()
             self.precompute = None
@@ -790,11 +503,16 @@ class VuvuzelaSystem:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-    # -------------------------------------------------------------- observability
+    # ------------------------------------------------ driver seam: observables
 
-    def conversation_histogram(self, round_number: int):
-        """The observable (m1, m2) histogram of a finished conversation round."""
-        return self.conversation_processor.histogram(round_number)
+    def chain_noise(self, protocol: str, round_number: int) -> int:
+        return self.protocols[protocol].noise_ledger.for_round(round_number)
+
+    def access_histogram(self, round_number: int) -> dict:
+        histogram = self.conversation_processor.histograms.get(round_number)
+        if histogram is None:
+            raise ProtocolError(f"conversation round {round_number} has not run here")
+        return asdict(histogram)
 
     def invitation_store(self, dialing_round: int) -> InvitationDropStore:
         return self.dialing_processor.store_for_round(dialing_round)

@@ -80,16 +80,20 @@ class DeterministicRandom:
         self._counter = 0
         self._buffer = b""
 
-    def _refill(self) -> None:
-        block = hashlib.sha256(self._seed + struct.pack(">Q", self._counter)).digest()
-        self._counter += 1
-        self._buffer += block
-
     def random_bytes(self, n: int) -> bytes:
         if n < 0:
             raise ValueError("cannot request a negative number of bytes")
-        while len(self._buffer) < n:
-            self._refill()
+        if len(self._buffer) < n:
+            # One join, not one concatenation per block: a bulk draw (a whole
+            # round's noise payloads, ~400 KB) must not re-copy the buffer
+            # for every 32 bytes it gains.
+            blocks = [self._buffer]
+            for _ in range((n - len(self._buffer) + 31) // 32):
+                blocks.append(
+                    hashlib.sha256(self._seed + struct.pack(">Q", self._counter)).digest()
+                )
+                self._counter += 1
+            self._buffer = b"".join(blocks)
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
 

@@ -116,46 +116,6 @@ class _CaptureLedger:
         return [data for recorded_type, data in self.records if recorded_type == type_]
 
 
-def _replay_system(config, recorded_attempts: dict):
-    """A :class:`VuvuzelaSystem` that forces recorded attempt numbers.
-
-    Built lazily (function, not module-level class) so importing the ledger
-    package never drags the full deployment stack in.
-    """
-    from ..core.system import VuvuzelaSystem
-
-    class _ReplaySystem(VuvuzelaSystem):
-        def __init__(self) -> None:
-            super().__init__(config)
-            self.capture = _CaptureLedger()
-            # The coordinator records window_open/window_close (with the
-            # submission-wire digest) into the capture; round_metrics are
-            # captured via the drive override below, so the system-level
-            # ledger stays detached.
-            self.coordinator.ledger = self.capture
-
-        def open_scheduled_round(self, protocol):
-            opened = super().open_scheduled_round(protocol)
-            attempts = recorded_attempts.get((protocol.name, opened.round_number))
-            if attempts is not None and attempts > 1:
-                # The recorded round aborted attempts 1..N-1 and succeeded on
-                # attempt N.  Aborted attempts leave no trace in any
-                # observable (their noise is discarded with the failed batch),
-                # so the replay jumps straight to attempt N — the fork label
-                # "round-R/attempt-N" then reproduces its bytes exactly.
-                opened.handle.attempt = attempts
-            return opened
-
-        def drive_scheduled_round(self, protocol, opened):
-            metrics = super().drive_scheduled_round(protocol, opened)
-            self.capture.append(
-                "round_metrics", self._ledger_round_record(protocol, metrics)
-            )
-            return metrics
-
-    return _ReplaySystem()
-
-
 def _diff_round(recorded: dict, replayed: dict) -> dict:
     mismatches = {}
     for key in OBSERVABLES:
@@ -168,19 +128,17 @@ def _diff_round(recorded: dict, replayed: dict) -> dict:
 _SCHEDULE_ENDS = ("schedule_done", "schedule_failed")
 
 
-def _replay_walk(driver, view, report: ReplayReport, apply_profile, heal_links) -> None:
+def _replay_walk(driver, view, report: ReplayReport, apply_profile) -> None:
     """Re-execute a recording's structural records against ``driver``.
 
-    ``driver`` is either deployment shape — both expose the same lifecycle
-    surface (``add_client`` / ``remove_client`` / ``park_client`` /
-    ``resume_client`` / ``add_session`` / ``run_session`` / ``scheduler`` /
-    ``ledger_client_digests``).  Link conditioning differs per shape, so it
-    comes in as the two callbacks.
+    ``driver`` is either deployment shape: the whole lifecycle surface is
+    :class:`~repro.core.driver.RoundDriver`'s.  Only *where* a recorded link
+    profile is installed differs per shape, so that comes in as a callback.
 
     Everything recorded *inside* a ``schedule`` span — churn events and the
     client/session records the events generated, window and round records,
     conditioner losses — is skipped record-by-record: the span is re-executed
-    wholesale by ``run_session`` with the churn script the ``schedule``
+    wholesale by ``run_continuous`` with the churn script the ``schedule``
     record carries, which regenerates all of it at the same boundaries.
     """
     from ..crypto.keys import PublicKey
@@ -192,10 +150,7 @@ def _replay_walk(driver, view, report: ReplayReport, apply_profile, heal_links) 
         record = records[index]
         data = record.data
         if record.type == "client_added":
-            existing = getattr(driver, "clients", None)
-            if existing is None:
-                existing = getattr(driver, "_connections", {})
-            if data["name"] not in existing:
+            if data["name"] not in driver.clients:
                 driver.add_client(data["name"])
         elif record.type == "client_removed":
             driver.remove_client(data["name"])
@@ -221,24 +176,20 @@ def _replay_walk(driver, view, report: ReplayReport, apply_profile, heal_links) 
         elif record.type == "link_profile_added":
             apply_profile(data)
         elif record.type == "links_healed":
-            heal_links(data)
+            driver.heal_links()
         elif record.type == "schedule":
             end = index + 1
             while end < len(records) and records[end].type not in _SCHEDULE_ENDS:
                 end += 1
-            terminator = records[end] if end < len(records) else None
-            if terminator is not None and terminator.type == "schedule_failed":
-                raise LedgerError(
-                    f"{view.path}: the recording crashed mid-schedule "
-                    f"({terminator.data.get('error', 'unknown error')}) — replay "
-                    "reconstructs completed plans only"
-                )
+            if end < len(records) and records[end].type == "schedule_failed":
+                index = end  # never re-run a crashed plan: refuse it below
+                continue
             # Serial replay of a possibly-overlapped plan is sound: the
             # scheduler's whole design guarantee is that overlapped execution
             # is byte-identical to serial execution.  The churn script rides
             # in the schedule record, so population changes re-apply at the
             # same round boundaries they originally hit.
-            driver.run_session(
+            driver.run_continuous(
                 data["conversation_rounds"],
                 dialing_interval=data["dialing_interval"],
                 pipeline_depth=1,
@@ -246,17 +197,9 @@ def _replay_walk(driver, view, report: ReplayReport, apply_profile, heal_links) 
                     ChurnEvent.from_dict(event) for event in data.get("churn", ())
                 ],
             )
-            if terminator is not None:
-                replayed_digests = driver.ledger_client_digests()
-                for name, recorded_digest in terminator.data.get("clients", {}).items():
-                    replayed_digest = replayed_digests.get(name)
-                    if recorded_digest != replayed_digest:
-                        report.client_mismatches[name] = (
-                            recorded_digest,
-                            replayed_digest,
-                        )
-            report.records_replayed += (end - index) + (1 if terminator is not None else 0)
-            index = end + 1
+            # The span's terminator (if any) is the next record handled.
+            report.records_replayed += end - index
+            index = end
             continue
         elif record.type == "single_round":
             driver.scheduler.run_round(data["protocol"])
@@ -279,14 +222,13 @@ def _replay_walk(driver, view, report: ReplayReport, apply_profile, heal_links) 
         index += 1
 
 
-def replay_ledger(source: str | os.PathLike | LedgerView) -> ReplayReport:
-    """Re-execute a recorded session from its ledger alone and diff it.
+def _replay(source, build_driver, install_profile, *, diff_wires: bool) -> ReplayReport:
+    """Rebuild the recorded session on ``build_driver(head, config)`` and diff it.
 
-    ``source`` is a ledger file path or an already-loaded
-    :class:`~repro.ledger.writer.LedgerView` (e.g. a campaign's violation
-    slice).  Raises :class:`~repro.errors.LedgerError` when the ledger has no
-    ``session_start`` record or records a schedule that never completed —
-    replay reconstructs completed work, it does not resume crashed plans.
+    Recorded attempt numbers are forced onto the fresh windows
+    (:meth:`~repro.core.driver.RoundDriver.force_attempts`) and the replay's
+    own records flow into an in-memory capture, which is what the recorded
+    observables are diffed against.
     """
     view = source if isinstance(source, LedgerView) else load_ledger(source)
     head = [record for record in view if record.type == "session_start"]
@@ -297,63 +239,71 @@ def replay_ledger(source: str | os.PathLike | LedgerView) -> ReplayReport:
     from ..core.config import VuvuzelaConfig
 
     config = VuvuzelaConfig.from_dict(head[0].data["config"])
-
-    recorded_rounds: dict[tuple[str, int], dict] = {}
-    recorded_attempts: dict[tuple[str, int], int] = {}
-    for record in view.of_type("round_metrics"):
-        key = (record.data["protocol"], record.data["round"])
-        recorded_rounds[key] = record.data
-        recorded_attempts[key] = int(record.data.get("attempts", 1))
+    recorded_rounds = {
+        (record.data["protocol"], record.data["round"]): record.data
+        for record in view.of_type("round_metrics")
+    }
 
     report = ReplayReport()
-    system = _replay_system(config, recorded_attempts)
-    try:
-        def apply_profile(data: dict) -> None:
-            from ..net import LinkProfile
+    capture = _CaptureLedger()
+    with build_driver(head[0].data, config) as driver:
+        driver.attach_ledger(capture)
+        driver.force_attempts(
+            {key: int(data.get("attempts", 1)) for key, data in recorded_rounds.items()}
+        )
+        _replay_walk(driver, view, report, lambda data: install_profile(driver, data))
 
-            conditioner = system.link_conditioner(int(data["seed"]), realtime=False)
-            conditioner.add_profile(LinkProfile.from_dict(data["profile"]))
-
-        def heal_links(_data: dict) -> None:
-            if system.network.link_conditioner is not None:
-                system.network.link_conditioner.heal()
-
-        _replay_walk(system, view, report, apply_profile, heal_links)
-
-        replayed_rounds = {
-            (data["protocol"], data["round"]): data
-            for data in system.capture.of_type("round_metrics")
-        }
-        for key, recorded in sorted(recorded_rounds.items()):
-            replayed = replayed_rounds.get(key)
-            if replayed is None:
-                report.missing_rounds.append(key)
-                continue
-            report.rounds.append(
-                RoundDiff(
-                    protocol=key[0],
-                    round_number=key[1],
-                    mismatches=_diff_round(recorded, replayed),
-                )
+    replayed_rounds = {
+        (data["protocol"], data["round"]): data for data in capture.of_type("round_metrics")
+    }
+    for key, recorded in sorted(recorded_rounds.items()):
+        replayed = replayed_rounds.get(key)
+        if replayed is None:
+            report.missing_rounds.append(key)
+            continue
+        report.rounds.append(
+            RoundDiff(
+                protocol=key[0],
+                round_number=key[1],
+                mismatches=_diff_round(recorded, replayed),
             )
+        )
+    if diff_wires:
 
-        recorded_closes = {
-            (data["kind"], data["round"], data["attempt"]): data["submissions_sha256"]
-            for data in (record.data for record in view.of_type("window_close"))
-        }
-        if recorded_closes:
-            replayed_closes = {
-                (data["kind"], data["round"], data["attempt"]): data[
-                    "submissions_sha256"
-                ]
-                for data in system.capture.of_type("window_close")
+        def closes(records) -> dict:
+            return {
+                (data["kind"], data["round"], data["attempt"]): data["submissions_sha256"]
+                for data in records
             }
-            for key, digest in sorted(recorded_closes.items()):
-                if replayed_closes.get(key) != digest:
-                    report.wire_mismatches.append(key)
-    finally:
-        system.close()
+
+        replayed_closes = closes(capture.of_type("window_close"))
+        recorded_closes = closes(record.data for record in view.of_type("window_close"))
+        for key, digest in sorted(recorded_closes.items()):
+            if replayed_closes.get(key) != digest:
+                report.wire_mismatches.append(key)
     return report
+
+
+def replay_ledger(source: str | os.PathLike | LedgerView) -> ReplayReport:
+    """Re-execute a recorded session from its ledger alone and diff it.
+
+    ``source`` is a ledger file path or an already-loaded
+    :class:`~repro.ledger.writer.LedgerView` (e.g. a campaign's violation
+    slice).  Raises :class:`~repro.errors.LedgerError` when the ledger has no
+    ``session_start`` record or records a schedule that never completed —
+    replay reconstructs completed work, it does not resume crashed plans.
+    """
+    from ..core.system import VuvuzelaSystem
+    from ..net import LinkProfile
+
+    def install_profile(system, data: dict) -> None:
+        # Same hash-keyed loss decisions, without ever sleeping.
+        conditioner = system.link_conditioner(int(data["seed"]), realtime=False)
+        conditioner.add_profile(LinkProfile.from_dict(data["profile"]))
+
+    return _replay(
+        source, lambda _head, config: VuvuzelaSystem(config), install_profile, diff_wires=True
+    )
 
 
 def replay_ledger_over_tcp(
@@ -375,73 +325,24 @@ def replay_ledger_over_tcp(
     coordinator lives in the entry process, which never writes the replay's
     ledger — round observables and client digests carry the comparison.
     """
-    view = source if isinstance(source, LedgerView) else load_ledger(source)
-    head = [record for record in view if record.type == "session_start"]
-    if not head:
-        raise LedgerError(f"{view.path}: no session_start record — nothing to replay")
-    if len(head) > 1:
-        raise LedgerError(f"{view.path}: multiple sessions in one ledger")
-    from ..core.config import VuvuzelaConfig
     from ..core.deployment import DeploymentLauncher
 
-    config = VuvuzelaConfig.from_dict(head[0].data["config"])
+    def build_launcher(head: dict, config):
+        deadline = head.get("round_deadline_seconds")
+        return DeploymentLauncher(
+            config,
+            startup_timeout=startup_timeout,
+            round_deadline_seconds=None if deadline is None else float(deadline),
+            deadline_only_windows=bool(head.get("deadline_only_windows", False)),
+        )
 
-    recorded_rounds: dict[tuple[str, int], dict] = {}
-    recorded_attempts: dict[tuple[str, int], int] = {}
-    for record in view.of_type("round_metrics"):
-        key = (record.data["protocol"], record.data["round"])
-        recorded_rounds[key] = record.data
-        recorded_attempts[key] = int(record.data.get("attempts", 1))
+    def install_profile(launcher, data: dict) -> None:
+        if data.get("target") is not None:
+            launcher.condition_link(data["target"], data["profile"], seed=int(data["seed"]))
+        else:
+            launcher.condition_clients(data["profile"], seed=int(data["seed"]))
 
-    report = ReplayReport()
-    capture = _CaptureLedger()
-    deadline = head[0].data.get("round_deadline_seconds")
-    launcher = DeploymentLauncher(
-        config,
-        startup_timeout=startup_timeout,
-        round_deadline_seconds=None if deadline is None else float(deadline),
-        deadline_only_windows=bool(head[0].data.get("deadline_only_windows", False)),
-    )
-    launcher.start()
-    try:
-        # Round records flow straight into the capture; the launcher's
-        # lifecycle records land there too and are simply never diffed.
-        launcher.ledger = capture
-        launcher.force_attempts(recorded_attempts)
-
-        def apply_profile(data: dict) -> None:
-            if data.get("target") is not None:
-                launcher.condition_link(
-                    data["target"], data["profile"], seed=int(data["seed"])
-                )
-            else:
-                launcher.condition_clients(data["profile"], seed=int(data["seed"]))
-
-        def heal_links(_data: dict) -> None:
-            launcher.heal_links()
-
-        _replay_walk(launcher, view, report, apply_profile, heal_links)
-
-        replayed_rounds = {
-            (data["protocol"], data["round"]): data
-            for data in capture.of_type("round_metrics")
-        }
-        for key, recorded in sorted(recorded_rounds.items()):
-            replayed = replayed_rounds.get(key)
-            if replayed is None:
-                report.missing_rounds.append(key)
-                continue
-            report.rounds.append(
-                RoundDiff(
-                    protocol=key[0],
-                    round_number=key[1],
-                    mismatches=_diff_round(recorded, replayed),
-                )
-            )
-    finally:
-        launcher.ledger = None
-        launcher.stop()
-    return report
+    return _replay(source, build_launcher, install_profile, diff_wires=False)
 
 
 __all__ = [

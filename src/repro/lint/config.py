@@ -18,10 +18,13 @@ def _matches(module_id: str, patterns: tuple[str, ...]) -> bool:
 
 #: The packages whose code runs inside a round — where a stray wall-clock
 #: read or ambient RNG draw silently breaks serial ≡ overlapped ≡ TCP ≡
-#: replay byte-identity.  ``core``, ``client`` and ``simulation`` drive
-#: rounds from outside (launchers, benchmarks, workload generators) and are
-#: deliberately not policed: their timing reads shape wall clocks, not bytes.
+#: replay byte-identity.  ``client``, ``simulation`` and the rest of ``core``
+#: drive rounds from outside (launchers, benchmarks, workload generators)
+#: and are deliberately not policed: their timing reads shape wall clocks,
+#: not bytes.  The shared round driver is the exception: it writes the
+#: ledger's round records for both deployment shapes.
 ROUND_PATH = (
+    "repro/core/driver.py",
     "repro/crypto/*",
     "repro/mixnet/*",
     "repro/server/*",
@@ -53,8 +56,11 @@ WIRE_PATH = (
 
 #: The modules whose locks form the round-lifecycle lock graph.  The
 #: precompute store's lock is taken from both the pipeline thread and the
-#: round thread, so it is part of the graph.
+#: round thread, so it is part of the graph.  The shared round driver and the
+#: in-process system (``_round_lock``) call into all of them.
 LOCK_MODULES = (
+    "repro/core/driver.py",
+    "repro/core/system.py",
     "repro/runtime/coordinator.py",
     "repro/runtime/scheduler.py",
     "repro/runtime/precompute.py",

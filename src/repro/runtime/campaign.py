@@ -211,11 +211,7 @@ class ChaosCampaign:
                 )
 
         # Refund conservation: a settled deployment holds no parked messages.
-        parked = {
-            f"{kind.value}/{round_number}": len(entries)
-            for (kind, round_number), entries in system.coordinator.resubmission_queue.items()
-            if entries
-        }
+        parked = system.resubmission_parked()
         if parked:
             failures.append(
                 (
@@ -224,7 +220,7 @@ class ChaosCampaign:
                     f"{segment}: {parked}",
                 )
             )
-        buffered = sum(len(batch) for batch in system.entry._buffers.values())
+        buffered = system.buffered_total()
         if buffered:
             failures.append(
                 (
@@ -315,7 +311,7 @@ class ChaosCampaign:
                     report.segments_run += 1
                     report.conversation_rounds += len(schedule.conversation)
                     report.dialing_rounds += len(schedule.dialing)
-                    report.aborted_attempts = system.coordinator.rounds_aborted
+                    report.aborted_attempts = system.aborted_total()
 
                     failures = self._check_invariants(system, segment)
                     if failures:

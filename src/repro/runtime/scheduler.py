@@ -6,7 +6,7 @@ round is interleaved once per k conversation rounds (§5.5).  The
 :class:`RoundScheduler` drives that stream over any deployment shape —
 the in-process :class:`~repro.core.system.VuvuzelaSystem` or the
 multi-process TCP :class:`~repro.core.deployment.DeploymentLauncher` —
-through one small :class:`RoundDriver` interface and the
+through the :class:`~repro.core.driver.RoundDriver` both subclass and the
 :class:`~repro.runtime.protocols.RoundProtocol` plug-ins.
 
 **Overlap model.**  The scheduler pipelines where the protocol's data
@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import threading
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .protocols import RoundProtocol
 from ..errors import ProtocolError
+
+if TYPE_CHECKING:  # pragma: no cover - core imports runtime, not the reverse
+    from ..core.driver import RoundDriver
 
 
 @dataclass
@@ -58,47 +59,9 @@ class ScheduledRound:
     #: Shape-specific handle (the coordinator window in-process; nothing
     #: over TCP, where the entry process owns the window).
     handle: Any = None
-
-
-class RoundDriver(ABC):
-    """What the scheduler needs from a deployment shape."""
-
-    @abstractmethod
-    def protocol(self, name: str) -> RoundProtocol:
-        """The (deployment-bound) protocol instance for ``name``."""
-
-    @abstractmethod
-    def open_scheduled_round(self, protocol: RoundProtocol) -> ScheduledRound:
-        """Allocate the next round number and open its submission window."""
-
-    @abstractmethod
-    def drive_scheduled_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> Any:
-        """Submit every client, resolve the round, finish it (invitation
-        polling included) and return the round's metrics.  Blocking."""
-
-    #: Whether pre-opening the next round's window while the current chain
-    #: is mixing is sound for this shape.  Deadline-only deployments say no:
-    #: a window's deadline timer starts at open time, so pre-opening would
-    #: silently shrink the submission window by the remaining mix time.
-    preopen_windows: bool = True
-
-    def discard_scheduled_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> None:
-        """Resolve a window that will never be driven (failure cleanup).
-
-        An abandoned open window would wedge the coordinator's in-order
-        drive gate for every later round of its kind; shapes that can do so
-        close it (as an empty round) instead.  Best-effort by contract.
-        """
-
-    # Churn support (overridden by deployment shapes that have clients).
-
-    def park_client(self, name: str) -> None:
-        """Crash a client mid-session, keeping its state for a later resume."""
-        raise ProtocolError("this deployment shape cannot park clients")
-
-    def resume_client(self, name: str):
-        """Bring a parked client back; it resumes via §3.1 retransmission."""
-        raise ProtocolError("this deployment shape cannot resume clients")
+    #: The client handles that submit in this round; ``None`` = everyone
+    #: online when the round is driven.
+    participants: list | None = None
 
 
 #: Actions a mid-session churn event may take.
@@ -368,10 +331,6 @@ class RoundScheduler:
             session.ledger = ledger
             ledger.append("session_added", self._session_record(session))
 
-    def _client_digests(self) -> dict:
-        digests = getattr(self.driver, "ledger_client_digests", None)
-        return digests() if callable(digests) else {}
-
     # --------------------------------------------------------------- churn
 
     def _apply_churn_event(self, event: ChurnEvent) -> None:
@@ -399,16 +358,16 @@ class RoundScheduler:
 
     # ------------------------------------------------------------ one round
 
-    def run_round(self, protocol_name: str) -> Any:
+    def run_round(self, protocol_name: str, participants: list | None = None) -> Any:
         """Open, drive and resolve a single round (the serial path).
 
-        This is what ``VuvuzelaSystem.run_conversation_round`` /
+        This is what the driver's ``run_conversation_round`` /
         ``run_dialing_round`` delegate to — one round at a time, no overlap.
         """
         protocol = self.driver.protocol(protocol_name)
         if self.ledger is not None:
             self.ledger.append("single_round", {"protocol": protocol_name})
-        opened = self.driver.open_scheduled_round(protocol)
+        opened = self.driver.open_scheduled_round(protocol, participants)
         return self.driver.drive_scheduled_round(protocol, opened)
 
     # ----------------------------------------------------------- continuous
@@ -481,7 +440,7 @@ class RoundScheduler:
             """One full dialing round (its slot is held by the caller)."""
             try:
                 opened = self.driver.open_scheduled_round(dialing)
-                manager = getattr(self.driver, "precompute", None)
+                manager = self.driver.precompute
                 if manager is not None:
                     # The round's noise (every mixing server's invitations,
                     # the last server's own contribution) can build on the
@@ -537,7 +496,7 @@ class RoundScheduler:
                     # The dialing round due before round index+1 overlaps
                     # this round's submission window and chain drive.
                     dialing_task = launch_dialing()
-                preopen = overlap and getattr(self.driver, "preopen_windows", True)
+                preopen = overlap and self.driver.preopen_windows
                 if preopen and index + 1 < conversation_rounds:
                     def open_next() -> ScheduledRound:
                         slots.acquire()
@@ -553,7 +512,7 @@ class RoundScheduler:
                         # optimisation — a miss recomputes inline, and an
                         # abort bumps the attempt so stale material is
                         # discarded, never served.
-                        manager = getattr(self.driver, "precompute", None)
+                        manager = self.driver.precompute
                         if manager is not None:
                             manager.prepare_async(
                                 conversation.name, opened_ahead.round_number
@@ -606,7 +565,7 @@ class RoundScheduler:
                 {
                     "conversation_rounds": len(report.conversation),
                     "dialing_rounds": len(report.dialing),
-                    "clients": self._client_digests(),
+                    "clients": self.driver.ledger_client_digests(),
                 },
             )
         return report

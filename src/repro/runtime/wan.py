@@ -27,8 +27,9 @@ scheduler:
 
 The same three invariants as the chaos campaign are checked after every
 segment (exactly-once delivery, refund conservation, accountant
-consistency), with shape-appropriate probes — in-process reads the
-coordinator directly, TCP asks the entry process over the control plane.
+consistency) through the :class:`~repro.core.driver.RoundDriver` chaos
+surface — in-process it reads the coordinator directly, over TCP it asks the
+entry process over the control plane.
 Loss decisions are hash-keyed (see :class:`~repro.net.LinkConditioner`), the
 churn script rides inside the ledger's ``schedule`` records, and forced
 attempt numbers cover §6 retries — so a campaign ledger replays
@@ -166,7 +167,7 @@ class WanChurnCampaign:
         #: who is parked — kept in draw order so scripts stay applicable.
         self._churn_active: set[str] = set()
         self._churn_parked: set[str] = set()
-        #: TCP shape: chain processes we injected fault rules into.
+        #: Chain hops whose sending side we installed fault rules in.
         self._fault_targets: set[int] = set()
 
     # -------------------------------------------------------------- randomness
@@ -222,18 +223,6 @@ class WanChurnCampaign:
                 )
         return profiles
 
-    def _condition(self, driver) -> None:
-        profiles = self.edge_profiles()
-        if not profiles:
-            return
-        if self.shape == "tcp":
-            for profile in profiles:
-                driver.condition_clients(profile, seed=self.seed)
-        else:
-            conditioner = driver.link_conditioner(self.seed)
-            for profile in profiles:
-                conditioner.add_profile(profile)
-
     # ------------------------------------------------------------ chain faults
 
     def _draw_fault_rules(self) -> list[dict]:
@@ -261,27 +250,14 @@ class WanChurnCampaign:
         return rules
 
     def _apply_fault_rules(self, driver, rules: list[dict]) -> None:
-        if self.shape == "tcp":
-            for target in sorted(self._fault_targets):
-                driver.heal_faults(target)
-            for rule in rules:
-                # "server-H/<protocol>" is *received* by chain hop H; the
-                # rule must live in the process that sends to it, hop H - 1.
-                hop = int(rule["destination"].split("/")[0].split("-")[1])
-                driver.inject_fault(hop - 1, rule, seed=self.seed)
-                self._fault_targets.add(hop - 1)
-        else:
-            injector = driver.fault_injector(seed=self.seed)
-            injector.heal()
-            for rule in rules:
-                if rule["action"] == "kill":
-                    injector.kill_link(
-                        destination=rule["destination"], count=rule["count"]
-                    )
-                else:
-                    injector.drop(
-                        destination=rule["destination"], count=rule["count"]
-                    )
+        for target in sorted(self._fault_targets):
+            driver.heal_faults(target)
+        for rule in rules:
+            # "server-H/<protocol>" is *received* by chain hop H; the rule
+            # must live in the process that sends to it, hop H - 1.
+            hop = int(rule["destination"].split("/")[0].split("-")[1])
+            driver.inject_fault(hop - 1, rule, seed=self.seed)
+            self._fault_targets.add(hop - 1)
 
     # ------------------------------------------------------------------- churn
 
@@ -354,21 +330,6 @@ class WanChurnCampaign:
 
     # -------------------------------------------------------------- invariants
 
-    def _resubmission_parked(self, driver) -> dict:
-        if self.shape == "tcp":
-            parked = int(driver.entry_control({"cmd": "resubmission-total"})["parked"])
-            return {"total": parked} if parked else {}
-        return {
-            f"{kind.value}/{round_number}": len(entries)
-            for (kind, round_number), entries in driver.coordinator.resubmission_queue.items()
-            if entries
-        }
-
-    def _buffered_total(self, driver) -> int:
-        if self.shape == "tcp":
-            return int(driver.entry_control({"cmd": "buffered-total"})["buffered"])
-        return driver.entry.buffered_total()
-
     def _check_invariants(self, driver, segment: int) -> list[tuple[str, str]]:
         failures: list[tuple[str, str]] = []
 
@@ -388,7 +349,7 @@ class WanChurnCampaign:
 
         # Refund conservation: a settled deployment holds no parked messages
         # even after churn removed some of the submitters.
-        parked = self._resubmission_parked(driver)
+        parked = driver.resubmission_parked()
         if parked:
             failures.append(
                 (
@@ -397,7 +358,7 @@ class WanChurnCampaign:
                     f"{segment}: {parked}",
                 )
             )
-        buffered = self._buffered_total(driver)
+        buffered = driver.buffered_total()
         if buffered:
             failures.append(
                 (
@@ -449,7 +410,7 @@ class WanChurnCampaign:
         others = [
             size for index, size in sizes.items() if int(index) != victim_bucket
         ]
-        accountant = driver._accountants["dialing"]
+        accountant = driver.dialing_accountant
         guarantee = accountant.current_guarantee()
         point = PrivacyLoadPoint(
             round_number=round_number,
@@ -465,6 +426,8 @@ class WanChurnCampaign:
     # --------------------------------------------------------------------- run
 
     def _build_driver(self):
+        """The one place the campaign knows its shape: which
+        :class:`~repro.core.driver.RoundDriver` to construct."""
         if self.shape == "tcp":
             from ..core.deployment import DeploymentLauncher
 
@@ -475,103 +438,86 @@ class WanChurnCampaign:
                 # Lost client submissions mean expected counts can never be
                 # met: windows must close on their deadline, like the paper's.
                 deadline_only_windows=True,
-            ).start()
+            )
         from ..core.system import VuvuzelaSystem
 
         return VuvuzelaSystem(self.config)
 
-    def _teardown_driver(self, driver) -> None:
-        if self.shape == "tcp":
-            driver.stop()
-        else:
-            driver.close()
-
     def run(self, segments: int) -> WanCampaignReport:
         """Run ``segments`` degraded-mode segments; stop early on a violation."""
-        from ..crypto import invitation_dead_drop
-
         report = WanCampaignReport(
             shape=self.shape, seed=self.seed, ledger_path=str(self.ledger_path)
         )
-        driver = self._build_driver()
+        # The writer outlives the driver: teardown appends ``session_end``.
         writer = LedgerWriter(self.ledger_path, fsync=self.fsync)
         try:
-            driver.attach_ledger(writer)
-            alice = driver.add_session("anchor-alice")
-            driver.add_session("anchor-bob")
-            alice.dial(driver.client("anchor-bob").public_key)
-            alice.say(self._next_message("anchor-alice"))
-            driver.add_session("victim")
-            victim_key = driver.client("victim").public_key
-            victim_bucket = invitation_dead_drop(
-                victim_key, self.config.num_dialing_buckets
-            )
-            for index in range(self.flood_attackers):
-                driver.add_session(f"flooder-{index}", flood_target=victim_key)
-            alice_key_hex = bytes(driver.client("anchor-alice").public_key).hex()
-
-            self._condition(driver)
-
-            for segment in range(segments):
-                writer.append("campaign_segment", {"segment": segment})
-                rules = self._draw_fault_rules() if self.chain_faults else []
-                if self.chain_faults:
-                    self._apply_fault_rules(driver, rules)
-                report.fault_rules_drawn += len(rules)
-                churn = self._draw_churn(alice_key_hex, report) if segment > 0 else []
-
-                try:
-                    schedule = driver.run_session(
-                        self.rounds_per_segment,
-                        dialing_interval=self.dialing_interval,
-                        pipeline_depth=self.config.pipeline_depth,
-                        churn=churn,
-                    )
-                except (NetworkError, ProtocolError) as exc:
-                    self._violate(
-                        report,
-                        writer,
-                        segment,
-                        "round_failure",
-                        f"segment {segment} failed permanently: {exc}",
-                    )
-                    break
-                report.segments_run += 1
-                report.conversation_rounds += len(schedule.conversation)
-                report.dialing_rounds += len(schedule.dialing)
-                report.aborted_attempts = (
-                    driver.aborted_total()
-                    if self.shape == "tcp"
-                    else driver.coordinator.rounds_aborted
-                )
-                point = self._flood_point(driver, schedule, victim_bucket, writer)
-                if point is not None:
-                    report.flood_points.append(point)
-
-                failures = self._check_invariants(driver, segment)
-                if failures:
-                    for invariant, detail in failures:
-                        self._violate(report, writer, segment, invariant, detail)
-                    break
-
-            report.messages_delivered = sum(
-                len(driver.client(name).received)
-                for name in driver.ledger_client_digests()
-            )
-            report.link_stats = (
-                driver.link_stats()
-                if self.shape == "tcp"
-                else (
-                    driver.network.link_conditioner.stats()
-                    if driver.network.link_conditioner is not None
-                    else {}
-                )
-            )
+            with self._build_driver() as driver:
+                self._run_segments(driver, writer, report, segments)
         finally:
-            self._teardown_driver(driver)
             writer.close()
             report.ledger_records = writer.records_written
         return report
+
+    def _run_segments(self, driver, writer, report: WanCampaignReport, segments: int) -> None:
+        from ..crypto import invitation_dead_drop
+
+        driver.attach_ledger(writer)
+        alice = driver.add_session("anchor-alice")
+        driver.add_session("anchor-bob")
+        alice.dial(driver.client("anchor-bob").public_key)
+        alice.say(self._next_message("anchor-alice"))
+        driver.add_session("victim")
+        victim_key = driver.client("victim").public_key
+        victim_bucket = invitation_dead_drop(victim_key, self.config.num_dialing_buckets)
+        for index in range(self.flood_attackers):
+            driver.add_session(f"flooder-{index}", flood_target=victim_key)
+        alice_key_hex = bytes(driver.client("anchor-alice").public_key).hex()
+
+        for profile in self.edge_profiles():
+            driver.condition_clients(profile, seed=self.seed)
+
+        for segment in range(segments):
+            writer.append("campaign_segment", {"segment": segment})
+            rules = self._draw_fault_rules() if self.chain_faults else []
+            if self.chain_faults:
+                self._apply_fault_rules(driver, rules)
+            report.fault_rules_drawn += len(rules)
+            churn = self._draw_churn(alice_key_hex, report) if segment > 0 else []
+
+            try:
+                schedule = driver.run_continuous(
+                    self.rounds_per_segment,
+                    dialing_interval=self.dialing_interval,
+                    pipeline_depth=self.config.pipeline_depth,
+                    churn=churn,
+                )
+            except (NetworkError, ProtocolError) as exc:
+                self._violate(
+                    report,
+                    writer,
+                    segment,
+                    "round_failure",
+                    f"segment {segment} failed permanently: {exc}",
+                )
+                break
+            report.segments_run += 1
+            report.conversation_rounds += len(schedule.conversation)
+            report.dialing_rounds += len(schedule.dialing)
+            report.aborted_attempts = driver.aborted_total()
+            point = self._flood_point(driver, schedule, victim_bucket, writer)
+            if point is not None:
+                report.flood_points.append(point)
+
+            failures = self._check_invariants(driver, segment)
+            if failures:
+                for invariant, detail in failures:
+                    self._violate(report, writer, segment, invariant, detail)
+                break
+
+        report.messages_delivered = sum(
+            len(driver.client(name).received) for name in driver.ledger_client_digests()
+        )
+        report.link_stats = driver.link_stats()
 
     def _violate(
         self,

@@ -112,7 +112,7 @@ class TestTcpReplay:
             bob.say("hi back over tcp")
             # A dialing round connects them; a conversation round warms every
             # inter-server connection (the crash must invalidate pools too).
-            deployment.run_session(2, dialing_interval=2)
+            deployment.run_continuous(2, dialing_interval=2)
 
             alice.say("survives the crash")
             assert not deployment.kill_server(1).alive

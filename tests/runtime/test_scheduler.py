@@ -74,7 +74,7 @@ def run_over_tcp(pipeline_depth: int) -> dict:
     config = scenario_config()
     with DeploymentLauncher(config, request_timeout=120.0) as deployment:
         alice, bob, carol = wire_sessions(deployment.add_session)
-        report = deployment.run_session(
+        report = deployment.run_continuous(
             CONVERSATION_ROUNDS,
             dialing_interval=DIALING_INTERVAL,
             pipeline_depth=pipeline_depth,

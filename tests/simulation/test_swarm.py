@@ -106,8 +106,10 @@ class TestInProcessRound:
 
 
 class TestTcpRound:
-    def test_tcp_round_matches_the_in_process_round(self) -> None:
+    def test_tcp_round_matches_the_in_process_round(self, monkeypatch) -> None:
         """Same seed, same population: both shapes resolve identically."""
+        # Several RESPONSE_COLLECT frames, not one, for the 64 names.
+        monkeypatch.setattr("repro.core.deployment.COLLECT_CHUNK", 20)
         config, swarm = scenario()
         sender, partner = swarm.population.pairs[0]
         swarm.set_message(sender, b"over tcp")
@@ -117,9 +119,7 @@ class TestTcpRound:
         config_tcp, swarm_tcp = scenario()
         swarm_tcp.set_message(sender, b"over tcp")
         with DeploymentLauncher(config_tcp, request_timeout=120.0) as deployment:
-            result, stats, outcome = deployment.run_swarm_round(
-                swarm_tcp, chunk_size=10, collect_chunk=20
-            )
+            result, stats, outcome = deployment.run_swarm_round(swarm_tcp, chunk_size=10)
             chain_noise = deployment.chain_noise("conversation", result.round_number)
 
         assert result.accepted == NUM_USERS
