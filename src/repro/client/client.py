@@ -52,9 +52,15 @@ from ..errors import ProtocolError
 class ConversationSlot:
     """Client-side state of one active conversation."""
 
-    peer: PublicKey
+    #: The partner, with the pairwise secret and message keys derived once
+    #: per conversation.
+    session: ConversationSession
     outbox: Outbox = field(default_factory=Outbox)
     receive_tracker: SequenceTracker = field(default_factory=SequenceTracker)
+
+    @property
+    def peer(self) -> PublicKey:
+        return self.session.peer_public_key
 
 
 @dataclass
@@ -131,7 +137,9 @@ class VuvuzelaClient:
         if len(self._slots) >= self.max_conversations:
             oldest = next(iter(self._slots))
             del self._slots[oldest]
-        self._slots[bytes(peer)] = ConversationSlot(peer=peer)
+        self._slots[bytes(peer)] = ConversationSlot(
+            session=ConversationSession(own_keys=self.keys, peer_public_key=peer)
+        )
 
     def end_conversation(self, peer: PublicKey | None = None) -> None:
         """End a conversation (the primary one when ``peer`` is not given)."""
@@ -192,7 +200,7 @@ class VuvuzelaClient:
         for index in range(self.max_conversations):
             if index < len(slots):
                 slot = slots[index]
-                session = ConversationSession(own_keys=self.keys, peer_public_key=slot.peer)
+                session = slot.session
                 message = slot.outbox.next_message()
             else:
                 slot, session, message = None, None, b""

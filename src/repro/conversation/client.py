@@ -17,12 +17,15 @@ the eventual response (step 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from . import messages
 from ..crypto import (
+    KEY_SIZE,
     KeyPair,
     OnionContext,
+    PrivateKey,
     PublicKey,
     unwrap_response,
     wrap_request,
@@ -51,24 +54,33 @@ class ConversationSession:
 
     Both endpoints of a conversation construct this from their own key pair
     and the partner's public key; the derived state (shared secret, per-round
-    dead drops, directional message keys) is identical on both sides.
+    dead drops, directional message keys) is identical on both sides.  The
+    secret and the keys are fixed with the partner: computed once, on first use.
     """
 
     own_keys: KeyPair
     peer_public_key: PublicKey
 
-    def shared_secret(self) -> bytes:
-        """The long-lived pairwise secret both endpoints derive (step 1a)."""
+    @cached_property
+    def _secret(self) -> bytes:
         return self.own_keys.exchange(self.peer_public_key)
 
+    @cached_property
+    def _keys(self) -> tuple[bytes, bytes]:
+        return messages.directional_keys(
+            self._secret, bytes(self.own_keys.public), bytes(self.peer_public_key)
+        )
+
+    def shared_secret(self) -> bytes:
+        """The long-lived pairwise secret both endpoints derive (step 1a)."""
+        return self._secret
+
     def dead_drop_for_round(self, round_number: int) -> bytes:
-        return messages.round_dead_drop(self.shared_secret(), round_number)
+        return messages.round_dead_drop(self._secret, round_number)
 
     def directional_keys(self) -> tuple[bytes, bytes]:
         """The (send, receive) message keys for this endpoint."""
-        return messages.directional_keys(
-            self.shared_secret(), bytes(self.own_keys.public), bytes(self.peer_public_key)
-        )
+        return self._keys
 
 
 def build_exchange_request(
@@ -87,16 +99,14 @@ def build_exchange_request(
     rng = rng or default_random()
 
     if session is not None:
-        shared = session.shared_secret()
         send_key, receive_key = session.directional_keys()
-        dead_drop = messages.round_dead_drop(shared, round_number)
+        dead_drop = session.dead_drop_for_round(round_number)
         is_real = True
     else:
         # Step 1b: fake request against a random public key.  The resulting
         # dead drop and message key are never used again.
         random_peer = KeyPair.generate(rng)
-        own_ephemeral = KeyPair.generate(rng)
-        shared = own_ephemeral.exchange(random_peer.public)
+        shared = PrivateKey(rng.random_bytes(KEY_SIZE)).exchange(random_peer.public)
         send_key = messages.message_key(shared)
         receive_key = None
         dead_drop = messages.round_dead_drop(shared, round_number)

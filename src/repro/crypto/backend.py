@@ -9,7 +9,8 @@ interchangeable at the byte level, and the test suite cross-validates them.
 Besides the per-message primitives, every backend exposes *batch* entry
 points shaped for round processing (see :mod:`repro.crypto.batch_kernels`):
 one AEAD nonce and many keys, one X25519 scalar and many points (peel), many
-scalars and one point (wrap).  The pure-Python backend vectorizes these; the
+fresh scalars and one point (wrap: each scalar's public key *and* its shared
+secret, fused).  The pure-Python backend vectorizes these; the
 ``cryptography`` backend loops natively in C with per-round object reuse.
 
 The active backend can be forced with :func:`set_backend`, which is used by
@@ -48,8 +49,9 @@ class Backend:
     ]
     #: ``[X25519(k, u) for u in us]`` — the server-side peel shape.
     x25519_fixed_scalar_batch: Callable[[bytes, Sequence[bytes]], "list[bytes]"]
-    #: ``[X25519(k, u) for k in ks]`` — the client/noise wrap shape.
-    x25519_fixed_point_batch: Callable[[Sequence[bytes], bytes], "list[bytes]"]
+    #: ``([X25519(k, 9) for k in ks], [X25519(k, u) for k in ks])`` — the
+    #: ephemeral keygen + exchange of the client/noise wrap shape, fused.
+    x25519_fixed_point_batch: Callable[[Sequence[bytes], bytes], "tuple[list[bytes], list[bytes]]"]
 
 
 def _pure_aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
@@ -170,12 +172,7 @@ def _build_cryptography_backend() -> Backend | None:
         return private.exchange(public)
 
     def scalar_base_mult(k: bytes) -> bytes:
-        private = X25519PrivateKey.from_private_bytes(k)
-        from cryptography.hazmat.primitives import serialization
-
-        return private.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
+        return X25519PrivateKey.from_private_bytes(k).public_key().public_bytes_raw()
 
     def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
         return ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad or None)
@@ -223,15 +220,21 @@ def _build_cryptography_backend() -> Backend | None:
                 out.append(b"\x00" * 32)
         return out
 
-    def fixed_point_batch(ks: Sequence[bytes], u: bytes) -> list[bytes]:
-        public = X25519PublicKey.from_public_bytes(bytes(u))
-        out: list[bytes] = []
+    def fixed_point_batch(ks: Sequence[bytes], u: bytes) -> tuple[list[bytes], list[bytes]]:
+        # Every wrap site needs both halves, and importing a private key
+        # already costs OpenSSL the fixed-base multiply that derives the
+        # public one: one import per scalar serves both outputs.
+        peer = X25519PublicKey.from_public_bytes(bytes(u))
+        publics: list[bytes] = []
+        shareds: list[bytes] = []
         for k in ks:
+            private = X25519PrivateKey.from_private_bytes(bytes(k))
+            publics.append(private.public_key().public_bytes_raw())
             try:
-                out.append(X25519PrivateKey.from_private_bytes(bytes(k)).exchange(public))
+                shareds.append(private.exchange(peer))
             except ValueError:
-                out.append(b"\x00" * 32)
-        return out
+                shareds.append(b"\x00" * 32)
+        return publics, shareds
 
     return Backend(
         name=CRYPTOGRAPHY,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import struct
 from typing import Sequence
 
-from .x25519 import A24, P, clamp_scalar, scalar_mult
+from .x25519 import A24, BASE_POINT, P, clamp_scalar, scalar_mult
 
 try:  # numpy is an optional accelerator, never a hard dependency
     import numpy as _np
@@ -485,10 +485,12 @@ def x25519_fixed_scalar_batch(k: bytes, us: Sequence[bytes]) -> list[bytes]:
     return _py_x25519_fixed_scalar(k, us)
 
 
-def x25519_fixed_point_batch(ks: Sequence[bytes], u: bytes) -> list[bytes]:
-    """``[X25519(k, u) for k in ks]`` vectorized over the scalars."""
-    if not ks:
-        return []
+def x25519_fixed_point_batch(ks: Sequence[bytes], u: bytes) -> tuple[list[bytes], list[bytes]]:
+    """``([X25519(k, 9) for k in ks], [X25519(k, u) for k in ks])``: each scalar's
+    public key and its shared secret with ``u``, vectorized over the scalars."""
     if HAVE_NUMPY and len(ks) >= MIN_NUMPY_BATCH:
-        return _np_x25519_fixed_point(ks, u)
-    return [scalar_mult(bytes(k), bytes(u)) for k in ks]
+        return _np_x25519_fixed_point(ks, BASE_POINT), _np_x25519_fixed_point(ks, u)
+    return (
+        [scalar_mult(bytes(k), BASE_POINT) for k in ks],
+        [scalar_mult(bytes(k), bytes(u)) for k in ks],
+    )

@@ -94,6 +94,4 @@ class KeyPair:
 
 def shared_secret(own: KeyPair | PrivateKey, peer: PublicKey) -> bytes:
     """Convenience wrapper: DH between ``own`` and ``peer``."""
-    if isinstance(own, KeyPair):
-        return own.exchange(peer)
     return own.exchange(peer)

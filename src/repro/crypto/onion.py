@@ -22,8 +22,9 @@ Servers never peel one wire at a time: :func:`peel_request_batch` and
 :func:`wrap_response_batch` process a whole round through the active
 backend's batch primitives (fixed-scalar X25519, shared-nonce AEAD), and
 :func:`wrap_request_batch` onion-wraps a round's worth of cover traffic in
-one vectorized pass per layer.  The per-message functions remain as the
-reference path; the batch path is byte-identical to them.
+one vectorized pass per layer (:func:`wrap_request` is its one-payload
+case).  The per-message peel/unwrap functions remain as the reference path;
+the batch path is byte-identical to them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Sequence
 
 from . import x25519
 from .backend import active_backend
-from .keys import KEY_SIZE, KeyPair, PrivateKey, PublicKey
+from .keys import KEY_SIZE, PrivateKey, PublicKey
 from .rng import RandomSource, default_random
 from .secretbox import (
     TAG_SIZE,
@@ -93,25 +94,8 @@ def wrap_request(
     Returns the wire bytes to send to the *first* server and the
     :class:`OnionContext` needed to decrypt the eventual response.
     """
-    if not server_public_keys:
-        raise OnionError("cannot wrap a request for an empty server chain")
-    rng = rng or default_random()
-
-    layer_keys: list[bytes] = [b""] * len(server_public_keys)
-    payload = inner
-    # Encrypt from the last server towards the first, so the first server
-    # holds the outermost layer.
-    for index in range(len(server_public_keys) - 1, -1, -1):
-        ephemeral = KeyPair.generate(rng)
-        shared = ephemeral.exchange(server_public_keys[index])
-        # Wrap side: fresh ephemeral secret, nothing to memoize (see
-        # derive_layer_keys on why clients must not populate the cache).
-        request_key, response_key = derive_layer_keys(shared, cached=False)
-        layer_keys[index] = response_key
-        box = seal(request_key, nonce_for_round(round_number, _REQUEST_LABEL), payload)
-        payload = bytes(ephemeral.public) + box
-
-    return payload, OnionContext(round_number=round_number, layer_keys=tuple(layer_keys))
+    wires, contexts = wrap_request_batch([inner], server_public_keys, round_number, rng)
+    return wires[0], contexts[0]
 
 
 def draw_request_scalars(
@@ -146,12 +130,11 @@ def wrap_request_batch(
     """Onion-encrypt many payloads for the same chain in one pass per layer.
 
     This is the shape of a server's per-round cover traffic: the chain-suffix
-    key list is fixed, so each layer does one batched base-point multiply
-    (the fresh ephemeral public keys), one batched exchange against the one
-    server key, and one batched seal under the shared round nonce.  For a
-    single payload the rng draws match :func:`wrap_request` exactly, so the
-    two paths are byte-identical; for larger batches the draws are made
-    layer-major instead of message-major.
+    key list is fixed, so each layer does one fused batch of fresh ephemeral
+    key pairs exchanged against the one server key, and one batched seal
+    under the shared round nonce.  Layers are encrypted from the last server
+    towards the first, so the first server holds the outermost layer; the rng
+    draws are layer-major (innermost layer first, then message-major).
 
     ``scalars`` — a pre-drawn matrix from :func:`draw_request_scalars` (or a
     per-message slice of one) — replaces the internal rng draws entirely,
@@ -161,31 +144,26 @@ def wrap_request_batch(
         raise OnionError("cannot wrap a request for an empty server chain")
     if not inners:
         return [], []
-    rng = rng or default_random()
     backend = active_backend()
 
     count = len(inners)
     depth = len(server_public_keys)
-    if scalars is not None and (
-        len(scalars) != depth or any(len(layer) != count for layer in scalars)
-    ):
+    if scalars is None:
+        scalars = draw_request_scalars(count, depth, rng)
+    elif len(scalars) != depth or any(len(layer) != count for layer in scalars):
         raise OnionError("pre-drawn scalars must cover every layer of every payload")
     payloads = [bytes(inner) for inner in inners]
     layer_keys: list[list[bytes]] = [[b""] * depth for _ in range(count)]
     for index in range(depth - 1, -1, -1):
-        layer_scalars = (
-            list(scalars[index])
-            if scalars is not None
-            else [rng.random_bytes(KEY_SIZE) for _ in range(count)]
-        )
-        publics = backend.x25519_fixed_point_batch(layer_scalars, x25519.BASE_POINT)
-        shareds = backend.x25519_fixed_point_batch(
-            layer_scalars, server_public_keys[index].data
+        publics, shareds = backend.x25519_fixed_point_batch(
+            scalars[index], server_public_keys[index].data
         )
         request_keys = []
         for message, shared in enumerate(shareds):
             if x25519.is_all_zero(shared):
                 raise OnionError("X25519 exchange produced an all-zero shared secret")
+            # Wrap side: fresh ephemeral secret, nothing to memoize (see
+            # derive_layer_keys on why clients must not populate the cache).
             request_key, response_key = derive_layer_keys(shared, cached=False)
             request_keys.append(request_key)
             layer_keys[message][index] = response_key

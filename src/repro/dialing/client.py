@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .invitation import (
+    INVITATION_SIZE,
     DialingRequest,
     build_dialing_request,
-    open_invitation,
+    open_invitations,
 )
 from ..crypto import (
     KeyPair,
@@ -76,17 +77,10 @@ def fetch_invitations(
     """
     buckets = num_buckets if num_buckets is not None else store.num_buckets
     bucket = own_invitation_bucket(own_keys, buckets)
-    callers: list[PublicKey] = []
-    for invitation in store.download(bucket):
-        sender = open_invitation(own_keys, invitation, round_number)
-        if sender is not None:
-            callers.append(sender)
-    return callers
+    return open_invitations(own_keys, store.download(bucket), round_number)
 
 
 def download_size_bytes(store: InvitationDropStore, own_keys: KeyPair) -> int:
     """Bytes this client downloads for its bucket in the round (§8.3)."""
-    from .invitation import INVITATION_SIZE
-
     bucket = own_invitation_bucket(own_keys, store.num_buckets)
     return store.bucket_size(bucket) * INVITATION_SIZE

@@ -27,16 +27,17 @@ from ..crypto import (
     KEY_SIZE,
     KeyPair,
     PublicKey,
+    active_backend,
     derive_key,
     invitation_dead_drop,
     nonce_for_round,
-    open_box,
+    open_box_batch,
     seal,
 )
 from ..crypto.rng import RandomSource, default_random
 from ..crypto.secretbox import TAG_SIZE
 from ..deaddrop.invitations import NOOP_BUCKET
-from ..errors import CryptoError, DecryptionError, ProtocolError
+from ..errors import CryptoError, ProtocolError
 
 #: Size of one invitation on the wire (32-byte ephemeral key + sealed 32-byte sender key).
 INVITATION_SIZE = KEY_SIZE + KEY_SIZE + TAG_SIZE
@@ -58,33 +59,47 @@ def seal_invitation(
 ) -> bytes:
     """Encrypt an invitation (the sender's public key) to the recipient."""
     rng = rng or default_random()
-    ephemeral = KeyPair.generate(rng)
-    shared = ephemeral.exchange(recipient_public)
+    (ephemeral_public,), (shared,) = active_backend().x25519_fixed_point_batch(
+        [rng.random_bytes(KEY_SIZE)], recipient_public.data
+    )
+    if not any(shared):
+        raise CryptoError("X25519 exchange produced an all-zero shared secret")
     key = derive_key(shared, _SEAL_LABEL)
     box = seal(key, nonce_for_round(round_number, _SEAL_LABEL), bytes(sender.public))
-    return bytes(ephemeral.public) + box
+    return ephemeral_public + box
+
+
+def open_invitations(
+    recipient: KeyPair, invitations: Sequence[bytes], round_number: int
+) -> list[PublicKey]:
+    """Trial-decrypt a whole dead drop; return the callers, in bucket order.
+
+    Clients run this over *every* invitation in their dead drop — real ones
+    addressed to other users sharing the bucket, and noise — and keep only
+    the ones that decrypt (§5.1).  The recipient's private key is the fixed
+    scalar of every trial, so the bucket is one fixed-scalar X25519 batch and
+    one shared-nonce open; malformed invitations, small-order ephemeral keys
+    and failed authentications are skipped.
+    """
+    well_formed = [inv for inv in invitations if len(inv) == INVITATION_SIZE]
+    shareds = active_backend().x25519_fixed_scalar_batch(
+        recipient.private.data, [inv[:KEY_SIZE] for inv in well_formed]
+    )
+    live = [(shared, inv) for shared, inv in zip(shareds, well_formed) if any(shared)]
+    opened = open_box_batch(
+        [derive_key(shared, _SEAL_LABEL) for shared, _ in live],
+        nonce_for_round(round_number, _SEAL_LABEL),
+        [inv[KEY_SIZE:] for _, inv in live],
+    )
+    return [PublicKey(sender) for sender in opened if sender is not None]
 
 
 def open_invitation(
     recipient: KeyPair, invitation: bytes, round_number: int
 ) -> PublicKey | None:
-    """Try to decrypt an invitation; return the caller's public key or ``None``.
-
-    Clients call this on *every* invitation in their dead drop — real ones
-    addressed to other users sharing the bucket, and noise — and keep only the
-    ones that decrypt (§5.1).
-    """
-    if len(invitation) != INVITATION_SIZE:
-        return None
-    ephemeral_public = invitation[:KEY_SIZE]
-    box = invitation[KEY_SIZE:]
-    try:
-        shared = recipient.private.exchange(PublicKey(ephemeral_public))
-        key = derive_key(shared, _SEAL_LABEL)
-        sender = open_box(key, nonce_for_round(round_number, _SEAL_LABEL), box)
-    except (CryptoError, DecryptionError):
-        return None
-    return PublicKey(sender)
+    """Try to decrypt one invitation; return the caller's public key or ``None``."""
+    callers = open_invitations(recipient, [invitation], round_number)
+    return callers[0] if callers else None
 
 
 @dataclass(frozen=True)

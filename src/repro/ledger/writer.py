@@ -121,40 +121,42 @@ def _scan(path: Path) -> tuple[list[LedgerRecord], int, bool]:
     torn tail (crash mid-append) was dropped.  A break *before* the last
     line is tampering, not a crash, and raises :class:`LedgerError`.
     """
-    data = path.read_bytes()
     records: list[LedgerRecord] = []
     prev = GENESIS
     offset = 0
     truncated = False
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline == -1:
-            # A record is committed only once its trailing newline is on
-            # disk; a newline-less tail is a torn append, whatever it parses
-            # as (a resumed writer must never continue a half-written line).
-            truncated = True
-            break
-        line = data[offset : newline + 1]
-        record = _parse_line(line)
-        ok = (
-            record is not None
-            and record.seq == len(records)
-            and record.prev == prev
-            and record.hash == record_hash(record.seq, record.type, record.data, record.prev)
-        )
-        if not ok:
-            if newline + 1 == len(data):
-                # Damage confined to the final line: the torn-append shape.
+    # Streamed line by line: a long session's ledger is verified without
+    # holding the raw file next to its parsed records.
+    with open(path, "rb") as handle:
+        for line in handle:
+            if not line.endswith(b"\n"):
+                # A record is committed only once its trailing newline is on
+                # disk; a newline-less tail is a torn append, whatever it
+                # parses as (a resumed writer must never continue a
+                # half-written line).
                 truncated = True
                 break
-            raise LedgerError(
-                f"{path}: hash chain broken at record {len(records)} — the "
-                f"ledger's interior was modified or corrupted"
+            record = _parse_line(line)
+            ok = (
+                record is not None
+                and record.seq == len(records)
+                and record.prev == prev
+                and record.hash
+                == record_hash(record.seq, record.type, record.data, record.prev)
             )
-        assert record is not None
-        records.append(record)
-        prev = record.hash
-        offset = newline + 1
+            if not ok:
+                if not handle.peek(1):
+                    # Damage confined to the final line: the torn-append shape.
+                    truncated = True
+                    break
+                raise LedgerError(
+                    f"{path}: hash chain broken at record {len(records)} — the "
+                    f"ledger's interior was modified or corrupted"
+                )
+            assert record is not None
+            records.append(record)
+            prev = record.hash
+            offset += len(line)
     return records, offset, truncated
 
 

@@ -62,7 +62,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from ..errors import (
@@ -87,6 +87,14 @@ from ..server.wire import (
 #: Reply sent to requests that arrive after their round's window closed.
 LATE = b"late"
 
+#: Resolved rounds per kind whose response payloads are still held.  Every
+#: reader — a long-poll woken by the resolution, the swarm's collect, the
+#: in-process driver — takes a round's responses before the next round of its
+#: kind can resolve (drives are serialized per kind); one more round of slack
+#: covers a reader that is slow to wake.  Older windows keep their verdict
+#: metadata (see ``keep_windows``) but none of the round's bytes.
+RESPONSE_WINDOWS = 2
+
 #: Reply sent to blocked long-polls when their round attempt was aborted by a
 #: chain failure.  The round is being retried under the same number — the
 #: client resubmits the same request (idempotently) to re-attach its reply
@@ -103,10 +111,14 @@ class RoundResult:
     accepted: int
     refused: int
     late: int
-    #: Responses grouped per client, aligned with each client's submission order.
-    responses: dict[str, list[bytes]]
+    #: Responses grouped per client, aligned with each client's submission
+    #: order; ``None`` on the coordinator's own copy once the payloads were
+    #: released (see :data:`RESPONSE_WINDOWS`).
+    responses: dict[str, list[bytes]] | None
     #: How many attempts the round took (1 = no abort).
     attempts: int = 1
+    #: How many responses the chain returned (survives the payloads' release).
+    responded: int = 0
 
 
 @dataclass
@@ -601,10 +613,13 @@ class RoundCoordinator:
         round, so in practice the result is already there.
         """
         kind, round_number, names = decode_collect_request(envelope.payload)
-        result = self.wait_for_result(kind, round_number)
-        return encode_collect_reply(
-            round_number, [result.responses.get(name, []) for name in names]
-        )
+        responses = self.wait_for_result(kind, round_number).responses
+        if responses is None:
+            raise ProtocolError(
+                f"round {round_number} ({kind.value}) resolved too long ago: "
+                "its responses are no longer held"
+            )
+        return encode_collect_reply(round_number, [responses.get(name, []) for name in names])
 
     def _await_response(self, window: SubmissionWindow, source: str, index: int) -> bytes | None:
         """Block an accepted networked submission until its round resolves."""
@@ -627,7 +642,9 @@ class RoundCoordinator:
                     f"round {window.round_number} failed: {window.error}"
                 ) from window.error
             assert window.result is not None
-            responses = window.result.responses.get(source, [])
+            # A waiter that slept through RESPONSE_WINDOWS later rounds finds
+            # the payloads released: a lost round, like any missing response.
+            responses = (window.result.responses or {}).get(source, [])
         return responses[index] if index < len(responses) else None
 
     # ---------------------------------------------------------------- closing
@@ -770,6 +787,7 @@ class RoundCoordinator:
             late=window.late,
             responses=grouped,
             attempts=window.attempt,
+            responded=sum(len(responses) for responses in grouped.values()),
         )
         self._record(
             "window_close",
@@ -905,7 +923,27 @@ class RoundCoordinator:
             window.resolved = True
             if result is not None:
                 self.rounds_run += 1
+                self._release_responses(window.kind)
             self._resolved_cond.notify_all()
+
+    def _release_responses(self, kind: MessageKind) -> None:
+        """Drop the response payloads of all but the newest
+        :data:`RESPONSE_WINDOWS` resolved rounds of ``kind`` (lock held).
+
+        Only the coordinator's reference goes: a caller that was handed the
+        :class:`RoundResult` keeps its own.  Everything the late/duplicate
+        verdicts need stays on the window until ``keep_windows`` prunes it.
+        """
+        holding = sorted(
+            number
+            for (window_kind, number), window in self._windows.items()
+            if window_kind is kind
+            and window.result is not None
+            and window.result.responses is not None
+        )
+        for number in holding[:-RESPONSE_WINDOWS]:
+            window = self._windows[(kind, number)]
+            window.result = replace(window.result, responses=None)
 
     def _resolved_result(self, window: SubmissionWindow) -> RoundResult:
         """Wait out a concurrent close and return (or re-raise) its outcome."""

@@ -247,7 +247,7 @@ class EntryServerProcess:
                 "accepted": result.accepted,
                 "refused": result.refused,
                 "late": window.late if window is not None else result.late,
-                "responded": sum(len(r) for r in result.responses.values()),
+                "responded": result.responded,
                 "attempts": result.attempts,
                 "aborts": result.attempts - 1,
             }

@@ -8,8 +8,7 @@ per-request onion wraps.  The swarm flips the layout: one
 :class:`ClientSwarm` holds the *population* as columnar state (partner
 indices, long-term shared secrets, per-client rng streams, per-round onion
 contexts and receive keys) and builds an entire round's request wires in
-bulk — batched base-point multiplies for the idle clients' fake exchanges,
-one batched seal for every message box of a chunk, and
+bulk — one batched seal for every message box of a chunk and
 :func:`~repro.crypto.wrap_request_batch` for the onion layers (the numpy
 batch kernels when available, the pure-python backend otherwise).  Responses
 come back the same way, through :func:`~repro.crypto.unwrap_response_batch`
@@ -65,9 +64,7 @@ from ..crypto import (
     unwrap_response_batch,
     wrap_request_batch,
 )
-from ..crypto import x25519
-from ..crypto.backend import active_backend
-from ..crypto.keys import PrivateKey, PublicKey
+from ..crypto.keys import PrivateKey
 from ..crypto.rng import DeterministicRandom
 from ..errors import PaddingError, ProtocolError
 from ..server.wire import VERDICT_ACCEPTED, VERDICT_LATE, VERDICT_REFUSED
@@ -324,22 +321,18 @@ class ClientSwarm:
         dead_drops: list[bytes] = [b""] * count
         plaintexts: list[bytes] = [b""] * count
         scalars: list[list[bytes]] = [[b""] * count for _ in range(depth)]
-        idle_positions: list[int] = []
-        idle_peer_scalars: list[bytes] = []
-        idle_own_scalars: list[bytes] = []
 
         for position in range(count):
             index = start + position
             rng = self._conversation_rngs[index]
             partner = self._partners[index]
             if partner is None:
-                # Algorithm 1 step 1b, column-wise: draw the fake peer and own
-                # ephemeral scalars now (the reference path's two
-                # KeyPair.generate calls); the point multiplies happen below
-                # in one batch.
-                idle_peer_scalars.append(rng.random_bytes(KEY_SIZE))
-                idle_own_scalars.append(rng.random_bytes(KEY_SIZE))
-                idle_positions.append(position)
+                # Algorithm 1 step 1b: a fake peer key, then an own ephemeral
+                # scalar exchanged against it (the reference path's draws).
+                peer = PrivateKey(rng.random_bytes(KEY_SIZE)).public_key()
+                secret = PrivateKey(rng.random_bytes(KEY_SIZE)).exchange(peer)
+                send_keys[position] = message_key(secret)
+                dead_drops[position] = round_dead_drop(secret, round_number)
             else:
                 secret = self._pair_secret(index)
                 send, receive = directional_keys(
@@ -355,18 +348,6 @@ class ClientSwarm:
             # draws them per client.
             for layer in range(depth - 1, -1, -1):
                 scalars[layer][position] = rng.random_bytes(KEY_SIZE)
-
-        if idle_positions:
-            backend = active_backend()
-            peer_publics = backend.x25519_fixed_point_batch(
-                idle_peer_scalars, x25519.BASE_POINT
-            )
-            for position, own_scalar, peer_public in zip(
-                idle_positions, idle_own_scalars, peer_publics
-            ):
-                secret = PrivateKey(own_scalar).exchange(PublicKey(peer_public))
-                send_keys[position] = message_key(secret)
-                dead_drops[position] = round_dead_drop(secret, round_number)
 
         padded = [pad(message, MAX_MESSAGE_SIZE) for message in plaintexts]
         boxes = seal_batch(send_keys, message_nonce(round_number), padded)

@@ -121,6 +121,26 @@ class TestClientRequests:
         assert a_send == b_recv and b_send == a_recv
 
 
+    def test_session_state_is_stable_across_rounds_and_per_peer(self, rng, alice, bob):
+        """The secret and keys are computed once per session: every round sees
+        the same values a fresh session derives, and two sessions with
+        different peers share nothing."""
+        carol = KeyPair.generate(rng)
+        with_bob = ConversationSession(own_keys=alice, peer_public_key=bob.public)
+        with_carol = ConversationSession(own_keys=alice, peer_public_key=carol.public)
+        for round_number in range(4):
+            fresh = ConversationSession(own_keys=alice, peer_public_key=bob.public)
+            assert with_bob.shared_secret() == fresh.shared_secret() == alice.exchange(bob.public)
+            assert with_bob.directional_keys() == fresh.directional_keys()
+            assert with_bob.dead_drop_for_round(round_number) == round_dead_drop(
+                alice.exchange(bob.public), round_number
+            )
+        assert with_carol.shared_secret() == alice.exchange(carol.public)
+        assert with_carol.shared_secret() != with_bob.shared_secret()
+        assert with_carol.directional_keys() != with_bob.directional_keys()
+        assert with_carol.dead_drop_for_round(1) != with_bob.dead_drop_for_round(1)
+
+
 class TestProcessorAndNoise:
     def test_processor_exchanges_paired_requests(self, rng, alice, bob):
         shared = alice.exchange(bob.public)

@@ -106,9 +106,10 @@ class TestBatchAead:
         assert backend.x25519_fixed_scalar_batch(k, us[:4]) == [
             x25519.scalar_mult(k, u) for u in us[:4]
         ]
-        assert backend.x25519_fixed_point_batch(us[:4], k) == [
-            x25519.scalar_mult(u, k) for u in us[:4]
-        ]
+        assert backend.x25519_fixed_point_batch(us[:4], k) == (
+            [x25519.scalar_base_mult(u) for u in us[:4]],
+            [x25519.scalar_mult(u, k) for u in us[:4]],
+        )
 
     def test_numpy_batch_crosses_grouping_threshold(self, backend, rng):
         # Above MIN_NUMPY_BATCH the pure backend switches kernels; results
@@ -151,14 +152,15 @@ class TestX25519Kernels:
     def test_fixed_point_kernels_match_scalar_mult(self, rng):
         u = rng.random_bytes(32)
         ks = [rng.random_bytes(32) for _ in range(batch_kernels.MIN_NUMPY_BATCH + 3)]
-        expected = [x25519.scalar_mult(k, u) for k in ks]
+        expected = (
+            [x25519.scalar_base_mult(k) for k in ks],
+            [x25519.scalar_mult(k, u) for k in ks],
+        )
         assert batch_kernels.x25519_fixed_point_batch(ks, u) == expected
-        assert batch_kernels.x25519_fixed_point_batch(ks[:6], u) == expected[:6]
-
-    def test_base_point_batch_matches_base_mult(self, rng):
-        ks = [rng.random_bytes(32) for _ in range(batch_kernels.MIN_NUMPY_BATCH + 1)]
-        expected = [x25519.scalar_base_mult(k) for k in ks]
-        assert batch_kernels.x25519_fixed_point_batch(ks, x25519.BASE_POINT) == expected
+        assert batch_kernels.x25519_fixed_point_batch(ks[:6], u) == (
+            expected[0][:6],
+            expected[1][:6],
+        )
 
     def test_small_order_point_yields_all_zero_secret(self, rng):
         k = rng.random_bytes(32)
@@ -178,7 +180,7 @@ class TestX25519Kernels:
             backend = set_backend(name)
             results[name] = (
                 backend.x25519_fixed_scalar_batch(k, us),
-                backend.x25519_fixed_point_batch(us, x25519.BASE_POINT),
+                backend.x25519_fixed_point_batch(us, k),
             )
         set_backend(available_backends()[-1])
         values = list(results.values())
@@ -194,6 +196,67 @@ class TestX25519Kernels:
         if batch_kernels.HAVE_NUMPY:
             assert batch_kernels._np_x25519_fixed_scalar(k, [u]) == [x25519.scalar_mult(k, u)]
             assert batch_kernels._np_x25519_fixed_point([k], u) == [x25519.scalar_mult(k, u)]
+
+
+# RFC 7748 section 6.1: Alice's and Bob's private keys, public keys, shared secret.
+RFC7748_ALICE_PRIVATE = bytes.fromhex(
+    "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a"
+)
+RFC7748_ALICE_PUBLIC = bytes.fromhex(
+    "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a"
+)
+RFC7748_BOB_PRIVATE = bytes.fromhex(
+    "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb"
+)
+RFC7748_BOB_PUBLIC = bytes.fromhex(
+    "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f"
+)
+RFC7748_SHARED = bytes.fromhex(
+    "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742"
+)
+
+
+class TestFusedKeygenExchange:
+    """``x25519_fixed_point_batch(ks, u)`` returns ``(publics, shareds)``:
+    each scalar's public key *and* its shared secret with ``u``."""
+
+    def test_rfc7748_vectors(self, backend):
+        publics, shareds = backend.x25519_fixed_point_batch(
+            [RFC7748_ALICE_PRIVATE], RFC7748_BOB_PUBLIC
+        )
+        assert publics == [RFC7748_ALICE_PUBLIC]
+        assert shareds == [RFC7748_SHARED]
+        publics, shareds = backend.x25519_fixed_point_batch(
+            [RFC7748_BOB_PRIVATE], RFC7748_ALICE_PUBLIC
+        )
+        assert publics == [RFC7748_BOB_PUBLIC]
+        assert shareds == [RFC7748_SHARED]
+
+    @pytest.mark.parametrize("count", [5, batch_kernels.MIN_NUMPY_BATCH + 2])
+    def test_unclamped_scalars_match_the_reference_ladder(self, backend, rng, count):
+        # All-ones and all-zero scalars have every bit the clamp touches set
+        # the "wrong" way; random ones cover the rest.
+        ks = [b"\xff" * 32, bytes(32)] + [rng.random_bytes(32) for _ in range(count - 2)]
+        u = x25519.scalar_base_mult(rng.random_bytes(32))
+        publics, shareds = backend.x25519_fixed_point_batch(ks, u)
+        assert publics == [x25519.scalar_base_mult(k) for k in ks]
+        assert shareds == [x25519.scalar_mult(k, u) for k in ks]
+
+    def test_memoryview_inputs(self, backend, rng):
+        ks = [rng.random_bytes(32) for _ in range(3)]
+        u = x25519.scalar_base_mult(rng.random_bytes(32))
+        assert backend.x25519_fixed_point_batch(
+            [memoryview(k) for k in ks], memoryview(u)
+        ) == backend.x25519_fixed_point_batch(ks, u)
+
+    def test_small_order_point_yields_all_zero_shared_without_raising(self, backend, rng):
+        ks = [rng.random_bytes(32) for _ in range(3)]
+        publics, shareds = backend.x25519_fixed_point_batch(ks, bytes(32))
+        assert publics == [x25519.scalar_base_mult(k) for k in ks]
+        assert shareds == [bytes(32)] * 3
+
+    def test_empty_batch(self, backend, rng):
+        assert backend.x25519_fixed_point_batch([], rng.random_bytes(32)) == ([], [])
 
 
 class TestDerivedKeyCache:

@@ -13,6 +13,7 @@ from repro.crypto import (
     PublicKey,
     RESPONSE_LAYER_OVERHEAD,
     SecureRandom,
+    available_backends,
     conversation_dead_drop,
     invitation_dead_drop,
     peel_request,
@@ -20,11 +21,29 @@ from repro.crypto import (
     random_dead_drop,
     request_size,
     response_size,
+    set_backend,
     unwrap_response,
     wrap_request,
     wrap_response,
 )
+from repro.crypto.onion import wrap_request_batch
 from repro.errors import OnionError
+
+# Recorded from the commit before wrap_request became the one-payload case of
+# wrap_request_batch (seed b"golden-wire", three servers, round 7): the wire
+# and the response keys must never change, on either backend.
+GOLDEN_WIRE = bytes.fromhex(
+    "067e310fd7e74c2ca4f3d1be66eec481431b041f4bdfe613ac66c92232c6d010"
+    "24684ea8916917220bb81814a5147486889e56c0e96852bd3fd66eff27d3a59b"
+    "63e09630859f5b5d38c9c2032787536b9c3bb9837a5aaa1b8c067661119eb616"
+    "c6675565c813cc0389dcee4837c1efcaa6f4c26af5c20216a64cee3655b849a9"
+    "9b0ed573f2a7042cad966dae1a1139adc4606999fb2ff271fdcdbecc710e4116"
+)
+GOLDEN_LAYER_KEYS = (
+    "753518e7f7b3a894354ff03ee3256533ce0248bc59e661f85f28d0e248da1936",
+    "6dfd6a82bf980787c72571889db7947e84308973dce167ba00e2ca49d8d1caa6",
+    "6ddfa561d0b5822a45a52ef7324ac44eec43a498979d9e8199019e2d5934999d",
+)
 
 
 class TestOnion:
@@ -77,6 +96,33 @@ class TestOnion:
     def test_empty_chain_rejected(self, rng):
         with pytest.raises(OnionError):
             wrap_request(b"data", [], 0, rng)
+
+    def test_small_order_server_key_rejected_as_onion_error(self, rng, server_keys):
+        keys = [server_keys[0].public, PublicKey(bytes(32))]
+        with pytest.raises(OnionError, match="all-zero"):
+            wrap_request(b"data", keys, 0, rng)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_single_wrap_is_the_batch_of_one_and_matches_the_golden_wire(self, backend):
+        set_backend(backend)
+        try:
+            wires, contexts = [], []
+            for wrap in (
+                lambda *args: wrap_request(b"golden payload!!", *args),
+                lambda *args: tuple(
+                    out[0] for out in wrap_request_batch([b"golden payload!!"], *args)
+                ),
+            ):
+                rng = DeterministicRandom(b"golden-wire")
+                servers = [KeyPair.generate(rng) for _ in range(3)]
+                wire, context = wrap([s.public for s in servers], 7, rng)
+                wires.append(wire)
+                contexts.append(context)
+        finally:
+            set_backend(available_backends()[-1])
+        assert wires == [GOLDEN_WIRE, GOLDEN_WIRE]
+        assert contexts[0] == contexts[1]
+        assert tuple(key.hex() for key in contexts[0].layer_keys) == GOLDEN_LAYER_KEYS
 
     def test_short_wire_rejected(self, server_keys):
         with pytest.raises(OnionError):

@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import DeterministicRandom, KeyPair, request_size
-from repro.deaddrop import NOOP_BUCKET
+from repro.crypto import (
+    DeterministicRandom,
+    KeyPair,
+    PublicKey,
+    available_backends,
+    derive_key,
+    nonce_for_round,
+    open_box,
+    request_size,
+    set_backend,
+)
+from repro.deaddrop import NOOP_BUCKET, InvitationDropStore
 from repro.dialing import (
     DIALING_REQUEST_SIZE,
     DialingCostModel,
@@ -27,7 +37,7 @@ from repro.dialing import (
     paper_dialing_cost_model,
     seal_invitation,
 )
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, CryptoError, ProtocolError
 from repro.mixnet import DialingNoiseSpec, build_chain
 from repro.privacy import LaplaceParams
 
@@ -80,6 +90,85 @@ class TestInvitations:
         sender, recipient = KeyPair.generate(rng), KeyPair.generate(rng)
         invitation = seal_invitation(sender, recipient.public, round_number, rng)
         assert open_invitation(recipient, invitation, round_number) == sender.public
+
+
+# Recorded before seal_invitation / open_invitation moved onto the batch
+# primitives (seed b"golden-invitation": alice, then bob; alice invites bob in
+# dialing round 3).
+GOLDEN_INVITATION = bytes.fromhex(
+    "b71a426ec21d5af69f28a9ff5d9fc61d56b1051b1f37992027b48d1ddb7ceb53"
+    "4a6ba1ece96008fcc6bf6a244b49f6257cec79204eaf34618e0b9892c88eabf7"
+    "f5aac95a4bfdd39775dbe92da9b3d22a"
+)
+
+
+def reference_open(recipient, invitation, round_number):
+    """Per-invitation trial decryption from the primitives: one exchange, one
+    key derivation, one box open (what ``open_invitation`` was before the
+    bucket scan was batched)."""
+    if len(invitation) != INVITATION_SIZE:
+        return None
+    try:
+        shared = recipient.private.exchange(PublicKey(invitation[:32]))
+        key = derive_key(shared, "dialing-invitation")
+        return PublicKey(
+            open_box(key, nonce_for_round(round_number, "dialing-invitation"), invitation[32:])
+        )
+    except CryptoError:
+        return None
+
+
+class TestBucketScan:
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_golden_invitation_seals_and_opens_as_before(self, backend):
+        set_backend(backend)
+        try:
+            rng = DeterministicRandom(b"golden-invitation")
+            alice, bob = KeyPair.generate(rng), KeyPair.generate(rng)
+            assert seal_invitation(alice, bob.public, 3, rng) == GOLDEN_INVITATION
+            assert open_invitation(bob, GOLDEN_INVITATION, 3) == alice.public
+            assert open_invitation(bob, GOLDEN_INVITATION, 4) is None
+            assert open_invitation(alice, GOLDEN_INVITATION, 3) is None
+        finally:
+            set_backend(available_backends()[-1])
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("noise", [3, 80])  # below and above the numpy kernels' threshold
+    def test_batched_scan_matches_per_invitation_open(self, rng, alice, bob, backend, noise):
+        """``fetch_invitations`` trial-decrypts the bucket in one batch; it must
+        find the same callers, in the same (download) order, as opening each
+        invitation on its own — through ``open_invitation`` or from the
+        primitives."""
+        set_backend(backend)
+        try:
+            callers = [alice] + [KeyPair.generate(rng) for _ in range(3)]
+            store = InvitationDropStore(num_buckets=1)
+            for caller in callers:
+                store.deposit(0, seal_invitation(caller, bob.public, 5, rng))
+            stranger = KeyPair.generate(rng)
+            store.deposit(0, seal_invitation(alice, stranger.public, 5, rng))  # foreign
+            store.deposit(0, seal_invitation(alice, bob.public, 6, rng))  # another round
+            store.deposit_many(
+                0, [rng.random_bytes(INVITATION_SIZE) for _ in range(noise)], is_noise=True
+            )
+            store.deposit(0, b"short")
+            store.deposit(0, rng.random_bytes(INVITATION_SIZE + 1))
+            store.deposit(0, bytes(32) + rng.random_bytes(48))  # small-order ephemeral key
+            bucket = store.download(0)
+            expected = [
+                sender
+                for sender in (reference_open(bob, inv, 5) for inv in bucket)
+                if sender is not None
+            ]
+            assert sorted(expected) == sorted(caller.public for caller in callers)
+            assert fetch_invitations(bob, store, 5) == expected
+            assert [open_invitation(bob, inv, 5) for inv in bucket] == [
+                reference_open(bob, inv, 5) for inv in bucket
+            ]
+            assert fetch_invitations(stranger, store, 5) == [alice.public]
+            assert fetch_invitations(bob, InvitationDropStore(num_buckets=1), 5) == []
+        finally:
+            set_backend(available_backends()[-1])
 
 
 class TestDialingRound:

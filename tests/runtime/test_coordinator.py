@@ -13,7 +13,15 @@ from repro.errors import ConnectTimeout, NetworkError, ProtocolError, TransportT
 from repro.mixnet import MixServer
 from repro.net import Envelope, MessageKind, Network
 from repro.runtime import ABORTED, LATE, RoundCoordinator
+from repro.runtime.coordinator import RESPONSE_WINDOWS
 from repro.server import ACK, REFUSED, ChainServerEndpoint, EntryServer
+from repro.server.wire import (
+    VERDICT_LATE,
+    decode_batch_verdicts,
+    decode_collect_reply,
+    encode_collect_request,
+    encode_submission_batch,
+)
 
 
 def build_stack(rng, *, require_registration=False, **coordinator_kwargs):
@@ -260,6 +268,71 @@ class TestPruningHorizon:
         assert (
             network.send("slow", "entry", wire, MessageKind.CONVERSATION_REQUEST, 4) == LATE
         )
+
+
+class TestResponseRetention:
+    @pytest.mark.parametrize("blocking", [False, True])
+    def test_old_windows_keep_their_verdicts_but_no_response_bytes(self, rng, blocking):
+        """70 resolved rounds: only the newest RESPONSE_WINDOWS hold payloads;
+        every unpruned window still answers stragglers and duplicates as
+        before, and a result the caller was handed is the caller's to keep."""
+        kind = MessageKind.CONVERSATION_REQUEST
+        network, entry, publics, coordinator = build_stack(rng, blocking_responses=blocking)
+        wires, results = {}, {}
+        for round_number in range(70):
+            window = coordinator.open_round(kind, round_number, expected_requests=1)
+            wires[round_number], ctx = wrap_request(b"ping", publics, round_number, rng)
+            reply = network.send("alice", "entry", wires[round_number], kind, round_number)
+            results[round_number] = coordinator.close_round(window)
+            if blocking:  # the submission long-polled its own response
+                assert unwrap_response(reply, ctx) == b"PING"
+
+        assert coordinator.window(kind, 0) is None  # past keep_windows: pruned
+        for round_number in range(70 - coordinator.keep_windows, 70):
+            window = coordinator.window(kind, round_number)
+            held = window.result.responses
+            if round_number >= 70 - RESPONSE_WINDOWS:
+                assert list(held) == ["alice"] and len(held["alice"][0]) > 0
+            else:
+                assert held is None
+            # The metadata the verdicts are computed from is all still there.
+            assert (window.result.accepted, window.result.responded) == (1, 1)
+            assert window.per_client == {"alice": 1}
+            assert (len(window.submitted.get("alice", [])) == 1) is blocking
+            # The caller's own handle is untouched by the release.
+            assert len(results[round_number].responses["alice"][0]) > 0
+
+        # Stragglers and duplicates for an old, released round: LATE, as ever.
+        old = 70 - coordinator.keep_windows + 3
+        window = coordinator.window(kind, old)
+        assert network.send("alice", "entry", wires[old], kind, old) == LATE  # duplicate
+        fresh, _ = wrap_request(b"late", publics, old, rng)
+        assert network.send("bob", "entry", fresh, kind, old) == LATE  # straggler
+        verdicts = network.send(
+            "swarm",
+            "entry",
+            encode_submission_batch(kind, old, [("alice", wires[old]), ("carol", fresh)]),
+            kind=MessageKind.SUBMISSION_BATCH,
+            round_number=old,
+        )
+        assert decode_batch_verdicts(verdicts) == (old, bytes([VERDICT_LATE]) * 2)
+        assert window.late == 4 and coordinator.late_requests == 4
+
+        # Collecting a recent round works; a released one fails loudly rather
+        # than answering with silence.
+        def collect(round_number):
+            return network.send(
+                "swarm",
+                "entry",
+                encode_collect_request(kind, round_number, ["alice"]),
+                kind=MessageKind.RESPONSE_COLLECT,
+                round_number=round_number,
+            )
+
+        got_round, ((response,),) = decode_collect_reply(collect(69))
+        assert got_round == 69 and bytes(response) == results[69].responses["alice"][0]
+        with pytest.raises(ProtocolError, match="no longer held"):
+            collect(old)
 
 
 class TestControlTraffic:
