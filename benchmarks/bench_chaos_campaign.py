@@ -12,10 +12,11 @@ the fsync policy's durability tax:
 This benchmark times identical in-process conversation rounds ledger-off vs
 ledger-on under each policy (min-of-rounds per point: on a noisy 1-core
 container the minimum isolates the ledger's cost from scheduler jitter far
-better than the mean), runs a short seeded chaos campaign end to end, and
-replays its ledger to time the replay engine.  The acceptance bar asserted
-here and recorded in the artifact: the default ``round`` policy adds < 5%
-per-round latency.
+better than the mean), runs a short seeded campaign end to end — clear
+weather and no flood, so chain faults and churn only — and replays its
+ledger to time the replay engine.  The acceptance bar asserted here and
+recorded in the artifact: the default ``round`` policy adds < 5% per-round
+latency.
 
 Writes ``BENCH_chaos_campaign.json`` at the repo root.  ``--smoke`` runs a
 two-segment campaign plus replay under CI's hard timeout.
@@ -44,7 +45,7 @@ from bench_common import emit, peak_rss_bytes  # noqa: E402
 
 from repro import VuvuzelaConfig, VuvuzelaSystem  # noqa: E402
 from repro.ledger import LedgerWriter, load_ledger, replay_ledger  # noqa: E402
-from repro.runtime.campaign import ChaosCampaign  # noqa: E402
+from repro.runtime import Campaign  # noqa: E402
 
 SEED = 6606
 OVERHEAD_BUDGET_PERCENT = 5.0
@@ -99,8 +100,13 @@ def ledger_overhead(rounds: int, clients: int) -> dict:
 def campaign_timing(segments: int, rounds_per_segment: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-campaign-") as scratch:
         path = Path(scratch) / "campaign.jsonl"
-        campaign = ChaosCampaign(
-            bench_config(), seed=SEED, ledger_path=path, rounds_per_segment=rounds_per_segment
+        campaign = Campaign(
+            bench_config(),
+            seed=SEED,
+            ledger_path=path,
+            rounds_per_segment=rounds_per_segment,
+            loss=0.0,
+            flood_attackers=0,
         )
         started = time.perf_counter()
         report = campaign.run(segments)
@@ -122,6 +128,8 @@ def campaign_timing(segments: int, rounds_per_segment: int) -> dict:
         "rounds": rounds,
         "fault_rules_drawn": report.fault_rules_drawn,
         "aborted_attempts": report.aborted_attempts,
+        "churn": dict(sorted(report.churn.items())),
+        "violations": len(report.violations),
         "ledger_records": records,
         "campaign_seconds": round(campaign_seconds, 2),
         "campaign_round_ms": round(campaign_seconds / rounds * 1000, 2),
@@ -141,7 +149,7 @@ def run(rounds: int, clients: int, segments: int, output: str) -> None:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "note": (
-            "per-round latency is min-of-rounds on a 1-core container: the "
+            "per-round latency is min-of-rounds on a small shared container: the "
             "minimum isolates ledger cost from scheduler jitter, which on "
             "this box is larger than the ledger itself. fsync=always pays "
             "one fsync per record and is expected to exceed the budget; the "
@@ -163,7 +171,7 @@ def run(rounds: int, clients: int, segments: int, output: str) -> None:
     ]
     emit("Ledger-enabled round latency vs ledger-off", rows)
     emit(
-        "Chaos campaign (seeded faults + churn + invariants + replay)",
+        "Clear-weather campaign (seeded faults + churn + invariants + replay)",
         [campaign],
     )
     results["peak_rss_bytes"] = peak_rss_bytes()

@@ -17,7 +17,7 @@ Loss decisions are hash-keyed off the benchmark seed, so every severity
 level loses the *same* submissions on every run of this benchmark.
 
 The artifact also runs a short seeded WAN+churn campaign
-(:class:`~repro.runtime.WanChurnCampaign`) end to end — invariants checked,
+(:class:`~repro.runtime.Campaign`) end to end — invariants checked,
 ledger replayed bit-for-bit — and records its timing next to the curve.
 
 Writes ``BENCH_wan_degradation.json`` at the repo root.  ``--smoke`` runs a
@@ -48,8 +48,7 @@ from bench_common import emit, peak_rss_bytes  # noqa: E402
 
 from repro import VuvuzelaConfig, VuvuzelaSystem  # noqa: E402
 from repro.ledger import load_ledger, replay_ledger  # noqa: E402
-from repro.net import LinkProfile, LinkSpec, MessageKind  # noqa: E402
-from repro.runtime import WanChurnCampaign  # noqa: E402
+from repro.runtime import Campaign, edge_profiles  # noqa: E402
 
 SEED = 5115
 
@@ -72,36 +71,6 @@ def bench_config(**overrides) -> VuvuzelaConfig:
     return VuvuzelaConfig.from_dict(fields)
 
 
-def edge_profiles(loss: float, latency_ms: float, jitter_ms: float) -> list[LinkProfile]:
-    """Client-edge conditioning for one severity level (submissions only;
-    a lost DIAL_DOWNLOAD would be a hard fault, not degradation)."""
-    profiles = []
-    if loss > 0.0:
-        profiles.append(
-            LinkProfile(
-                destination="entry",
-                kind=MessageKind.CONVERSATION_REQUEST,
-                loss=loss,
-            )
-        )
-    if latency_ms > 0.0 or jitter_ms > 0.0:
-        spec = (
-            LinkSpec(bandwidth_bytes_per_sec=1e9, latency_seconds=latency_ms / 1000)
-            if latency_ms > 0.0
-            else None
-        )
-        for kind in (MessageKind.CONVERSATION_REQUEST, MessageKind.DIALING_REQUEST):
-            profiles.append(
-                LinkProfile(
-                    destination="entry",
-                    kind=kind,
-                    spec=spec,
-                    jitter_seconds=jitter_ms / 1000,
-                )
-            )
-    return profiles
-
-
 def measure_severity(severity: dict, rounds: int, bystanders: int) -> dict:
     """Goodput + round latency for one severity level.
 
@@ -120,7 +89,7 @@ def measure_severity(severity: dict, rounds: int, bystanders: int) -> dict:
 
         conditioner = system.link_conditioner(SEED)
         for profile in edge_profiles(
-            severity["loss"], severity["latency_ms"], severity["jitter_ms"]
+            severity["loss"], severity["latency_ms"] / 1000, severity["jitter_ms"] / 1000
         ):
             conditioner.add_profile(profile)
 
@@ -167,7 +136,7 @@ def campaign_timing(segments: int, rounds_per_segment: int) -> dict:
     """One seeded WAN+churn+flood campaign, invariants + replay verified."""
     with tempfile.TemporaryDirectory(prefix="bench-wan-") as scratch:
         path = Path(scratch) / "wan.jsonl"
-        campaign = WanChurnCampaign(
+        campaign = Campaign(
             bench_config(),
             seed=SEED,
             ledger_path=path,
@@ -197,10 +166,8 @@ def campaign_timing(segments: int, rounds_per_segment: int) -> dict:
         "rounds": rounds,
         "submissions_lost": report.link_losses,
         "aborted_attempts": report.aborted_attempts,
-        "churn": (
-            f"+{report.clients_joined}/p{report.clients_parked}"
-            f"/r{report.clients_resumed}/-{report.clients_removed}"
-        ),
+        "churn": dict(sorted(report.churn.items())),
+        "violations": len(report.violations),
         "flood_points": len(report.flood_points),
         "ledger_records": records,
         "campaign_seconds": round(campaign_seconds, 2),
@@ -224,7 +191,7 @@ def run(rounds: int, bystanders: int, segments: int, output: str) -> None:
             "goodput = delivered/offered for a conversing pair under seeded "
             "client-edge conditioning; delivery needs both partners' "
             "submissions to survive, so expected goodput under loss p is "
-            "~(1-p)^2. round_ms is wall clock on a 1-core container: "
+            "~(1-p)^2. round_ms is wall clock on a small shared container: "
             "latency/jitter stalls serialize with the crypto, so absolute "
             "timings are pessimistic; the curve's shape is the result."
         ),

@@ -1,27 +1,37 @@
-"""Degraded-mode operation end to end: WAN weather, churn, and a flood.
+"""A seeded campaign end to end: faults, WAN weather, churn, a flood, replay.
 
-This example drives the full degraded-mode surface in one seeded campaign
-(:class:`~repro.runtime.wan.WanChurnCampaign`):
+This example drives the whole robustness surface in one seeded
+:class:`~repro.runtime.Campaign`:
 
-1. **WAN link conditioning** — client submissions cross a lossy, delayed,
+1. **chain faults** — kill/drop rules on inter-server hops, each surviving
+   as a §6 abort/retry trail;
+2. **WAN link conditioning** — client submissions cross a lossy, delayed,
    jittery edge link (the paper's §8 DSL/3G clients).  Loss decisions are
    hash-keyed off the seed, so the same submissions are lost on every run;
-2. **mid-session churn** — clients join, park (vanish silently), resume, and
-   leave between rounds; messages said into the gap arrive after the resume,
-   exactly once, via §3.1 retransmission and sequence-number dedup;
-3. **an adversarial flood** — attacker clients hammer one victim's dialing
-   bucket while a compromised-entry observer watches, emitting a
-   privacy-vs-load point per segment that shows the accountant spending
-   (ε, δ) at its ordinary per-round rate regardless of the attack;
-4. the whole recording **replays bit-identically** from the ledger alone.
+3. **mid-session churn** — clients join, park (vanish silently), resume,
+   leave and re-dial between rounds; messages said into the gap arrive
+   after the resume, exactly once, via §3.1 retransmission and
+   sequence-number dedup;
+4. **an adversarial flood** — attacker clients hammer one victim's dialing
+   bucket, emitting a privacy-vs-load point per segment that shows the
+   accountant spending (ε, δ) at its ordinary per-round rate regardless;
+5. the invariants (exactly-once delivery, refund conservation, accountant
+   consistency) are checked after every segment, and the whole recording
+   **replays bit-identically** from the ledger alone.
 
-Pass ``--shape tcp`` to run the identical campaign over a real multi-process
-TCP deployment instead of the in-process system.
+``--loss 0 --latency-ms 0 --jitter-ms 0 --flooders 0`` is clear weather:
+chain faults and churn only.  Pass ``--shape tcp`` to run the identical
+campaign over a real multi-process TCP deployment.
+
+On an invariant violation the campaign exits non-zero and leaves a minimal,
+hash-chain-valid ledger slice at ``<ledger>.violation.jsonl`` — load it with
+``replay_ledger`` to reproduce the failure deterministically.
 
 Run it::
 
-    PYTHONPATH=src python examples/wan_churn_campaign.py
-    PYTHONPATH=src python examples/wan_churn_campaign.py --shape tcp --segments 2
+    PYTHONPATH=src python examples/campaign.py
+    PYTHONPATH=src python examples/campaign.py --loss 0 --latency-ms 0 --jitter-ms 0 --flooders 0
+    PYTHONPATH=src python examples/campaign.py --shape tcp --segments 2
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import VuvuzelaConfig  # noqa: E402
 from repro.ledger import load_ledger, replay_ledger, replay_ledger_over_tcp  # noqa: E402
-from repro.runtime import CAMPAIGN_SHAPES, WanChurnCampaign  # noqa: E402
+from repro.runtime import CAMPAIGN_SHAPES, Campaign  # noqa: E402
 
 
 def main() -> int:
@@ -60,13 +70,13 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    ledger_path = args.ledger or Path(tempfile.mkdtemp(prefix="wan-churn-")) / "ledger.jsonl"
+    ledger_path = args.ledger or Path(tempfile.mkdtemp(prefix="campaign-")) / "ledger.jsonl"
 
     print(
-        f"== WAN+churn campaign: shape {args.shape}, {args.segments} segments, "
-        f"seed {args.seed}, loss {args.loss:.0%} =="
+        f"== campaign: shape {args.shape}, {args.segments} segments, "
+        f"seed {args.seed}, loss {args.loss:.0%}, {args.flooders} flooders =="
     )
-    campaign = WanChurnCampaign(
+    campaign = Campaign(
         VuvuzelaConfig.small(seed=args.seed),
         shape=args.shape,
         seed=args.seed,
@@ -76,7 +86,6 @@ def main() -> int:
         latency_seconds=args.latency_ms / 1000,
         jitter_seconds=args.jitter_ms / 1000,
         flood_attackers=args.flooders,
-        round_deadline_seconds=1.0 if args.shape == "tcp" else None,
     )
     report = campaign.run(args.segments)
     print(report.summary())
@@ -94,11 +103,8 @@ def main() -> int:
         f"{report.link_losses} submissions lost, "
         f"{report.link_stats.get('hold_seconds_total', 0.0):.3f}s held"
     )
-    print(
-        f"churn            : +{report.clients_joined} joined, "
-        f"{report.clients_parked} parked, {report.clients_resumed} resumed, "
-        f"{report.clients_removed} removed"
-    )
+    churn = ", ".join(f"{action} ×{n}" for action, n in sorted(report.churn.items()))
+    print(f"churn            : {churn or 'none'}")
     for point in report.flood_points:
         print(
             f"flood round {point['round']:>4}: victim bucket load {point['load']} "

@@ -20,7 +20,7 @@ at exactly the same per-round rate whether or not the attack runs.
 
 Both workloads run through the ordinary scheduler, so they compose with WAN
 conditioning, churn and fault injection in a campaign
-(:class:`~repro.runtime.WanChurnCampaign` wires the flood in).
+(:class:`~repro.runtime.Campaign` wires the flood in).
 """
 
 from __future__ import annotations

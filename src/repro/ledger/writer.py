@@ -205,7 +205,7 @@ def slice_ledger(
     """Write the verified prefix of a ledger through ``upto_seq`` (inclusive).
 
     A prefix of a hash chain is itself a valid hash chain, so the slice is
-    directly loadable and replayable — this is how the chaos campaign emits
+    directly loadable and replayable — this is how a campaign emits
     a minimal ledger reproducing an invariant violation.  Returns the number
     of records written.
     """

@@ -44,22 +44,27 @@ from .scheduler import (
     RoundScheduler,
     ScheduleReport,
 )
-from .campaign import CAMPAIGN_ACTIONS, CampaignReport, ChaosCampaign, InvariantViolation
-from .wan import CAMPAIGN_SHAPES, WanCampaignReport, WanChurnCampaign
+from .campaign import (
+    CAMPAIGN_SHAPES,
+    INVARIANTS,
+    Campaign,
+    CampaignReport,
+    InvariantViolation,
+    check_invariants,
+    edge_profiles,
+)
 
 __all__ = [
     "ABORTED",
-    "CAMPAIGN_ACTIONS",
     "CAMPAIGN_SHAPES",
+    "Campaign",
     "CampaignReport",
-    "ChaosCampaign",
+    "INVARIANTS",
     "InvariantViolation",
     "CHURN_ACTIONS",
     "ChurnEvent",
     "ENGINE_MODES",
     "LATE",
-    "WanCampaignReport",
-    "WanChurnCampaign",
     "PROCESS",
     "PROTOCOL_KINDS",
     "PrecomputeManager",
@@ -78,6 +83,8 @@ __all__ = [
     "ScheduleReport",
     "SubmissionWindow",
     "build_protocols",
+    "check_invariants",
     "default_engine",
+    "edge_profiles",
     "make_protocol",
 ]

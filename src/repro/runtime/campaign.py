@@ -1,48 +1,190 @@
-"""Long-running chaos campaigns: randomized faults + churn, checked invariants.
+"""Seeded campaigns: chain faults, WAN weather, churn and a flood, checked.
 
-A :class:`ChaosCampaign` drives a continuous in-process deployment through
-many *segments*.  Before each segment it draws, from its own seeded
-:class:`~repro.crypto.rng.DeterministicRandom` stream, a batch of fault rules
-(kill / drop on inter-server chain hops, always count-bounded so every round
-eventually succeeds within its §6 retry budget) and a churn action (a new
-client joins mid-session, an old one crashes away, someone re-dials); then it
-runs the segment's rounds through the ordinary overlapped scheduler and
-checks the campaign invariants:
+A :class:`Campaign` drives a continuous deployment through many *segments*,
+in **either deployment shape** — the in-process
+:class:`~repro.core.system.VuvuzelaSystem` or a real multi-process TCP
+:class:`~repro.core.deployment.DeploymentLauncher` — and reaches it only
+through the :class:`~repro.core.driver.RoundDriver` chaos surface.  Each
+segment composes four stressors over the ordinary overlapped scheduler:
 
-* **exactly-once delivery** — no client ever holds a duplicate plaintext:
-  every campaign message body is unique, so a §6 retry that executed a batch
-  twice (or a refund that ran twice) would surface as a repeated body;
-* **refund conservation** — after a segment settles, no accepted submission
-  is still parked anywhere: the entry buffers and the coordinator's
-  permanent-failure queue are empty (every refund either re-ran or was
-  accounted as a failed round, which the campaign treats as a violation too);
-* **accountant consistency** — each protocol's ``rounds_used`` equals the
-  rounds the ledger actually records, and the recorded (ε, δ) checkpoints
-  recompose exactly under Theorem 2
-  (:func:`~repro.privacy.accountant.audit_ledger_records`).
+* **chain faults** — count-bounded kill / drop rules on inter-server hops,
+  each reducing to a §6 abort/retry trail the round survives;
+* **WAN link conditioning** — the client access edge (the paper's DSL/3G
+  clients, §8) gets seeded latency, jitter and hash-keyed loss on
+  conversation submissions (:func:`edge_profiles`).  A lost submission is a
+  lost round for that client; §3.1 retransmission carries the message on;
+* **mid-session churn** — :class:`~repro.runtime.ChurnEvent` scripts join,
+  park, resume, remove, re-dial and speak at round boundaries *inside* the
+  schedule;
+* **adversarial load** — a clique of flooder sessions runs the targeted
+  dead-drop flood from :mod:`repro.adversary.workloads` against a victim,
+  and every segment appends a ``privacy_load_point`` record: the victim
+  bucket's load next to the Laplace accountant's (ε, δ).
 
-Every segment is recorded into an append-only round ledger.  On a violation
-the campaign writes the ledger prefix up to the offending record to
+Clear weather and no flood (``loss=0.0, flood_attackers=0``) leaves faults
+and churn only.  After every segment :func:`check_invariants` checks
+:data:`INVARIANTS`; on a violation the campaign writes the ledger prefix
+ending at the segment's last violation record to
 ``<ledger>.violation.jsonl`` — a minimal, hash-chain-valid, directly
-replayable reproduction (:func:`~repro.ledger.replay_ledger`) — and stops.
+replayable reproduction — and stops.
 
-Only deterministic fault shapes are drawn: rules fire with probability 1.0
-on inter-server hops (never on client submissions), so a campaign with the
-same seed produces the same kills, the same retries, and the same ledger.
+Every draw is deterministic: fault rules fire with probability 1.0 (the
+injector's shared rng stream is consumed in nondeterministic arrival order
+under overlap), loss decisions are hash-keyed (see
+:class:`~repro.net.LinkConditioner`), the churn script rides inside the
+ledger's ``schedule`` records, and forced attempt numbers cover §6 retries —
+so a campaign ledger replays bit-identically through
+:func:`~repro.ledger.replay_ledger` or
+:func:`~repro.ledger.replay_ledger_over_tcp`.
 """
 
 from __future__ import annotations
 
+import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
+from .scheduler import ChurnEvent
 from ..crypto.rng import DeterministicRandom
-from ..errors import NetworkError, ProtocolError
+from ..errors import LedgerError, NetworkError, ProtocolError
 from ..ledger import LedgerWriter, load_ledger, slice_ledger
+from ..net import LinkProfile, LinkSpec, MessageKind
 from ..privacy import audit_ledger_records, conversation_guarantee, dialing_guarantee
 
-#: Fault actions a campaign may draw (both reduce to §6 abort/retry trails).
-CAMPAIGN_ACTIONS = ("kill", "drop")
+#: The deployment shapes a campaign can drive.
+CAMPAIGN_SHAPES = ("in-process", "tcp")
+
+#: Each segment draws 0..this many chain fault rules.
+_MAX_FAULT_RULES = 2
+#: Conversation rounds between dialing rounds inside a segment.
+_DIALING_INTERVAL = 2
+#: Over TCP, lost client submissions mean expected counts can never be met:
+#: windows close on this deadline, like the paper's.
+_TCP_ROUND_DEADLINE_SECONDS = 1.0
+#: Edge bandwidth when only latency is asked for: effectively unmetered
+#: (:class:`~repro.net.LinkSpec` requires a positive bandwidth).
+_UNMETERED = 1e9
+
+
+class Invariants(NamedTuple):
+    """The ids of the invariants every settled segment must satisfy."""
+
+    #: No client — online or parked — holds a duplicate plaintext.  Every
+    #: campaign message body is unique, so a §6 retry that executed a batch
+    #: twice (or a refund that ran twice) surfaces as a repeated body.
+    exactly_once: str = "exactly_once"
+    #: No accepted submission is still parked: the entry buffers and the
+    #: coordinator's permanent-failure queue are empty.
+    refund_conservation: str = "refund_conservation"
+    #: Each accountant's ``rounds_used`` equals the rounds the ledger
+    #: records, and the recorded (ε, δ) checkpoints recompose under
+    #: Theorem 2 (:func:`~repro.privacy.audit_ledger_records`).
+    accountant: str = "accountant"
+
+
+INVARIANTS = Invariants()
+
+
+def check_invariants(driver, ledger_path: str | Path, segment: int) -> list[tuple[str, str]]:
+    """Check :data:`INVARIANTS` against a settled driver and its ledger.
+
+    Returns one ``(invariant id, detail)`` pair per failure; empty when
+    every invariant holds.
+    """
+    failures: list[tuple[str, str]] = []
+
+    # Parked clients keep their mailboxes: a resume that replayed a batch
+    # would plant its duplicate right there.
+    for name in driver.ledger_client_digests():
+        bodies = [message.body for message in driver.client(name).received]
+        if len(bodies) != len(set(bodies)):
+            failures.append(
+                (
+                    INVARIANTS.exactly_once,
+                    f"client {name} holds duplicate plaintexts after segment {segment}",
+                )
+            )
+
+    parked = driver.resubmission_parked()
+    if parked:
+        failures.append(
+            (
+                INVARIANTS.refund_conservation,
+                f"permanently failed submissions parked after segment {segment}: {parked}",
+            )
+        )
+    buffered = driver.buffered_total()
+    if buffered:
+        failures.append(
+            (
+                INVARIANTS.refund_conservation,
+                f"{buffered} submissions still buffered at the entry after segment {segment}",
+            )
+        )
+
+    config = driver.config
+    rounds = [record.data for record in load_ledger(ledger_path).of_type("round_metrics")]
+    for protocol, accountant, guarantee in (
+        (
+            "conversation",
+            driver.conversation_accountant,
+            conversation_guarantee(config.conversation_noise),
+        ),
+        ("dialing", driver.dialing_accountant, dialing_guarantee(config.dialing_noise)),
+    ):
+        recorded = [data for data in rounds if data["protocol"] == protocol]
+        if accountant.rounds_used != len(recorded):
+            failures.append(
+                (
+                    INVARIANTS.accountant,
+                    f"{protocol} accountant spent {accountant.rounds_used} rounds but "
+                    f"the ledger records {len(recorded)}",
+                )
+            )
+        audit = audit_ledger_records(
+            recorded,
+            protocol=protocol,
+            per_round=guarantee,
+            target_epsilon=config.target_epsilon,
+            target_delta=config.target_delta,
+            composition_d=config.composition_d,
+        )
+        for divergence in audit.divergences:
+            failures.append((INVARIANTS.accountant, divergence))
+    return failures
+
+
+def edge_profiles(
+    loss: float, latency_seconds: float, jitter_seconds: float
+) -> list[LinkProfile]:
+    """The client-edge conditioning for one weather setting.
+
+    Loss applies to conversation submissions only: a lost conversation
+    request is exactly the §3.1 offline case (the client retransmits next
+    round), while a lost ``DIAL_DOWNLOAD`` would surface as a hard
+    :class:`~repro.errors.NetworkError` — a *fault*, not weather.  Latency
+    and jitter shape both submission kinds (timing only, never bytes).
+    """
+    profiles: list[LinkProfile] = []
+    if loss > 0.0:
+        profiles.append(
+            LinkProfile(destination="entry", kind=MessageKind.CONVERSATION_REQUEST, loss=loss)
+        )
+    if latency_seconds > 0.0 or jitter_seconds > 0.0:
+        spec = (
+            LinkSpec(bandwidth_bytes_per_sec=_UNMETERED, latency_seconds=latency_seconds)
+            if latency_seconds > 0.0
+            else None
+        )
+        for kind in (MessageKind.CONVERSATION_REQUEST, MessageKind.DIALING_REQUEST):
+            profiles.append(
+                LinkProfile(
+                    destination="entry", kind=kind, spec=spec, jitter_seconds=jitter_seconds
+                )
+            )
+    return profiles
 
 
 @dataclass
@@ -59,16 +201,24 @@ class InvariantViolation:
 
 @dataclass
 class CampaignReport:
-    """What a chaos campaign did, and whether the invariants held."""
+    """What a campaign did, and whether the invariants held."""
 
+    shape: str
     seed: int
     segments_run: int = 0
     conversation_rounds: int = 0
     dialing_rounds: int = 0
     fault_rules_drawn: int = 0
     aborted_attempts: int = 0
-    clients_joined: int = 0
-    clients_crashed: int = 0
+    #: Churn events applied, by :data:`~repro.runtime.CHURN_ACTIONS` action.
+    churn: Counter = field(default_factory=Counter)
+    #: Total plaintexts delivered across the whole population (online and
+    #: parked) — the goodput numerator of the degradation benchmark.
+    messages_delivered: int = 0
+    #: The client-edge conditioner's counters at campaign end.
+    link_stats: dict = field(default_factory=dict)
+    #: One privacy-vs-load point per segment (the flood's curve), as dicts.
+    flood_points: list = field(default_factory=list)
     ledger_path: str | None = None
     ledger_records: int = 0
     violations: list[InvariantViolation] = field(default_factory=list)
@@ -77,75 +227,106 @@ class CampaignReport:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def link_losses(self) -> int:
+        return int(self.link_stats.get("lost", 0))
+
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.violations)} VIOLATIONS"
+        churn = " ".join(f"{action}×{n}" for action, n in sorted(self.churn.items()))
         return (
-            f"chaos campaign seed={self.seed}: {self.segments_run} segments, "
+            f"campaign [{self.shape}] seed={self.seed}: "
+            f"{self.segments_run} segments, "
             f"{self.conversation_rounds}+{self.dialing_rounds} rounds, "
             f"{self.fault_rules_drawn} fault rules, "
             f"{self.aborted_attempts} aborted attempts, "
-            f"+{self.clients_joined}/-{self.clients_crashed} clients — {status}"
+            f"{self.link_losses} submissions lost, "
+            f"churn [{churn or 'none'}], "
+            f"{self.messages_delivered} delivered — {status}"
         )
 
 
-class ChaosCampaign:
-    """Seeded, segment-structured chaos driver over one in-process system."""
+class Campaign:
+    """Seeded, segment-structured stress driver over either deployment shape.
+
+    All campaign decisions (fault rules, churn scripts) come from one
+    :class:`~repro.crypto.rng.DeterministicRandom` stream forked off
+    ``seed`` — separate from the config seed, so the deployment's protocol
+    bytes never depend on the campaign plan, and the same seed draws the
+    same campaign in both shapes.
+    """
 
     def __init__(
         self,
         config,
         *,
+        shape: str = "in-process",
         seed: int = 0,
         ledger_path: str | Path,
-        rounds_per_segment: int = 4,
-        dialing_interval: int = 2,
-        fsync: str = "round",
+        rounds_per_segment: int = 3,
+        loss: float = 0.1,
+        latency_seconds: float = 0.0,
+        jitter_seconds: float = 0.0,
+        flood_attackers: int = 2,
     ) -> None:
-        if rounds_per_segment < 1:
-            raise ProtocolError("a campaign segment needs at least one round")
+        if shape not in CAMPAIGN_SHAPES:
+            raise ProtocolError(
+                f"unknown campaign shape {shape!r}; expected one of {CAMPAIGN_SHAPES}"
+            )
+        if rounds_per_segment < 2:
+            # Churn events land *inside* a segment (before rounds 1..n-1);
+            # a one-round segment has no interior boundary to land on.
+            raise ProtocolError("a campaign segment needs at least two rounds")
         self.config = config
+        self.shape = shape
         self.seed = seed
         self.ledger_path = Path(ledger_path)
         self.rounds_per_segment = rounds_per_segment
-        self.dialing_interval = dialing_interval
-        self.fsync = fsync
-        #: The campaign's own decision stream — separate from the config
-        #: seed, so the *deployment's* bytes never depend on the chaos plan.
-        self._rng = DeterministicRandom(seed).fork("chaos-campaign")
+        self.loss = loss
+        self.latency_seconds = latency_seconds
+        self.jitter_seconds = jitter_seconds
+        self.flood_attackers = flood_attackers
+        self._rng = DeterministicRandom(seed).fork("campaign")
         self._messages_sent = 0
         self._joined = 0
+        #: Campaign-side mirror of the churnable population: who is live,
+        #: who is parked — kept in draw order so scripts stay applicable.
+        self._churn_active: set[str] = set()
+        self._churn_parked: set[str] = set()
+        #: Chain hops whose sending side holds fault rules we installed.
+        self._fault_targets: set[int] = set()
 
     # -------------------------------------------------------------- randomness
 
     def _randrange(self, n: int) -> int:
         """A deterministic draw in [0, n) (tiny modulo bias is irrelevant —
-        this stream only picks chaos shapes, never protocol bytes)."""
+        this stream only picks campaign shapes, never protocol bytes)."""
         return self._rng.random_uint(64) % n
 
     def _choice(self, options):
         return options[self._randrange(len(options))]
 
-    def _draw_fault_rules(self, system) -> list[dict]:
+    def _next_message(self, name: str) -> str:
+        """Globally unique bodies: a duplicate plaintext anywhere proves a
+        twice-executed batch (the exactly-once invariant)."""
+        self._messages_sent += 1
+        return f"campaign-msg-{self._messages_sent}-from-{name}"
+
+    # ------------------------------------------------------------ chain faults
+
+    def _draw_fault_rules(self) -> list[dict]:
         """A segment's fault rules: deterministic, bounded, chain-hop only.
 
-        Rules are restricted to shapes whose *only* observable effect is the
-        round's attempt counter: probability 1.0 (the injector's shared rng
-        stream is consumed in nondeterministic arrival order, so fractional
-        probabilities would break seeded reproducibility under overlap), on
-        inter-server destinations (dropping a client's own submission would
-        change the batch), count-bounded below the retry budget (the round
-        must eventually succeed).
+        Rules fire with probability 1.0 on inter-server destinations
+        (dropping a client's own submission would change the batch), and are
+        count-bounded below the retry budget: a round survives at most
+        ``max_round_attempts - 1`` aborts, and every fault on one protocol's
+        chain may land on the same round, so the counts per protocol sum to
+        at most that.
         """
-        # A round survives at most max_round_attempts - 1 aborts, and every
-        # fault on one protocol's chain consumes abort budget from the same
-        # round in the worst case — so the segment's rule counts must sum to
-        # at most that, per protocol.
-        budget = {
-            "conversation": self.config.max_round_attempts - 1,
-            "dialing": self.config.max_round_attempts - 1,
-        }
+        budget = dict.fromkeys(("conversation", "dialing"), self.config.max_round_attempts - 1)
         rules = []
-        for _ in range(self._randrange(3)):  # 0..2 rules per segment
+        for _ in range(self._randrange(_MAX_FAULT_RULES + 1)):
             hop = 1 + self._randrange(self.config.num_servers - 1)
             protocol = self._choice(("conversation", "dialing"))
             if budget[protocol] < 1:
@@ -154,7 +335,7 @@ class ChaosCampaign:
             budget[protocol] -= count
             rules.append(
                 {
-                    "action": self._choice(CAMPAIGN_ACTIONS),
+                    "action": self._choice(("kill", "drop")),
                     "destination": f"server-{hop}/{protocol}",
                     "count": count,
                     "probability": 1.0,
@@ -162,198 +343,218 @@ class ChaosCampaign:
             )
         return rules
 
+    def _apply_fault_rules(self, driver, rules: list[dict]) -> None:
+        for target in sorted(self._fault_targets):
+            driver.heal_faults(target)
+        self._fault_targets.clear()
+        for rule in rules:
+            # "server-H/<protocol>" is *received* by chain hop H; the rule
+            # must live in the process that sends to it, hop H - 1.
+            hop = int(rule["destination"].split("/")[0].split("-")[1])
+            driver.inject_fault(hop - 1, rule, seed=self.seed)
+            self._fault_targets.add(hop - 1)
+
     # ------------------------------------------------------------------- churn
 
-    def _churn(self, system, report: CampaignReport) -> None:
-        """One churn action between segments: join, crash, or re-dial."""
-        removable = [
-            name for name in sorted(system.clients) if name.startswith("churn-")
-        ]
-        action = self._choice(("join", "crash", "redial", "none"))
-        if action == "join" or (action == "crash" and not removable):
-            name = f"churn-{self._joined}"
-            self._joined += 1
-            session = system.add_session(name)
-            # Every newcomer dials an anchor so its traffic carries content.
-            session.dial(system.client("anchor-alice").public_key)
-            session.say(self._next_message(name))
-            report.clients_joined += 1
-        elif action == "crash" and removable:
-            system.remove_client(self._choice(removable))
-            report.clients_crashed += 1
-        elif action == "redial":
-            caller = system.scheduler.session("anchor-alice")
-            caller.dial(system.client("anchor-bob").public_key)
-            caller.say(self._next_message("anchor-alice"))
+    def _draw_churn(self, alice_hex: str, bob_hex: str) -> list[ChurnEvent]:
+        """A segment's churn script: 0..2 events at interior boundaries.
 
-    def _next_message(self, name: str) -> bytes:
-        """Campaign messages are globally unique: duplicates prove a replayed
-        batch, which is exactly what the exactly-once invariant watches for."""
-        self._messages_sent += 1
-        return f"campaign-msg-{self._messages_sent}-from-{name}".encode("utf-8")
-
-    # -------------------------------------------------------------- invariants
-
-    def _check_invariants(self, system, segment: int) -> list[tuple[str, str]]:
-        failures: list[tuple[str, str]] = []
-
-        # Exactly-once delivery: unique bodies ⇒ a duplicate plaintext in any
-        # client's mailbox means some batch executed twice.
-        for name in sorted(system.clients):
-            bodies = [message.body for message in system.clients[name].received]
-            if len(bodies) != len(set(bodies)):
-                failures.append(
-                    (
-                        "exactly_once",
-                        f"client {name} holds duplicate plaintexts after "
-                        f"segment {segment}",
-                    )
-                )
-
-        # Refund conservation: a settled deployment holds no parked messages.
-        parked = system.resubmission_parked()
-        if parked:
-            failures.append(
-                (
-                    "refund_conservation",
-                    f"permanently failed submissions parked after segment "
-                    f"{segment}: {parked}",
+        Boundaries are drawn first and sorted, so the script's application
+        order matches the draw order — a client is never resumed at an
+        earlier boundary than the park that stranded it.  Newcomers dial
+        ``anchor-alice`` (hex key ``alice_hex``) so their traffic carries
+        content; a ``dial`` re-dials ``anchor-bob`` from ``anchor-alice``.
+        """
+        count = self._randrange(3)
+        boundaries = sorted(
+            1 + self._randrange(self.rounds_per_segment - 1) for _ in range(count)
+        )
+        events: list[ChurnEvent] = []
+        for boundary in boundaries:
+            options = ["join", "say", "dial"]
+            if self._churn_active:
+                options += ["park", "remove"]
+            if self._churn_parked:
+                options.append("resume")
+            action = self._choice(options)
+            name, peer, message = "anchor-alice", None, None
+            if action == "join":
+                name = f"churn-{self._joined}"
+                self._joined += 1
+                self._churn_active.add(name)
+                peer, message = alice_hex, self._next_message(name)
+            elif action == "say":
+                message = self._next_message(name)
+            elif action == "dial":
+                peer = bob_hex
+            elif action == "resume":
+                name = self._choice(sorted(self._churn_parked))
+                self._churn_parked.discard(name)
+                self._churn_active.add(name)
+            else:  # park / remove
+                name = self._choice(sorted(self._churn_active))
+                self._churn_active.discard(name)
+                if action == "park":
+                    self._churn_parked.add(name)
+            events.append(
+                ChurnEvent(
+                    before_round=boundary, action=action, name=name, peer=peer, message=message
                 )
             )
-        buffered = system.buffered_total()
-        if buffered:
-            failures.append(
-                (
-                    "refund_conservation",
-                    f"{buffered} submissions still buffered at the entry "
-                    f"after segment {segment}",
-                )
-            )
+        return events
 
-        # Accountant consistency: recorded checkpoints must recompose.
-        view = load_ledger(self.ledger_path)
-        rounds = [record.data for record in view.of_type("round_metrics")]
-        for protocol, guarantee in (
-            ("conversation", conversation_guarantee(self.config.conversation_noise)),
-            ("dialing", dialing_guarantee(self.config.dialing_noise)),
-        ):
-            recorded = [data for data in rounds if data["protocol"] == protocol]
-            if system._accountants[protocol].rounds_used != len(recorded):
-                failures.append(
-                    (
-                        "accountant",
-                        f"{protocol} accountant spent "
-                        f"{system._accountants[protocol].rounds_used} rounds but "
-                        f"the ledger records {len(recorded)}",
-                    )
-                )
-            audit = audit_ledger_records(
-                recorded,
-                protocol=protocol,
-                per_round=guarantee,
-                target_epsilon=self.config.target_epsilon,
-                target_delta=self.config.target_delta,
-                composition_d=self.config.composition_d,
-            )
-            for divergence in audit.divergences:
-                failures.append(("accountant", divergence))
-        return failures
+    # ------------------------------------------------------------- flood curve
+
+    def _flood_point(self, driver, schedule, victim_bucket: int, writer) -> dict | None:
+        """The victim bucket's load vs the accountant, after one segment."""
+        if not schedule.dialing:
+            return None
+        from ..adversary.workloads import PrivacyLoadPoint
+
+        round_number = schedule.dialing[-1].round_number
+        sizes = driver.invitation_store(round_number).bucket_sizes()
+        others = [size for index, size in sizes.items() if int(index) != victim_bucket]
+        accountant = driver.dialing_accountant
+        guarantee = accountant.current_guarantee()
+        point = PrivacyLoadPoint(
+            round_number=round_number,
+            load=int(sizes.get(victim_bucket, 0)),
+            baseline=statistics.mean(others) if others else 0.0,
+            epsilon=guarantee.epsilon,
+            delta=guarantee.delta,
+            rounds_used=accountant.rounds_used,
+        ).to_dict()
+        writer.append("privacy_load_point", point)
+        return point
 
     # --------------------------------------------------------------------- run
 
-    def run(self, segments: int) -> CampaignReport:
-        """Run ``segments`` chaos segments; stop early on a violation."""
+    def _build_driver(self):
+        """The one place the campaign knows its shape: which
+        :class:`~repro.core.driver.RoundDriver` to construct."""
+        if self.shape == "tcp":
+            from ..core.deployment import DeploymentLauncher
+
+            return DeploymentLauncher(
+                self.config,
+                round_deadline_seconds=_TCP_ROUND_DEADLINE_SECONDS,
+                deadline_only_windows=True,
+            )
         from ..core.system import VuvuzelaSystem
 
-        report = CampaignReport(seed=self.seed, ledger_path=str(self.ledger_path))
-        with VuvuzelaSystem(self.config) as system:
-            writer = LedgerWriter(self.ledger_path, fsync=self.fsync)
-            try:
-                system.attach_ledger(writer)
-                alice = system.add_session("anchor-alice")
-                system.add_session("anchor-bob")
-                alice.dial(system.client("anchor-bob").public_key)
-                alice.say(self._next_message("anchor-alice"))
-                injector = system.fault_injector(seed=self.seed)
+        return VuvuzelaSystem(self.config)
 
-                for segment in range(segments):
-                    writer.append("campaign_segment", {"segment": segment})
-                    injector.heal()
-                    rules = self._draw_fault_rules(system)
-                    for rule in rules:
-                        if rule["action"] == "kill":
-                            injector.kill_link(
-                                destination=rule["destination"], count=rule["count"]
-                            )
-                        else:
-                            injector.drop(
-                                destination=rule["destination"], count=rule["count"]
-                            )
-                    report.fault_rules_drawn += len(rules)
-                    if segment > 0:
-                        self._churn(system, report)
-
-                    try:
-                        schedule = system.run_continuous(
-                            self.rounds_per_segment,
-                            dialing_interval=self.dialing_interval,
-                            pipeline_depth=self.config.pipeline_depth,
-                        )
-                    except (NetworkError, ProtocolError) as exc:
-                        self._violate(
-                            report,
-                            writer,
-                            segment,
-                            "round_failure",
-                            f"segment {segment} failed permanently: {exc}",
-                        )
-                        break
-                    report.segments_run += 1
-                    report.conversation_rounds += len(schedule.conversation)
-                    report.dialing_rounds += len(schedule.dialing)
-                    report.aborted_attempts = system.aborted_total()
-
-                    failures = self._check_invariants(system, segment)
-                    if failures:
-                        for invariant, detail in failures:
-                            self._violate(report, writer, segment, invariant, detail)
-                        break
-            finally:
-                writer.close()
-                report.ledger_records = writer.records_written
+    def run(self, segments: int) -> CampaignReport:
+        """Run ``segments`` segments; stop early on a violation."""
+        report = CampaignReport(
+            shape=self.shape, seed=self.seed, ledger_path=str(self.ledger_path)
+        )
+        # The writer outlives the driver: teardown appends ``session_end``.
+        writer = LedgerWriter(self.ledger_path)
+        try:
+            with self._build_driver() as driver:
+                self._run_segments(driver, writer, report, segments)
+        finally:
+            writer.close()
+            report.ledger_records = writer.records_written
         return report
+
+    def _run_segments(self, driver, writer, report: CampaignReport, segments: int) -> None:
+        from ..crypto import invitation_dead_drop
+
+        driver.attach_ledger(writer)
+        alice = driver.add_session("anchor-alice")
+        driver.add_session("anchor-bob")
+        alice.dial(driver.client("anchor-bob").public_key)
+        alice.say(self._next_message("anchor-alice"))
+        alice_hex = bytes(driver.client("anchor-alice").public_key).hex()
+        bob_hex = bytes(driver.client("anchor-bob").public_key).hex()
+        victim_bucket = None
+        if self.flood_attackers:
+            driver.add_session("victim")
+            victim_key = driver.client("victim").public_key
+            victim_bucket = invitation_dead_drop(victim_key, self.config.num_dialing_buckets)
+            for index in range(self.flood_attackers):
+                driver.add_session(f"flooder-{index}", flood_target=victim_key)
+
+        for profile in edge_profiles(self.loss, self.latency_seconds, self.jitter_seconds):
+            driver.condition_clients(profile, seed=self.seed)
+
+        for segment in range(segments):
+            writer.append("campaign_segment", {"segment": segment})
+            rules = self._draw_fault_rules()
+            self._apply_fault_rules(driver, rules)
+            report.fault_rules_drawn += len(rules)
+            churn = self._draw_churn(alice_hex, bob_hex) if segment > 0 else []
+            report.churn.update(event.action for event in churn)
+
+            try:
+                schedule = driver.run_continuous(
+                    self.rounds_per_segment,
+                    dialing_interval=_DIALING_INTERVAL,
+                    pipeline_depth=self.config.pipeline_depth,
+                    churn=churn,
+                )
+            except (NetworkError, ProtocolError) as exc:
+                failures = [("round_failure", f"segment {segment} failed permanently: {exc}")]
+            else:
+                report.segments_run += 1
+                report.conversation_rounds += len(schedule.conversation)
+                report.dialing_rounds += len(schedule.dialing)
+                report.aborted_attempts = driver.aborted_total()
+                if victim_bucket is not None:
+                    point = self._flood_point(driver, schedule, victim_bucket, writer)
+                    if point is not None:
+                        report.flood_points.append(point)
+                failures = check_invariants(driver, self.ledger_path, segment)
+            if failures:
+                self._violate(report, writer, segment, failures)
+                break
+
+        report.messages_delivered = sum(
+            len(driver.client(name).received) for name in driver.ledger_client_digests()
+        )
+        report.link_stats = driver.link_stats()
 
     def _violate(
         self,
         report: CampaignReport,
         writer: LedgerWriter,
         segment: int,
-        invariant: str,
-        detail: str,
+        failures: list[tuple[str, str]],
     ) -> None:
-        record = writer.append(
-            "invariant_violation",
-            {"segment": segment, "invariant": invariant, "detail": detail},
-        )
+        """Record a stopping segment's failures and slice the ledger once.
+
+        Every violation record is appended before the slice is cut, so the
+        one slice — a prefix ending at the segment's last violation record —
+        holds the evidence for each of them.
+        """
+        for invariant, detail in failures:
+            record = writer.append(
+                "invariant_violation",
+                {"segment": segment, "invariant": invariant, "detail": detail},
+            )
         writer.flush()  # the slice below reads the file back
         slice_path: str | None = str(self.ledger_path) + ".violation.jsonl"
         try:
             slice_ledger(self.ledger_path, slice_path, upto_seq=record.seq)
-        except Exception:  # pragma: no cover - evidence is best-effort
+        except (LedgerError, OSError):  # pragma: no cover - evidence is best-effort
             slice_path = None
-        report.violations.append(
+        report.violations.extend(
             InvariantViolation(
-                segment=segment,
-                invariant=invariant,
-                detail=detail,
-                slice_path=slice_path,
+                segment=segment, invariant=invariant, detail=detail, slice_path=slice_path
             )
+            for invariant, detail in failures
         )
 
 
 __all__ = [
-    "CAMPAIGN_ACTIONS",
+    "CAMPAIGN_SHAPES",
+    "INVARIANTS",
+    "Campaign",
     "CampaignReport",
-    "ChaosCampaign",
     "InvariantViolation",
+    "Invariants",
+    "check_invariants",
+    "edge_profiles",
 ]

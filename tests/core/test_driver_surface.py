@@ -54,7 +54,7 @@ def test_hoisted_methods_have_one_definition():
 
 
 def test_no_caller_sniffs_the_shape():
-    """The only ``shape ==`` is the constructor choice in the WAN campaign,
+    """The only ``shape ==`` is the constructor choice in the campaign,
     and nothing probes a driver with ``getattr``."""
     comparisons = []
     probes = []
@@ -66,7 +66,7 @@ def test_no_caller_sniffs_the_shape():
             if re.search(r"getattr\(\s*(self\.)?_?(driver|system|launcher|deployment)\b", line):
                 probes.append(where)
     assert probes == []
-    assert len(comparisons) == 1 and comparisons[0].startswith("runtime/wan.py:"), comparisons
-    source = (SRC / "runtime" / "wan.py").read_text(encoding="utf-8")
+    assert len(comparisons) == 1 and comparisons[0].startswith("runtime/campaign.py:"), comparisons
+    source = (SRC / "runtime" / "campaign.py").read_text(encoding="utf-8")
     build = source[source.index("def _build_driver") :]
     assert 'if self.shape == "tcp":' in build[: build.index("\n    def ")]

@@ -19,7 +19,8 @@ import pytest
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem
 from repro.errors import LedgerError
 from repro.ledger import LedgerWriter, load_ledger, replay_ledger
-from repro.runtime.campaign import ChaosCampaign
+from repro.runtime import Campaign
+from repro.runtime import campaign as campaign_module
 
 SEED = 4242
 
@@ -156,19 +157,26 @@ class TestTcpReplay:
         assert len(report.rounds) == len(view.of_type("round_metrics")) == 5
 
 
+def clear_weather_campaign(seed: int, path) -> Campaign:
+    """Chain faults and churn only: no link loss, no flood."""
+    return Campaign(
+        VuvuzelaConfig.small(seed=seed),
+        seed=seed,
+        ledger_path=path,
+        rounds_per_segment=2,
+        loss=0.0,
+        flood_attackers=0,
+    )
+
+
 class TestCampaignReplay:
     def test_short_campaign_is_clean_and_replays_identically(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        campaign = ChaosCampaign(
-            VuvuzelaConfig.small(seed=5),
-            seed=5,
-            ledger_path=path,
-            rounds_per_segment=2,
-        )
-        report = campaign.run(3)
+        report = clear_weather_campaign(5, path).run(3)
         assert report.ok, report.summary()
         assert report.segments_run == 3
         assert report.conversation_rounds == 6
+        assert report.link_losses == 0 and report.flood_points == []
 
         replay = replay_ledger(path)
         assert replay.identical, replay.summary()
@@ -179,36 +187,47 @@ class TestCampaignReplay:
         heads = []
         for run in range(2):
             path = tmp_path / f"campaign-{run}.jsonl"
-            ChaosCampaign(
-                VuvuzelaConfig.small(seed=9), seed=9, ledger_path=path, rounds_per_segment=2
-            ).run(2)
+            clear_weather_campaign(9, path).run(2)
             heads.append(load_ledger(path).head())
         assert heads[0] == heads[1]
 
-    def test_violation_emits_a_replayable_ledger_slice(self, tmp_path):
-        """On an invariant violation the campaign leaves a minimal,
-        hash-chain-valid slice that replays on its own."""
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_violation_emits_a_replayable_ledger_slice(self, tmp_path, monkeypatch, failing):
+        """On invariant violations the campaign leaves a minimal,
+        hash-chain-valid slice that replays on its own: cut once per
+        stopping segment, ending at its last violation record, so it holds
+        the evidence for every violation of that segment."""
         path = tmp_path / "campaign.jsonl"
-        campaign = ChaosCampaign(
-            VuvuzelaConfig.small(seed=5), seed=5, ledger_path=path, rounds_per_segment=2
-        )
-        # Fail an invariant artificially after the first segment: the slice
+        # Fail invariants artificially after the first segment: the slice
         # machinery (flush, prefix slice, report wiring) is what's under test.
-        real_check = campaign._check_invariants
+        real_check = campaign_module.check_invariants
+        synthetic = [f"synthetic-{index}" for index in range(failing)]
 
-        def failing_check(system, segment):
-            failures = real_check(system, segment)
-            return failures + [("synthetic", f"forced failure in segment {segment}")]
+        def failing_check(driver, ledger_path, segment):
+            forced = [(name, f"forced failure in segment {segment}") for name in synthetic]
+            return real_check(driver, ledger_path, segment) + forced
 
-        campaign._check_invariants = failing_check
-        report = campaign.run(3)
+        slices = []
+        real_slice = campaign_module.slice_ledger
+
+        def counting_slice(*args, **kwargs):
+            slices.append(kwargs["upto_seq"])
+            return real_slice(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "check_invariants", failing_check)
+        monkeypatch.setattr(campaign_module, "slice_ledger", counting_slice)
+        report = clear_weather_campaign(5, path).run(3)
         assert not report.ok
         assert report.segments_run == 1  # stopped at the first violation
-        violation = report.violations[0]
-        assert violation.invariant == "synthetic"
-        assert violation.slice_path is not None
+        assert [violation.invariant for violation in report.violations] == synthetic
+        slice_path = report.violations[0].slice_path
+        assert slice_path is not None
+        assert {violation.slice_path for violation in report.violations} == {slice_path}
 
-        sliced = load_ledger(violation.slice_path)
-        assert sliced.records[-1].type == "invariant_violation"
+        sliced = load_ledger(slice_path)
+        recorded = sliced.of_type("invariant_violation")
+        assert [record.data["invariant"] for record in recorded] == synthetic
+        assert sliced.records[-1] == recorded[-1]
+        assert slices == [recorded[-1].seq]  # one slice, cut at the last record
         replay = replay_ledger(sliced)
         assert replay.identical, replay.summary()

@@ -1,5 +1,5 @@
-"""Degraded-mode operation: churn scripts, park/resume §3.1 resumption, and
-the WAN/churn campaign in both deployment shapes.
+"""Degraded-mode operation: churn scripts, park/resume §3.1 resumption, the
+campaign invariants, and the WAN/churn campaign in both deployment shapes.
 
 The marquee checks: a client that disappears mid-session and comes back
 resumes through client-level retransmission with duplicate suppression
@@ -14,8 +14,15 @@ import pytest
 
 from repro import VuvuzelaConfig, VuvuzelaSystem
 from repro.errors import ProtocolError
-from repro.ledger import load_ledger, replay_ledger, replay_ledger_over_tcp
-from repro.runtime import CHURN_ACTIONS, ChurnEvent, WanChurnCampaign
+from repro.ledger import LedgerWriter, load_ledger, replay_ledger, replay_ledger_over_tcp
+from repro.net import MessageKind
+from repro.runtime import (
+    CHURN_ACTIONS,
+    INVARIANTS,
+    Campaign,
+    ChurnEvent,
+    check_invariants,
+)
 
 SEED = 7171
 
@@ -112,17 +119,16 @@ class TestCampaignDraws:
     def test_churn_scripts_are_deterministic_and_applicable(self, tmp_path):
         """Same seed ⇒ same scripts; and every script is applicable in draw
         order: resumes only name parked clients, parks/removes only live
-        ones, boundaries stay inside the segment."""
+        ones, re-dials come from an anchor, boundaries stay inside the
+        segment."""
+        alice_hex, bob_hex = "ab" * 32, "cd" * 32
         scripts = []
         for _ in range(2):
-            campaign = WanChurnCampaign(
+            campaign = Campaign(
                 scenario_config(), seed=33, ledger_path=tmp_path / "x.jsonl",
                 rounds_per_segment=4,
             )
-            from repro.runtime.wan import WanCampaignReport
-
-            report = WanCampaignReport(shape="in-process", seed=33)
-            drawn = [campaign._draw_churn("ab" * 32, report) for _ in range(25)]
+            drawn = [campaign._draw_churn(alice_hex, bob_hex) for _ in range(25)]
             scripts.append([[e.to_dict() for e in events] for events in drawn])
 
             active: set[str] = set()
@@ -134,6 +140,7 @@ class TestCampaignDraws:
                 for event in events:
                     assert 1 <= event.before_round <= 3
                     if event.action == "join":
+                        assert event.peer == alice_hex and event.message
                         active.add(event.name)
                     elif event.action == "park":
                         assert event.name in active
@@ -146,26 +153,75 @@ class TestCampaignDraws:
                     elif event.action == "remove":
                         assert event.name in active
                         active.discard(event.name)
+                    elif event.action == "dial":
+                        assert (event.name, event.peer) == ("anchor-alice", bob_hex)
+                    else:
+                        assert event.action == "say"
+                        assert event.name == "anchor-alice" and event.message
             # The draw distribution actually exercises the churn surface.
             actions = {e["action"] for events in scripts[-1] for e in events}
-            assert {"join", "park"} <= actions
+            assert {"join", "park", "remove", "dial", "say"} <= actions
         assert scripts[0] == scripts[1]
 
     def test_shape_and_segment_validation(self, tmp_path):
         with pytest.raises(ProtocolError, match="unknown campaign shape"):
-            WanChurnCampaign(
-                scenario_config(), shape="carrier-pigeon", ledger_path=tmp_path / "x"
-            )
+            Campaign(scenario_config(), shape="carrier-pigeon", ledger_path=tmp_path / "x")
         with pytest.raises(ProtocolError, match="at least two rounds"):
-            WanChurnCampaign(
-                scenario_config(), ledger_path=tmp_path / "x", rounds_per_segment=1
-            )
+            Campaign(scenario_config(), ledger_path=tmp_path / "x", rounds_per_segment=1)
+
+
+def _plant_duplicate_delivery(system):
+    mailbox = system.client("bob").received
+    mailbox.append(mailbox[0])
+
+
+def _plant_extra_spend(system):
+    system.conversation_accountant.spend(1)
+
+
+def _plant_buffered_refund(system):
+    system.entry.restore(
+        MessageKind.CONVERSATION_REQUEST,
+        system.next_conversation_round,
+        [("alice", b"refunded but never re-run")],
+    )
+
+
+class TestInvariants:
+    @pytest.mark.parametrize(
+        "plant, invariant",
+        [
+            (_plant_duplicate_delivery, INVARIANTS.exactly_once),
+            (_plant_buffered_refund, INVARIANTS.refund_conservation),
+            (_plant_extra_spend, INVARIANTS.accountant),
+        ],
+        ids=list(INVARIANTS),
+    )
+    def test_each_invariant_fires_on_a_real_violation(self, tmp_path, plant, invariant):
+        """A clean run passes every check; one planted violation of real
+        deployment state is named by exactly its own invariant."""
+        path = tmp_path / "ledger.jsonl"
+        with VuvuzelaSystem(scenario_config()) as system:
+            with LedgerWriter(path) as writer:
+                system.attach_ledger(writer)
+                alice = system.add_session("alice")
+                system.add_session("bob")
+                alice.dial(system.client("bob").public_key)
+                alice.say("delivered exactly once")
+                system.run_continuous(3, dialing_interval=2)
+                writer.flush()
+                assert system.client("bob").received
+                assert check_invariants(system, path, 0) == []
+
+                plant(system)
+                failures = check_invariants(system, path, 1)
+        assert failures and {name for name, _ in failures} == {invariant}
 
 
 class TestInProcessCampaign:
     def test_campaign_holds_invariants_and_replays(self, tmp_path):
         path = tmp_path / "wan.jsonl"
-        campaign = WanChurnCampaign(
+        campaign = Campaign(
             scenario_config(),
             seed=7,
             ledger_path=path,
@@ -200,7 +256,7 @@ class TestInProcessCampaign:
         heads = []
         for run in range(2):
             path = tmp_path / f"wan-{run}.jsonl"
-            WanChurnCampaign(
+            Campaign(
                 scenario_config(),
                 seed=21,
                 ledger_path=path,
@@ -217,7 +273,7 @@ class TestTcpCampaign:
         multi-process TCP deployment, invariants held, then the recording
         re-executed over a *fresh* TCP deployment bit-identically."""
         path = tmp_path / "wan-tcp.jsonl"
-        campaign = WanChurnCampaign(
+        campaign = Campaign(
             scenario_config(),
             shape="tcp",
             seed=11,
@@ -226,7 +282,6 @@ class TestTcpCampaign:
             loss=0.15,
             jitter_seconds=0.001,
             flood_attackers=1,
-            round_deadline_seconds=1.0,
         )
         report = campaign.run(2)
         assert report.ok, report.summary()
