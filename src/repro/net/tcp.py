@@ -1,67 +1,45 @@
-"""Asyncio TCP transport: the deployment-shaped implementation of :class:`Transport`.
+"""Blocking-socket TCP transport: the deployment-shaped implementation of :class:`Transport`.
 
 This is the substrate the standalone server processes
 (:mod:`repro.server.entry_main`, :mod:`repro.server.chain_main`) and the
 networked clients run on.  One :class:`TcpTransport` plays both roles at
-once, exactly like a real Vuvuzela node:
+once, exactly like a real Vuvuzela node, and a request→reply round trip
+crosses no thread boundary on either side of the socket:
 
-* **server side** — ``register()``-ed endpoints are served from a single
-  asyncio listener.  Each inbound connection is read sequentially
-  (request → handler → reply), with the handler running on a thread pool so
-  a long-poll (a client waiting for its round to resolve) only occupies its
-  own connection, never the event loop.
+* **server side** — ``listen()`` starts one accept thread, and each inbound
+  connection gets a thread of its own that reads a frame, runs the handler
+  and writes the reply, strictly in turn.  A long-poll (a client waiting for
+  its round to resolve) stalls only its own connection, and nothing caps how
+  many handlers run at once.
 * **client side** — ``send()`` is the same blocking request/response call
-  the in-process :class:`~repro.net.transport.Network` provides.  Under the
-  hood it resolves the destination name through a route table, checks a
-  connection out of a per-address pool (connections are reused across
-  rounds; concurrent senders get their own), writes one length-prefixed
-  frame and waits for the reply frame.
+  the in-process :class:`~repro.net.transport.Network` provides, run wholly
+  on the calling thread: it resolves the destination through a route table,
+  checks a ``TCP_NODELAY`` socket out of a per-address pool (connections are
+  reused across rounds; concurrent senders get their own), writes one frame
+  and reads the reply frame under one whole-request deadline.
 
 Framing is deliberately simple: a 4-byte big-endian length, then the frame
 body.  Request bodies carry (kind, round number, source, destination,
 payload); reply bodies carry a status byte and either the reply payload or
 an error message.  Errors raised by a remote handler are re-raised at the
-sender with their type preserved across the three cases the protocol layers
-distinguish: :class:`NetworkError`, :class:`ProtocolError` and
-:class:`TransportTimeout` — so a timed-out hop deep in the chain surfaces at
-the entry server as a timeout, not a generic failure.
-
-The whole event loop lives on one daemon thread per transport; every public
-method is thread-safe and blocking, so the synchronous protocol stack runs
-unchanged over real sockets.
+sender with their type preserved (:data:`_ERROR_STATUS`) — so a timed-out
+hop deep in the chain surfaces at the entry server as a timeout, not a
+generic failure.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import struct
 import sys
 import threading
+import time
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
 
 from .faults import DROP, FaultInjector, LinkConditioner, hold_delay
 from .messages import Envelope, MessageKind
 from .transport import Handler, TrafficStats, Transport
 from ..errors import ConnectTimeout, NetworkError, ProtocolError, TransportTimeout
-
-try:  # pragma: no cover - exercised on hosts that have uvloop installed
-    import uvloop as _uvloop
-except ImportError:  # pragma: no cover - the stdlib loop is the default
-    _uvloop = None
-
-#: Whether the C event loop is available on this host.  Purely an
-#: optimisation: frames and handler behaviour are identical on either loop.
-UVLOOP_AVAILABLE = _uvloop is not None
-
-
-def _new_event_loop() -> asyncio.AbstractEventLoop:
-    """The fastest event loop this host offers (uvloop, else stdlib asyncio)."""
-    if _uvloop is not None:
-        return _uvloop.new_event_loop()
-    return asyncio.new_event_loop()
-
 
 _LENGTH = struct.Struct(">I")
 _REQUEST_HEAD = struct.Struct(">BQHH")  # kind index, round number, source len, destination len
@@ -73,33 +51,30 @@ _KINDS = list(MessageKind)
 _KIND_INDEX = {kind: index for index, kind in enumerate(_KINDS)}
 
 # Reply status bytes.
-_OK = 0
-_NONE = 1
-_NETWORK_ERROR = 2
-_PROTOCOL_ERROR = 3
-_TIMEOUT = 4
-#: A connect-phase timeout: nothing was delivered, so the failure stays
+_OK, _NONE, _NETWORK_ERROR, _PROTOCOL_ERROR, _TIMEOUT, _CONNECT_TIMEOUT = range(6)
+#: The error a status stands for, most specific type first.  A connect-phase
+#: timeout keeps its own status: nothing was delivered, so the failure stays
 #: provably retryable even after crossing hop boundaries.
-_CONNECT_TIMEOUT = 5
+_ERROR_STATUS = (
+    (ConnectTimeout, _CONNECT_TIMEOUT),
+    (TransportTimeout, _TIMEOUT),
+    (NetworkError, _NETWORK_ERROR),
+    (ProtocolError, _PROTOCOL_ERROR),
+)
+_ERROR_TYPE = {status: error for error, status in _ERROR_STATUS}
+
+# repro-lint: allow[nd-wallclock] request deadlines are real time by design; they bound how long a send waits, never what it sends
+_clock = time.monotonic
 
 
 def encode_request(envelope: Envelope) -> bytes:
     """Serialise one request frame body (without the length prefix)."""
     source = envelope.source.encode("utf-8")
     destination = envelope.destination.encode("utf-8")
-    return b"".join(
-        (
-            _REQUEST_HEAD.pack(
-                _KIND_INDEX[envelope.kind],
-                envelope.round_number,
-                len(source),
-                len(destination),
-            ),
-            source,
-            destination,
-            envelope.payload,
-        )
+    head = _REQUEST_HEAD.pack(
+        _KIND_INDEX[envelope.kind], envelope.round_number, len(source), len(destination)
     )
+    return b"".join((head, source, destination, envelope.payload))
 
 
 def decode_request(body: bytes) -> Envelope:
@@ -123,8 +98,9 @@ def decode_request(body: bytes) -> Envelope:
         # of the body, and every server-side consumer (struct.unpack_from
         # decoders, batch buffers, digests) accepts bytes-like objects, so
         # the one frame-sized copy per request is avoided.  Consumers that
-        # must retain data past the frame call bytes() themselves.
-        payload=memoryview(body)[offset:],
+        # must retain data past the frame call bytes() themselves.  The view
+        # is read-only (and hashable) even over a received bytearray.
+        payload=memoryview(body).toreadonly()[offset:],
         kind=_KINDS[kind_index],
         round_number=round_number,
     )
@@ -146,46 +122,73 @@ def decode_reply(body: bytes) -> bytes | None:
     if status == _NONE:
         return None
     message = payload.decode("utf-8", "replace")
-    if status == _CONNECT_TIMEOUT:
-        raise ConnectTimeout(message)
-    if status == _TIMEOUT:
-        raise TransportTimeout(message)
-    if status == _PROTOCOL_ERROR:
-        raise ProtocolError(message)
-    if status == _NETWORK_ERROR:
-        raise NetworkError(message)
-    raise ProtocolError(f"unknown TCP reply status {status}: {message}")
+    error = _ERROR_TYPE.get(status)
+    if error is None:
+        raise ProtocolError(f"unknown TCP reply status {status}: {message}")
+    raise error(message)
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> bytes | None:
-    """Read one length-prefixed frame; ``None`` on a clean EOF."""
-    try:
-        head = await reader.readexactly(_LENGTH.size)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
+def _arm(sock: socket.socket, deadline: float | None) -> None:
+    """Give the next socket call what is left of the request's deadline.
+
+    Re-armed before every call, so a peer dripping one byte at a time cannot
+    stretch a request past its deadline the way a per-call timeout would.
+    """
+    if deadline is not None:
+        remaining = deadline - _clock()
+        if remaining <= 0.0:
+            raise TimeoutError("request deadline passed")
+        sock.settimeout(remaining)
+
+
+def _recv_exactly(sock: socket.socket, view: memoryview, deadline: float | None) -> bool:
+    """Fill ``view`` from the socket; ``False`` if the peer closed first."""
+    while view:
+        _arm(sock, deadline)
+        received = sock.recv_into(view)
+        if not received:
+            return False
+        view = view[received:]
+    return True
+
+
+def _read_frame(sock: socket.socket, deadline: float | None = None) -> bytearray | None:
+    """Read one frame into one buffer of its final size; ``None`` once the peer closed."""
+    head = bytearray(_LENGTH.size)
+    if not _recv_exactly(sock, memoryview(head), deadline):
         return None
     (length,) = _LENGTH.unpack(head)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"TCP frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap")
-    return await reader.readexactly(length)
+    frame = bytearray(length)
+    return frame if _recv_exactly(sock, memoryview(frame), deadline) else None
 
 
-def _frame(body: bytes) -> bytes:
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"TCP frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} cap")
-    return _LENGTH.pack(len(body)) + body
+def _write_frame(sock: socket.socket, body: bytes, deadline: float | None = None) -> None:
+    """Send one frame as a scatter write: length prefix and body separately.
 
-
-def _write_frame(writer: asyncio.StreamWriter, body: bytes) -> None:
-    """Queue one frame as a scatter write: length prefix and body separately.
-
-    ``writelines`` hands both buffers to the transport in one call — the
-    body, often a megabyte-scale batch frame, is never copied into a fresh
-    ``prefix + body`` object the way :func:`_frame` concatenation would.
-    The bytes on the wire are identical.
+    ``sendmsg`` hands both buffers to the kernel in one call — the body,
+    often a megabyte-scale batch frame, is never copied into a fresh
+    ``prefix + body`` object.  The bytes on the wire are identical.
     """
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(f"TCP frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} cap")
-    writer.writelines((_LENGTH.pack(len(body)), body))
+    pending = [memoryview(_LENGTH.pack(len(body))), memoryview(body)]
+    while pending:
+        _arm(sock, deadline)
+        sent = sock.sendmsg(pending)
+        while pending and sent >= len(pending[0]):
+            sent -= len(pending.pop(0))
+        if sent:
+            pending[0] = pending[0][sent:]
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """End both directions now: a thread blocked on ``sock`` wakes at once."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or already shut down
 
 
 class _ConnectionPool:
@@ -195,47 +198,52 @@ class _ConnectionPool:
     same socket (connection reuse across rounds is what makes the per-hop
     latency flat), while concurrent senders — e.g. a multi-slot client
     submitting its requests in parallel — transparently get additional
-    connections.
+    connections.  A checked-out socket is closed only by its sender;
+    :meth:`close_all` shuts it down, which makes that sender fail.
     """
 
     def __init__(self, host: str, port: int, connect_timeout: float) -> None:
-        self.host = host
-        self.port = port
-        self.connect_timeout = connect_timeout
-        self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        self._all: list[asyncio.StreamWriter] = []
+        self.host, self.port, self.connect_timeout = host, port, connect_timeout
+        self._idle: list[socket.socket] = []
+        self._all: list[socket.socket] = []
+        self._lock = threading.Lock()
+        self._closed = False
 
-    async def acquire(self) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        while self._idle:
-            reader, writer = self._idle.pop()
-            if not writer.is_closing():
-                return reader, writer
+    def acquire(self) -> socket.socket:
+        with self._lock:
+            if self._closed:
+                raise NetworkError("this transport is closed")
+            if self._idle:
+                return self._idle.pop()
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port), self.connect_timeout
-            )
-        except asyncio.TimeoutError as exc:
+            sock = socket.create_connection((self.host, self.port), self.connect_timeout)
+        except TimeoutError as exc:
             raise ConnectTimeout(
                 f"connecting to {self.host}:{self.port} exceeded {self.connect_timeout}s"
             ) from exc
         except OSError as exc:
             raise NetworkError(f"cannot connect to {self.host}:{self.port}: {exc}") from exc
-        self._all.append(writer)
-        return reader, writer
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(None)  # each request arms its own deadline
+        with self._lock:
+            self._all.append(sock)
+            if self._closed:
+                _shutdown(sock)  # closed while connecting: the request fails
+        return sock
 
-    def release(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        if not writer.is_closing():
-            self._idle.append((reader, writer))
+    def release(self, sock: socket.socket) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.append(sock)
+                return
+        sock.close()
 
-    def discard(self, writer: asyncio.StreamWriter) -> None:
-        try:
-            self._all.remove(writer)
-        except ValueError:
-            pass
-        try:
-            writer.close()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
+    def discard(self, sock: socket.socket) -> None:
+        with self._lock:
+            if sock in self._all:
+                self._all.remove(sock)
+        _shutdown(sock)
+        sock.close()
 
     def flush_idle(self) -> None:
         """Drop every idle connection.
@@ -245,18 +253,23 @@ class _ConnectionPool:
         them now means the next request dials a fresh socket instead of
         burning a retry on each stale one.
         """
-        for _, writer in self._idle:
-            self.discard(writer)
-        self._idle.clear()
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for sock in idle:
+            self.discard(sock)
 
     def close_all(self) -> None:
-        for writer in list(self._all):
-            self.discard(writer)
-        self._idle.clear()
+        with self._lock:
+            self._closed = True
+            for sock in self._all:
+                _shutdown(sock)
+            idle, self._idle, self._all = self._idle, [], []
+        for sock in idle:
+            sock.close()
 
 
 class TcpTransport(Transport):
-    """Length-prefixed request/response transport over asyncio TCP."""
+    """Length-prefixed request/response transport over blocking TCP sockets."""
 
     def __init__(
         self,
@@ -266,7 +279,6 @@ class TcpTransport(Transport):
         routes: dict[str, tuple[str, int]] | None = None,
         connect_timeout: float = 10.0,
         request_timeout: float | None = 60.0,
-        handler_workers: int = 32,
     ) -> None:
         self.host = host
         self.port = port
@@ -280,45 +292,23 @@ class TcpTransport(Transport):
         self._stats: dict[tuple[str, str], TrafficStats] = defaultdict(TrafficStats)
         self._stats_lock = threading.Lock()
         #: Sends that never delivered a frame (timeout, dead link, dropped by
-        #: fault injection).  Kept separate from :class:`TrafficStats`, which
-        #: counts only delivered frames — the adversary-observation accounting
-        #: must not be inflated by traffic that never reached the wire's far
-        #: end.
+        #: fault injection).  Kept out of :class:`TrafficStats`, which counts
+        #: only delivered frames: adversary-observation accounting must not be
+        #: inflated by traffic that never reached the wire's far end.
         self.failed_sends = 0
         #: Deterministic chaos hook, mirroring ``Network.fault_injector``.
         self.fault_injector: FaultInjector | None = None
         #: Deterministic WAN hook, mirroring ``Network.link_conditioner``.
         self.link_conditioner: LinkConditioner | None = None
         self._pools: dict[tuple[str, int], _ConnectionPool] = {}
-        self._executor = ThreadPoolExecutor(
-            max_workers=handler_workers, thread_name_prefix="tcp-handler"
-        )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_thread: threading.Thread | None = None
-        self._server: asyncio.base_events.Server | None = None
+        self._listener: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        #: Inbound connection → the thread serving it.
+        self._inbound: dict[socket.socket, threading.Thread] = {}
+        #: Inbound connections whose thread is inside a handler right now.
+        self._in_handler: set[socket.socket] = set()
         self._lifecycle = threading.Lock()
         self._closed = False
-
-    # ------------------------------------------------------------- event loop
-
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        with self._lifecycle:
-            if self._closed:
-                raise NetworkError("this transport is closed")
-            if self._loop is None:
-                loop = _new_event_loop()
-                thread = threading.Thread(
-                    target=loop.run_forever, name="tcp-transport-loop", daemon=True
-                )
-                thread.start()
-                self._loop = loop
-                self._loop_thread = thread
-            return self._loop
-
-    def _call(self, coroutine, timeout: float | None = None):
-        """Run a coroutine on the transport loop from any thread."""
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._ensure_loop())
-        return future.result(timeout)
 
     # ------------------------------------------------------------ server side
 
@@ -335,43 +325,60 @@ class TcpTransport(Transport):
 
     def listen(self) -> tuple[str, int]:
         """Start serving registered endpoints; returns the bound (host, port)."""
-        if self._server is None:
-            self._server = self._call(self._start_server())
-            self.port = self._server.sockets[0].getsockname()[1]
+        with self._lifecycle:
+            if self._closed:
+                raise NetworkError("this transport is closed")
+            if self._listener is None:
+                self._listener = socket.create_server((self.host, self.port))
+                self.port = self._listener.getsockname()[1]
+                self._accept_thread = threading.Thread(
+                    target=self._accept_loop, args=(self._listener,), name="tcp-accept", daemon=True
+                )
+                self._accept_thread.start()
         return self.host, self.port
 
-    async def _start_server(self) -> asyncio.base_events.Server:
-        return await asyncio.start_server(self._serve_connection, self.host, self.port)
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                if self._closed:
+                    return  # close() shut the listener down
+                continue  # one failed handshake; keep serving
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lifecycle:
+                if self._closed:
+                    conn.close()
+                    return
+                thread = threading.Thread(
+                    target=self._serve_connection, args=(conn,), name="tcp-conn", daemon=True
+                )
+                self._inbound[conn] = thread
+                thread.start()  # under the lock: close() never sees it unstarted
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve_connection(self, conn: socket.socket) -> None:
         """One inbound connection: strict request → reply, until EOF.
 
         Requests on a connection are handled one at a time (the client side
         never pipelines), so a reply always answers the latest request and a
         blocking handler only ever stalls its own connection.
         """
-        loop = asyncio.get_running_loop()
         try:
-            while True:
-                body = await _read_frame(reader)
-                if body is None:
-                    break
-                reply = await loop.run_in_executor(self._executor, self._handle_frame, body)
-                _write_frame(writer, reply)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Teardown cancels connection tasks; finishing normally here keeps
-            # asyncio's StreamReaderProtocol done-callback from re-raising.
-            pass
+            while (frame := _read_frame(conn)) is not None:
+                with self._lifecycle:
+                    self._in_handler.add(conn)
+                try:
+                    reply = self._handle_frame(frame)
+                finally:
+                    with self._lifecycle:
+                        self._in_handler.discard(conn)
+                _write_frame(conn, reply)
+        except (OSError, ProtocolError):
+            pass  # the peer vanished, close() shut us down, or a frame broke the cap
         finally:
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - loop may be tearing down
-                pass
+            with self._lifecycle:
+                del self._inbound[conn]
+            conn.close()  # only after leaving _inbound: close() never sees a stale socket
 
     def _handle_frame(self, body: bytes) -> bytes:
         """Decode, dispatch to the local handler, encode the reply (or error)."""
@@ -381,14 +388,9 @@ class TcpTransport(Transport):
             if handler is None:
                 raise NetworkError(f"unknown endpoint: {envelope.destination!r}")
             result = handler(envelope)
-        except ConnectTimeout as exc:
-            return encode_reply(_CONNECT_TIMEOUT, str(exc).encode("utf-8"))
-        except TransportTimeout as exc:
-            return encode_reply(_TIMEOUT, str(exc).encode("utf-8"))
-        except NetworkError as exc:
-            return encode_reply(_NETWORK_ERROR, str(exc).encode("utf-8"))
-        except ProtocolError as exc:
-            return encode_reply(_PROTOCOL_ERROR, str(exc).encode("utf-8"))
+        except (NetworkError, ProtocolError) as exc:
+            status = next(code for error, code in _ERROR_STATUS if isinstance(exc, error))
+            return encode_reply(status, str(exc).encode("utf-8"))
         except Exception as exc:  # noqa: BLE001 - a handler bug must not kill the link
             print(f"tcp handler error: {exc!r}", file=sys.stderr)
             return encode_reply(_PROTOCOL_ERROR, f"handler failed: {exc!r}".encode("utf-8"))
@@ -414,11 +416,8 @@ class TcpTransport(Transport):
         round_number: int = 0,
     ) -> bytes | None:
         envelope = Envelope(
-            source=source,
-            destination=destination,
-            payload=payload,
-            kind=kind,
-            round_number=round_number,
+            source=source, destination=destination, payload=payload,
+            kind=kind, round_number=round_number,
         )
         stall = 0.0
         if self.fault_injector is not None:
@@ -451,10 +450,14 @@ class TcpTransport(Transport):
                 raise NetworkError(f"unknown endpoint: {destination!r}")
             self._record_delivery(envelope)
             return handler(envelope)
-        self._ensure_loop()  # fail fast on a closed transport, before creating the coroutine
-        body = encode_request(envelope)
+        with self._lifecycle:
+            if self._closed:
+                raise NetworkError("this transport is closed")
+            pool = self._pools.get(address)
+            if pool is None:
+                pool = self._pools[address] = _ConnectionPool(*address, self.connect_timeout)
         try:
-            reply = self._call(self._request(address, body), timeout=None)
+            reply = self._request(pool, encode_request(envelope))
         except NetworkError:  # includes TransportTimeout
             # The frame never completed a round trip: a timed-out or failed
             # send must not inflate the delivered-traffic stats.
@@ -471,31 +474,28 @@ class TcpTransport(Transport):
         with self._stats_lock:
             self.failed_sends += 1
 
-    async def _request(self, address: tuple[str, int], body: bytes) -> bytes:
-        pool = self._pools.get(address)
-        if pool is None:
-            pool = self._pools[address] = _ConnectionPool(
-                address[0], address[1], self.connect_timeout
-            )
-        reader, writer = await pool.acquire()
+    def _request(self, pool: _ConnectionPool, body: bytes) -> bytearray:
+        """One round trip on a pooled connection, on the calling thread."""
+        sock = pool.acquire()  # connecting has its own, separate timeout
+        deadline = None if self.request_timeout is None else _clock() + self.request_timeout
         try:
-            _write_frame(writer, body)
-            await writer.drain()
-            reply = await asyncio.wait_for(_read_frame(reader), self.request_timeout)
-        except asyncio.TimeoutError as exc:
-            pool.discard(writer)
+            _write_frame(sock, body, deadline)
+            reply = _read_frame(sock, deadline)
+            if reply is None:
+                raise ConnectionResetError("the peer closed the connection mid-request")
+        except TimeoutError as exc:
+            pool.discard(sock)
             raise TransportTimeout(
-                f"request to {address[0]}:{address[1]} exceeded {self.request_timeout}s"
+                f"request to {pool.host}:{pool.port} exceeded {self.request_timeout}s"
             ) from exc
         except OSError as exc:
-            pool.discard(writer)
+            pool.discard(sock)
             pool.flush_idle()  # sibling sockets to a crashed peer are dead too
-            raise NetworkError(f"link to {address[0]}:{address[1]} failed: {exc}") from exc
-        if reply is None:
-            pool.discard(writer)
-            pool.flush_idle()
-            raise NetworkError(f"{address[0]}:{address[1]} closed the connection mid-request")
-        pool.release(reader, writer)
+            raise NetworkError(f"link to {pool.host}:{pool.port} failed: {exc}") from exc
+        except ProtocolError:
+            pool.discard(sock)  # an oversized frame leaves the stream unreadable
+            raise
+        pool.release(sock)
         return reply
 
     # ------------------------------------------------------------- accounting
@@ -515,41 +515,33 @@ class TcpTransport(Transport):
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Tear down connections, the listener and the event loop (idempotent)."""
+        """Stop serving and end every connection (idempotent).
+
+        Shutting a socket down wakes whatever thread is blocked on it: the
+        accept thread and idle connection threads exit and are joined, and
+        a sender on either end of a connection raises :class:`NetworkError`.
+        A handler still running finishes on its own thread; its reply goes
+        nowhere.
+        """
         with self._lifecycle:
             if self._closed:
                 return
             self._closed = True
-            loop, thread = self._loop, self._loop_thread
-            self._loop = None
-            self._loop_thread = None
-        if loop is not None:
-
-            async def _teardown() -> None:
-                if self._server is not None:
-                    self._server.close()
-                for pool in self._pools.values():
-                    pool.close_all()
-                # Let in-flight connection coroutines unwind before the loop
-                # stops, so no task is destroyed while pending.
-                tasks = [
-                    task for task in asyncio.all_tasks() if task is not asyncio.current_task()
-                ]
-                for task in tasks:
-                    task.cancel()
-                if tasks:
-                    await asyncio.wait(tasks, timeout=2.0)
-
-            try:
-                asyncio.run_coroutine_threadsafe(_teardown(), loop).result(5.0)
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
-            loop.call_soon_threadsafe(loop.stop)
-            if thread is not None:
-                thread.join(timeout=5.0)
-            if thread is None or not thread.is_alive():
-                loop.close()  # a stopped loop must also be closed, or GC complains
-        self._executor.shutdown(wait=False, cancel_futures=True)
+            if self._listener is not None:
+                _shutdown(self._listener)
+            for conn in self._inbound:
+                _shutdown(conn)
+            idle_threads = [
+                thread for conn, thread in self._inbound.items() if conn not in self._in_handler
+            ]
+            pools = list(self._pools.values())
+        for pool in pools:
+            pool.close_all()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
+            self._listener.close()
+        for thread in idle_threads:
+            thread.join(timeout=5.0)
 
     def __enter__(self) -> "TcpTransport":
         return self

@@ -13,14 +13,14 @@ implementations exist:
   adversary (§2.3), and it accounts bytes per link so the simulator can
   report bandwidth numbers.
 * :class:`~repro.net.tcp.TcpTransport` carries the same envelopes over
-  asyncio TCP with length-prefixed framing, for real multi-process
+  blocking TCP sockets with length-prefixed framing, for real multi-process
   deployments (``repro.server.entry_main`` / ``chain_main``).
 
 Endpoints are plain callables: ``handler(envelope) -> bytes | None``.  The
 transport interface is deliberately synchronous — Vuvuzela is a round-based
 protocol and the round coordinator provides all the sequencing the system
-needs; the TCP implementation hides its event loop behind the same blocking
-calls.
+needs; the TCP implementation runs a send on the caller's thread and each
+inbound connection on a thread of its own, so it needs no event loop.
 """
 
 from __future__ import annotations

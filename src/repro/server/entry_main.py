@@ -59,7 +59,6 @@ class EntryServerProcess:
         first_server: tuple[str, int],
         last_server: tuple[str, int] | None = None,
         request_timeout: float | None = None,
-        handler_workers: int = 64,
     ) -> None:
         topology.require_seed(config)
         self.config = config
@@ -75,12 +74,7 @@ class EntryServerProcess:
                 else None
             )
         )
-        self.transport = TcpTransport(
-            host=host,
-            port=port,
-            request_timeout=hop_timeout,
-            handler_workers=handler_workers,
-        )
+        self.transport = TcpTransport(host=host, port=port, request_timeout=hop_timeout)
         self.transport.update_routes(
             {
                 topology.endpoint_name(0, "conversation"): first_server,
@@ -271,12 +265,6 @@ def main(argv: list[str] | None = None) -> None:
         help="host:port of the last chain server (enables invitation downloads)",
     )
     parser.add_argument(
-        "--handler-workers",
-        type=int,
-        default=64,
-        help="max concurrent in-flight client requests (long-polls hold one each)",
-    )
-    parser.add_argument(
         "--backend", default=None, help="force a crypto backend (default: fastest available)"
     )
     args = parser.parse_args(argv)
@@ -291,7 +279,6 @@ def main(argv: list[str] | None = None) -> None:
             port=args.port,
             first_server=parse_address(args.first_server),
             last_server=parse_address(args.last_server) if args.last_server else None,
-            handler_workers=args.handler_workers,
         )
         _, port = process.listen()
     except ReproError as exc:

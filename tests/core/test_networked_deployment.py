@@ -1,4 +1,4 @@
-"""Integration: the same scenario in-process and over localhost asyncio TCP.
+"""Integration: the same scenario in-process and over localhost TCP sockets.
 
 The deployment launcher spawns a real entry server and chain as subprocesses;
 every process derives its keys and noise streams from the shared config seed,

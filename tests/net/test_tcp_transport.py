@@ -1,8 +1,14 @@
-"""Tests for the asyncio TCP transport: framing, RPC, errors, reuse, timeouts."""
+"""Tests for the blocking-socket TCP transport: framing, RPC, errors, reuse,
+timeouts, unbounded handler concurrency and teardown."""
 
 from __future__ import annotations
 
+import socket
+import struct
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -47,6 +53,14 @@ class TestFraming:
         # across hop boundaries so the coordinator can still retry it.
         with pytest.raises(ConnectTimeout):
             decode_reply(encode_reply(5, b"no SYN-ACK"))
+
+    def test_decoded_payload_is_a_read_only_view_over_the_frame(self):
+        frame = bytearray(encode_request(Envelope(source="a", destination="b", payload=b"xyz")))
+        payload = decode_request(frame).payload
+        assert isinstance(payload, memoryview)
+        assert payload.readonly
+        assert payload.obj is frame  # no copy of the received buffer
+        assert payload == b"xyz"
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:8080") == ("127.0.0.1", 8080)
@@ -248,3 +262,153 @@ class TestFaultInjection:
             client_transport.send("a", "echo", b"x")
         injector.heal(rule)
         assert client_transport.send("a", "echo", b"x") == b"ok"
+
+
+class TestBlockingSockets:
+    def test_every_concurrent_request_gets_a_handler(self, server_transport):
+        """No handler pool caps concurrency: 100 handlers must all be running
+        at once for any of them to pass the barrier."""
+        barrier = threading.Barrier(100, timeout=5)
+
+        def meet(envelope):
+            barrier.wait()
+            return b"met"
+
+        server_transport.register("meet", meet)
+        server_transport.register("echo", lambda envelope: envelope.payload)
+        host, port = server_transport.listen()
+        client = TcpTransport(request_timeout=30.0)
+        client.update_routes({"meet": (host, port), "echo": (host, port)})
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave pool and stats updates hard
+        try:
+            with ThreadPoolExecutor(max_workers=100) as workers:
+                replies = list(workers.map(lambda i: client.send(f"c{i}", "meet", b""), range(100)))
+                # A second burst must reuse those 100 sockets: a lost pool
+                # update would leak one or dial a 101st.
+                echoes = list(workers.map(lambda i: client.send("a", "echo", b"%d" % i), range(1000)))
+            pool = client._pools[(host, port)]
+            assert len(pool._all) == 100
+            assert sorted(map(id, pool._idle)) == sorted(map(id, pool._all))
+        finally:
+            sys.setswitchinterval(switch_interval)
+            client.close()
+        assert replies == [b"met"] * 100
+        assert echoes == [b"%d" % i for i in range(1000)]
+        assert client.total_messages() == 1100 and client.failed_sends == 0
+
+    def test_wire_bytes_are_a_length_prefix_then_the_body(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        body = encode_request(Envelope(source="a", destination="raw", payload=b"ping", round_number=3))
+        seen: dict = {}
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                data = b""
+                while len(data) < 4 + len(body):  # length prefix + body
+                    data += conn.recv(4096)
+                seen["request"] = data
+                reply = encode_reply(0, b"pong")
+                conn.sendall(struct.pack(">I", len(reply)) + reply)
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        client = TcpTransport(request_timeout=5.0)
+        client.add_route("raw", *listener.getsockname())
+        try:
+            assert client.send("a", "raw", b"ping", MessageKind.CONTROL, 3) == b"pong"
+        finally:
+            server.join(timeout=5.0)
+            client.close()
+            listener.close()
+        assert seen["request"] == struct.pack(">I", len(body)) + body
+
+    def test_megabyte_frames_cross_in_both_directions(self, server_transport, client_transport):
+        server_transport.register("echo", lambda envelope: envelope.payload)
+        host, port = server_transport.listen()
+        client_transport.add_route("echo", host, port)
+        payload = bytes(range(256)) * 16384  # 4 MiB: many partial socket writes
+        assert client_transport.send("a", "echo", payload) == payload
+        assert client_transport.send("a", "echo", b"small") == b"small"  # stream still in sync
+
+    def test_request_deadline_is_total_not_per_recv(self):
+        """A peer that drips one byte every 0.1 s never lets a single recv
+        time out; only a whole-request deadline stops it."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        stop = threading.Event()
+
+        def drip():
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(struct.pack(">I", 100))
+                while not stop.wait(0.1):
+                    try:
+                        conn.sendall(b"x")
+                    except OSError:
+                        return
+
+        dripper = threading.Thread(target=drip, daemon=True)
+        dripper.start()
+        client = TcpTransport(request_timeout=0.5)
+        client.add_route("drip", *listener.getsockname())
+        try:
+            started = time.monotonic()
+            with pytest.raises(TransportTimeout):
+                client.send("a", "drip", b"")
+            assert time.monotonic() - started < 1.5
+            assert client.failed_sends == 1
+        finally:
+            stop.set()
+            dripper.join(timeout=5.0)
+            client.close()
+            listener.close()
+
+    def test_close_wakes_blocked_clients_and_joins_idle_threads(self):
+        before = set(threading.enumerate())
+        server = TcpTransport()
+        entered, release = threading.Event(), threading.Event()
+
+        def slow(envelope):
+            entered.set()
+            release.wait(5.0)
+            return b"late"
+
+        server.register("slow", slow)
+        server.register("echo", lambda envelope: b"ok")
+        host, port = server.listen()
+        # One connection left idle on the server, one blocked in a handler.
+        idle = TcpTransport(request_timeout=30.0)
+        idle.add_route("echo", host, port)
+        assert idle.send("a", "echo", b"") == b"ok"
+        client = TcpTransport(request_timeout=30.0)
+        client.add_route("slow", host, port)
+        outcome: dict = {}
+
+        def call():
+            try:
+                client.send("a", "slow", b"")
+            except NetworkError as exc:
+                outcome["error"] = exc
+            outcome["at"] = time.monotonic()
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        try:
+            assert entered.wait(5.0)
+            closed_at = time.monotonic()
+            server.close()
+            caller.join(timeout=5.0)
+            assert isinstance(outcome.get("error"), NetworkError)
+            assert not isinstance(outcome["error"], TransportTimeout)
+            assert outcome["at"] - closed_at < 1.0
+            survivors = [
+                thread
+                for thread in threading.enumerate()
+                if thread not in before and thread.name in ("tcp-accept", "tcp-conn")
+            ]
+            assert len(survivors) == 1  # the one inside the running handler
+        finally:
+            release.set()
+            idle.close()
+            client.close()
