@@ -5,11 +5,10 @@ A Vuvuzela server's round is a big batch of independent crypto; the
 
 * ``serial``  — inline, chunked to keep kernel working sets cache-resident
   (the default; no pools, no cleanup),
-* ``threaded`` — chunks on a thread pool,
 * ``process`` — chunks on worker processes over zero-pickle shared-memory
   blocks; wall-clock scales with cores.
 
-Every mode is byte-identical under a fixed seed — this example proves it on
+Both modes are byte-identical under a fixed seed — this example proves it on
 a real round, then shows both ways of selecting an engine: per deployment
 through :class:`~repro.VuvuzelaConfig`, and per chain through
 :func:`~repro.mixnet.build_chain`.

@@ -316,9 +316,18 @@ class VuvuzelaClient:
 
     def poll_invitations(self, dialing_round: int, store: InvitationDropStore) -> list[IncomingCall]:
         """Download this client's invitation dead drop and record incoming calls."""
+        return self.record_calls(dialing_round, fetch_invitations(self.keys, store, dialing_round))
+
+    def record_calls(self, dialing_round: int, callers: list[PublicKey]) -> list[IncomingCall]:
+        """Record the callers a scan of this client's dead drop found.
+
+        The one place calls are made: both the per-client poll and the
+        driver's batched scan end here.  Our own key (a self-dial) is not a
+        call.
+        """
         calls = [
             IncomingCall(dialing_round=dialing_round, caller=caller)
-            for caller in fetch_invitations(self.keys, store, dialing_round)
+            for caller in callers
             if caller != self.public_key
         ]
         self.incoming_calls.extend(calls)

@@ -175,14 +175,3 @@ class ClientConnection:
                 f"dialing round {round_number}: the invitation download was lost"
             )
         return InvitationDropStore.restore(json.loads(bytes(reply).decode("utf-8")))
-
-    def poll_invitations(self, round_number: int, store: InvitationDropStore | None = None):
-        """Scan an invitation store for calls addressed to us.
-
-        With no ``store``, the connection downloads it from the entry server
-        first (:meth:`fetch_invitation_store`); passing one keeps the legacy
-        out-of-band shape used by callers that already hold the snapshot.
-        """
-        if store is None:
-            store = self.fetch_invitation_store(round_number)
-        return self.client.poll_invitations(round_number, store)

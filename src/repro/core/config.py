@@ -55,9 +55,9 @@ class VuvuzelaConfig:
     #: every client sends per round (1 in the paper's prototype).
     max_conversations_per_client: int = 1
     #: Round execution engine (:mod:`repro.runtime`): ``"serial"`` runs the
-    #: batch crypto inline (chunked), ``"threaded"`` / ``"process"`` shard
-    #: each round's chunks over ``engine_workers`` threads or worker
-    #: processes.  All modes are byte-identical under a fixed seed.
+    #: batch crypto inline (chunked), ``"process"`` shards each round's
+    #: chunks over ``engine_workers`` worker processes.  Both modes are
+    #: byte-identical under a fixed seed.
     engine_mode: str = "serial"
     engine_workers: int = 1
     #: Messages per engine chunk; 0 picks the measured kernel sweet spot.

@@ -73,10 +73,17 @@ class ServerProcess:
     #: kept so :meth:`DeploymentLauncher.restart_server` can respawn it on
     #: the same port after a crash.
     args: list[str] = field(default_factory=list)
+    #: The thread draining the process's stdout; it closes the pipe at EOF.
+    pump: threading.Thread | None = None
 
     @property
     def alive(self) -> bool:
         return self.process.poll() is None
+
+    def reap(self, timeout: float = 5.0) -> None:
+        """After the process exited: let its stdout pump close the pipe."""
+        if self.pump is not None:
+            self.pump.join(timeout)
 
 
 @dataclass
@@ -205,27 +212,37 @@ class DeploymentLauncher(RoundDriver):
             env=env,
             text=True,
         )
-        port = self._await_ready(name, process)
-        server = ServerProcess(name=name, process=process, host=self.host, port=port, args=args)
+        port, pump = self._await_ready(name, process)
+        server = ServerProcess(
+            name=name, process=process, host=self.host, port=port, args=args, pump=pump
+        )
         self._spawned.append(server)
         return server
 
-    def _await_ready(self, name: str, process: subprocess.Popen) -> int:
-        """Wait for the child's ``READY <port>`` line (ports are OS-assigned)."""
+    def _await_ready(self, name: str, process: subprocess.Popen) -> tuple[int, threading.Thread]:
+        """Wait for the child's ``READY <port>`` line (ports are OS-assigned).
+
+        Returns the port and the thread that keeps draining the child's
+        stdout (so a chatty server never blocks on a full pipe) and closes
+        the pipe once the child exits.
+        """
         lines: Queue[str | None] = Queue()
 
         def pump() -> None:
             assert process.stdout is not None
-            for line in process.stdout:
-                lines.put(line)
+            with process.stdout:
+                for line in process.stdout:
+                    lines.put(line)
             lines.put(None)
 
-        threading.Thread(target=pump, name=f"{name}-stdout", daemon=True).start()
+        thread = threading.Thread(target=pump, name=f"{name}-stdout", daemon=True)
+        thread.start()
         deadline = time.monotonic() + self.startup_timeout
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 process.kill()
+                process.wait()
                 raise NetworkError(f"{name} did not report READY within {self.startup_timeout}s")
             try:
                 line = lines.get(timeout=remaining)
@@ -233,10 +250,10 @@ class DeploymentLauncher(RoundDriver):
                 continue
             if line is None:
                 raise NetworkError(
-                    f"{name} exited during startup (code {process.poll()})"
+                    f"{name} exited during startup (code {process.wait()})"
                 )
             if line.startswith("READY "):
-                return int(line.split()[1])
+                return int(line.split()[1]), thread
 
     def start(self) -> "DeploymentLauncher":
         """Spawn the chain (last server first, so --next targets exist) + entry."""
@@ -312,7 +329,8 @@ class DeploymentLauncher(RoundDriver):
             except (NetworkError, ProtocolError):
                 pass
         polite = self._control is not None  # shutdown RPCs were sent above
-        for process in [s.process for s in self._spawned]:
+        for server in self._spawned:
+            process = server.process
             if not polite:
                 process.terminate()
             try:
@@ -323,6 +341,9 @@ class DeploymentLauncher(RoundDriver):
                     process.wait(timeout=5.0)
                 except subprocess.TimeoutExpired:
                     process.kill()
+                    process.wait()
+            server.reap()
+        self.scan_engine.close()
         for connection in self._connections.values():
             connection.transport.close()  # idempotent: parked ones closed at park time
         self._connections = {}
@@ -403,6 +424,7 @@ class DeploymentLauncher(RoundDriver):
         server = self._find(name_or_index)
         server.process.kill()
         server.process.wait(timeout=10.0)
+        server.reap()
         self._record("kill_server", {"name": server.name})
         return server
 
@@ -429,7 +451,8 @@ class DeploymentLauncher(RoundDriver):
         old = self._find(name_or_index)
         if old.alive:
             old.process.kill()
-            old.process.wait(timeout=10.0)
+        old.process.wait(timeout=10.0)
+        old.reap()
         args = [arg for arg in old.args]
         if "--port" in args:
             args[args.index("--port") + 1] = str(old.port)
@@ -763,8 +786,10 @@ class DeploymentLauncher(RoundDriver):
         if protocol.polls_invitations:
             # Every client downloads its invitation dead drop from the entry
             # over the same envelope path it submits on (DIAL_DOWNLOAD).
-            for connection in connections:
-                connection.poll_invitations(round_number)
+            self.scan_invitations(
+                round_number,
+                [(c.client, c.fetch_invitation_store(round_number)) for c in connections],
+            )
         return finish(result)
 
     # ------------------------------------------------------------------ rounds

@@ -319,8 +319,7 @@ class VuvuzelaSystem(RoundDriver):
             # front) — the same serving path networked clients hit with a
             # DIAL_DOWNLOAD envelope — so its bytes are transport-invariant.
             store = self.download_invitations(round_number)
-            for client in clients.values():
-                client.poll_invitations(round_number, store)
+            self.scan_invitations(round_number, [(client, store) for client in clients.values()])
 
         return finish(
             result, client_requests=total_requests, delivered=delivered, lost=lost, extra=extra
@@ -484,11 +483,10 @@ class VuvuzelaSystem(RoundDriver):
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Shut the coordinator and the engine's worker pool down (idempotent).
+        """Shut the coordinator and both engines' worker pools down (idempotent).
 
-        The coordinator close cancels any armed deadline timers; the engine
-        close is only needed for deployments configured with a threaded or
-        process-sharded engine (the default serial engine owns no pool).
+        The coordinator close cancels any armed deadline timers; a serial
+        engine owns no pool, so closing it is free.
         """
         self._end_session()
         if self.precompute is not None:
@@ -496,6 +494,7 @@ class VuvuzelaSystem(RoundDriver):
             self.precompute = None
         self.coordinator.close()
         self.engine.close()
+        self.scan_engine.close()
 
     def __enter__(self) -> "VuvuzelaSystem":
         return self

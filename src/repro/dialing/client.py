@@ -77,7 +77,7 @@ def fetch_invitations(
     """
     buckets = num_buckets if num_buckets is not None else store.num_buckets
     bucket = own_invitation_bucket(own_keys, buckets)
-    return open_invitations(own_keys, store.download(bucket), round_number)
+    return open_invitations(own_keys.private, store.download(bucket), round_number)
 
 
 def download_size_bytes(store: InvitationDropStore, own_keys: KeyPair) -> int:

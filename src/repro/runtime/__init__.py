@@ -3,8 +3,8 @@
 The paper's servers saturate all their cores on a round's crypto (§8); a
 single-threaded Python pipeline cannot.  This package supplies the execution
 layer that closes the gap: :class:`RoundEngine` shards a round's peel, noise
-and response batches into fixed-size chunks, schedules them serially, on
-threads, or on a process pool over zero-pickle shared-memory blocks, and
+and response batches into fixed-size chunks, schedules them serially or on a
+process pool over zero-pickle shared-memory blocks, and
 pipelines chunk results back in order with bounded in-flight memory — while
 keeping every execution mode byte-identical under a fixed rng.
 
@@ -18,7 +18,6 @@ from .engine import (
     ENGINE_MODES,
     PROCESS,
     SERIAL,
-    THREADED,
     RoundEngine,
     default_engine,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "SpeculativeEntry",
     "SpeculativeStore",
     "SERIAL",
-    "THREADED",
     "ClientSession",
     "ConversationProtocol",
     "DialingProtocol",

@@ -4,7 +4,7 @@ A Vuvuzela server's round work — peel a batch, wrap the round's noise, seal
 the responses — is embarrassingly parallel *within* a round but shaped badly
 for Python: one thread, one giant working set.  :class:`RoundEngine` fixes
 both axes at once by sharding every batch crypto operation into fixed-size
-chunks and scheduling the chunks on one of three executors:
+chunks and scheduling the chunks on one of two executors:
 
 ``serial``
     Chunks run inline, one after another.  Even this mode matters: bounding
@@ -12,11 +12,6 @@ chunks and scheduling the chunks on one of three executors:
     keeps the vectorized kernels' temporaries cache-resident, which repairs
     the throughput collapse large rounds otherwise hit (100k-message rounds
     previously ran ~40% slower per message than 10k ones).
-
-``threaded``
-    Chunks run on a ``ThreadPoolExecutor``.  Useful when the active backend
-    spends its time in C calls, and as the cheap stepping stone between the
-    serial and process modes.
 
 ``process``
     Chunks run on a ``ProcessPoolExecutor`` over zero-pickle shared-memory
@@ -34,20 +29,39 @@ stays proportional to ``chunk_size * max_inflight`` rather than round size.
 Determinism is a hard contract, not an aspiration: every rng draw a round
 makes (noise payloads, wrap scalars, the mix permutation) happens in the
 caller's thread in the serial path's exact order — workers only ever run
-pure functions of bytes — so all three modes are byte-identical under a
-fixed :class:`~repro.crypto.rng.RandomSource`.  The engine test suite
+pure functions of bytes — so both modes are byte-identical under a fixed
+:class:`~repro.crypto.rng.RandomSource`.  The engine test suite
 asserts this on every backend, malformed wires included.
 
 Worker failures never hang a round: a crashed worker or torn-down pool
 surfaces as :class:`~repro.errors.ProtocolError` and the broken pool is
 discarded, so the next round starts from a clean executor.
+
+There is no threaded mode: ``cryptography`` holds the GIL through X25519, so
+two threads ran exchanges and key imports at 1.03-1.06x the serial rate on
+a 2-core host, and ``hmac.digest`` — which releases the GIL on every call —
+at 0.78-1.08x.  Only processes reach the second core.
+
+**Fork safety.**  Workers are forked, and the pool forks them all at its
+first submission, before its own management and feeder threads start.  The
+client-side scan engine starts inside a dialing round; the scheduler runs a
+session's first dialing round in the calling thread, so an in-process
+session forks before any round thread exists.  Other threads can be running
+at a fork — a TCP launcher's stdout pumps, or an overlapped dialing round
+rebuilding a pool after a worker crash — and the fork is still safe because
+of what a worker does afterwards: it imports nothing (:mod:`.worker` and the
+crypto backend are imported before any pool exists), and it takes no lock a
+parent thread may hold.  Its only Python locks are the pool's own queues,
+created before the fork and used by no other thread; its C calls are
+OpenSSL's X25519, ChaCha20-Poly1305 and HMAC, which take the library's
+method-store locks only for reading once the parent has used each method.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -55,6 +69,7 @@ from . import worker as _worker
 from .shm import read_shared_entries, release_shared, share_entries
 from ..crypto.backend import active_backend
 from ..crypto.batch_kernels import PREFERRED_CHUNK
+from ..crypto.invitation import open_invitations
 from ..crypto.keys import PrivateKey, PublicKey
 from ..crypto.onion import (
     draw_request_scalars,
@@ -66,10 +81,9 @@ from ..crypto.rng import RandomSource
 from ..errors import ProtocolError
 
 SERIAL = "serial"
-THREADED = "threaded"
 PROCESS = "process"
 #: The engine modes a server can be configured with.
-ENGINE_MODES = (SERIAL, THREADED, PROCESS)
+ENGINE_MODES = (SERIAL, PROCESS)
 
 _DEFAULT_ENGINE: "RoundEngine | None" = None
 
@@ -99,7 +113,7 @@ class RoundEngine:
     """
 
     mode: str = SERIAL
-    #: Worker count for the threaded / process modes.
+    #: Worker count for the process mode.
     workers: int = 1
     #: Messages per chunk; 0 selects :data:`PREFERRED_CHUNK`.
     chunk_size: int = 0
@@ -147,20 +161,13 @@ class RoundEngine:
 
     def _executor(self) -> Executor:
         if self._pool is None:
-            if self.mode == THREADED:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="round-engine"
-                )
-            else:
-                method = self.mp_start_method or (
-                    "fork"
-                    if "fork" in multiprocessing.get_all_start_methods()
-                    else "spawn"
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=multiprocessing.get_context(method),
-                )
+            method = self.mp_start_method or (
+                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+            )
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context(method),
+            )
         return self._pool
 
     def _abort(self, pending: "deque") -> None:
@@ -221,17 +228,6 @@ class RoundEngine:
                 )
                 inners.extend(chunk_inners)
                 keys.extend(chunk_keys)
-        elif self.mode == THREADED:
-
-            def job(bound: tuple[int, int]):
-                lo, hi = bound
-                return peel_request_batch(
-                    wires[lo:hi], private_key, server_index, round_number
-                )
-
-            for chunk_inners, chunk_keys in self._pipelined(job, bounds):
-                inners.extend(chunk_inners)
-                keys.extend(chunk_keys)
         else:
             backend_name = active_backend().name
             # The private scalar travels inside the shared block (entry 0),
@@ -269,14 +265,6 @@ class RoundEngine:
                 wrapped.extend(
                     wrap_response_batch(inners[lo:hi], layer_keys[lo:hi], round_number)
                 )
-        elif self.mode == THREADED:
-
-            def job(bound: tuple[int, int]):
-                lo, hi = bound
-                return wrap_response_batch(inners[lo:hi], layer_keys[lo:hi], round_number)
-
-            for chunk in self._pipelined(job, bounds):
-                wrapped.extend(chunk)
         else:
             backend_name = active_backend().name
             block = share_entries([*inners, *layer_keys])
@@ -322,19 +310,6 @@ class RoundEngine:
                     scalars=[layer[lo:hi] for layer in scalars],
                 )
                 wires.extend(chunk_wires)
-        elif self.mode == THREADED:
-
-            def job(bound: tuple[int, int]):
-                lo, hi = bound
-                return wrap_request_batch(
-                    payloads[lo:hi],
-                    server_public_keys,
-                    round_number,
-                    scalars=[layer[lo:hi] for layer in scalars],
-                )[0]
-
-            for chunk in self._pipelined(job, bounds):
-                wires.extend(chunk)
         else:
             backend_name = active_backend().name
             entries = list(payloads)
@@ -353,3 +328,31 @@ class RoundEngine:
             finally:
                 release_shared(block)
         return wires
+
+    def scan_invitation_chunks(
+        self,
+        private_keys: Sequence[PrivateKey],
+        invitations: Sequence[bytes],
+        round_number: int,
+    ) -> list[list[PublicKey]]:
+        """Trial-decrypt one invitation dead drop once per recipient.
+
+        Entry ``i`` of the result is what
+        :func:`~repro.dialing.invitation.open_invitations` finds for
+        ``private_keys[i]``: the callers, in bucket order.  The process mode
+        gives each worker one chunk of recipients; a bucket and a chunk of
+        32-byte keys are a few KB, so they travel through the task pipe.
+        """
+        n = len(private_keys)
+        if self.mode == SERIAL or n < 2:
+            return [open_invitations(key, invitations, round_number) for key in private_keys]
+        backend_name = active_backend().name
+        size = -(-n // self.workers)
+        tasks = [
+            (tuple(key.data for key in private_keys[lo : lo + size]), invitations, round_number, backend_name)
+            for lo in range(0, n, size)
+        ]
+        found: list[list[PublicKey]] = []
+        for chunk in self._pipelined(_worker.scan_chunk, tasks):
+            found.extend(chunk)
+        return found

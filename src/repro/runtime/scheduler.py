@@ -228,9 +228,10 @@ class ScheduleReport:
 
 
 class _RoundTask:
-    """A helper thread running one schedule step, with error propagation."""
+    """One schedule step with error propagation: on a helper thread, or
+    ``inline`` in the caller's when nothing overlaps it."""
 
-    def __init__(self, name: str, target) -> None:
+    def __init__(self, name: str, target, *, inline: bool = False) -> None:
         self.result: Any = None
         self.error: BaseException | None = None
 
@@ -240,11 +241,16 @@ class _RoundTask:
             except BaseException as exc:  # joined and re-raised by the caller
                 self.error = exc
 
-        self.thread = threading.Thread(target=run, name=name, daemon=True)
-        self.thread.start()
+        self.thread: threading.Thread | None = None
+        if inline:
+            run()
+        else:
+            self.thread = threading.Thread(target=run, name=name, daemon=True)
+            self.thread.start()
 
     def join(self) -> Any:
-        self.thread.join()
+        if self.thread is not None:
+            self.thread.join()
         if self.error is not None:
             raise self.error
         return self.result
@@ -454,11 +460,11 @@ class RoundScheduler:
             """Open the next conversation window (slot held until driven)."""
             return self.driver.open_scheduled_round(conversation)
 
-        def launch_dialing() -> _RoundTask:
+        def launch_dialing(*, inline: bool = False) -> _RoundTask:
             for session in self.sessions:
                 session.before_dialing_round()
             slots.acquire()
-            return _RoundTask("scheduler-dialing", run_dialing)
+            return _RoundTask("scheduler-dialing", run_dialing, inline=inline)
 
         def finish_dialing(task: _RoundTask) -> None:
             report.dialing.append(task.join())
@@ -475,8 +481,11 @@ class RoundScheduler:
 
                 if interval and index % interval == 0 and dialing_task is None:
                     # Due now and not launched ahead (round 0, or depth 1):
-                    # run the dialing round serially in this slot.
-                    finish_dialing(launch_dialing())
+                    # run the dialing round serially in this slot and this
+                    # thread — so a session's first dialing scan, which may
+                    # start the client scan engine's workers, forks from a
+                    # process with no round thread running.
+                    finish_dialing(launch_dialing(inline=True))
                 elif dialing_task is not None:
                     # Launched during the previous conversation round; its
                     # results apply exactly where serial execution would

@@ -1,9 +1,11 @@
 """Worker-process entry points of the process-sharded round engine.
 
-Each function here is the body of one *chunk task*: it attaches the round's
-shared-memory input block, runs one batch crypto kernel over its slice of
-entries, writes the results into a fresh output segment, and returns only
-that segment's name.  No wire bytes ever cross the task pipe.
+Each function here is the body of one *chunk task*.  The round's wire
+kernels attach its shared-memory input block, run one batch crypto kernel
+over their slice of entries, write the results into a fresh output segment,
+and return only that segment's name: no wire bytes cross the task pipe.
+The invitation scan is the exception — a dead drop and a chunk of recipient
+keys are a few KB, so they travel in the task itself.
 
 Worker-side state is deliberately minimal and round-scoped:
 
@@ -16,7 +18,7 @@ Worker-side state is deliberately minimal and round-scoped:
 
 Everything a task receives is deterministic (wire bytes, pre-drawn scalars,
 round numbers); the rng lives exclusively in the parent, which is what makes
-serial, threaded and process-sharded execution byte-identical.
+serial and process-sharded execution byte-identical.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Callable
 
 from .shm import BlockView, pack_entries, share_packed
 from ..crypto.backend import active_backend, set_backend
+from ..crypto.invitation import open_invitations
 from ..crypto.keys import PrivateKey, PublicKey
 from ..crypto.onion import (
     peel_request_batch,
@@ -129,6 +132,19 @@ def wrap_noise_chunk(task: tuple) -> str:
         return pack_entries(wires)
 
     return _run_on_block(name, compute)
+
+
+def scan_chunk(task: tuple) -> list[list[PublicKey]]:
+    """Trial-decrypt one invitation dead drop for a chunk of recipients.
+
+    The task carries the recipients' private scalars, the bucket and the
+    round; the result lists each recipient's callers, in recipient order.
+    """
+    private_keys, invitations, round_number, backend_name = task
+    _use_backend(backend_name)
+    return [
+        open_invitations(PrivateKey(key), invitations, round_number) for key in private_keys
+    ]
 
 
 def crash(_: object = None) -> None:  # pragma: no cover - runs in a worker

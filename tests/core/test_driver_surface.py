@@ -28,7 +28,7 @@ HOISTED = {
     "add_client", "remove_client", "park_client", "resume_client", "client",
     "add_session", "attach_ledger", "ledger_client_digests", "_ledger_round_record",
     "protocol", "run_conversation_round", "run_dialing_round", "run_continuous",
-    "run_swarm_round", "force_attempts",
+    "run_swarm_round", "force_attempts", "scan_invitations",
 }
 
 

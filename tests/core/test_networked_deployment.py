@@ -9,6 +9,10 @@ These tests are the acceptance gate of the pluggable-transport refactor.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import warnings
+
 import pytest
 
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem
@@ -171,3 +175,23 @@ def test_deadline_closes_an_empty_round():
         result = deployment.wait_round("conversation", round_number, wait=30.0)
         assert result["accepted"] == 0
         assert result["responded"] == 0
+
+
+def test_stop_closes_every_server_pipe():
+    """A kill, a restart and a stop leave no server stdout pipe open — so
+    nothing is left for the garbage collector to warn about."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        deployment = DeploymentLauncher(scenario_config()).start()
+        try:
+            killed = deployment.kill_server(1).process
+            deployment.restart_server(1)
+            spawned = [server.process for server in deployment._spawned] + [killed]
+        finally:
+            deployment.stop()
+        assert len(spawned) == 5
+        assert all(process.stdout.closed for process in spawned)
+        assert multiprocessing.active_children() == []
+        del deployment, spawned, killed
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

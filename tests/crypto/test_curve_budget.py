@@ -8,7 +8,8 @@ the wire.  These tests count calls into the four X25519 ``Backend`` callables
 count each path needs.  Counts, not timings: they cannot flake.
 
 One unit of ``x25519_fixed_point_batch`` is one fresh key pair *and* its
-exchange; one unit of ``x25519_fixed_scalar_batch`` is one exchange.
+exchange; one unit of ``x25519_fixed_scalar_batch`` is one exchange.  The
+invitation scan also has a KDF budget, counted the same way.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from repro.client import VuvuzelaClient
 from repro.core.config import VuvuzelaConfig
 from repro.crypto import available_backends, set_backend, wrap_request
 from repro.crypto import backend as crypto_backend
+from repro.crypto import invitation as invitation_crypto
+from repro.crypto.hkdf import derive_key, derive_key_schedule
 from repro.crypto.onion import wrap_request_batch
 from repro.deaddrop import InvitationDropStore
 from repro.dialing import INVITATION_SIZE, fetch_invitations, seal_invitation
@@ -125,3 +128,34 @@ def test_scanning_a_bucket_is_one_fixed_scalar_batch(rng, alice, bob, curve):
     assert fetch_invitations(bob, store, 2) == [alice.public]
     assert units(curve) == {"x25519_fixed_scalar_batch": 10}
     assert curve["x25519_fixed_scalar_batch.calls"] == 1
+
+
+@pytest.fixture
+def kdf(monkeypatch):
+    """Count the invitation path's key derivations: ``derive_key`` calls,
+    ``derive_key_schedule`` calls and the keys those schedules derive."""
+    counts: Counter = Counter()
+
+    def counted_key(*args, **kwargs):
+        counts["derive_key"] += 1
+        return derive_key(*args, **kwargs)
+
+    def counted_schedule(secrets, *args, **kwargs):
+        counts["derive_key_schedule.calls"] += 1
+        counts["derive_key_schedule"] += len(secrets)
+        return derive_key_schedule(secrets, *args, **kwargs)
+
+    monkeypatch.setattr(invitation_crypto, "derive_key", counted_key)
+    monkeypatch.setattr(invitation_crypto, "derive_key_schedule", counted_schedule)
+    return counts
+
+
+def test_scanning_a_bucket_derives_one_key_per_live_invitation(rng, alice, bob, kdf):
+    store = InvitationDropStore(num_buckets=1)
+    store.deposit(0, seal_invitation(alice, bob.public, 2, rng))
+    store.deposit_many(0, [rng.random_bytes(INVITATION_SIZE) for _ in range(9)], is_noise=True)
+    # A small-order ephemeral key and a short invitation derive nothing.
+    store.deposit_many(0, [bytes(32) + rng.random_bytes(48), b"short"], is_noise=True)
+    kdf.clear()
+    assert fetch_invitations(bob, store, 2) == [alice.public]
+    assert kdf == Counter({"derive_key_schedule.calls": 1, "derive_key_schedule": 10})

@@ -1,7 +1,7 @@
 """Determinism and failure-mode coverage of the parallel round engine.
 
-The hard contract: serial, threaded and process-sharded execution of a round
-are byte-identical on every backend — malformed wires, cover traffic and
+The hard contract: serial and process-sharded execution of a round are
+byte-identical on every backend — malformed wires, cover traffic and
 multi-chunk batches included — and a dead worker surfaces as
 :class:`ProtocolError`, never as a hang.
 """
@@ -21,7 +21,7 @@ from repro.crypto.backend import available_backends, set_backend
 from repro.crypto.onion import draw_request_scalars
 from repro.errors import ProtocolError
 from repro.mixnet.chain import build_chain
-from repro.runtime import PROCESS, SERIAL, THREADED, RoundEngine, default_engine
+from repro.runtime import PROCESS, SERIAL, RoundEngine, default_engine
 from repro.runtime import worker as engine_worker
 from repro.runtime.shm import pack_entries, read_shared_entries, release_shared, share_entries, unpack_entries
 
@@ -93,10 +93,9 @@ class TestEngineDeterminism:
         "engine_factory",
         [
             lambda: RoundEngine(mode=SERIAL, chunk_size=7),
-            lambda: RoundEngine(mode=THREADED, workers=2, chunk_size=7),
             lambda: RoundEngine(mode=PROCESS, workers=2, chunk_size=7),
         ],
-        ids=["serial", "threaded", "process"],
+        ids=["serial", "process"],
     )
     def test_mode_byte_identical_to_default_path(self, backend_name, engine_factory):
         """Each mode reproduces the default serial round byte for byte.
@@ -184,7 +183,7 @@ class TestEngineFailureModes:
 
 
 class TestSystemEngineConfig:
-    def test_threaded_system_matches_serial_system(self):
+    def test_process_system_matches_serial_system(self):
         from repro import VuvuzelaConfig, VuvuzelaSystem
         from dataclasses import replace
 
@@ -203,11 +202,11 @@ class TestSystemEngineConfig:
 
         base = VuvuzelaConfig.small(seed=7)
         serial_histogram, serial_received = run(base)
-        threaded_histogram, threaded_received = run(
-            replace(base, engine_mode="threaded", engine_workers=2, engine_chunk_size=3)
+        process_histogram, process_received = run(
+            replace(base, engine_mode="process", engine_workers=2, engine_chunk_size=3)
         )
-        assert serial_received == threaded_received == [b"hello across engines"]
-        assert threaded_histogram == serial_histogram
+        assert serial_received == process_received == [b"hello across engines"]
+        assert process_histogram == serial_histogram
 
     def test_engine_config_validation(self):
         from repro import VuvuzelaConfig
@@ -217,5 +216,7 @@ class TestSystemEngineConfig:
         base = VuvuzelaConfig.small()
         with pytest.raises(ConfigurationError):
             replace(base, engine_mode="quantum")
+        with pytest.raises(ConfigurationError):
+            replace(base, engine_mode="threaded")  # threads never beat the GIL here
         with pytest.raises(ConfigurationError):
             replace(base, engine_workers=0)
