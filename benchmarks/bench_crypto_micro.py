@@ -9,8 +9,7 @@ can be recalibrated to local hardware, and they quantify the gap between the
 pure-Python reference primitives and the accelerated backend.
 
 Besides the pytest benchmarks, the module runs standalone and writes the
-kernel-level rates per available backend to ``BENCH_crypto_micro.json`` —
-the baseline the cross-round precompute pipeline's accounting refers to::
+kernel-level rates per available backend to ``BENCH_crypto_micro.json``::
 
     PYTHONPATH=src python benchmarks/bench_crypto_micro.py
 """
@@ -116,7 +115,6 @@ def _seconds_per_call(fn, budget: float = 0.25) -> float:
 def _backend_rates(batch: int) -> dict:
     """Kernel-level ops/sec on the *active* backend."""
     from repro.crypto import wrap_request_batch
-    from repro.crypto.batch_kernels import chacha20_keystream_schedule
     from repro.crypto.chacha20 import chacha20_keystream, chacha20_xor
     from repro.crypto.hkdf import derive_key, hkdf
 
@@ -128,7 +126,6 @@ def _backend_rates(batch: int) -> dict:
     backend = active_backend()
 
     scalars = [rng.random_bytes(32) for _ in range(batch)]
-    keys = [rng.random_bytes(32) for _ in range(batch)]
     secrets = [rng.random_bytes(32) for _ in range(batch)]
     inners = [rng.random_bytes(272) for _ in range(batch)]
     payload = rng.random_bytes(4096)
@@ -155,8 +152,6 @@ def _backend_rates(batch: int) -> dict:
         / _seconds_per_call(lambda: chacha20_keystream(key, nonce, len(payload))),
         "chacha20_xor_bytes_per_sec": len(payload)
         / _seconds_per_call(lambda: chacha20_xor(key, nonce, payload)),
-        "chacha20_keystream_schedule_streams_per_sec": batch
-        / _seconds_per_call(lambda: chacha20_keystream_schedule(keys, nonce, 0, 272)),
         "wrap_request_batch_wires_per_sec": batch
         / _seconds_per_call(lambda: wrap_request_batch(list(inners), publics, 1, rng)),
     }

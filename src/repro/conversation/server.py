@@ -25,7 +25,6 @@ from ..deaddrop import AccessHistogram, DeadDropStore
 from ..errors import ProtocolError
 from ..mixnet.chain import NoiseBuilder
 from ..mixnet.noise import CoverTrafficSpec
-from ..runtime.precompute import SpeculativeStore
 
 
 @dataclass
@@ -39,31 +38,6 @@ class ConversationProcessor:
     #: a server running the continuous scheduler must not grow per-round
     #: state forever.  ``None`` keeps everything (analysis runs).
     keep_rounds: int | None = 512
-    #: Uniform precompute-pipeline surface.  Dead-drop matching is entirely a
-    #: function of the live payloads — there is nothing to speculate — so the
-    #: store only carries the counters; :meth:`precompute_round` does the
-    #: retention sweep off the critical path instead.
-    speculative: SpeculativeStore = field(default_factory=SpeculativeStore, repr=False)
-
-    def precompute_round(self, round_number: int, attempt: int = 1) -> bool:
-        """Housekeeping ahead of a round: prune histograms past retention.
-
-        The conversation terminal draws no randomness and its responses
-        depend only on live payloads, so the pipeline can only move the
-        ``keep_rounds`` sweep (a scan over the retained histogram map) off
-        the critical path.  Never builds speculative material; returns
-        ``False`` so the manager does not count it as a prepared component.
-
-        May run on the pipeline thread while ``__call__`` inserts the
-        current round's histogram, hence the ``list()`` snapshot: one C-level
-        key copy, then filtering off-dict — never iterating a dict another
-        thread is mutating.
-        """
-        if self.keep_rounds is not None:
-            horizon = round_number - self.keep_rounds
-            for old in [r for r in list(self.histograms) if r < horizon]:
-                del self.histograms[old]
-        return False
 
     def __call__(self, round_number: int, payloads: list[bytes]) -> list[bytes]:
         """Match dead drops and return one fixed-size response per request.
@@ -101,9 +75,7 @@ class ConversationProcessor:
         self.last_round_processed = round_number
         if self.keep_rounds is not None:
             horizon = round_number - self.keep_rounds
-            # Snapshot first: the precompute pipeline's retention sweep may
-            # delete old entries from another thread mid-iteration.
-            for old in [r for r in list(self.histograms) if r < horizon]:
+            for old in [r for r in self.histograms if r < horizon]:
                 del self.histograms[old]
         return responses
 

@@ -131,9 +131,6 @@ class RoundDriver(ABC):
         self._forced_attempts: dict[tuple[str, int], int] = {}
         #: Optional round ledger (attach with :meth:`attach_ledger`).
         self.ledger: Any = None
-        #: Optional cross-round precompute pipeline; ``None`` means every
-        #: round builds its speculative-able material inline.
-        self.precompute: Any = None
         self.scheduler = RoundScheduler(
             self,
             pipeline_depth=self.config.pipeline_depth,
@@ -458,7 +455,7 @@ class RoundDriver(ABC):
         """Close the window, drive the chain and collect the responses:
         ``(closed round, {client name: [response, ...]})``."""
 
-    def run_swarm_round(self, swarm, *, chunk_size: int = 0, overlap=None) -> SwarmRoundReport:
+    def run_swarm_round(self, swarm, *, chunk_size: int = 0) -> SwarmRoundReport:
         """Drive one conversation round offered by a whole client swarm.
 
         The swarm counterpart of :meth:`drive_scheduled_round`: the population
@@ -470,13 +467,6 @@ class RoundDriver(ABC):
         Every server-side observable — admission verdicts, window accounting,
         the chain drive, noise, the ledger record — goes through the same
         code as the per-client path.
-
-        ``overlap``, when given, is called once after ingest finishes (the
-        chain-drive window begins); it may kick background work — the session
-        driver uses it to prebuild the *next* round — and must return either
-        ``None`` or a join callable, which is invoked after the chain
-        resolves and before the swarm decodes, so background work never
-        races the swarm's own decode state.
         """
         protocol = self.protocol("conversation")
         self._record("swarm_round", {"wires": len(swarm.names)})
@@ -507,14 +497,11 @@ class RoundDriver(ABC):
             round_number, submit, chunk_size=chunk_size, pipeline=self.swarm_pipelined
         )
         stats.peak_server_buffer = peak_buffer
-        join = overlap() if overlap is not None else None
         # repro-lint: allow[nd-wallclock] phase split of the report; never feeds wire/digest/ledger payloads
         chain_started = time.perf_counter()
         closed, grouped = self._close_swarm_round(protocol, opened, swarm.names)
         # repro-lint: allow[nd-wallclock] same phase split
         chain_seconds = time.perf_counter() - chain_started
-        if join is not None:
-            join()
         decode_started = time.perf_counter()  # repro-lint: allow[nd-wallclock] same phase split
         outcome = swarm.handle_round_responses(round_number, grouped)
         # repro-lint: allow[nd-wallclock] same phase split

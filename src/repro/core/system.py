@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import topology
@@ -35,49 +34,10 @@ from ..client import VuvuzelaClient
 from ..deaddrop import InvitationDropStore
 from ..errors import ProtocolError
 from ..net import FaultInjector, FaultRule, LinkConditioner, LinkProfile, MessageKind, Network
-from ..runtime import PrecomputeManager, RoundCoordinator, RoundEngine
+from ..runtime import RoundCoordinator, RoundEngine
 from ..runtime.protocols import RoundProtocol
 from ..runtime.scheduler import ScheduledRound
 from ..server import ACK, ChainServerEndpoint, EntryServer
-
-
-@dataclass
-class SwarmSessionReport:
-    """A continuous multi-round swarm session, with per-round phase splits.
-
-    The session shape the cross-round precompute pipeline is measured on:
-    ``rounds`` holds each round's :class:`~repro.core.driver.SwarmRoundReport`
-    (phase split included), ``precompute`` the pipeline's hit/miss/discard
-    counters (and the swarm's prebuild counters) when the pipeline was on.
-    """
-
-    rounds: list = None  # type: ignore[assignment]
-    wall_clock_seconds: float = 0.0
-    precompute: dict | None = None
-
-    def __post_init__(self) -> None:
-        if self.rounds is None:
-            self.rounds = []
-
-    @property
-    def wires(self) -> int:
-        return sum(report.ingest.wires for report in self.rounds)
-
-    @property
-    def messages_per_second(self) -> float:
-        if self.wall_clock_seconds <= 0:
-            return 0.0
-        return self.wires / self.wall_clock_seconds
-
-    def phase_totals(self) -> dict:
-        """Summed per-phase seconds across the session's rounds."""
-        totals = {"wrap": 0.0, "admission": 0.0, "chain": 0.0, "decode": 0.0}
-        for report in self.rounds:
-            if report.phases is None:
-                continue
-            for phase in totals:
-                totals[phase] += report.phases.get(f"{phase}_seconds", 0.0)
-        return totals
 
 
 class VuvuzelaSystem(RoundDriver):
@@ -142,20 +102,6 @@ class VuvuzelaSystem(RoundDriver):
             response_wait_seconds=self.config.response_wait_seconds,
             max_round_attempts=self.config.max_round_attempts,
         )
-
-    def enable_precompute(self) -> PrecomputeManager:
-        """Turn the cross-round precompute pipeline on for this deployment.
-
-        The returned :class:`~repro.runtime.PrecomputeManager` speculatively
-        builds upcoming rounds' deterministic material (noise counts, wrapped
-        noise wires, the last dialing server's own invitations) on one
-        pipeline thread.  The scheduler's pre-open hook and the swarm session
-        driver feed it; every consumer that misses recomputes inline, so
-        enabling it never changes a single byte of any round.
-        """
-        if self.precompute is None:
-            self.precompute = PrecomputeManager.for_system(self)
-        return self.precompute
 
     # ------------------------------------------------------------------ setup
 
@@ -337,66 +283,6 @@ class VuvuzelaSystem(RoundDriver):
         result = self.coordinator.close_round(opened.handle)
         return result, result.responses
 
-    def run_swarm_session(
-        self, swarm, rounds: int, *, chunk_size: int = 0, precompute: bool = False
-    ) -> "SwarmSessionReport":
-        """Drive a continuous multi-round swarm session.
-
-        With ``precompute`` on, the cross-round pipeline runs: while round
-        N's chain drives, one pipeline thread wraps round N+1's client wires
-        (cover traffic and queued messages alike — see
-        :meth:`~repro.simulation.ClientSwarm.prebuild_round`) and builds the
-        servers' speculative noise material, and the first round's material
-        is primed before the measured window so every in-session round starts
-        warm.  Speculation is horizon-capped: nothing is built past the last
-        round of the session.  Precompute on and off produce byte-identical
-        rounds — the pipeline only moves deterministic work off the critical
-        path.
-        """
-        if rounds <= 0:
-            raise ProtocolError("a swarm session needs at least one round")
-        manager = self.enable_precompute() if precompute else None
-        pipeline = (
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix="swarm-prebuild")
-            if precompute
-            else None
-        )
-        first = self.next_conversation_round
-        report = SwarmSessionReport()
-        try:
-            if manager is not None:
-                # Prime round one: a continuous session's steady state has
-                # every round's material built during its predecessor; the
-                # first round has no predecessor, so build it before the
-                # measured window opens.
-                swarm.prebuild_round(first, chunk_size=chunk_size)
-                manager.prepare("conversation", first)
-            started = time.perf_counter()
-            for index in range(rounds):
-                next_round = first + index + 1
-
-                def overlap():
-                    if pipeline is None or index + 1 >= rounds:
-                        return None  # horizon cap: never build past the session
-
-                    def prepare_next() -> None:
-                        swarm.prebuild_round(next_round, chunk_size=chunk_size)
-                        manager.prepare("conversation", next_round)
-
-                    return pipeline.submit(prepare_next).result
-
-                report.rounds.append(
-                    self.run_swarm_round(swarm, chunk_size=chunk_size, overlap=overlap)
-                )
-            report.wall_clock_seconds = time.perf_counter() - started
-        finally:
-            if pipeline is not None:
-                pipeline.shutdown(wait=True)
-        if manager is not None:
-            report.precompute = manager.stats()
-            report.precompute["swarm"] = swarm.prebuild_stats()
-        return report
-
     # --------------------------------------------- driver seam: chaos surface
 
     def fault_injector(self, seed: int = 0) -> FaultInjector:
@@ -489,9 +375,6 @@ class VuvuzelaSystem(RoundDriver):
         engine owns no pool, so closing it is free.
         """
         self._end_session()
-        if self.precompute is not None:
-            self.precompute.close()
-            self.precompute = None
         self.coordinator.close()
         self.engine.close()
         self.scan_engine.close()

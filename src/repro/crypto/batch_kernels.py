@@ -428,29 +428,6 @@ def chacha20_keystreams_batch(
     return [chacha20_keystream(bytes(k), nonce, counter, nblocks) for k in keys]
 
 
-def chacha20_keystream_schedule(
-    keys: Sequence[bytes], nonce: bytes, counter: int, nbytes: int
-) -> list[bytes]:
-    """Per-message keystreams of ``nbytes`` bytes each under a shared nonce.
-
-    The round-schedule precompute entry point: a round's nonce is known the
-    moment its number is, and all its boxes share it, so given the layer
-    keys the whole round's keystream material can be generated off the
-    critical path and combined with the live payloads later via
-    :func:`xor_batch`.  Byte-for-byte a prefix of
-    :func:`chacha20_keystreams_batch` output.
-    """
-    if nbytes < 0:
-        raise ValueError("keystream length must be non-negative")
-    nblocks = (nbytes + 63) // 64
-    if nblocks == 0:
-        return [b""] * len(keys)
-    streams = chacha20_keystreams_batch(keys, nonce, counter, nblocks)
-    if nbytes % 64 == 0:
-        return streams
-    return [stream[:nbytes] for stream in streams]
-
-
 def xor_bytes(data: bytes, keystream: bytes) -> bytes:
     """XOR ``data`` with the prefix of ``keystream`` via one big-int operation."""
     length = len(data)

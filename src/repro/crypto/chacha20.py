@@ -63,12 +63,7 @@ def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
 def chacha20_keystream(
     key: bytes, nonce: bytes, length: int, initial_counter: int = 0
 ) -> bytes:
-    """``length`` bytes of raw keystream.
-
-    The precompute entry point: the keystream is a pure function of
-    ``(key, nonce, counter)``, so it can be generated before the payload it
-    will encrypt exists — all that remains on the critical path is the XOR.
-    """
+    """``length`` bytes of raw keystream, starting at block ``initial_counter``."""
     if length < 0:
         raise ValueError("keystream length must be non-negative")
     blocks = [
@@ -78,27 +73,14 @@ def chacha20_keystream(
     return b"".join(blocks)[:length]
 
 
-def chacha20_xor(
-    key: bytes,
-    nonce: bytes,
-    data: bytes,
-    initial_counter: int = 0,
-    *,
-    keystream: bytes | None = None,
-) -> bytes:
+def chacha20_xor(key: bytes, nonce: bytes, data: bytes, initial_counter: int = 0) -> bytes:
     """Encrypt or decrypt ``data`` with the ChaCha20 keystream.
 
     The operation is an involution: applying it twice with the same key,
-    nonce and counter returns the original data.  ``keystream`` may carry a
-    precomputed :func:`chacha20_keystream` for the same ``(key, nonce,
-    initial_counter)``; passing a keystream from different parameters
-    produces garbage, so only schedule-managed callers use it.
+    nonce and counter returns the original data.
     """
-    if keystream is None:
-        keystream = chacha20_keystream(key, nonce, len(data), initial_counter)
-    elif len(keystream) < len(data):
-        raise ValueError("precomputed keystream is shorter than the data")
     length = len(data)
+    keystream = chacha20_keystream(key, nonce, length, initial_counter)
     return (
-        int.from_bytes(data, "little") ^ int.from_bytes(keystream[:length], "little")
+        int.from_bytes(data, "little") ^ int.from_bytes(keystream, "little")
     ).to_bytes(length, "little")

@@ -70,12 +70,10 @@ def derive_key_schedule(
 ) -> list[bytes]:
     """Derive one key per shared secret under a single label, in one pass.
 
-    The precomputable-schedule entry point: everything here is a pure
-    function of the secrets and the label, so a whole round's per-(round,
-    server) layer keys can be derived before the round runs.  Each output is
-    byte-identical to :func:`derive_key` on the same secret; the bulk shape
-    just encodes the label once and keeps the loop free of per-call string
-    work.
+    Each output is byte-identical to :func:`derive_key` on the same secret;
+    the bulk shape just encodes the label once and keeps the loop free of
+    per-call string work (the invitation scan derives a whole bucket's seal
+    keys this way).
     """
     info = label.encode("utf-8")
     salt = b"vuvuzela-v1"

@@ -107,22 +107,6 @@ class DeterministicRandom:
     def random_float(self) -> float:
         return self.random_uint(53) / float(1 << 53)
 
-    def getstate(self) -> tuple[int, bytes]:
-        """Snapshot the stream position (the seed never changes).
-
-        Together with :meth:`setstate` this lets a speculative consumer (the
-        client swarm's round build-ahead) rewind to the exact position it
-        started from and replay the same draws — the stream is pure counter
-        mode, so position is the entire mutable state.
-        """
-        return (self._counter, self._buffer)
-
-    def setstate(self, state: tuple[int, bytes]) -> None:
-        """Restore a position captured by :meth:`getstate`."""
-        counter, buffer = state
-        self._counter = counter
-        self._buffer = buffer
-
     def fork(self, label: str) -> "DeterministicRandom":
         """Derive an independent child stream identified by ``label``.
 

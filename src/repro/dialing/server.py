@@ -28,7 +28,6 @@ from ..deaddrop import InvitationDropStore
 from ..errors import ProtocolError
 from ..mixnet.chain import NoiseBuilder
 from ..mixnet.noise import DialingNoiseSpec
-from ..runtime.precompute import SpeculativeEntry, SpeculativeStore
 
 
 @dataclass
@@ -47,9 +46,6 @@ class DialingProcessor:
     #: Attempt number announced by the chain endpoint before each round's
     #: payloads arrive (:meth:`begin_attempt`); consumed by ``__call__``.
     _attempts: dict[int, int] = field(default_factory=dict)
-    #: The last server's own noise, built ahead by the precompute pipeline
-    #: and consumed (or invalidated on an attempt bump) in ``__call__``.
-    speculative: SpeculativeStore = field(default_factory=SpeculativeStore, repr=False)
 
     def begin_attempt(self, round_number: int, attempt: int) -> None:
         """Record which §6 attempt of ``round_number`` is about to arrive.
@@ -60,33 +56,6 @@ class DialingProcessor:
         it would have on an undisturbed run.
         """
         self._attempts[round_number] = attempt
-
-    def _fork(self, round_number: int, attempt: int) -> RandomSource | None:
-        if self.rng is not None and hasattr(self.rng, "fork"):
-            return self.rng.fork(f"round-{round_number}/attempt-{attempt}")
-        return self.rng
-
-    def _draw_noise(self, rng: RandomSource) -> tuple[list[int], bytes]:
-        """One count pass plus one sliced bulk draw — §5.3 noise for every bucket."""
-        assert self.noise_spec is not None
-        counts = [self.noise_spec.sample_for_bucket(rng) for _ in range(self.num_buckets)]
-        return counts, rng.random_bytes(sum(counts) * INVITATION_SIZE)
-
-    def precompute_round(self, round_number: int, attempt: int = 1) -> bool:
-        """Speculatively draw one round attempt's own-noise counts and blob.
-
-        Pure per-``(round, attempt)`` fork draws, identical to the inline
-        path in ``__call__``; nothing after them reads the fork, so only the
-        material is stored.  Returns ``True`` if an entry was built.
-        """
-        if self.noise_spec is None or self.rng is None or not hasattr(self.rng, "fork"):
-            return False
-        if self.speculative.prepared(round_number, attempt):
-            return False
-        rng = self._fork(round_number, attempt)
-        return self.speculative.put(
-            SpeculativeEntry(round_number, attempt, self._draw_noise(rng))
-        )
 
     def __call__(self, round_number: int, payloads: list[bytes]) -> list[bytes]:
         """Collect the round's invitations; every request is acknowledged.
@@ -109,16 +78,13 @@ class DialingProcessor:
 
         # §5.3: the last server, too, must add noise to every bucket, because
         # it may be the only honest server and bucket sizes are public.
-        # Consuming the speculative entry (when the precompute pipeline built
-        # one for this attempt) also drops any prior attempt's material —
-        # that came from the wrong fork after an abort and must not be spent.
         attempt = self._attempts.pop(round_number, 1)
         if self.noise_spec is not None and self.rng is not None:
-            entry = self.speculative.take(round_number, attempt)
-            if entry is not None:
-                counts, blob = entry.material
-            else:
-                counts, blob = self._draw_noise(self._fork(round_number, attempt))
+            rng = self.rng
+            if hasattr(rng, "fork"):
+                rng = rng.fork(f"round-{round_number}/attempt-{attempt}")
+            counts = [self.noise_spec.sample_for_bucket(rng) for _ in range(self.num_buckets)]
+            blob = rng.random_bytes(sum(counts) * INVITATION_SIZE)
             offset = 0
             for bucket, how_many in enumerate(counts):
                 store.deposit_many(

@@ -42,28 +42,24 @@ SANCTIONED = ("repro/crypto/rng.py",)
 
 #: The zero-copy wire path: TCP framing, server batch framing, the
 #: coordinator's gate (every networked submission passes through it), the
-#: conditioner's hash-keyed decisions, the batch crypto kernels, and the
-#: precompute store (speculative wires are buffered, then served, uncopied).
+#: conditioner's hash-keyed decisions and the batch crypto kernels.
 WIRE_PATH = (
     "repro/net/tcp.py",
     "repro/net/faults.py",
     "repro/server/wire.py",
     "repro/server/entry.py",
     "repro/runtime/coordinator.py",
-    "repro/runtime/precompute.py",
     "repro/crypto/batch_kernels.py",
 )
 
-#: The modules whose locks form the round-lifecycle lock graph.  The
-#: precompute store's lock is taken from both the pipeline thread and the
-#: round thread, so it is part of the graph.  The shared round driver and the
-#: in-process system (``_round_lock``) call into all of them.
+#: The modules whose locks form the round-lifecycle lock graph.  The shared
+#: round driver and the in-process system (``_round_lock``) call into all of
+#: them.
 LOCK_MODULES = (
     "repro/core/driver.py",
     "repro/core/system.py",
     "repro/runtime/coordinator.py",
     "repro/runtime/scheduler.py",
-    "repro/runtime/precompute.py",
     "repro/net/tcp.py",
     "repro/net/faults.py",
     "repro/ledger/writer.py",

@@ -41,7 +41,6 @@ from ..crypto.rng import RandomSource, default_random
 from ..crypto.secretbox import clear_derived_key_cache
 from ..errors import ProtocolError
 from ..runtime import RoundEngine, default_engine
-from ..runtime.precompute import SpeculativeEntry, SpeculativeStore
 
 #: Builds the innermost payloads of one server's noise requests for a round.
 NoiseBuilder = Callable[[int, RandomSource], list[bytes]]
@@ -133,10 +132,6 @@ class MixServer:
     #: process-wide serial engine.  Chains share one engine instance so the
     #: worker pool is shared too.
     engine: RoundEngine | None = None
-    #: Speculative noise built ahead of the round by the precompute pipeline
-    #: (:mod:`repro.runtime.precompute`); consumed — or invalidated, when an
-    #: abort bumped the attempt — at the top of :meth:`process_round`.
-    speculative: SpeculativeStore = field(default_factory=SpeculativeStore)
 
     @property
     def is_last(self) -> bool:
@@ -176,30 +171,6 @@ class MixServer:
         if hasattr(self.rng, "fork"):
             return self.rng.fork(f"round-{round_number}/attempt-{attempt}")
         return self.rng
-
-    def precompute_round(self, round_number: int, attempt: int = 1) -> bool:
-        """Speculatively build one round attempt's noise ahead of time.
-
-        Draws the noise counts and onion-wraps the noise wires from the
-        per-``(round, attempt)`` fork — exactly the draws, in exactly the
-        order, :meth:`process_round` would make inline — then stores the
-        wires together with the *advanced* rng, so the consuming round's
-        permutation draw continues the stream where these draws stopped.
-        Returns ``True`` if material was built, ``False`` if this server has
-        no noise to speculate or the entry already exists.
-        """
-        if self.noise_builder is None or not hasattr(self.rng, "fork"):
-            # Without a forkable rng the draws would advance the server's one
-            # shared stream early and perturb the inline draw order.
-            return False
-        if self.speculative.prepared(round_number, attempt):
-            return False
-        rng = self.round_rng(round_number, attempt)
-        noise_payloads = self.noise_builder(round_number, rng)
-        noise_wires = self._wrap_noise_batch(noise_payloads, round_number, rng)
-        return self.speculative.put(
-            SpeculativeEntry(round_number, attempt, noise_wires, rng)
-        )
 
     def _apply_ingress_filter(
         self,
@@ -279,28 +250,11 @@ class MixServer:
             )
 
         # Step 2: generate cover traffic, wrapped for the rest of the chain.
-        # The precompute pipeline may have built this (round, attempt)'s
-        # noise already; taking the entry also invalidates any speculation
-        # for a previous attempt of this round (an abort bumped the attempt,
-        # so that material comes from the wrong fork and must be re-drawn).
-        # On a hit the entry's rng resumes where the speculative draws
-        # stopped, so the permutation draw below continues the exact stream
-        # an inline build would use — a hit, a miss and precompute-off are
-        # byte-identical.
-        entry = (
-            self.speculative.take(round_number, attempt)
-            if self.noise_builder is not None
-            else None
+        rng = self.round_rng(round_number, attempt)
+        noise_payloads = (
+            self.noise_builder(round_number, rng) if self.noise_builder else []
         )
-        if entry is not None:
-            noise_wires = entry.material
-            rng = entry.rng
-        else:
-            rng = self.round_rng(round_number, attempt)
-            noise_payloads = (
-                self.noise_builder(round_number, rng) if self.noise_builder else []
-            )
-            noise_wires = self._wrap_noise_batch(noise_payloads, round_number, rng)
+        noise_wires = self._wrap_noise_batch(noise_payloads, round_number, rng)
 
         # Step 3a: shuffle the combined batch and forward it.
         combined = list(peeled) + noise_wires

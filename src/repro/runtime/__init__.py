@@ -22,7 +22,6 @@ from .engine import (
     default_engine,
 )
 from .coordinator import ABORTED, LATE, RoundCoordinator, RoundResult, SubmissionWindow
-from .precompute import PrecomputeManager, SpeculativeEntry, SpeculativeStore
 
 # The protocol plug-ins and the scheduler sit above the coordinator and pull
 # in the protocol packages (conversation, dialing, mixnet); they must stay
@@ -66,9 +65,6 @@ __all__ = [
     "LATE",
     "PROCESS",
     "PROTOCOL_KINDS",
-    "PrecomputeManager",
-    "SpeculativeEntry",
-    "SpeculativeStore",
     "SERIAL",
     "ClientSession",
     "ConversationProtocol",

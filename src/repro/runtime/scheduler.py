@@ -446,12 +446,6 @@ class RoundScheduler:
             """One full dialing round (its slot is held by the caller)."""
             try:
                 opened = self.driver.open_scheduled_round(dialing)
-                manager = self.driver.precompute
-                if manager is not None:
-                    # The round's noise (every mixing server's invitations,
-                    # the last server's own contribution) can build on the
-                    # pipeline thread while clients submit.
-                    manager.prepare_async(dialing.name, opened.round_number)
                 return self.driver.drive_scheduled_round(dialing, opened)
             finally:
                 slots.release()
@@ -510,23 +504,10 @@ class RoundScheduler:
                     def open_next() -> ScheduledRound:
                         slots.acquire()
                         try:
-                            opened_ahead = open_conversation()
+                            return open_conversation()
                         except BaseException:
                             slots.release()
                             raise
-                        # Cross-round precompute hook: with the next window
-                        # open while this round's chain still drives, queue
-                        # its speculative material (noise counts, wrapped
-                        # noise wires) on the pipeline thread.  Purely an
-                        # optimisation — a miss recomputes inline, and an
-                        # abort bumps the attempt so stale material is
-                        # discarded, never served.
-                        manager = self.driver.precompute
-                        if manager is not None:
-                            manager.prepare_async(
-                                conversation.name, opened_ahead.round_number
-                            )
-                        return opened_ahead
 
                     pre_opened = _RoundTask("scheduler-open", open_next)
 

@@ -113,9 +113,7 @@ class SwarmIngestStats:
     #: overlap, so this is close to max(generate, submit), not their sum.
     ingest_seconds: float = 0.0
     #: Time the driving thread spent *generating* wires (pulling chunks out
-    #: of :meth:`ClientSwarm.iter_round_chunks`).  Near zero when the round
-    #: was prebuilt by the precompute pipeline — that is the phase shift the
-    #: cross-round pipeline exists to produce.
+    #: of :meth:`ClientSwarm.iter_round_chunks`).
     wrap_seconds: float = 0.0
     #: Time the driving thread spent blocked on admission (submitting chunks
     #: and waiting for their verdicts — the ingest backpressure).
@@ -160,22 +158,6 @@ class _PendingRound:
 
     contexts: list[OnionContext | None] = field(default_factory=list)
     receive_keys: list[bytes | None] = field(default_factory=list)
-
-
-@dataclass
-class _PrebuiltRound:
-    """One round's wires, built ahead of submission by the precompute pipeline.
-
-    ``rng_states`` snapshots every client stream's position *before* the
-    build: invalidating the prebuild rewinds each stream there, so the
-    inline rebuild makes byte-identical draws and only the plaintexts (the
-    one thing that can change between prebuild and submission) differ.
-    """
-
-    round_number: int
-    chunk_size: int
-    chunks: list[SwarmChunk]
-    rng_states: list[tuple[int, bytes]]
 
 
 class ClientSwarm:
@@ -240,12 +222,6 @@ class ClientSwarm:
         ]
         self._pending: dict[int, _PendingRound] = {}
         self._built_rounds: list[int] = []
-        #: Round built ahead by :meth:`prebuild_round`, consumed (or
-        #: invalidated) by the next :meth:`iter_round_chunks`.
-        self._prebuilt: _PrebuiltRound | None = None
-        self.prebuild_hits = 0
-        self.prebuild_misses = 0
-        self.prebuild_invalidations = 0
         #: One-shot raw message per client for the *next* built round.  Raw
         #: means unframed: a real client frames outbox messages with sequence
         #: numbers, so byte-identity to the reference path holds for the
@@ -282,11 +258,6 @@ class ClientSwarm:
             raise ProtocolError(
                 f"conversation messages are limited to {MAX_MESSAGE_SIZE - 1} bytes"
             )
-        if self._prebuilt is not None:
-            # The prebuilt round was sealed over the old outbox; rewind the
-            # client streams and let submission rebuild with the new message.
-            self.prebuild_invalidations += 1
-            self._discard_prebuilt()
         self._messages[name] = bytes(message)
 
     # ---------------------------------------------------------- column helpers
@@ -366,97 +337,10 @@ class ClientSwarm:
             wires=wires,
         )
 
-    def prebuild_round(self, round_number: int, *, chunk_size: int = 0) -> bool:
-        """Build one round's wires ahead of submission (the client half of the
-        cross-round precompute pipeline).
-
-        A continuous session calls this for round N+1 while round N's chain
-        drives: cover traffic — the idle clients' wires — depends on nothing
-        that can still change, and a conversing client's wire depends only on
-        its one-shot outbox, so the whole round can be wrapped speculatively.
-        The build makes exactly the draws, in exactly the population order,
-        that inline generation would make; a later :meth:`set_message`
-        invalidates the prebuild by rewinding every client stream to the
-        snapshot taken here, so the inline rebuild is byte-identical except
-        for the changed plaintext — precisely what a reference client
-        submitting at round time would send.
-
-        Returns ``True`` if the round was built ahead; ``False`` if a
-        prebuilt round already exists or this round was already built.  Safe
-        to run on a pipeline thread **only** while no other swarm method is
-        being driven (the session driver joins the prebuild before decoding).
-        """
-        if self._prebuilt is not None:
-            return False
-        if round_number in self._pending or round_number in self._built_rounds:
-            return False
-        chunk = chunk_size or DEFAULT_CHUNK
-        rng_states = [rng.getstate() for rng in self._conversation_rngs]
-        # Deliberately no stale-pending pruning here: the in-flight round's
-        # decode state must survive until its responses are handled.  The
-        # pruning happens when this prebuild is consumed.
-        self._pending[round_number] = _PendingRound()
-        self._built_rounds.append(round_number)
-        chunks = [
-            self._build_chunk(round_number, start, min(start + chunk, len(self.names)))
-            for start in range(0, len(self.names), chunk)
-        ]
-        self._prebuilt = _PrebuiltRound(
-            round_number=round_number,
-            chunk_size=chunk,
-            chunks=chunks,
-            rng_states=rng_states,
-        )
-        return True
-
-    def _discard_prebuilt(self) -> None:
-        """Undo a prebuilt round: rewind streams, drop its decode state."""
-        prebuilt = self._prebuilt
-        assert prebuilt is not None
-        self._prebuilt = None
-        for rng, state in zip(self._conversation_rngs, prebuilt.rng_states):
-            rng.setstate(state)
-        self._pending.pop(prebuilt.round_number, None)
-        self._built_rounds.remove(prebuilt.round_number)
-        # Outbox messages were *not* cleared at prebuild time, so the inline
-        # rebuild sees the same ones (plus any set afterwards).
-
-    def prebuild_stats(self) -> dict:
-        return {
-            "hits": self.prebuild_hits,
-            "misses": self.prebuild_misses,
-            "invalidations": self.prebuild_invalidations,
-            "pending": 0 if self._prebuilt is None else 1,
-        }
-
     def iter_round_chunks(
         self, round_number: int, *, chunk_size: int = 0
     ) -> Iterator[SwarmChunk]:
-        """Generate one round's wires chunk by chunk, in population order.
-
-        If :meth:`prebuild_round` built this round (same round number and
-        chunking) the stored chunks are served instead of generating; a
-        prebuilt round that does not match is discarded and rebuilt inline —
-        byte-identical either way.
-        """
-        prebuilt = self._prebuilt
-        if prebuilt is not None:
-            if (
-                prebuilt.round_number == round_number
-                and prebuilt.chunk_size == (chunk_size or DEFAULT_CHUNK)
-            ):
-                self._prebuilt = None
-                self.prebuild_hits += 1
-                # Mirror the individual client's stale-state pruning, deferred
-                # from prebuild time: once this round ships, earlier rounds'
-                # responses can never be handled.
-                for stale in [r for r in self._pending if r < round_number]:
-                    del self._pending[stale]
-                yield from prebuilt.chunks
-                self._messages.clear()
-                return
-            self.prebuild_misses += 1
-            self._discard_prebuilt()
+        """Generate one round's wires chunk by chunk, in population order."""
         if round_number in self._pending or round_number in self._built_rounds:
             raise ProtocolError(
                 f"the swarm already built requests for round {round_number}"

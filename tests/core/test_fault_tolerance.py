@@ -129,6 +129,32 @@ class TestInProcessKillMidRound:
 
         assert run() == run()
 
+    def test_killed_hop_round_is_reproducible(self):
+        """Abort and retry are deterministic: the same seed and the same kill
+        give the same ledger record, and the retry's noise comes from a fork
+        of its own, not the aborted attempt's."""
+
+        def run(kill: bool) -> dict:
+            with VuvuzelaSystem(scenario_config()) as system:
+                alice, bob = converse(system)
+                alice.send_message("through the crash")
+                if kill:
+                    system.fault_injector(seed=1).kill_link(
+                        source="server-0/conversation",
+                        destination="server-1/conversation",
+                        count=1,
+                    )
+                metrics = system.run_conversation_round()
+                assert bob.messages_from(alice.public_key) == [b"through the crash"]
+                return system._ledger_round_record(
+                    system.protocols["conversation"], metrics
+                )
+
+        faulted = run(kill=True)
+        assert faulted["aborted_attempts"] == 1
+        assert run(kill=True) == faulted
+        assert run(kill=False)["noise"] != faulted["noise"]
+
 
 class TestNetworkedPartition:
     def test_injected_link_kill_aborts_and_recovers_over_tcp(self):
@@ -167,6 +193,40 @@ class TestNetworkedPartition:
             # A follow-up round is clean: the fault rule expired.
             follow_up = deployment.run_conversation_round([alice, bob])
             assert follow_up.aborts == 0
+
+    def test_networked_faulted_round_matches_in_process_retry(self):
+        """The same kill-then-retry round in both deployment shapes lands on
+        the same noise accounting and plaintexts: each chain server draws
+        attempt 2's material from the same per-(round, attempt) fork."""
+        with VuvuzelaSystem(scenario_config()) as system:
+            alice, bob = converse(system)
+            alice.send_message("through the crash")
+            system.fault_injector(seed=1).kill_link(
+                source="server-0/conversation",
+                destination="server-1/conversation",
+                count=1,
+            )
+            metrics = system.run_conversation_round()
+            assert metrics.aborted_attempts == 1
+            in_process_messages = bob.messages_from(alice.public_key)
+        assert in_process_messages == [b"through the crash"]
+
+        with DeploymentLauncher(scenario_config(round_deadline_seconds=10.0)) as deployment:
+            alice = deployment.add_client("alice")
+            bob = deployment.add_client("bob")
+            alice.client.start_conversation(bob.client.public_key)
+            bob.client.start_conversation(alice.client.public_key)
+            alice.client.send_message("through the crash")
+            deployment.inject_fault(
+                0, {"action": "kill", "destination": "server-1/conversation", "count": 1}
+            )
+            result = deployment.run_conversation_round([alice, bob])
+            assert result.aborts == 1
+            assert (
+                deployment.chain_noise("conversation", result.round_number)
+                == metrics.noise_requests
+            )
+            assert bob.client.messages_from(alice.client.public_key) == in_process_messages
 
     def test_injected_link_kill_aborts_and_recovers_a_dialing_round(self):
         """Satellite: dialing rounds ride the same abort/retry pipeline over

@@ -141,6 +141,33 @@ class TestChaChaKernels:
             )
 
 
+    @pytest.mark.parametrize("count", [3, batch_kernels.MIN_NUMPY_BATCH])
+    def test_keystreams_batch_matches_single_streams(self, rng, count):
+        """Both kernels (below and at the numpy threshold) against the
+        unrolled single-message kernel, for every block count the AEAD uses."""
+        keys = [rng.random_bytes(32) for _ in range(count)]
+        nonce = rng.random_bytes(12)
+        for nblocks in (0, 1, 2, 5):
+            streams = batch_kernels.chacha20_keystreams_batch(keys, nonce, 1, nblocks)
+            assert streams == [
+                batch_kernels.chacha20_keystream(key, nonce, 1, nblocks) for key in keys
+            ]
+
+    @pytest.mark.parametrize("count", [3, batch_kernels.MIN_NUMPY_BATCH])
+    def test_xor_batch_matches_chacha20_xor(self, rng, count):
+        keys = [rng.random_bytes(32) for _ in range(count)]
+        nonce = rng.random_bytes(12)
+        datas = [rng.random_bytes(100) for _ in range(count)]
+        streams = batch_kernels.chacha20_keystreams_batch(keys, nonce, 1, 2)
+        assert batch_kernels.xor_batch(datas, streams) == [
+            chacha20.chacha20_xor(key, nonce, data, 1) for key, data in zip(keys, datas)
+        ]
+
+    def test_xor_batch_of_nothing_and_of_empty_messages(self):
+        assert batch_kernels.xor_batch([], []) == []
+        assert batch_kernels.xor_batch([b"", b""], [b"\x01" * 64, b"\x02" * 64]) == [b"", b""]
+
+
 class TestX25519Kernels:
     def test_fixed_scalar_kernels_match_scalar_mult(self, rng):
         k = rng.random_bytes(32)

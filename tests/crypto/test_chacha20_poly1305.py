@@ -13,6 +13,7 @@ from repro.crypto.backend import (
     _pure_aead_encrypt,
     available_backends,
 )
+from repro.crypto.rng import DeterministicRandom
 from repro.errors import DecryptionError
 
 # RFC 8439 section 2.3.2 block function vector.
@@ -73,6 +74,37 @@ def test_chacha20_is_an_involution():
     key, nonce = b"\x07" * 32, b"\x01" * 12
     once = chacha20.chacha20_xor(key, nonce, data)
     assert chacha20.chacha20_xor(key, nonce, once) == data
+
+
+def test_keystream_matches_xor_of_zeros():
+    rng = DeterministicRandom(1)
+    key, nonce = rng.random_bytes(32), rng.random_bytes(12)
+    stream = chacha20.chacha20_keystream(key, nonce, 200, 3)
+    assert stream == chacha20.chacha20_xor(key, nonce, bytes(200), 3)
+
+
+def test_keystream_length_is_exact_and_prefix_consistent():
+    """A keystream cut mid-block is the prefix of the longer stream, so a
+    message of any length sees the same key bytes it would inside a longer one."""
+    rng = DeterministicRandom(2)
+    key, nonce = rng.random_bytes(32), rng.random_bytes(12)
+    full = chacha20.chacha20_keystream(key, nonce, 300, 5)
+    for length in (0, 1, 63, 64, 65, 128, 299):
+        stream = chacha20.chacha20_keystream(key, nonce, length, 5)
+        assert len(stream) == length
+        assert stream == full[:length]
+    with pytest.raises(ValueError):
+        chacha20.chacha20_keystream(key, nonce, -1)
+
+
+def test_initial_counter_continues_the_stream():
+    """Starting at block ``c`` is the same as skipping ``c`` blocks of the
+    counter-0 stream: the AEAD's payload (counter 1) relies on it."""
+    rng = DeterministicRandom(3)
+    key, nonce = rng.random_bytes(32), rng.random_bytes(12)
+    data = rng.random_bytes(391)
+    skipped = chacha20.chacha20_xor(key, nonce, bytes(2 * 64) + data, 0)[2 * 64 :]
+    assert chacha20.chacha20_xor(key, nonce, data, 2) == skipped
 
 
 def test_chacha20_rejects_bad_key_and_nonce_sizes():

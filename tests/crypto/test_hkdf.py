@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hkdf import derive_key, hkdf, hkdf_expand, hkdf_extract
+from repro.crypto.hkdf import derive_key, derive_key_schedule, hkdf, hkdf_expand, hkdf_extract
+from repro.crypto.rng import DeterministicRandom
 
 # RFC 5869 test case 1.
 IKM = bytes.fromhex("0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b")
@@ -48,6 +49,23 @@ def test_derive_key_labels_are_independent():
     assert derive_key(shared, "conversation") != derive_key(shared, "deaddrop")
     assert len(derive_key(shared, "conversation", 32)) == 32
     assert len(derive_key(shared, "conversation", 64)) == 64
+
+
+def test_derive_key_schedule_matches_derive_key():
+    rng = DeterministicRandom(5)
+    secrets = [rng.random_bytes(32) for _ in range(8)]
+    assert derive_key_schedule(secrets, "onion-layer") == [
+        derive_key(secret, "onion-layer") for secret in secrets
+    ]
+
+
+def test_derive_key_schedule_honours_length_and_empty_input():
+    rng = DeterministicRandom(6)
+    secrets = [rng.random_bytes(32) for _ in range(3)]
+    assert derive_key_schedule([], "onion-layer") == []
+    assert derive_key_schedule(secrets, "onion-layer", 64) == [
+        derive_key(secret, "onion-layer", 64) for secret in secrets
+    ]
 
 
 @given(st.binary(min_size=1, max_size=64), st.integers(min_value=1, max_value=128))

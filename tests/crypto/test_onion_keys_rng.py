@@ -202,6 +202,26 @@ class TestRandomSources:
         child_a, child_b = root.fork("noise"), root.fork("workload")
         assert child_a.random_bytes(32) != child_b.random_bytes(32)
 
+    def test_fork_ignores_the_parent_stream_position(self):
+        """Forks derive from the seed alone, so how much a component has drawn
+        from its parent never perturbs a sibling component's stream."""
+        fresh = DeterministicRandom(7).fork("noise").random_bytes(48)
+        drawn = DeterministicRandom(7)
+        drawn.random_bytes(13)  # leave the parent mid-block
+        assert drawn.fork("noise").random_bytes(48) == fresh
+
+    @given(st.lists(st.integers(min_value=0, max_value=100), max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_draws_do_not_depend_on_how_they_are_split(self, sizes):
+        """Mid-block buffering is invisible: consecutive draws concatenate to
+        one draw of their total length."""
+        split = DeterministicRandom(8)
+        pieces = b"".join(split.random_bytes(n) for n in sizes)
+        assert pieces == DeterministicRandom(8).random_bytes(sum(sizes))
+        assert split.random_bytes(32) == DeterministicRandom(8).random_bytes(
+            sum(sizes) + 32
+        )[sum(sizes) :]
+
     def test_different_seeds_differ(self):
         assert DeterministicRandom(1).random_bytes(32) != DeterministicRandom(2).random_bytes(32)
 

@@ -73,6 +73,35 @@ class TestMixChain:
         assert len(responses) == 1
         assert unwrap_response(responses[0], ctx) == b"resp"
 
+    def test_each_attempt_draws_fresh_noise_from_its_own_fork(self):
+        """A §6 retry re-draws the round's noise: the batch a server adds is a
+        pure function of (seed, round, attempt), identical when an attempt is
+        re-run and different for the next attempt."""
+
+        def noise_factory(index: int):
+            def build(round_number: int, noise_rng) -> list[bytes]:
+                return [noise_rng.random_bytes(16) for _ in range(4)]
+
+            return None if index == 1 else build
+
+        def noise_seen(attempt: int) -> list[bytes]:
+            seen: list[bytes] = []
+
+            def recording_processor(round_number: int, payloads: list[bytes]) -> list[bytes]:
+                seen.extend(payloads)
+                return [b"" for _ in payloads]
+
+            _, chain = make_chain(
+                2, DeterministicRandom(99), recording_processor, noise_factory
+            )
+            chain.run_round(5, [], attempt=attempt)
+            return sorted(seen)
+
+        first = noise_seen(1)
+        assert len(first) == 4
+        assert noise_seen(1) == first
+        assert noise_seen(2) != first
+
     def test_malformed_request_gets_empty_response(self, rng):
         keypairs, chain = make_chain(2, rng)
         publics = [k.public for k in keypairs]

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.crypto import KeyPair, unwrap_response, wrap_request
+from repro.crypto import DeterministicRandom, KeyPair, unwrap_response, wrap_request
 from repro.errors import ConnectTimeout, NetworkError, ProtocolError, TransportTimeout
 from repro.mixnet import MixServer
 from repro.net import Envelope, MessageKind, Network
@@ -16,6 +16,7 @@ from repro.runtime import ABORTED, LATE, RoundCoordinator
 from repro.runtime.coordinator import RESPONSE_WINDOWS
 from repro.server import ACK, REFUSED, ChainServerEndpoint, EntryServer
 from repro.server.wire import (
+    VERDICT_ACCEPTED,
     VERDICT_LATE,
     decode_batch_verdicts,
     decode_collect_reply,
@@ -712,3 +713,52 @@ class TestForgetClient:
         assert "alice" in window.per_client  # untouched while unresolved
         result = coordinator.close_round(window)
         assert result.accepted == 1
+
+
+class TestAdmissionFastPath:
+    """The chunk fast path (no deadline, no blocking, no registration) must
+    leave every observable exactly where the per-wire gate loop leaves it."""
+
+    def submit_chunk(self, *, deadline_seconds):
+        """One duplicate-heavy chunk through the batched gate; returns the
+        observables both branches must agree on."""
+        rng = DeterministicRandom(77)
+        network, entry, publics, coordinator = build_stack(rng)
+        window = coordinator.open_round(
+            MessageKind.CONVERSATION_REQUEST, 0, deadline_seconds=deadline_seconds
+        )
+        wire_rng = rng.fork("wires")
+        entries = []
+        for index in range(9):
+            wire, _ = wrap_request(b"m%d" % index, publics, 0, wire_rng)
+            entries.append((f"client-{index % 4}", wire))  # repeated sources
+        reply = network.send(
+            "swarm",
+            entry.name,
+            encode_submission_batch(MessageKind.CONVERSATION_REQUEST, 0, entries),
+            kind=MessageKind.SUBMISSION_BATCH,
+            round_number=0,
+        )
+        _, verdicts = decode_batch_verdicts(reply)
+        observables = (
+            verdicts,
+            window.arrivals,
+            window.accepted,
+            dict(window.per_client),
+            [
+                (source, bytes(payload))
+                for source, payload in entry.submissions(
+                    MessageKind.CONVERSATION_REQUEST, 0
+                )
+            ],
+        )
+        result = coordinator.close_round(window)
+        return observables, result.accepted
+
+    def test_fast_path_matches_the_gate_loop(self):
+        fast, fast_accepted = self.submit_chunk(deadline_seconds=None)
+        # Any deadline (even one that never fires) forces the per-wire loop.
+        slow, slow_accepted = self.submit_chunk(deadline_seconds=3600.0)
+        assert fast == slow
+        assert fast_accepted == slow_accepted == 9
+        assert fast[0] == bytes([VERDICT_ACCEPTED]) * 9

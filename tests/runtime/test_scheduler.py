@@ -197,6 +197,16 @@ class TestSchedulerBehaviour:
             assert len(report.conversation) == 4
             assert len(report.dialing) == 2
 
+    def test_an_overlapped_schedule_leaves_no_thread_behind(self):
+        """Every helper thread the overlapped schedule starts (pre-opened
+        windows, concurrent dialing rounds) is joined before it returns."""
+        before = set(threading.enumerate())
+        with VuvuzelaSystem(scenario_config()) as system:
+            wire_sessions(system.add_session)
+            report = system.run_continuous(4, dialing_interval=1, pipeline_depth=2)
+            assert len(report.conversation) == 4
+            assert [t.name for t in threading.enumerate() if t not in before] == []
+
     def test_invalid_depth_and_interval_are_rejected(self):
         with VuvuzelaSystem(scenario_config()) as system:
             with pytest.raises(ProtocolError):

@@ -1,4 +1,5 @@
-"""Tests for batch framing, the entry server and chain endpoints."""
+"""Tests for batch framing, the entry server, chain endpoints and the last
+server's per-round retention."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.conversation import ConversationProcessor
 from repro.crypto import DeterministicRandom, KeyPair, unwrap_response, wrap_request
+from repro.dialing import DialingProcessor
 from repro.errors import NetworkError, ProtocolError
 from repro.mixnet import MixServer
 from repro.net import BlockEndpoints, MessageKind, Network
@@ -149,3 +152,27 @@ class TestEntryAndChainEndpoints:
                 next_endpoint=None,
                 processor=None,
             )
+
+
+class TestLastServerRetention:
+    @pytest.mark.parametrize(
+        "make, table, lookup",
+        [
+            (lambda: ConversationProcessor(keep_rounds=2), "histograms", "histogram"),
+            (
+                lambda: DialingProcessor(num_buckets=2, keep_rounds=2),
+                "stores",
+                "store_for_round",
+            ),
+        ],
+        ids=["conversation", "dialing"],
+    )
+    def test_only_the_newest_rounds_are_kept(self, make, table, lookup):
+        """``keep_rounds`` bounds the per-round state a continuously running
+        last server holds: rounds more than ``keep_rounds`` behind the newest
+        are swept as each round lands."""
+        processor = make()
+        for round_number in range(6):
+            assert processor(round_number, []) == []
+        assert sorted(getattr(processor, table)) == [3, 4, 5]
+        assert getattr(processor, lookup)(5) is getattr(processor, table)[5]

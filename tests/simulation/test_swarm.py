@@ -13,6 +13,8 @@ subprocess servers over TCP.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem
 from repro.errors import ProtocolError
@@ -60,6 +62,42 @@ class TestWireIdentity:
         chunked = swarm_b.build_round(0, chunk_size=7)
         assert [bytes(w) for w in unchunked] == [bytes(w) for w in chunked]
 
+    @pytest.mark.parametrize("chunk_size", [1, 5, NUM_USERS + 1])
+    def test_chunk_boundaries_never_change_a_round(self, chunk_size: int) -> None:
+        """One wire per chunk, a ragged last chunk and one oversized chunk all
+        build the same rounds as the unchunked path, round after round."""
+        _, chunked = scenario(num_users=16)
+        _, unchunked = scenario(num_users=16)
+        for round_number in range(3):
+            wires = chunked.build_round(round_number, chunk_size=chunk_size)
+            assert [bytes(w) for w in wires] == [
+                bytes(w) for w in unchunked.build_round(round_number)
+            ]
+
+    def test_queued_message_changes_one_wire_of_one_round(self) -> None:
+        """A message rides exactly the next round, in exactly its sender's
+        wire; every client's rng stream stays aligned with a swarm that never
+        queued it, so the following round is byte-identical again."""
+        _, talking = scenario(num_users=16)
+        _, quiet = scenario(num_users=16)
+        sender = talking.population.pairs[0][0]
+        talking.set_message(sender, b"only this round")
+        first = [bytes(w) for w in talking.build_round(0)]
+        baseline = [bytes(w) for w in quiet.build_round(0)]
+        changed = [talking.names[i] for i, (a, b) in enumerate(zip(first, baseline)) if a != b]
+        assert changed == [sender]
+        assert [bytes(w) for w in talking.build_round(1)] == [
+            bytes(w) for w in quiet.build_round(1)
+        ]
+
+    def test_a_round_is_built_once(self) -> None:
+        _, swarm = scenario(num_users=4)
+        swarm.build_round(0)
+        with pytest.raises(ProtocolError):
+            swarm.build_round(0)
+        with pytest.raises(ProtocolError):
+            swarm.reference_wires(1)
+
     def test_unseeded_config_is_rejected(self) -> None:
         config = VuvuzelaConfig.small(seed=None)
         spec = WorkloadSpec(num_users=4, conversing_fraction=0.0, dialing_fraction=0.0)
@@ -103,6 +141,51 @@ class TestInProcessRound:
         assert first.outcome.round_number == 0
         assert second.outcome.round_number == 1
         assert first.outcome.delivered == second.outcome.delivered == 16
+
+
+    def test_killed_hop_retries_the_swarm_round(self) -> None:
+        """A chain hop dying mid-round aborts the swarm round; the retry
+        delivers every client's exchange once and the next round is clean."""
+        config, swarm = scenario(num_users=16)
+        sender, partner = swarm.population.pairs[0]
+        swarm.set_message(sender, b"through the crash")
+        with VuvuzelaSystem(config) as system:
+            system.fault_injector(seed=1).kill_link(
+                source="server-0/conversation",
+                destination="server-1/conversation",
+                count=1,
+            )
+            faulted = system.run_swarm_round(swarm)
+            follow_up = system.run_swarm_round(swarm)
+        assert faulted.metrics.aborted_attempts == 1
+        assert faulted.outcome.delivered == 16 and faulted.outcome.lost == 0
+        assert faulted.outcome.messages[partner] == b"through the crash"
+        assert follow_up.metrics.aborted_attempts == 0
+        assert follow_up.outcome.delivered == 16
+
+    @given(
+        users=st.integers(min_value=4, max_value=20),
+        rounds=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_swarm_sessions_are_reproducible_for_any_shape(
+        self, users: int, rounds: int
+    ) -> None:
+        """Property: whatever the population and session length, the same
+        seed yields identical per-round ledger records."""
+
+        def session() -> list[dict]:
+            config, swarm = scenario(num_users=users)
+            with VuvuzelaSystem(config) as system:
+                protocol = system.protocols["conversation"]
+                return [
+                    system._ledger_round_record(protocol, system.run_swarm_round(swarm).metrics)
+                    for _ in range(rounds)
+                ]
+
+        first = session()
+        assert [record["client_requests"] for record in first] == [users] * rounds
+        assert session() == first
 
 
 class TestTcpRound:
