@@ -1,4 +1,4 @@
-"""Round-processing throughput: batched pipeline, engine sharding, seed path.
+"""Round-processing throughput: batched pipeline, the engine's pool, seed path.
 
 Vuvuzela's operating point is rounds of ~1M requests plus cover traffic, so
 the number that matters for server provisioning is *messages per second per
@@ -9,15 +9,16 @@ wrapping the round's responses, through
 * the **batched** pipeline (``MixServer.process_round`` → the serial
   :class:`~repro.runtime.RoundEngine`, which chunks the batch kernels to
   keep their working set cache-resident),
-* the **process-sharded** engine at a sweep of worker counts (the
-  multi-core path: chunks executed by worker processes over zero-pickle
-  shared-memory blocks), and
+* the **host-sized** engine, ``RoundEngine()`` with one worker per usable
+  core (the multi-core path: each batch split into one chunk per worker,
+  shipped as packed blocks through the task pipe), against the same round
+  inline on ``RoundEngine(workers=1)``, and
 * the **sequential** reference path (per-message ``peel_request`` /
   ``wrap_response``, the seed implementation), measured on a capped sample of
   the same wires in the same run and reported as msgs/sec.
 
 All paths are byte-identical (see ``tests/runtime/test_engine.py``); the
-ratios between them are the batching win and the multi-core scaling curve.
+ratios between them are the batching win and the multi-core gain.
 Results are printed as a table and written to a JSON artifact (including the
 host's CPU count — scaling numbers are meaningless without it) so later PRs
 have a performance trajectory to compare against.
@@ -26,10 +27,10 @@ Run it directly (takes a couple of minutes with the default sizes)::
 
     PYTHONPATH=src python benchmarks/bench_round_throughput.py
     PYTHONPATH=src python benchmarks/bench_round_throughput.py \
-        --sizes 1000,10000 --backends pure-python --engine-workers 1,2,4
+        --sizes 1000,10000 --backends pure-python --engine-size 10000
 
-CI runs ``--smoke --engine-workers 2``: one small round through the
-process-sharded engine, asserted byte-identical to the serial path.
+CI runs ``--smoke``: one small round through a two-worker pool, asserted
+byte-identical to the inline path.
 
 Wires are generated once with the fastest available backend (request bytes
 are backend-independent) and shared across all measurements.
@@ -60,7 +61,7 @@ from repro.crypto import (  # noqa: E402
 )
 from repro.crypto.backend import available_backends, set_backend  # noqa: E402
 from repro.mixnet.chain import MixServer  # noqa: E402
-from repro.runtime import PROCESS, RoundEngine  # noqa: E402
+from repro.runtime import RoundEngine  # noqa: E402
 
 #: Innermost payload size: one conversation exchange request (§8.1).
 PAYLOAD_SIZE = 272
@@ -122,29 +123,13 @@ def time_sequential_round(keypairs: list[KeyPair], wires: list[bytes]) -> float:
     return time.perf_counter() - start
 
 
-def run(
-    sizes: list[int],
-    backends: list[str],
-    sequential_cap: int,
-    engine_workers: list[int],
-    sweep_size: int,
-    chunk_size: int,
-) -> dict:
+def run(sizes: list[int], backends: list[str], sequential_cap: int, engine_size: int) -> dict:
     keypairs = [
         KeyPair.generate(DeterministicRandom(f"bench-chain-{i}")) for i in range(CHAIN_LENGTH)
     ]
-    sweep_size = min(sweep_size, max(sizes))
+    engine_size = min(engine_size, max(sizes))
     wires = generate_wires(max(sizes), keypairs)
-    # Scaling rows are only meaningful relative to the host's core count: a
-    # worker sweep on a 1-core host measures sharding overhead, not parallel
-    # speedup — a flat, misleading curve.  Skip it (noted in the artifact).
-    single_core = os.cpu_count() == 1
-    if single_core and engine_workers:
-        engine_workers = []
-        print(
-            "  skipping the process-engine worker sweep: single-core host",
-            file=sys.stderr,
-        )
+    cores = RoundEngine().workers
     results: dict = {
         "benchmark": "round_throughput",
         "payload_size": PAYLOAD_SIZE,
@@ -152,16 +137,12 @@ def run(
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "engine_sweep_skipped": single_core,
+        "usable_cores": cores,
         "note": (
-            "process-engine worker sweep skipped: this host has 1 CPU core, so "
-            "the sweep would measure sharding overhead only — rerun on a "
-            "multi-core host for scaling numbers"
-            if single_core
-            else (
-                f"process-engine scaling is bounded by the host's {os.cpu_count()} "
-                f"CPU core(s); worker counts beyond that measure overhead only"
-            )
+            "one usable core: the host-sized engine runs inline, so the pool row "
+            "is skipped — rerun on a multi-core host for the multi-core gain"
+            if cores == 1
+            else f"the pool row splits each batch over the host's {cores} usable cores"
         ),
         "results": [],
     }
@@ -192,69 +173,59 @@ def run(
                 file=sys.stderr,
             )
 
-        # Worker-count sweep through the process-sharded engine at one size.
-        # A true 1-worker baseline is always measured first, so the
-        # speedup_vs_one_worker field means what it says even when the
-        # requested sweep starts higher.
-        sweep = engine_workers if (not engine_workers or engine_workers[0] == 1) else [1, *engine_workers]
-        one_worker_rate: float | None = None
-        for workers in sweep:
-            set_backend(backend_name)
-            engine = RoundEngine(mode=PROCESS, workers=workers, chunk_size=chunk_size)
-            try:
-                # Warm the pool outside the measurement: pool start-up is a
-                # per-deployment cost, not a per-round one.
-                run_engine_round(keypairs, wires[: min(256, sweep_size)], engine)
-                seconds, _ = run_engine_round(keypairs, wires[:sweep_size], engine)
-            finally:
-                engine.close()
-            rate = sweep_size / seconds
-            if one_worker_rate is None:
-                one_worker_rate = rate
-            record = {
-                "backend": backend_name,
-                "mode": "process",
-                "workers": workers,
-                "batch_size": sweep_size,
-                "batch_msgs_per_sec": round(rate, 1),
-                "speedup_vs_one_worker": round(rate / one_worker_rate, 2),
-            }
-            results["results"].append(record)
-            rows.append(record)
-            print(
-                f"  {backend_name:>12}  n={sweep_size:<7} process x{workers} "
-                f"{rate:>10,.0f}/s  vs-1-worker {record['speedup_vs_one_worker']:.2f}x",
-                file=sys.stderr,
-            )
+        # Inline against the host-sized pool, one size, same round.
+        if cores == 1:
+            continue
+        set_backend(backend_name)
+        inline_seconds, _ = run_engine_round(keypairs, wires[:engine_size], RoundEngine(workers=1))
+        with RoundEngine() as engine:
+            # Warm the pool outside the measurement: the fork is a
+            # per-deployment cost, not a per-round one.
+            run_engine_round(keypairs, wires[: min(512, engine_size)], engine)
+            pool_seconds, _ = run_engine_round(keypairs, wires[:engine_size], engine)
+        record = {
+            "backend": backend_name,
+            "mode": "pool",
+            "workers": cores,
+            "batch_size": engine_size,
+            "inline_msgs_per_sec": round(engine_size / inline_seconds, 1),
+            "batch_msgs_per_sec": round(engine_size / pool_seconds, 1),
+            "speedup_vs_inline": round(inline_seconds / pool_seconds, 2),
+        }
+        results["results"].append(record)
+        rows.append(record)
+        print(
+            f"  {backend_name:>12}  n={engine_size:<7} pool x{cores} "
+            f"{record['batch_msgs_per_sec']:>10,.0f}/s  vs-inline {record['speedup_vs_inline']:.2f}x",
+            file=sys.stderr,
+        )
     emit(
         "Round throughput (msgs/sec per server)",
         [row for row in rows if row["mode"] == "batch"],
     )
     emit(
-        "Process-sharded engine worker sweep",
-        [row for row in rows if row["mode"] == "process"],
+        "Host-sized engine against inline",
+        [row for row in rows if row["mode"] == "pool"],
     )
     results["peak_rss_bytes"] = peak_rss_bytes()
     return results
 
 
-def run_smoke(workers: int, chunk_size: int) -> None:
-    """CI gate: a small process-sharded round, byte-identical to serial."""
+def run_smoke() -> None:
+    """CI gate: a small round through a two-worker pool, byte-identical to inline."""
     keypairs = [
         KeyPair.generate(DeterministicRandom(f"bench-chain-{i}")) for i in range(CHAIN_LENGTH)
     ]
-    wires = generate_wires(256, keypairs)
-    _, serial_responses = run_engine_round(keypairs, wires, None)
-    engine = RoundEngine(mode=PROCESS, workers=workers, chunk_size=chunk_size or 64)
-    try:
-        seconds, sharded_responses = run_engine_round(keypairs, wires, engine)
-    finally:
-        engine.close()
-    if sharded_responses != serial_responses:
-        print("SMOKE FAILED: process-sharded round differs from serial", file=sys.stderr)
+    wires = generate_wires(512, keypairs)
+    _, inline_responses = run_engine_round(keypairs, wires, None)
+    with RoundEngine(workers=2) as engine:
+        seconds, pooled_responses = run_engine_round(keypairs, wires, engine)
+        forked = engine._pool is not None
+    if not forked or pooled_responses != inline_responses:
+        print("SMOKE FAILED: the pooled round did not fork or differs from inline", file=sys.stderr)
         raise SystemExit(1)
     print(
-        f"smoke ok: 256-wire round, {workers} workers, {seconds:.2f}s, byte-identical",
+        f"smoke ok: 512-wire round, 2 workers, {seconds:.2f}s, byte-identical",
         file=sys.stderr,
     )
 
@@ -278,26 +249,15 @@ def main() -> None:
         help="max wires timed on the sequential path per measurement (default: 1000)",
     )
     parser.add_argument(
-        "--engine-workers",
-        default="1,2,4,8",
-        help="worker counts for the process-engine sweep; empty disables (default: 1,2,4,8)",
-    )
-    parser.add_argument(
         "--engine-size",
         type=int,
         default=10_000,
-        help="round size for the worker sweep, clamped to max --sizes (default: 10000)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=0,
-        help="engine chunk size; 0 picks the kernel sweet spot (default: 0)",
+        help="round size for the inline-vs-pool comparison, clamped to max --sizes (default: 10000)",
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="run one small process-sharded round, verify byte-identity, and exit",
+        help="run one small round on a two-worker pool, verify byte-identity, and exit",
     )
     parser.add_argument(
         "--output",
@@ -305,15 +265,8 @@ def main() -> None:
         help="where to write the JSON artifact",
     )
     args = parser.parse_args()
-    try:
-        engine_workers = [int(w) for w in args.engine_workers.split(",") if w]
-    except ValueError:
-        parser.error(f"--engine-workers must be comma-separated integers, got {args.engine_workers!r}")
-    if any(w <= 0 for w in engine_workers):
-        parser.error("--engine-workers must be positive")
-
     if args.smoke:
-        run_smoke(engine_workers[0] if engine_workers else 2, args.chunk_size)
+        run_smoke()
         return
 
     try:
@@ -327,9 +280,7 @@ def main() -> None:
         if backend_name not in available_backends():
             parser.error(f"backend {backend_name!r} is not available here")
 
-    results = run(
-        sizes, backends, args.sequential_cap, engine_workers, args.engine_size, args.chunk_size
-    )
+    results = run(sizes, backends, args.sequential_cap, args.engine_size)
     output = Path(args.output)
     output.write_text(json.dumps(results, indent=2) + "\n")
     print(f"\nwrote {output}", file=sys.stderr)

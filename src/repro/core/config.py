@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from ..errors import ConfigurationError
-from ..runtime import ENGINE_MODES
 from ..privacy import (
     DEFAULT_COMPOSITION_D,
     LaplaceParams,
@@ -54,14 +53,6 @@ class VuvuzelaConfig:
     #: §9 "Multiple conversations": fixed number of conversation exchanges
     #: every client sends per round (1 in the paper's prototype).
     max_conversations_per_client: int = 1
-    #: Round execution engine (:mod:`repro.runtime`): ``"serial"`` runs the
-    #: batch crypto inline (chunked), ``"process"`` shards each round's
-    #: chunks over ``engine_workers`` worker processes.  Both modes are
-    #: byte-identical under a fixed seed.
-    engine_mode: str = "serial"
-    engine_workers: int = 1
-    #: Messages per engine chunk; 0 picks the measured kernel sweet spot.
-    engine_chunk_size: int = 0
     #: Submission-window deadline per round (§7: the coordinator collects
     #: client requests until a deadline; stragglers are refused).  ``None``
     #: closes windows on demand — the right choice for the synchronous
@@ -95,14 +86,6 @@ class VuvuzelaConfig:
     def __post_init__(self) -> None:
         if self.num_servers < 1:
             raise ConfigurationError("a Vuvuzela chain needs at least one server")
-        if self.engine_mode not in ENGINE_MODES:
-            raise ConfigurationError(
-                f"engine_mode must be one of {ENGINE_MODES}, got {self.engine_mode!r}"
-            )
-        if self.engine_workers < 1:
-            raise ConfigurationError("the round engine needs at least one worker")
-        if self.engine_chunk_size < 0:
-            raise ConfigurationError("engine_chunk_size must be non-negative")
         if self.max_conversations_per_client < 1:
             raise ConfigurationError("clients need at least one conversation slot")
         if self.num_dialing_buckets < 1:

@@ -343,7 +343,7 @@ class DeploymentLauncher(RoundDriver):
                     process.kill()
                     process.wait()
             server.reap()
-        self.scan_engine.close()
+        self.engine.close()
         for connection in self._connections.values():
             connection.transport.close()  # idempotent: parked ones closed at park time
         self._connections = {}

@@ -22,7 +22,6 @@ between the shapes is a seam method, or it is not shared.
 
 from __future__ import annotations
 
-import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -37,26 +36,10 @@ from ..errors import LedgerError, NetworkError, ProtocolError
 from ..ledger import client_digest
 from ..net import LinkProfile, MessageKind
 from ..privacy import PrivacyAccountant, conversation_guarantee, dialing_guarantee
-from ..runtime import PROCESS, RoundEngine, RoundScheduler, build_protocols, default_engine
+from ..runtime import RoundEngine, RoundScheduler, build_protocols
 from ..runtime.protocols import RoundProtocol
 from ..runtime.scheduler import ClientSession, ScheduledRound, ScheduleReport
 from ..server.wire import decode_batch_verdicts, encode_submission_batch
-
-#: The fewest trial decryptions (recipients x invitations, summed over a
-#: dialing round's buckets) that send the round's scan to worker processes.
-#: Measured on a 2-core host: a task's round trip costs 0.25-0.4 ms and a
-#: trial 55-90 us, yet scans of up to ~500 trials ran no faster on two
-#: workers than inline (freshly woken workers share a core for the first
-#: few ms), while ~1,000 trials ran 1.9x faster.  Small rounds, the test
-#: suite's included, therefore never fork.
-SCAN_PARALLEL_TRIALS = 1024
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
 
 @dataclass
 class SwarmRoundReport:
@@ -136,11 +119,10 @@ class RoundDriver(ABC):
             pipeline_depth=self.config.pipeline_depth,
             dialing_interval=self.config.dialing_interval,
         )
-        #: The client side's engine: the dialing poll's trial decryption,
-        #: one worker process per usable core (serial on one core).  Each
-        #: shape's teardown closes it.
-        cores = _usable_cores()
-        self.scan_engine = RoundEngine(mode=PROCESS, workers=cores) if cores > 1 else RoundEngine()
+        #: The driver's one engine, one worker per usable core: the dialing
+        #: poll's trial decryption and, in process, every chain server's
+        #: peel and noise wrap.  Each shape's teardown closes it.
+        self.engine = RoundEngine()
 
     def protocol(self, name: str) -> RoundProtocol:
         return self.protocols[name]
@@ -425,18 +407,17 @@ class RoundDriver(ABC):
         Clients whose dead drops hold the same invitations are scanned
         together — over TCP each connection downloads its own copy of the
         one snapshot — and each client records its calls itself
-        (:meth:`~repro.client.VuvuzelaClient.record_calls`).  A round with at
-        least :data:`SCAN_PARALLEL_TRIALS` trials runs on
-        :attr:`scan_engine`; the results do not depend on which engine ran.
+        (:meth:`~repro.client.VuvuzelaClient.record_calls`).  Each scan runs
+        on :attr:`engine`, which takes it to the pool from
+        :data:`~repro.runtime.engine.SCAN_PARALLEL_TRIALS` trials; the results
+        do not depend on where it ran.
         """
         groups: dict[tuple[bytes, ...], list[VuvuzelaClient]] = {}
         for client, store in downloads:
             bucket = store.download(own_invitation_bucket(client.keys, store.num_buckets))
             groups.setdefault(tuple(bucket), []).append(client)
-        trials = sum(len(bucket) * len(clients) for bucket, clients in groups.items())
-        engine = self.scan_engine if trials >= SCAN_PARALLEL_TRIALS else default_engine()
         for bucket, clients in groups.items():
-            found = engine.scan_invitation_chunks(
+            found = self.engine.scan_invitation_chunks(
                 [client.keys.private for client in clients], bucket, round_number
             )
             for client, callers in zip(clients, found):

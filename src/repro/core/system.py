@@ -34,7 +34,7 @@ from ..client import VuvuzelaClient
 from ..deaddrop import InvitationDropStore
 from ..errors import ProtocolError
 from ..net import FaultInjector, FaultRule, LinkConditioner, LinkProfile, MessageKind, Network
-from ..runtime import RoundCoordinator, RoundEngine
+from ..runtime import RoundCoordinator
 from ..runtime.protocols import RoundProtocol
 from ..runtime.scheduler import ScheduledRound
 from ..server import ACK, ChainServerEndpoint, EntryServer
@@ -56,14 +56,6 @@ class VuvuzelaSystem(RoundDriver):
         self.network = Network()
         self.metrics = SystemMetrics()
         self._round_lock = threading.Lock()
-
-        # One engine for the whole deployment: every chain server of both
-        # protocols shards its round crypto onto the same worker pool.
-        self.engine = RoundEngine(
-            mode=self.config.engine_mode,
-            workers=self.config.engine_workers,
-            chunk_size=self.config.engine_chunk_size,
-        )
 
         self._conversation_noise_ledger = NoiseLedger()
         self._dialing_noise_ledger = NoiseLedger()
@@ -369,15 +361,14 @@ class VuvuzelaSystem(RoundDriver):
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Shut the coordinator and both engines' worker pools down (idempotent).
+        """Shut the coordinator and the engine's worker pool down (idempotent).
 
-        The coordinator close cancels any armed deadline timers; a serial
-        engine owns no pool, so closing it is free.
+        The coordinator close cancels any armed deadline timers; an engine
+        that never forked owns no pool, so closing it is free.
         """
         self._end_session()
         self.coordinator.close()
         self.engine.close()
-        self.scan_engine.close()
 
     def __enter__(self) -> "VuvuzelaSystem":
         return self

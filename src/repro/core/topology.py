@@ -118,7 +118,7 @@ def build_server_endpoints(
     request kinds — comes from the :class:`~repro.runtime.RoundProtocol`
     plug-ins, so both protocols flow through one construction path.  The mix
     servers are configured exactly the way the in-process system configures
-    them — same fork labels, same noise builders, same engine threading — so
+    them — same fork labels, same noise builders, same draw order — so
     a chain that is split across processes is byte-identical to the
     single-process one under a fixed seed.  Pass ``keypairs`` when the
     caller already derived the chain's keys (they come from the same root,

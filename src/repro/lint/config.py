@@ -59,6 +59,7 @@ LOCK_MODULES = (
     "repro/core/driver.py",
     "repro/core/system.py",
     "repro/runtime/coordinator.py",
+    "repro/runtime/engine.py",
     "repro/runtime/scheduler.py",
     "repro/net/tcp.py",
     "repro/net/faults.py",

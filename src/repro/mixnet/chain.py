@@ -13,12 +13,12 @@ encrypt results), while the protocol supplies two callables:
 
 All batch crypto a round performs is routed through a
 :class:`~repro.runtime.RoundEngine`: by default the process-wide serial
-engine (which already chunks kernels to bound their working set), or an
-explicitly configured threaded / process-sharded engine shared by the whole
-chain for multi-core rounds.  The engine only ever executes pure functions
+engine (which already chunks kernels to bound their working set), or a
+driver's host-sized engine shared by the whole chain for multi-core rounds.
+The engine only ever executes pure functions
 of bytes — noise payloads, wrap scalars and the mix permutation are all
 drawn in this thread, in a fixed order, from a per-``(round, attempt)``
-fork of the server's rng — so every engine mode produces byte-identical
+fork of the server's rng — so every engine produces byte-identical
 rounds under a fixed :class:`~repro.crypto.rng.RandomSource`, and a server
 that crashed and restarted mid-session draws exactly the bytes it would
 have drawn had it never died (the draws depend on *which* round/attempt is
@@ -33,14 +33,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, Union
 
 from .shuffle import Permutation
 from ..crypto.keys import KeyPair, PublicKey
 from ..crypto.rng import RandomSource, default_random
 from ..crypto.secretbox import clear_derived_key_cache
 from ..errors import ProtocolError
-from ..runtime import RoundEngine, default_engine
+
+if TYPE_CHECKING:
+    from ..runtime import RoundEngine
 
 #: Builds the innermost payloads of one server's noise requests for a round.
 NoiseBuilder = Callable[[int, RandomSource], list[bytes]]
@@ -138,7 +140,14 @@ class MixServer:
         return self.index == len(self.chain_public_keys) - 1
 
     def _engine(self) -> RoundEngine:
-        return self.engine if self.engine is not None else default_engine()
+        if self.engine is not None:
+            return self.engine
+        # Imported here: repro.runtime imports the server package, which
+        # imports this module, so whichever is imported first must not need
+        # the other at import time.
+        from ..runtime.engine import default_engine
+
+        return default_engine()
 
     def _wrap_noise_batch(
         self, payloads: list[bytes], round_number: int, rng: RandomSource
@@ -150,7 +159,7 @@ class MixServer:
         are drawn from the round's rng up front (in the serial wrap's exact
         order) and only the pure crypto is sharded, so noise generation costs
         one vectorized pass per remaining layer per chunk and is identical
-        in every engine mode.
+        inline and on the pool.
         """
         remaining = self.chain_public_keys[self.index + 1 :]
         if not remaining or not payloads:

@@ -2,11 +2,10 @@
 
 The paper's servers saturate all their cores on a round's crypto (§8); a
 single-threaded Python pipeline cannot.  This package supplies the execution
-layer that closes the gap: :class:`RoundEngine` shards a round's peel, noise
-and response batches into fixed-size chunks, schedules them serially or on a
-process pool over zero-pickle shared-memory blocks, and
-pipelines chunk results back in order with bounded in-flight memory — while
-keeping every execution mode byte-identical under a fixed rng.
+layer that closes the gap: :class:`RoundEngine` runs a round's peel and
+noise wrap, and a dialing round's trial decryption, inline or split across
+one forked worker per usable core, and pipelines chunk results back in order
+with bounded in-flight memory — byte-identical either way under a fixed rng.
 
 The package also owns round *sequencing*: :class:`RoundCoordinator`
 (:mod:`repro.runtime.coordinator`) opens a submission window per round,
@@ -14,13 +13,7 @@ collects client requests until a deadline, refuses stragglers, and drives the
 batch through the chain over any :class:`~repro.net.transport.Transport`.
 """
 
-from .engine import (
-    ENGINE_MODES,
-    PROCESS,
-    SERIAL,
-    RoundEngine,
-    default_engine,
-)
+from .engine import RoundEngine, default_engine
 from .coordinator import ABORTED, LATE, RoundCoordinator, RoundResult, SubmissionWindow
 
 # The protocol plug-ins and the scheduler sit above the coordinator and pull
@@ -61,11 +54,8 @@ __all__ = [
     "InvariantViolation",
     "CHURN_ACTIONS",
     "ChurnEvent",
-    "ENGINE_MODES",
     "LATE",
-    "PROCESS",
     "PROTOCOL_KINDS",
-    "SERIAL",
     "ClientSession",
     "ConversationProtocol",
     "DialingProtocol",

@@ -477,7 +477,7 @@ class RoundScheduler:
                     # Due now and not launched ahead (round 0, or depth 1):
                     # run the dialing round serially in this slot and this
                     # thread — so a session's first dialing scan, which may
-                    # start the client scan engine's workers, forks from a
+                    # start the driver engine's workers, forks from a
                     # process with no round thread running.
                     finish_dialing(launch_dialing(inline=True))
                 elif dialing_task is not None:

@@ -1,13 +1,11 @@
-"""Zero-pickle transport of round batches between engine processes.
+"""Packed entry blocks: how round batches cross the engine's task pipe.
 
-A round's wires are variable-length byte strings; shipping them to worker
-processes through the usual ``multiprocessing`` machinery would pickle every
-chunk twice (parent → worker, worker → parent).  Instead the engine packs a
-batch into one flat *entry block* — an offset table followed by the
-concatenated payloads — and places it in a ``multiprocessing.shared_memory``
-segment.  Workers attach by name and read their chunk as ``memoryview``
-slices straight out of the mapping; only the segment name and a pair of
-chunk bounds ever cross the task pipe.
+A round's wires are variable-length byte strings, and a peel's results may
+be ``None`` (the batch pipeline marks malformed wires that way).  The engine
+packs one chunk of them into one flat *entry block* — an offset table
+followed by the concatenated payloads — so a chunk crosses the pipe to a
+worker, and its results cross back, as one ``bytes`` object instead of a
+pickled list of thousands.
 
 Block layout (little-endian, 8-byte aligned so the offset table can be read
 through ``memoryview.cast("Q")`` without copying)::
@@ -17,21 +15,13 @@ through ``memoryview.cast("Q")`` without copying)::
     u8  mask[count]            # 1 = entry present, 0 = entry is None
     payload bytes
 
-``None`` entries (the batch pipeline uses them to mark malformed wires) are
-encoded with a zero-length payload span and a cleared mask bit, so peel
-results round-trip through workers unchanged.
-
-The creating side of a segment is responsible for ``unlink``; attaching
-sides only ``close``.  The engine follows one discipline: the parent unlinks
-every segment — its own input blocks after the round's chunks complete, and
-each worker-created output block right after reading it — so a crashed round
-cannot leak segments past the resource tracker.
+``None`` entries are encoded with a zero-length payload span and a cleared
+mask bit, so peel results round-trip through workers unchanged.
 """
 
 from __future__ import annotations
 
 import struct
-from multiprocessing import shared_memory
 from typing import Sequence
 
 _COUNT = struct.Struct("<Q")
@@ -63,8 +53,8 @@ class BlockView:
 
     Never copies: :meth:`slices` returns ``memoryview`` windows into the
     underlying buffer (``None`` for masked-out entries).  Every view handed
-    out is tracked and released by :meth:`close`, so a shared-memory segment
-    can be unmapped deterministically afterwards.
+    out is tracked and released by :meth:`close`, so the buffer can be
+    resized or freed deterministically afterwards.
     """
 
     def __init__(self, buffer) -> None:
@@ -108,45 +98,3 @@ def unpack_entries(buffer) -> list[bytes | None]:
         return [None if entry is None else bytes(entry) for entry in block.slices()]
     finally:
         block.close()
-
-
-def share_entries(entries: Sequence[bytes | memoryview | None]) -> shared_memory.SharedMemory:
-    """Pack ``entries`` into a fresh shared-memory segment.
-
-    The caller owns the returned segment and must ``close()`` *and*
-    ``unlink()`` it (see :func:`release_shared`) once every worker chunk that
-    reads it has completed.
-    """
-    return share_packed(pack_entries(entries))
-
-
-def share_packed(packed: bytes) -> shared_memory.SharedMemory:
-    """Place an already-packed block into a fresh shared-memory segment."""
-    segment = shared_memory.SharedMemory(create=True, size=max(len(packed), 1))
-    segment.buf[: len(packed)] = packed
-    return segment
-
-
-def read_shared_entries(name: str, *, unlink: bool) -> list[bytes | None]:
-    """Attach a segment by name, copy its entries out, and detach.
-
-    With ``unlink`` set the segment is removed after reading — the engine
-    uses this for worker-produced output blocks, which the parent consumes
-    exactly once.
-    """
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        return unpack_entries(segment.buf)
-    finally:
-        segment.close()
-        if unlink:
-            segment.unlink()
-
-
-def release_shared(segment: shared_memory.SharedMemory) -> None:
-    """Detach and remove a segment this process created."""
-    segment.close()
-    try:
-        segment.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone (crash cleanup)
-        pass

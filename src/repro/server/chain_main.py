@@ -35,7 +35,6 @@ from ..crypto.backend import set_backend
 from ..errors import ProtocolError, ReproError
 from ..net import Envelope, TcpTransport, parse_address
 from ..net.faults import apply_fault_command
-from ..runtime import RoundEngine
 
 
 class ChainServerProcess:
@@ -75,21 +74,17 @@ class ChainServerProcess:
             )
 
         root = topology.root_rng(config)
-        self.engine = RoundEngine(
-            mode=config.engine_mode,
-            workers=config.engine_workers,
-            chunk_size=config.engine_chunk_size,
-        )
         self.conversation_noise = topology.NoiseLedger()
         self.dialing_noise = topology.NoiseLedger()
         self.conversation_processor = topology.build_conversation_processor() if is_last else None
         self.dialing_processor = topology.build_dialing_processor(config, root) if is_last else None
+        # No engine: the serial default.  Launchers SIGKILL chain servers,
+        # and a forked worker pool would outlive its killed parent.
         topology.build_server_endpoints(
             config,
             index,
             self.transport,
             root,
-            engine=self.engine,
             conversation_processor=self.conversation_processor,
             dialing_processor=self.dialing_processor,
             conversation_observer=self.conversation_noise.observer,
@@ -101,7 +96,6 @@ class ChainServerProcess:
         return self.transport.listen()
 
     def close(self) -> None:
-        self.engine.close()
         self.transport.close()
 
     # ---------------------------------------------------------- control plane

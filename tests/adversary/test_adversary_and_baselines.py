@@ -92,7 +92,10 @@ class TestIntersectionAttack:
         system, alice, _ = _paired_system(
             VuvuzelaConfig.small(seed=2, conversation_mu=60, dialing_mu=3)
         )
-        result = run_intersection_attack(system, target=alice, rounds_per_phase=4)
+        # ~120 noise wires a mixing server cross the engine's pool threshold,
+        # so close the system: its forked workers must not outlive the test.
+        with system:
+            result = run_intersection_attack(system, target=alice, rounds_per_phase=4)
         # The one-pair signal is buried in Laplace noise of scale b = mu/20 = 3
         # per server; the adversary cannot clear a 2-sigma decision threshold.
         assert not result.concludes_target_is_conversing()

@@ -2,8 +2,9 @@
 
 Every client of a dialing round trial-decrypts its whole invitation dead
 drop.  :meth:`~repro.core.driver.RoundDriver.scan_invitations` runs those
-scans for every client at once, on worker processes once a round has
-:data:`~repro.core.driver.SCAN_PARALLEL_TRIALS` trials.  The contract: which
+scans for every client at once, on the driver engine's worker processes
+once a dead drop's scan has
+:data:`~repro.runtime.engine.SCAN_PARALLEL_TRIALS` trials.  The contract: which
 engine ran changes nothing a client records, a dead worker fails one scan
 and never hangs it, and no worker process outlives its driver.
 """
@@ -18,12 +19,11 @@ import pytest
 
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem
 from repro.client import VuvuzelaClient
-from repro.core import driver as round_driver
 from repro.crypto import DeterministicRandom, KeyPair
 from repro.crypto.invitation import INVITATION_SIZE, open_invitations, seal_invitation
 from repro.deaddrop import InvitationDropStore
 from repro.errors import ProtocolError
-from repro.runtime import PROCESS, RoundEngine
+from repro.runtime import RoundEngine
 from repro.runtime import engine as round_engine
 from repro.runtime import worker as engine_worker
 from repro.simulation import ClientSwarm, WorkloadSpec
@@ -34,8 +34,8 @@ ROUND = 4
 @pytest.fixture
 def parallel_scan(monkeypatch):
     """Every dialing scan goes to a two-worker pool, whatever the host."""
-    monkeypatch.setattr(round_driver, "SCAN_PARALLEL_TRIALS", 0)
-    monkeypatch.setattr(round_driver, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(round_engine, "SCAN_PARALLEL_TRIALS", 0)
+    monkeypatch.setattr(round_engine, "_usable_cores", lambda: 2)
 
 
 def hostile_bucket(recipients: list[KeyPair], strangers: list[KeyPair]) -> list[bytes]:
@@ -61,7 +61,7 @@ def hostile_bucket(recipients: list[KeyPair], strangers: list[KeyPair]) -> list[
 
 
 class TestEngineScan:
-    def test_process_scan_matches_open_invitations(self):
+    def test_process_scan_matches_open_invitations(self, parallel_scan):
         rng = DeterministicRandom("scan-keys")
         recipients = [KeyPair.generate(rng) for _ in range(5)]
         strangers = [KeyPair.generate(rng) for _ in range(2)]
@@ -69,20 +69,20 @@ class TestEngineScan:
         keys = [r.private for r in recipients]
         expected = [open_invitations(key, bucket, ROUND) for key in keys]
         assert sorted(expected[0]) == sorted([recipients[1].public, strangers[0].public])
-        assert RoundEngine().scan_invitation_chunks(keys, bucket, ROUND) == expected
-        with RoundEngine(mode=PROCESS, workers=2) as engine:
+        assert RoundEngine(workers=1).scan_invitation_chunks(keys, bucket, ROUND) == expected
+        with RoundEngine(workers=2) as engine:
             assert engine.scan_invitation_chunks(keys, bucket, ROUND) == expected
             assert engine.scan_invitation_chunks(keys[:1], bucket, ROUND) == expected[:1]
             assert engine.scan_invitation_chunks([], bucket, ROUND) == []
         assert multiprocessing.active_children() == []
 
-    def test_killed_worker_fails_the_scan_then_a_fresh_pool_scans(self):
+    def test_killed_worker_fails_the_scan_then_a_fresh_pool_scans(self, parallel_scan):
         rng = DeterministicRandom("scan-crash")
         recipients = [KeyPair.generate(rng) for _ in range(4)]
         bucket = hostile_bucket(recipients, [KeyPair.generate(rng)])
         keys = [r.private for r in recipients]
-        expected = RoundEngine().scan_invitation_chunks(keys, bucket, ROUND)
-        with RoundEngine(mode=PROCESS, workers=2) as engine:
+        expected = RoundEngine(workers=1).scan_invitation_chunks(keys, bucket, ROUND)
+        with RoundEngine(workers=2) as engine:
             broken = engine._executor()
             with pytest.raises(Exception):
                 broken.submit(engine_worker.crash).result(timeout=30)
@@ -100,8 +100,8 @@ def test_driver_scan_records_the_same_calls_on_either_engine(shape, monkeypatch)
 
     def calls_after_scan(parallel: bool) -> dict:
         if parallel:
-            monkeypatch.setattr(round_driver, "SCAN_PARALLEL_TRIALS", 0)
-            monkeypatch.setattr(round_driver, "_usable_cores", lambda: 2)
+            monkeypatch.setattr(round_engine, "SCAN_PARALLEL_TRIALS", 0)
+            monkeypatch.setattr(round_engine, "_usable_cores", lambda: 2)
         driver = shape(config)
         try:
             rng = DeterministicRandom("driver-scan")
@@ -116,7 +116,7 @@ def test_driver_scan_records_the_same_calls_on_either_engine(shape, monkeypatch)
             # TCP connections each download their own copy of the snapshot.
             copies = [InvitationDropStore.restore(store.snapshot()) for _ in clients]
             driver.scan_invitations(ROUND, list(zip(clients, copies)))
-            assert (driver.scan_engine._pool is not None) == parallel
+            assert (driver.engine._pool is not None) == parallel
             return {c.name: [(call.dialing_round, call.caller) for call in c.incoming_calls] for c in clients}
         finally:
             if isinstance(driver, VuvuzelaSystem):
@@ -172,20 +172,22 @@ def test_parallel_session_forks_with_no_round_thread_running(parallel_scan, monk
     assert multiprocessing.active_children() == []
 
 
-def test_tcp_dialing_round_scans_in_parallel_like_in_process(parallel_scan):
+def test_tcp_dialing_round_scans_in_parallel_like_in_process(parallel_scan, monkeypatch):
     config = VuvuzelaConfig.small(seed=9)
     names = ["ann", "ben", "cal", "dee"]
+    # The reference scans serially: the fixture sends every scan to the
+    # pool, so build this driver as if on a one-core host.
+    monkeypatch.setattr(round_engine, "_usable_cores", lambda: 1)
     with VuvuzelaSystem(VuvuzelaConfig.small(seed=9)) as system:
-        # The reference scans serially: the fixture sends every scan to the
-        # scan engine, so make this driver's a serial one.
-        system.scan_engine = RoundEngine()
+        assert system.engine.workers == 1
         dial_in_a_ring(system, names)
         system.run_dialing_round()
         expected = {n: [c.caller for c in system.client(n).incoming_calls] for n in names}
+    monkeypatch.setattr(round_engine, "_usable_cores", lambda: 2)
     with DeploymentLauncher(config) as deployment:
         dial_in_a_ring(deployment, names)
         deployment.run_dialing_round()
-        assert deployment.scan_engine._pool is not None
+        assert deployment.engine._pool is not None
         got = {n: [c.caller for c in deployment.client(n).incoming_calls] for n in names}
     assert got == expected
     assert all(len(callers) == 1 for callers in got.values())
@@ -198,4 +200,4 @@ def test_a_swarm_round_starts_no_child_process():
     with VuvuzelaSystem(config) as system:
         system.run_swarm_round(swarm)
         assert multiprocessing.active_children() == []
-        assert system.scan_engine._pool is None and system.engine._pool is None
+        assert system.engine._pool is None
