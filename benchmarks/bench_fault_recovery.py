@@ -6,7 +6,7 @@ deployment into latency.  This benchmark measures that latency in both
 deployment shapes:
 
 * **in-process** — a clean round vs a round whose first server-0 → server-1
-  batch is killed by the fault injector: the ratio is the pure abort/retry
+  batch is killed by a link rule: the ratio is the pure abort/retry
   overhead (the failed attempt's crypto plus the re-run).
 * **networked TCP** — the same one-shot link kill through real subprocess
   servers (abort + client resubmission over sockets), plus the full §6 crash
@@ -39,13 +39,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from bench_common import emit, peak_rss_bytes  # noqa: E402
 
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem  # noqa: E402
+from repro.net import LinkRule  # noqa: E402
 
 SEED = 6606
-KILL_RULE = {
-    "action": "kill",
-    "destination": "server-1/conversation",
-    "count": 1,
-}
+#: Kill the first conversation batch forwarded to server 1, once.
+KILL_RULE = LinkRule(action="kill", destination="server-1/conversation", count=1)
 
 
 def bench_config(**overrides) -> VuvuzelaConfig:
@@ -65,13 +63,8 @@ def time_in_process(rounds: int, clients: int) -> dict:
             second.start_conversation(first.public_key)
         clean = [system.run_conversation_round().wall_clock_seconds for _ in range(rounds)]
         faulted, aborts = [], 0
-        injector = system.fault_injector(seed=SEED)
         for _ in range(rounds):
-            injector.kill_link(
-                source="server-0/conversation",
-                destination="server-1/conversation",
-                count=1,
-            )
+            system.add_link_rule(0, KILL_RULE, seed=SEED)
             metrics = system.run_conversation_round()
             faulted.append(metrics.wall_clock_seconds)
             aborts += metrics.aborted_attempts
@@ -101,7 +94,7 @@ def time_networked(rounds: int, clients: int) -> dict:
         ]
         partitioned, aborts = [], 0
         for _ in range(rounds):
-            deployment.inject_fault(0, KILL_RULE)
+            deployment.add_link_rule(0, KILL_RULE)
             result = deployment.run_conversation_round(connections)
             partitioned.append(result.wall_clock_seconds)
             aborts += result.aborts
@@ -175,11 +168,7 @@ def run_smoke() -> None:
         alice.start_conversation(bob.public_key)
         bob.start_conversation(alice.public_key)
         alice.send_message("smoke through the crash")
-        system.fault_injector(seed=SEED).kill_link(
-            source="server-0/conversation",
-            destination="server-1/conversation",
-            count=1,
-        )
+        system.add_link_rule(0, KILL_RULE, seed=SEED)
         metrics = system.run_conversation_round()
         if metrics.aborted_attempts != 1 or bob.messages_from(alice.public_key) != [
             b"smoke through the crash"

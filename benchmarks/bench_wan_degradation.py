@@ -48,7 +48,7 @@ from bench_common import emit, peak_rss_bytes  # noqa: E402
 
 from repro import VuvuzelaConfig, VuvuzelaSystem  # noqa: E402
 from repro.ledger import load_ledger, replay_ledger  # noqa: E402
-from repro.runtime import Campaign, edge_profiles  # noqa: E402
+from repro.runtime import Campaign, edge_rules  # noqa: E402
 
 SEED = 5115
 
@@ -87,11 +87,10 @@ def measure_severity(severity: dict, rounds: int, bystanders: int) -> dict:
         alice.dial(system.client("bob").public_key)
         system.run_continuous(2, dialing_interval=2)  # connect the pair
 
-        conditioner = system.link_conditioner(SEED)
-        for profile in edge_profiles(
+        for rule in edge_rules(
             severity["loss"], severity["latency_ms"] / 1000, severity["jitter_ms"] / 1000
         ):
-            conditioner.add_profile(profile)
+            system.add_link_rule("clients", rule, seed=SEED)
 
         offered = 0
         timings = []
@@ -104,7 +103,7 @@ def measure_severity(severity: dict, rounds: int, bystanders: int) -> dict:
             for message in system.client("bob").received
             if message.body.startswith(b"degradation-probe-")
         )
-        stats = conditioner.stats()
+        stats = system.link_stats()
     return {
         "severity": severity["label"],
         "loss": severity["loss"],

@@ -4,7 +4,7 @@ The paper's availability model (§6) is blunt: any server can fail; the
 system aborts the round and runs the next one.  This example makes that
 story concrete in both deployment shapes:
 
-1. **In-process**: a seeded :class:`~repro.net.FaultInjector` kills the link
+1. **In-process**: a seeded :class:`~repro.net.LinkRule` kills the link
    between chain servers 0 and 1 for exactly one batch.  The round aborts,
    the coordinator refunds the accepted submissions and re-runs the round
    with fresh noise — the message still arrives, exactly once.
@@ -28,6 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem  # noqa: E402
+from repro.net import LinkRule  # noqa: E402
 
 SEED = 1337
 
@@ -40,10 +41,15 @@ def in_process_chaos() -> None:
         bob.start_conversation(alice.public_key)
         alice.send_message("the round that refused to die")
 
-        system.fault_injector(seed=SEED).kill_link(
-            source="server-0/conversation",
-            destination="server-1/conversation",
-            count=1,
+        system.add_link_rule(
+            0,
+            LinkRule(
+                action="kill",
+                source="server-0/conversation",
+                destination="server-1/conversation",
+                count=1,
+            ),
+            seed=SEED,
         )
         metrics = system.run_conversation_round()
         print(f"aborted attempts : {metrics.aborted_attempts}")

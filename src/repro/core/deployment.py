@@ -51,7 +51,15 @@ from .driver import RoundDriver
 from ..client import ClientConnection, VuvuzelaClient
 from ..deaddrop import InvitationDropStore
 from ..errors import NetworkError, ProtocolError
-from ..net import LinkConditioner, LinkProfile, MessageKind, TcpTransport
+from ..net import (
+    CLIENTS,
+    LinkConditioner,
+    LinkRule,
+    MessageKind,
+    TcpTransport,
+    conditioner_for,
+    link_target,
+)
 from ..server.wire import decode_collect_reply, encode_collect_request
 from ..runtime.protocols import RoundProtocol
 from ..runtime.scheduler import ScheduledRound
@@ -187,16 +195,12 @@ class DeploymentLauncher(RoundDriver):
         self._control: TcpTransport | None = None
         self._probe: TcpTransport | None = None
         self._started = False
-        #: Fault rules shipped to live processes, by normalized target name —
-        #: re-sent to a chain server when :meth:`restart_server` respawns it
-        #: (a fresh process has a fresh, empty injector).
-        self._injected_rules: dict[str, list[tuple[dict, int]]] = {}
-        #: Link profiles shipped to live server processes, by normalized
-        #: target — re-sent on :meth:`restart_server` like fault rules (WAN
-        #: weather is deployment state, not process state).
-        self._conditioned: dict[str, list[tuple[dict, int]]] = {}
+        #: Link rules shipped to live processes, by target name — re-sent to
+        #: a chain server when :meth:`restart_server` respawns it (a fresh
+        #: process has no rules; the scenario's are deployment state).
+        self._shipped_rules: dict[str, list[tuple[dict, int]]] = {}
         #: One launcher-side conditioner shared by every client connection's
-        #: transport: the client-edge WAN weather (DSL/3G access links, §8).
+        #: transport: the ``"clients"`` target's rules (DSL/3G access, §8).
         self._client_conditioner: LinkConditioner | None = None
 
     # ------------------------------------------------------------- subprocesses
@@ -390,8 +394,8 @@ class DeploymentLauncher(RoundDriver):
         that server's control listener may still be a few milliseconds from
         accepting — and the launcher's connection pool may hold dead sockets
         to the old process.  Anything that must talk to a fresh process right
-        after a respawn (round-record observable reads, fault-rule
-        re-injection) retries transient failures instead of losing to the
+        after a respawn (round-record observable reads, link-rule
+        re-shipping) retries transient failures instead of losing to the
         race."""
         deadline = time.monotonic() + timeout
         while True:
@@ -468,24 +472,14 @@ class DeploymentLauncher(RoundDriver):
             self.entry_process = replacement
         else:
             self.servers[self.servers.index(old)] = replacement
-        # A respawned process starts with an empty fault injector; active
-        # chaos rules must survive the crash (the scenario's fault schedule
-        # is deployment state, not process state), so re-ship them.
-        reinjected = self._injected_rules.get(replacement.name, [])
-        for rule, seed in reinjected:
-            command = {"cmd": "inject-fault", "rule": rule, "seed": seed}
-            self._retry_transient(
-                lambda: self.server_control(replacement.name, command)
-            )
-        # Same story for WAN weather: a fresh process has a clear sky.
-        reconditioned = self._conditioned.get(replacement.name, [])
-        for profile, seed in reconditioned:
-            command = {"cmd": "condition-link", "profile": profile, "seed": seed}
+        reshipped = self._shipped_rules.get(replacement.name, [])
+        for rule, seed in reshipped:
+            command = {"cmd": "add-link-rule", "rule": rule, "seed": seed}
             self._retry_transient(
                 lambda: self.server_control(replacement.name, command)
             )
         self._record(
-            "restart_server", {"name": replacement.name, "reinjected": len(reinjected)}
+            "restart_server", {"name": replacement.name, "reinjected": len(reshipped)}
         )
         return replacement
 
@@ -526,30 +520,6 @@ class DeploymentLauncher(RoundDriver):
         status["entry"] = self.is_alive("entry")
         return status
 
-    # ---------------------------------------------------------- fault control
-
-    def inject_fault(self, target: str | int, rule: dict, *, seed: int = 0) -> dict:
-        """Install one :class:`~repro.net.faults.FaultRule` in a live process.
-
-        ``target`` is ``"entry"`` or a chain index; ``rule`` is the JSON
-        form (``{"action": "kill", "destination": "server-1/conversation",
-        "count": 1}`` kills the first batch forwarded to server 1).
-        """
-        normalized, reply = self._process_control(
-            target, {"cmd": "inject-fault", "rule": rule, "seed": seed}
-        )
-        self._injected_rules.setdefault(normalized, []).append((dict(rule), seed))
-        self._record(
-            "fault_rule_added", {"target": normalized, "rule": dict(rule), "seed": seed}
-        )
-        return reply
-
-    def heal_faults(self, target: str | int) -> dict:
-        normalized, reply = self._process_control(target, {"cmd": "heal-faults"})
-        self._injected_rules.pop(normalized, None)
-        self._record("faults_healed", {"target": normalized})
-        return reply
-
     def aborted_total(self) -> int:
         return int(self.entry_control({"cmd": "aborted-total"})["aborted"])
 
@@ -560,65 +530,38 @@ class DeploymentLauncher(RoundDriver):
         parked = int(self.entry_control({"cmd": "resubmission-total"})["parked"])
         return {"total": parked} if parked else {}
 
-    # ------------------------------------------------------- link conditioning
+    # -------------------------------------------------------------- link rules
 
-    @staticmethod
-    def _profile_dict(profile: LinkProfile | dict) -> dict:
-        return profile.to_dict() if isinstance(profile, LinkProfile) else dict(profile)
+    def add_link_rule(self, target: str | int, rule: LinkRule, *, seed: int = 0) -> LinkRule:
+        """A ``"clients"`` rule goes to the launcher-side conditioner every
+        client connection's transport shares; any other target's is shipped
+        to that process, shapes what it *sends*, and survives
+        :meth:`restart_server`."""
+        tag = link_target(target)
+        if tag == CLIENTS:
+            engine = conditioner_for(self._client_conditioner, seed)
+            self._client_conditioner = engine
+            engine.ledger = self.ledger
+            for connection in self._connections.values():
+                connection.transport.link_conditioner = engine
+            return engine.add_rule(rule, CLIENTS)
+        data = rule.to_dict()
+        self._process_control(tag, {"cmd": "add-link-rule", "rule": data, "seed": seed})
+        self._shipped_rules.setdefault(tag, []).append((data, seed))
+        self._record("link_rule_added", {"target": tag, "rule": data, "seed": seed})
+        return rule
 
-    def condition_link(
-        self, target: str | int, profile: LinkProfile | dict, *, seed: int = 0
-    ) -> dict:
-        """Install one :class:`~repro.net.LinkProfile` in a live process.
-
-        The profile conditions every matching envelope that process *sends*
-        (latency, jitter, bandwidth serialization, seeded loss).  Loss
-        decisions are a pure function of (seed, message identity), so the
-        same recording replays bit-identically in either deployment shape.
-        """
-        profile_dict = self._profile_dict(profile)
-        normalized, reply = self._process_control(
-            target, {"cmd": "condition-link", "profile": profile_dict, "seed": seed}
-        )
-        self._conditioned.setdefault(normalized, []).append((profile_dict, seed))
-        self._record(
-            "link_profile_added",
-            {"profile": profile_dict, "seed": seed, "target": normalized},
-        )
-        return reply
-
-    def condition_clients(
-        self, profile: LinkProfile | dict, *, seed: int = 0
-    ) -> LinkConditioner:
-        """The conditioner lives launcher-side, on every client connection's
-        transport."""
-        profile_obj = (
-            profile if isinstance(profile, LinkProfile) else LinkProfile.from_dict(profile)
-        )
-        if self._client_conditioner is None:
-            self._client_conditioner = LinkConditioner(seed)
-            self._client_conditioner.ledger = self.ledger
-            for name in self.clients:
-                self._connections[name].transport.link_conditioner = self._client_conditioner
-        elif self._client_conditioner.seed != seed:
-            raise ProtocolError(
-                f"a link conditioner seeded with {self._client_conditioner.seed} "
-                f"already exists; cannot reseed it to {seed}"
-            )
-        self._client_conditioner.add_profile(profile_obj)
-        return self._client_conditioner
-
-    def heal_links(self) -> None:
-        """Clear every link profile: the client edge and every live process."""
-        if self._client_conditioner is not None:
-            self._client_conditioner.heal()
-        for normalized in list(self._conditioned):
+    def heal_links(self, target: str | int | None = None) -> None:
+        tag = None if target is None else link_target(target)
+        if tag in (None, CLIENTS) and self._client_conditioner is not None:
+            self._client_conditioner.heal(CLIENTS)
+        for name in [name for name in self._shipped_rules if tag in (None, name)]:
+            del self._shipped_rules[name]
             try:
-                self._process_control(normalized, {"cmd": "heal-links"})
+                self._process_control(name, {"cmd": "heal-links"})
             except (NetworkError, ProtocolError):
                 pass  # the process may be mid-crash; healing must not wedge
-            self._record("links_healed", {"target": normalized})
-        self._conditioned.clear()
+            self._record("links_healed", {"target": name})
 
     def link_stats(self) -> dict:
         # No conditioner yet is a clear sky: a fresh one's all-zero counters.
@@ -659,12 +602,11 @@ class DeploymentLauncher(RoundDriver):
     def server_control(self, name_or_index: str | int, command: dict) -> dict:
         return self._control_rpc(topology.control_name(self._chain_index(name_or_index)), command)
 
-    def _process_control(self, target: str | int, command: dict) -> tuple[str, dict]:
-        """Send ``command`` to ``"entry"`` or a chain server; returns the
-        process's normalized name with its reply."""
-        if target == "entry":
-            return "entry", self.entry_control(command)
-        return f"server-{self._chain_index(target)}", self.server_control(target, command)
+    def _process_control(self, tag: str, command: dict) -> dict:
+        """Send ``command`` to the ``"entry"`` or ``"server-N"`` process."""
+        if tag == "entry":
+            return self.entry_control(command)
+        return self.server_control(tag, command)
 
     # --------------------------------------------------- driver seam: population
 

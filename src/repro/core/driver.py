@@ -34,7 +34,7 @@ from ..deaddrop import InvitationDropStore
 from ..dialing import own_invitation_bucket
 from ..errors import LedgerError, NetworkError, ProtocolError
 from ..ledger import client_digest
-from ..net import LinkProfile, MessageKind
+from ..net import LinkRule, MessageKind
 from ..privacy import PrivacyAccountant, conversation_guarantee, dialing_guarantee
 from ..runtime import RoundEngine, RoundScheduler, build_protocols
 from ..runtime.protocols import RoundProtocol
@@ -139,7 +139,7 @@ class RoundDriver(ABC):
 
     @abstractmethod
     def _bind_ledger(self, ledger: Any) -> dict:
-        """Point the shape's own recorders (coordinator, injectors,
+        """Point the shape's own recorders (coordinator, link
         conditioners) at ``ledger``; returns the shape's extra
         ``session_start`` fields (what a replay needs to rebuild it)."""
 
@@ -523,30 +523,22 @@ class RoundDriver(ABC):
     # ----------------------------------------------------------- chaos surface
 
     @abstractmethod
-    def inject_fault(self, target: str | int, rule: dict, *, seed: int = 0) -> Any:
-        """Install one :class:`~repro.net.faults.FaultRule` (JSON form) in
-        the process ``target`` — ``"entry"`` or a chain index — sends from."""
+    def add_link_rule(self, target: str | int, rule: LinkRule, *, seed: int = 0) -> LinkRule:
+        """Install one :class:`~repro.net.LinkRule` for ``target``:
+        ``"clients"`` (every client access link — the paper's DSL/3G edge,
+        §8), ``"entry"`` or a chain index (what that process sends).
 
-    @abstractmethod
-    def heal_faults(self, target: str | int) -> Any:
-        """Clear the fault rules installed in ``target``."""
-
-    @abstractmethod
-    def condition_clients(self, profile: LinkProfile | dict, *, seed: int = 0) -> Any:
-        """Condition the client access links (the paper's DSL/3G edge, §8).
-
-        One conditioner serves every client link — existing, future and
-        resumed ones — so a single seed governs all client-edge weather;
+        One seeded conditioner per target process serves every rule;
         asking for a different seed once it exists is an error.
         """
 
     @abstractmethod
-    def heal_links(self) -> None:
-        """Clear every link profile."""
+    def heal_links(self, target: str | int | None = None) -> None:
+        """Remove ``target``'s link rules, or every target's."""
 
     @abstractmethod
     def link_stats(self) -> dict:
-        """The client-edge conditioner's counters."""
+        """The ``"clients"`` target's conditioner counters."""
 
     @abstractmethod
     def aborted_total(self) -> int:

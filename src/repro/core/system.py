@@ -33,7 +33,15 @@ from .topology import NoiseLedger
 from ..client import VuvuzelaClient
 from ..deaddrop import InvitationDropStore
 from ..errors import ProtocolError
-from ..net import FaultInjector, FaultRule, LinkConditioner, LinkProfile, MessageKind, Network
+from ..net import (
+    CLIENTS,
+    LinkConditioner,
+    LinkRule,
+    MessageKind,
+    Network,
+    conditioner_for,
+    link_target,
+)
 from ..runtime import RoundCoordinator
 from ..runtime.protocols import RoundProtocol
 from ..runtime.scheduler import ScheduledRound
@@ -50,6 +58,9 @@ class VuvuzelaSystem(RoundDriver):
     """
 
     shape = "in-process"
+    #: Whether link-rule stalls really sleep.  Replay turns it off: the same
+    #: hash-keyed draws, without waiting (timing never shapes bytes).
+    realtime_links = True
 
     def __init__(self, config: VuvuzelaConfig | None = None) -> None:
         super().__init__(config)
@@ -124,8 +135,6 @@ class VuvuzelaSystem(RoundDriver):
         (window open/close, seeds, faults, aborts) through the coordinator
         and the network's chaos hooks."""
         self.coordinator.ledger = ledger
-        if self.network.fault_injector is not None:
-            self.network.fault_injector.ledger = ledger
         if self.network.link_conditioner is not None:
             self.network.link_conditioner.ledger = ledger
         return {}
@@ -277,73 +286,25 @@ class VuvuzelaSystem(RoundDriver):
 
     # --------------------------------------------- driver seam: chaos surface
 
-    def fault_injector(self, seed: int = 0) -> FaultInjector:
-        """The deployment's chaos hook, attached to the network on first use.
-
-        Rules added here (drop / delay / kill-link, seeded and deterministic)
-        apply to every in-process hop; a killed chain hop aborts the round
-        and the coordinator re-runs it with fresh noise, exactly like the
-        networked deployment does when a server process dies.  Asking for a
-        different seed once an injector exists is an error — reusing the old
-        stream would silently break seeded reproducibility.
-        """
-        if self.network.fault_injector is None:
-            self.network.fault_injector = FaultInjector(seed)
-            self.network.fault_injector.ledger = self.ledger
-        elif self.network.fault_injector.seed != seed:
-            raise ProtocolError(
-                f"a fault injector seeded with {self.network.fault_injector.seed} "
-                f"already exists; cannot reseed it to {seed}"
-            )
-        return self.network.fault_injector
-
-    def link_conditioner(self, seed: int = 0, *, realtime: bool = True) -> LinkConditioner:
-        """The deployment's WAN weather, attached to the network on first use.
-
-        Profiles added here (latency, jitter, bandwidth caps, seeded loss)
-        shape every in-process hop they match.  Loss decisions are a pure
-        function of (seed, message identity), so a replay of the recorded
-        ledger reproduces them bit-identically; pass ``realtime=False`` to
-        draw the same decisions without ever sleeping.  As with the fault
-        injector, asking for a different seed once a conditioner exists is
-        an error.
-        """
-        if self.network.link_conditioner is None:
-            self.network.link_conditioner = LinkConditioner(seed, realtime=realtime)
-            self.network.link_conditioner.ledger = self.ledger
-        elif self.network.link_conditioner.seed != seed:
-            raise ProtocolError(
-                f"a link conditioner seeded with {self.network.link_conditioner.seed} "
-                f"already exists; cannot reseed it to {seed}"
-            )
-        return self.network.link_conditioner
-
-    def inject_fault(self, target: str | int, rule: dict, *, seed: int = 0) -> FaultRule:
-        """Install one fault rule (JSON form).  ``target`` names the sending
-        process over TCP; in-process every hop shares the one network-wide
-        injector, so it only has to be a valid target."""
-        return self.fault_injector(seed).add_rule(FaultRule.from_dict(rule))
-
-    def heal_faults(self, target: str | int) -> None:
-        if self.network.fault_injector is not None:
-            self.network.fault_injector.heal()
-
-    def condition_clients(self, profile: LinkProfile | dict, *, seed: int = 0) -> LinkConditioner:
-        """In-process every hop shares the network-wide conditioner; profiles
-        scope themselves by their ``destination`` / ``kind`` match."""
-        conditioner = self.link_conditioner(seed)
-        conditioner.add_profile(
-            profile if isinstance(profile, LinkProfile) else LinkProfile.from_dict(profile)
+    def add_link_rule(self, target: str | int, rule: LinkRule, *, seed: int = 0) -> LinkRule:
+        """In-process every hop shares one network-wide conditioner: rules
+        scope themselves by their match, and the ``target`` tag only says
+        whose rules :meth:`heal_links` and :meth:`link_stats` mean."""
+        tag = link_target(target)
+        engine = conditioner_for(
+            self.network.link_conditioner, seed, realtime=self.realtime_links
         )
-        return conditioner
+        self.network.link_conditioner = engine
+        engine.ledger = self.ledger
+        return engine.add_rule(rule, tag)
 
-    def heal_links(self) -> None:
+    def heal_links(self, target: str | int | None = None) -> None:
         if self.network.link_conditioner is not None:
-            self.network.link_conditioner.heal()
+            self.network.link_conditioner.heal(None if target is None else link_target(target))
 
     def link_stats(self) -> dict:
         # No conditioner yet is a clear sky: a fresh one's all-zero counters.
-        return (self.network.link_conditioner or LinkConditioner()).stats()
+        return (self.network.link_conditioner or LinkConditioner()).stats(CLIENTS)
 
     def aborted_total(self) -> int:
         return self.coordinator.rounds_aborted

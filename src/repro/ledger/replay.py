@@ -128,20 +128,23 @@ def _diff_round(recorded: dict, replayed: dict) -> dict:
 _SCHEDULE_ENDS = ("schedule_done", "schedule_failed")
 
 
-def _replay_walk(driver, view, report: ReplayReport, apply_profile) -> None:
+def _replay_walk(driver, view, report: ReplayReport) -> None:
     """Re-execute a recording's structural records against ``driver``.
 
     ``driver`` is either deployment shape: the whole lifecycle surface is
-    :class:`~repro.core.driver.RoundDriver`'s.  Only *where* a recorded link
-    profile is installed differs per shape, so that comes in as a callback.
+    :class:`~repro.core.driver.RoundDriver`'s.  Link rules for the
+    ``"clients"`` target are re-installed; rules for a server target are
+    skipped, because all they change is which attempt of a round succeeds,
+    and the forced attempt numbers already carry that.
 
     Everything recorded *inside* a ``schedule`` span — churn events and the
     client/session records the events generated, window and round records,
-    conditioner losses — is skipped record-by-record: the span is re-executed
+    link losses — is skipped record-by-record: the span is re-executed
     wholesale by ``run_continuous`` with the churn script the ``schedule``
     record carries, which regenerates all of it at the same boundaries.
     """
     from ..crypto.keys import PublicKey
+    from ..net import CLIENTS, LinkRule
     from ..runtime.scheduler import ChurnEvent
 
     records = list(view)
@@ -173,10 +176,13 @@ def _replay_walk(driver, view, report: ReplayReport, apply_profile) -> None:
             driver.scheduler.session(data["name"]).say(
                 bytes.fromhex(data["message"])
             )
-        elif record.type == "link_profile_added":
-            apply_profile(data)
+        elif record.type == "link_rule_added":
+            if data["target"] == CLIENTS:
+                driver.add_link_rule(
+                    CLIENTS, LinkRule.from_dict(data["rule"]), seed=int(data["seed"])
+                )
         elif record.type == "links_healed":
-            driver.heal_links()
+            driver.heal_links(data["target"])
         elif record.type == "schedule":
             end = index + 1
             while end < len(records) and records[end].type not in _SCHEDULE_ENDS:
@@ -222,7 +228,7 @@ def _replay_walk(driver, view, report: ReplayReport, apply_profile) -> None:
         index += 1
 
 
-def _replay(source, build_driver, install_profile, *, diff_wires: bool) -> ReplayReport:
+def _replay(source, build_driver, *, diff_wires: bool) -> ReplayReport:
     """Rebuild the recorded session on ``build_driver(head, config)`` and diff it.
 
     Recorded attempt numbers are forced onto the fresh windows
@@ -251,7 +257,7 @@ def _replay(source, build_driver, install_profile, *, diff_wires: bool) -> Repla
         driver.force_attempts(
             {key: int(data.get("attempts", 1)) for key, data in recorded_rounds.items()}
         )
-        _replay_walk(driver, view, report, lambda data: install_profile(driver, data))
+        _replay_walk(driver, view, report)
 
     replayed_rounds = {
         (data["protocol"], data["round"]): data for data in capture.of_type("round_metrics")
@@ -294,16 +300,13 @@ def replay_ledger(source: str | os.PathLike | LedgerView) -> ReplayReport:
     replay reconstructs completed work, it does not resume crashed plans.
     """
     from ..core.system import VuvuzelaSystem
-    from ..net import LinkProfile
 
-    def install_profile(system, data: dict) -> None:
-        # Same hash-keyed loss decisions, without ever sleeping.
-        conditioner = system.link_conditioner(int(data["seed"]), realtime=False)
-        conditioner.add_profile(LinkProfile.from_dict(data["profile"]))
+    def build_system(_head: dict, config) -> VuvuzelaSystem:
+        system = VuvuzelaSystem(config)
+        system.realtime_links = False  # same hash-keyed draws, never sleeping
+        return system
 
-    return _replay(
-        source, lambda _head, config: VuvuzelaSystem(config), install_profile, diff_wires=True
-    )
+    return _replay(source, build_system, diff_wires=True)
 
 
 def replay_ledger_over_tcp(
@@ -318,8 +321,7 @@ def replay_ledger_over_tcp(
     and the same shape-invariant observables are diffed.  Recorded attempt
     numbers are forced through the open-round control command (the entry's
     coordinator then draws attempt N's noise streams directly), and recorded
-    link profiles are re-shipped — to the client edge when the record has no
-    ``target``, to the named server process when it does.
+    ``"clients"`` link rules are re-installed on the launcher's client edge.
 
     The wire-level ``window_close`` check does not apply here: over TCP the
     coordinator lives in the entry process, which never writes the replay's
@@ -336,13 +338,7 @@ def replay_ledger_over_tcp(
             deadline_only_windows=bool(head.get("deadline_only_windows", False)),
         )
 
-    def install_profile(launcher, data: dict) -> None:
-        if data.get("target") is not None:
-            launcher.condition_link(data["target"], data["profile"], seed=int(data["seed"]))
-        else:
-            launcher.condition_clients(data["profile"], seed=int(data["seed"]))
-
-    return _replay(source, build_launcher, install_profile, diff_wires=False)
+    return _replay(source, build_launcher, diff_wires=False)
 
 
 __all__ = [

@@ -93,7 +93,6 @@ WIRE_NAMES = frozenset(
 #: ``list.append`` into a ledger call.
 ATTR_BINDINGS: dict[str, str] = {
     "ledger": "LedgerWriter",
-    "fault_injector": "FaultInjector",
     "link_conditioner": "LinkConditioner",
     "conditioner": "LinkConditioner",
 }

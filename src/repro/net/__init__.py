@@ -8,12 +8,12 @@ from .links import (
     LinkSpec,
 )
 from .faults import (
-    FaultInjector,
-    FaultRule,
+    CLIENTS,
     LinkConditioner,
-    LinkDecision,
-    LinkProfile,
-    apply_fault_command,
+    LinkRule,
+    apply_link_command,
+    conditioner_for,
+    link_target,
 )
 from .messages import Envelope, MessageKind, Observation
 from .tcp import TcpTransport, parse_address
@@ -31,18 +31,17 @@ __all__ = [
     "AllowOnlyEndpoints",
     "BlockEndpoints",
     "CLIENT_DSL_LINK",
+    "CLIENTS",
     "DropMessageKind",
     "Envelope",
-    "FaultInjector",
-    "FaultRule",
     "HostSpec",
     "Interference",
     "LinkConditioner",
-    "LinkDecision",
-    "LinkProfile",
+    "LinkRule",
     "LinkSpec",
     "MessageKind",
-    "apply_fault_command",
+    "apply_link_command",
+    "conditioner_for",
     "Network",
     "Observation",
     "PAPER_DATACENTER_LINK",
@@ -50,5 +49,6 @@ __all__ = [
     "TcpTransport",
     "TrafficStats",
     "Transport",
+    "link_target",
     "parse_address",
 ]

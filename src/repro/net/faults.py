@@ -1,93 +1,122 @@
-"""Deterministic fault injection and WAN link conditioning for both transports.
+"""Deterministic link rules for both transports: faults and WAN weather.
 
-A :class:`FaultInjector` sits inside a transport's ``send`` path and decides,
-per envelope, whether the message is delivered, dropped, delayed or whether
-the whole link is down.  It is how the availability story of the paper (§6:
-any server can fail; the system aborts the round and runs the next one) is
-exercised without real machine failures: the same chaos scenario runs against
-the in-process :class:`~repro.net.transport.Network` and, via the server
-processes' ``inject-fault`` control command, against a live multi-process
-:class:`~repro.net.tcp.TcpTransport` deployment.
-
-Rules are matched in insertion order against ``(source, destination, kind)``
-with ``None`` as a wildcard, and every probabilistic decision is drawn from a
-:class:`~repro.crypto.rng.DeterministicRandom` stream — the same seed always
-kills the same messages, so a chaos test is exactly reproducible.  A rule may
-be bounded (``count=N`` applies it to the first N matching messages and then
-expires), which is the standard way to model a transient failure: the first
+The paper tests two kinds of bad network: availability (§6 — any server can
+fail; the system aborts the round and runs it again) and WAN conditions (§8 —
+10 Gb/s datacenter links between servers, DSL/3G clients).  Both are one
+concept here.  A :class:`LinkRule` matches ``(source, destination, kind)``
+and *affects* a matching message with some probability: the message is
+silently lost (``drop``), its send fails with :class:`NetworkError` the way a
+crashed peer looks over TCP (``kill``), or it is stalled by a fixed delay, a
+jitter draw and a :class:`~repro.net.links.LinkSpec` transfer (``delay``).
+A rule may be bounded (``count=N`` affects the first N matching messages and
+then expires), the standard way to model a transient failure: the first
 batch on a link dies, the retry goes through.
 
-Next to the injector's discrete faults sits the :class:`LinkConditioner`: the
-continuous, WAN-shaped degradation of the paper's evaluation (§8 — 10 Gb/s
-datacenter links between servers, DSL/3G clients).  A
-:class:`LinkProfile` attaches a :class:`~repro.net.links.LinkSpec`
-(bandwidth + propagation delay — the same model the deployment simulator
-uses), a jitter bound and a loss rate to matching links.  Unlike the
-injector, whose probabilistic rules consume a *shared* rng stream in message
-arrival order (and therefore only reproduce under a serial schedule), every
-conditioner decision is a **pure function of the message's identity**:
-``(seed, source, destination, kind, round, payload digest)`` keys a fresh
-:class:`DeterministicRandom` fork per message.  The same wire on the same
-link in the same round is lost — or not — identically across the in-process
-and TCP shapes, across idempotent resubmissions, under an overlapped
-scheduler, and under ledger replay that skips aborted attempts.
-
-Rules and profiles are JSON-round-trippable (``to_dict`` / ``from_dict``) so
-a deployment launcher can ship them to server processes over the control
-plane (``inject-fault`` / ``condition-link`` commands).
+One :class:`LinkConditioner` per transport applies the rules — the same
+scenario runs against the in-process :class:`~repro.net.transport.Network`
+and, through the server processes' ``add-link-rule`` control command
+(:func:`apply_link_command`), against a live multi-process
+:class:`~repro.net.tcp.TcpTransport` deployment.  Every draw is a **pure
+function of the message's identity**: ``(seed, source, destination, kind,
+round, payload digest)`` keys a fresh
+:class:`~repro.crypto.rng.DeterministicRandom` fork per message, so the same
+wire on the same link in the same round is affected — or not — identically
+in the in-process and TCP shapes, across idempotent resubmissions, under an
+overlapped scheduler, and under ledger replay that skips aborted attempts.
+``count`` is the one piece of per-rule state; it stays deterministic because
+matching traffic on one chain link is driven in round order at any pipeline
+depth.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .links import LinkSpec
 from .messages import Envelope, MessageKind
 from ..crypto.rng import DeterministicRandom
-from ..errors import NetworkError, ProtocolError
+from ..errors import ConfigurationError, NetworkError, ProtocolError
 
-#: What the injector decided for one envelope.
-DELIVER = "deliver"
+#: What an affected message suffers.
+DELAY = "delay"
 DROP = "drop"
 KILL = "kill"
-#: Rule actions (``delay`` resolves to DELIVER after sleeping).
-ACTIONS = (DROP, KILL, "delay")
+ACTIONS = (DELAY, DROP, KILL)
+
+#: The rule target that is not a server process: the client access edge.
+CLIENTS = "clients"
+
+#: The keys of a rule's JSON form; ``action`` is the one without a default.
+_JSON_FIELDS = frozenset(
+    {
+        "action", "source", "destination", "kind", "probability", "count",
+        "delay_seconds", "jitter_seconds", "spec",
+    }
+)
+
+_ZERO_TALLY = {"conditioned": 0, "lost": 0, "killed": 0, "held": 0, "hold_seconds_total": 0.0}
+
+
+def link_target(target: str | int) -> str:
+    """Normalize a driver target — ``"clients"``, ``"entry"``, a chain index
+    or ``"server-N"`` — to the tag rules and ledger records carry."""
+    if target in (CLIENTS, "entry"):
+        return str(target)
+    if isinstance(target, int) and not isinstance(target, bool) and target >= 0:
+        return f"server-{target}"
+    if isinstance(target, str) and re.fullmatch(r"server-\d+", target):
+        return target
+    raise ProtocolError(f"unknown link rule target {target!r}")
 
 
 @dataclass
-class FaultRule:
-    """One fault to inject on matching messages.
+class LinkRule:
+    """One way a link misbehaves, for the messages it matches.
 
-    ``action`` is ``"drop"`` (the message silently vanishes; the sender sees
-    the transport's lost-message signal), ``"kill"`` (the link is down; the
-    sender gets a :class:`NetworkError`, the way a crashed peer looks over
-    TCP) or ``"delay"`` (delivery is stalled by ``delay_seconds``).
+    ``(source, destination, kind)`` select messages with ``None`` as a
+    wildcard — but a wildcard ``kind`` never matches CONTROL: liveness probes
+    and round RPCs stalled or lost by accident would wedge a deployment, not
+    degrade it, so faulting the control plane requires naming it.  A matching
+    message is affected with ``probability``; ``action`` says how:
+
+    * ``delay`` — stalled by ``delay_seconds``, a uniform draw in
+      ``[0, jitter_seconds)`` and ``spec``'s queueing + serialisation +
+      propagation (the deployment simulator's link model);
+    * ``drop`` — silently lost: the sender sees the transport's lost-message
+      signal and the client retransmits (§3.1);
+    * ``kill`` — the send raises :class:`NetworkError`: the link is down.
+
+    ``count`` caps how many messages the rule affects (``None``: no cap).
     """
 
     action: str
     source: str | None = None
     destination: str | None = None
     kind: MessageKind | None = None
-    #: Probability that a matching message is affected (1.0 = always).
     probability: float = 1.0
-    #: Expire after affecting this many messages (``None`` = never).
     count: int | None = None
     delay_seconds: float = 0.0
-    #: Messages this rule has affected so far.
-    applied: int = 0
+    jitter_seconds: float = 0.0
+    spec: LinkSpec | None = None
+    #: Messages this rule has affected so far (engine state, not JSON form).
+    applied: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.action not in ACTIONS:
-            raise ProtocolError(f"unknown fault action {self.action!r}")
+            raise ProtocolError(f"unknown link rule action {self.action!r}")
         if not 0.0 <= self.probability <= 1.0:
-            raise ProtocolError("fault probability must be in [0, 1]")
+            raise ProtocolError("a link rule's probability must be in [0, 1]")
         if self.count is not None and self.count < 1:
-            raise ProtocolError("a bounded fault rule needs count >= 1")
-        if self.delay_seconds < 0:
-            raise ProtocolError("fault delays cannot be negative")
+            raise ProtocolError("a bounded link rule needs count >= 1")
+        if not (0.0 <= self.delay_seconds < math.inf and 0.0 <= self.jitter_seconds < math.inf):
+            raise ProtocolError("link rule delays must be finite and non-negative")
+        if self.action != DELAY and (self.delay_seconds or self.jitter_seconds or self.spec):
+            raise ProtocolError(f"a {self.action} rule loses its messages; it cannot stall them")
 
     @property
     def expired(self) -> bool:
@@ -96,15 +125,16 @@ class FaultRule:
     def matches(self, envelope: Envelope) -> bool:
         if self.expired:
             return False
+        if self.kind is None:
+            if envelope.kind is MessageKind.CONTROL:
+                return False
+        elif envelope.kind is not self.kind:
+            return False
         if self.source is not None and envelope.source != self.source:
             return False
-        if self.destination is not None and envelope.destination != self.destination:
-            return False
-        if self.kind is not None and envelope.kind is not self.kind:
-            return False
-        return True
+        return self.destination is None or envelope.destination == self.destination
 
-    # The control-plane wire form (``inject-fault`` commands).
+    # The control-plane and ledger wire form.
 
     def to_dict(self) -> dict:
         return {
@@ -115,292 +145,105 @@ class FaultRule:
             "probability": self.probability,
             "count": self.count,
             "delay_seconds": self.delay_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultRule":
-        kind = data.get("kind")
-        return cls(
-            action=str(data["action"]),
-            source=data.get("source"),
-            destination=data.get("destination"),
-            kind=MessageKind(kind) if kind is not None else None,
-            probability=float(data.get("probability", 1.0)),
-            count=int(data["count"]) if data.get("count") is not None else None,
-            delay_seconds=float(data.get("delay_seconds", 0.0)),
-        )
-
-
-class FaultInjector:
-    """Seeded, thread-safe fault decision engine shared by both transports.
-
-    The injector never touches payloads: it only decides delivery, so the
-    protocol layers above experience faults exactly as they would experience
-    a real network failure (a lost message, a dead link, a slow hop).
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self._rng = DeterministicRandom(seed).fork("fault-injector")
-        self._lock = threading.Lock()
-        self.rules: list[FaultRule] = []
-        self.dropped = 0
-        self.killed = 0
-        self.delayed = 0
-        #: Optional round ledger (in-process shape): rule additions and every
-        #: fired fault are recorded for post-hoc audit.  Over TCP the rules
-        #: live in the server processes and the *launcher* records them.
-        self.ledger = None
-
-    # ------------------------------------------------------------ rule editing
-
-    def add_rule(self, rule: FaultRule) -> FaultRule:
-        with self._lock:
-            self.rules.append(rule)
-        if self.ledger is not None:
-            self.ledger.append(
-                "fault_rule_added", {"rule": rule.to_dict(), "seed": self.seed}
-            )
-        return rule
-
-    def drop(self, **kwargs) -> FaultRule:
-        """Drop matching messages (the sender sees a lost message)."""
-        return self.add_rule(FaultRule(action=DROP, **kwargs))
-
-    def kill_link(self, **kwargs) -> FaultRule:
-        """Fail matching sends with :class:`NetworkError` (the link is down)."""
-        return self.add_rule(FaultRule(action=KILL, **kwargs))
-
-    def delay(self, seconds: float, **kwargs) -> FaultRule:
-        """Stall matching deliveries by ``seconds``."""
-        return self.add_rule(FaultRule(action="delay", delay_seconds=seconds, **kwargs))
-
-    def heal(self, rule: FaultRule | None = None) -> None:
-        """Remove one rule, or all of them (the chaos is over)."""
-        with self._lock:
-            if rule is None:
-                self.rules.clear()
-            elif rule in self.rules:
-                self.rules.remove(rule)
-
-    def active_rules(self) -> list[FaultRule]:
-        with self._lock:
-            return [rule for rule in self.rules if not rule.expired]
-
-    # -------------------------------------------------------------- decisions
-
-    def decide(self, envelope: Envelope) -> tuple[str, float]:
-        """Decide one envelope's fate without applying it.
-
-        Returns ``(verdict, delay_seconds)`` where the verdict is
-        :data:`DELIVER` or :data:`DROP`; a matching kill rule raises
-        :class:`NetworkError` so the sender sees a dead link, not a quiet
-        loss.  The first matching drop/kill rule of each envelope wins, so
-        ordering rules from specific to general behaves like a routing table.
-
-        Delay rules never sleep here — the *transport* routes the returned
-        stall through its :class:`LinkConditioner`'s scheduling
-        (:meth:`LinkConditioner.hold`), so the decision path stays
-        non-blocking and a fired delay is applied outside the injector's
-        lock.  Every fired delay is recorded in the ledger with its seconds.
-        """
-        delay = 0.0
-        verdict = DELIVER
-        fired: list[tuple[str, float]] = []
-        with self._lock:
-            for rule in self.rules:
-                if not rule.matches(envelope):
-                    continue
-                if rule.probability < 1.0 and self._rng.random_float() >= rule.probability:
-                    continue
-                rule.applied += 1
-                if rule.action == "delay":
-                    delay = rule.delay_seconds
-                    self.delayed += 1
-                    fired.append(("delay", rule.delay_seconds))
-                    continue  # a delayed message can still be dropped downstream
-                if rule.action == DROP:
-                    self.dropped += 1
-                    verdict = DROP
-                else:
-                    self.killed += 1
-                    verdict = KILL
-                fired.append((rule.action, 0.0))
-                break
-        if fired and self.ledger is not None:
-            for action, seconds in fired:
-                self.ledger.append(
-                    "fault_fired",
-                    {
-                        "action": action,
-                        "source": envelope.source,
-                        "destination": envelope.destination,
-                        "kind": envelope.kind.value,
-                        "round": envelope.round_number,
-                        "delay_seconds": seconds,
-                    },
-                )
-        if verdict == KILL:
-            raise NetworkError(
-                f"fault injection: the link from {envelope.source!r} to "
-                f"{envelope.destination!r} is down"
-            )
-        return verdict, delay
-
-    def before_send(self, envelope: Envelope) -> str:
-        """Decide one envelope's fate; the verdict without the stall.
-
-        Kept as the simple entry point for callers that only care about
-        drop/kill verdicts.  Matching delay rules are *counted and recorded*
-        but not slept here — transports apply them via
-        :meth:`LinkConditioner.hold` so one slow hop no longer serializes an
-        overlapped scheduler drive inside the injector.
-        """
-        verdict, _ = self.decide(envelope)
-        return verdict
-
-
-@dataclass
-class LinkProfile:
-    """The WAN conditioning of matching links: capacity, jitter and loss.
-
-    ``spec`` is the :class:`~repro.net.links.LinkSpec` the simulation layer
-    already uses — its bandwidth serialises transfers and its latency is the
-    propagation delay, so the conditioner and the deployment simulator share
-    one source of truth for what a link *is*.  ``jitter_seconds`` adds a
-    per-message uniform draw in ``[0, jitter)`` on top; ``loss`` silently
-    loses that fraction of matching messages (the sender sees the
-    transport's lost-message signal and the client retransmits, §3.1).
-
-    Matching follows :class:`FaultRule`: ``(source, destination, kind)``
-    with ``None`` as a wildcard; the first matching profile wins.
-    """
-
-    spec: LinkSpec | None = None
-    source: str | None = None
-    destination: str | None = None
-    kind: MessageKind | None = None
-    jitter_seconds: float = 0.0
-    loss: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.jitter_seconds < 0:
-            raise ProtocolError("link jitter cannot be negative")
-        if not 0.0 <= self.loss < 1.0:
-            raise ProtocolError("link loss rate must be in [0, 1)")
-
-    def matches(self, envelope: Envelope) -> bool:
-        if self.source is not None and envelope.source != self.source:
-            return False
-        if self.destination is not None and envelope.destination != self.destination:
-            return False
-        if self.kind is not None and envelope.kind is not self.kind:
-            return False
-        # Never condition the control plane by accident: a wildcard profile
-        # stalling or losing liveness probes and round RPCs would wedge the
-        # deployment, not degrade it.  Conditioning CONTROL requires naming it.
-        if self.kind is None and envelope.kind is MessageKind.CONTROL:
-            return False
-        return True
-
-    # The control-plane wire form (``condition-link`` commands).
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict() if self.spec is not None else None,
-            "source": self.source,
-            "destination": self.destination,
-            "kind": self.kind.value if self.kind is not None else None,
             "jitter_seconds": self.jitter_seconds,
-            "loss": self.loss,
+            "spec": self.spec.to_dict() if self.spec is not None else None,
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LinkProfile":
-        kind = data.get("kind")
-        spec = data.get("spec")
-        return cls(
-            spec=LinkSpec.from_dict(spec) if spec is not None else None,
-            source=data.get("source"),
-            destination=data.get("destination"),
-            kind=MessageKind(kind) if kind is not None else None,
-            jitter_seconds=float(data.get("jitter_seconds", 0.0)),
-            loss=float(data.get("loss", 0.0)),
-        )
-
-
-@dataclass(frozen=True)
-class LinkDecision:
-    """What the conditioner decided for one envelope."""
-
-    lost: bool = False
-    delay_seconds: float = 0.0
+    def from_dict(cls, data: dict) -> "LinkRule":
+        """Parse the JSON form.  Anything malformed — an unknown key, kind or
+        action, a missing action, a non-numeric or out-of-range number — is a
+        :class:`ProtocolError`: a misspelt field must never widen a rule into
+        a wildcard."""
+        if not isinstance(data, dict):
+            raise ProtocolError(f"a link rule must be a JSON object, not {data!r}")
+        unknown = set(data) - _JSON_FIELDS
+        if unknown:
+            raise ProtocolError(f"unknown link rule field(s) {sorted(unknown)}")
+        if "action" not in data:
+            raise ProtocolError("a link rule needs an action")
+        kind, count, spec = data.get("kind"), data.get("count"), data.get("spec")
+        try:
+            return cls(
+                action=str(data["action"]),
+                source=data.get("source"),
+                destination=data.get("destination"),
+                kind=MessageKind(kind) if kind is not None else None,
+                probability=float(data.get("probability", 1.0)),
+                count=int(count) if count is not None else None,
+                delay_seconds=float(data.get("delay_seconds", 0.0)),
+                jitter_seconds=float(data.get("jitter_seconds", 0.0)),
+                spec=LinkSpec.from_dict(spec) if spec is not None else None,
+            )
+        except (TypeError, ValueError, KeyError, AttributeError, ConfigurationError) as exc:
+            raise ProtocolError(f"malformed link rule {data!r}: {exc}") from None
 
 
 class LinkConditioner:
-    """Seeded WAN conditioning shared by both transports.
+    """Seeded, thread-safe link-rule engine shared by both transports.
 
-    Loss and jitter draws are **hash-keyed**, not streamed: each message gets
-    a fresh rng forked at
-    ``link/{source}->{destination}/{kind}/{round}/{payload digest}``, so the
-    decision depends only on the message's identity, never on how many other
-    messages the conditioner has seen.  That is what makes conditioned
-    scenarios deterministic where probabilistic fault rules are not: the
-    same submission is lost identically under a serial or overlapped
-    schedule, in the in-process and TCP shapes, when idempotently
-    resubmitted after an abort, and under ledger replay that jumps straight
-    to a recorded retry attempt.
+    Rules apply in insertion order.  Each matching rule draws whether it
+    affects the message; the stalls of affected ``delay`` rules add up, and
+    the first rule that drops or kills the message ends the walk.  Draws are
+    **hash-keyed**, not streamed: a message's draws come from one fresh rng
+    forked at ``link/{source}->{destination}/{kind}/{round}/{payload
+    digest}`` and are consumed in rule order — a probability draw for each
+    matching rule with probability below 1, then a jitter draw for each
+    affected rule with jitter — so two matching rules never share a draw, and
+    a decision depends only on the message's identity and the rule table,
+    never on how many other messages the engine has seen.
 
     Bandwidth caps are modelled per concrete link with a busy-until horizon:
     concurrent transfers on one link queue behind each other's serialisation
-    time, then each waits its own propagation delay + jitter.  Timing shapes
-    wall clocks only, never protocol bytes, so a replaying conditioner runs
-    with ``realtime=False``: it makes the *identical* loss decisions without
-    sleeping.
+    time, then each waits its own propagation delay.  Timing shapes wall
+    clocks only, never protocol bytes, so a replaying conditioner runs with
+    ``realtime=False``: it makes the *identical* draws without sleeping.
+
+    Rules are tagged with the driver target they were installed for, so one
+    network-wide engine in-process can heal and count them per target.
     """
 
     def __init__(self, seed: int = 0, *, realtime: bool = True) -> None:
         self.seed = seed
         self.realtime = realtime
         self._lock = threading.Lock()
-        self.profiles: list[LinkProfile] = []
+        self._rules: list[tuple[str, LinkRule]] = []
         #: Per concrete link: the monotonic instant its capacity frees up.
         self._busy_until: dict[tuple[str, str], float] = {}
-        #: Matching messages seen / silently lost / stalled.
-        self.conditioned = 0
-        self.lost = 0
-        self.held = 0
-        self.hold_seconds_total = 0.0
-        #: Optional round ledger: profile installs, heals and every lost
-        #: message are recorded so a replay reproduces the same conditions.
+        #: Per target: matching messages seen / lost / killed / stalled.
+        self._tallies: dict[str, dict] = {}
+        #: Optional round ledger: rule installs, heals and every lost or
+        #: killed message are recorded so a replay reproduces the conditions.
         self.ledger = None
 
-    # --------------------------------------------------------- profile editing
+    # ------------------------------------------------------------ rule editing
 
-    def add_profile(self, profile: LinkProfile) -> LinkProfile:
+    def add_rule(self, rule: LinkRule, target: str = CLIENTS) -> LinkRule:
+        """Install a fresh copy of ``rule`` (its own ``count`` budget) and
+        return it."""
+        rule = replace(rule, applied=0)
         with self._lock:
-            self.profiles.append(profile)
+            self._rules.append((target, rule))
         if self.ledger is not None:
             self.ledger.append(
-                "link_profile_added", {"profile": profile.to_dict(), "seed": self.seed}
+                "link_rule_added", {"target": target, "rule": rule.to_dict(), "seed": self.seed}
             )
-        return profile
+        return rule
 
-    def condition(self, spec: LinkSpec | None = None, **kwargs) -> LinkProfile:
-        """Install a profile built from keyword arguments (tests' shorthand)."""
-        return self.add_profile(LinkProfile(spec=spec, **kwargs))
-
-    def heal(self) -> None:
-        """Remove every profile (the weather cleared)."""
+    def heal(self, target: str | None = None) -> None:
+        """Remove ``target``'s rules, or every rule."""
         with self._lock:
-            had = bool(self.profiles)
-            self.profiles.clear()
-        if had and self.ledger is not None:
-            self.ledger.append("links_healed", {"seed": self.seed})
+            kept = [(tag, rule) for tag, rule in self._rules if target not in (None, tag)]
+            healed = len(kept) < len(self._rules)
+            self._rules = kept
+        if healed and self.ledger is not None:
+            self.ledger.append("links_healed", {"target": target})
 
-    def active_profiles(self) -> list[LinkProfile]:
+    def active_rules(self, target: str | None = None) -> list[LinkRule]:
         with self._lock:
-            return list(self.profiles)
+            return [
+                rule for tag, rule in self._rules if target in (None, tag) and not rule.expired
+            ]
 
     # -------------------------------------------------------------- decisions
 
@@ -412,160 +255,146 @@ class LinkConditioner:
         )
         return DeterministicRandom(self.seed).fork(label)
 
-    def before_send(self, envelope: Envelope) -> LinkDecision:
-        """Decide one envelope's conditioning without applying it.
+    def decide(self, envelope: Envelope) -> float | None:
+        """Decide one envelope's fate without applying it.
 
-        Returns the loss verdict and the total stall (queueing behind the
-        link's bandwidth + propagation latency + jitter).  The caller applies
-        the stall via :meth:`hold` *after* releasing its own locks.
+        Returns the stall in seconds, or ``None`` when the message is lost; a
+        kill raises :class:`NetworkError` so the sender sees a dead link, not
+        a quiet loss.  Deciding never sleeps: the transport applies the stall
+        with :meth:`hold` after this lock is released.
         """
-        with self._lock:
-            profile = next((p for p in self.profiles if p.matches(envelope)), None)
-        if profile is None:
-            return LinkDecision()
-        with self._lock:
-            self.conditioned += 1
         rng = None
-        if profile.loss > 0.0 or profile.jitter_seconds > 0.0:
-            rng = self._message_rng(envelope)
-        if profile.loss > 0.0 and rng.random_float() < profile.loss:
-            with self._lock:
-                self.lost += 1
-            if self.ledger is not None:
-                self.ledger.append(
-                    "link_lost",
-                    {
-                        "source": envelope.source,
-                        "destination": envelope.destination,
-                        "kind": envelope.kind.value,
-                        "round": envelope.round_number,
-                    },
-                )
-            return LinkDecision(lost=True)
-        jitter = 0.0
-        if profile.jitter_seconds > 0.0:
-            # Drawn even when not sleeping: timing-only, but keeps the draw
-            # schedule identical between realtime and replay conditioners.
-            jitter = rng.random_float() * profile.jitter_seconds
-        delay = jitter
-        if profile.spec is not None:
-            delay += self._transfer_delay(envelope, profile.spec)
-        return LinkDecision(delay_seconds=delay)
+        stalls: dict[str, float] = {}
+        fatal: tuple[str, LinkRule] | None = None
+        with self._lock:
+            for target, rule in self._rules:
+                if not rule.matches(envelope):
+                    continue
+                stall = stalls.setdefault(target, 0.0)
+                if rule.probability < 1.0:
+                    if rng is None:
+                        rng = self._message_rng(envelope)
+                    if rng.random_float() >= rule.probability:
+                        continue
+                rule.applied += 1
+                if rule.action != DELAY:
+                    fatal = (target, rule)
+                    break
+                if rule.jitter_seconds > 0.0:
+                    # Drawn even when not sleeping: timing-only, but keeps the
+                    # draw schedule identical between realtime and replay.
+                    if rng is None:
+                        rng = self._message_rng(envelope)
+                    stall += rng.random_float() * rule.jitter_seconds
+                if rule.spec is not None and self.realtime:
+                    stall += self._transfer_delay(envelope, rule.spec)
+                stalls[target] = stall + rule.delay_seconds
+            for target, stall in stalls.items():
+                tally = self._tallies.setdefault(target, dict(_ZERO_TALLY))
+                tally["conditioned"] += 1
+                if stall > 0.0 and fatal is None:
+                    tally["held"] += 1
+                    tally["hold_seconds_total"] += stall
+            if fatal is not None:
+                self._tallies[fatal[0]]["lost" if fatal[1].action == DROP else "killed"] += 1
+        if fatal is None:
+            return sum(stalls.values())
+        action = fatal[1].action
+        if self.ledger is not None:
+            self.ledger.append(
+                "link_lost",
+                {
+                    "action": action,
+                    "source": envelope.source,
+                    "destination": envelope.destination,
+                    "kind": envelope.kind.value,
+                    "round": envelope.round_number,
+                },
+            )
+        if action == KILL:
+            raise NetworkError(
+                f"link rule: the link from {envelope.source!r} to "
+                f"{envelope.destination!r} is down"
+            )
+        return None
 
     def _transfer_delay(self, envelope: Envelope, spec: LinkSpec) -> float:
-        """Queueing + serialisation + propagation for one transfer.
-
-        Only meaningful in realtime mode — a replaying conditioner never
-        waits, so it skips the (wall-clock dependent) queueing model and the
-        busy-until bookkeeping entirely.
-        """
-        if not self.realtime:
-            return 0.0
+        """Queueing + serialisation + propagation for one transfer (realtime
+        only, under the decision lock: the busy-until horizon is shared)."""
         serialization = envelope.size / spec.bandwidth_bytes_per_sec
         key = (envelope.source, envelope.destination)
-        now = time.monotonic()  # repro-lint: allow[nd-wallclock] realtime pacing only: guarded by self.realtime, delays shape wall time, never payloads
-        with self._lock:
-            start = max(now, self._busy_until.get(key, 0.0))
-            self._busy_until[key] = start + serialization
+        now = time.monotonic()  # repro-lint: allow[nd-wallclock] realtime pacing only: called only when self.realtime, delays shape wall time, never payloads
+        start = max(now, self._busy_until.get(key, 0.0))
+        self._busy_until[key] = start + serialization
         return (start - now) + serialization + spec.latency_seconds
 
     def hold(self, seconds: float) -> None:
-        """Apply a stall decided earlier — the single place conditioned and
-        fault-injected delays actually wait, outside every decision lock."""
-        if seconds <= 0.0:
-            return
-        with self._lock:
-            self.held += 1
-            self.hold_seconds_total += seconds
-        if self.realtime:
+        """Apply a decided stall — the single place a link rule waits,
+        outside every decision lock."""
+        if self.realtime and seconds > 0.0:
             time.sleep(seconds)
 
-    def stats(self) -> dict:
+    def stats(self, target: str | None = None) -> dict:
+        """Counters of ``target``'s rules, or of every rule."""
+        total = dict(_ZERO_TALLY)
         with self._lock:
-            return {
-                "conditioned": self.conditioned,
-                "lost": self.lost,
-                "held": self.held,
-                "hold_seconds_total": self.hold_seconds_total,
-                "profiles": len(self.profiles),
-            }
+            for tag, tally in self._tallies.items():
+                if target in (None, tag):
+                    for key, value in tally.items():
+                        total[key] += value
+        total["rules"] = len(self.active_rules(target))
+        return total
 
 
-def hold_delay(conditioner: LinkConditioner | None, seconds: float) -> None:
-    """Apply a decided stall through the conditioner's scheduling.
+def conditioner_for(
+    current: LinkConditioner | None, seed: int, *, realtime: bool = True
+) -> LinkConditioner:
+    """The engine a rule seeded with ``seed`` goes into: ``current``, or a
+    fresh one when there is none.  Reseeding an existing engine is refused —
+    silently reusing it would break "same seed, same losses"."""
+    if current is None:
+        return LinkConditioner(seed, realtime=realtime)
+    if current.seed != seed:
+        raise ProtocolError(
+            f"a link conditioner seeded with {current.seed} already exists; "
+            f"cannot reseed it to {seed}"
+        )
+    return current
 
-    Transports call this after their decision phase; with no conditioner
-    installed it degrades to a plain sleep on the calling thread.
-    """
-    if seconds <= 0.0:
-        return
-    if conditioner is not None:
-        conditioner.hold(seconds)
-    else:
-        time.sleep(seconds)
 
+def apply_link_command(transport, command: dict) -> dict | None:
+    """Handle a link-rule control command in a server process.
 
-def apply_fault_command(transport, command: dict) -> dict | None:
-    """Handle a fault / link-conditioning control command.
-
-    Shared by the entry and chain server processes' control planes so rule
-    and profile installation stays in one place.  Returns the reply dict, or
-    ``None`` when ``command`` is not a fault command (the caller keeps
-    dispatching).  ``transport`` is any object with ``fault_injector`` and
-    ``link_conditioner`` attributes (both transports have them).
+    Shared by the entry and chain server processes' control planes: a rule
+    shipped to a process shapes what that process *sends*.  Returns the
+    reply dict, or ``None`` when ``command`` is not a link command (the
+    caller keeps dispatching).  ``transport`` is either transport.
     """
     cmd = command.get("cmd")
-    if cmd == "inject-fault":
-        rule = FaultRule.from_dict(command["rule"])
-        seed = int(command.get("seed", 0))
-        if transport.fault_injector is None:
-            transport.fault_injector = FaultInjector(seed)
-        elif transport.fault_injector.seed != seed:
-            # Silently reusing the old stream would break the "same seed,
-            # same kills" reproducibility contract — refuse loudly instead.
-            raise ProtocolError(
-                f"a fault injector seeded with {transport.fault_injector.seed} "
-                f"already exists; cannot reseed it to {seed}"
-            )
-        transport.fault_injector.add_rule(rule)
-        return {"ok": True, "rules": len(transport.fault_injector.active_rules())}
-    if cmd == "heal-faults":
-        if transport.fault_injector is not None:
-            transport.fault_injector.heal()
-        return {"ok": True}
-    if cmd == "condition-link":
-        profile = LinkProfile.from_dict(command["profile"])
-        seed = int(command.get("seed", 0))
-        if transport.link_conditioner is None:
-            transport.link_conditioner = LinkConditioner(seed)
-        elif transport.link_conditioner.seed != seed:
-            raise ProtocolError(
-                f"a link conditioner seeded with {transport.link_conditioner.seed} "
-                f"already exists; cannot reseed it to {seed}"
-            )
-        transport.link_conditioner.add_profile(profile)
-        return {"ok": True, "profiles": len(transport.link_conditioner.active_profiles())}
+    if cmd == "add-link-rule":
+        rule = LinkRule.from_dict(command.get("rule"))
+        engine = conditioner_for(transport.link_conditioner, int(command.get("seed", 0)))
+        transport.link_conditioner = engine
+        engine.add_rule(rule)
+        return {"ok": True, "rules": len(engine.active_rules())}
     if cmd == "heal-links":
         if transport.link_conditioner is not None:
             transport.link_conditioner.heal()
         return {"ok": True}
     if cmd == "link-stats":
-        conditioner = transport.link_conditioner
-        if conditioner is None:
-            return {"conditioned": 0, "lost": 0, "held": 0, "hold_seconds_total": 0.0, "profiles": 0}
-        return conditioner.stats()
+        return (transport.link_conditioner or LinkConditioner()).stats()
     return None
 
 
 __all__ = [
-    "DELIVER",
+    "ACTIONS",
+    "CLIENTS",
+    "DELAY",
     "DROP",
     "KILL",
-    "FaultInjector",
-    "FaultRule",
     "LinkConditioner",
-    "LinkDecision",
-    "LinkProfile",
-    "apply_fault_command",
-    "hold_delay",
+    "LinkRule",
+    "apply_link_command",
+    "conditioner_for",
+    "link_target",
 ]

@@ -33,7 +33,7 @@ class LinkSpec:
             raise ConfigurationError("cannot transfer a negative number of bytes")
         return self.latency_seconds + num_bytes / self.bandwidth_bytes_per_sec
 
-    # The control-plane wire form: a :class:`~repro.net.faults.LinkProfile`
+    # The control-plane wire form: a :class:`~repro.net.faults.LinkRule`
     # embeds a LinkSpec when it is shipped to a live server process.
 
     def to_dict(self) -> dict:

@@ -36,7 +36,7 @@ import threading
 import time
 from collections import defaultdict
 
-from .faults import DROP, FaultInjector, LinkConditioner, hold_delay
+from .faults import LinkConditioner
 from .messages import Envelope, MessageKind
 from .transport import Handler, TrafficStats, Transport
 from ..errors import ConnectTimeout, NetworkError, ProtocolError, TransportTimeout
@@ -291,14 +291,12 @@ class TcpTransport(Transport):
         self._handlers: dict[str, Handler] = {}
         self._stats: dict[tuple[str, str], TrafficStats] = defaultdict(TrafficStats)
         self._stats_lock = threading.Lock()
-        #: Sends that never delivered a frame (timeout, dead link, dropped by
-        #: fault injection).  Kept out of :class:`TrafficStats`, which counts
+        #: Sends that never delivered a frame (timeout, dead link, lost to a
+        #: link rule).  Kept out of :class:`TrafficStats`, which counts
         #: only delivered frames: adversary-observation accounting must not be
         #: inflated by traffic that never reached the wire's far end.
         self.failed_sends = 0
-        #: Deterministic chaos hook, mirroring ``Network.fault_injector``.
-        self.fault_injector: FaultInjector | None = None
-        #: Deterministic WAN hook, mirroring ``Network.link_conditioner``.
+        #: Deterministic link rules, mirroring ``Network.link_conditioner``.
         self.link_conditioner: LinkConditioner | None = None
         self._pools: dict[tuple[str, int], _ConnectionPool] = {}
         self._listener: socket.socket | None = None
@@ -419,27 +417,18 @@ class TcpTransport(Transport):
             source=source, destination=destination, payload=payload,
             kind=kind, round_number=round_number,
         )
-        stall = 0.0
-        if self.fault_injector is not None:
+        if self.link_conditioner is not None:
             try:
-                verdict, stall = self.fault_injector.decide(envelope)
+                stall = self.link_conditioner.decide(envelope)
             except NetworkError:
                 self._record_failure()
                 raise
-            if verdict == DROP:
+            if stall is None:
                 self._record_failure()
                 return None
-        if self.link_conditioner is not None:
-            decision = self.link_conditioner.before_send(envelope)
-            if decision.lost:
-                self._record_failure()
-                return None
-            stall += decision.delay_seconds
-        if stall > 0.0:
-            # Fault-rule delays and WAN latency share one scheduling point:
-            # the stall runs on the calling thread (each submission and each
-            # chain hop has its own), never inside the injector's lock.
-            hold_delay(self.link_conditioner, stall)
+            # The stall runs on the calling thread (each submission and each
+            # chain hop has its own), never inside the conditioner's lock.
+            self.link_conditioner.hold(stall)
         address = self._routes.get(destination)
         if address is None:
             # A locally served endpoint can be reached without a socket —

@@ -30,7 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .faults import DROP, FaultInjector, LinkConditioner, hold_delay
+from .faults import LinkConditioner
 from .messages import Envelope, MessageKind, Observation
 from ..errors import NetworkError
 
@@ -170,11 +170,9 @@ class Network(Transport):
 
     observers: list[Callable[[Observation], None]] = field(default_factory=list)
     interferences: list[Interference] = field(default_factory=list)
-    #: Deterministic chaos hook: when set, every send consults the injector
-    #: (after the adversary observed the attempt, like interference does).
-    fault_injector: FaultInjector | None = None
-    #: Deterministic WAN hook: when set, every send is shaped by the
-    #: conditioner's matching link profile (loss, latency, bandwidth, jitter).
+    #: Deterministic link rules (faults and WAN weather): when set, every
+    #: send consults the conditioner (after the adversary observed the
+    #: attempt, like interference does).
     link_conditioner: LinkConditioner | None = None
     _handlers: dict[str, Handler] = field(default_factory=dict)
     _stats: dict[tuple[str, str], TrafficStats] = field(
@@ -227,24 +225,14 @@ class Network(Transport):
         )
         for observer in self.observers:
             observer(Observation.of(envelope))
-        stall = 0.0
-        if self.fault_injector is not None:
-            # A kill rule raises NetworkError out of this call; a drop is
-            # indistinguishable from adversarial interference to the caller.
-            verdict, stall = self.fault_injector.decide(envelope)
-            if verdict == DROP:
-                self.dropped += 1
-                return None
         if self.link_conditioner is not None:
-            decision = self.link_conditioner.before_send(envelope)
-            if decision.lost:
+            # A kill raises NetworkError out of this call; a loss is
+            # indistinguishable from adversarial interference to the caller.
+            stall = self.link_conditioner.decide(envelope)
+            if stall is None:
                 self.dropped += 1
                 return None
-            stall += decision.delay_seconds
-        if stall > 0.0:
-            # Fault-rule delays and WAN latency share one scheduling point,
-            # applied after every decision lock is released.
-            hold_delay(self.link_conditioner, stall)
+            self.link_conditioner.hold(stall)
         for interference in self.interferences:
             if not interference.allow(envelope):
                 self.dropped += 1

@@ -42,7 +42,7 @@ from .campaign import (
     CampaignReport,
     InvariantViolation,
     check_invariants,
-    edge_profiles,
+    edge_rules,
 )
 
 __all__ = [
@@ -69,6 +69,6 @@ __all__ = [
     "build_protocols",
     "check_invariants",
     "default_engine",
-    "edge_profiles",
+    "edge_rules",
     "make_protocol",
 ]

@@ -11,7 +11,7 @@ segment composes four stressors over the ordinary overlapped scheduler:
   each reducing to a §6 abort/retry trail the round survives;
 * **WAN link conditioning** — the client access edge (the paper's DSL/3G
   clients, §8) gets seeded latency, jitter and hash-keyed loss on
-  conversation submissions (:func:`edge_profiles`).  A lost submission is a
+  conversation submissions (:func:`edge_rules`).  A lost submission is a
   lost round for that client; §3.1 retransmission carries the message on;
 * **mid-session churn** — :class:`~repro.runtime.ChurnEvent` scripts join,
   park, resume, remove, re-dial and speak at round boundaries *inside* the
@@ -28,9 +28,9 @@ ending at the segment's last violation record to
 ``<ledger>.violation.jsonl`` — a minimal, hash-chain-valid, directly
 replayable reproduction — and stops.
 
-Every draw is deterministic: fault rules fire with probability 1.0 (the
-injector's shared rng stream is consumed in nondeterministic arrival order
-under overlap), loss decisions are hash-keyed (see
+Chain faults and weather are both :class:`~repro.net.LinkRule` objects,
+installed through the driver's one ``add_link_rule`` seam.  Every draw is
+deterministic: link rule draws are hash-keyed on the message's identity (see
 :class:`~repro.net.LinkConditioner`), the churn script rides inside the
 ledger's ``schedule`` records, and forced attempt numbers cover §6 retries —
 so a campaign ledger replays bit-identically through
@@ -50,7 +50,7 @@ from .scheduler import ChurnEvent
 from ..crypto.rng import DeterministicRandom
 from ..errors import LedgerError, NetworkError, ProtocolError
 from ..ledger import LedgerWriter, load_ledger, slice_ledger
-from ..net import LinkProfile, LinkSpec, MessageKind
+from ..net import CLIENTS, LinkRule, LinkSpec, MessageKind
 from ..privacy import audit_ledger_records, conversation_guarantee, dialing_guarantee
 
 #: The deployment shapes a campaign can drive.
@@ -156,21 +156,27 @@ def check_invariants(driver, ledger_path: str | Path, segment: int) -> list[tupl
     return failures
 
 
-def edge_profiles(
+def edge_rules(
     loss: float, latency_seconds: float, jitter_seconds: float
-) -> list[LinkProfile]:
-    """The client-edge conditioning for one weather setting.
+) -> list[LinkRule]:
+    """The client-edge link rules for one weather setting.
 
     Loss applies to conversation submissions only: a lost conversation
     request is exactly the §3.1 offline case (the client retransmits next
     round), while a lost ``DIAL_DOWNLOAD`` would surface as a hard
     :class:`~repro.errors.NetworkError` — a *fault*, not weather.  Latency
-    and jitter shape both submission kinds (timing only, never bytes).
+    and jitter shape both submission kinds (timing only, never bytes); a
+    conversation submission that survives the loss rule still pays them.
     """
-    profiles: list[LinkProfile] = []
+    rules: list[LinkRule] = []
     if loss > 0.0:
-        profiles.append(
-            LinkProfile(destination="entry", kind=MessageKind.CONVERSATION_REQUEST, loss=loss)
+        rules.append(
+            LinkRule(
+                action="drop",
+                destination="entry",
+                kind=MessageKind.CONVERSATION_REQUEST,
+                probability=loss,
+            )
         )
     if latency_seconds > 0.0 or jitter_seconds > 0.0:
         spec = (
@@ -179,12 +185,16 @@ def edge_profiles(
             else None
         )
         for kind in (MessageKind.CONVERSATION_REQUEST, MessageKind.DIALING_REQUEST):
-            profiles.append(
-                LinkProfile(
-                    destination="entry", kind=kind, spec=spec, jitter_seconds=jitter_seconds
+            rules.append(
+                LinkRule(
+                    action="delay",
+                    destination="entry",
+                    kind=kind,
+                    spec=spec,
+                    jitter_seconds=jitter_seconds,
                 )
             )
-    return profiles
+    return rules
 
 
 @dataclass
@@ -215,7 +225,7 @@ class CampaignReport:
     #: Total plaintexts delivered across the whole population (online and
     #: parked) — the goodput numerator of the degradation benchmark.
     messages_delivered: int = 0
-    #: The client-edge conditioner's counters at campaign end.
+    #: The ``"clients"`` target's link counters at campaign end.
     link_stats: dict = field(default_factory=dict)
     #: One privacy-vs-load point per segment (the flood's curve), as dicts.
     flood_points: list = field(default_factory=list)
@@ -294,7 +304,7 @@ class Campaign:
         self._churn_active: set[str] = set()
         self._churn_parked: set[str] = set()
         #: Chain hops whose sending side holds fault rules we installed.
-        self._fault_targets: set[int] = set()
+        self._chain_targets: set[int] = set()
 
     # -------------------------------------------------------------- randomness
 
@@ -314,15 +324,15 @@ class Campaign:
 
     # ------------------------------------------------------------ chain faults
 
-    def _draw_fault_rules(self) -> list[dict]:
+    def _draw_fault_rules(self) -> list[tuple[int, LinkRule]]:
         """A segment's fault rules: deterministic, bounded, chain-hop only.
 
-        Rules fire with probability 1.0 on inter-server destinations
-        (dropping a client's own submission would change the batch), and are
-        count-bounded below the retry budget: a round survives at most
-        ``max_round_attempts - 1`` aborts, and every fault on one protocol's
-        chain may land on the same round, so the counts per protocol sum to
-        at most that.
+        Each is a ``(target, rule)`` pair that kills or drops batches on an
+        inter-server hop (dropping a client's own submission would change
+        the batch).  Rules are count-bounded below the retry budget: a round
+        survives at most ``max_round_attempts - 1`` aborts, and every fault
+        on one protocol's chain may land on the same round, so the counts
+        per protocol sum to at most that.
         """
         budget = dict.fromkeys(("conversation", "dialing"), self.config.max_round_attempts - 1)
         rules = []
@@ -333,26 +343,24 @@ class Campaign:
                 continue
             count = 1 + self._randrange(budget[protocol])
             budget[protocol] -= count
-            rules.append(
-                {
-                    "action": self._choice(("kill", "drop")),
-                    "destination": f"server-{hop}/{protocol}",
-                    "count": count,
-                    "probability": 1.0,
-                }
+            rule = LinkRule(
+                action=self._choice(("kill", "drop")),
+                destination=f"server-{hop}/{protocol}",
+                count=count,
             )
-        return rules
-
-    def _apply_fault_rules(self, driver, rules: list[dict]) -> None:
-        for target in sorted(self._fault_targets):
-            driver.heal_faults(target)
-        self._fault_targets.clear()
-        for rule in rules:
             # "server-H/<protocol>" is *received* by chain hop H; the rule
             # must live in the process that sends to it, hop H - 1.
-            hop = int(rule["destination"].split("/")[0].split("-")[1])
-            driver.inject_fault(hop - 1, rule, seed=self.seed)
-            self._fault_targets.add(hop - 1)
+            rules.append((hop - 1, rule))
+        return rules
+
+    def _install_link_rules(self, driver, rules: list[tuple[str | int, LinkRule]]) -> None:
+        """The one way a campaign makes links misbehave: heal the chain
+        hops the previous call faulted, then install ``rules``."""
+        for target in sorted(self._chain_targets):
+            driver.heal_links(target)
+        self._chain_targets = {target for target, _ in rules if target != CLIENTS}
+        for target, rule in rules:
+            driver.add_link_rule(target, rule, seed=self.seed)
 
     # ------------------------------------------------------------------- churn
 
@@ -477,13 +485,13 @@ class Campaign:
             for index in range(self.flood_attackers):
                 driver.add_session(f"flooder-{index}", flood_target=victim_key)
 
-        for profile in edge_profiles(self.loss, self.latency_seconds, self.jitter_seconds):
-            driver.condition_clients(profile, seed=self.seed)
+        weather = edge_rules(self.loss, self.latency_seconds, self.jitter_seconds)
+        self._install_link_rules(driver, [(CLIENTS, rule) for rule in weather])
 
         for segment in range(segments):
             writer.append("campaign_segment", {"segment": segment})
             rules = self._draw_fault_rules()
-            self._apply_fault_rules(driver, rules)
+            self._install_link_rules(driver, rules)
             report.fault_rules_drawn += len(rules)
             churn = self._draw_churn(alice_hex, bob_hex) if segment > 0 else []
             report.churn.update(event.action for event in churn)
@@ -556,5 +564,5 @@ __all__ = [
     "InvariantViolation",
     "Invariants",
     "check_invariants",
-    "edge_profiles",
+    "edge_rules",
 ]

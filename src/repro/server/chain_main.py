@@ -34,7 +34,7 @@ from ..core import topology
 from ..crypto.backend import set_backend
 from ..errors import ProtocolError, ReproError
 from ..net import Envelope, TcpTransport, parse_address
-from ..net.faults import apply_fault_command
+from ..net.faults import apply_link_command
 
 
 class ChainServerProcess:
@@ -136,12 +136,12 @@ class ChainServerProcess:
                 raise ProtocolError("only the last chain server hosts invitation dead drops")
             store = self.dialing_processor.store_for_round(int(command["round"]))
             return {"store": store.snapshot()}
-        # Chaos over TCP: the launcher ships FaultRules to the process whose
+        # Chaos over TCP: the launcher ships link rules to the process whose
         # outgoing hop should misbehave (e.g. drop the batch this server
         # forwards to its successor, once).
-        fault_reply = apply_fault_command(self.transport, command)
-        if fault_reply is not None:
-            return fault_reply
+        link_reply = apply_link_command(self.transport, command)
+        if link_reply is not None:
+            return link_reply
         if cmd == "shutdown":
             self.shutdown.set()
             return {"ok": True}

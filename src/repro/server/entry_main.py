@@ -39,7 +39,7 @@ from ..core import topology
 from ..crypto.backend import set_backend
 from ..errors import NetworkError, ProtocolError, ReproError, TransportTimeout
 from ..net import Envelope, MessageKind, TcpTransport, parse_address
-from ..net.faults import apply_fault_command
+from ..net.faults import apply_link_command
 from ..runtime import PROTOCOL_KINDS, RoundCoordinator
 
 #: Protocol name -> submission kind, shared with the round pipeline: the
@@ -191,9 +191,9 @@ class EntryServerProcess:
             # Permanent churn: prune the departed client's parked refunds,
             # dedup digests and per-round pending state (see the coordinator).
             return {"forgotten": self.coordinator.forget_client(str(command["name"]))}
-        fault_reply = apply_fault_command(self.transport, command)
-        if fault_reply is not None:
-            return fault_reply
+        link_reply = apply_link_command(self.transport, command)
+        if link_reply is not None:
+            return link_reply
         if cmd == "open-round":
             kind = self._protocol(command)
             deadline = command.get("deadline")

@@ -2,7 +2,8 @@
 
 ``VuvuzelaSystem`` and ``DeploymentLauncher`` once mirrored 21 methods.  They
 now subclass :class:`~repro.core.driver.RoundDriver` and may both define only
-the seam it declares abstract; callers never ask a driver which shape it is.
+the seam it declares abstract (19 methods, three of them the one way to make
+a link misbehave); callers never ask a driver which shape it is.
 No subprocesses here — this is a sub-second check on the class surface and
 the source text.
 """
@@ -43,6 +44,15 @@ def test_both_shapes_implement_the_whole_seam():
         assert issubclass(shape, RoundDriver)
         assert not shape.__abstractmethods__, sorted(shape.__abstractmethods__)
         assert set(RoundDriver.__abstractmethods__) <= set(vars(shape))
+
+
+def test_the_seam_has_one_chaos_surface():
+    """Faults and WAN weather are one link-rule concept: three seam methods,
+    not one family per kind of bad network."""
+    abstract = set(RoundDriver.__abstractmethods__)
+    assert len(abstract) <= 19, sorted(abstract)
+    chaos = {name for name in abstract if re.search(r"link|fault|condition|heal|inject", name)}
+    assert chaos == {"add_link_rule", "heal_links", "link_stats"}
 
 
 def test_hoisted_methods_have_one_definition():

@@ -3,9 +3,9 @@
 The paper's availability model (§6) is that any server can fail and the
 system aborts the round and runs it again — clients simply see a lost round
 unless the retry succeeds.  These tests drive that story in both deployment
-shapes: deterministic fault injection on the in-process
+shapes: deterministic link rules on the in-process
 :class:`~repro.net.transport.Network`, and real SIGKILLed server processes /
-injected link faults on the multi-process TCP deployment.  The common
+shipped link rules on the multi-process TCP deployment.  The common
 acceptance bar: an aborted round, a successful automatic re-run, every
 accepted message delivered exactly once, and noise/refusal accounting
 intact.
@@ -19,8 +19,8 @@ import time
 import pytest
 
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem
-from repro.errors import NetworkError
-from repro.net import FaultInjector
+from repro.errors import NetworkError, ProtocolError
+from repro.net import LinkConditioner, LinkRule
 
 SEED = 4242
 
@@ -30,6 +30,16 @@ def scenario_config(**overrides) -> VuvuzelaConfig:
     fields = base.to_dict()
     fields.update(overrides)
     return VuvuzelaConfig.from_dict(fields)
+
+
+def kill_hop(protocol: str = "conversation", count: int | None = 1) -> LinkRule:
+    """Kill the batches chain server 0 forwards to server 1: a mid-round crash."""
+    return LinkRule(
+        action="kill",
+        source=f"server-0/{protocol}",
+        destination=f"server-1/{protocol}",
+        count=count,
+    )
 
 
 def converse(system, alice_name="alice", bob_name="bob"):
@@ -46,11 +56,7 @@ class TestInProcessKillMidRound:
             alice.send_message("through the crash")
             # The first batch forwarded from server 0 to server 1 dies — a
             # chain server crashing mid-round — then the link heals.
-            system.fault_injector(seed=1).kill_link(
-                source="server-0/conversation",
-                destination="server-1/conversation",
-                count=1,
-            )
+            system.add_link_rule(0, kill_hop(), seed=1)
             metrics = system.run_conversation_round()
             assert metrics.aborted_attempts == 1
             assert system.coordinator.rounds_run == 1
@@ -66,9 +72,7 @@ class TestInProcessKillMidRound:
             alice = system.add_client("alice")
             bob = system.add_client("bob")
             alice.dial(bob.public_key)
-            system.fault_injector(seed=2).kill_link(
-                source="server-0/dialing", destination="server-1/dialing", count=1
-            )
+            system.add_link_rule(0, kill_hop("dialing"), seed=2)
             metrics = system.run_dialing_round()
             assert metrics.aborted_attempts == 1
             assert len(bob.incoming_calls) == 1
@@ -80,11 +84,7 @@ class TestInProcessKillMidRound:
             carol = system.add_client("carol")
             system.entry.revoke_account("carol")
             alice.send_message("registered traffic only")
-            system.fault_injector(seed=3).kill_link(
-                source="server-0/conversation",
-                destination="server-1/conversation",
-                count=1,
-            )
+            system.add_link_rule(0, kill_hop(), seed=3)
             metrics = system.run_conversation_round()
             assert metrics.aborted_attempts == 1
             assert metrics.refused_requests == 1  # carol, counted once not twice
@@ -96,15 +96,12 @@ class TestInProcessKillMidRound:
         with VuvuzelaSystem(scenario_config(max_round_attempts=2)) as system:
             alice, bob = converse(system)
             alice.send_message("eventually")
-            injector = system.fault_injector(seed=4)
-            rule = injector.kill_link(
-                source="server-0/conversation", destination="server-1/conversation"
-            )
+            system.add_link_rule(0, kill_hop(count=None), seed=4)
             with pytest.raises(NetworkError):
                 system.run_conversation_round()
             assert system.coordinator.rounds_aborted == 1
             assert system.metrics.conversation_rounds == []  # nothing recorded
-            injector.heal(rule)
+            system.heal_links(0)
             # The client saw nothing resolve, so its message is still queued
             # and the next round delivers it (§3.1 retransmission).
             metrics = system.run_conversation_round()
@@ -117,15 +114,17 @@ class TestInProcessKillMidRound:
             with VuvuzelaSystem(scenario_config()) as system:
                 alice, bob = converse(system)
                 alice.send_message("maybe")
-                injector = system.fault_injector(seed=99)
-                injector.drop(
-                    destination="entry", probability=0.5, kind=None
+                system.add_link_rule(
+                    "clients",
+                    LinkRule(action="drop", destination="entry", probability=0.5, kind=None),
+                    seed=99,
                 )
                 lost = 0
                 for _ in range(3):
                     metrics = system.run_conversation_round()
                     lost += metrics.lost_requests
-                return lost, injector.dropped, bob.messages_from(alice.public_key)
+                dropped = system.link_stats()["lost"]
+                return lost, dropped, bob.messages_from(alice.public_key)
 
         assert run() == run()
 
@@ -139,11 +138,7 @@ class TestInProcessKillMidRound:
                 alice, bob = converse(system)
                 alice.send_message("through the crash")
                 if kill:
-                    system.fault_injector(seed=1).kill_link(
-                        source="server-0/conversation",
-                        destination="server-1/conversation",
-                        count=1,
-                    )
+                    system.add_link_rule(0, kill_hop(), seed=1)
                 metrics = system.run_conversation_round()
                 assert bob.messages_from(alice.public_key) == [b"through the crash"]
                 return system._ledger_round_record(
@@ -154,6 +149,54 @@ class TestInProcessKillMidRound:
         assert faulted["aborted_attempts"] == 1
         assert run(kill=True) == faulted
         assert run(kill=False)["noise"] != faulted["noise"]
+
+
+class TestOverlapDeterminism:
+    """Link-rule draws are keyed on each message's identity and ``count`` on
+    round-ordered chain traffic, so an overlapped schedule decides exactly
+    what a serial one does."""
+
+    @staticmethod
+    def _pair(system):
+        alice = system.add_session("alice")
+        system.add_session("bob")
+        alice.dial(system.client("bob").public_key)
+        return alice, system.client("bob")
+
+    def test_probabilistic_drop_is_identical_at_depth_one_and_two(self):
+        def run(depth: int):
+            with VuvuzelaSystem(scenario_config()) as system:
+                alice, bob = self._pair(system)
+                for index in range(4):
+                    alice.say(f"overlap-{index}")
+                system.add_link_rule(
+                    "clients",
+                    LinkRule(action="drop", destination="entry", probability=0.3),
+                    seed=2,
+                )
+                system.run_continuous(8, dialing_interval=2, pipeline_depth=depth)
+                received = [message.body for message in bob.received]
+                return system.link_stats()["lost"], received, system.ledger_client_digests()
+
+        serial = run(1)
+        assert serial[0] > 0 and serial[1]  # the rule bit, and mail still got through
+        assert run(2) == serial
+
+    def test_one_kill_per_protocol_under_overlap(self):
+        with VuvuzelaSystem(scenario_config()) as system:
+            alice, bob = self._pair(system)
+            alice.say("through both crashes")
+            system.add_link_rule(0, kill_hop(), seed=1)
+            system.add_link_rule(0, kill_hop("dialing"), seed=1)
+            schedule = system.run_continuous(4, dialing_interval=2, pipeline_depth=2)
+        aborts = {
+            protocol: sum(metrics.aborted_attempts for metrics in getattr(schedule, protocol))
+            for protocol in ("conversation", "dialing")
+        }
+        assert aborts == {"conversation": 1, "dialing": 1}
+        assert [message.body for message in bob.received] == [b"through both crashes"]
+        assert bob.duplicates_suppressed == 0
+        assert len(bob.incoming_calls) == 1
 
 
 class TestNetworkedPartition:
@@ -168,13 +211,9 @@ class TestNetworkedPartition:
             bob.client.start_conversation(alice.client.public_key)
             alice.client.send_message("across the partition")
 
-            deployment.inject_fault(
+            deployment.add_link_rule(
                 0,
-                {
-                    "action": "kill",
-                    "destination": "server-1/conversation",
-                    "count": 1,
-                },
+                LinkRule(action="kill", destination="server-1/conversation", count=1),
             )
             result = deployment.run_conversation_round([alice, bob])
             assert result.aborts == 1
@@ -201,11 +240,7 @@ class TestNetworkedPartition:
         with VuvuzelaSystem(scenario_config()) as system:
             alice, bob = converse(system)
             alice.send_message("through the crash")
-            system.fault_injector(seed=1).kill_link(
-                source="server-0/conversation",
-                destination="server-1/conversation",
-                count=1,
-            )
+            system.add_link_rule(0, kill_hop(), seed=1)
             metrics = system.run_conversation_round()
             assert metrics.aborted_attempts == 1
             in_process_messages = bob.messages_from(alice.public_key)
@@ -217,8 +252,8 @@ class TestNetworkedPartition:
             alice.client.start_conversation(bob.client.public_key)
             bob.client.start_conversation(alice.client.public_key)
             alice.client.send_message("through the crash")
-            deployment.inject_fault(
-                0, {"action": "kill", "destination": "server-1/conversation", "count": 1}
+            deployment.add_link_rule(
+                0, LinkRule(action="kill", destination="server-1/conversation", count=1)
             )
             result = deployment.run_conversation_round([alice, bob])
             assert result.aborts == 1
@@ -237,13 +272,9 @@ class TestNetworkedPartition:
             alice = deployment.add_client("alice")
             bob = deployment.add_client("bob")
             alice.client.dial(bob.client.public_key)
-            deployment.inject_fault(
+            deployment.add_link_rule(
                 0,
-                {
-                    "action": "kill",
-                    "destination": "server-1/dialing",
-                    "count": 1,
-                },
+                LinkRule(action="kill", destination="server-1/dialing", count=1),
             )
             result = deployment.run_dialing_round([alice, bob])
             assert result.protocol == "dialing"
@@ -281,13 +312,9 @@ class TestNetworkedPartition:
             alice.client.start_conversation(bob.client.public_key)
             bob.client.start_conversation(alice.client.public_key)
             bob.client.send_message("lost batch, kept messages")
-            deployment.inject_fault(
+            deployment.add_link_rule(
                 "entry",
-                {
-                    "action": "drop",
-                    "destination": "server-0/conversation",
-                    "count": 1,
-                },
+                LinkRule(action="drop", destination="server-0/conversation", count=1),
             )
             result = deployment.run_conversation_round([alice, bob])
             assert result.aborts == 1
@@ -360,12 +387,12 @@ class TestNetworkedKillAndRestart:
             }
 
 
-class TestNetworkedFaultRulePersistence:
+class TestNetworkedLinkRulePersistence:
     def test_injected_rules_survive_restart_server(self):
-        """Regression: a respawned server process starts with an empty fault
-        injector, so without re-injection a SIGKILL+restart silently erased
-        the scenario's remaining chaos rules.  The fault schedule is
-        deployment state — the launcher must re-ship active rules."""
+        """Regression: a respawned server process starts with no link rules,
+        so without re-shipping a SIGKILL+restart silently erased the
+        scenario's remaining chaos rules.  The fault schedule is deployment
+        state — the launcher must re-ship active rules."""
         config = scenario_config(round_deadline_seconds=10.0, max_round_attempts=8)
         with DeploymentLauncher(config) as deployment:
             alice = deployment.add_client("alice", retry_backoff_seconds=0.4)
@@ -374,16 +401,12 @@ class TestNetworkedFaultRulePersistence:
             bob.client.start_conversation(alice.client.public_key)
             deployment.run_conversation_round([alice, bob])  # warm-up
 
-            # The rule lives in server 1's injector and would kill its first
+            # The rule lives in server 1's conditioner and would kill its first
             # forward to server 2 — but server 1 is SIGKILLed before any
             # round lets the rule fire.
-            deployment.inject_fault(
+            deployment.add_link_rule(
                 1,
-                {
-                    "action": "kill",
-                    "destination": "server-2/conversation",
-                    "count": 1,
-                },
+                LinkRule(action="kill", destination="server-2/conversation", count=1),
             )
             deployment.kill_server(1)
             deployment.restart_server(1)
@@ -404,13 +427,25 @@ class TestNetworkedFaultRulePersistence:
             ]
 
             # Healed rules must NOT be resurrected by a later restart.
-            deployment.heal_faults(1)
+            deployment.heal_links(1)
             deployment.kill_server(1)
             deployment.restart_server(1)
             assert deployment.wait_alive(1, timeout=30.0)
             deployment.run_dialing_round([alice, bob])  # flush stale pools
             follow_up = deployment.run_conversation_round([alice, bob])
             assert follow_up.aborts == 0
+
+
+    def test_malformed_rule_is_refused_with_a_typed_error(self):
+        """A bad rule comes back to the launcher as a ProtocolError naming
+        the rule, not through the transport's ``handler failed`` catch-all,
+        and installs nothing."""
+        command = {"cmd": "add-link-rule", "rule": {"action": "kill", "kind": "bogus"}}
+        with DeploymentLauncher(scenario_config()) as deployment:
+            for control in (deployment.entry_control, lambda c: deployment.server_control(0, c)):
+                with pytest.raises(ProtocolError, match="malformed link rule"):
+                    control(command)
+                assert control({"cmd": "link-stats"})["rules"] == 0
 
 
 class TestLauncherLifecycle:
@@ -525,70 +560,67 @@ class TestClientConnectionResilience:
         assert client.rounds_lost == 1
 
 
-class TestFaultInjectorUnit:
+class TestLinkRuleUnit:
     def test_bounded_rules_expire(self):
-        from repro.net import Envelope
+        from repro.net import Envelope, MessageKind
 
-        injector = FaultInjector(seed=0)
-        injector.drop(destination="entry", count=2)
-        envelope = Envelope(source="a", destination="entry", payload=b"x")
-        assert injector.before_send(envelope) == "drop"
-        assert injector.before_send(envelope) == "drop"
-        assert injector.before_send(envelope) == "deliver"
-        assert injector.dropped == 2
-        assert injector.active_rules() == []
-
-    def test_rule_roundtrips_through_json_form(self):
-        from repro.net import FaultRule, MessageKind
-
-        rule = FaultRule(
-            action="delay",
-            source="server-0/conversation",
-            destination="server-1/conversation",
+        conditioner = LinkConditioner(seed=0)
+        conditioner.add_rule(LinkRule(action="drop", destination="entry", count=2))
+        envelope = Envelope(
+            source="a", destination="entry", payload=b"x",
             kind=MessageKind.CONVERSATION_REQUEST,
-            probability=0.25,
-            count=3,
-            delay_seconds=0.5,
         )
-        clone = FaultRule.from_dict(rule.to_dict())
-        assert clone == rule
+        assert conditioner.decide(envelope) is None
+        assert conditioner.decide(envelope) is None
+        assert conditioner.decide(envelope) == 0.0
+        assert conditioner.stats()["lost"] == 2
+        assert conditioner.active_rules() == []
 
-    def test_reseeding_an_existing_injector_is_refused(self):
-        from repro import VuvuzelaSystem
-        from repro.errors import ProtocolError
-
+    def test_reseeding_an_existing_conditioner_is_refused(self):
+        rule = LinkRule(action="drop", destination="entry", count=1)
         with VuvuzelaSystem(scenario_config()) as system:
-            first = system.fault_injector(seed=1)
-            assert system.fault_injector(seed=1) is first  # same seed: fine
+            system.add_link_rule("clients", rule, seed=1)
+            first = system.network.link_conditioner
+            system.add_link_rule("entry", rule, seed=1)  # same seed: fine
+            assert system.network.link_conditioner is first
             with pytest.raises(ProtocolError, match="cannot reseed"):
-                system.fault_injector(seed=2)
+                system.add_link_rule(0, rule, seed=2)
 
     def test_delay_rule_reports_stall_without_sleeping(self):
-        # The injector *decides* the stall; the transport routes it through
-        # the link conditioner's scheduling.  Deciding must never sleep —
-        # that is the fix for delay rules serializing an overlapped drive.
-        from repro.net import Envelope
+        # The conditioner *decides* the stall; the transport applies it with
+        # hold() after the decision lock is released.  Deciding must never
+        # sleep — that is the fix for delay rules serializing an overlapped
+        # drive.
+        from repro.net import Envelope, MessageKind
 
-        injector = FaultInjector()
-        injector.delay(0.15, destination="entry", count=1)
-        envelope = Envelope(source="a", destination="entry", payload=b"x")
+        conditioner = LinkConditioner()
+        conditioner.add_rule(
+            LinkRule(action="delay", delay_seconds=0.15, destination="entry", count=1)
+        )
+        envelope = Envelope(
+            source="a", destination="entry", payload=b"x",
+            kind=MessageKind.CONVERSATION_REQUEST,
+        )
         started = time.perf_counter()
-        verdict, stall = injector.decide(envelope)
+        stall = conditioner.decide(envelope)
         assert time.perf_counter() - started < 0.1
-        assert (verdict, stall) == ("deliver", 0.15)
-        assert injector.delayed == 1
+        assert stall == 0.15
+        assert conditioner.stats()["held"] == 1
 
     def test_delay_rule_stall_is_applied_by_the_transport(self):
-        from repro.net import Envelope, Network
+        from repro.net import MessageKind, Network
 
         network = Network()
         network.register("entry", lambda envelope: b"ok")
-        network.fault_injector = FaultInjector()
-        network.fault_injector.delay(0.12, destination="entry", count=1)
+        network.link_conditioner = LinkConditioner()
+        network.link_conditioner.add_rule(
+            LinkRule(action="delay", delay_seconds=0.12, destination="entry", count=1)
+        )
+        kind = MessageKind.CONVERSATION_REQUEST
         started = time.perf_counter()
-        assert network.send("a", "entry", b"x") == b"ok"
+        assert network.send("a", "entry", b"x", kind) == b"ok"
         assert time.perf_counter() - started >= 0.11
         # The second send matches no rule (count=1 expired) and is instant.
         started = time.perf_counter()
-        assert network.send("a", "entry", b"x") == b"ok"
+        assert network.send("a", "entry", b"x", kind) == b"ok"
         assert time.perf_counter() - started < 0.1

@@ -19,6 +19,7 @@ import pytest
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem
 from repro.errors import LedgerError
 from repro.ledger import LedgerWriter, load_ledger, replay_ledger
+from repro.net import LinkRule
 from repro.runtime import Campaign
 from repro.runtime import campaign as campaign_module
 
@@ -45,10 +46,15 @@ class TestInProcessReplay:
                 system.add_session("bob")
                 alice.dial(system.client("bob").public_key)
                 alice.say("recorded through a crash")
-                system.fault_injector(seed=1).kill_link(
-                    source="server-0/conversation",
-                    destination="server-1/conversation",
-                    count=1,
+                system.add_link_rule(
+                    0,
+                    LinkRule(
+                        action="kill",
+                        source="server-0/conversation",
+                        destination="server-1/conversation",
+                        count=1,
+                    ),
+                    seed=1,
                 )
                 schedule = system.run_continuous(3, dialing_interval=2)
             assert system.coordinator.rounds_aborted == 1

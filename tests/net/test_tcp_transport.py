@@ -232,35 +232,42 @@ class TestTrafficAccounting:
         assert client_transport.failed_sends == 0
 
 
-class TestFaultInjection:
+class TestLinkRules:
+    # The echo endpoint's traffic is CONTROL: a rule only faults the control
+    # plane when it names that kind.
+
     def test_drop_rule_loses_the_message(self, server_transport, client_transport):
-        from repro.net import FaultInjector
+        from repro.net import LinkConditioner, LinkRule, MessageKind
 
         server_transport.register("echo", lambda envelope: b"ok")
         host, port = server_transport.listen()
         client_transport.add_route("echo", host, port)
-        injector = FaultInjector(seed=7)
-        injector.drop(destination="echo", count=1)
-        client_transport.fault_injector = injector
+        conditioner = LinkConditioner(seed=7)
+        conditioner.add_rule(
+            LinkRule(action="drop", destination="echo", kind=MessageKind.CONTROL, count=1)
+        )
+        client_transport.link_conditioner = conditioner
         assert client_transport.send("a", "echo", b"gone") is None
         assert client_transport.failed_sends == 1
-        assert injector.dropped == 1
+        assert conditioner.stats()["lost"] == 1
         # The rule expired: the next send goes through and is counted.
         assert client_transport.send("a", "echo", b"ok") == b"ok"
         assert client_transport.stats("a", "echo").messages == 1
 
     def test_kill_rule_raises_network_error(self, server_transport, client_transport):
-        from repro.net import FaultInjector
+        from repro.net import LinkConditioner, LinkRule, MessageKind
 
         server_transport.register("echo", lambda envelope: b"ok")
         host, port = server_transport.listen()
         client_transport.add_route("echo", host, port)
-        injector = FaultInjector()
-        rule = injector.kill_link(destination="echo")
-        client_transport.fault_injector = injector
-        with pytest.raises(NetworkError, match="fault injection"):
+        conditioner = LinkConditioner()
+        conditioner.add_rule(
+            LinkRule(action="kill", destination="echo", kind=MessageKind.CONTROL)
+        )
+        client_transport.link_conditioner = conditioner
+        with pytest.raises(NetworkError, match="link rule"):
             client_transport.send("a", "echo", b"x")
-        injector.heal(rule)
+        conditioner.heal()
         assert client_transport.send("a", "echo", b"x") == b"ok"
 
 

@@ -273,18 +273,21 @@ class TestDriveOrdering:
         abandon the pre-opened next window, wedging the in-order drive gate
         for every later round of the kind."""
         from repro.errors import NetworkError
+        from repro.net import LinkRule
 
         config = scenario_config(max_round_attempts=1)
         with VuvuzelaSystem(config) as system:
             system.add_client("alice")
             system.coordinator.response_wait_seconds = 5.0
-            injector = system.fault_injector(seed=9)
-            rule = injector.kill_link(
-                source="server-0/conversation", destination="server-1/conversation"
+            kill = LinkRule(
+                action="kill",
+                source="server-0/conversation",
+                destination="server-1/conversation",
             )
+            system.add_link_rule(0, kill, seed=9)
             with pytest.raises(NetworkError):
                 system.run_continuous(3, dialing_interval=0, pipeline_depth=2)
-            injector.heal(rule)
+            system.heal_links(0)
             # The pre-opened window was discarded, not abandoned: the next
             # round drives immediately instead of timing out on the gate.
             metrics = system.run_conversation_round()

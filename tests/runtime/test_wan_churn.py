@@ -15,13 +15,14 @@ import pytest
 from repro import VuvuzelaConfig, VuvuzelaSystem
 from repro.errors import ProtocolError
 from repro.ledger import LedgerWriter, load_ledger, replay_ledger, replay_ledger_over_tcp
-from repro.net import MessageKind
+from repro.net import Envelope, LinkConditioner, MessageKind
 from repro.runtime import (
     CHURN_ACTIONS,
     INVARIANTS,
     Campaign,
     ChurnEvent,
     check_invariants,
+    edge_rules,
 )
 
 SEED = 7171
@@ -218,6 +219,39 @@ class TestInvariants:
         assert failures and {name for name, _ in failures} == {invariant}
 
 
+class TestEdgeWeather:
+    def test_lossy_weather_still_delays_delivered_submissions(self):
+        """Regression: the loss rule used to shadow the latency/jitter rule,
+        so a conversation submission that survived lossy weather crossed the
+        edge with no delay at all."""
+        latency, jitter = 0.005, 0.001
+        conditioner = LinkConditioner(seed=3)
+        for rule in edge_rules(0.15, latency, jitter):
+            conditioner.add_rule(rule)
+
+        def stalls(kind: MessageKind) -> list:
+            return [
+                conditioner.decide(
+                    Envelope(
+                        source=f"client-{index}",
+                        destination="entry",
+                        payload=index.to_bytes(4, "big"),
+                        kind=kind,
+                        round_number=index % 5,
+                    )
+                )
+                for index in range(200)
+            ]
+
+        conversation = stalls(MessageKind.CONVERSATION_REQUEST)
+        delivered = [stall for stall in conversation if stall is not None]
+        assert 0 < len(delivered) < len(conversation)  # the loss bit, not all
+        assert min(delivered) >= latency
+        dialing = stalls(MessageKind.DIALING_REQUEST)
+        assert None not in dialing  # weather never loses a dial
+        assert latency <= min(dialing) and max(dialing) < latency + jitter + 0.001
+
+
 class TestInProcessCampaign:
     def test_campaign_holds_invariants_and_replays(self, tmp_path):
         path = tmp_path / "wan.jsonl"
@@ -246,7 +280,7 @@ class TestInProcessCampaign:
         assert spends == sorted(spends) and spends[0] == 2
 
         view = load_ledger(path)
-        assert view.of_type("link_profile_added")
+        assert view.of_type("link_rule_added")
         assert view.of_type("privacy_load_point")
 
         replay = replay_ledger(path)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem
 from repro.errors import ProtocolError
-from repro.net import MessageKind
+from repro.net import LinkRule, MessageKind
 from repro.server.wire import (
     VERDICT_ACCEPTED,
     decode_batch_verdicts,
@@ -150,10 +150,15 @@ class TestInProcessRound:
         sender, partner = swarm.population.pairs[0]
         swarm.set_message(sender, b"through the crash")
         with VuvuzelaSystem(config) as system:
-            system.fault_injector(seed=1).kill_link(
-                source="server-0/conversation",
-                destination="server-1/conversation",
-                count=1,
+            system.add_link_rule(
+                0,
+                LinkRule(
+                    action="kill",
+                    source="server-0/conversation",
+                    destination="server-1/conversation",
+                    count=1,
+                ),
+                seed=1,
             )
             faulted = system.run_swarm_round(swarm)
             follow_up = system.run_swarm_round(swarm)
