@@ -10,7 +10,11 @@ the numbers behind those three choices on this host, with the pool warm:
 * **response wrap** (AEAD only): inline against split, through a probe-local
   worker task, since the engine itself never splits it;
 * **pipe**: a no-op round trip of one packed block per worker (pack, send,
-  unpack in the worker, pack, return, unpack), the transport's whole cost.
+  unpack in the worker, pack, return, unpack), the transport's whole cost;
+* **client build**: a swarm round's wires at conv-swarm's shape (60% of the
+  users paired), through ``ClientSwarm.build_round`` on an inline engine
+  against the pool — the rng draws in the parent, the fake exchanges, boxes
+  and onion layers wherever the engine runs them.
 
 Each cell is the best of ``REPEATS`` runs on a two-worker pool, in
 milliseconds, with the fastest available crypto backend.  Run::
@@ -27,12 +31,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.config import VuvuzelaConfig  # noqa: E402
 from repro.crypto import DeterministicRandom, KeyPair, wrap_request_batch  # noqa: E402
 from repro.crypto.backend import active_backend, available_backends, set_backend  # noqa: E402
 from repro.crypto.onion import wrap_response_batch  # noqa: E402
 from repro.runtime import RoundEngine  # noqa: E402
 from repro.runtime import engine as round_engine  # noqa: E402
 from repro.runtime.shm import pack_entries, unpack_entries  # noqa: E402
+from repro.simulation import ClientSwarm, WorkloadSpec  # noqa: E402
 
 #: A conversation exchange request, as a mixing server's noise carries it.
 PAYLOAD_SIZE = 272
@@ -40,6 +46,8 @@ ROUND = 3
 #: Batch sizes in wires: both sides of the crossover, up to conv-noise's
 #: ~1,100-wire noise wrap and a 2,300-wire peel.
 SIZES = (16, 32, 64, 128, 256, 512, 1_100, 2_300)
+#: Swarm sizes of the client-build rows, up to conv-swarm's 2,000 users.
+CLIENT_SIZES = (100, 500, 2_000)
 REPEATS = 7
 WORKERS = 2
 
@@ -118,11 +126,40 @@ def probe() -> list[dict]:
     return rows
 
 
+def probe_client_build() -> list[dict]:
+    """One swarm per size and mode; each timed build is that swarm's next round."""
+    config = VuvuzelaConfig.small(seed=1)
+    inline = RoundEngine(workers=1)
+    pooled = RoundEngine(workers=WORKERS)
+    round_engine.POOL_CURVE_OPS = 0
+    rows = []
+    try:
+        for n in CLIENT_SIZES:
+            spec = WorkloadSpec(num_users=n, conversing_fraction=0.6, dialing_fraction=0.0)
+            row: dict = {"wires": n}
+            for mode, engine in (("inline", inline), ("pooled", pooled)):
+                swarm = ClientSwarm.from_spec(config, spec)
+                rounds = iter(range(REPEATS + 1))
+                swarm.build_round(next(rounds), engine=engine)  # long-term keys, pool fork
+                row[f"client_{mode}_ms"] = best_ms(lambda: swarm.build_round(next(rounds), engine=engine))
+            rows.append(row)
+            print(
+                f"  wires={n:<6} client build {row['client_inline_ms']:>8} -> {row['client_pooled_ms']:>8}",
+                file=sys.stderr,
+            )
+    finally:
+        pooled.close()
+    return rows
+
+
 def main() -> None:
     set_backend(available_backends()[-1])
     print(f"backend {active_backend().name}, {WORKERS} workers, best of {REPEATS} (ms)", file=sys.stderr)
     rows = probe()
-    print(json.dumps({"backend": active_backend().name, "workers": WORKERS, "rows": rows}))
+    client_rows = probe_client_build()
+    print(json.dumps(
+        {"backend": active_backend().name, "workers": WORKERS, "rows": rows, "client_rows": client_rows}
+    ))
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 from .client import (
     ConversationSession,
     PendingExchange,
+    build_exchange_batch,
     build_exchange_request,
     process_exchange_response,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "MAX_MESSAGE_SIZE",
     "MESSAGE_BOX_SIZE",
     "PendingExchange",
+    "build_exchange_batch",
     "build_exchange_request",
     "build_noise_request",
     "conversation_noise_builder",

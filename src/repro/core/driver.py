@@ -120,8 +120,9 @@ class RoundDriver(ABC):
             dialing_interval=self.config.dialing_interval,
         )
         #: The driver's one engine, one worker per usable core: the dialing
-        #: poll's trial decryption and, in process, every chain server's
-        #: peel and noise wrap.  Each shape's teardown closes it.
+        #: poll's trial decryption, the swarm's client wires and, in
+        #: process, every chain server's peel and noise wrap.  Each shape's
+        #: teardown closes it.
         self.engine = RoundEngine()
 
     def protocol(self, name: str) -> RoundProtocol:
@@ -445,7 +446,9 @@ class RoundDriver(ABC):
         through the coordinator's batched gate instead of one envelope per
         client — each chunk's verdict frame gates the next, which is the
         ingest backpressure — and responses are decoded in bulk by the swarm.
-        Every server-side observable — admission verdicts, window accounting,
+        The swarm builds its wires on :attr:`engine`; if the build or a
+        submission fails, the window is discarded before the error
+        propagates.  Every server-side observable — admission verdicts, window accounting,
         the chain drive, noise, the ledger record — goes through the same
         code as the per-client path.
         """
@@ -474,9 +477,22 @@ class RoundDriver(ABC):
             peak_buffer = max(peak_buffer, self.buffered_total())
             return verdicts
 
-        stats = swarm.submit_round(
-            round_number, submit, chunk_size=chunk_size, pipeline=self.swarm_pipelined
-        )
+        try:
+            stats = swarm.submit_round(
+                round_number,
+                submit,
+                chunk_size=chunk_size,
+                pipeline=self.swarm_pipelined,
+                engine=self.engine,
+            )
+        except BaseException:
+            # A window left open would wedge every later round of its kind:
+            # resolve it the way the scheduler does, then re-raise.
+            try:
+                self.discard_scheduled_round(protocol, opened)
+            except Exception:
+                pass  # best-effort cleanup on an already-failing path
+            raise
         stats.peak_server_buffer = peak_buffer
         # repro-lint: allow[nd-wallclock] phase split of the report; never feeds wire/digest/ledger payloads
         chain_started = time.perf_counter()

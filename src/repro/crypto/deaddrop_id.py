@@ -21,17 +21,30 @@ from .keys import PublicKey
 DEAD_DROP_ID_SIZE = 16
 
 
+def dead_drop_prf_key(shared_secret: bytes) -> bytes:
+    """The pair's dead-drop PRF key.
+
+    It depends on the shared secret alone, so a conversation derives it once
+    and names every round's dead drop with :func:`dead_drop_for_round`.
+    """
+    return derive_key(shared_secret, "deaddrop-id")
+
+
+def dead_drop_for_round(prf_key: bytes, round_number: int) -> bytes:
+    """The 16-byte dead-drop ID for ``round_number`` under a pair's PRF key."""
+    if round_number < 0:
+        raise ValueError("round numbers are non-negative")
+    digest = hashlib.sha256(prf_key + round_number.to_bytes(8, "big")).digest()
+    return digest[:DEAD_DROP_ID_SIZE]
+
+
 def conversation_dead_drop(shared_secret: bytes, round_number: int) -> bytes:
     """Return the 16-byte dead-drop ID for ``round_number``.
 
     This is the ``b = H(s, r)`` step of Algorithm 1: a keyed PRF of the round
     number under the pair's shared secret.
     """
-    if round_number < 0:
-        raise ValueError("round numbers are non-negative")
-    prf_key = derive_key(shared_secret, "deaddrop-id")
-    digest = hashlib.sha256(prf_key + round_number.to_bytes(8, "big")).digest()
-    return digest[:DEAD_DROP_ID_SIZE]
+    return dead_drop_for_round(dead_drop_prf_key(shared_secret), round_number)
 
 
 def random_dead_drop(rng_bytes: bytes) -> bytes:

@@ -38,6 +38,7 @@ from .keys import KEY_SIZE, PrivateKey, PublicKey
 from .rng import RandomSource, default_random
 from .secretbox import (
     TAG_SIZE,
+    derive_layer_key_schedule,
     derive_layer_keys,
     nonce_for_round,
     open_box,
@@ -158,13 +159,12 @@ def wrap_request_batch(
         publics, shareds = backend.x25519_fixed_point_batch(
             scalars[index], server_public_keys[index].data
         )
+        if any(x25519.is_all_zero(shared) for shared in shareds):
+            raise OnionError("X25519 exchange produced an all-zero shared secret")
+        # Wrap side: fresh ephemeral secrets, nothing to memoize (see
+        # derive_layer_keys on why clients must not populate the cache).
         request_keys = []
-        for message, shared in enumerate(shareds):
-            if x25519.is_all_zero(shared):
-                raise OnionError("X25519 exchange produced an all-zero shared secret")
-            # Wrap side: fresh ephemeral secret, nothing to memoize (see
-            # derive_layer_keys on why clients must not populate the cache).
-            request_key, response_key = derive_layer_keys(shared, cached=False)
+        for message, (request_key, response_key) in enumerate(derive_layer_key_schedule(shareds)):
             request_keys.append(request_key)
             layer_keys[message][index] = response_key
         boxes = seal_batch(

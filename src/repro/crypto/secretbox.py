@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .backend import active_backend
-from .hkdf import derive_key
+from .hkdf import derive_key, derive_key_schedule
 from ..errors import DecryptionError
 
 KEY_SIZE = 32
@@ -94,6 +94,10 @@ def nonce_for_round(round_number: int, label: str = "") -> bytes:
     return round_number.to_bytes(11, "big") + bytes([label_byte])
 
 
+#: The label of an onion layer's two keys.
+_LAYER_LABEL = "layer"
+
+
 @lru_cache(maxsize=1 << 16)
 def _derived_key_cached(shared: bytes, label: str, length: int) -> bytes:
     return derive_key(shared, f"secretbox:{label}", length)
@@ -115,28 +119,33 @@ def key_from_shared_secret(shared: bytes, label: str) -> bytes:
     return _derived_key_cached(bytes(shared), label, KEY_SIZE)
 
 
-def derive_layer_keys(shared: bytes, *, cached: bool = True) -> tuple[bytes, bytes]:
-    """Both onion keys of one layer from one HKDF expansion.
+def derive_layer_keys(shared: bytes) -> tuple[bytes, bytes]:
+    """Both onion keys of one layer from one HKDF expansion, memoized.
 
     Returns ``(request_key, response_key)``.  The request key equals the
     first 32 bytes of the expansion — byte-identical to what
     ``key_from_shared_secret(shared, "layer")`` derives, by the HKDF-Expand
     prefix property — so request wires are unchanged; the response key is the
     next 32 bytes, giving the two directions fully separated keys.  Both are
-    produced at peel (or wrap) time, so sealing the response later costs zero
-    derivations.
-
-    Servers derive with ``cached=True`` and the round drivers clear the
-    cache when the round ends.  Clients wrap with ``cached=False``: every
-    wrap uses a fresh ephemeral secret (zero repeat derivations to save),
-    and a client process has no round-end hook, so populating a cache there
-    would only retain ephemeral DH secrets it never needs again.
+    produced at peel time, so sealing the response later costs zero
+    derivations.  The round drivers clear the cache when the round ends.
     """
-    if cached:
-        block = _derived_key_cached(bytes(shared), "layer", 2 * KEY_SIZE)
-    else:
-        block = derive_key(bytes(shared), "secretbox:layer", 2 * KEY_SIZE)
+    block = _derived_key_cached(bytes(shared), _LAYER_LABEL, 2 * KEY_SIZE)
     return block[:KEY_SIZE], block[KEY_SIZE:]
+
+
+def derive_layer_key_schedule(shareds: Sequence[bytes]) -> list[tuple[bytes, bytes]]:
+    """:func:`derive_layer_keys` for a whole layer of client wraps, uncached.
+
+    Every wrap uses a fresh ephemeral secret (zero repeat derivations to
+    save), and a client process has no round-end hook, so populating the
+    cache would only retain ephemeral DH secrets it never needs again.  The
+    layer goes through the one-pass :func:`~repro.crypto.hkdf.derive_key_schedule`.
+    """
+    blocks = derive_key_schedule(
+        [bytes(shared) for shared in shareds], f"secretbox:{_LAYER_LABEL}", 2 * KEY_SIZE
+    )
+    return [(block[:KEY_SIZE], block[KEY_SIZE:]) for block in blocks]
 
 
 def clear_derived_key_cache() -> None:

@@ -1,18 +1,20 @@
 """The round execution engine: one per driver, sized by the host.
 
 A Vuvuzela server's round work — peel a batch, wrap the round's noise, seal
-the responses — and a dialing round's trial decryption are embarrassingly
-parallel *within* a round but shaped badly for Python: one thread, one giant
-working set.  :class:`RoundEngine` runs every such batch op under one policy:
+the responses — a dialing round's trial decryption and a simulated client
+swarm's wire build are embarrassingly parallel *within* a round but shaped
+badly for Python: one thread, one giant working set.  :class:`RoundEngine`
+runs every such batch op under one policy:
 
 * **Workers.** One per usable core (``os.sched_getaffinity``); on one core
   the engine never forks.  There is nothing to configure.
 * **When the pool.** An op goes to the pool only when its own size crosses
   its measured threshold: :data:`POOL_CURVE_OPS` curve operations for the
-  peel (one per wire) and the noise wrap (one per layer per wire),
-  :data:`SCAN_PARALLEL_TRIALS` trial decryptions for the dialing scan.  The
-  response wrap is AEAD only, and splitting it was measured slower than
-  running it inline, so it never reaches the pool.
+  peel (one per wire), the noise wrap (one per layer per wire) and the
+  client build (one per layer per wire, plus one per idle client's fake
+  exchange), :data:`SCAN_PARALLEL_TRIALS` trial decryptions for the dialing
+  scan.  The response wrap is AEAD only, and splitting it was measured
+  slower than running it inline, so it never reaches the pool.
 * **Chunks.** Inline, a batch runs in chunks of
   :data:`~repro.crypto.batch_kernels.PREFERRED_CHUNK`, which keeps the
   vectorized kernels' temporaries cache-resident (100k-message rounds once
@@ -32,10 +34,11 @@ flight, and chunk ``k``'s results are unpacked in the parent while chunks
 size rather than the round size.
 
 Determinism is a hard contract: every rng draw a round makes (noise
-payloads, wrap scalars, the mix permutation) happens in the caller's thread
-in the inline path's exact order — workers only ever run pure functions of
-bytes — so a round is byte-identical whichever ops went to the pool.  The
-engine test suite asserts this on every backend, malformed wires included.
+payloads, wrap scalars, the mix permutation, the clients' fake exchange and
+onion scalars) happens in the caller's thread in the inline path's exact
+order — workers only ever run pure functions of bytes — so a round is
+byte-identical whichever ops went to the pool.  The engine and swarm test
+suites assert this on every backend, malformed wires included.
 
 Worker failures never hang a round: a crashed worker or torn-down pool
 surfaces as :class:`~repro.errors.ProtocolError`, and the failed pool is
@@ -81,9 +84,9 @@ from ..crypto.batch_kernels import PREFERRED_CHUNK
 from ..crypto.invitation import open_invitations
 from ..crypto.keys import PrivateKey, PublicKey
 from ..crypto.onion import (
+    OnionContext,
     draw_request_scalars,
     peel_request_batch,
-    wrap_request_batch,
     wrap_response_batch,
 )
 from ..crypto.rng import RandomSource
@@ -277,35 +280,95 @@ class RoundEngine:
             return list(payloads)
         depth = len(server_public_keys)
         scalars = draw_request_scalars(n, depth, rng)
-        pooled = self._pooled(n * depth, POOL_CURVE_OPS)
-        bounds = self._bounds(n, pooled)
         wires: list[bytes] = []
+        for chunk in self._row_chunks(
+            _worker.wrap_noise_rows,
+            _worker.wrap_noise_chunk,
+            [payloads, *scalars],
+            n * depth,
+            server_public_keys,
+            round_number,
+        ):
+            wires.extend(chunk)
+        return wires
+
+    def wrap_client_chunks(
+        self,
+        round_number: int,
+        server_public_keys: Sequence[PublicKey],
+        fakes: Sequence[bytes | None],
+        send_keys: Sequence[bytes | None],
+        dead_drops: Sequence[bytes | None],
+        plaintexts: Sequence[bytes],
+        scalars: Sequence[Sequence[bytes]],
+    ) -> tuple[list[bytes], list[OnionContext]]:
+        """Chunked :func:`~repro.conversation.client.build_exchange_batch`.
+
+        The caller has made every rng draw (the idle clients' fake exchange
+        scalars and the onion scalars); what is chunked is the pure build,
+        idle fake exchange included, so the wires are byte-identical inline
+        and on the pool.  A pool chunk sends back each wire's per-layer
+        response keys with it, which is what the caller decodes with.
+        """
+        n = len(fakes)
+        depth = len(server_public_keys)
+        curve_ops = n * depth + sum(1 for fake in fakes if fake is not None)
+        wires: list[bytes] = []
+        contexts: list[OnionContext] = []
+        for entries in self._row_chunks(
+            _worker.wrap_client_rows,
+            _worker.wrap_client_chunk,
+            [fakes, send_keys, dead_drops, plaintexts, *scalars],
+            curve_ops,
+            server_public_keys,
+            round_number,
+        ):
+            count = len(entries) // (depth + 1)
+            keys = entries[count:]
+            wires.extend(entries[:count])
+            contexts.extend(
+                OnionContext(round_number, tuple(keys[m * depth : (m + 1) * depth]))
+                for m in range(count)
+            )
+        return wires, contexts
+
+    def _row_chunks(
+        self,
+        rows,
+        task,
+        columns: list[Sequence],
+        curve_ops: int,
+        server_public_keys: Sequence[PublicKey],
+        round_number: int,
+    ) -> Iterator[list]:
+        """Run a wrap op over row-aligned ``columns`` chunk by chunk.
+
+        ``rows`` is the op's pure function of one chunk's columns; inline it
+        runs here, and on the pool ``task`` runs it in a worker on the same
+        columns, shipped as one packed block.  Yields each chunk's result
+        entries in row order.
+        """
+        n = len(columns[0])
+        pooled = self._pooled(curve_ops, POOL_CURVE_OPS)
+        bounds = self._bounds(n, pooled)
         if not pooled:
             for lo, hi in bounds:
-                chunk_wires, _ = wrap_request_batch(
-                    payloads[lo:hi],
-                    server_public_keys,
-                    round_number,
-                    scalars=[layer[lo:hi] for layer in scalars],
-                )
-                wires.extend(chunk_wires)
-            return wires
+                yield rows([column[lo:hi] for column in columns], server_public_keys, round_number)
+            return
         backend_name = active_backend().name
         public_keys = tuple(bytes(key) for key in server_public_keys)
-        # One block per chunk: its payloads, then its scalars layer by layer.
         tasks = (
             (
-                pack_entries([*payloads[lo:hi], *(s for layer in scalars for s in layer[lo:hi])]),
-                depth,
+                pack_entries([entry for column in columns for entry in column[lo:hi]]),
+                len(columns),
                 public_keys,
                 round_number,
                 backend_name,
             )
             for lo, hi in bounds
         )
-        for packed in self._pipelined(_worker.wrap_noise_chunk, tasks):
-            wires.extend(unpack_entries(packed))
-        return wires
+        for packed in self._pipelined(task, tasks):
+            yield unpack_entries(packed)
 
     def scan_invitation_chunks(
         self,

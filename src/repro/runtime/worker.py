@@ -1,10 +1,12 @@
 """Worker-process entry points of the round engine's pool.
 
-Each function here is the body of one *chunk task*.  A wire task carries
-its chunk as one packed entry block (:mod:`repro.runtime.shm`), runs one
-batch crypto kernel over it and returns the results packed the same way;
-the invitation scan's task carries a dead drop and a chunk of recipient keys
-as they are.  Everything crosses the executor's task pipe.
+Each ``*_chunk`` function here is the body of one *chunk task*.  A wire
+task carries its chunk as one packed entry block (:mod:`repro.runtime.shm`),
+runs one batch crypto op over it and returns the results packed the same
+way; the invitation scan's task carries a dead drop and a chunk of recipient
+keys as they are.  Everything crosses the executor's task pipe.  The two
+wrap ops are ``*_rows`` functions of a chunk's columns, which the engine's
+inline path calls directly, so inline and pooled chunks run one function.
 
 Worker-side state is deliberately minimal and round-scoped:
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 import os
 
 from .shm import pack_entries, unpack_entries
+from ..conversation.client import build_exchange_batch
 from ..crypto.backend import active_backend, set_backend
 from ..crypto.invitation import open_invitations
 from ..crypto.keys import PrivateKey, PublicKey
@@ -54,26 +57,54 @@ def peel_chunk(task: tuple) -> bytes:
     return pack_entries([*inners, *keys])
 
 
-def wrap_noise_chunk(task: tuple) -> bytes:
-    """Onion-wrap one chunk of noise payloads with pre-drawn scalars.
+def wrap_noise_rows(columns: list, public_keys: list[PublicKey], round_number: int) -> list[bytes]:
+    """Onion-wrap one chunk of noise: ``columns`` are its payloads, then its
+    pre-drawn scalars layer by layer.  Returns the wires."""
+    payloads, *scalars = columns
+    wires, _ = wrap_request_batch(payloads, public_keys, round_number, scalars=scalars)
+    return wires
 
-    The block holds ``count`` payloads followed by ``depth * count`` scalars
-    in layer-major order (layer ``L``'s scalar for message ``m`` at entry
-    ``count + L * count + m``), exactly as the parent drew them from the
-    server rng; the chunk's wires are therefore byte-identical to the
-    unchunked ``wrap_request_batch``.
+
+def wrap_client_rows(columns: list, public_keys: list[PublicKey], round_number: int) -> list[bytes]:
+    """Build one chunk of clients' wires: ``columns`` are
+    :func:`~repro.conversation.client.build_exchange_batch`'s fake exchanges,
+    send keys, dead drops and plaintexts, then the onion scalars layer by
+    layer.  Returns the wires, then each wire's response keys in chain order
+    (wire ``m``'s key for server ``L`` at entry ``count + m * depth + L``)."""
+    fakes, send_keys, dead_drops, plaintexts, *scalars = columns
+    wires, contexts = build_exchange_batch(
+        round_number, public_keys, fakes, send_keys, dead_drops, plaintexts, scalars
+    )
+    return [*wires, *(key for context in contexts for key in context.layer_keys)]
+
+
+def wrap_noise_chunk(task: tuple) -> bytes:
+    """:func:`wrap_noise_rows` over one packed chunk."""
+    return _run_rows(wrap_noise_rows, task)
+
+
+def wrap_client_chunk(task: tuple) -> bytes:
+    """:func:`wrap_client_rows` over one packed chunk."""
+    return _run_rows(wrap_client_rows, task)
+
+
+def _run_rows(rows, task: tuple) -> bytes:
+    """Unpack a chunk's columns, run ``rows`` on them and pack the results.
+
+    The block holds ``width`` equal-length columns back to back, exactly as
+    the parent laid them out (and drew their scalars), so the results are
+    byte-identical to running ``rows`` inline.
     """
-    block, depth, public_keys_bytes, round_number, backend_name = task
+    block, width, public_keys_bytes, round_number, backend_name = task
     _use_backend(backend_name)
     entries = unpack_entries(block)
-    count = len(entries) // (depth + 1)
-    scalars = [entries[count * (layer + 1) : count * (layer + 2)] for layer in range(depth)]
+    count = len(entries) // width
+    columns = [entries[count * column : count * (column + 1)] for column in range(width)]
     public_keys = [PublicKey(raw) for raw in public_keys_bytes]
     try:
-        wires, _ = wrap_request_batch(entries[:count], public_keys, round_number, scalars=scalars)
+        return pack_entries(rows(columns, public_keys, round_number))
     finally:
         clear_derived_key_cache()
-    return pack_entries(wires)
 
 
 def scan_chunk(task: tuple) -> list[list[PublicKey]]:

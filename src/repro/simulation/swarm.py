@@ -6,20 +6,26 @@ user is hopeless in Python — a million clients means a million object graphs,
 a million tiny rng streams touched one draw at a time, and a million
 per-request onion wraps.  The swarm flips the layout: one
 :class:`ClientSwarm` holds the *population* as columnar state (partner
-indices, long-term shared secrets, per-client rng streams, per-round onion
-contexts and receive keys) and builds an entire round's request wires in
-bulk — one batched seal for every message box of a chunk and
-:func:`~repro.crypto.wrap_request_batch` for the onion layers (the numpy
-batch kernels when available, the pure-python backend otherwise).  Responses
-come back the same way, through :func:`~repro.crypto.unwrap_response_batch`
-and one batched box open.
+indices, each pair's round-independent message and dead-drop keys, derived
+once, per-client rng streams, per-round onion contexts and receive keys) and
+builds an entire round's request wires in bulk.  Each chunk's crypto — the
+idle clients' fake exchanges, one batched seal for every message box and
+:func:`~repro.crypto.wrap_request_batch` for the onion layers — is one
+:meth:`~repro.runtime.engine.RoundEngine.wrap_client_chunks` op on the
+engine the caller passes (a driver passes its own, which takes large chunks
+to its worker pool, one per core), inline without one.  Responses come back
+in bulk too, through :func:`~repro.crypto.unwrap_response_batch` and one
+batched box open.
 
-The speed changes nothing observable: every per-client draw is made from the
-exact fork (``root.fork(f"client-rng-{name}").fork("conversation")``) in the
-exact order :meth:`VuvuzelaClient.build_conversation_requests` would make it,
-so a swarm round is **byte-identical** to the same scenario driven through
-individual clients — :meth:`ClientSwarm.reference_wires` rebuilds any built
-round through real ``VuvuzelaClient`` objects for exactly that assertion.
+The speed changes nothing observable: every per-client draw is made in the
+calling thread, from the exact fork
+(``root.fork(f"client-rng-{name}").fork("conversation")``) in the exact order
+:meth:`VuvuzelaClient.build_conversation_requests` would make it, and only
+pure functions of those bytes reach the engine, so a swarm round is
+**byte-identical** to the same scenario driven through individual clients,
+wherever the engine ran it — :meth:`ClientSwarm.reference_wires` rebuilds
+any built round through real ``VuvuzelaClient`` objects for exactly that
+assertion.
 
 Rounds are generated and submitted in bounded chunks
 (:meth:`ClientSwarm.submit_round`): at most one chunk is in flight while the
@@ -35,38 +41,27 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
-try:  # pragma: no cover - exercised via whichever path the host has
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is optional
-    _np = None
-
 from .workload import GeneratedPopulation, WorkloadSpec, generate_population
 from ..conversation.messages import (
-    EXCHANGE_REQUEST_SIZE,
     MAX_MESSAGE_SIZE,
     MESSAGE_BOX_SIZE,
     directional_keys,
-    message_key,
     message_nonce,
-    round_dead_drop,
 )
 from ..core import topology
 from ..core.config import VuvuzelaConfig
 from ..crypto import (
-    DEAD_DROP_ID_SIZE,
     KEY_SIZE,
     KeyPair,
     OnionContext,
     open_box_batch,
-    pad,
-    seal_batch,
     unpad,
     unwrap_response_batch,
-    wrap_request_batch,
 )
-from ..crypto.keys import PrivateKey
+from ..crypto.deaddrop_id import dead_drop_for_round, dead_drop_prf_key
 from ..crypto.rng import DeterministicRandom
 from ..errors import PaddingError, ProtocolError
+from ..runtime.engine import RoundEngine, default_engine
 from ..server.wire import VERDICT_ACCEPTED, VERDICT_LATE, VERDICT_REFUSED
 
 #: Default generation/submission chunk, matching the server-side round
@@ -170,7 +165,8 @@ class ClientSwarm:
     * long-term key pairs are derived lazily and only for *paired* clients
       (an idle client's long-term key never touches the conversation wire);
     * each conversation pair's Diffie-Hellman secret is computed once and
-      shared by both endpoints (X25519 is symmetric);
+      shared by both endpoints (X25519 is symmetric), and so are the keys it
+      derives — the directional message keys and the dead-drop PRF key;
     * each client's conversation rng stream is the same deployment fork an
       individual client would own, so draw order per client — idle fake-peer
       scalars first, then onion scalars innermost-layer-first — matches the
@@ -216,7 +212,8 @@ class ClientSwarm:
         self.dial_callees: list[int] = [index_of[callee] for _, callee in population.dialers]
 
         self._keypairs: list[KeyPair | None] = [None] * count
-        self._shared: list[bytes | None] = [None] * count
+        #: Per paired client: (send key, receive key, dead-drop PRF key).
+        self._session_keys: list[tuple[bytes, bytes, bytes] | None] = [None] * count
         self._conversation_rngs: list[DeterministicRandom] = [
             root.fork(f"client-rng-{name}").fork("conversation") for name in self.names
         ]
@@ -269,64 +266,68 @@ class ClientSwarm:
             self._keypairs[index] = keypair
         return keypair
 
-    def _pair_secret(self, index: int) -> bytes:
-        secret = self._shared[index]
-        if secret is None:
+    def _conversation_keys(self, index: int) -> tuple[bytes, bytes, bytes]:
+        """``index``'s send key, receive key and dead-drop PRF key.
+
+        They are fixed with the partner, so each pair derives them once —
+        as ``ConversationSession`` does — with one long-term exchange for
+        both endpoints (X25519 is symmetric: the partner's exchange yields
+        the same secret, whose dead drops both share and whose directional
+        keys swap).
+        """
+        keys = self._session_keys[index]
+        if keys is None:
             partner = self._partners[index]
             assert partner is not None
-            secret = self._long_term(index).exchange(self._long_term(partner).public)
-            # X25519 is symmetric: the partner's exchange yields the same
-            # bytes, so one multiply serves both endpoints of the pair.
-            self._shared[index] = secret
-            self._shared[partner] = secret
-        return secret
+            own, peer = self._long_term(index), self._long_term(partner)
+            secret = own.exchange(peer.public)
+            send, receive = directional_keys(secret, bytes(own.public), bytes(peer.public))
+            drop_key = dead_drop_prf_key(secret)
+            keys = self._session_keys[index] = (send, receive, drop_key)
+            self._session_keys[partner] = (receive, send, drop_key)
+        return keys
 
     # ------------------------------------------------------------- generation
 
-    def _build_chunk(self, round_number: int, start: int, stop: int) -> SwarmChunk:
-        """Build wires for population slice ``[start, stop)`` in bulk."""
+    def _build_chunk(
+        self, round_number: int, start: int, stop: int, engine: RoundEngine
+    ) -> SwarmChunk:
+        """Build wires for population slice ``[start, stop)`` in bulk.
+
+        Every rng draw is made here, in each client's reference order; the
+        crypto — idle fake exchanges, boxes and onion layers — is one
+        :meth:`~repro.runtime.engine.RoundEngine.wrap_client_chunks` op.
+        """
         count = stop - start
         depth = len(self.server_public_keys)
-        send_keys: list[bytes] = [b""] * count
+        fakes: list[bytes | None] = [None] * count
+        send_keys: list[bytes | None] = [None] * count
         receive_keys: list[bytes | None] = [None] * count
-        dead_drops: list[bytes] = [b""] * count
+        dead_drops: list[bytes | None] = [None] * count
         plaintexts: list[bytes] = [b""] * count
         scalars: list[list[bytes]] = [[b""] * count for _ in range(depth)]
 
         for position in range(count):
             index = start + position
             rng = self._conversation_rngs[index]
-            partner = self._partners[index]
-            if partner is None:
-                # Algorithm 1 step 1b: a fake peer key, then an own ephemeral
-                # scalar exchanged against it (the reference path's draws).
-                peer = PrivateKey(rng.random_bytes(KEY_SIZE)).public_key()
-                secret = PrivateKey(rng.random_bytes(KEY_SIZE)).exchange(peer)
-                send_keys[position] = message_key(secret)
-                dead_drops[position] = round_dead_drop(secret, round_number)
+            if self._partners[index] is None:
+                # Algorithm 1 step 1b: the fake peer's scalar, then the own
+                # ephemeral scalar exchanged against it.
+                fakes[position] = rng.random_bytes(KEY_SIZE) + rng.random_bytes(KEY_SIZE)
             else:
-                secret = self._pair_secret(index)
-                send, receive = directional_keys(
-                    secret,
-                    bytes(self._long_term(index).public),
-                    bytes(self._long_term(partner).public),
-                )
+                send, receive, drop_key = self._conversation_keys(index)
                 send_keys[position] = send
                 receive_keys[position] = receive
-                dead_drops[position] = round_dead_drop(secret, round_number)
+                dead_drops[position] = dead_drop_for_round(drop_key, round_number)
                 plaintexts[position] = self._messages.get(self.names[index], b"")
             # Onion scalars, innermost layer first — the order wrap_request
             # draws them per client.
             for layer in range(depth - 1, -1, -1):
                 scalars[layer][position] = rng.random_bytes(KEY_SIZE)
 
-        padded = [pad(message, MAX_MESSAGE_SIZE) for message in plaintexts]
-        boxes = seal_batch(send_keys, message_nonce(round_number), padded)
-        inners = _assemble_inners(dead_drops, boxes)
-        wires, contexts = wrap_request_batch(
-            inners, self.server_public_keys, round_number, scalars=scalars
+        wires, contexts = engine.wrap_client_chunks(
+            round_number, self.server_public_keys, fakes, send_keys, dead_drops, plaintexts, scalars
         )
-
         pending = self._pending[round_number]
         pending.contexts.extend(contexts)
         pending.receive_keys.extend(receive_keys)
@@ -338,9 +339,13 @@ class ClientSwarm:
         )
 
     def iter_round_chunks(
-        self, round_number: int, *, chunk_size: int = 0
+        self, round_number: int, *, chunk_size: int = 0, engine: RoundEngine | None = None
     ) -> Iterator[SwarmChunk]:
-        """Generate one round's wires chunk by chunk, in population order."""
+        """Generate one round's wires chunk by chunk, in population order.
+
+        ``engine`` runs each chunk's crypto (a driver passes its own, which
+        takes large chunks to its worker pool); without one it runs inline.
+        """
         if round_number in self._pending or round_number in self._built_rounds:
             raise ProtocolError(
                 f"the swarm already built requests for round {round_number}"
@@ -350,17 +355,20 @@ class ClientSwarm:
         for stale in [r for r in self._pending if r < round_number]:
             del self._pending[stale]
         chunk = chunk_size or DEFAULT_CHUNK
+        engine = engine or default_engine()
         self._pending[round_number] = _PendingRound()
         self._built_rounds.append(round_number)
         for start in range(0, len(self.names), chunk):
-            yield self._build_chunk(round_number, start, min(start + chunk, len(self.names)))
+            yield self._build_chunk(round_number, start, min(start + chunk, len(self.names)), engine)
         self._messages.clear()
 
-    def build_round(self, round_number: int, *, chunk_size: int = 0) -> list[bytes]:
+    def build_round(
+        self, round_number: int, *, chunk_size: int = 0, engine: RoundEngine | None = None
+    ) -> list[bytes]:
         """All of one round's wires at once (tests; rounds stay chunk-bounded
         through :meth:`submit_round` in real drivers)."""
         wires: list[bytes] = []
-        for chunk in self.iter_round_chunks(round_number, chunk_size=chunk_size):
+        for chunk in self.iter_round_chunks(round_number, chunk_size=chunk_size, engine=engine):
             wires.extend(chunk.wires)
         return wires
 
@@ -373,6 +381,7 @@ class ClientSwarm:
         *,
         chunk_size: int = 0,
         pipeline: bool = True,
+        engine: RoundEngine | None = None,
     ) -> SwarmIngestStats:
         """Generate and submit one round with bounded in-flight memory.
 
@@ -406,7 +415,7 @@ class ClientSwarm:
 
         def timed_chunks() -> Iterator[SwarmChunk]:
             """Meter the generation phase: time spent pulling each chunk."""
-            chunks = self.iter_round_chunks(round_number, chunk_size=chunk_size)
+            chunks = self.iter_round_chunks(round_number, chunk_size=chunk_size, engine=engine)
             while True:
                 begin = time.perf_counter()
                 try:
@@ -540,26 +549,3 @@ class ClientSwarm:
                 wires = current
         return wires
 
-
-def _assemble_inners(dead_drops: list[bytes], boxes: list[bytes]) -> list[bytes]:
-    """Concatenate the dead-drop and box columns into per-client inners.
-
-    With numpy the two columns are stitched in one (n, 272) array and the
-    inners are zero-copy views of its buffer (``wrap_request_batch`` reads
-    them through the buffer protocol); without it, plain per-row concat.
-    """
-    if _np is not None and dead_drops:
-        count = len(dead_drops)
-        rows = _np.empty((count, EXCHANGE_REQUEST_SIZE), dtype=_np.uint8)
-        rows[:, :DEAD_DROP_ID_SIZE] = _np.frombuffer(
-            b"".join(dead_drops), dtype=_np.uint8
-        ).reshape(count, DEAD_DROP_ID_SIZE)
-        rows[:, DEAD_DROP_ID_SIZE:] = _np.frombuffer(
-            b"".join(boxes), dtype=_np.uint8
-        ).reshape(count, MESSAGE_BOX_SIZE)
-        block = memoryview(rows.tobytes())
-        return [
-            block[i * EXCHANGE_REQUEST_SIZE : (i + 1) * EXCHANGE_REQUEST_SIZE]
-            for i in range(count)
-        ]
-    return [drop + box for drop, box in zip(dead_drops, boxes)]

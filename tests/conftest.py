@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto import DeterministicRandom, KeyPair
+from repro.runtime import engine as round_engine
 
 
 @pytest.fixture
@@ -27,3 +28,10 @@ def alice(rng) -> KeyPair:
 @pytest.fixture
 def bob(rng) -> KeyPair:
     return KeyPair.generate(rng)
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """Every batch op of a multi-worker engine goes to its pool."""
+    monkeypatch.setattr(round_engine, "POOL_CURVE_OPS", 0)
+    monkeypatch.setattr(round_engine, "SCAN_PARALLEL_TRIALS", 0)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.crypto import DeterministicRandom, derive_layer_keys, key_from_shared_secret
 from repro.crypto import batch_kernels, chacha20, x25519
 from repro.crypto.backend import CRYPTOGRAPHY, available_backends, set_backend
-from repro.crypto.secretbox import open_box_batch, seal_batch
+from repro.crypto.secretbox import derive_layer_key_schedule, open_box_batch, seal_batch
 
 # RFC 8439 section 2.8.2 AEAD vector.
 AEAD_KEY = bytes.fromhex(
@@ -308,7 +308,7 @@ class TestDerivedKeyCache:
         assert _derived_key_cached.cache_info().hits >= hits_before + 2
         # uncached derivation: same bytes, no new cache entry
         _derived_key_cached.cache_clear()
-        assert derive_layer_keys(shared, cached=False) == derive_layer_keys(shared)
+        assert derive_layer_key_schedule([shared]) == [derive_layer_keys(shared)]
         assert _derived_key_cached.cache_info().currsize == 1
 
     def test_client_wrap_does_not_populate_the_cache(self, rng):

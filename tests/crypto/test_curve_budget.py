@@ -9,12 +9,14 @@ count each path needs.  Counts, not timings: they cannot flake.
 
 One unit of ``x25519_fixed_point_batch`` is one fresh key pair *and* its
 exchange; one unit of ``x25519_fixed_scalar_batch`` is one exchange.  The
-invitation scan also has a KDF budget, counted the same way.
+invitation scan and the conversation wire also have a KDF budget, counted the
+same way.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from collections import Counter
 
 import pytest
@@ -159,3 +161,56 @@ def test_scanning_a_bucket_derives_one_key_per_live_invitation(rng, alice, bob, 
     kdf.clear()
     assert fetch_invitations(bob, store, 2) == [alice.public]
     assert kdf == Counter({"derive_key_schedule.calls": 1, "derive_key_schedule": 10})
+
+
+@pytest.fixture
+def every_kdf(monkeypatch):
+    """Count key derivations wherever ``repro`` makes them: ``derive_key``
+    calls, and the keys ``derive_key_schedule`` derives."""
+    counts: Counter = Counter()
+
+    def counted_key(*args, **kwargs):
+        counts["derive_key"] += 1
+        return derive_key(*args, **kwargs)
+
+    def counted_schedule(secrets, *args, **kwargs):
+        counts["derive_key_schedule"] += len(secrets)
+        return derive_key_schedule(secrets, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "repro" or name.startswith("repro.")):
+            continue
+        for attribute, value in list(vars(module).items()):
+            if value is derive_key:
+                monkeypatch.setattr(module, attribute, counted_key)
+            elif value is derive_key_schedule:
+                monkeypatch.setattr(module, attribute, counted_schedule)
+    return counts
+
+
+def test_paired_client_derives_no_key_after_its_first_round(rng, server_keys, alice, bob, every_kdf):
+    """Message keys and the dead-drop PRF key are fixed with the partner:
+    later rounds derive only the onion layers' keys, one per hop."""
+    client = VuvuzelaClient("alice", alice, [k.public for k in server_keys], rng=rng)
+    client.start_conversation(bob.public)
+    client.build_conversation_requests(0)
+    every_kdf.clear()
+    for round_number in range(1, 5):
+        client.build_conversation_requests(round_number)
+    assert every_kdf == Counter({"derive_key_schedule": 4 * 3})
+
+
+def test_swarm_round_derives_per_wire_what_a_client_derives(every_kdf):
+    """Paired clients derive nothing per round but their onion layers'
+    keys; an idle client's fake secret is fresh, so its message key and
+    dead-drop key are derived every round."""
+    config = VuvuzelaConfig.small(seed=11)
+    spec = WorkloadSpec(num_users=20, conversing_fraction=0.5, dialing_fraction=0.0)
+    swarm = ClientSwarm.from_spec(config, spec)
+    idle = len(swarm) - swarm.conversing
+    swarm.build_round(0)
+    every_kdf.clear()
+    swarm.build_round(1, chunk_size=7)
+    assert every_kdf == Counter(
+        {"derive_key": 2 * idle, "derive_key_schedule": config.num_servers * len(swarm)}
+    )

@@ -35,13 +35,6 @@ from repro.runtime import worker as engine_worker
 from repro.runtime.shm import pack_entries, unpack_entries
 
 
-@pytest.fixture
-def forced_pool(monkeypatch):
-    """Every batch op of a multi-worker engine goes to its pool."""
-    monkeypatch.setattr(round_engine, "POOL_CURVE_OPS", 0)
-    monkeypatch.setattr(round_engine, "SCAN_PARALLEL_TRIALS", 0)
-
-
 def _echo_block(block: bytes) -> bytes:
     """A worker task that unpacks its block and packs it straight back."""
     return pack_entries(unpack_entries(block))
