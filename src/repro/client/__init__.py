@@ -4,13 +4,12 @@ from .client import ConversationSlot, VuvuzelaClient
 from .connection import ClientConnection
 from .directory import Contact, KeyDirectory
 from .framing import FRAME_OVERHEAD, MAX_BODY_SIZE, SequenceTracker, decode_frame, encode_frame
-from .state import ConversationState, IncomingCall, Outbox, ReceivedMessage
+from .state import IncomingCall, Outbox, ReceivedMessage
 
 __all__ = [
     "ClientConnection",
     "Contact",
     "ConversationSlot",
-    "ConversationState",
     "FRAME_OVERHEAD",
     "IncomingCall",
     "KeyDirectory",

@@ -6,11 +6,14 @@ the behaviour §3 describes: it always participates in every conversation round
 messages lost to network failures, listens for incoming calls each dialing
 round, and can dial other users by their public key.
 
-§9 "Multiple conversations": a client can be configured with a fixed number of
-conversation slots (``max_conversations``, default 1 as in the paper's
-prototype).  Every round it sends exactly that many exchange requests — one
-per active conversation, fake requests for empty slots — so the number of
-active conversations is never observable.
+§9 "Multiple conversations": a client has a fixed number of conversation
+slots (``max_conversations``, default 1 as in the paper's prototype) and
+sends exactly that many exchange requests every round — one per active
+conversation, fake requests for empty slots — so the number of active
+conversations is never observable.  The slots are the rows of one
+:class:`~repro.conversation.ConversationRows`, the routine the client swarm
+builds and decodes whole populations with; the client keeps what is its
+own: the outbox, message framing, duplicate suppression and counters.
 
 The client is transport-agnostic: :class:`~repro.core.system.VuvuzelaSystem`
 drives it through the ``build_*``/``handle_*`` methods each round and moves
@@ -35,12 +38,7 @@ from dataclasses import dataclass, field
 
 from .framing import SequenceTracker, decode_frame, encode_frame
 from .state import IncomingCall, Outbox, ReceivedMessage
-from ..conversation import (
-    ConversationSession,
-    PendingExchange,
-    build_exchange_request,
-    process_exchange_response,
-)
+from ..conversation import ConversationRows, ConversationSession
 from ..crypto import KeyPair, PublicKey
 from ..crypto.rng import RandomSource, default_random
 from ..deaddrop import InvitationDropStore
@@ -79,11 +77,6 @@ class VuvuzelaClient:
     dial_target: PublicKey | None = None
 
     _slots: dict[bytes, ConversationSlot] = field(default_factory=dict, repr=False)
-    #: In-flight exchange state per conversation round, so an overlapped
-    #: dialing round cannot clobber a conversation round's (and vice versa).
-    _pending_exchanges: dict[int, list[tuple[PendingExchange, ConversationSlot | None]]] = field(
-        default_factory=dict, repr=False
-    )
     _pending_dials: dict[int, PendingDial] = field(default_factory=dict, repr=False)
     _send_sequencer: SequenceTracker = field(default_factory=SequenceTracker, repr=False)
     rounds_participated: int = 0
@@ -104,6 +97,10 @@ class VuvuzelaClient:
         else:
             self._conversation_rng = self.rng
             self._dialing_rng = self.rng
+        #: One row per slot, all drawing from the conversation stream.
+        self._rows = ConversationRows(
+            self.server_public_keys, [self._conversation_rng] * self.max_conversations
+        )
 
     # ------------------------------------------------------------------ user API
 
@@ -184,42 +181,14 @@ class VuvuzelaClient:
         slots (Algorithm 1 steps 1a/1b), so the batch size never reveals how
         many conversations are active.
         """
-        if round_number in self._pending_exchanges:
-            raise ProtocolError(
-                f"{self.name} already built conversation requests for round {round_number}"
-            )
-        # Pending state for earlier rounds can never be handled once a newer
-        # round builds (rounds are ordered per protocol): entries left by a
-        # permanently failed round would otherwise leak for the client's
-        # lifetime, so they are dropped here.
-        for stale in [r for r in self._pending_exchanges if r < round_number]:
-            del self._pending_exchanges[stale]
-        pendings: list[tuple[PendingExchange, ConversationSlot | None]] = []
-        wires: list[bytes] = []
+        rows = self._rows
         slots = list(self._slots.values())
-        for index in range(self.max_conversations):
-            if index < len(slots):
-                slot = slots[index]
-                session = slot.session
-                message = slot.outbox.next_message()
-            else:
-                slot, session, message = None, None, b""
-            wire, pending = build_exchange_request(
-                round_number, self.server_public_keys, session, message, self._conversation_rng
-            )
-            pendings.append((pending, slot))
-            wires.append(wire)
-        self._pending_exchanges[round_number] = pendings
+        rows.owners = slots + [None] * (self.max_conversations - len(slots))
+        rows.keys = [None if slot is None else slot.session.keys for slot in rows.owners]
+        plaintexts = [b"" if slot is None else slot.outbox.next_message() for slot in rows.owners]
+        wires = rows.build(round_number, plaintexts)
         self.rounds_participated += 1
         return wires
-
-    def build_conversation_request(self, round_number: int) -> bytes:
-        """Single-slot convenience wrapper around :meth:`build_conversation_requests`."""
-        if self.max_conversations != 1:
-            raise ProtocolError(
-                "build_conversation_request is only available with one conversation slot"
-            )
-        return self.build_conversation_requests(round_number)[0]
 
     def handle_conversation_responses(
         self, round_number: int, responses: list[bytes | None]
@@ -228,42 +197,22 @@ class VuvuzelaClient:
 
         ``None`` entries mean that request's round was lost (the network
         dropped our traffic); the corresponding in-flight message stays queued
-        for retransmission.  Returns the per-slot partner messages.
+        for retransmission, as it does when the partner took no part.
+        Returns the per-slot partner messages.
         """
-        pendings = self._pending_exchanges.pop(round_number, [])
-        if not pendings:
-            raise ProtocolError(f"{self.name} has no pending exchanges for round {round_number}")
-        if len(responses) != len(pendings):
-            raise ProtocolError(
-                f"{self.name} expected {len(pendings)} responses, got {len(responses)}"
-            )
+        decoded = self._rows.decode(round_number, responses)
         if all(response is None for response in responses):
             self.rounds_lost += 1
-
         results: list[bytes | None] = []
-        for (pending, slot), response in zip(pendings, responses):
-            if response is None:
-                if slot is not None:
-                    slot.outbox.mark_lost()
-                results.append(None)
+        for slot, message in decoded:
+            if slot is not None and message is not None:
+                slot.outbox.mark_delivered()
+                results.append(self._deliver(round_number, slot, message))
                 continue
-            message = process_exchange_response(response, pending)
-            if slot is None or not pending.is_real:
-                results.append(None)
-                continue
-            if message is None:
-                # The dead drop was accessed only once: the partner did not
-                # take part in the exchange, so keep our message queued.
+            if slot is not None:
                 slot.outbox.mark_lost()
-                results.append(None)
-                continue
-            slot.outbox.mark_delivered()
-            results.append(self._deliver(round_number, slot, message))
+            results.append(None)
         return results
-
-    def handle_conversation_response(self, round_number: int, response: bytes | None) -> bytes | None:
-        """Single-slot convenience wrapper around :meth:`handle_conversation_responses`."""
-        return self.handle_conversation_responses(round_number, [response])[0]
 
     def _deliver(self, round_number: int, slot: ConversationSlot, message: bytes) -> bytes | None:
         """Unframe, deduplicate and record one received message."""

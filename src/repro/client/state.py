@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..crypto import PublicKey
-from ..errors import ProtocolError
 
 
 @dataclass(frozen=True)
@@ -70,29 +69,3 @@ class Outbox:
     @property
     def pending(self) -> int:
         return len(self.queue) + (1 if self.in_flight is not None else 0)
-
-
-@dataclass
-class ConversationState:
-    """Which conversation (if any) the client is currently engaged in.
-
-    The prototype allows one conversation at a time (§3.2); starting a new one
-    replaces the previous one, exactly like the paper's client.
-    """
-
-    peer: PublicKey | None = None
-
-    @property
-    def active(self) -> bool:
-        return self.peer is not None
-
-    def start(self, peer: PublicKey) -> None:
-        self.peer = peer
-
-    def end(self) -> None:
-        self.peer = None
-
-    def require_peer(self) -> PublicKey:
-        if self.peer is None:
-            raise ProtocolError("no active conversation")
-        return self.peer

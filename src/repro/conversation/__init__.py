@@ -1,11 +1,10 @@
 """The conversation protocol: Algorithm 1 (client) and Algorithm 2 (servers)."""
 
 from .client import (
+    ConversationRows,
     ConversationSession,
-    PendingExchange,
     build_exchange_batch,
-    build_exchange_request,
-    process_exchange_response,
+    pair_keys,
 )
 from .messages import (
     EMPTY_MESSAGE_BOX,
@@ -26,20 +25,19 @@ from .server import (
 
 __all__ = [
     "ConversationProcessor",
+    "ConversationRows",
     "ConversationSession",
     "EMPTY_MESSAGE_BOX",
     "EXCHANGE_REQUEST_SIZE",
     "ExchangeRequest",
     "MAX_MESSAGE_SIZE",
     "MESSAGE_BOX_SIZE",
-    "PendingExchange",
     "build_exchange_batch",
-    "build_exchange_request",
     "build_noise_request",
     "conversation_noise_builder",
     "decrypt_message",
     "directional_keys",
     "encrypt_message",
-    "process_exchange_response",
+    "pair_keys",
     "round_dead_drop",
 ]

@@ -1,24 +1,30 @@
-"""Client side of the conversation protocol (Algorithm 1).
+"""Client side of the conversation protocol (Algorithm 1), one routine.
 
-Each round, a client performs exactly one exchange:
+Each round, every conversation slot of every client performs exactly one
+exchange:
 
-* If it is in an active conversation, it derives the round's dead drop from
-  the Diffie-Hellman shared secret with its partner, encrypts the queued
-  message (or the empty message) and onion-wraps the exchange request for the
-  server chain (steps 1a and 2).
-* If it is idle, it performs the same computation against a freshly generated
-  random public key, producing a *fake request* that is indistinguishable
-  from a real one (step 1b).
+* a slot in an active conversation names the round's dead drop from the
+  pair's shared secret, encrypts the queued message (or the empty message)
+  and onion-wraps the exchange request for the server chain (steps 1a, 2);
+* an idle slot does the same against a freshly drawn fake peer, producing a
+  *fake request* indistinguishable from a real one (step 1b).
 
-The returned :class:`PendingExchange` carries everything needed to interpret
-the eventual response (step 3).
+:class:`ConversationRows` is the state of any number of such slots, one row
+each: a :class:`~repro.client.VuvuzelaClient` holds one over its
+``max_conversations`` slots, and the
+:class:`~repro.simulation.ClientSwarm` one over its whole population.  Its
+:meth:`~ConversationRows.build` makes every rng draw row by row and hands
+the pure rest (:func:`build_exchange_batch`) to one
+:meth:`~repro.runtime.engine.RoundEngine.wrap_client_chunks` op; its
+:meth:`~ConversationRows.decode` opens a round's responses in one batched
+pass (step 3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import messages
 from ..crypto import (
@@ -27,40 +33,39 @@ from ..crypto import (
     OnionContext,
     PrivateKey,
     PublicKey,
+    open_box_batch,
     pad,
     seal_batch,
-    unwrap_response,
+    unpad,
+    unwrap_response_batch,
     wrap_request_batch,
 )
 from ..crypto.deaddrop_id import dead_drop_for_round, dead_drop_prf_key
-from ..crypto.onion import draw_request_scalars
-from ..crypto.rng import RandomSource, default_random
-from ..errors import OnionError, ProtocolError
+from ..crypto.rng import RandomSource
+from ..errors import PaddingError, ProtocolError
+
+if TYPE_CHECKING:
+    from ..runtime.engine import RoundEngine
+
+#: A conversation's round-independent keys for one endpoint: its send key,
+#: its receive key and the pair's dead-drop PRF key.
+PairKeys = tuple[bytes, bytes, bytes]
 
 
-@dataclass(frozen=True)
-class PendingExchange:
-    """Client-side state for one in-flight exchange request."""
-
-    round_number: int
-    onion_context: OnionContext
-    receive_key: bytes | None = field(repr=False, default=None)
-    is_real: bool = False
-
-    @property
-    def expects_reply(self) -> bool:
-        return self.is_real
+def pair_keys(secret: bytes, own_public: bytes, peer_public: bytes) -> PairKeys:
+    """``own_public``'s keys for the conversation whose shared secret is
+    ``secret``.  The partner's are the same with send and receive swapped."""
+    send, receive = messages.directional_keys(secret, own_public, peer_public)
+    return send, receive, dead_drop_prf_key(secret)
 
 
 @dataclass
 class ConversationSession:
     """The client's view of one conversation with a fixed partner.
 
-    Both endpoints of a conversation construct this from their own key pair
-    and the partner's public key; the derived state (shared secret, per-round
-    dead drops, directional message keys) is identical on both sides.  The
-    secret, the message keys and the dead-drop PRF key are fixed with the
-    partner: computed once, on first use.
+    Both endpoints construct this from their own key pair and the partner's
+    public key; the derived state is identical on both sides.  The secret
+    and the keys are fixed with the partner: computed once, on first use.
     """
 
     own_keys: KeyPair
@@ -71,67 +76,129 @@ class ConversationSession:
         return self.own_keys.exchange(self.peer_public_key)
 
     @cached_property
-    def _keys(self) -> tuple[bytes, bytes]:
-        return messages.directional_keys(
-            self._secret, bytes(self.own_keys.public), bytes(self.peer_public_key)
-        )
-
-    @cached_property
-    def _drop_key(self) -> bytes:
-        return dead_drop_prf_key(self._secret)
+    def keys(self) -> PairKeys:
+        return pair_keys(self._secret, bytes(self.own_keys.public), bytes(self.peer_public_key))
 
     def shared_secret(self) -> bytes:
         """The long-lived pairwise secret both endpoints derive (step 1a)."""
         return self._secret
 
     def dead_drop_for_round(self, round_number: int) -> bytes:
-        return dead_drop_for_round(self._drop_key, round_number)
+        return dead_drop_for_round(self.keys[2], round_number)
 
     def directional_keys(self) -> tuple[bytes, bytes]:
         """The (send, receive) message keys for this endpoint."""
-        return self._keys
+        return self.keys[0], self.keys[1]
 
 
-def build_exchange_request(
-    round_number: int,
-    server_public_keys: Sequence[PublicKey],
-    session: ConversationSession | None,
-    message: bytes = b"",
-    rng: RandomSource | None = None,
-) -> tuple[bytes, PendingExchange]:
-    """Build the onion-wrapped exchange request for one round.
+class ConversationRows:
+    """Columnar state of conversation slots, one exchange per row per round.
 
-    ``session`` is ``None`` for an idle client, in which case a fake request
-    against a random public key is produced (Algorithm 1, step 1b) and the
-    eventual response is ignored.  Every rng draw happens here; the crypto is
-    :func:`build_exchange_batch` over one client.
+    The holder fills two columns before a build: ``keys[i]`` is row ``i``'s
+    :data:`PairKeys`, ``None`` for an idle row, and ``owners[i]`` is what
+    :meth:`decode` hands back with the row's plaintext (``None`` for an
+    idle row).  ``rngs[i]`` is the stream row ``i`` draws from; rows of one
+    client share one stream, and draw from it in row order.
+
+    A round's rows are built in order, in one or more :meth:`build` calls,
+    and decoded once.  Building a round drops whatever an earlier round
+    left pending: its responses can never be handled any more.
     """
-    rng = rng or default_random()
 
-    if session is not None:
-        if len(message) > messages.MAX_MESSAGE_SIZE - 1:
-            raise ProtocolError(
-                f"conversation messages are limited to {messages.MAX_MESSAGE_SIZE - 1} bytes"
-            )
-        fake = None
-        send_key, receive_key = session.directional_keys()
-        dead_drop = session.dead_drop_for_round(round_number)
-    else:
-        # Step 1b: the fake peer's scalar, then the client's own.
-        fake = rng.random_bytes(KEY_SIZE) + rng.random_bytes(KEY_SIZE)
-        send_key = receive_key = dead_drop = None
-        message = b""
+    def __init__(self, server_public_keys: Sequence[PublicKey], rngs: Sequence[RandomSource]):
+        self.server_public_keys = list(server_public_keys)
+        self.rngs = list(rngs)
+        self.keys: list[PairKeys | None] = [None] * len(self.rngs)
+        self.owners: list[Any] = [None] * len(self.rngs)
+        #: Per built round: its rows' onion contexts, receive keys and owners.
+        self.pending: dict[int, tuple[list[OnionContext], list[bytes | None], list[Any]]] = {}
 
-    scalars = draw_request_scalars(1, len(server_public_keys), rng)
-    wires, contexts = build_exchange_batch(
-        round_number, server_public_keys, [fake], [send_key], [dead_drop], [message], scalars
-    )
-    return wires[0], PendingExchange(
-        round_number=round_number,
-        onion_context=contexts[0],
-        receive_key=receive_key,
-        is_real=session is not None,
-    )
+    def build(
+        self,
+        round_number: int,
+        plaintexts: Sequence[bytes],
+        engine: RoundEngine | None = None,
+        *,
+        start: int = 0,
+    ) -> list[bytes]:
+        """Wires for rows ``start`` onwards, one per plaintext (an idle row's
+        is ignored).  ``engine`` runs the crypto; without one it runs inline.
+
+        The draws, row by row: an idle row's fake peer scalar, then its own
+        (step 1b); then every row's onion scalars, innermost layer first.
+        """
+        if start == 0:
+            if round_number in self.pending:
+                raise ProtocolError(f"round {round_number}'s requests were already built")
+            for stale in [r for r in self.pending if r < round_number]:
+                del self.pending[stale]
+            self.pending[round_number] = ([], [], [])
+        pending = self.pending.get(round_number)
+        if pending is None or len(pending[0]) != start:
+            raise ProtocolError(f"round {round_number}'s rows must be built in order")
+        contexts, receive_keys, owners = pending
+        count, depth = len(plaintexts), len(self.server_public_keys)
+        stop = start + count
+        fakes: list[bytes | None] = [None] * count
+        send_keys: list[bytes | None] = [None] * count
+        dead_drops: list[bytes | None] = [None] * count
+        texts: list[bytes] = [b""] * count
+        scalars: list[list[bytes]] = [[b""] * count for _ in range(depth)]
+        for position, keys in enumerate(self.keys[start:stop]):
+            rng = self.rngs[start + position]
+            if keys is None:
+                fakes[position] = rng.random_bytes(KEY_SIZE) + rng.random_bytes(KEY_SIZE)
+            else:
+                send_keys[position] = keys[0]
+                dead_drops[position] = dead_drop_for_round(keys[2], round_number)
+                texts[position] = plaintexts[position]
+            for layer in range(depth - 1, -1, -1):
+                scalars[layer][position] = rng.random_bytes(KEY_SIZE)
+        if engine is None:
+            from ..runtime.engine import default_engine  # the engine imports this module
+
+            engine = default_engine()
+        wires, built = engine.wrap_client_chunks(
+            round_number, self.server_public_keys, fakes, send_keys, dead_drops, texts, scalars
+        )
+        contexts.extend(built)
+        receive_keys.extend(None if keys is None else keys[1] for keys in self.keys[start:stop])
+        owners.extend(self.owners[start:stop])
+        return wires
+
+    def decode(
+        self, round_number: int, responses: Sequence[bytes | None]
+    ) -> list[tuple[Any, bytes | None]]:
+        """Each built row's ``(owner, plaintext)`` for one round's responses.
+
+        The plaintext is ``None`` when the row was idle, its response is
+        ``None`` (lost) or fails to open, or its partner took no part.
+        """
+        pending = self.pending.pop(round_number, None)
+        if pending is None:
+            raise ProtocolError(f"no pending requests for round {round_number}")
+        contexts, receive_keys, owners = pending
+        if len(responses) != len(contexts):
+            raise ProtocolError(f"expected {len(contexts)} responses, got {len(responses)}")
+        inners = unwrap_response_batch(responses, contexts)
+        rows = [
+            row
+            for row, (key, inner) in enumerate(zip(receive_keys, inners))
+            if key is not None and inner is not None and len(inner) == messages.MESSAGE_BOX_SIZE
+        ]
+        opened = open_box_batch(
+            [receive_keys[row] for row in rows],
+            messages.message_nonce(round_number),
+            [inners[row] for row in rows],
+        )
+        plaintexts: list[bytes | None] = [None] * len(contexts)
+        for row, padded in zip(rows, opened):
+            if padded is not None:
+                try:
+                    plaintexts[row] = unpad(padded, messages.MAX_MESSAGE_SIZE)
+                except PaddingError:
+                    pass
+        return list(zip(owners, plaintexts))
 
 
 def build_exchange_batch(
@@ -143,15 +210,15 @@ def build_exchange_batch(
     plaintexts: Sequence[bytes],
     scalars: Sequence[Sequence[bytes]],
 ) -> tuple[list[bytes], list[OnionContext]]:
-    """Many clients' exchange requests for one round, from pre-drawn bytes.
+    """Many rows' exchange requests for one round, from pre-drawn bytes.
 
-    The pure part of Algorithm 1, columnar: position ``i`` is an idle client
-    when ``fakes[i]`` holds its fake exchange's two scalars (the fake peer's,
-    then its own; step 1b), whose shared secret names a throwaway message key
-    and dead drop and whose plaintext is empty.  Otherwise ``send_keys[i]``
-    and ``dead_drops[i]`` are its conversation's send key and this round's
-    dead drop (step 1a).  ``scalars`` are the onion wrap's ephemeral scalars,
-    laid out as :func:`~repro.crypto.onion.draw_request_scalars` draws them.
+    Position ``i`` is an idle row when ``fakes[i]`` holds its fake
+    exchange's two scalars (the fake peer's, then its own; step 1b), whose
+    shared secret names a throwaway message key and dead drop and whose
+    plaintext is empty.  Otherwise ``send_keys[i]`` and ``dead_drops[i]``
+    are its conversation's send key and this round's dead drop (step 1a).
+    ``scalars`` are the onion wrap's ephemeral scalars, laid out as
+    :func:`~repro.crypto.onion.draw_request_scalars` draws them.
 
     Nothing here draws randomness, so the round engine may run any slice of
     a batch anywhere and the wires stay byte-identical.
@@ -168,20 +235,3 @@ def build_exchange_batch(
     boxes = seal_batch(keys, messages.message_nonce(round_number), padded)
     inners = [drop + box for drop, box in zip(drops, boxes)]
     return wrap_request_batch(inners, server_public_keys, round_number, scalars=scalars)
-
-
-def process_exchange_response(response_wire: bytes, pending: PendingExchange) -> bytes | None:
-    """Unwrap and decrypt the response to an exchange request (step 3).
-
-    Returns the partner's message (possibly ``b""`` for an intentionally
-    empty message), or ``None`` when there was no message this round — the
-    client was idle, the partner did not participate, or the response was
-    corrupted in transit.
-    """
-    try:
-        inner = unwrap_response(response_wire, pending.onion_context)
-    except OnionError:
-        return None
-    if not pending.is_real or pending.receive_key is None:
-        return None
-    return messages.decrypt_message(pending.receive_key, pending.round_number, inner)

@@ -2,30 +2,21 @@
 
 Driving the paper's operating point (§8: hundreds of thousands to a million
 users per round) through one :class:`~repro.client.VuvuzelaClient` object per
-user is hopeless in Python — a million clients means a million object graphs,
-a million tiny rng streams touched one draw at a time, and a million
-per-request onion wraps.  The swarm flips the layout: one
-:class:`ClientSwarm` holds the *population* as columnar state (partner
-indices, each pair's round-independent message and dead-drop keys, derived
-once, per-client rng streams, per-round onion contexts and receive keys) and
-builds an entire round's request wires in bulk.  Each chunk's crypto — the
-idle clients' fake exchanges, one batched seal for every message box and
-:func:`~repro.crypto.wrap_request_batch` for the onion layers — is one
-:meth:`~repro.runtime.engine.RoundEngine.wrap_client_chunks` op on the
-engine the caller passes (a driver passes its own, which takes large chunks
-to its worker pool, one per core), inline without one.  Responses come back
-in bulk too, through :func:`~repro.crypto.unwrap_response_batch` and one
-batched box open.
+user is hopeless in Python — a million clients means a million object graphs.
+The swarm holds the *population* instead: one
+:class:`~repro.conversation.ConversationRows` row per user, with the same
+routine a ``VuvuzelaClient`` builds and decodes its own slots with.  The
+swarm keeps what is its own: the population layout (partner indices, each
+pair's keys derived once for both endpoints), chunked ingest and the shape
+of a round's outcome.
 
-The speed changes nothing observable: every per-client draw is made in the
-calling thread, from the exact fork
-(``root.fork(f"client-rng-{name}").fork("conversation")``) in the exact order
-:meth:`VuvuzelaClient.build_conversation_requests` would make it, and only
-pure functions of those bytes reach the engine, so a swarm round is
-**byte-identical** to the same scenario driven through individual clients,
-wherever the engine ran it — :meth:`ClientSwarm.reference_wires` rebuilds
-any built round through real ``VuvuzelaClient`` objects for exactly that
-assertion.
+Each row draws from the fork
+(``root.fork(f"client-rng-{name}").fork("conversation")``) an individual
+client of the deployment would own, in the order that client would draw, and
+only pure functions of those bytes reach the engine a chunk's crypto runs on
+(a driver passes its own, which takes large chunks to its worker pool).  So
+a swarm round is **byte-identical** to the same scenario driven through
+individual clients, wherever the engine ran it.
 
 Rounds are generated and submitted in bounded chunks
 (:meth:`ClientSwarm.submit_round`): at most one chunk is in flight while the
@@ -38,30 +29,18 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .workload import GeneratedPopulation, WorkloadSpec, generate_population
-from ..conversation.messages import (
-    MAX_MESSAGE_SIZE,
-    MESSAGE_BOX_SIZE,
-    directional_keys,
-    message_nonce,
-)
+from ..conversation.client import ConversationRows, pair_keys
+from ..conversation.messages import MAX_MESSAGE_SIZE
 from ..core import topology
 from ..core.config import VuvuzelaConfig
-from ..crypto import (
-    KEY_SIZE,
-    KeyPair,
-    OnionContext,
-    open_box_batch,
-    unpad,
-    unwrap_response_batch,
-)
-from ..crypto.deaddrop_id import dead_drop_for_round, dead_drop_prf_key
+from ..crypto import KeyPair
 from ..crypto.rng import DeterministicRandom
-from ..errors import PaddingError, ProtocolError
-from ..runtime.engine import RoundEngine, default_engine
+from ..errors import ProtocolError
+from ..runtime.engine import RoundEngine
 from ..server.wire import VERDICT_ACCEPTED, VERDICT_LATE, VERDICT_REFUSED
 
 #: Default generation/submission chunk, matching the server-side round
@@ -114,22 +93,6 @@ class SwarmIngestStats:
     #: and waiting for their verdicts — the ingest backpressure).
     admission_seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "round_number": self.round_number,
-            "wires": self.wires,
-            "chunks": self.chunks,
-            "chunk_size": self.chunk_size,
-            "accepted": self.accepted,
-            "refused": self.refused,
-            "late": self.late,
-            "max_chunk_bytes": self.max_chunk_bytes,
-            "peak_server_buffer": self.peak_server_buffer,
-            "ingest_seconds": self.ingest_seconds,
-            "wrap_seconds": self.wrap_seconds,
-            "admission_seconds": self.admission_seconds,
-        }
-
 
 @dataclass
 class SwarmRoundOutcome:
@@ -147,30 +110,18 @@ class SwarmRoundOutcome:
     undelivered: list[str]
 
 
-@dataclass
-class _PendingRound:
-    """Per-round decode state, accumulated chunk by chunk."""
-
-    contexts: list[OnionContext | None] = field(default_factory=list)
-    receive_keys: list[bytes | None] = field(default_factory=list)
-
-
 class ClientSwarm:
-    """An entire client population, laid out for bulk round crypto.
+    """An entire client population as the rows of one conversation state.
 
     The swarm mirrors what ``VuvuzelaSystem.add_client`` +
     ``build_conversation_requests`` would do for every user of a generated
-    population, with the per-object work hoisted into columns:
+    population:
 
     * long-term key pairs are derived lazily and only for *paired* clients
       (an idle client's long-term key never touches the conversation wire);
     * each conversation pair's Diffie-Hellman secret is computed once and
       shared by both endpoints (X25519 is symmetric), and so are the keys it
-      derives — the directional message keys and the dead-drop PRF key;
-    * each client's conversation rng stream is the same deployment fork an
-      individual client would own, so draw order per client — idle fake-peer
-      scalars first, then onion scalars innermost-layer-first — matches the
-      reference path exactly.
+      derives — the directional message keys and the dead-drop PRF key.
 
     Only single-slot clients are supported (``max_conversations_per_client
     == 1``, the paper's prototype setting): one wire per client per round.
@@ -206,19 +157,14 @@ class ClientSwarm:
             ia, ib = index_of[a], index_of[b]
             self._partners[ia] = ib
             self._partners[ib] = ia
-        #: Dialing intents as index columns (who would dial whom), ready for
-        #: a future bulk dialing round; the conversation path ignores them.
-        self.dial_callers: list[int] = [index_of[caller] for caller, _ in population.dialers]
-        self.dial_callees: list[int] = [index_of[callee] for _, callee in population.dialers]
-
         self._keypairs: list[KeyPair | None] = [None] * count
-        #: Per paired client: (send key, receive key, dead-drop PRF key).
-        self._session_keys: list[tuple[bytes, bytes, bytes] | None] = [None] * count
-        self._conversation_rngs: list[DeterministicRandom] = [
-            root.fork(f"client-rng-{name}").fork("conversation") for name in self.names
+        self.rows = ConversationRows(
+            self.server_public_keys,
+            [root.fork(f"client-rng-{name}").fork("conversation") for name in self.names],
+        )
+        self.rows.owners = [
+            None if partner is None else name for name, partner in zip(self.names, self._partners)
         ]
-        self._pending: dict[int, _PendingRound] = {}
-        self._built_rounds: list[int] = []
         #: One-shot raw message per client for the *next* built round.  Raw
         #: means unframed: a real client frames outbox messages with sequence
         #: numbers, so byte-identity to the reference path holds for the
@@ -257,7 +203,7 @@ class ClientSwarm:
             )
         self._messages[name] = bytes(message)
 
-    # ---------------------------------------------------------- column helpers
+    # ------------------------------------------------------------- generation
 
     def _long_term(self, index: int) -> KeyPair:
         keypair = self._keypairs[index]
@@ -266,77 +212,20 @@ class ClientSwarm:
             self._keypairs[index] = keypair
         return keypair
 
-    def _conversation_keys(self, index: int) -> tuple[bytes, bytes, bytes]:
-        """``index``'s send key, receive key and dead-drop PRF key.
-
-        They are fixed with the partner, so each pair derives them once —
-        as ``ConversationSession`` does — with one long-term exchange for
-        both endpoints (X25519 is symmetric: the partner's exchange yields
-        the same secret, whose dead drops both share and whose directional
-        keys swap).
-        """
-        keys = self._session_keys[index]
-        if keys is None:
+    def _fill_pair_keys(self, start: int, stop: int) -> None:
+        """Derive the keys of every pair with an endpoint in ``[start, stop)``
+        that has none yet: one long-term exchange for both endpoints."""
+        keys = self.rows.keys
+        for index in range(start, stop):
             partner = self._partners[index]
-            assert partner is not None
+            if partner is None or keys[index] is not None:
+                continue
             own, peer = self._long_term(index), self._long_term(partner)
-            secret = own.exchange(peer.public)
-            send, receive = directional_keys(secret, bytes(own.public), bytes(peer.public))
-            drop_key = dead_drop_prf_key(secret)
-            keys = self._session_keys[index] = (send, receive, drop_key)
-            self._session_keys[partner] = (receive, send, drop_key)
-        return keys
-
-    # ------------------------------------------------------------- generation
-
-    def _build_chunk(
-        self, round_number: int, start: int, stop: int, engine: RoundEngine
-    ) -> SwarmChunk:
-        """Build wires for population slice ``[start, stop)`` in bulk.
-
-        Every rng draw is made here, in each client's reference order; the
-        crypto — idle fake exchanges, boxes and onion layers — is one
-        :meth:`~repro.runtime.engine.RoundEngine.wrap_client_chunks` op.
-        """
-        count = stop - start
-        depth = len(self.server_public_keys)
-        fakes: list[bytes | None] = [None] * count
-        send_keys: list[bytes | None] = [None] * count
-        receive_keys: list[bytes | None] = [None] * count
-        dead_drops: list[bytes | None] = [None] * count
-        plaintexts: list[bytes] = [b""] * count
-        scalars: list[list[bytes]] = [[b""] * count for _ in range(depth)]
-
-        for position in range(count):
-            index = start + position
-            rng = self._conversation_rngs[index]
-            if self._partners[index] is None:
-                # Algorithm 1 step 1b: the fake peer's scalar, then the own
-                # ephemeral scalar exchanged against it.
-                fakes[position] = rng.random_bytes(KEY_SIZE) + rng.random_bytes(KEY_SIZE)
-            else:
-                send, receive, drop_key = self._conversation_keys(index)
-                send_keys[position] = send
-                receive_keys[position] = receive
-                dead_drops[position] = dead_drop_for_round(drop_key, round_number)
-                plaintexts[position] = self._messages.get(self.names[index], b"")
-            # Onion scalars, innermost layer first — the order wrap_request
-            # draws them per client.
-            for layer in range(depth - 1, -1, -1):
-                scalars[layer][position] = rng.random_bytes(KEY_SIZE)
-
-        wires, contexts = engine.wrap_client_chunks(
-            round_number, self.server_public_keys, fakes, send_keys, dead_drops, plaintexts, scalars
-        )
-        pending = self._pending[round_number]
-        pending.contexts.extend(contexts)
-        pending.receive_keys.extend(receive_keys)
-        return SwarmChunk(
-            round_number=round_number,
-            start=start,
-            names=self.names[start:stop],
-            wires=wires,
-        )
+            send, receive, drop_key = pair_keys(
+                own.exchange(peer.public), bytes(own.public), bytes(peer.public)
+            )
+            keys[index] = (send, receive, drop_key)
+            keys[partner] = (receive, send, drop_key)
 
     def iter_round_chunks(
         self, round_number: int, *, chunk_size: int = 0, engine: RoundEngine | None = None
@@ -346,20 +235,14 @@ class ClientSwarm:
         ``engine`` runs each chunk's crypto (a driver passes its own, which
         takes large chunks to its worker pool); without one it runs inline.
         """
-        if round_number in self._pending or round_number in self._built_rounds:
-            raise ProtocolError(
-                f"the swarm already built requests for round {round_number}"
-            )
-        # Mirror the individual client's stale-state pruning: once a newer
-        # round builds, an earlier round's responses can never be handled.
-        for stale in [r for r in self._pending if r < round_number]:
-            del self._pending[stale]
         chunk = chunk_size or DEFAULT_CHUNK
-        engine = engine or default_engine()
-        self._pending[round_number] = _PendingRound()
-        self._built_rounds.append(round_number)
         for start in range(0, len(self.names), chunk):
-            yield self._build_chunk(round_number, start, min(start + chunk, len(self.names)), engine)
+            stop = min(start + chunk, len(self.names))
+            self._fill_pair_keys(start, stop)
+            names = self.names[start:stop]
+            plaintexts = [self._messages.get(name, b"") for name in names]
+            wires = self.rows.build(round_number, plaintexts, engine, start=start)
+            yield SwarmChunk(round_number=round_number, start=start, names=names, wires=wires)
         self._messages.clear()
 
     def build_round(
@@ -460,92 +343,18 @@ class ClientSwarm:
         """Bulk-decode one resolved round's responses.
 
         ``grouped`` maps client name to its response list (the coordinator's
-        ``RoundResult.responses`` shape).  Every onion layer of the round is
-        opened in one batched pass, then every conversing client's message
-        box in another.
+        ``RoundResult.responses`` shape).
         """
-        pending = self._pending.pop(round_number, None)
-        if pending is None:
-            raise ProtocolError(f"the swarm has no pending round {round_number}")
         wires: list[bytes | None] = []
         for name in self.names:
             responses = grouped.get(name)
             wires.append(responses[0] if responses else None)
-
+        decoded = self.rows.decode(round_number, wires)
         delivered = sum(1 for wire in wires if wire is not None)
-        inners = unwrap_response_batch(wires, pending.contexts)
-
-        # Conversing clients: open the partner's box in one batched pass.
-        positions: list[int] = []
-        keys: list[bytes] = []
-        boxes: list[bytes] = []
-        for index, inner in enumerate(inners):
-            receive_key = pending.receive_keys[index]
-            if receive_key is None or inner is None:
-                continue
-            if len(inner) != MESSAGE_BOX_SIZE:
-                continue
-            positions.append(index)
-            keys.append(receive_key)
-            boxes.append(inner)
-        opened = open_box_batch(keys, message_nonce(round_number), boxes)
-
-        messages: dict[str, bytes] = {}
-        for index, padded in zip(positions, opened):
-            if padded is None:
-                continue
-            try:
-                messages[self.names[index]] = unpad(padded, MAX_MESSAGE_SIZE)
-            except PaddingError:
-                continue
-        undelivered = [
-            self.names[index]
-            for index, receive_key in enumerate(pending.receive_keys)
-            if receive_key is not None and self.names[index] not in messages
-        ]
         return SwarmRoundOutcome(
             round_number=round_number,
             delivered=delivered,
             lost=len(self.names) - delivered,
-            messages=messages,
-            undelivered=undelivered,
+            messages={name: text for name, text in decoded if text is not None},
+            undelivered=[name for name, text in decoded if name is not None and text is None],
         )
-
-    # ------------------------------------------------------------- reference
-
-    def reference_clients(self) -> dict:
-        """Fresh per-client ``VuvuzelaClient`` objects for this population.
-
-        Built through the same :mod:`~repro.core.topology` forks a real
-        deployment uses, with every conversation pair started — the
-        individual-object mirror of this swarm at round zero.
-        """
-        root = topology.root_rng(self.config)
-        clients = {
-            name: topology.build_client(self.config, name, root, self.server_public_keys)
-            for name in self.names
-        }
-        for a, b in self.population.pairs:
-            clients[a].start_conversation(clients[b].public_key)
-            clients[b].start_conversation(clients[a].public_key)
-        return clients
-
-    def reference_wires(self, round_number: int) -> list[bytes]:
-        """Round ``round_number``'s wires built through individual clients.
-
-        Replays every round this swarm has built, in order, through fresh
-        ``VuvuzelaClient`` objects (each build consumes rng draws, so the
-        reference must make the same sequence of builds), and returns the
-        requested round's wires in population order.  This is the oracle the
-        byte-identity tests compare against.
-        """
-        if round_number not in self._built_rounds:
-            raise ProtocolError(f"the swarm never built round {round_number}")
-        clients = self.reference_clients()
-        wires: list[bytes] = []
-        for built in self._built_rounds:
-            current = [clients[name].build_conversation_requests(built)[0] for name in self.names]
-            if built == round_number:
-                wires = current
-        return wires
-

@@ -1,10 +1,10 @@
-"""Tests for client-side state: outbox, conversation state, client behaviour."""
+"""Tests for client-side state: outbox and client behaviour."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.client import ConversationState, Outbox, VuvuzelaClient
+from repro.client import Outbox, VuvuzelaClient
 from repro.crypto import DeterministicRandom, KeyPair
 from repro.errors import ProtocolError
 
@@ -44,20 +44,6 @@ class TestOutbox:
         assert Outbox().next_message() == b""
 
 
-class TestConversationState:
-    def test_start_and_end(self):
-        state = ConversationState()
-        assert not state.active
-        with pytest.raises(ProtocolError):
-            state.require_peer()
-        keys = KeyPair.generate(DeterministicRandom(1))
-        state.start(keys.public)
-        assert state.active
-        assert state.require_peer() == keys.public
-        state.end()
-        assert not state.active
-
-
 class TestVuvuzelaClientUnit:
     def _client(self, name: str = "alice") -> VuvuzelaClient:
         rng = DeterministicRandom(name)
@@ -81,24 +67,24 @@ class TestVuvuzelaClientUnit:
 
     def test_idle_and_active_requests_have_same_size(self):
         client = self._client()
-        idle_wire = client.build_conversation_request(0)
-        client.handle_conversation_response(0, None)
+        idle_wire = client.build_conversation_requests(0)[0]
+        client.handle_conversation_responses(0, [None])
         peer = KeyPair.generate(DeterministicRandom(3))
         client.start_conversation(peer.public)
         client.send_message("hello")
-        active_wire = client.build_conversation_request(1)
+        active_wire = client.build_conversation_requests(1)[0]
         assert len(idle_wire) == len(active_wire)
 
     def test_response_for_wrong_round_rejected(self):
         client = self._client()
-        client.build_conversation_request(0)
+        client.build_conversation_requests(0)[0]
         with pytest.raises(ProtocolError):
-            client.handle_conversation_response(5, None)
+            client.handle_conversation_responses(5, [None])
 
     def test_response_without_request_rejected(self):
         client = self._client()
         with pytest.raises(ProtocolError):
-            client.handle_conversation_response(0, b"data")
+            client.handle_conversation_responses(0, [b"data"])
         with pytest.raises(ProtocolError):
             client.handle_dialing_response(0, b"data")
 
@@ -107,8 +93,8 @@ class TestVuvuzelaClientUnit:
         peer = KeyPair.generate(DeterministicRandom(4))
         client.start_conversation(peer.public)
         client.send_message("keep me")
-        client.build_conversation_request(0)
-        client.handle_conversation_response(0, None)
+        client.build_conversation_requests(0)[0]
+        client.handle_conversation_responses(0, [None])
         assert client.rounds_lost == 1
         assert client.outbox.pending == 1  # still queued for retransmission
 

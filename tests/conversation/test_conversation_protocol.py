@@ -8,19 +8,18 @@ from hypothesis import strategies as st
 
 from repro.conversation import (
     ConversationProcessor,
+    ConversationRows,
     ConversationSession,
     EMPTY_MESSAGE_BOX,
     EXCHANGE_REQUEST_SIZE,
     ExchangeRequest,
     MAX_MESSAGE_SIZE,
     MESSAGE_BOX_SIZE,
-    build_exchange_request,
     build_noise_request,
     conversation_noise_builder,
     decrypt_message,
     directional_keys,
     encrypt_message,
-    process_exchange_response,
     round_dead_drop,
 )
 from repro.crypto import DeterministicRandom, KeyPair, request_size
@@ -100,16 +99,16 @@ class TestMessages:
 
 class TestClientRequests:
     def test_real_and_fake_requests_have_identical_size(self, rng, server_keys, alice, bob):
-        publics = [k.public for k in server_keys]
-        session = ConversationSession(own_keys=alice, peer_public_key=bob.public)
-        real, _ = build_exchange_request(1, publics, session, b"hi", rng)
-        fake, _ = build_exchange_request(1, publics, None, rng=rng)
+        rows = ConversationRows([k.public for k in server_keys], [rng, rng])
+        rows.keys[0] = ConversationSession(own_keys=alice, peer_public_key=bob.public).keys
+        real, fake = rows.build(1, [b"hi", b""])
         assert len(real) == len(fake) == request_size(EXCHANGE_REQUEST_SIZE, 3)
 
-    def test_fake_request_never_expects_reply(self, rng, server_keys):
-        _, pending = build_exchange_request(1, [k.public for k in server_keys], None, rng=rng)
-        assert not pending.expects_reply
-        assert process_exchange_response(b"\x00" * 100, pending) is None
+    def test_an_idle_row_never_yields_a_message(self, rng, server_keys):
+        rows = ConversationRows([k.public for k in server_keys], [rng])
+        rows.build(1, [b""])
+        assert rows.decode(1, [b"\x00" * 100]) == [(None, None)]
+        assert rows.pending == {}
 
     def test_session_state_is_symmetric(self, alice, bob):
         alice_session = ConversationSession(own_keys=alice, peer_public_key=bob.public)
@@ -212,14 +211,17 @@ class TestProcessorAndNoise:
         alice_session = ConversationSession(own_keys=alice, peer_public_key=bob.public)
         bob_session = ConversationSession(own_keys=bob, peer_public_key=alice.public)
 
-        wire_a, pending_a = build_exchange_request(7, publics, alice_session, b"hello bob", rng)
-        wire_b, pending_b = build_exchange_request(7, publics, bob_session, b"hello alice", rng)
-        wire_idle, pending_idle = build_exchange_request(7, publics, None, rng=rng)
+        rows = ConversationRows(publics, [rng] * 3)
+        rows.keys[:2] = [alice_session.keys, bob_session.keys]
+        rows.owners[:2] = ["alice", "bob"]
+        wires = rows.build(7, [b"hello bob", b"hello alice", b""])
 
-        responses = chain.run_round(7, [wire_a, wire_b, wire_idle])
-        assert process_exchange_response(responses[0], pending_a) == b"hello alice"
-        assert process_exchange_response(responses[1], pending_b) == b"hello bob"
-        assert process_exchange_response(responses[2], pending_idle) is None
+        responses = chain.run_round(7, wires)
+        assert rows.decode(7, responses) == [
+            ("alice", b"hello alice"),
+            ("bob", b"hello bob"),
+            (None, None),
+        ]
 
         histogram = processor.histogram(7)
         assert histogram.pairs >= 1  # Alice<->Bob plus possibly noise pairs

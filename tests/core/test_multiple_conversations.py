@@ -92,10 +92,7 @@ class TestClientSlots:
         with pytest.raises(ProtocolError):
             client.send_message("hello", peer=unknown)
 
-    def test_singular_helpers_require_single_slot(self):
-        client = self._client(2)
-        with pytest.raises(ProtocolError):
-            client.build_conversation_request(0)
+    def test_a_client_needs_a_slot(self):
         with pytest.raises(ProtocolError):
             VuvuzelaClient(
                 name="x",

@@ -31,6 +31,7 @@ from repro.server.wire import (
     encode_submission_batch,
 )
 from repro.simulation import ClientSwarm, WorkloadSpec
+from swarm_oracle import reference_wires
 
 SEED = 424
 NUM_USERS = 64
@@ -47,13 +48,18 @@ def scenario(num_users: int = NUM_USERS, conversing: float = 0.5):
 class TestWireIdentity:
     @pytest.mark.parametrize("chunk_size", [0, 17])
     def test_swarm_wires_match_per_client_wires(self, chunk_size: int) -> None:
-        """Every wire of rounds 0 and 1, against real clients, byte for byte."""
+        """Every wire of rounds 0 and 1, against straight-line Algorithm 1
+        per client, byte for byte — a queued message included."""
         config, swarm = scenario()
+        sender = swarm.population.pairs[0][1]
+        messages = {1: {sender: b"second round"}}
+        reference = reference_wires(swarm, (0, 1), messages)
         for round_number in (0, 1):
+            for name, text in messages.get(round_number, {}).items():
+                swarm.set_message(name, text)
             wires = swarm.build_round(round_number, chunk_size=chunk_size)
-            reference = swarm.reference_wires(round_number)
             assert len(wires) == NUM_USERS
-            assert [bytes(w) for w in wires] == [bytes(w) for w in reference]
+            assert [bytes(w) for w in wires] == reference[round_number]
 
     def test_chunking_does_not_change_the_wires(self) -> None:
         config_a, swarm_a = scenario()
@@ -95,8 +101,6 @@ class TestWireIdentity:
         swarm.build_round(0)
         with pytest.raises(ProtocolError):
             swarm.build_round(0)
-        with pytest.raises(ProtocolError):
-            swarm.reference_wires(1)
 
     def test_unseeded_config_is_rejected(self) -> None:
         config = VuvuzelaConfig.small(seed=None)

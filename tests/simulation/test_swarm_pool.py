@@ -27,6 +27,7 @@ from repro.runtime import RoundEngine
 from repro.runtime import engine as round_engine
 from repro.runtime import worker as engine_worker
 from repro.simulation import ClientSwarm, WorkloadSpec
+from swarm_oracle import reference_wires
 
 SEED = 424
 #: Long enough for a hung round to be a hang, short of the CI step timeout.
@@ -87,24 +88,23 @@ class TestPooledBuild:
     def test_pooled_wires_match_inline_and_reference_wires(
         self, backend_name, forced_pool, monkeypatch, chunk_size
     ):
-        """Three rounds with queued messages: pooled == inline everywhere, and
-        == the per-client reference everywhere a message did not ride (the
-        reference frames outbox messages, the swarm sends them raw)."""
+        """Three rounds with queued messages: pooled == inline == the
+        straight-line per-client reference, every wire."""
         monkeypatch.setattr(round_engine, "PREFERRED_CHUNK", 3)
         _, pooled = scenario(12)
         _, inline = scenario(12)
-        senders = {name for pair in pooled.population.pairs for name in pair}
+        messages, built = {}, {}
         with RoundEngine(workers=2) as engine:
             for round_number in range(3):
                 for swarm in (pooled, inline):
                     queue_messages(swarm, round_number)
+                messages[round_number] = dict(pooled._messages)
                 wires = pooled.build_round(round_number, chunk_size=chunk_size, engine=engine)
                 assert engine._pool is not None
                 assert wires == inline.build_round(round_number, chunk_size=chunk_size)
-                reference = pooled.reference_wires(round_number)
-                for name, wire, expected in zip(pooled.names, wires, reference):
-                    assert (wire == expected) == (name not in senders), name
+                built[round_number] = wires
         assert multiprocessing.active_children() == []
+        assert built == reference_wires(pooled, range(3), messages)
 
     def test_pooled_in_process_round_decodes_every_plaintext(self, forced_pool, two_cores):
         _, swarm = scenario(16)
