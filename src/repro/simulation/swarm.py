@@ -221,10 +221,9 @@ class ClientSwarm:
             if partner is None or keys[index] is not None:
                 continue
             own, peer = self._long_term(index), self._long_term(partner)
-            send, receive, drop_key = pair_keys(
+            send, receive, drop_key = keys[index] = pair_keys(
                 own.exchange(peer.public), bytes(own.public), bytes(peer.public)
             )
-            keys[index] = (send, receive, drop_key)
             keys[partner] = (receive, send, drop_key)
 
     def iter_round_chunks(
