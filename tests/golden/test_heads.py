@@ -1,4 +1,4 @@
-"""Committed golden heads: the bytes four fixed sessions produce, pinned.
+"""Committed golden heads: the bytes five fixed sessions produce, pinned.
 
 Every other byte-identity test compares two paths of the *same* commit
 (swarm against per-client, pool against inline, TCP against in-process).
@@ -124,7 +124,7 @@ def per_client_session(driver_class, monkeypatch, tmp: Path) -> dict:
     }
 
 
-def swarm_session(tmp: Path, *, pooled: bool = False) -> dict:
+def swarm_session(tmp: Path, *, pooled: bool = False, driver_class=VuvuzelaSystem) -> dict:
     """A 16-user swarm in chunks of five, every paired user saying something,
     for two rounds; ``pooled`` says whether the driver's engine must fork."""
     config = VuvuzelaConfig.small(seed=SEED)
@@ -133,7 +133,7 @@ def swarm_session(tmp: Path, *, pooled: bool = False) -> dict:
     wires: dict[str, str] = {}
     messages: dict[str, str] = {}
     path = tmp / "ledger.jsonl"
-    with VuvuzelaSystem(config) as system, LedgerWriter(path, fsync="never") as ledger:
+    with driver_class(config) as system, LedgerWriter(path, fsync="never") as ledger:
         system.attach_ledger(ledger)
         for round_number in WIRE_ROUNDS:
             for a, b in swarm.population.pairs:
@@ -195,6 +195,7 @@ def generate(monkeypatch, tmp: Path) -> dict:
         "swarm": swarm_session(tmp / "swarm"),
         "continuous": continuous_session(monkeypatch, tmp / "continuous"),
         "session_tcp": per_client_session(DeploymentLauncher, monkeypatch, tmp / "tcp"),
+        "swarm_tcp": swarm_session(tmp / "swarm_tcp", driver_class=DeploymentLauncher),
     }
 
 
@@ -224,6 +225,11 @@ def test_swarm_heads(engine, monkeypatch, tmp):
     assert swarm_session(tmp, pooled=engine == "pool") == committed("swarm")
 
 
+def test_swarm_heads_over_tcp(tmp):
+    """Submission batches, verdicts and collects cross a socket."""
+    assert swarm_session(tmp, driver_class=DeploymentLauncher) == committed("swarm_tcp")
+
+
 def test_continuous_session_heads(monkeypatch, tmp):
     assert continuous_session(monkeypatch, tmp) == committed("continuous")
 
@@ -232,7 +238,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --regenerate")
     with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
-        for name in ("session", "swarm", "continuous", "tcp"):
+        for name in ("session", "swarm", "continuous", "tcp", "swarm_tcp"):
             (Path(scratch) / name).mkdir()
         entries = generate(patch, Path(scratch))
     HEADS.write_text(
