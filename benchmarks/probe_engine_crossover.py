@@ -37,7 +37,7 @@ from repro.crypto.backend import active_backend, available_backends, set_backend
 from repro.crypto.onion import wrap_response_batch  # noqa: E402
 from repro.runtime import RoundEngine  # noqa: E402
 from repro.runtime import engine as round_engine  # noqa: E402
-from repro.runtime.shm import pack_entries, unpack_entries  # noqa: E402
+from repro.net.packed import pack, unpack, unpack_owned  # noqa: E402
 from repro.simulation import ClientSwarm, WorkloadSpec  # noqa: E402
 
 #: A conversation exchange request, as a mixing server's noise carries it.
@@ -54,13 +54,13 @@ WORKERS = 2
 
 def _wrap_response_chunk(task: tuple) -> bytes:
     block, round_number = task
-    entries = unpack_entries(block)
+    entries = unpack_owned(block)
     half = len(entries) // 2
-    return pack_entries(wrap_response_batch(entries[:half], entries[half:], round_number))
+    return pack(b"", wrap_response_batch(entries[:half], entries[half:], round_number))
 
 
 def _echo_chunk(block: bytes) -> bytes:
-    return pack_entries(unpack_entries(block))
+    return pack(b"", unpack(block))
 
 
 def best_ms(fn) -> float:
@@ -95,13 +95,13 @@ def probe() -> list[dict]:
                 return lambda: engine.peel_request_chunks(wires[:n], keypairs[0].private, 0, ROUND)
 
             def split_response():
-                tasks = [(pack_entries([*payloads[lo:hi], *keys[lo:hi]]), ROUND) for lo, hi in bounds]
+                tasks = [(pack(b"", [*payloads[lo:hi], *keys[lo:hi]]), ROUND) for lo, hi in bounds]
                 for packed in pooled._pipelined(_wrap_response_chunk, tasks):
-                    unpack_entries(packed)
+                    unpack_owned(packed)
 
             def pipe():
-                for packed in pooled._pipelined(_echo_chunk, (pack_entries(wires[lo:hi]) for lo, hi in bounds)):
-                    unpack_entries(packed)
+                for packed in pooled._pipelined(_echo_chunk, (pack(b"", wires[lo:hi]) for lo, hi in bounds)):
+                    unpack_owned(packed)
 
             row = {
                 "n": n,

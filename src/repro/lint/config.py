@@ -40,12 +40,14 @@ ROUND_PATH = (
 #: :class:`SecureRandom` production boundary every seeded run swaps out).
 SANCTIONED = ("repro/crypto/rng.py",)
 
-#: The zero-copy wire path: TCP framing, server batch framing, the
+#: The zero-copy wire path: TCP framing, the packed-list grammar and the
+#: typed frames over it (server batches and the engine's task blocks), the
 #: coordinator's gate (every networked submission passes through it), the
 #: conditioner's hash-keyed decisions and the batch crypto kernels.
 WIRE_PATH = (
     "repro/net/tcp.py",
     "repro/net/faults.py",
+    "repro/net/packed.py",
     "repro/server/wire.py",
     "repro/server/entry.py",
     "repro/runtime/coordinator.py",

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..errors import ProtocolError
+
 
 class MessageKind(Enum):
     """Coarse classification of traffic, as an adversary could infer from ports/timing."""
@@ -31,6 +33,19 @@ class MessageKind(Enum):
     #: Bulk retrieval of a resolved round's responses for many clients at
     #: once (the swarm's counterpart to the per-client long-poll).
     RESPONSE_COLLECT = "response-collect"
+
+
+#: Frames ship a kind as its definition-order index: the TCP request head
+#: and the list frames of :mod:`repro.server.wire` alike.
+KINDS = tuple(MessageKind)
+KIND_INDEX = {kind: index for index, kind in enumerate(KINDS)}
+
+
+def kind_at(index: int) -> MessageKind:
+    """The kind a received frame's index names."""
+    if index >= len(KINDS):
+        raise ProtocolError(f"unknown message kind index {index} in a frame")
+    return KINDS[index]
 
 
 @dataclass(frozen=True)

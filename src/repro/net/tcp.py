@@ -37,7 +37,7 @@ import time
 from collections import defaultdict
 
 from .faults import LinkConditioner
-from .messages import Envelope, MessageKind
+from .messages import KIND_INDEX, Envelope, MessageKind, kind_at
 from .transport import Handler, TrafficStats, Transport
 from ..errors import ConnectTimeout, NetworkError, ProtocolError, TransportTimeout
 
@@ -46,9 +46,6 @@ _REQUEST_HEAD = struct.Struct(">BQHH")  # kind index, round number, source len, 
 
 #: Hard cap on one frame; a malformed peer cannot make us buffer gigabytes.
 MAX_FRAME_BYTES = 1 << 30
-
-_KINDS = list(MessageKind)
-_KIND_INDEX = {kind: index for index, kind in enumerate(_KINDS)}
 
 # Reply status bytes.
 _OK, _NONE, _NETWORK_ERROR, _PROTOCOL_ERROR, _TIMEOUT, _CONNECT_TIMEOUT = range(6)
@@ -72,7 +69,7 @@ def encode_request(envelope: Envelope) -> bytes:
     source = envelope.source.encode("utf-8")
     destination = envelope.destination.encode("utf-8")
     head = _REQUEST_HEAD.pack(
-        _KIND_INDEX[envelope.kind], envelope.round_number, len(source), len(destination)
+        KIND_INDEX[envelope.kind], envelope.round_number, len(source), len(destination)
     )
     return b"".join((head, source, destination, envelope.payload))
 
@@ -82,8 +79,7 @@ def decode_request(body: bytes) -> Envelope:
     if len(body) < _REQUEST_HEAD.size:
         raise ProtocolError("TCP request frame too short for its header")
     kind_index, round_number, source_len, destination_len = _REQUEST_HEAD.unpack_from(body, 0)
-    if kind_index >= len(_KINDS):
-        raise ProtocolError(f"unknown message kind index {kind_index} in TCP frame")
+    kind = kind_at(kind_index)
     offset = _REQUEST_HEAD.size
     if len(body) < offset + source_len + destination_len:
         raise ProtocolError("truncated endpoint names in TCP request frame")
@@ -101,7 +97,7 @@ def decode_request(body: bytes) -> Envelope:
         # must retain data past the frame call bytes() themselves.  The view
         # is read-only (and hashable) even over a received bytearray.
         payload=memoryview(body).toreadonly()[offset:],
-        kind=_KINDS[kind_index],
+        kind=kind,
         round_number=round_number,
     )
 

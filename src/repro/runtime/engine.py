@@ -21,8 +21,8 @@ runs every such batch op under one policy:
   ran ~40% slower per message than 10k ones).  On the pool, a batch is split
   into one chunk per worker, capped at the same size, so a 1,100-wire round
   uses every core and a 1M-wire round still pipelines.
-* **Transport.** Each chunk travels inside its task as one packed entry
-  block (:mod:`repro.runtime.shm`) through the executor's pipe, and its
+* **Transport.** Each chunk travels inside its task as one packed list
+  (:mod:`repro.net.packed`) through the executor's pipe, and its
   results come back the same way.  There is no shared memory: Python's
   segments need a ``resource_tracker`` process, which outlives its parent and
   which forked workers start once each when the pool forks first, while the
@@ -78,7 +78,6 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Iterable, Iterator, Sequence
 
 from . import worker as _worker
-from .shm import pack_entries, unpack_entries
 from ..crypto.backend import active_backend
 from ..crypto.batch_kernels import PREFERRED_CHUNK
 from ..crypto.invitation import open_invitations
@@ -91,6 +90,7 @@ from ..crypto.onion import (
 )
 from ..crypto.rng import RandomSource
 from ..errors import ProtocolError
+from ..net.packed import pack, unpack_owned
 
 #: The fewest curve operations (one per wire for a peel, one per layer per
 #: wire for a noise wrap) that send one batch op to the pool.  Measured on a
@@ -238,11 +238,11 @@ class RoundEngine:
             return inners, keys
         backend_name = active_backend().name
         tasks = (
-            (private_key.data, pack_entries(wires[lo:hi]), server_index, round_number, backend_name)
+            (private_key.data, pack(b"", wires[lo:hi]), server_index, round_number, backend_name)
             for lo, hi in bounds
         )
         for packed in self._pipelined(_worker.peel_chunk, tasks):
-            entries = unpack_entries(packed)
+            entries = unpack_owned(packed)
             half = len(entries) // 2
             inners.extend(entries[:half])
             keys.extend(entries[half:])
@@ -359,7 +359,7 @@ class RoundEngine:
         public_keys = tuple(bytes(key) for key in server_public_keys)
         tasks = (
             (
-                pack_entries([entry for column in columns for entry in column[lo:hi]]),
+                pack(b"", [entry for column in columns for entry in column[lo:hi]]),
                 len(columns),
                 public_keys,
                 round_number,
@@ -368,7 +368,7 @@ class RoundEngine:
             for lo, hi in bounds
         )
         for packed in self._pipelined(task, tasks):
-            yield unpack_entries(packed)
+            yield unpack_owned(packed)
 
     def scan_invitation_chunks(
         self,

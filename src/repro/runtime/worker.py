@@ -1,7 +1,7 @@
 """Worker-process entry points of the round engine's pool.
 
 Each ``*_chunk`` function here is the body of one *chunk task*.  A wire
-task carries its chunk as one packed entry block (:mod:`repro.runtime.shm`),
+task carries its chunk as one packed list (:mod:`repro.net.packed`),
 runs one batch crypto op over it and returns the results packed the same
 way; the invitation scan's task carries a dead drop and a chunk of recipient
 keys as they are.  Everything crosses the executor's task pipe.  The two
@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import os
 
-from .shm import pack_entries, unpack_entries
 from ..conversation.client import build_exchange_batch
 from ..crypto.backend import active_backend, set_backend
 from ..crypto.invitation import open_invitations
 from ..crypto.keys import PrivateKey, PublicKey
 from ..crypto.onion import peel_request_batch, wrap_request_batch
 from ..crypto.secretbox import clear_derived_key_cache
+from ..net.packed import pack, unpack, unpack_owned
 
 
 def _use_backend(name: str) -> None:
@@ -50,11 +50,11 @@ def peel_chunk(task: tuple) -> bytes:
     _use_backend(backend_name)
     try:
         inners, keys = peel_request_batch(
-            unpack_entries(block), PrivateKey(private_key), server_index, round_number
+            unpack(block), PrivateKey(private_key), server_index, round_number
         )
     finally:
         clear_derived_key_cache()
-    return pack_entries([*inners, *keys])
+    return pack(b"", [*inners, *keys])
 
 
 def wrap_noise_rows(columns: list, public_keys: list[PublicKey], round_number: int) -> list[bytes]:
@@ -97,12 +97,12 @@ def _run_rows(rows, task: tuple) -> bytes:
     """
     block, width, public_keys_bytes, round_number, backend_name = task
     _use_backend(backend_name)
-    entries = unpack_entries(block)
+    entries = unpack_owned(block)
     count = len(entries) // width
     columns = [entries[count * column : count * (column + 1)] for column in range(width)]
     public_keys = [PublicKey(raw) for raw in public_keys_bytes]
     try:
-        return pack_entries(rows(columns, public_keys, round_number))
+        return pack(b"", rows(columns, public_keys, round_number))
     finally:
         clear_derived_key_cache()
 

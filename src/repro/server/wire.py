@@ -1,27 +1,35 @@
-"""Framing of request batches exchanged between servers.
+"""Typed frames over one grammar: the batches servers and the swarm exchange.
 
-Servers forward whole rounds at a time; a batch is a simple length-prefixed
-concatenation preceded by the round number, so the receiving server can
-sanity-check that both ends agree which round they are processing.
+Every frame that carries a list of byte strings is a 13-byte head — round
+number, attempt, kind index — followed by one packed list
+(:mod:`repro.net.packed`, whose ``unpack`` is the one bounds check).  The
+functions here only give the list its meaning:
 
-The module also frames the one client-facing download in the system: the
-:data:`~repro.net.MessageKind.DIAL_DOWNLOAD` request a client sends to the
-entry server to fetch a dialing round's invitation store (the paper serves
-this from a CDN; the entry server is our untrusted CDN front).
-
-Three further frames carry the vectorized swarm's batched admission path:
-
+* a **hop batch** (:func:`encode_batch`) is a round's requests, or its
+  responses, forwarded between servers whole;
 * a **submission batch** (:data:`~repro.net.MessageKind.SUBMISSION_BATCH`)
-  packs one chunk of a round's ``(client, wire)`` submissions into a single
-  frame, so ingesting 100k clients costs thousands of frames instead of
-  100k round trips;
-* a **verdict frame** answers it with one byte per entry (accepted /
-  refused / late) — immediately, never a long-poll, so the sender's
-  synchronous wait per chunk is the ingest backpressure;
-* a **collect request/reply** pair retrieves a resolved round's responses
-  for many clients in bulk.
+  is one chunk of a round's ``(client, wire)`` submissions, so ingesting
+  100k clients costs thousands of frames instead of 100k round trips.  Its
+  list holds the chunk's names and then its payloads, two columns of equal
+  count;
+* a **collect request** (:data:`~repro.net.MessageKind.RESPONSE_COLLECT`)
+  lists the clients whose responses a resolved round should return;
+* a **collect reply** holds one packed list of responses per named client.
 
-All decoders return zero-copy :class:`memoryview` slices for the payloads.
+The kind index is the submitted kind for submissions and collect requests,
+and ``CONTROL`` in the frames that carry none.  The attempt is the
+coordinator's §6 retry counter in hop batches and 1 elsewhere.
+
+Two frames are not lists and keep fixed structs: the **verdict frame**
+answering a submission batch with one byte per entry (accepted / refused /
+late) — immediately, never a long-poll, so the sender's synchronous wait
+per chunk is the ingest backpressure — and the client's
+:data:`~repro.net.MessageKind.DIAL_DOWNLOAD` request for a dialing round's
+invitation store (the paper serves this from a CDN; the entry server is our
+untrusted CDN front).
+
+All decoders return zero-copy :class:`memoryview` slices for the payloads
+and refuse a malformed frame with :class:`~repro.errors.ProtocolError`.
 """
 
 from __future__ import annotations
@@ -30,23 +38,61 @@ import struct
 
 from ..errors import ProtocolError
 from ..net import MessageKind
+from ..net.messages import KIND_INDEX, kind_at
+from ..net.packed import pack, unpack
 
-_HEADER = struct.Struct(">QII")  # round number, attempt, request count
-_LENGTH = struct.Struct(">I")
+_HEAD = struct.Struct(">QIB")  # round number, attempt, kind index
 _DOWNLOAD = struct.Struct(">Q")  # dialing round number
-_BATCH_HEAD = struct.Struct(">BQI")  # kind index, round number, entry count
-_NAME = struct.Struct(">H")
 _VERDICT_HEAD = struct.Struct(">QI")  # round number, verdict count
-
-#: The message kinds a submission batch may carry, shipped as a definition-
-#: order index exactly like the TCP transport ships envelope kinds.
-_KINDS = list(MessageKind)
-_KIND_INDEX = {kind: index for index, kind in enumerate(_KINDS)}
 
 #: Per-entry verdict bytes in a :func:`encode_batch_verdicts` frame.
 VERDICT_ACCEPTED = 0
 VERDICT_REFUSED = 1
 VERDICT_LATE = 2
+
+
+def _round(round_number: int) -> int:
+    if round_number < 0:
+        raise ProtocolError("round numbers are non-negative")
+    return round_number
+
+
+def _attempt(attempt: int) -> int:
+    if attempt < 1:
+        raise ProtocolError("round attempts are numbered from 1")
+    return attempt
+
+
+def _frame(round_number: int, attempt: int, kind: MessageKind, entries) -> bytes:
+    return pack(_HEAD.pack(_round(round_number), _attempt(attempt), KIND_INDEX[kind]), entries)
+
+
+def _fields(payload, head: struct.Struct) -> tuple:
+    if len(payload) < head.size:
+        raise ProtocolError(f"frame too short to contain its {head.size}-byte header")
+    return head.unpack_from(payload, 0)
+
+
+def _present(buffer) -> list[memoryview]:
+    """A frame's packed list, none of whose entries may be missing."""
+    entries = unpack(buffer)
+    if any(entry is None for entry in entries):
+        raise ProtocolError("a frame's list holds a missing entry")
+    return entries
+
+
+def _open(payload) -> tuple[int, int, MessageKind, list[memoryview]]:
+    """Split a list frame into ``(round_number, attempt, kind, entries)``."""
+    round_number, attempt, kind_index = _fields(payload, _HEAD)
+    entries = _present(memoryview(payload)[_HEAD.size :])
+    return round_number, _attempt(attempt), kind_at(kind_index), entries
+
+
+def _names(entries: list[memoryview]) -> list[str]:
+    try:
+        return [str(name, "utf-8") for name in entries]
+    except UnicodeDecodeError:
+        raise ProtocolError("a client name in a frame is not UTF-8") from None
 
 
 def encode_batch(round_number: int, requests: list[bytes], attempt: int = 1) -> bytes:
@@ -60,57 +106,26 @@ def encode_batch(round_number: int, requests: list[bytes], attempt: int = 1) -> 
     crash-recovered round is a pure function of the config seed, not of how
     many batches the server happened to process before it.
 
-    Accepts any bytes-like entries (``bytes.join`` reads them through the
-    buffer protocol), so zero-copy slices from :func:`decode_batch` can be
-    re-encoded without materialising copies.
+    Accepts any bytes-like entries, so zero-copy slices from
+    :func:`decode_batch` can be re-encoded without materialising copies.
     """
-    if round_number < 0:
-        raise ProtocolError("round numbers are non-negative")
-    if attempt < 1:
-        raise ProtocolError("round attempts are numbered from 1")
-    parts: list[bytes] = [_HEADER.pack(round_number, attempt, len(requests))]
-    for request in requests:
-        parts.append(_LENGTH.pack(len(request)))
-        parts.append(request)
-    return b"".join(parts)
+    return _frame(round_number, attempt, MessageKind.CONTROL, requests)
 
 
 def decode_batch(payload: bytes) -> tuple[int, int, list[memoryview]]:
     """Parse a batch back into (round_number, attempt, requests) without copying.
 
     The returned requests are read-only :class:`memoryview` slices of
-    ``payload`` — a round is parsed in one pass with zero per-request
-    allocations.  Views compare equal to the bytes they alias; callers that
+    ``payload``.  Views compare equal to the bytes they alias; callers that
     need to outlive ``payload`` take ``bytes(request)`` explicitly.
     """
-    if len(payload) < _HEADER.size:
-        raise ProtocolError("batch too short to contain a header")
-    round_number, attempt, count = _HEADER.unpack_from(payload, 0)
-    if attempt < 1:
-        raise ProtocolError("round attempts are numbered from 1")
-    view = memoryview(payload)
-    total = len(payload)
-    offset = _HEADER.size
-    requests: list[memoryview] = []
-    for _ in range(count):
-        if offset + _LENGTH.size > total:
-            raise ProtocolError("truncated batch: missing length prefix")
-        (length,) = _LENGTH.unpack_from(payload, offset)
-        offset += _LENGTH.size
-        if offset + length > total:
-            raise ProtocolError("truncated batch: missing request body")
-        requests.append(view[offset : offset + length])
-        offset += length
-    if offset != total:
-        raise ProtocolError("trailing bytes after the last request in a batch")
+    round_number, attempt, _, requests = _open(payload)
     return round_number, attempt, requests
 
 
 def encode_download_request(round_number: int) -> bytes:
     """Frame a client's invitation-store download request for one round."""
-    if round_number < 0:
-        raise ProtocolError("round numbers are non-negative")
-    return _DOWNLOAD.pack(round_number)
+    return _DOWNLOAD.pack(_round(round_number))
 
 
 def decode_download_request(payload: bytes) -> int:
@@ -121,70 +136,27 @@ def decode_download_request(payload: bytes) -> int:
     return round_number
 
 
-def _kind_index(kind: MessageKind) -> int:
-    index = _KIND_INDEX.get(kind)
-    if index is None:  # pragma: no cover - MessageKind members are all indexed
-        raise ProtocolError(f"unknown message kind {kind!r}")
-    return index
-
-
-def _decode_kind(index: int) -> MessageKind:
-    if index >= len(_KINDS):
-        raise ProtocolError(f"unknown message kind index {index} in a batch frame")
-    return _KINDS[index]
-
-
 def encode_submission_batch(
     kind: MessageKind, round_number: int, entries: list[tuple[str, bytes]]
 ) -> bytes:
     """Frame one chunk of a round's ``(client, payload)`` submissions.
 
-    Payload entries may be any bytes-like object (``bytes.join`` reads them
-    through the buffer protocol), so a swarm chunk of memoryviews is framed
-    without intermediate copies.
+    Payload entries may be any bytes-like object, so a swarm chunk of
+    memoryviews is framed without intermediate copies.
     """
-    if round_number < 0:
-        raise ProtocolError("round numbers are non-negative")
-    parts: list[bytes] = [_BATCH_HEAD.pack(_kind_index(kind), round_number, len(entries))]
-    for source, payload in entries:
-        name = source.encode("utf-8")
-        parts.append(_NAME.pack(len(name)))
-        parts.append(name)
-        parts.append(_LENGTH.pack(len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
+    names = [source.encode("utf-8") for source, _ in entries]
+    return _frame(round_number, 1, kind, [*names, *(payload for _, payload in entries)])
 
 
 def decode_submission_batch(
     payload: bytes,
 ) -> tuple[MessageKind, int, list[tuple[str, memoryview]]]:
     """Parse a submission batch; payloads come back as zero-copy views."""
-    if len(payload) < _BATCH_HEAD.size:
-        raise ProtocolError("submission batch too short to contain a header")
-    kind_index, round_number, count = _BATCH_HEAD.unpack_from(payload, 0)
-    kind = _decode_kind(kind_index)
-    view = memoryview(payload)
-    total = len(payload)
-    offset = _BATCH_HEAD.size
-    entries: list[tuple[str, memoryview]] = []
-    for _ in range(count):
-        if offset + _NAME.size > total:
-            raise ProtocolError("truncated submission batch: missing name length")
-        (name_len,) = _NAME.unpack_from(payload, offset)
-        offset += _NAME.size
-        if offset + name_len + _LENGTH.size > total:
-            raise ProtocolError("truncated submission batch: missing entry header")
-        name = str(view[offset : offset + name_len], "utf-8")
-        offset += name_len
-        (length,) = _LENGTH.unpack_from(payload, offset)
-        offset += _LENGTH.size
-        if offset + length > total:
-            raise ProtocolError("truncated submission batch: missing payload")
-        entries.append((name, view[offset : offset + length]))
-        offset += length
-    if offset != total:
-        raise ProtocolError("trailing bytes after the last submission in a batch")
-    return kind, round_number, entries
+    round_number, _, kind, entries = _open(payload)
+    count = len(entries) // 2
+    if 2 * count != len(entries):
+        raise ProtocolError("a submission batch needs as many payloads as names")
+    return kind, round_number, list(zip(_names(entries[:count]), entries[count:]))
 
 
 def encode_batch_verdicts(round_number: int, verdicts: bytes) -> bytes:
@@ -198,9 +170,7 @@ def encode_batch_verdicts(round_number: int, verdicts: bytes) -> bytes:
 
 def decode_batch_verdicts(payload: bytes) -> tuple[int, bytes]:
     """Parse a verdict frame back to ``(round_number, verdict bytes)``."""
-    if len(payload) < _VERDICT_HEAD.size:
-        raise ProtocolError("verdict frame too short to contain a header")
-    round_number, count = _VERDICT_HEAD.unpack_from(payload, 0)
+    round_number, count = _fields(payload, _VERDICT_HEAD)
     # repro-lint: allow[zero-copy] declared retention boundary: verdicts are handed to callers that outlive the reply frame
     verdicts = bytes(memoryview(payload)[_VERDICT_HEAD.size :])
     if len(verdicts) != count:
@@ -212,76 +182,21 @@ def decode_batch_verdicts(payload: bytes) -> tuple[int, bytes]:
 
 def encode_collect_request(kind: MessageKind, round_number: int, names: list[str]) -> bytes:
     """Frame a bulk response-collection request for one round."""
-    if round_number < 0:
-        raise ProtocolError("round numbers are non-negative")
-    parts: list[bytes] = [_BATCH_HEAD.pack(_kind_index(kind), round_number, len(names))]
-    for source in names:
-        name = source.encode("utf-8")
-        parts.append(_NAME.pack(len(name)))
-        parts.append(name)
-    return b"".join(parts)
+    return _frame(round_number, 1, kind, [name.encode("utf-8") for name in names])
 
 
 def decode_collect_request(payload: bytes) -> tuple[MessageKind, int, list[str]]:
     """Parse a collect request back to ``(kind, round_number, names)``."""
-    if len(payload) < _BATCH_HEAD.size:
-        raise ProtocolError("collect request too short to contain a header")
-    kind_index, round_number, count = _BATCH_HEAD.unpack_from(payload, 0)
-    kind = _decode_kind(kind_index)
-    view = memoryview(payload)
-    total = len(payload)
-    offset = _BATCH_HEAD.size
-    names: list[str] = []
-    for _ in range(count):
-        if offset + _NAME.size > total:
-            raise ProtocolError("truncated collect request: missing name length")
-        (name_len,) = _NAME.unpack_from(payload, offset)
-        offset += _NAME.size
-        if offset + name_len > total:
-            raise ProtocolError("truncated collect request: missing name")
-        names.append(str(view[offset : offset + name_len], "utf-8"))
-        offset += name_len
-    if offset != total:
-        raise ProtocolError("trailing bytes after the last name in a collect request")
-    return kind, round_number, names
+    round_number, _, kind, names = _open(payload)
+    return kind, round_number, _names(names)
 
 
 def encode_collect_reply(round_number: int, responses: list[list[bytes]]) -> bytes:
     """Frame per-client response lists, aligned with the request's names."""
-    parts: list[bytes] = [_VERDICT_HEAD.pack(round_number, len(responses))]
-    for client_responses in responses:
-        parts.append(_NAME.pack(len(client_responses)))
-        for response in client_responses:
-            parts.append(_LENGTH.pack(len(response)))
-            parts.append(response)
-    return b"".join(parts)
+    return _frame(round_number, 1, MessageKind.CONTROL, [pack(b"", client) for client in responses])
 
 
 def decode_collect_reply(payload: bytes) -> tuple[int, list[list[memoryview]]]:
     """Parse a collect reply; responses come back as zero-copy views."""
-    if len(payload) < _VERDICT_HEAD.size:
-        raise ProtocolError("collect reply too short to contain a header")
-    round_number, count = _VERDICT_HEAD.unpack_from(payload, 0)
-    view = memoryview(payload)
-    total = len(payload)
-    offset = _VERDICT_HEAD.size
-    responses: list[list[memoryview]] = []
-    for _ in range(count):
-        if offset + _NAME.size > total:
-            raise ProtocolError("truncated collect reply: missing response count")
-        (response_count,) = _NAME.unpack_from(payload, offset)
-        offset += _NAME.size
-        client_responses: list[memoryview] = []
-        for _ in range(response_count):
-            if offset + _LENGTH.size > total:
-                raise ProtocolError("truncated collect reply: missing response length")
-            (length,) = _LENGTH.unpack_from(payload, offset)
-            offset += _LENGTH.size
-            if offset + length > total:
-                raise ProtocolError("truncated collect reply: missing response body")
-            client_responses.append(view[offset : offset + length])
-            offset += length
-        responses.append(client_responses)
-    if offset != total:
-        raise ProtocolError("trailing bytes after the last response in a collect reply")
-    return round_number, responses
+    round_number, _, _, clients = _open(payload)
+    return round_number, [_present(client) for client in clients]

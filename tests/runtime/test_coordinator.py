@@ -11,7 +11,7 @@ import pytest
 from repro.crypto import DeterministicRandom, KeyPair, unwrap_response, wrap_request
 from repro.errors import ConnectTimeout, NetworkError, ProtocolError, TransportTimeout
 from repro.mixnet import MixServer
-from repro.net import Envelope, MessageKind, Network
+from repro.net import Envelope, MessageKind, Network, TcpTransport
 from repro.runtime import ABORTED, LATE, RoundCoordinator
 from repro.runtime.coordinator import RESPONSE_WINDOWS
 from repro.server import ACK, REFUSED, ChainServerEndpoint, EntryServer
@@ -334,6 +334,40 @@ class TestResponseRetention:
         assert got_round == 69 and bytes(response) == results[69].responses["alice"][0]
         with pytest.raises(ProtocolError, match="no longer held"):
             collect(old)
+
+
+def non_utf8_name_frame(kind: MessageKind) -> bytes:
+    """A submission batch or collect request naming the 2-byte client b"\\xff\\xfe"."""
+    conversation = MessageKind.CONVERSATION_REQUEST
+    if kind is MessageKind.SUBMISSION_BATCH:
+        frame = encode_submission_batch(conversation, 0, [("zz", b"payload")])
+    else:
+        frame = encode_collect_request(conversation, 0, ["zz"])
+    return frame.replace(b"zz", b"\xff\xfe")
+
+
+@pytest.mark.parametrize("kind", [MessageKind.SUBMISSION_BATCH, MessageKind.RESPONSE_COLLECT])
+class TestNonUtf8ClientNames:
+    """A name that is not UTF-8 is the sender's protocol violation, refused
+    as such in both deployment shapes — never a handler failure."""
+
+    def test_in_process(self, rng, kind):
+        network, _, _, _ = build_stack(rng)
+        with pytest.raises(ProtocolError, match="not UTF-8"):
+            network.send("swarm", "entry", non_utf8_name_frame(kind), kind=kind)
+
+    def test_over_tcp(self, rng, kind, capfd):
+        _, _, _, coordinator = build_stack(rng)
+        server, client = TcpTransport(), TcpTransport(request_timeout=10.0)
+        try:
+            server.register("entry", coordinator.handle)
+            client.add_route("entry", *server.listen())
+            with pytest.raises(ProtocolError, match="not UTF-8"):
+                client.send("swarm", "entry", non_utf8_name_frame(kind), kind=kind)
+        finally:
+            client.close()
+            server.close()
+        assert "handler" not in capfd.readouterr().err
 
 
 class TestControlTraffic:

@@ -32,12 +32,12 @@ from repro.mixnet.chain import build_chain
 from repro.runtime import RoundEngine, default_engine
 from repro.runtime import engine as round_engine
 from repro.runtime import worker as engine_worker
-from repro.runtime.shm import pack_entries, unpack_entries
+from repro.net.packed import pack, unpack, unpack_owned
 
 
 def _echo_block(block: bytes) -> bytes:
     """A worker task that unpacks its block and packs it straight back."""
-    return pack_entries(unpack_entries(block))
+    return pack(b"", unpack(block))
 
 
 @pytest.fixture(params=available_backends())
@@ -90,15 +90,22 @@ def make_round(publics, round_number=5, count=45):
 class TestEntryBlocks:
     def test_pack_unpack_roundtrip(self):
         entries = [b"alpha", None, b"", b"x" * 300, None, b"tail"]
-        assert unpack_entries(pack_entries(entries)) == entries
-        assert unpack_entries(pack_entries([])) == []
+        assert unpack_owned(pack(b"", entries)) == entries
+        assert unpack_owned(pack(b"", [])) == []
+        # Malformed blocks are refused, never decoded short: a cut tail, an
+        # offset past the end, a buffer too short for its count.
+        block = pack(b"", [b"abc", None])
+        past_end = block[:4] + (5).to_bytes(4, "big") * 2 + block[12:]
+        for malformed in (block[:-2], past_end, b"\x00"):
+            with pytest.raises(ProtocolError):
+                unpack_owned(malformed)
 
     def test_pipe_roundtrip(self):
         """A packed block crosses the task pipe to a worker and back intact."""
         entries = [b"wire-one", None, b"", b"wire-three" * 50]
         with RoundEngine(workers=2) as engine:
-            (packed,) = engine._pipelined(_echo_block, [pack_entries(entries)])
-        assert unpack_entries(packed) == entries
+            (packed,) = engine._pipelined(_echo_block, [pack(b"", entries)])
+        assert unpack_owned(packed) == entries
         assert multiprocessing.active_children() == []
 
 

@@ -28,25 +28,6 @@ class TestBatchFraming:
     def test_empty_batch(self):
         assert decode_batch(encode_batch(0, [])) == (0, 1, [])
 
-    def test_negative_round_rejected(self):
-        with pytest.raises(ProtocolError):
-            encode_batch(-1, [])
-
-    def test_zero_attempt_rejected(self):
-        with pytest.raises(ProtocolError):
-            encode_batch(0, [], 0)
-
-    def test_truncated_batches_rejected(self):
-        payload = encode_batch(1, [b"abc", b"def"])
-        with pytest.raises(ProtocolError):
-            decode_batch(payload[:-1])
-        with pytest.raises(ProtocolError):
-            decode_batch(payload[: len(payload) - 5])
-        with pytest.raises(ProtocolError):
-            decode_batch(b"\x00" * 3)
-        with pytest.raises(ProtocolError):
-            decode_batch(payload + b"extra")
-
     @given(
         st.lists(st.binary(max_size=64), max_size=20),
         st.integers(min_value=0, max_value=2**60),

@@ -260,10 +260,3 @@ class TestBatchFraming:
         got_round, decoded = decode_collect_reply(reply)
         assert got_round == 7
         assert [[bytes(w) for w in wires] for wires in decoded] == responses
-
-    def test_truncated_batch_is_rejected(self) -> None:
-        frame = encode_submission_batch(
-            MessageKind.CONVERSATION_REQUEST, 2, [("bob", b"payload")]
-        )
-        with pytest.raises(ProtocolError):
-            decode_submission_batch(frame[: len(frame) - 3])
