@@ -84,8 +84,8 @@ def _present(buffer) -> list[memoryview]:
 def _open(payload) -> tuple[int, int, MessageKind, list[memoryview]]:
     """Split a list frame into ``(round_number, attempt, kind, entries)``."""
     round_number, attempt, kind_index = _fields(payload, _HEAD)
-    entries = _present(memoryview(payload)[_HEAD.size :])
-    return round_number, _attempt(attempt), kind_at(kind_index), entries
+    attempt, kind = _attempt(attempt), kind_at(kind_index)
+    return round_number, attempt, kind, _present(memoryview(payload)[_HEAD.size :])
 
 
 def _names(entries: list[memoryview]) -> list[str]:
