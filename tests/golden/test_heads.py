@@ -1,4 +1,4 @@
-"""Committed golden heads: the bytes five fixed sessions produce, pinned.
+"""Committed golden heads: the bytes seven fixed sessions produce, pinned.
 
 Every other byte-identity test compares two paths of the *same* commit
 (swarm against per-client, pool against inline, TCP against in-process).
@@ -124,6 +124,50 @@ def per_client_session(driver_class, monkeypatch, tmp: Path) -> dict:
     }
 
 
+def abort_session(driver_class, monkeypatch, tmp: Path) -> dict:
+    """Alice and bob paired, carol idle: the first conversation batch the
+    entry forwards to server 0 is killed, so round 0 aborts on attempt 1 and
+    resolves on attempt 2; round 1 runs clean."""
+    config = VuvuzelaConfig.small(seed=SEED)
+    tap = WireTap(monkeypatch)
+    path = tmp / "ledger.jsonl"
+    with driver_class(config) as driver, LedgerWriter(path, fsync="never") as ledger:
+        driver.attach_ledger(ledger)
+        for name in ("alice", "bob", "carol"):
+            driver.add_client(name)
+        alice, bob = driver.client("alice"), driver.client("bob")
+        alice.start_conversation(bob.public_key)
+        bob.start_conversation(alice.public_key)
+        alice.send_message("through the abort")
+        driver.add_link_rule(
+            "entry",
+            LinkRule(
+                action="kill", source="entry", destination="server-0/conversation", count=1
+            ),
+            seed=5,
+        )
+        driver.run_conversation_round()
+        bob.send_message("and back")
+        driver.run_conversation_round()
+        assert bob.messages_from(alice.public_key) == [b"through the abort"]
+        assert alice.messages_from(bob.public_key) == [b"and back"]
+        assert bob.duplicates_suppressed == 0
+        clients = driver.ledger_client_digests()
+    view = load_ledger(path)
+    # In process the coordinator records the abort itself; over TCP it runs
+    # in the entry process, and the driver's round record carries it.
+    assert [
+        record.data["aborted_attempts"] for record in view if record.type == "round_metrics"
+    ] == [1, 0]
+    if driver_class is VuvuzelaSystem:
+        assert [record.data["attempt"] for record in view if record.type == "round_aborted"] == [1]
+    return {
+        "wires": tap.digests(),
+        "ledger_head": view.head(),
+        "clients": sha256(canonical_json(clients)),
+    }
+
+
 def swarm_session(tmp: Path, *, pooled: bool = False, driver_class=VuvuzelaSystem) -> dict:
     """A 16-user swarm in chunks of five, every paired user saying something,
     for two rounds; ``pooled`` says whether the driver's engine must fork."""
@@ -196,6 +240,8 @@ def generate(monkeypatch, tmp: Path) -> dict:
         "continuous": continuous_session(monkeypatch, tmp / "continuous"),
         "session_tcp": per_client_session(DeploymentLauncher, monkeypatch, tmp / "tcp"),
         "swarm_tcp": swarm_session(tmp / "swarm_tcp", driver_class=DeploymentLauncher),
+        "abort": abort_session(VuvuzelaSystem, monkeypatch, tmp / "abort"),
+        "abort_tcp": abort_session(DeploymentLauncher, monkeypatch, tmp / "abort_tcp"),
     }
 
 
@@ -230,6 +276,15 @@ def test_swarm_heads_over_tcp(tmp):
     assert swarm_session(tmp, driver_class=DeploymentLauncher) == committed("swarm_tcp")
 
 
+def test_abort_session_heads(monkeypatch, tmp):
+    assert abort_session(VuvuzelaSystem, monkeypatch, tmp) == committed("abort")
+
+
+def test_abort_session_heads_over_tcp(monkeypatch, tmp):
+    """Blocked long-polls are answered ABORTED and resubmitted to the retry."""
+    assert abort_session(DeploymentLauncher, monkeypatch, tmp) == committed("abort_tcp")
+
+
 def test_continuous_session_heads(monkeypatch, tmp):
     assert continuous_session(monkeypatch, tmp) == committed("continuous")
 
@@ -238,7 +293,9 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --regenerate")
     with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
-        for name in ("session", "swarm", "continuous", "tcp", "swarm_tcp"):
+        for name in (
+            "session", "swarm", "continuous", "tcp", "swarm_tcp", "abort", "abort_tcp"
+        ):
             (Path(scratch) / name).mkdir()
         entries = generate(patch, Path(scratch))
     HEADS.write_text(
