@@ -94,14 +94,13 @@ class VuvuzelaSystem(RoundDriver):
         self.entry.invitation_fetcher = (
             lambda round_number: self.dialing_processor.store_for_round(round_number).snapshot()
         )
-        # The coordinator takes over the entry endpoint: every submission now
-        # passes through its round window (deadlines, straggler refusal)
-        # before reaching the entry server's admission control.
+        # The coordinator owns the entry endpoint: every submission passes
+        # through its round window (deadlines, straggler refusal) before
+        # reaching the entry server's admission control.
         self.coordinator = RoundCoordinator(
             self.network,
             self.entry,
             deadline_seconds=self.config.round_deadline_seconds,
-            hop_timeout_seconds=self.config.hop_timeout_seconds,
             response_wait_seconds=self.config.response_wait_seconds,
             max_round_attempts=self.config.max_round_attempts,
         )

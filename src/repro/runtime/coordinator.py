@@ -51,10 +51,11 @@ second time.  Conversation delivery stays exactly-once regardless (the
 receiving client's sequence tracker suppresses the duplicate); a dialing
 invitation deposited in that window may be seen twice by its callee.
 
-Requests for rounds that were never opened pass straight through to the
-entry server (the historical behaviour: round sequencing is the caller's
-business until a window exists); requests for rounds already closed are the
-stragglers the paper's deadline model refuses.
+Every submission needs an open window for its ``(kind, round)``: one that
+arrives before its round opens, after it closed, past its deadline or after
+its window was pruned is answered :data:`LATE` and counted in
+``late_requests``, so nothing is ever buffered at the entry outside a
+window's accounting.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from ..server.wire import (
     VERDICT_LATE,
     VERDICT_REFUSED,
     decode_collect_request,
+    decode_download_request,
     decode_submission_batch,
     encode_batch_verdicts,
     encode_collect_reply,
@@ -183,9 +185,9 @@ def _digest(payload: bytes) -> bytes:
 class RoundCoordinator:
     """Opens, gates, deadlines, drives and — on failure — retries rounds.
 
-    On construction the coordinator takes over the entry server's endpoint
-    registration on ``transport``: every envelope addressed to the entry now
-    passes through the window gate first.
+    On construction the coordinator registers the entry server's endpoint on
+    ``transport``: every envelope addressed to the entry passes through the
+    window gate first.
     """
 
     def __init__(
@@ -194,7 +196,6 @@ class RoundCoordinator:
         entry: EntryServer,
         *,
         deadline_seconds: float | None = None,
-        hop_timeout_seconds: float | None = None,
         blocking_responses: bool = False,
         response_wait_seconds: float = 120.0,
         max_round_attempts: int = 3,
@@ -206,10 +207,6 @@ class RoundCoordinator:
         self.transport = transport
         self.entry = entry
         self.deadline_seconds = deadline_seconds
-        #: Documentation of the per-hop budget; the enforcement lives in the
-        #: transport (``TcpTransport.request_timeout``), the translation to
-        #: :class:`ProtocolError` lives in :meth:`close_round`.
-        self.hop_timeout_seconds = hop_timeout_seconds
         self.blocking_responses = blocking_responses
         self.response_wait_seconds = response_wait_seconds
         #: Chain-drive attempts per round (1 = abort immediately on failure).
@@ -238,9 +235,9 @@ class RoundCoordinator:
         #: resubmits would leave the retry window open forever and its
         #: refunded messages would never run.
         self.retry_deadline_seconds = 30.0
-        #: Resolved windows older than this many rounds are dropped; their
-        #: stragglers are still answered with LATE via the closed-round
-        #: watermark, so a long-running entry server's memory stays bounded.
+        #: Resolved windows older than this many rounds are dropped, so a
+        #: long-running entry server's memory stays bounded; their
+        #: stragglers find no window and are answered with LATE.
         self.keep_windows = 64
         self.late_requests = 0
         self.rounds_run = 0
@@ -341,7 +338,7 @@ class RoundCoordinator:
         if not self.blocking_responses or seconds is None:
             return
         # repro-lint: allow[nd-wallclock] the deadline timer is real time by design (degraded-mode force-close); its firing aborts the attempt, it never writes bytes
-        timer = threading.Timer(seconds, self._deadline_close, args=(window,))
+        timer = threading.Timer(seconds, self._close_unattended, args=(window,))
         timer.daemon = True
         window.timer = timer
         timer.start()
@@ -387,12 +384,14 @@ class RoundCoordinator:
                 }
         return discarded
 
-    def _deadline_close(self, window: SubmissionWindow) -> None:
+    def _close_unattended(self, window: SubmissionWindow) -> None:
+        """Close a window for a caller with nobody to re-raise to: the deadline
+        timer, the submission that completed the expected count, an empty
+        retry.  A failure is recorded on the window; waiters and
+        :meth:`wait_for_result` observe it there."""
         try:
             self.close_round(window)
         except (NetworkError, ProtocolError):
-            # The error is recorded on the window; waiters and wait_for_result
-            # observe it there.  The timer thread has nobody to re-raise to.
             pass
 
     # ------------------------------------------------------------- submission
@@ -401,59 +400,51 @@ class RoundCoordinator:
         """Transport handler for everything addressed to the entry server."""
         if envelope.kind is MessageKind.CONTROL:
             # Control traffic is not a round submission: it must neither be
-            # gated by a window nor counted as a straggler.  Without a
-            # control handler it falls through to the entry server, which
-            # rejects the kind with a ProtocolError.
-            if self.control_handler is not None:
-                return self.control_handler(envelope)
-            return self.entry.handle(envelope)
+            # gated by a window nor counted as a straggler.
+            if self.control_handler is None:
+                raise ProtocolError(f"the entry server does not handle {envelope.kind}")
+            return self.control_handler(envelope)
         if envelope.kind is MessageKind.DIAL_DOWNLOAD:
-            # Invitation downloads are reads, not submissions — and serving
-            # one may block on a fetch from the last chain server, so it
-            # must not run under the coordinator lock (it would wedge every
-            # submission and close until the fetch resolved).
-            return self.entry.handle(envelope)
+            # Invitation downloads are public reads (the adversary can read
+            # any bucket anyway, §5.3), served to unregistered sources too and
+            # never gated by a window.  Serving one may block on a fetch from
+            # the last chain server, so it must not run under the coordinator
+            # lock (it would wedge every submission and close until the fetch
+            # resolved).
+            return self.entry.serve_invitations(decode_download_request(envelope.payload))
         if envelope.kind is MessageKind.SUBMISSION_BATCH:
             return self._handle_submission_batch(envelope)
         if envelope.kind is MessageKind.RESPONSE_COLLECT:
             return self._handle_response_collect(envelope)
         with self._lock:
             window = self._windows.get((envelope.kind, envelope.round_number))
-            if window is None:
-                if envelope.round_number <= self._highest_closed.get(envelope.kind, -1):
-                    # A straggler for a round that already ran.
-                    self.late_requests += 1
-                    return LATE
-                # No window was ever opened for this round: fall through to
-                # the entry server untouched (out-of-band submissions keep
-                # their historical semantics).
-                return self.entry.handle(envelope)
-            if window.closed or (window.deadline is not None and self._clock() > window.deadline):
-                window.late += 1
-                self.late_requests += 1
+            if not self._admits(window):
+                self._count_late(window, 1)
                 return LATE
-            reply, refused, index = self._gate_one(
-                window, envelope.kind, envelope.round_number, envelope.source, envelope.payload
-            )
-            should_close = (
-                self.blocking_responses
-                and window.expected_requests is not None
-                and window.arrivals >= window.expected_requests
-            )
-        if should_close:
-            try:
-                self.close_round(window)
-            except (NetworkError, ProtocolError):
-                pass  # recorded on the window; reported below
+            reply, refused, index = self._gate_one(window, envelope.source, envelope.payload)
+        self._close_if_expected(window)
         if refused or not self.blocking_responses:
             return reply
         return self._await_response(window, envelope.source, index)
 
+    def _admits(self, window: SubmissionWindow | None) -> bool:
+        """The one admission gate (caller holds the lock): a submission needs
+        its round's window, still open and inside its deadline."""
+        return (
+            window is not None
+            and not window.closed
+            and (window.deadline is None or self._clock() <= window.deadline)
+        )
+
+    def _count_late(self, window: SubmissionWindow | None, count: int) -> None:
+        """Count ``count`` submissions the gate refused as stragglers."""
+        if window is not None:
+            window.late += count
+        self.late_requests += count
+
     def _gate_one(
         self,
         window: SubmissionWindow,
-        kind: MessageKind,
-        round_number: int,
         source: str,
         payload: bytes,
         digest: bytes | None = None,
@@ -495,7 +486,7 @@ class RoundCoordinator:
             # answer it again, but it already counted.
             reply, refused, index = REFUSED, True, -1
         else:
-            reply = self.entry.admit(kind, round_number, source, payload)
+            reply = self.entry.admit(window.kind, window.round_number, source, payload)
             refused = reply == REFUSED
             window.arrivals += 1
             if refused:
@@ -512,6 +503,17 @@ class RoundCoordinator:
                 window.per_client[source] = index + 1
         return reply, refused, index
 
+    def _close_if_expected(self, window: SubmissionWindow) -> None:
+        """Close a networked window once its expected submissions arrived."""
+        with self._lock:
+            due = (
+                self.blocking_responses
+                and window.expected_requests is not None
+                and window.arrivals >= window.expected_requests
+            )
+        if due:
+            self._close_unattended(window)
+
     def _handle_submission_batch(self, envelope: Envelope) -> bytes:
         """Gate one chunk of submissions under a single lock acquisition.
 
@@ -525,7 +527,7 @@ class RoundCoordinator:
         read off the :class:`RoundResult` directly (in-process).
         """
         kind, round_number, entries = decode_submission_batch(envelope.payload)
-        reply_to = {ACK: VERDICT_ACCEPTED, REFUSED: VERDICT_REFUSED, LATE: VERDICT_LATE}
+        reply_to = {ACK: VERDICT_ACCEPTED, REFUSED: VERDICT_REFUSED}
         # Everything computable per wire is hoisted out of the lock: the
         # dedup digests (networked mode's most expensive per-wire work) and
         # the chunk's per-source multiplicities (what the fast path below
@@ -541,23 +543,13 @@ class RoundCoordinator:
         verdicts: bytes | bytearray = bytearray()
         with self._lock:
             window = self._windows.get((kind, round_number))
-            if window is None:
-                if round_number <= self._highest_closed.get(kind, -1):
-                    # Stragglers for a round that already ran, counted one by
-                    # one exactly as the per-envelope path would.
-                    self.late_requests += len(entries)
-                    return encode_batch_verdicts(
-                        round_number, bytes([VERDICT_LATE]) * len(entries)
-                    )
-                # No window: fall through to the entry server untouched
-                # (the historical out-of-band semantics, batched).
-                replies = self.entry.submit_batch(kind, round_number, entries)
+            if not self._admits(window):
+                self._count_late(window, len(entries))
                 return encode_batch_verdicts(
-                    round_number, bytes(reply_to[reply] for reply in replies)
+                    round_number, bytes([VERDICT_LATE]) * len(entries)
                 )
             if (
-                not window.closed
-                and window.deadline is None
+                window.deadline is None
                 and not self.blocking_responses
                 and not self.entry.require_registration
             ):
@@ -577,32 +569,19 @@ class RoundCoordinator:
                 verdicts = bytes([VERDICT_ACCEPTED]) * len(entries)
             else:
                 for position, (source, payload) in enumerate(entries):
-                    if window.closed or (
-                        window.deadline is not None and self._clock() > window.deadline
-                    ):
-                        window.late += 1
-                        self.late_requests += 1
+                    # The deadline may pass while a long chunk is gated.
+                    if not self._admits(window):
+                        self._count_late(window, 1)
                         verdicts.append(VERDICT_LATE)
                         continue
-                    reply, refused, _ = self._gate_one(
+                    reply, _, _ = self._gate_one(
                         window,
-                        kind,
-                        round_number,
                         source,
                         payload,
                         digest=digests[position] if digests is not None else None,
                     )
                     verdicts.append(reply_to[reply])
-            should_close = (
-                self.blocking_responses
-                and window.expected_requests is not None
-                and window.arrivals >= window.expected_requests
-            )
-        if should_close:
-            try:
-                self.close_round(window)
-            except (NetworkError, ProtocolError):
-                pass  # recorded on the window; collect reports it
+        self._close_if_expected(window)
         return encode_batch_verdicts(round_number, verdicts)
 
     def _handle_response_collect(self, envelope: Envelope) -> bytes:
@@ -623,16 +602,8 @@ class RoundCoordinator:
 
     def _await_response(self, window: SubmissionWindow, source: str, index: int) -> bytes | None:
         """Block an accepted networked submission until its round resolves."""
-        deadline = self._clock() + self.response_wait_seconds
         with self._resolved_cond:
-            while not window.resolved:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    raise TransportTimeout(
-                        f"round {window.round_number} did not resolve within "
-                        f"{self.response_wait_seconds}s"
-                    )
-                self._resolved_cond.wait(remaining)
+            self._wait_resolved(window)
             if window.aborted:
                 # The attempt died to a chain failure and a retry window is
                 # already open: tell the client to resubmit, don't error out.
@@ -673,12 +644,8 @@ class RoundCoordinator:
             self._await_drive_turn(window)
         except (NetworkError, ProtocolError) as exc:
             # The drive turn never came (an earlier round is wedged, or the
-            # coordinator shut down): the submissions would leak in the entry
-            # buffer — park them for inspection like any permanent failure.
-            self.resubmission_queue[(window.kind, window.round_number)] = self.entry.withdraw(
-                window.kind, window.round_number
-            )
-            self._resolve(window, error=exc)
+            # coordinator shut down): a permanent failure like any other.
+            self._fail(window, exc)
             raise
         batch_digest = (
             self._submissions_digest(window) if self.ledger is not None else None
@@ -687,9 +654,9 @@ class RoundCoordinator:
             grouped = self.entry.run_round_grouped(
                 window.kind, window.round_number, window.attempt
             )
-        except (NetworkError, ProtocolError) as exc:
-            # run_round_grouped restored the submissions into the entry
-            # buffer; decide between abort-and-retry and permanent failure.
+        except Exception as exc:
+            # The failed batch is still in the entry buffer; decide between
+            # abort-and-retry and permanent failure.
             # Only *unambiguous* link failures are retried: after a
             # request-phase TransportTimeout (or a malformed result) the
             # chain may in fact have committed its dead-drop writes, and
@@ -725,60 +692,23 @@ class RoundCoordinator:
                     # Nothing was refunded and nobody will resubmit (every
                     # submission was refused): re-run the empty round now so
                     # wait_for_result still resolves.
-                    try:
-                        self.close_round(retry)
-                    except (NetworkError, ProtocolError):
-                        pass  # recorded on the retry window
+                    self._close_unattended(retry)
                 raise RoundAbortedError(
                     f"round {window.round_number} ({window.kind.value}) attempt "
                     f"{window.attempt} aborted ({exc}); retrying as attempt "
                     f"{retry.attempt}"
                 ) from exc
+            error = exc
             if isinstance(exc, TransportTimeout):
-                error: Exception = ProtocolError(
+                error = ProtocolError(
                     f"round {window.round_number} ({window.kind.value}): a chain hop "
                     f"timed out: {exc}"
                 )
                 error.__cause__ = exc
-            else:
-                error = exc
-            # Retry budget exhausted: pull the submissions out of the entry
-            # buffer (they would leak there — the round number never comes
-            # back) and park them in the resubmission queue for inspection.
-            self.resubmission_queue[(window.kind, window.round_number)] = self.entry.withdraw(
-                window.kind, window.round_number
-            )
-            self._record(
-                "round_failed",
-                {
-                    "kind": window.kind.value,
-                    "round": window.round_number,
-                    "attempt": window.attempt,
-                    "error": str(error),
-                },
-            )
-            self._resolve(window, error=error)
-            if error is not exc:
-                raise error
-            raise
-        except Exception as exc:
-            # Same cleanup as the exhausted-retry path: run_round_grouped
-            # restored the batch, and leaving it in the entry buffer for a
-            # round number that never comes back would leak it.
-            self.resubmission_queue[(window.kind, window.round_number)] = self.entry.withdraw(
-                window.kind, window.round_number
-            )
-            self._record(
-                "round_failed",
-                {
-                    "kind": window.kind.value,
-                    "round": window.round_number,
-                    "attempt": window.attempt,
-                    "error": str(exc),
-                },
-            )
-            self._resolve(window, error=exc)
-            raise
+            self._fail(window, error)
+            if error is exc:
+                raise
+            raise error
         result = RoundResult(
             kind=window.kind,
             round_number=window.round_number,
@@ -808,6 +738,51 @@ class RoundCoordinator:
         self._resolve(window, result=result)
         return result
 
+    def _fail(self, window: SubmissionWindow, error: Exception) -> None:
+        """Resolve a permanently failed round with ``error``.
+
+        The one path for every permanent failure — retry budget exhausted, a
+        non-retryable chain error, a drive turn that never came.  The batch
+        is withdrawn from the entry buffer, where it would leak (the round
+        number never comes back), and parked in :attr:`resubmission_queue`
+        for inspection; the ledger records ``round_failed``.
+        """
+        key = (window.kind, window.round_number)
+        with self._lock:
+            self.resubmission_queue[key] = self.entry.withdraw(*key)
+        self._record(
+            "round_failed",
+            {
+                "kind": window.kind.value,
+                "round": window.round_number,
+                "attempt": window.attempt,
+                "error": str(error),
+            },
+        )
+        self._resolve(window, error=error)
+
+    def _wait_until(self, done: Callable[[], bool], seconds: float) -> bool:
+        """Wait on the resolution condition until ``done()`` holds.
+
+        The one wait of the coordinator: the caller holds the lock, which
+        each wait releases.  ``False`` when ``seconds`` ran out first.
+        """
+        deadline = self._clock() + seconds
+        while not done():
+            remaining = deadline - self._clock()
+            if remaining <= 0:
+                return False
+            self._resolved_cond.wait(remaining)
+        return True
+
+    def _wait_resolved(self, window: SubmissionWindow) -> None:
+        """Wait until one attempt's window resolves (caller holds the lock)."""
+        if not self._wait_until(lambda: window.resolved, self.response_wait_seconds):
+            raise TransportTimeout(
+                f"round {window.round_number} did not resolve within "
+                f"{self.response_wait_seconds}s"
+            )
+
     def _await_drive_turn(self, window: SubmissionWindow) -> None:
         """Serialize chain drives of one kind in round-number order.
 
@@ -823,31 +798,31 @@ class RoundCoordinator:
         concurrently with a conversation round (disjoint endpoints, disjoint
         rng streams).
         """
-        deadline = self._clock() + self.response_wait_seconds
+
+        def earliest() -> int:
+            return min(
+                (
+                    number
+                    for (kind, number), other in self._windows.items()
+                    if kind is window.kind and not other.resolved
+                ),
+                default=window.round_number,
+            )
+
         with self._resolved_cond:
-            while True:
-                if self._shutdown:
-                    raise NetworkError(
-                        f"round {window.round_number} ({window.kind.value}): "
-                        "the coordinator is shutting down"
-                    )
-                earliest = min(
-                    (
-                        number
-                        for (kind, number), other in self._windows.items()
-                        if kind is window.kind and not other.resolved
-                    ),
-                    default=window.round_number,
+            if not self._wait_until(
+                lambda: self._shutdown or earliest() >= window.round_number,
+                self.response_wait_seconds,
+            ):
+                raise ProtocolError(
+                    f"round {window.round_number} ({window.kind.value}) waited "
+                    f"{self.response_wait_seconds}s for round {earliest()} to resolve"
                 )
-                if earliest >= window.round_number:
-                    return
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    raise ProtocolError(
-                        f"round {window.round_number} ({window.kind.value}) waited "
-                        f"{self.response_wait_seconds}s for round {earliest} to resolve"
-                    )
-                self._resolved_cond.wait(remaining)
+            if self._shutdown:
+                raise NetworkError(
+                    f"round {window.round_number} ({window.kind.value}): "
+                    "the coordinator is shutting down"
+                )
 
     def _abort_and_reopen(self, window: SubmissionWindow) -> SubmissionWindow:
         """Abort a failed attempt and open its retry window atomically.
@@ -862,9 +837,9 @@ class RoundCoordinator:
         """
         key = (window.kind, window.round_number)
         with self._lock:
-            # run_round_grouped already restored the failed batch into the
-            # entry buffer; the refunds stay right there for the re-run —
-            # only their window bookkeeping needs rebuilding.
+            # The failed batch is still in the entry buffer; the refunds stay
+            # right there for the re-run — only their window bookkeeping
+            # needs rebuilding.
             refunds = self.entry.submissions(window.kind, window.round_number)
             # A retry must always be able to close on its own: fall back to
             # the coordinator-wide retry deadline when the round has no
@@ -898,10 +873,6 @@ class RoundCoordinator:
                 retry.per_client[client] = index + 1
                 retry.accepted += 1
             self._windows[key] = retry
-            # The round is open again: the closed-round watermark must not
-            # refuse its resubmissions as stragglers.
-            if self._highest_closed.get(window.kind, -1) == window.round_number:
-                self._highest_closed[window.kind] = window.round_number - 1
             self.rounds_aborted += 1
         self._arm_deadline(retry, retry.deadline_seconds)
         with self._resolved_cond:
@@ -947,16 +918,8 @@ class RoundCoordinator:
 
     def _resolved_result(self, window: SubmissionWindow) -> RoundResult:
         """Wait out a concurrent close and return (or re-raise) its outcome."""
-        deadline = self._clock() + self.response_wait_seconds
         with self._resolved_cond:
-            while not window.resolved:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    raise TransportTimeout(
-                        f"round {window.round_number} did not resolve within "
-                        f"{self.response_wait_seconds}s"
-                    )
-                self._resolved_cond.wait(remaining)
+            self._wait_resolved(window)
             if window.aborted:
                 raise RoundAbortedError(
                     f"round {window.round_number} ({window.kind.value}) attempt "
@@ -977,23 +940,26 @@ class RoundCoordinator:
         aborts and returns the attempt that actually ran (or the final
         error once the retry budget is exhausted).
         """
-        deadline = self._clock() + (timeout if timeout is not None else self.response_wait_seconds)
+        key = (kind, round_number)
+
+        def settled() -> bool:
+            window = self._windows.get(key)
+            return window is not None and window.resolved and not window.aborted
+
         with self._resolved_cond:
-            while True:
-                window = self._windows.get((kind, round_number))
-                if window is not None and window.resolved and not window.aborted:
-                    if window.error is not None:
-                        raise ProtocolError(
-                            f"round {round_number} failed: {window.error}"
-                        ) from window.error
-                    assert window.result is not None
-                    return window.result
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    raise TransportTimeout(
-                        f"round {round_number} ({kind.value}) did not resolve in time"
-                    )
-                self._resolved_cond.wait(remaining)
+            if not self._wait_until(
+                settled, timeout if timeout is not None else self.response_wait_seconds
+            ):
+                raise TransportTimeout(
+                    f"round {round_number} ({kind.value}) did not resolve in time"
+                )
+            window = self._windows[key]
+            if window.error is not None:
+                raise ProtocolError(
+                    f"round {round_number} failed: {window.error}"
+                ) from window.error
+            assert window.result is not None
+            return window.result
 
     # -------------------------------------------------------------- lifecycle
 

@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .wire import decode_batch, decode_download_request, encode_batch
+from .wire import decode_batch, encode_batch
 from ..errors import NetworkError, ProtocolError
-from ..net import Envelope, MessageKind, Transport
+from ..net import MessageKind, Transport
 
 ACK = b"ok"
 
@@ -37,6 +37,10 @@ class EntryServer:
     limited to one request per protocol per round.  Identifying clients to the
     entry server does not weaken privacy: the adversary is already assumed to
     know who is connected (§2.2).
+
+    The entry server is not a transport endpoint of its own: the
+    :class:`~repro.runtime.coordinator.RoundCoordinator` registers its name
+    and calls :meth:`admit` only for submissions that reach an open window.
     """
 
     network: Transport
@@ -68,9 +72,6 @@ class EntryServer:
     #: Invitation-store downloads served (cache hits included).
     downloads_served: int = 0
 
-    def __post_init__(self) -> None:
-        self.network.register(self.name, self.handle)
-
     def register_account(self, client_name: str) -> None:
         """Admit a client (models sign-up / proof-of-work / payment, §9)."""
         self._accounts.add(client_name)
@@ -81,23 +82,15 @@ class EntryServer:
     def is_registered(self, client_name: str) -> bool:
         return client_name in self._accounts
 
-    def handle(self, envelope: Envelope) -> bytes:
-        """Accept one client request for the current round."""
-        if envelope.kind is MessageKind.DIAL_DOWNLOAD:
-            # The invitation download is public (the adversary can read any
-            # bucket anyway, §5.3), so it is served even to unregistered
-            # sources and is never gated by a submission window.
-            return self.serve_invitations(decode_download_request(envelope.payload))
-        return self.admit(envelope.kind, envelope.round_number, envelope.source, envelope.payload)
-
     def admit(self, kind: MessageKind, round_number: int, source: str, payload: bytes) -> bytes:
-        """The §9 admission decision for one submission (any ingest path).
+        """The §9 admission decision for one submission.
 
-        Both the per-envelope :meth:`handle` path and the batched
-        :meth:`submit_batch` path funnel through here, so registration gating,
-        the per-account cap and the refusal counters are identical observables
-        no matter how a submission arrived.  ``payload`` may be any bytes-like
-        object; zero-copy views from a decoded batch frame are buffered as-is.
+        The round coordinator calls this for every submission that reaches
+        an open window, whether it came in its own envelope or in a batch
+        frame, so registration gating, the per-account cap and the refusal
+        counters are identical observables no matter how a submission
+        arrived.  ``payload`` may be any bytes-like object; zero-copy views
+        from a decoded batch frame are buffered as-is.
         """
         if kind not in self.first_server:
             raise ProtocolError(f"the entry server does not handle {kind}")
@@ -117,18 +110,6 @@ class EntryServer:
         submissions.append((source, payload))
         counts[source] = counts.get(source, 0) + 1
         return ACK
-
-    def submit_batch(
-        self, kind: MessageKind, round_number: int, entries: list[tuple[str, bytes]]
-    ) -> list[bytes]:
-        """Admit one chunk of ``(source, payload)`` submissions in one call.
-
-        The swarm ingest path: per-entry replies are returned aligned with
-        ``entries``, and every observable (buffers, counters, refusals) is
-        byte-identical to submitting each entry through :meth:`handle` —
-        by construction, since both paths run :meth:`admit`.
-        """
-        return [self.admit(kind, round_number, source, payload) for source, payload in entries]
 
     def admit_chunk(
         self,
@@ -193,21 +174,12 @@ class EntryServer:
     def withdraw(self, kind: MessageKind, round_number: int) -> list[tuple[str, bytes]]:
         """Remove and return one round's buffered submissions.
 
-        The coordinator uses this to refund accepted submissions into its
-        resubmission queue when a round aborts.
+        A round's batch leaves the buffer once the chain ran it; the
+        coordinator also withdraws the batch of a round that failed for good
+        and parks it in its resubmission queue.
         """
         self._counts.pop((kind, round_number), None)
         return self._buffers.pop((kind, round_number), [])
-
-    def restore(
-        self, kind: MessageKind, round_number: int, submissions: list[tuple[str, bytes]]
-    ) -> None:
-        """Re-buffer previously withdrawn submissions (abort/retry refunds)."""
-        if submissions:
-            self._buffers.setdefault((kind, round_number), []).extend(submissions)
-            counts = self._counts.setdefault((kind, round_number), {})
-            for source, _ in submissions:
-                counts[source] = counts.get(source, 0) + 1
 
     def run_round_grouped(
         self, kind: MessageKind, round_number: int, attempt: int = 1
@@ -218,32 +190,27 @@ class EntryServer:
         The buffer for the round is consumed on success: late requests for an
         already-run round are rejected by the round sequencing above this
         server rather than silently queued forever.  On a chain failure the
-        batch is restored first — a crashed hop must not silently discard
-        every accepted submission of the round (the coordinator refunds them
-        into its resubmission queue and re-runs the round).
+        batch stays buffered — a crashed hop must not silently discard every
+        accepted submission of the round (the coordinator refunds them into
+        a retry of the round, or parks them once the round fails for good).
         """
-        submissions = self._buffers.pop((kind, round_number), [])
-        self._counts.pop((kind, round_number), None)
+        submissions = self._buffers.get((kind, round_number), [])
         batch = [payload for _, payload in submissions]
-        try:
-            reply = self.network.send(
-                self.name,
-                self.first_server[kind],
-                encode_batch(round_number, batch, attempt),
-                kind=kind,
-                round_number=round_number,
+        reply = self.network.send(
+            self.name,
+            self.first_server[kind],
+            encode_batch(round_number, batch, attempt),
+            kind=kind,
+            round_number=round_number,
+        )
+        if reply is None:
+            raise NetworkError(
+                f"round {round_number}: the first chain server is unreachable"
             )
-            if reply is None:
-                raise NetworkError(
-                    f"round {round_number}: the first chain server is unreachable"
-                )
-            reply_round, _, responses = decode_batch(reply)
-        except Exception:
-            self.restore(kind, round_number, submissions)
-            raise
+        reply_round, _, responses = decode_batch(reply)
         if reply_round != round_number or len(responses) != len(submissions):
-            self.restore(kind, round_number, submissions)
             raise ProtocolError("the chain returned a malformed round result")
+        self.withdraw(kind, round_number)
         grouped: dict[str, list[bytes]] = {}
         for (client, _), response in zip(submissions, responses):
             # The zero-copy views from decode_batch stop here: clients get
@@ -252,11 +219,3 @@ class EntryServer:
             # repro-lint: allow[zero-copy] declared retention boundary: responses outlive the frame, so this copy is the contract
             grouped.setdefault(client, []).append(bytes(response))
         return grouped
-
-    def run_round(self, kind: MessageKind, round_number: int) -> dict[str, bytes]:
-        """Single-request-per-client view of :meth:`run_round_grouped`."""
-        return {
-            client: responses[0]
-            for client, responses in self.run_round_grouped(kind, round_number).items()
-            if responses
-        }

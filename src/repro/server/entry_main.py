@@ -103,7 +103,6 @@ class EntryServerProcess:
             self.transport,
             self.entry,
             deadline_seconds=config.round_deadline_seconds,
-            hop_timeout_seconds=config.hop_timeout_seconds,
             blocking_responses=True,
             response_wait_seconds=config.response_wait_seconds,
             max_round_attempts=config.max_round_attempts,

@@ -117,6 +117,8 @@ class TestAdmissionControl:
         )
         system.add_client("alice")
         round_number = 990
+        # Every submission needs its round's window open.
+        system.coordinator.open_round(MessageKind.CONVERSATION_REQUEST, round_number)
         wire = b"\x00" * request_size(EXCHANGE_REQUEST_SIZE, system.config.num_servers)
         first = system.network.send(
             "alice", "entry", wire, MessageKind.CONVERSATION_REQUEST, round_number
@@ -134,6 +136,7 @@ class TestAdmissionControl:
         )
         system.add_client("alice")
         system.network.register("attacker", lambda envelope: b"")
+        system.coordinator.open_round(MessageKind.DIALING_REQUEST, 0)
         wire = b"\x00" * request_size(DIALING_REQUEST_SIZE, system.config.num_servers)
         reply = system.network.send("attacker", "entry", wire, MessageKind.DIALING_REQUEST, 0)
         assert reply == REFUSED

@@ -93,13 +93,6 @@ class TestSynchronousWindows:
         assert result.late == 1
         assert set(result.responses) == {"alice"}
 
-    def test_rounds_never_opened_pass_through(self, rng):
-        """Out-of-band submissions keep the entry server's historical semantics."""
-        network, entry, publics, coordinator = build_stack(rng)
-        wire, _ = wrap_request(b"early", publics, 990, rng)
-        assert network.send("alice", "entry", wire, MessageKind.CONVERSATION_REQUEST, 990) == ACK
-        assert entry.pending_requests(MessageKind.CONVERSATION_REQUEST, 990) == 1
-
     def test_refusals_are_counted_per_window(self, rng):
         network, entry, publics, coordinator = build_stack(rng, require_registration=True)
         entry.register_account("alice")
@@ -149,6 +142,45 @@ class TestSynchronousWindows:
         network.send("alice", "entry", wire, MessageKind.CONVERSATION_REQUEST, 0)
         with pytest.raises(ProtocolError, match="timed out"):
             coordinator.close_round(window)
+
+
+class TestOneGate:
+    @pytest.mark.parametrize("frame", ["envelope", "batch"])
+    @pytest.mark.parametrize("blocking", [False, True], ids=["synchronous", "blocking"])
+    def test_submission_before_its_window_opens_is_late(self, rng, blocking, frame):
+        """Regression: a submission for a round not yet opened was admitted
+        outside any window.  Synchronously it ran in the later window's batch
+        uncounted (``responded`` exceeded ``accepted``); in blocking mode its
+        ACK came back at once, where a client reads its round's response."""
+        network, entry, publics, coordinator = build_stack(rng, blocking_responses=blocking)
+        kind = MessageKind.CONVERSATION_REQUEST
+        early, _ = wrap_request(b"too early", publics, 3, rng)
+        if frame == "envelope":
+            assert network.send("mallory", "entry", early, kind, 3) == LATE
+        else:
+            verdicts = network.send(
+                "swarm",
+                "entry",
+                encode_submission_batch(kind, 3, [("mallory", early)]),
+                kind=MessageKind.SUBMISSION_BATCH,
+                round_number=3,
+            )
+            assert decode_batch_verdicts(verdicts) == (3, bytes([VERDICT_LATE]))
+        assert coordinator.late_requests == 1
+        assert entry.buffered_total() == 0
+        window = coordinator.open_round(kind, 3, expected_requests=1 if blocking else None)
+        wire, ctx = wrap_request(b"on time", publics, 3, rng)
+        reply = network.send("alice", "entry", wire, kind, 3)
+        if blocking:
+            # The one expected submission closed the window; its long-poll
+            # carries its response.
+            assert unwrap_response(reply, ctx) == b"ON TIME"
+            result = coordinator.wait_for_result(kind, 3, timeout=10.0)
+        else:
+            assert reply == ACK
+            result = coordinator.close_round(window)
+        assert result.accepted == result.responded == 1
+        assert set(result.responses) == {"alice"}
 
 
 class TestBlockingMode:
@@ -641,6 +673,49 @@ def build_dialing_stack(rng, **coordinator_kwargs):
     )
     coordinator = RoundCoordinator(network, entry, **coordinator_kwargs)
     return network, entry, publics, coordinator
+
+
+class ListLedger:
+    """Collects the coordinator's lifecycle records."""
+
+    def __init__(self) -> None:
+        self.records: list[tuple[str, dict]] = []
+
+    def append(self, type_: str, data: dict) -> None:
+        self.records.append((type_, data))
+
+
+class TestOneFailurePath:
+    @pytest.mark.parametrize("failure", ["retries exhausted", "hop timeout", "drive turn"])
+    def test_every_permanent_failure_leaves_the_same_trace(self, rng, failure):
+        """Regression (drive turn): a round whose drive turn never came was
+        parked and resolved with its error, but left no ``round_failed``."""
+        network, entry, publics, coordinator = build_stack(
+            rng, max_round_attempts=1, response_wait_seconds=0.2
+        )
+        coordinator.ledger = ledger = ListLedger()
+        kind = MessageKind.CONVERSATION_REQUEST
+        if failure == "retries exhausted":
+            flaky_hop(network, "server-1/conversation", failures=1)
+        elif failure == "hop timeout":
+
+            def timeout_hop(envelope):
+                raise TransportTimeout("server-1 took 30s")
+
+            network.register("server-1/conversation", timeout_hop)
+        else:
+            # Round 0 stays open, so round 1's drive turn never comes.
+            coordinator.open_round(kind, 0)
+        window = coordinator.open_round(kind, 1)
+        wire, _ = wrap_request(b"parked", publics, 1, rng)
+        assert network.send("alice", "entry", wire, kind, 1) == ACK
+        with pytest.raises((NetworkError, ProtocolError)):
+            coordinator.close_round(window)
+        failed = [data for type_, data in ledger.records if type_ == "round_failed"]
+        assert [(data["round"], data["attempt"]) for data in failed] == [(1, 1)]
+        assert [client for client, _ in coordinator.resubmission_queue[(kind, 1)]] == ["alice"]
+        assert entry.buffered_total() == 0
+        assert window.resolved and window.error is not None
 
 
 class TestDialingRoundsShareThePipeline:

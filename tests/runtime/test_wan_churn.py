@@ -181,10 +181,11 @@ def _plant_extra_spend(system):
 
 
 def _plant_buffered_refund(system):
-    system.entry.restore(
+    system.entry.admit(
         MessageKind.CONVERSATION_REQUEST,
         system.next_conversation_round,
-        [("alice", b"refunded but never re-run")],
+        "alice",
+        b"refunded but never re-run",
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.net import Envelope, MessageKind, Network
+from repro.runtime import RoundCoordinator
 from repro.server import ACK, REFUSED, EntryServer
 
 
@@ -26,9 +27,7 @@ def entry() -> EntryServer:
 
 
 def submit(entry, source, round_number=0, kind=MessageKind.CONVERSATION_REQUEST):
-    return entry.handle(
-        Envelope(source=source, destination=entry.name, payload=b"x", kind=kind, round_number=round_number)
-    )
+    return entry.admit(kind, round_number, source, b"x")
 
 
 class TestRegistrationRequired:
@@ -122,9 +121,11 @@ class TestInvitationDownloads:
     """The entry server as the paper's CDN front (DIAL_DOWNLOAD envelopes)."""
 
     def download(self, entry, round_number, source="anyone"):
+        """One ``DIAL_DOWNLOAD`` envelope through the entry's endpoint, which
+        the round coordinator owns; no window is open."""
         from repro.server.wire import encode_download_request
 
-        return entry.handle(
+        return RoundCoordinator(entry.network, entry).handle(
             Envelope(
                 source=source,
                 destination=entry.name,

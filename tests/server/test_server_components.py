@@ -81,12 +81,12 @@ class TestEntryAndChainEndpoints:
     def test_round_through_network(self, rng):
         network, entry, publics, processed = _build_two_server_chain(rng)
         wire, ctx = wrap_request(b"hello", publics, 3, rng)
-        ack = network.send("alice", "entry", wire, MessageKind.CONVERSATION_REQUEST, 3)
+        ack = entry.admit(MessageKind.CONVERSATION_REQUEST, 3, "alice", wire)
         assert ack == b"ok"
         assert entry.pending_requests(MessageKind.CONVERSATION_REQUEST, 3) == 1
-        responses = entry.run_round(MessageKind.CONVERSATION_REQUEST, 3)
+        responses = entry.run_round_grouped(MessageKind.CONVERSATION_REQUEST, 3)
         assert set(responses) == {"alice"}
-        assert unwrap_response(responses["alice"], ctx) == b"HELLO"
+        assert unwrap_response(responses["alice"][0], ctx) == b"HELLO"
         assert processed[3] == 1
         # The buffer is consumed by running the round.
         assert entry.pending_requests(MessageKind.CONVERSATION_REQUEST, 3) == 0
@@ -97,28 +97,30 @@ class TestEntryAndChainEndpoints:
         for name in ("alice", "bob", "charlie"):
             wire, ctx = wrap_request(name.encode(), publics, 1, rng)
             contexts[name] = ctx
-            network.send(name, "entry", wire, MessageKind.CONVERSATION_REQUEST, 1)
-        responses = entry.run_round(MessageKind.CONVERSATION_REQUEST, 1)
+            entry.admit(MessageKind.CONVERSATION_REQUEST, 1, name, wire)
+        responses = entry.run_round_grouped(MessageKind.CONVERSATION_REQUEST, 1)
         for name, ctx in contexts.items():
-            assert unwrap_response(responses[name], ctx) == name.encode().upper()
+            assert unwrap_response(responses[name][0], ctx) == name.encode().upper()
 
     def test_unknown_kind_rejected_by_entry(self, rng):
         network, entry, publics, _ = _build_two_server_chain(rng)
         with pytest.raises(ProtocolError):
-            network.send("alice", "entry", b"payload", MessageKind.DIALING_REQUEST, 0)
+            entry.admit(MessageKind.DIALING_REQUEST, 0, "alice", b"payload")
 
     def test_empty_round_is_fine(self, rng):
         _, entry, _, processed = _build_two_server_chain(rng)
-        assert entry.run_round(MessageKind.CONVERSATION_REQUEST, 9) == {}
+        assert entry.run_round_grouped(MessageKind.CONVERSATION_REQUEST, 9) == {}
         assert processed[9] == 0
 
     def test_blocked_inter_server_link_fails_the_round(self, rng):
         network, entry, publics, _ = _build_two_server_chain(rng)
         wire, _ = wrap_request(b"x", publics, 2, rng)
-        network.send("alice", "entry", wire, MessageKind.CONVERSATION_REQUEST, 2)
+        entry.admit(MessageKind.CONVERSATION_REQUEST, 2, "alice", wire)
         network.add_interference(BlockEndpoints(["server-1/conversation"]))
         with pytest.raises(NetworkError):
-            entry.run_round(MessageKind.CONVERSATION_REQUEST, 2)
+            entry.run_round_grouped(MessageKind.CONVERSATION_REQUEST, 2)
+        # The failed batch stays buffered for the coordinator's retry.
+        assert entry.pending_requests(MessageKind.CONVERSATION_REQUEST, 2) == 1
 
     def test_last_server_requires_processor(self, rng):
         network = Network()
