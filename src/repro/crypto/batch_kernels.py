@@ -40,9 +40,17 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
 
 HAVE_NUMPY = _np is not None
 
-#: Below this batch size the numpy kernels lose to their fixed per-call
-#: overhead; the pure-Python paths are used instead.
+#: Below this batch size the numpy ChaCha20 and XOR kernels lose to their
+#: fixed per-call overhead; the pure-Python paths are used instead.
 MIN_NUMPY_BATCH = 64
+
+#: The same crossover for the two X25519 ladders, whose 255 vectorized
+#: steps cost a near-fixed 0.6-0.8 s a batch at these sizes.  Per wire, best
+#: of 5, numpy against pure Python on a 2-core Xeon with numpy 2.4: the
+#: fixed-scalar peel loses at 256 wires (2.9 vs 2.5 ms) and breaks even at
+#: 384 (1.5 vs 1.6 ms); the fixed-point wrap loses at 256 (5.5 vs 4.3 ms)
+#: and wins at 384 (3.1 vs 4.2 ms).
+MIN_NUMPY_LADDER_BATCH = 384
 
 #: Sweet-spot kernel batch width for round-scale work.  The vectorized
 #: ladder allocates a few dozen int64 limb arrays per step; past ~10k
@@ -457,7 +465,7 @@ def x25519_fixed_scalar_batch(k: bytes, us: Sequence[bytes]) -> list[bytes]:
     """``[X25519(k, u) for u in us]`` with one shared ladder schedule."""
     if not us:
         return []
-    if HAVE_NUMPY and len(us) >= MIN_NUMPY_BATCH:
+    if HAVE_NUMPY and len(us) >= MIN_NUMPY_LADDER_BATCH:
         return _np_x25519_fixed_scalar(k, us)
     return _py_x25519_fixed_scalar(k, us)
 
@@ -465,7 +473,7 @@ def x25519_fixed_scalar_batch(k: bytes, us: Sequence[bytes]) -> list[bytes]:
 def x25519_fixed_point_batch(ks: Sequence[bytes], u: bytes) -> tuple[list[bytes], list[bytes]]:
     """``([X25519(k, 9) for k in ks], [X25519(k, u) for k in ks])``: each scalar's
     public key and its shared secret with ``u``, vectorized over the scalars."""
-    if HAVE_NUMPY and len(ks) >= MIN_NUMPY_BATCH:
+    if HAVE_NUMPY and len(ks) >= MIN_NUMPY_LADDER_BATCH:
         return _np_x25519_fixed_point(ks, BASE_POINT), _np_x25519_fixed_point(ks, u)
     return (
         [scalar_mult(bytes(k), BASE_POINT) for k in ks],

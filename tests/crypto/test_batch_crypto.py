@@ -171,14 +171,14 @@ class TestChaChaKernels:
 class TestX25519Kernels:
     def test_fixed_scalar_kernels_match_scalar_mult(self, rng):
         k = rng.random_bytes(32)
-        us = [rng.random_bytes(32) for _ in range(batch_kernels.MIN_NUMPY_BATCH + 3)]
+        us = [rng.random_bytes(32) for _ in range(batch_kernels.MIN_NUMPY_LADDER_BATCH + 3)]
         expected = [x25519.scalar_mult(k, u) for u in us]
         assert batch_kernels._py_x25519_fixed_scalar(k, us[:6]) == expected[:6]
         assert batch_kernels.x25519_fixed_scalar_batch(k, us) == expected
 
     def test_fixed_point_kernels_match_scalar_mult(self, rng):
         u = rng.random_bytes(32)
-        ks = [rng.random_bytes(32) for _ in range(batch_kernels.MIN_NUMPY_BATCH + 3)]
+        ks = [rng.random_bytes(32) for _ in range(batch_kernels.MIN_NUMPY_LADDER_BATCH + 3)]
         expected = (
             [x25519.scalar_base_mult(k) for k in ks],
             [x25519.scalar_mult(k, u) for k in ks],
@@ -192,7 +192,7 @@ class TestX25519Kernels:
     def test_small_order_point_yields_all_zero_secret(self, rng):
         k = rng.random_bytes(32)
         zero_point = bytes(32)
-        count = batch_kernels.MIN_NUMPY_BATCH
+        count = batch_kernels.MIN_NUMPY_LADDER_BATCH
         results = batch_kernels.x25519_fixed_scalar_batch(k, [zero_point] * count)
         assert results == [x25519.scalar_mult(k, zero_point)] * count
         assert all(x25519.is_all_zero(result) for result in results)
@@ -259,7 +259,7 @@ class TestFusedKeygenExchange:
         assert publics == [RFC7748_BOB_PUBLIC]
         assert shareds == [RFC7748_SHARED]
 
-    @pytest.mark.parametrize("count", [5, batch_kernels.MIN_NUMPY_BATCH + 2])
+    @pytest.mark.parametrize("count", [5, batch_kernels.MIN_NUMPY_LADDER_BATCH + 2])
     def test_unclamped_scalars_match_the_reference_ladder(self, backend, rng, count):
         # All-ones and all-zero scalars have every bit the clamp touches set
         # the "wrong" way; random ones cover the rest.
