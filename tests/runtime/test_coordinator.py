@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -675,16 +676,6 @@ def build_dialing_stack(rng, **coordinator_kwargs):
     return network, entry, publics, coordinator
 
 
-class ListLedger:
-    """Collects the coordinator's lifecycle records."""
-
-    def __init__(self) -> None:
-        self.records: list[tuple[str, dict]] = []
-
-    def append(self, type_: str, data: dict) -> None:
-        self.records.append((type_, data))
-
-
 class TestOneFailurePath:
     @pytest.mark.parametrize("failure", ["retries exhausted", "hop timeout", "drive turn"])
     def test_every_permanent_failure_leaves_the_same_trace(self, rng, failure):
@@ -693,7 +684,8 @@ class TestOneFailurePath:
         network, entry, publics, coordinator = build_stack(
             rng, max_round_attempts=1, response_wait_seconds=0.2
         )
-        coordinator.ledger = ledger = ListLedger()
+        records: list[tuple[str, dict]] = []
+        coordinator.ledger = SimpleNamespace(append=lambda *record: records.append(record))
         kind = MessageKind.CONVERSATION_REQUEST
         if failure == "retries exhausted":
             flaky_hop(network, "server-1/conversation", failures=1)
@@ -711,7 +703,7 @@ class TestOneFailurePath:
         assert network.send("alice", "entry", wire, kind, 1) == ACK
         with pytest.raises((NetworkError, ProtocolError)):
             coordinator.close_round(window)
-        failed = [data for type_, data in ledger.records if type_ == "round_failed"]
+        failed = [data for type_, data in records if type_ == "round_failed"]
         assert [(data["round"], data["attempt"]) for data in failed] == [(1, 1)]
         assert [client for client, _ in coordinator.resubmission_queue[(kind, 1)]] == ["alice"]
         assert entry.buffered_total() == 0
