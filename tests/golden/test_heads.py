@@ -81,10 +81,11 @@ def ledger_digests(path: Path) -> dict[str, str]:
     return {"head": view.head(), "records": sha256(b"\n".join(records))}
 
 
-def per_client_session(driver_class, monkeypatch, tmp: Path) -> dict:
+def per_client_session(driver_class, monkeypatch, tmp: Path, *, pooled: bool = False) -> dict:
     """Two paired clients and one idle one, two slots each: a queued
     message whose first round is lost on the client edge and retransmitted,
-    three conversation rounds and one dialing round."""
+    three conversation rounds and one dialing round; ``pooled`` says the
+    driver's engine must have forked."""
     # The deadline closes the TCP window alice's dropped wires never reach.
     config = replace(
         VuvuzelaConfig.small(seed=SEED), max_conversations_per_client=2, round_deadline_seconds=1.0
@@ -116,6 +117,7 @@ def per_client_session(driver_class, monkeypatch, tmp: Path) -> dict:
         assert bob.messages_from(alice.public_key) == [b"lost once, then delivered"]
         assert alice.messages_from(bob.public_key) == [b"and back"]
         assert [call.caller for call in alice.incoming_calls] == [carol.public_key]
+        assert not pooled or driver.engine._pool is not None
         clients = driver.ledger_client_digests()
     return {
         "wires": tap.digests(),
@@ -204,9 +206,10 @@ def swarm_session(tmp: Path, *, pooled: bool = False, driver_class=VuvuzelaSyste
     return {"wires": wires, "messages": messages, "ledger_head": ledger_digests(path)["head"]}
 
 
-def continuous_session(monkeypatch, tmp: Path) -> dict:
+def continuous_session(monkeypatch, tmp: Path, *, pooled: bool = False) -> dict:
     """Sessions that dial, accept and converse under the overlapping
-    scheduler at depth 2, a dialing round every second conversation round."""
+    scheduler at depth 2, a dialing round every second conversation round;
+    ``pooled`` says the driver's engine must have forked."""
     config = VuvuzelaConfig.small(seed=SEED)
     tap = WireTap(monkeypatch)
     path = tmp / "ledger.jsonl"
@@ -223,6 +226,7 @@ def continuous_session(monkeypatch, tmp: Path) -> dict:
             b"hello from alice",
             b"after the greetings",
         ]
+        assert not pooled or system.engine._pool is not None
         clients = system.ledger_client_digests()
     return {
         "wires": tap.digests(),
@@ -254,11 +258,29 @@ def tmp(tmp_path):
     return tmp_path
 
 
+@pytest.fixture
+def pool(monkeypatch):
+    """Drivers built in the test send every curve op to a two-worker pool."""
+    monkeypatch.setattr(round_engine, "POOL_CURVE_OPS", 0)
+    monkeypatch.setattr(round_engine, "_usable_cores", lambda: 2)
+
+
 def test_per_client_session_heads(monkeypatch, tmp):
     assert per_client_session(VuvuzelaSystem, monkeypatch, tmp) == committed("session")
 
 
+def test_per_client_session_heads_on_the_pool(pool, monkeypatch, tmp):
+    """Every client build, peel and noise wrap on the pool: the same bytes."""
+    assert per_client_session(VuvuzelaSystem, monkeypatch, tmp, pooled=True) == committed("session")
+
+
 def test_per_client_session_heads_over_tcp(monkeypatch, tmp):
+    assert per_client_session(DeploymentLauncher, monkeypatch, tmp) == committed("session_tcp")
+
+
+def test_per_client_session_heads_over_tcp_on_the_pool(pool, monkeypatch, tmp):
+    """The launcher's own engine forced onto its pool; the chain servers in
+    their processes keep their serial engine."""
     assert per_client_session(DeploymentLauncher, monkeypatch, tmp) == committed("session_tcp")
 
 
@@ -287,6 +309,11 @@ def test_abort_session_heads_over_tcp(monkeypatch, tmp):
 
 def test_continuous_session_heads(monkeypatch, tmp):
     assert continuous_session(monkeypatch, tmp) == committed("continuous")
+
+
+def test_continuous_session_heads_on_the_pool(pool, monkeypatch, tmp):
+    """Both scheduler threads share the one pooled engine: the same bytes."""
+    assert continuous_session(monkeypatch, tmp, pooled=True) == committed("continuous")
 
 
 if __name__ == "__main__":
