@@ -15,9 +15,13 @@ conversations is never observable.  The slots are the rows of one
 builds and decodes whole populations with; the client keeps what is its
 own: the outbox, message framing, duplicate suppression and counters.
 
-The client is transport-agnostic: :class:`~repro.core.system.VuvuzelaSystem`
-drives it through the ``build_*``/``handle_*`` methods each round and moves
-the resulting byte strings over the in-process network.
+The client is transport-agnostic: a driver builds its requests and moves
+the resulting byte strings, then feeds the responses to its ``handle_*``
+methods.  A driver builds every participating client of a round at once —
+:func:`build_conversation_round` and :func:`build_dialing_round` make each
+client's rng draws in client order and run the pure crypto of all of them
+as one round-engine op, on the driver's worker pool once the round is large
+enough — and the ``build_*`` methods are the same build for one client.
 
 Two details exist for the continuous scheduler
 (:mod:`repro.runtime.scheduler`), where conversation and dialing rounds
@@ -35,15 +39,20 @@ overlap in time:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 from .framing import SequenceTracker, decode_frame, encode_frame
 from .state import IncomingCall, Outbox, ReceivedMessage
-from ..conversation import ConversationRows, ConversationSession
+from ..conversation import ConversationRows, ConversationSession, build_rows
 from ..crypto import KeyPair, PublicKey
 from ..crypto.rng import RandomSource, default_random
 from ..deaddrop import InvitationDropStore
-from ..dialing import PendingDial, build_dial_request, fetch_invitations
+from ..dialing import PendingDial, fetch_invitations
+from ..dialing.client import draw_dial_request, wrap_dial_requests
 from ..errors import ProtocolError
+
+if TYPE_CHECKING:
+    from ..runtime.engine import RoundEngine
 
 
 @dataclass
@@ -179,16 +188,20 @@ class VuvuzelaClient:
         Exactly ``max_conversations`` requests are produced every round: one
         real exchange per active conversation, fake requests for the empty
         slots (Algorithm 1 steps 1a/1b), so the batch size never reveals how
-        many conversations are active.
+        many conversations are active.  A one-client
+        :func:`build_conversation_round`.
         """
+        return build_conversation_round([self], round_number)[0]
+
+    def _conversation_build(self, round_number: int) -> tuple[ConversationRows, list[bytes], int]:
+        """Lay this round's slots out as rows: the ``(rows, plaintexts,
+        start)`` a :func:`~repro.conversation.client.build_rows` call takes."""
         rows = self._rows
         slots = list(self._slots.values())
         rows.owners = slots + [None] * (self.max_conversations - len(slots))
         rows.keys = [None if slot is None else slot.session.keys for slot in rows.owners]
         plaintexts = [b"" if slot is None else slot.outbox.next_message() for slot in rows.owners]
-        wires = rows.build(round_number, plaintexts)
-        self.rounds_participated += 1
-        return wires
+        return rows, plaintexts, 0
 
     def handle_conversation_responses(
         self, round_number: int, responses: list[bytes | None]
@@ -233,28 +246,31 @@ class VuvuzelaClient:
     # ------------------------------------------------------------ dialing rounds
 
     def build_dialing_request(self, dialing_round: int, num_buckets: int) -> bytes:
-        """Build this dialing round's request (a real invitation or a no-op)."""
+        """Build this dialing round's request (a real invitation or a no-op):
+        a one-client :func:`build_dialing_round`."""
+        return build_dialing_round([self], dialing_round, num_buckets)[0]
+
+    def _draw_dialing_request(self, dialing_round: int, num_buckets: int) -> list[bytes | None]:
+        """This dialing round's draws, as a
+        :func:`~repro.dialing.client.draw_dial_request` row."""
         if dialing_round in self._pending_dials:
             raise ProtocolError(
                 f"{self.name} already built a dialing request for round {dialing_round}"
             )
+        depth = len(self.server_public_keys)
+        return draw_dial_request(depth, self.keys, self.dial_target, num_buckets, self._dialing_rng)
+
+    def _dialing_request_built(self, dialing_round: int) -> None:
         # As for conversations: a pending dial for an earlier round is dead
         # once a newer dialing round builds — drop it instead of leaking it.
         for stale in [r for r in self._pending_dials if r < dialing_round]:
             del self._pending_dials[stale]
-        wire, pending = build_dial_request(
-            dialing_round,
-            self.server_public_keys,
-            self.keys,
-            self.dial_target,
-            num_buckets,
-            self._dialing_rng,
+        self._pending_dials[dialing_round] = PendingDial(
+            round_number=dialing_round, dialing=self.dial_target is not None
         )
-        self._pending_dials[dialing_round] = pending
         # Dialing is one-shot: the invitation is sent this round, after which
         # the user must dial again to re-invite.
         self.dial_target = None
-        return wire
 
     def handle_dialing_response(self, dialing_round: int, response: bytes | None) -> None:
         pending = self._pending_dials.pop(dialing_round, None)
@@ -281,3 +297,48 @@ class VuvuzelaClient:
         ]
         self.incoming_calls.extend(calls)
         return calls
+
+
+def build_conversation_round(
+    clients: Sequence[VuvuzelaClient], round_number: int, engine: RoundEngine | None = None
+) -> list[list[bytes]]:
+    """Every client's conversation requests for one round, as one engine op.
+
+    Each client lays its slots out and draws from its own conversation
+    stream, in client order; one
+    :func:`~repro.conversation.client.build_rows` then builds every row on
+    ``engine`` (the one-worker default engine when not given).  Entry ``i``
+    is ``clients[i]``'s wires, byte-identical to building it alone.
+    """
+    wires = build_rows(
+        round_number, [client._conversation_build(round_number) for client in clients], engine
+    )
+    for client in clients:
+        client.rounds_participated += 1
+    return wires
+
+
+def build_dialing_round(
+    clients: Sequence[VuvuzelaClient],
+    dialing_round: int,
+    num_buckets: int,
+    engine: RoundEngine | None = None,
+) -> list[bytes]:
+    """Every client's dialing request for one dialing round, as one engine op.
+
+    Each client draws from its own dialing stream, in client order; one
+    :func:`~repro.dialing.client.wrap_dial_requests` then seals every
+    invitation and wraps every request on ``engine`` (the one-worker default
+    engine when not given).  Entry ``i`` is ``clients[i]``'s wire,
+    byte-identical to building it alone.
+    """
+    if not clients:
+        return []
+    server_public_keys = clients[0].server_public_keys
+    if any(client.server_public_keys != server_public_keys for client in clients):
+        raise ProtocolError("clients built in one op must share one server chain")
+    rows = [client._draw_dialing_request(dialing_round, num_buckets) for client in clients]
+    wires = wrap_dial_requests(dialing_round, server_public_keys, rows, engine)
+    for client in clients:
+        client._dialing_request_built(dialing_round)
+    return wires

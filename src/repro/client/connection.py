@@ -125,15 +125,20 @@ class ClientConnection:
         # Retry budget exhausted: a lost round (the client retransmits).
         return self._decode(reply)
 
-    def run_round(self, protocol: RoundProtocol, round_number: int):
+    def run_round(
+        self, protocol: RoundProtocol, round_number: int, wires: list[bytes] | None = None
+    ):
         """Build, submit and resolve one round of any protocol.
 
         The protocol object supplies the wires and consumes the responses;
         this connection supplies the transport, the resubmission logic and
         the marker decoding — the same pipeline whether the round is a
-        conversation or a dialing round.
+        conversation or a dialing round.  A driver that built every
+        client's round at once hands this client's ``wires`` in; without
+        them the connection builds a one-client batch itself.
         """
-        wires = protocol.build_wires(self.client, round_number)
+        if wires is None:
+            (wires,) = protocol.build_wires([self.client], round_number)
         if len(wires) == 1:
             responses = [self._submit(wires[0], protocol.kind, round_number)]
         else:

@@ -4,6 +4,7 @@ from .client import (
     ConversationRows,
     ConversationSession,
     build_exchange_batch,
+    build_rows,
     pair_keys,
 )
 from .messages import (
@@ -34,6 +35,7 @@ __all__ = [
     "MESSAGE_BOX_SIZE",
     "build_exchange_batch",
     "build_noise_request",
+    "build_rows",
     "conversation_noise_builder",
     "decrypt_message",
     "directional_keys",

@@ -12,12 +12,15 @@ exchange:
 :class:`ConversationRows` is the state of any number of such slots, one row
 each: a :class:`~repro.client.VuvuzelaClient` holds one over its
 ``max_conversations`` slots, and the
-:class:`~repro.simulation.ClientSwarm` one over its whole population.  Its
-:meth:`~ConversationRows.build` makes every rng draw row by row and hands
-the pure rest (:func:`build_exchange_batch`) to one
-:meth:`~repro.runtime.engine.RoundEngine.wrap_client_chunks` op; its
-:meth:`~ConversationRows.decode` opens a round's responses in one batched
-pass (step 3).
+:class:`~repro.simulation.ClientSwarm` one over its whole population.  A
+build is two steps: :meth:`~ConversationRows.draw` makes every rng draw row
+by row, and the pure rest (:func:`build_exchange_batch`) runs as one
+:meth:`~repro.runtime.engine.RoundEngine.wrap_client_chunks` op, whose
+contexts :meth:`~ConversationRows.built` hands back.  :func:`build_rows`
+runs that op once over many holders' draws — how a driver builds every
+client of a per-client round — and :meth:`~ConversationRows.build` over
+one.  :meth:`~ConversationRows.decode` opens a round's responses in one
+batched pass (step 3).
 """
 
 from __future__ import annotations
@@ -100,9 +103,10 @@ class ConversationRows:
     idle row).  ``rngs[i]`` is the stream row ``i`` draws from; rows of one
     client share one stream, and draw from it in row order.
 
-    A round's rows are built in order, in one or more :meth:`build` calls,
-    and decoded once.  Building a round drops whatever an earlier round
-    left pending: its responses can never be handled any more.
+    A round's rows are built in order, in one or more :meth:`build` (or
+    :func:`build_rows`) calls, and decoded once.  Building a round drops
+    whatever an earlier round left pending: its responses can never be
+    handled any more.
     """
 
     def __init__(self, server_public_keys: Sequence[PublicKey], rngs: Sequence[RandomSource]):
@@ -123,6 +127,14 @@ class ConversationRows:
     ) -> list[bytes]:
         """Wires for rows ``start`` onwards, one per plaintext (an idle row's
         is ignored).  ``engine`` runs the crypto; without one it runs inline.
+        A one-set :func:`build_rows`."""
+        return build_rows(round_number, [(self, plaintexts, start)], engine)[0]
+
+    def draw(self, round_number: int, plaintexts: Sequence[bytes], start: int = 0) -> list[list]:
+        """The first step of a build: every rng draw for rows ``start``
+        onwards, as :func:`build_exchange_batch`'s columns — fake exchanges,
+        send keys, dead drops, plaintexts, then the onion scalars layer by
+        layer.  :meth:`built` hands the wrap's contexts back.
 
         The draws, row by row: an idle row's fake peer scalar, then its own
         (step 1b); then every row's onion scalars, innermost layer first.
@@ -134,9 +146,9 @@ class ConversationRows:
                 del self.pending[stale]
             self.pending[round_number] = ([], [], [])
         pending = self.pending.get(round_number)
-        if pending is None or len(pending[0]) != start:
+        if pending is None or len(pending[1]) != start:
             raise ProtocolError(f"round {round_number}'s rows must be built in order")
-        contexts, receive_keys, owners = pending
+        _, receive_keys, owners = pending
         count, depth = len(plaintexts), len(self.server_public_keys)
         stop = start + count
         fakes: list[bytes | None] = [None] * count
@@ -154,17 +166,15 @@ class ConversationRows:
                 texts[position] = plaintexts[position]
             for layer in range(depth - 1, -1, -1):
                 scalars[layer][position] = rng.random_bytes(KEY_SIZE)
-        if engine is None:
-            from ..runtime.engine import default_engine  # the engine imports this module
-
-            engine = default_engine()
-        wires, built = engine.wrap_client_chunks(
-            round_number, self.server_public_keys, fakes, send_keys, dead_drops, texts, scalars
-        )
-        contexts.extend(built)
         receive_keys.extend(None if keys is None else keys[1] for keys in self.keys[start:stop])
         owners.extend(self.owners[start:stop])
-        return wires
+        return [fakes, send_keys, dead_drops, texts, *scalars]
+
+    def built(self, round_number: int, contexts: Sequence[OnionContext]) -> None:
+        """The second step of a build: the onion contexts of the rows the
+        last :meth:`draw` of ``round_number`` drew, which :meth:`decode`
+        opens the responses with."""
+        self.pending[round_number][0].extend(contexts)
 
     def decode(
         self, round_number: int, responses: Sequence[bytes | None]
@@ -199,6 +209,54 @@ class ConversationRows:
                 except PaddingError:
                     pass
         return list(zip(owners, plaintexts))
+
+
+def build_rows(
+    round_number: int,
+    builds: Sequence[tuple[ConversationRows, Sequence[bytes], int]],
+    engine: RoundEngine | None = None,
+) -> list[list[bytes]]:
+    """Several row sets' builds for one round, as one engine op.
+
+    ``builds`` holds one ``(rows, plaintexts, start)`` per set, the
+    arguments :meth:`ConversationRows.build` takes.  Each set makes its
+    draws (:meth:`ConversationRows.draw`) from its own streams, in set
+    order; then one :meth:`~repro.runtime.engine.RoundEngine.wrap_client_chunks`
+    runs the pure build of every row, and each set gets back its contexts
+    and its wires — byte-identical to building each set alone.  Every set
+    must share one server chain.  ``engine`` defaults to the one-worker
+    :func:`~repro.runtime.engine.default_engine`.
+    """
+    if not builds:
+        return []
+    server_public_keys = builds[0][0].server_public_keys
+    if any(rows.server_public_keys != server_public_keys for rows, _, _ in builds):
+        raise ProtocolError("rows built in one op must share one server chain")
+    columns: list[list] = []
+    counts: list[int] = []
+    for rows, plaintexts, start in builds:
+        drawn = rows.draw(round_number, plaintexts, start)
+        if columns:
+            for column, more in zip(columns, drawn):
+                column.extend(more)
+        else:
+            columns = drawn
+        counts.append(len(plaintexts))
+    if engine is None:
+        from ..runtime.engine import default_engine  # the engine imports this module
+
+        engine = default_engine()
+    fakes, send_keys, dead_drops, texts, *scalars = columns
+    wires, contexts = engine.wrap_client_chunks(
+        round_number, server_public_keys, fakes, send_keys, dead_drops, texts, scalars
+    )
+    built: list[list[bytes]] = []
+    offset = 0
+    for (rows, _, _), count in zip(builds, counts):
+        rows.built(round_number, contexts[offset : offset + count])
+        built.append(wires[offset : offset + count])
+        offset += count
+    return built
 
 
 def build_exchange_batch(

@@ -710,18 +710,23 @@ class DeploymentLauncher(RoundDriver):
     def drive_scheduled_round(
         self, protocol: RoundProtocol, opened: ScheduledRound
     ) -> NetworkRoundResult:
-        """Submit every connection, wait out the round, poll invitations."""
+        """Build every connection's wires on the driver's engine, submit
+        them, wait out the round, poll invitations."""
         round_number = opened.round_number
         connections = self._participants(opened.participants)
         finish = self._measure_round(protocol, opened)
+        built = self._build_round(protocol, opened, [c.client for c in connections])
         if connections:
             # Each submission long-polls until the round resolves, so the
             # clients submit concurrently on their own connections.
             with ThreadPoolExecutor(max_workers=len(connections)) as pool:
                 list(
                     pool.map(
-                        lambda connection: connection.run_round(protocol, round_number),
+                        lambda connection, wires: connection.run_round(
+                            protocol, round_number, wires
+                        ),
                         connections,
+                        built,
                     )
                 )
         result = self.wait_round(protocol.name, round_number)

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import topology
 from .config import VuvuzelaConfig
@@ -120,9 +121,9 @@ class RoundDriver(ABC):
             dialing_interval=self.config.dialing_interval,
         )
         #: The driver's one engine, one worker per usable core: the dialing
-        #: poll's trial decryption, the swarm's client wires and, in
-        #: process, every chain server's peel and noise wrap.  Each shape's
-        #: teardown closes it.
+        #: poll's trial decryption, every client's wires (per-client rounds
+        #: and the swarm's) and, in process, every chain server's peel and
+        #: noise wrap.  Each shape's teardown closes it.
         self.engine = RoundEngine()
 
     def protocol(self, name: str) -> RoundProtocol:
@@ -361,6 +362,29 @@ class RoundDriver(ABC):
         (empty) round instead.  Best-effort by contract.
         """
 
+    @contextmanager
+    def _discarding(self, protocol: RoundProtocol, opened: ScheduledRound) -> Iterator[None]:
+        """Discard ``opened``'s window if the block fails, then re-raise: a
+        window left open would wedge every later round of its kind."""
+        try:
+            yield
+        except BaseException:
+            try:
+                self.discard_scheduled_round(protocol, opened)
+            except Exception:
+                pass  # best-effort cleanup on an already-failing path
+            raise
+
+    def _build_round(
+        self, protocol: RoundProtocol, opened: ScheduledRound, clients: list[VuvuzelaClient]
+    ) -> list[list[bytes]]:
+        """Every participant's wires for an opened round, one list per
+        client, built as one op on :attr:`engine` — its pool takes a round
+        large enough.  A failed build (a worker killed mid-op) discards the
+        window before the error propagates."""
+        with self._discarding(protocol, opened):
+            return protocol.build_wires(clients, opened.round_number, self.engine)
+
     @abstractmethod
     def _measure_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> Callable:
         """Start measuring one round; returns ``finish(closed, *,
@@ -477,7 +501,7 @@ class RoundDriver(ABC):
             peak_buffer = max(peak_buffer, self.buffered_total())
             return verdicts
 
-        try:
+        with self._discarding(protocol, opened):
             stats = swarm.submit_round(
                 round_number,
                 submit,
@@ -485,14 +509,6 @@ class RoundDriver(ABC):
                 pipeline=self.swarm_pipelined,
                 engine=self.engine,
             )
-        except BaseException:
-            # A window left open would wedge every later round of its kind:
-            # resolve it the way the scheduler does, then re-raise.
-            try:
-                self.discard_scheduled_round(protocol, opened)
-            except Exception:
-                pass  # best-effort cleanup on an already-failing path
-            raise
         stats.peak_server_buffer = peak_buffer
         # repro-lint: allow[nd-wallclock] phase split of the report; never feeds wire/digest/ledger payloads
         chain_started = time.perf_counter()

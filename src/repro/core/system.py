@@ -203,8 +203,9 @@ class VuvuzelaSystem(RoundDriver):
         """Submit every client, resolve the round, deliver, account.
 
         One code path for both protocols: the protocol plug-in builds the
-        wires, consumes the responses, and shapes the metrics; the driver
-        owns submission, window close and response distribution.
+        wires (every client at once, before the first send), consumes the
+        responses, and shapes the metrics; the driver owns submission,
+        window close and response distribution.
         """
         round_number = opened.round_number
         clients = (
@@ -214,12 +215,13 @@ class VuvuzelaSystem(RoundDriver):
         )
         finish = self._measure_round(protocol, opened)
         extra = protocol.before_round(clients)
+        built = self._build_round(protocol, opened, list(clients.values()))
 
         submitted: dict[str, list[bool]] = {}
         total_requests = 0
-        for name, client in clients.items():
+        for name, wires in zip(clients, built):
             flags: list[bool] = []
-            for wire in protocol.build_wires(client, round_number):
+            for wire in wires:
                 ack = self.network.send(
                     name,
                     self.entry.name,

@@ -43,13 +43,24 @@ def seal_invitation(
 ) -> bytes:
     """Encrypt an invitation (the sender's public key) to the recipient."""
     rng = rng or default_random()
+    return seal_drawn_invitation(
+        rng.random_bytes(KEY_SIZE), bytes(sender.public), recipient_public.data, round_number
+    )
+
+
+def seal_drawn_invitation(
+    ephemeral_scalar: bytes, sender_public: bytes, recipient_public: bytes, round_number: int
+) -> bytes:
+    """:func:`seal_invitation` with its one rng draw, the ephemeral scalar,
+    made by the caller: a pure function of bytes, which the round engine's
+    workers run."""
     (ephemeral_public,), (shared,) = active_backend().x25519_fixed_point_batch(
-        [rng.random_bytes(KEY_SIZE)], recipient_public.data
+        [ephemeral_scalar], recipient_public
     )
     if not any(shared):
         raise CryptoError("X25519 exchange produced an all-zero shared secret")
     key = derive_key(shared, _SEAL_LABEL)
-    box = seal(key, nonce_for_round(round_number, _SEAL_LABEL), bytes(sender.public))
+    box = seal(key, nonce_for_round(round_number, _SEAL_LABEL), sender_public)
     return ephemeral_public + box
 
 

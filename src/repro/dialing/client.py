@@ -4,37 +4,119 @@ Each dialing round a client sends exactly one dialing request through the mix
 chain — a real invitation if the user wants to start a conversation, a no-op
 request otherwise — and then downloads its own invitation dead drop and tries
 to decrypt every invitation in it to find the ones addressed to it.
+
+A request is built in two steps, like a conversation request: the client's
+rng draws (:func:`draw_dial_request`), then the pure seal and onion wrap
+(:func:`build_dial_batch`), which :func:`wrap_dial_requests` runs for any
+number of clients as one round-engine op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .invitation import (
     INVITATION_SIZE,
     DialingRequest,
-    build_dialing_request,
+    encode_bucket,
     open_invitations,
 )
-from ..crypto import (
-    KeyPair,
-    OnionContext,
-    PublicKey,
-    invitation_dead_drop,
-    wrap_request,
-)
+from ..crypto import KEY_SIZE, KeyPair, PublicKey, invitation_dead_drop, wrap_request_batch
+from ..crypto.invitation import seal_drawn_invitation
 from ..crypto.rng import RandomSource, default_random
 from ..deaddrop import InvitationDropStore
+from ..deaddrop.invitations import NOOP_BUCKET
+
+if TYPE_CHECKING:
+    from ..runtime.engine import RoundEngine
 
 
 @dataclass(frozen=True)
 class PendingDial:
-    """Client-side state for one in-flight dialing request."""
+    """Client-side state for one in-flight dialing request.
+
+    A dialing response is a contentless acknowledgement, so nothing here
+    opens it: the client only notes whether one arrived.
+    """
 
     round_number: int
-    onion_context: OnionContext
     dialing: bool
+
+
+def draw_dial_request(
+    depth: int,
+    own_keys: KeyPair,
+    recipient_public: PublicKey | None,
+    num_buckets: int,
+    rng: RandomSource,
+) -> list[bytes | None]:
+    """Every rng draw of one client's dialing request, as one row of
+    :func:`build_dial_batch`'s columns.
+
+    The draws: the no-op request's random invitation bytes (not dialing) or
+    the invitation's ephemeral scalar (dialing); then the onion scalars,
+    innermost layer first.  The row is the request's head (the whole no-op
+    request, or the real one's dead-drop index), the ephemeral scalar, the
+    recipient's and the sender's public keys (``None`` when not dialing),
+    then one scalar per layer in chain order.
+    """
+    row: list[bytes | None]
+    if recipient_public is None:
+        noop = DialingRequest(NOOP_BUCKET, rng.random_bytes(INVITATION_SIZE))
+        row = [noop.encode(), None, None, None]
+    else:
+        head = encode_bucket(invitation_dead_drop(recipient_public, num_buckets))
+        ephemeral = rng.random_bytes(KEY_SIZE)
+        row = [head, ephemeral, recipient_public.data, bytes(own_keys.public)]
+    scalars: list[bytes] = [b""] * depth
+    for layer in range(depth - 1, -1, -1):
+        scalars[layer] = rng.random_bytes(KEY_SIZE)
+    return row + scalars
+
+
+def build_dial_batch(
+    round_number: int,
+    server_public_keys: Sequence[PublicKey],
+    heads: Sequence[bytes],
+    ephemerals: Sequence[bytes | None],
+    recipients: Sequence[bytes | None],
+    senders: Sequence[bytes | None],
+    scalars: Sequence[Sequence[bytes]],
+) -> list[bytes]:
+    """Many clients' dialing requests for one round, from pre-drawn bytes:
+    each dialer's invitation sealed to its recipient, then every request
+    onion-wrapped.  Nothing here draws randomness, so the round engine may
+    run any slice of a batch anywhere and the wires stay byte-identical."""
+    payloads = [
+        head
+        if ephemeral is None
+        else head + seal_drawn_invitation(ephemeral, sender, recipient, round_number)
+        for head, ephemeral, recipient, sender in zip(heads, ephemerals, recipients, senders)
+    ]
+    wires, _ = wrap_request_batch(payloads, server_public_keys, round_number, scalars=scalars)
+    return wires
+
+
+def wrap_dial_requests(
+    round_number: int,
+    server_public_keys: Sequence[PublicKey],
+    rows: Sequence[Sequence[bytes | None]],
+    engine: RoundEngine | None = None,
+) -> list[bytes]:
+    """The wires of many :func:`draw_dial_request` rows, as one
+    :meth:`~repro.runtime.engine.RoundEngine.wrap_dial_chunks` op on
+    ``engine`` (the one-worker default engine when not given)."""
+    if not rows:
+        return []
+    if engine is None:
+        from ..runtime.engine import default_engine  # the engine imports this module
+
+        engine = default_engine()
+    heads, ephemerals, recipients, senders, *scalars = (list(column) for column in zip(*rows))
+    return engine.wrap_dial_chunks(
+        round_number, server_public_keys, heads, ephemerals, recipients, senders, scalars
+    )
 
 
 def build_dial_request(
@@ -45,17 +127,13 @@ def build_dial_request(
     num_buckets: int,
     rng: RandomSource | None = None,
 ) -> tuple[bytes, PendingDial]:
-    """Build the onion-wrapped dialing request for one dialing round."""
-    rng = rng or default_random()
-    request: DialingRequest = build_dialing_request(
-        own_keys, recipient_public, round_number, num_buckets, rng
+    """Build the onion-wrapped dialing request for one dialing round: a
+    one-client :func:`wrap_dial_requests` on the default engine."""
+    row = draw_dial_request(
+        len(server_public_keys), own_keys, recipient_public, num_buckets, rng or default_random()
     )
-    wire, onion_context = wrap_request(request.encode(), server_public_keys, round_number, rng)
-    return wire, PendingDial(
-        round_number=round_number,
-        onion_context=onion_context,
-        dialing=recipient_public is not None,
-    )
+    (wire,) = wrap_dial_requests(round_number, server_public_keys, [row])
+    return wire, PendingDial(round_number=round_number, dialing=recipient_public is not None)
 
 
 def own_invitation_bucket(own_keys: KeyPair, num_buckets: int) -> int:

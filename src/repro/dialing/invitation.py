@@ -53,8 +53,7 @@ class DialingRequest:
             )
 
     def encode(self) -> bytes:
-        wire_bucket = _NOOP_WIRE if self.bucket == NOOP_BUCKET else self.bucket
-        return struct.pack(">I", wire_bucket) + self.invitation
+        return encode_bucket(self.bucket) + self.invitation
 
     @classmethod
     def decode(cls, payload: bytes) -> "DialingRequest":
@@ -65,6 +64,11 @@ class DialingRequest:
         (wire_bucket,) = struct.unpack(">I", payload[:4])
         bucket = NOOP_BUCKET if wire_bucket == _NOOP_WIRE else wire_bucket
         return cls(bucket=bucket, invitation=payload[4:])
+
+
+def encode_bucket(bucket: int) -> bytes:
+    """A dialing request's first four bytes: its invitation dead drop."""
+    return struct.pack(">I", _NOOP_WIRE if bucket == NOOP_BUCKET else bucket)
 
 
 def split_dialing_requests(

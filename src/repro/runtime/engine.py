@@ -1,8 +1,8 @@
 """The round execution engine: one per driver, sized by the host.
 
 A Vuvuzela server's round work — peel a batch, wrap the round's noise, seal
-the responses — a dialing round's trial decryption and a simulated client
-swarm's wire build are embarrassingly parallel *within* a round but shaped
+the responses — a dialing round's trial decryption and the simulated
+clients' wire builds are embarrassingly parallel *within* a round but shaped
 badly for Python: one thread, one giant working set.  :class:`RoundEngine`
 runs every such batch op under one policy:
 
@@ -10,11 +10,16 @@ runs every such batch op under one policy:
   the engine never forks.  There is nothing to configure.
 * **When the pool.** An op goes to the pool only when its own size crosses
   its measured threshold: :data:`POOL_CURVE_OPS` curve operations for the
-  peel (one per wire), the noise wrap (one per layer per wire) and the
-  client build (one per layer per wire, plus one per idle client's fake
-  exchange), :data:`SCAN_PARALLEL_TRIALS` trial decryptions for the dialing
-  scan.  The response wrap is AEAD only, and splitting it was measured
-  slower than running it inline, so it never reaches the pool.
+  peel (one per wire), the noise wrap (one per layer per wire), the
+  conversation client build (one per layer per wire, plus one per idle
+  client's fake exchange) and the dialing client build (one per layer per
+  wire, plus one per dialer's invitation seal),
+  :data:`SCAN_PARALLEL_TRIALS` trial decryptions for the dialing scan.  A
+  client build is a whole round's: the swarm's chunk by chunk, and on the
+  per-client path every participating client's wires as one op (each
+  client's draws first, in client order).  The response wrap is AEAD
+  only, and splitting it was measured slower than running it inline, so
+  it never reaches the pool.
 * **Chunks.** Inline, a batch runs in chunks of
   :data:`~repro.crypto.batch_kernels.PREFERRED_CHUNK`, which keeps the
   vectorized kernels' temporaries cache-resident (100k-message rounds once
@@ -34,11 +39,12 @@ flight, and chunk ``k``'s results are unpacked in the parent while chunks
 size rather than the round size.
 
 Determinism is a hard contract: every rng draw a round makes (noise
-payloads, wrap scalars, the mix permutation, the clients' fake exchange and
-onion scalars) happens in the caller's thread in the inline path's exact
-order — workers only ever run pure functions of bytes — so a round is
-byte-identical whichever ops went to the pool.  The engine and swarm test
-suites assert this on every backend, malformed wires included.
+payloads, wrap scalars, the mix permutation, the clients' fake exchange,
+invitation and onion scalars) happens in the caller's thread in the inline
+path's exact order — workers only ever run pure functions of bytes — so a
+round is byte-identical whichever ops went to the pool.  The engine, swarm
+and batched-build test suites assert this on every backend, malformed wires
+included.
 
 Worker failures never hang a round: a crashed worker or torn-down pool
 surfaces as :class:`~repro.errors.ProtocolError`, and the failed pool is
@@ -331,6 +337,39 @@ class RoundEngine:
                 for m in range(count)
             )
         return wires, contexts
+
+    def wrap_dial_chunks(
+        self,
+        round_number: int,
+        server_public_keys: Sequence[PublicKey],
+        heads: Sequence[bytes],
+        ephemerals: Sequence[bytes | None],
+        recipients: Sequence[bytes | None],
+        senders: Sequence[bytes | None],
+        scalars: Sequence[Sequence[bytes]],
+    ) -> list[bytes]:
+        """Chunked :func:`~repro.dialing.client.build_dial_batch`.
+
+        The callers have made every rng draw (each dialer's invitation
+        scalar or each other client's no-op bytes, then the onion scalars);
+        what is chunked is the pure invitation seal and onion wrap, so the
+        wires are byte-identical inline and on the pool.  A dialing response
+        is an acknowledgement nobody opens, so only the wires come back.
+        """
+        curve_ops = len(heads) * len(server_public_keys) + sum(
+            1 for ephemeral in ephemerals if ephemeral is not None
+        )
+        wires: list[bytes] = []
+        for chunk in self._row_chunks(
+            _worker.wrap_dial_rows,
+            _worker.wrap_dial_chunk,
+            [heads, ephemerals, recipients, senders, *scalars],
+            curve_ops,
+            server_public_keys,
+            round_number,
+        ):
+            wires.extend(chunk)
+        return wires
 
     def _row_chunks(
         self,

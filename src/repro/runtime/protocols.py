@@ -10,8 +10,9 @@ per-protocol concerns into one :class:`RoundProtocol` interface —
 * **noise** — which cover-traffic builder each mixing server runs, and which
   last-server processor terminates the chain (§8.2 conversation noise, §5.3
   dialing noise);
-* **client wires** — how a client builds its fixed-size round requests and
-  consumes the responses (Algorithm 1 / §5.2);
+* **client wires** — how a round's clients build their fixed-size requests
+  (all of them as one op on the driver's engine) and consume the responses
+  (Algorithm 1 / §5.2);
 * **round finish** — what happens after the chain resolves (conversation:
   nothing; dialing: every client downloads its invitation dead drop);
 * **metrics shape** — which :class:`~repro.core.metrics.RoundMetrics`
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ClassVar, Mapping
+from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Sequence
 
 from ..conversation import ConversationProcessor, conversation_noise_builder
 from ..dialing import DialingProcessor, dialing_noise_builder
@@ -44,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycles are broken at runtime
     from ..crypto.rng import RandomSource
     from ..mixnet.chain import NoiseBuilder, RoundProcessor
     from .coordinator import RoundResult
+    from .engine import RoundEngine
 
 
 @dataclass
@@ -87,8 +89,15 @@ class RoundProtocol(ABC):
         return 1
 
     @abstractmethod
-    def build_wires(self, client: "VuvuzelaClient", round_number: int) -> list[bytes]:
-        """Build the client's fixed-size batch of requests for one round."""
+    def build_wires(
+        self,
+        clients: Sequence["VuvuzelaClient"],
+        round_number: int,
+        engine: "RoundEngine | None" = None,
+    ) -> list[list[bytes]]:
+        """Build every client's fixed-size batch of requests for one round,
+        one list per client: each client's draws in client order, then one
+        op on ``engine`` (the one-worker default engine when not given)."""
 
     @abstractmethod
     def handle_responses(
@@ -116,7 +125,7 @@ class RoundProtocol(ABC):
 
     def before_round(self, clients: Mapping[str, "VuvuzelaClient"]) -> dict:
         """Pre-round observables that the builds will consume (e.g. how many
-        clients are dialing someone — ``build_dialing_request`` clears it)."""
+        clients are dialing someone — the dialing build clears it)."""
         return {}
 
     @abstractmethod
@@ -147,8 +156,15 @@ class ConversationProtocol(RoundProtocol):
     def requests_per_client(self, client: "VuvuzelaClient") -> int:
         return client.max_conversations
 
-    def build_wires(self, client: "VuvuzelaClient", round_number: int) -> list[bytes]:
-        return client.build_conversation_requests(round_number)
+    def build_wires(
+        self,
+        clients: Sequence["VuvuzelaClient"],
+        round_number: int,
+        engine: "RoundEngine | None" = None,
+    ) -> list[list[bytes]]:
+        from ..client.client import build_conversation_round
+
+        return build_conversation_round(clients, round_number, engine)
 
     def handle_responses(
         self, client: "VuvuzelaClient", round_number: int, responses: list[bytes | None]
@@ -210,8 +226,17 @@ class DialingProtocol(RoundProtocol):
     #: Invitation dead drops per round (``config.num_dialing_buckets``).
     num_buckets: int = 1
 
-    def build_wires(self, client: "VuvuzelaClient", round_number: int) -> list[bytes]:
-        return [client.build_dialing_request(round_number, self.num_buckets)]
+    def build_wires(
+        self,
+        clients: Sequence["VuvuzelaClient"],
+        round_number: int,
+        engine: "RoundEngine | None" = None,
+    ) -> list[list[bytes]]:
+        from ..client.client import build_dialing_round
+
+        return [
+            [wire] for wire in build_dialing_round(clients, round_number, self.num_buckets, engine)
+        ]
 
     def handle_responses(
         self, client: "VuvuzelaClient", round_number: int, responses: list[bytes | None]

@@ -4,7 +4,7 @@ Each ``*_chunk`` function here is the body of one *chunk task*.  A wire
 task carries its chunk as one packed list (:mod:`repro.net.packed`),
 runs one batch crypto op over it and returns the results packed the same
 way; the invitation scan's task carries a dead drop and a chunk of recipient
-keys as they are.  Everything crosses the executor's task pipe.  The two
+keys as they are.  Everything crosses the executor's task pipe.  The three
 wrap ops are ``*_rows`` functions of a chunk's columns, which the engine's
 inline path calls directly, so inline and pooled chunks run one function.
 
@@ -32,6 +32,7 @@ from ..crypto.invitation import open_invitations
 from ..crypto.keys import PrivateKey, PublicKey
 from ..crypto.onion import peel_request_batch, wrap_request_batch
 from ..crypto.secretbox import clear_derived_key_cache
+from ..dialing.client import build_dial_batch
 from ..net.packed import pack, unpack, unpack_owned
 
 
@@ -78,6 +79,17 @@ def wrap_client_rows(columns: list, public_keys: list[PublicKey], round_number: 
     return [*wires, *(key for context in contexts for key in context.layer_keys)]
 
 
+def wrap_dial_rows(columns: list, public_keys: list[PublicKey], round_number: int) -> list[bytes]:
+    """Build one chunk of clients' dialing wires: ``columns`` are
+    :func:`~repro.dialing.client.build_dial_batch`'s request heads,
+    invitation scalars, recipients and senders, then the onion scalars
+    layer by layer.  Returns the wires."""
+    heads, ephemerals, recipients, senders, *scalars = columns
+    return build_dial_batch(
+        round_number, public_keys, heads, ephemerals, recipients, senders, scalars
+    )
+
+
 def wrap_noise_chunk(task: tuple) -> bytes:
     """:func:`wrap_noise_rows` over one packed chunk."""
     return _run_rows(wrap_noise_rows, task)
@@ -86,6 +98,11 @@ def wrap_noise_chunk(task: tuple) -> bytes:
 def wrap_client_chunk(task: tuple) -> bytes:
     """:func:`wrap_client_rows` over one packed chunk."""
     return _run_rows(wrap_client_rows, task)
+
+
+def wrap_dial_chunk(task: tuple) -> bytes:
+    """:func:`wrap_dial_rows` over one packed chunk."""
+    return _run_rows(wrap_dial_rows, task)
 
 
 def _run_rows(rows, task: tuple) -> bytes:

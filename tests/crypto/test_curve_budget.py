@@ -10,7 +10,8 @@ count each path needs.  Counts, not timings: they cannot flake.
 One unit of ``x25519_fixed_point_batch`` is one fresh key pair *and* its
 exchange; one unit of ``x25519_fixed_scalar_batch`` is one exchange.  The
 invitation scan and the conversation wire also have a KDF budget, counted the
-same way.
+same way.  Batching spends nothing extra: a swarm round and a per-client
+round built as one op pay per client what each client pays alone.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from collections import Counter
 import pytest
 
 from repro.client import VuvuzelaClient
+from repro.client.client import build_conversation_round, build_dialing_round
 from repro.core.config import VuvuzelaConfig
-from repro.crypto import available_backends, set_backend, wrap_request
+from repro.crypto import DeterministicRandom, KeyPair, available_backends, set_backend, wrap_request
 from repro.crypto import backend as crypto_backend
 from repro.crypto import invitation as invitation_crypto
 from repro.crypto.hkdf import derive_key, derive_key_schedule
@@ -214,3 +216,50 @@ def test_swarm_round_derives_per_wire_what_a_client_derives(every_kdf):
     assert every_kdf == Counter(
         {"derive_key": 2 * idle, "derive_key_schedule": config.num_servers * len(swarm)}
     )
+
+
+def per_client_round(server_keys) -> list[VuvuzelaClient]:
+    """Alice (two slots, one idle) paired with bob; carol and dave idle,
+    carol dialing bob and dave dialing alice."""
+    clients = {
+        name: VuvuzelaClient(
+            name,
+            KeyPair.generate(DeterministicRandom(f"key-{name}")),
+            [k.public for k in server_keys],
+            rng=DeterministicRandom(f"rng-{name}"),
+            max_conversations=2 if name == "alice" else 1,
+        )
+        for name in ("alice", "bob", "carol", "dave")
+    }
+    clients["alice"].start_conversation(clients["bob"].public_key)
+    clients["bob"].start_conversation(clients["alice"].public_key)
+    clients["carol"].dial(clients["bob"].public_key)
+    clients["dave"].dial(clients["alice"].public_key)
+    return list(clients.values())
+
+
+@pytest.mark.parametrize("protocol", ["conversation", "dialing"])
+def test_a_per_client_round_pays_what_its_clients_pay_alone(
+    server_keys, curve, every_kdf, protocol
+):
+    """One batched build of a round costs exactly the sum of its clients'
+    single-client builds, in curve units and in derived keys; only the
+    number of calls falls: one fixed-point batch per onion layer, plus one
+    per dialer's invitation seal."""
+
+    alone, batched = per_client_round(server_keys), per_client_round(server_keys)
+
+    def spent(build) -> tuple[dict, Counter, int]:
+        curve.clear()
+        every_kdf.clear()
+        build()
+        return units(curve), Counter(every_kdf), curve["x25519_fixed_point_batch.calls"]
+
+    if protocol == "conversation":
+        *one_op, calls = spent(lambda: build_conversation_round(batched, 0))
+        *summed, _ = spent(lambda: [client.build_conversation_requests(0) for client in alone])
+    else:
+        *one_op, calls = spent(lambda: build_dialing_round(batched, 0, 1))
+        *summed, _ = spent(lambda: [client.build_dialing_request(0, 1) for client in alone])
+    assert one_op == summed
+    assert calls == len(server_keys) + (2 if protocol == "dialing" else 0)

@@ -56,10 +56,11 @@ class WireTap:
         self.rounds: dict[int, dict[str, list[bytes]]] = {}
         build = ConversationProtocol.build_wires
 
-        def tapped(protocol, client, round_number):
-            wires = build(protocol, client, round_number)
-            self.rounds.setdefault(round_number, {})[client.name] = [bytes(w) for w in wires]
-            return wires
+        def tapped(protocol, clients, round_number, engine=None):
+            built = build(protocol, clients, round_number, engine)
+            for client, wires in zip(clients, built):
+                self.rounds.setdefault(round_number, {})[client.name] = [bytes(w) for w in wires]
+            return built
 
         monkeypatch.setattr(ConversationProtocol, "build_wires", tapped)
 
@@ -281,7 +282,9 @@ def test_per_client_session_heads_over_tcp(monkeypatch, tmp):
 def test_per_client_session_heads_over_tcp_on_the_pool(pool, monkeypatch, tmp):
     """The launcher's own engine forced onto its pool; the chain servers in
     their processes keep their serial engine."""
-    assert per_client_session(DeploymentLauncher, monkeypatch, tmp) == committed("session_tcp")
+    assert per_client_session(
+        DeploymentLauncher, monkeypatch, tmp, pooled=True
+    ) == committed("session_tcp")
 
 
 @pytest.mark.parametrize("engine", ["inline", "pool"])

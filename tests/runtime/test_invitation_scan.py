@@ -144,6 +144,28 @@ def test_parallel_session_forks_with_no_round_thread_running(parallel_scan, monk
     scan pool forks from a single-threaded process (no fork-with-threads
     ``DeprecationWarning`` on Python 3.12+), and later overlapped dialing
     rounds reuse it."""
+    session_forks_once_with_one_thread(monkeypatch)
+
+
+def test_pooled_session_forks_with_no_round_thread_running(parallel_scan, monkeypatch):
+    """The same with every curve op on the pool: the pool forks in the first
+    dialing round's batched client build, still in the caller's thread."""
+    monkeypatch.setattr(round_engine, "POOL_CURVE_OPS", 0)
+    builds: list[int] = []
+    build = round_engine.RoundEngine.wrap_dial_chunks
+
+    def spy(engine, *args):
+        builds.append(engine._pool is None)
+        return build(engine, *args)
+
+    monkeypatch.setattr(round_engine.RoundEngine, "wrap_dial_chunks", spy)
+    session_forks_once_with_one_thread(monkeypatch)
+    assert builds[0] is True  # the first pooled op of the session is the build
+
+
+def session_forks_once_with_one_thread(monkeypatch) -> None:
+    """A depth-2 dialing ring session forks its driver's pool once, from a
+    process running one thread, and never warns about forking."""
     started_with: list[int] = []
     executor = round_engine.RoundEngine._executor
 
