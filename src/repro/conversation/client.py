@@ -233,7 +233,6 @@ def build_rows(
     if any(rows.server_public_keys != server_public_keys for rows, _, _ in builds):
         raise ProtocolError("rows built in one op must share one server chain")
     columns: list[list] = []
-    counts: list[int] = []
     for rows, plaintexts, start in builds:
         drawn = rows.draw(round_number, plaintexts, start)
         if columns:
@@ -241,7 +240,6 @@ def build_rows(
                 column.extend(more)
         else:
             columns = drawn
-        counts.append(len(plaintexts))
     if engine is None:
         from ..runtime.engine import default_engine  # the engine imports this module
 
@@ -252,10 +250,11 @@ def build_rows(
     )
     built: list[list[bytes]] = []
     offset = 0
-    for (rows, _, _), count in zip(builds, counts):
-        rows.built(round_number, contexts[offset : offset + count])
-        built.append(wires[offset : offset + count])
-        offset += count
+    for rows, plaintexts, _ in builds:
+        stop = offset + len(plaintexts)
+        rows.built(round_number, contexts[offset:stop])
+        built.append(wires[offset:stop])
+        offset = stop
     return built
 
 

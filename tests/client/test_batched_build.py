@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,8 +33,6 @@ from repro.runtime import engine as round_engine
 from repro.runtime import worker as engine_worker
 
 SEED = 31
-#: Long enough for a hung round to be a hang, short of the CI step timeout.
-ROUND_TIMEOUT = 120
 CHAIN = [KeyPair.generate(DeterministicRandom(f"server-{i}")) for i in range(3)]
 
 
@@ -174,31 +171,6 @@ def test_one_op_needs_one_chain():
 # ------------------------------------------------------------ worker crashes
 
 
-def in_time(call):
-    """``call()`` on a helper thread; fails the test instead of hanging it."""
-    outcome: dict = {}
-
-    def run() -> None:
-        try:
-            outcome["value"] = call()
-        except BaseException as exc:  # re-raised in the test's thread
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(ROUND_TIMEOUT)
-    assert not thread.is_alive(), f"still running after {ROUND_TIMEOUT} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
-@pytest.fixture
-def two_cores(monkeypatch):
-    """Drivers built in the test get a two-worker engine, whatever the host."""
-    monkeypatch.setattr(round_engine, "_usable_cores", lambda: 2)
-
-
 def crash_once(monkeypatch, tmp_path, name: str, when=lambda *args: True):
     """Make the worker function ``name`` kill its worker the first time it
     runs in a worker with ``when(*args)`` true; returns the marker file the
@@ -240,7 +212,7 @@ def pair_up(driver, names=("alice", "bob", "carol")):
 
 @pytest.mark.parametrize("shape", ["in-process", "tcp"])
 def test_worker_crash_mid_build_fails_the_round_and_not_the_next(
-    shape, forced_pool, two_cores, monkeypatch, tmp_path
+    shape, forced_pool, two_cores, in_time, monkeypatch, tmp_path
 ):
     """A worker dies building the round that carries alice's message: the
     round fails with ``ProtocolError``, its window is discarded, and the
@@ -262,7 +234,7 @@ def test_worker_crash_mid_build_fails_the_round_and_not_the_next(
 
 @pytest.mark.parametrize("op", ["conversation", "dialing"])
 def test_worker_crash_mid_build_fails_the_session_and_not_the_next(
-    op, forced_pool, two_cores, monkeypatch, tmp_path
+    op, forced_pool, two_cores, in_time, monkeypatch, tmp_path
 ):
     """The same inside a depth-2 continuous session: the round whose build
     dies fails the session (its own window and the pre-opened next one are

@@ -30,8 +30,6 @@ from repro.simulation import ClientSwarm, WorkloadSpec
 from swarm_oracle import reference_wires
 
 SEED = 424
-#: Long enough for a hung round to be a hang, short of the CI step timeout.
-ROUND_TIMEOUT = 120
 
 
 def scenario(num_users: int):
@@ -51,36 +49,11 @@ def queue_messages(swarm: ClientSwarm, round_number: int) -> dict[str, bytes]:
     return expected
 
 
-def in_time(call):
-    """``call()`` on a helper thread; fails the test instead of hanging it."""
-    outcome: dict = {}
-
-    def run() -> None:
-        try:
-            outcome["value"] = call()
-        except BaseException as exc:  # re-raised in the test's thread
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(ROUND_TIMEOUT)
-    assert not thread.is_alive(), f"still running after {ROUND_TIMEOUT} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
 @pytest.fixture(params=available_backends())
 def backend_name(request):
     set_backend(request.param)
     yield request.param
     set_backend(available_backends()[-1])
-
-
-@pytest.fixture
-def two_cores(monkeypatch):
-    """Drivers built in the test get a two-worker engine, whatever the host."""
-    monkeypatch.setattr(round_engine, "_usable_cores", lambda: 2)
 
 
 class TestPooledBuild:
@@ -144,7 +117,7 @@ class TestPooledBuild:
 
 @pytest.mark.parametrize("shape", ["in-process", "tcp"])
 def test_worker_crash_mid_build_fails_the_round_and_not_the_next(
-    shape, forced_pool, two_cores, monkeypatch, tmp_path
+    shape, forced_pool, two_cores, in_time, monkeypatch, tmp_path
 ):
     """A worker dies building the round's second chunk, after the first was
     admitted: the round fails with ``ProtocolError``, its window is
