@@ -47,7 +47,7 @@ from ..conversation import ConversationRows, ConversationSession, build_rows
 from ..crypto import KeyPair, PublicKey
 from ..crypto.rng import RandomSource, default_random
 from ..deaddrop import InvitationDropStore
-from ..dialing import PendingDial, fetch_invitations
+from ..dialing import fetch_invitations
 from ..dialing.client import draw_dial_request, wrap_dial_requests
 from ..errors import ProtocolError
 
@@ -86,7 +86,8 @@ class VuvuzelaClient:
     dial_target: PublicKey | None = None
 
     _slots: dict[bytes, ConversationSlot] = field(default_factory=dict, repr=False)
-    _pending_dials: dict[int, PendingDial] = field(default_factory=dict, repr=False)
+    #: Dialing rounds built and not yet answered.
+    _pending_dials: set[int] = field(default_factory=set, repr=False)
     _send_sequencer: SequenceTracker = field(default_factory=SequenceTracker, repr=False)
     rounds_participated: int = 0
     rounds_lost: int = 0
@@ -250,32 +251,35 @@ class VuvuzelaClient:
         a one-client :func:`build_dialing_round`."""
         return build_dialing_round([self], dialing_round, num_buckets)[0]
 
-    def _draw_dialing_request(self, dialing_round: int, num_buckets: int) -> list[bytes | None]:
-        """This dialing round's draws, as a
-        :func:`~repro.dialing.client.draw_dial_request` row."""
+    def _draw_dialing_request(
+        self, dialing_round: int, num_buckets: int
+    ) -> tuple[PublicKey | None, list[bytes | None]]:
+        """This dialing round's draws: the target they invite (``None`` for
+        a no-op request) and a :func:`~repro.dialing.client.draw_dial_request`
+        row."""
         if dialing_round in self._pending_dials:
             raise ProtocolError(
                 f"{self.name} already built a dialing request for round {dialing_round}"
             )
+        target = self.dial_target
         depth = len(self.server_public_keys)
-        return draw_dial_request(depth, self.keys, self.dial_target, num_buckets, self._dialing_rng)
+        return target, draw_dial_request(depth, self.keys, target, num_buckets, self._dialing_rng)
 
-    def _dialing_request_built(self, dialing_round: int) -> None:
+    def _dialing_request_built(self, dialing_round: int, target: PublicKey | None) -> None:
         # As for conversations: a pending dial for an earlier round is dead
         # once a newer dialing round builds — drop it instead of leaking it.
-        for stale in [r for r in self._pending_dials if r < dialing_round]:
-            del self._pending_dials[stale]
-        self._pending_dials[dialing_round] = PendingDial(
-            round_number=dialing_round, dialing=self.dial_target is not None
-        )
-        # Dialing is one-shot: the invitation is sent this round, after which
-        # the user must dial again to re-invite.
-        self.dial_target = None
+        self._pending_dials = {r for r in self._pending_dials if r > dialing_round}
+        self._pending_dials.add(dialing_round)
+        # Dialing is one-shot: the invitation to ``target`` is sent this
+        # round, after which the user must dial again to re-invite.  A dial()
+        # made while the round built was not drawn, so it waits for the next.
+        if self.dial_target is target:
+            self.dial_target = None
 
     def handle_dialing_response(self, dialing_round: int, response: bytes | None) -> None:
-        pending = self._pending_dials.pop(dialing_round, None)
-        if pending is None:
+        if dialing_round not in self._pending_dials:
             raise ProtocolError(f"{self.name} has no pending dial for round {dialing_round}")
+        self._pending_dials.discard(dialing_round)
         if response is None:
             self.rounds_lost += 1
 
@@ -337,8 +341,8 @@ def build_dialing_round(
     server_public_keys = clients[0].server_public_keys
     if any(client.server_public_keys != server_public_keys for client in clients):
         raise ProtocolError("clients built in one op must share one server chain")
-    rows = [client._draw_dialing_request(dialing_round, num_buckets) for client in clients]
-    wires = wrap_dial_requests(dialing_round, server_public_keys, rows, engine)
-    for client in clients:
-        client._dialing_request_built(dialing_round)
+    drawn = [client._draw_dialing_request(dialing_round, num_buckets) for client in clients]
+    wires = wrap_dial_requests(dialing_round, server_public_keys, [row for _, row in drawn], engine)
+    for client, (target, _) in zip(clients, drawn):
+        client._dialing_request_built(dialing_round, target)
     return wires

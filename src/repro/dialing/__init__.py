@@ -1,7 +1,6 @@
 """The dialing protocol: invitations, dialing rounds and dead-drop tuning."""
 
 from .client import (
-    PendingDial,
     build_dial_request,
     download_size_bytes,
     fetch_invitations,
@@ -12,7 +11,6 @@ from .invitation import (
     INVITATION_OVERHEAD,
     INVITATION_SIZE,
     DialingRequest,
-    build_dialing_request,
     open_invitation,
     seal_invitation,
 )
@@ -31,9 +29,7 @@ __all__ = [
     "DialingRequest",
     "INVITATION_OVERHEAD",
     "INVITATION_SIZE",
-    "PendingDial",
     "build_dial_request",
-    "build_dialing_request",
     "dialing_noise_builder",
     "download_size_bytes",
     "fetch_invitations",

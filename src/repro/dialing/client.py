@@ -13,7 +13,6 @@ number of clients as one round-engine op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .invitation import (
@@ -30,18 +29,6 @@ from ..deaddrop.invitations import NOOP_BUCKET
 
 if TYPE_CHECKING:
     from ..runtime.engine import RoundEngine
-
-
-@dataclass(frozen=True)
-class PendingDial:
-    """Client-side state for one in-flight dialing request.
-
-    A dialing response is a contentless acknowledgement, so nothing here
-    opens it: the client only notes whether one arrived.
-    """
-
-    round_number: int
-    dialing: bool
 
 
 def draw_dial_request(
@@ -88,14 +75,29 @@ def build_dial_batch(
     each dialer's invitation sealed to its recipient, then every request
     onion-wrapped.  Nothing here draws randomness, so the round engine may
     run any slice of a batch anywhere and the wires stay byte-identical."""
-    payloads = [
+    payloads = dial_payloads(round_number, heads, ephemerals, recipients, senders)
+    wires, _ = wrap_request_batch(payloads, server_public_keys, round_number, scalars=scalars)
+    return wires
+
+
+def dial_payloads(
+    round_number: int,
+    heads: Sequence[bytes],
+    ephemerals: Sequence[bytes | None],
+    recipients: Sequence[bytes | None],
+    senders: Sequence[bytes | None],
+) -> list[bytes]:
+    """The dialing requests as the last server sees them, from the first
+    four columns of :func:`draw_dial_request` rows: a no-op request as drawn,
+    a real one as its dead-drop index followed by the invitation sealed to
+    its recipient — :data:`~repro.dialing.invitation.DIALING_REQUEST_SIZE`
+    bytes either way."""
+    return [
         head
         if ephemeral is None
         else head + seal_drawn_invitation(ephemeral, sender, recipient, round_number)
         for head, ephemeral, recipient, sender in zip(heads, ephemerals, recipients, senders)
     ]
-    wires, _ = wrap_request_batch(payloads, server_public_keys, round_number, scalars=scalars)
-    return wires
 
 
 def wrap_dial_requests(
@@ -126,14 +128,16 @@ def build_dial_request(
     recipient_public: PublicKey | None,
     num_buckets: int,
     rng: RandomSource | None = None,
-) -> tuple[bytes, PendingDial]:
+) -> bytes:
     """Build the onion-wrapped dialing request for one dialing round: a
-    one-client :func:`wrap_dial_requests` on the default engine."""
+    one-client :func:`wrap_dial_requests` on the default engine.  A dialing
+    response is a contentless acknowledgement, so the build keeps no
+    response keys."""
     row = draw_dial_request(
         len(server_public_keys), own_keys, recipient_public, num_buckets, rng or default_random()
     )
     (wire,) = wrap_dial_requests(round_number, server_public_keys, [row])
-    return wire, PendingDial(round_number=round_number, dialing=recipient_public is not None)
+    return wire
 
 
 def own_invitation_bucket(own_keys: KeyPair, num_buckets: int) -> int:

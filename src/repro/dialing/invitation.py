@@ -8,6 +8,7 @@ A *dialing request* is what travels through the mix chain: the target
 invitation dead-drop index followed by the opaque invitation.  Requests whose
 sender is not dialing anyone this round target the special no-op bucket and
 carry a random blob of the same size, so all dialing requests look alike.
+:mod:`repro.dialing.client` builds both kinds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import struct
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..crypto import KeyPair, PublicKey, invitation_dead_drop
 from ..crypto.invitation import (  # the sealed box, re-exported with its wire format
     INVITATION_OVERHEAD,
     INVITATION_SIZE,
@@ -24,7 +24,6 @@ from ..crypto.invitation import (  # the sealed box, re-exported with its wire f
     open_invitations,
     seal_invitation,
 )
-from ..crypto.rng import RandomSource, default_random
 from ..deaddrop.invitations import NOOP_BUCKET
 from ..errors import ProtocolError
 
@@ -107,24 +106,3 @@ def split_dialing_requests(
             continue
         grouped.setdefault(bucket, []).append(bytes(payload[4:]))
     return grouped, malformed
-
-
-def build_dialing_request(
-    sender: KeyPair,
-    recipient_public: PublicKey | None,
-    round_number: int,
-    num_buckets: int,
-    rng: RandomSource | None = None,
-) -> DialingRequest:
-    """Build this round's dialing request (real or no-op).
-
-    When ``recipient_public`` is ``None`` the client is not dialing anyone:
-    the request targets the no-op bucket and carries random bytes shaped like
-    an invitation, so the first server cannot tell dialers from non-dialers.
-    """
-    rng = rng or default_random()
-    if recipient_public is None:
-        return DialingRequest(bucket=NOOP_BUCKET, invitation=rng.random_bytes(INVITATION_SIZE))
-    bucket = invitation_dead_drop(recipient_public, num_buckets)
-    invitation = seal_invitation(sender, recipient_public, round_number, rng)
-    return DialingRequest(bucket=bucket, invitation=invitation)

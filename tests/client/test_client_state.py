@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.client import Outbox, VuvuzelaClient
+from repro.client.client import build_dialing_round
 from repro.crypto import DeterministicRandom, KeyPair
 from repro.errors import ProtocolError
+from repro.runtime.engine import RoundEngine
 
 
 class TestOutbox:
@@ -109,3 +111,20 @@ class TestVuvuzelaClientUnit:
         client.build_dialing_request(1, num_buckets=1)
         client.handle_dialing_response(1, b"")
         assert client.rounds_lost == 0
+
+    def test_a_dial_made_while_the_round_builds_waits_for_the_next_round(self):
+        """The crypto of a dialing build may run on the driver's pool after
+        the draws; a dial() in that gap was not drawn, so it must survive."""
+        client = self._client()
+        first, second = (KeyPair.generate(DeterministicRandom(seed)) for seed in (5, 6))
+
+        class DialsMidBuild(RoundEngine):
+            def wrap_dial_chunks(self, *args):
+                client.dial(second.public)
+                return super().wrap_dial_chunks(*args)
+
+        client.dial(first.public)
+        build_dialing_round([client], 0, 1, DialsMidBuild(workers=1))
+        assert client.dial_target == second.public
+        build_dialing_round([client], 1, 1, RoundEngine(workers=1))
+        assert client.dial_target is None

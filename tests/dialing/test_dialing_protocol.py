@@ -26,7 +26,6 @@ from repro.dialing import (
     INVITATION_OVERHEAD,
     INVITATION_SIZE,
     build_dial_request,
-    build_dialing_request,
     dialing_noise_builder,
     download_size_bytes,
     fetch_invitations,
@@ -37,9 +36,20 @@ from repro.dialing import (
     paper_dialing_cost_model,
     seal_invitation,
 )
+from repro.dialing.client import dial_payloads, draw_dial_request
 from repro.errors import ConfigurationError, CryptoError, ProtocolError
 from repro.mixnet import DialingNoiseSpec, build_chain
 from repro.privacy import LaplaceParams
+
+
+def dialing_request(sender, recipient_public, round_number, num_buckets, rng) -> bytes:
+    """One client's dialing request as the last server sees it, built the
+    way every client builds it: its draws, then the seal."""
+    head, ephemeral, recipient, own = draw_dial_request(
+        0, sender, recipient_public, num_buckets, rng
+    )
+    (payload,) = dial_payloads(round_number, [head], [ephemeral], [recipient], [own])
+    return payload
 
 
 class TestInvitations:
@@ -78,10 +88,11 @@ class TestInvitations:
             DialingRequest.decode(b"\x00" * 3)
 
     def test_real_and_noop_requests_are_same_size(self, rng, alice, bob):
-        real = build_dialing_request(alice, bob.public, 1, 4, rng)
-        noop = build_dialing_request(alice, None, 1, 4, rng)
-        assert len(real.encode()) == len(noop.encode()) == DIALING_REQUEST_SIZE
-        assert noop.bucket == NOOP_BUCKET
+        real = dialing_request(alice, bob.public, 1, 4, rng)
+        noop = dialing_request(alice, None, 1, 4, rng)
+        assert len(real) == len(noop) == DIALING_REQUEST_SIZE
+        assert DialingRequest.decode(noop).bucket == NOOP_BUCKET
+        assert DialingRequest.decode(real).bucket == own_invitation_bucket(bob, 4)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=20, deadline=None)
@@ -174,8 +185,8 @@ class TestBucketScan:
 class TestDialingRound:
     def test_processor_buckets_invitations(self, rng, alice, bob):
         processor = DialingProcessor(num_buckets=4)
-        request = build_dialing_request(alice, bob.public, 1, 4, rng)
-        responses = processor(1, [request.encode()])
+        request = dialing_request(alice, bob.public, 1, 4, rng)
+        responses = processor(1, [request])
         assert responses == [b""]
         store = processor.store_for_round(1)
         bucket = own_invitation_bucket(bob, 4)
@@ -256,11 +267,10 @@ class TestDialingRound:
                 dialing_noise_builder(spec, num_buckets) if i < len(server_keys) - 1 else None
             ),
         )
-        wire_a, pending_a = build_dial_request(1, publics, alice, bob.public, num_buckets, rng)
+        wire_a = build_dial_request(1, publics, alice, bob.public, num_buckets, rng)
         charlie = KeyPair.generate(rng)
-        wire_c, pending_c = build_dial_request(1, publics, charlie, None, num_buckets, rng)
+        wire_c = build_dial_request(1, publics, charlie, None, num_buckets, rng)
         assert len(wire_a) == len(wire_c) == request_size(DIALING_REQUEST_SIZE, 3)
-        assert pending_a.dialing and not pending_c.dialing
 
         chain.run_round(1, [wire_a, wire_c])
 
