@@ -259,40 +259,30 @@ def tmp(tmp_path):
     return tmp_path
 
 
-@pytest.fixture
-def pool(monkeypatch):
-    """Drivers built in the test send every curve op to a two-worker pool."""
-    monkeypatch.setattr(round_engine, "POOL_CURVE_OPS", 0)
-    monkeypatch.setattr(round_engine, "_usable_cores", lambda: 2)
-
-
-def test_per_client_session_heads(monkeypatch, tmp):
-    assert per_client_session(VuvuzelaSystem, monkeypatch, tmp) == committed("session")
-
-
-def test_per_client_session_heads_on_the_pool(pool, monkeypatch, tmp):
-    """Every client build, peel and noise wrap on the pool: the same bytes."""
-    assert per_client_session(VuvuzelaSystem, monkeypatch, tmp, pooled=True) == committed("session")
-
-
-def test_per_client_session_heads_over_tcp(monkeypatch, tmp):
-    assert per_client_session(DeploymentLauncher, monkeypatch, tmp) == committed("session_tcp")
-
-
-def test_per_client_session_heads_over_tcp_on_the_pool(pool, monkeypatch, tmp):
-    """The launcher's own engine forced onto its pool; the chain servers in
-    their processes keep their serial engine."""
-    assert per_client_session(
-        DeploymentLauncher, monkeypatch, tmp, pooled=True
-    ) == committed("session_tcp")
-
-
-@pytest.mark.parametrize("engine", ["inline", "pool"])
-def test_swarm_heads(engine, monkeypatch, tmp):
-    """The pool-forced build lands on the same committed bytes as inline."""
-    if engine == "pool":
+@pytest.fixture(params=["inline", "pool"])
+def engine(request, monkeypatch):
+    """``pool``: drivers built in the test send every curve op (client
+    builds, peels, noise wraps) to a two-worker pool, and must land on the
+    same committed bytes as inline."""
+    if request.param == "pool":
         monkeypatch.setattr(round_engine, "POOL_CURVE_OPS", 0)
-        monkeypatch.setattr(round_engine, "_usable_cores", lambda: 2)
+        request.getfixturevalue("two_cores")
+    return request.param
+
+
+def test_per_client_session_heads(engine, monkeypatch, tmp):
+    session = per_client_session(VuvuzelaSystem, monkeypatch, tmp, pooled=engine == "pool")
+    assert session == committed("session")
+
+
+def test_per_client_session_heads_over_tcp(engine, monkeypatch, tmp):
+    """Pooled, only the launcher's own engine forks; the chain servers in
+    their processes keep their serial engine."""
+    session = per_client_session(DeploymentLauncher, monkeypatch, tmp, pooled=engine == "pool")
+    assert session == committed("session_tcp")
+
+
+def test_swarm_heads(engine, tmp):
     assert swarm_session(tmp, pooled=engine == "pool") == committed("swarm")
 
 
@@ -310,13 +300,10 @@ def test_abort_session_heads_over_tcp(monkeypatch, tmp):
     assert abort_session(DeploymentLauncher, monkeypatch, tmp) == committed("abort_tcp")
 
 
-def test_continuous_session_heads(monkeypatch, tmp):
-    assert continuous_session(monkeypatch, tmp) == committed("continuous")
-
-
-def test_continuous_session_heads_on_the_pool(pool, monkeypatch, tmp):
-    """Both scheduler threads share the one pooled engine: the same bytes."""
-    assert continuous_session(monkeypatch, tmp, pooled=True) == committed("continuous")
+def test_continuous_session_heads(engine, monkeypatch, tmp):
+    """Pooled, both scheduler threads share the one pooled engine."""
+    session = continuous_session(monkeypatch, tmp, pooled=engine == "pool")
+    assert session == committed("continuous")
 
 
 if __name__ == "__main__":
