@@ -1,23 +1,25 @@
 """Where splitting a batch op across the engine's pool starts to pay.
 
-The round engine sends a peel or a noise wrap to its worker pool only from
-``POOL_CURVE_OPS`` curve operations, never sends the response wrap, and ships
-every chunk as a packed block through the task pipe.  This probe measures
-the numbers behind those three choices on this host, with the pool warm:
+The round engine decides inline or pool for every op from one table,
+``repro.runtime.engine.POOL_OPS``: each op's work count and the threshold
+it pools from.  This probe walks that table and measures, on this host with
+the pool warm, each op over row counts on both sides of its threshold:
 
-* **peel** (one curve op per wire) and **noise wrap** (two layers, one curve
-  op per layer per wire): inline against split into one chunk per worker;
-* **response wrap** (AEAD only): inline against split, through a probe-local
-  worker task, since the engine itself never splits it;
-* **pipe**: a no-op round trip of one packed block per worker (pack, send,
-  unpack in the worker, pack, return, unpack), the transport's whole cost;
-* **client build**: a swarm round's wires at conv-swarm's shape (60% of the
-  users paired), through ``ClientSwarm.build_round`` on an inline engine
-  against the pool — the rng draws in the parent, the fake exchanges, boxes
-  and onion layers wherever the engine runs them.
+* **inline** against **split** into one chunk per worker, through
+  ``RoundEngine.run`` — the response wrap included, although the table
+  never pools it, since splitting it is what the table rules out;
+* the table's own **work** count for those rows and whether the table
+  **pools** them;
+* **pipe**: a no-op row op's round trip of one packed chunk per worker
+  (pack, send, unpack in the worker, pack, return, unpack), the transport's
+  whole cost.
 
-Each cell is the best of ``REPEATS`` runs on a two-worker pool, in
-milliseconds, with the fastest available crypto backend.  Run::
+The ops' inputs take the shapes the benchmark workloads give them: a
+three-server chain, the noise wrapped for the two servers after the first,
+60% of the conversation rows paired (conv-swarm) and half the dialing rows
+dialing (dial-mix), and a 64-invitation dead drop for the scan.  Each cell
+is the best of ``REPEATS`` runs on a two-worker pool, in milliseconds, with
+the fastest available crypto backend.  Run::
 
     PYTHONPATH=src python benchmarks/probe_engine_crossover.py
 """
@@ -31,36 +33,81 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.config import VuvuzelaConfig  # noqa: E402
 from repro.crypto import DeterministicRandom, KeyPair, wrap_request_batch  # noqa: E402
 from repro.crypto.backend import active_backend, available_backends, set_backend  # noqa: E402
-from repro.crypto.onion import wrap_response_batch  # noqa: E402
+from repro.crypto.deaddrop_id import DEAD_DROP_ID_SIZE  # noqa: E402
+from repro.crypto.invitation import INVITATION_SIZE, seal_invitation  # noqa: E402
+from repro.crypto.onion import draw_request_scalars  # noqa: E402
+from repro.dialing.client import draw_dial_request  # noqa: E402
 from repro.runtime import RoundEngine  # noqa: E402
 from repro.runtime import engine as round_engine  # noqa: E402
-from repro.net.packed import pack, unpack, unpack_owned  # noqa: E402
-from repro.simulation import ClientSwarm, WorkloadSpec  # noqa: E402
+from repro.runtime import worker  # noqa: E402
 
 #: A conversation exchange request, as a mixing server's noise carries it.
 PAYLOAD_SIZE = 272
 ROUND = 3
-#: Batch sizes in wires: both sides of the crossover, up to conv-noise's
-#: ~1,100-wire noise wrap and a 2,300-wire peel.
-SIZES = (16, 32, 64, 128, 256, 512, 1_100, 2_300)
-#: Swarm sizes of the client-build rows, up to conv-swarm's 2,000 users.
-CLIENT_SIZES = (100, 500, 2_000)
+#: Rows of the wire ops: both sides of the crossover, up to conv-noise's
+#: ~1,100-wire noise wrap and a 2,300-wire peel.  The client and dial builds
+#: stop at 1,100 rows, already 3,700 curve ops.
+SIZES = (16, 64, 128, 256, 512, 1_100, 2_300)
+#: Recipients of the scan, against :data:`BUCKET` invitations: 128 to 4,096 trials.
+SCAN_SIZES = (2, 4, 8, 16, 32, 64)
+BUCKET = 64
 REPEATS = 7
 WORKERS = 2
 
 
-def _wrap_response_chunk(task: tuple) -> bytes:
-    block, round_number = task
-    entries = unpack_owned(block)
-    half = len(entries) // 2
-    return pack(b"", wrap_response_batch(entries[:half], entries[half:], round_number))
+def echo_rows(columns: list) -> list:
+    """The pipe's row op: its columns, straight back."""
+    return columns
 
 
-def _echo_chunk(block: bytes) -> bytes:
-    return pack(b"", unpack(block))
+def op_inputs() -> dict:
+    """``{op: (sizes, inputs(n) -> (columns, static))}`` for every op in the table."""
+    rng = DeterministicRandom("probe")
+    chain = [KeyPair.generate(rng) for _ in range(3)]
+    publics = [kp.public for kp in chain]
+    top = max(SIZES)
+    payloads = [b"\x00" * PAYLOAD_SIZE] * top
+    wires, _ = wrap_request_batch(payloads, publics, ROUND, rng)
+    layer_keys = [rng.random_bytes(32) for _ in range(top)]
+    noise_scalars = draw_request_scalars(top, 2, rng)
+    client_scalars = draw_request_scalars(top, 3, rng)
+    paired = [i % 5 < 3 for i in range(top)]
+    client = [
+        [None if p else rng.random_bytes(64) for p in paired],
+        [rng.random_bytes(32) if p else None for p in paired],
+        [rng.random_bytes(DEAD_DROP_ID_SIZE) if p else None for p in paired],
+        [b"probe message"] * top,
+        *client_scalars,
+    ]
+    caller = KeyPair.generate(rng)
+    dial = [list(column) for column in zip(*(
+        draw_dial_request(3, caller, publics[0] if i % 2 else None, 1, rng) for i in range(top)
+    ))]
+    recipients = [KeyPair.generate(rng) for _ in range(max(SCAN_SIZES))]
+    bucket = sorted(
+        seal_invitation(caller, recipients[i % len(recipients)].public, ROUND, rng) if i % 2
+        else rng.random_bytes(INVITATION_SIZE)
+        for i in range(BUCKET)
+    )
+
+    def cut(columns: list, n: int) -> list:
+        return [column[:n] for column in columns]
+
+    return {
+        worker.peel_rows: (SIZES, lambda n: ([wires[:n]], (chain[0].private, 0, ROUND))),
+        worker.wrap_response_rows: (SIZES, lambda n: ([payloads[:n], layer_keys[:n]], (ROUND,))),
+        worker.wrap_noise_rows: (
+            SIZES, lambda n: ([payloads[:n], *cut(noise_scalars, n)], (publics[1:], ROUND))
+        ),
+        worker.wrap_client_rows: (SIZES[:-1], lambda n: (cut(client, n), (publics, ROUND))),
+        worker.wrap_dial_rows: (SIZES[:-1], lambda n: (cut(dial, n), (publics, ROUND))),
+        worker.scan_rows: (
+            SCAN_SIZES,
+            lambda n: ([[kp.private.data for kp in recipients[:n]]], (tuple(bucket), ROUND)),
+        ),
+    }
 
 
 def best_ms(fn) -> float:
@@ -72,94 +119,58 @@ def best_ms(fn) -> float:
     return round(best * 1000, 2)
 
 
-def probe() -> list[dict]:
-    keypairs = [KeyPair.generate(DeterministicRandom(f"probe-{i}")) for i in range(3)]
-    publics = [kp.public for kp in keypairs]
-    payloads = [b"\x00" * PAYLOAD_SIZE] * max(SIZES)
-    wires, _ = wrap_request_batch(payloads, publics, ROUND, DeterministicRandom("probe-wires"))
-    keys = [DeterministicRandom(f"k{i}").random_bytes(32) for i in range(max(SIZES))]
+def probe() -> dict:
+    table = dict(round_engine.POOL_OPS)
+    inputs = op_inputs()
+    if set(inputs) != set(table):
+        raise SystemExit("every op in the engine's table needs a probe row")
     inline = RoundEngine(workers=1)
     pooled = RoundEngine(workers=WORKERS)
     # Every op to the pool, whatever its size: the probe times both sides.
-    round_engine.POOL_CURVE_OPS = 0
-    rows = []
+    round_engine.POOL_OPS = {op: (work, 0) for op, (work, _) in table.items()}
+    round_engine.POOL_OPS[echo_rows] = (lambda columns, *_: len(columns[0]), 0)
+    rows, pipe = [], []
     try:
-        pooled.wrap_noise_chunks(payloads[:64], publics[1:], ROUND, DeterministicRandom(0))  # fork
+        # Fork, then warm every op in the workers: their first crypto after
+        # the fork runs slower than steady state.
+        for op, (sizes, make) in inputs.items():
+            columns, static = make(max(sizes))
+            pooled.run(op, columns, *static)
+        for op, (sizes, make) in inputs.items():
+            work, threshold = table[op]
+            for n in sizes:
+                columns, static = make(n)
+                units = work(columns, *static)
+                row = {
+                    "op": op.__name__,
+                    "rows": n,
+                    "work": units,
+                    "table_pools": threshold is not None and threshold <= units,
+                    "inline_ms": best_ms(lambda: inline.run(op, columns, *static)),
+                    "split_ms": best_ms(lambda: pooled.run(op, columns, *static)),
+                }
+                rows.append(row)
+                print(
+                    f"  {row['op']:<18} rows={n:<6} work={units:<6} "
+                    f"{'pool  ' if row['table_pools'] else 'inline'} "
+                    f"{row['inline_ms']:>9} -> {row['split_ms']:>9}",
+                    file=sys.stderr,
+                )
+        (wires,), _ = inputs[worker.peel_rows][1](max(SIZES))
         for n in SIZES:
-            bounds = pooled._bounds(n, True)
-
-            def noise(engine):
-                return lambda: engine.wrap_noise_chunks(payloads[:n], publics[1:], ROUND, DeterministicRandom(n))
-
-            def peel(engine):
-                return lambda: engine.peel_request_chunks(wires[:n], keypairs[0].private, 0, ROUND)
-
-            def split_response():
-                tasks = [(pack(b"", [*payloads[lo:hi], *keys[lo:hi]]), ROUND) for lo, hi in bounds]
-                for packed in pooled._pipelined(_wrap_response_chunk, tasks):
-                    unpack_owned(packed)
-
-            def pipe():
-                for packed in pooled._pipelined(_echo_chunk, (pack(b"", wires[lo:hi]) for lo, hi in bounds)):
-                    unpack_owned(packed)
-
-            row = {
-                "n": n,
-                "noise_inline_ms": best_ms(noise(inline)),
-                "noise_split_ms": best_ms(noise(pooled)),
-                "peel_inline_ms": best_ms(peel(inline)),
-                "peel_split_ms": best_ms(peel(pooled)),
-                "response_inline_ms": best_ms(lambda: wrap_response_batch(payloads[:n], keys[:n], ROUND)),
-                "response_split_ms": best_ms(split_response),
-                "pipe_ms": best_ms(pipe),
-            }
-            rows.append(row)
-            print(
-                f"  n={n:<6} noise {row['noise_inline_ms']:>8} -> {row['noise_split_ms']:>8}   "
-                f"peel {row['peel_inline_ms']:>8} -> {row['peel_split_ms']:>8}   "
-                f"response {row['response_inline_ms']:>7} -> {row['response_split_ms']:>7}   "
-                f"pipe {row['pipe_ms']:>6}",
-                file=sys.stderr,
-            )
+            pipe.append({"rows": n, "pipe_ms": best_ms(lambda: pooled.run(echo_rows, [wires[:n]]))})
+            print(f"  {'pipe':<18} rows={n:<6} {pipe[-1]['pipe_ms']:>9}", file=sys.stderr)
     finally:
         pooled.close()
-    return rows
-
-
-def probe_client_build() -> list[dict]:
-    """One swarm per size and mode; each timed build is that swarm's next round."""
-    config = VuvuzelaConfig.small(seed=1)
-    inline = RoundEngine(workers=1)
-    pooled = RoundEngine(workers=WORKERS)
-    round_engine.POOL_CURVE_OPS = 0
-    rows = []
-    try:
-        for n in CLIENT_SIZES:
-            spec = WorkloadSpec(num_users=n, conversing_fraction=0.6, dialing_fraction=0.0)
-            row: dict = {"wires": n}
-            for mode, engine in (("inline", inline), ("pooled", pooled)):
-                swarm = ClientSwarm.from_spec(config, spec)
-                rounds = iter(range(REPEATS + 1))
-                swarm.build_round(next(rounds), engine=engine)  # long-term keys, pool fork
-                row[f"client_{mode}_ms"] = best_ms(lambda: swarm.build_round(next(rounds), engine=engine))
-            rows.append(row)
-            print(
-                f"  wires={n:<6} client build {row['client_inline_ms']:>8} -> {row['client_pooled_ms']:>8}",
-                file=sys.stderr,
-            )
-    finally:
-        pooled.close()
-    return rows
+        round_engine.POOL_OPS = table
+    return {"rows": rows, "pipe": pipe}
 
 
 def main() -> None:
     set_backend(available_backends()[-1])
     print(f"backend {active_backend().name}, {WORKERS} workers, best of {REPEATS} (ms)", file=sys.stderr)
-    rows = probe()
-    client_rows = probe_client_build()
-    print(json.dumps(
-        {"backend": active_backend().name, "workers": WORKERS, "rows": rows, "client_rows": client_rows}
-    ))
+    result = probe()
+    print(json.dumps({"backend": active_backend().name, "workers": WORKERS, **result}))
 
 
 if __name__ == "__main__":

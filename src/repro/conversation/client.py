@@ -244,10 +244,7 @@ def build_rows(
         from ..runtime.engine import default_engine  # the engine imports this module
 
         engine = default_engine()
-    fakes, send_keys, dead_drops, texts, *scalars = columns
-    wires, contexts = engine.wrap_client_chunks(
-        round_number, server_public_keys, fakes, send_keys, dead_drops, texts, scalars
-    )
+    wires, contexts = engine.wrap_client_chunks(columns, server_public_keys, round_number)
     built: list[list[bytes]] = []
     offset = 0
     for rows, plaintexts, _ in builds:

@@ -107,18 +107,18 @@ def wrap_dial_requests(
     engine: RoundEngine | None = None,
 ) -> list[bytes]:
     """The wires of many :func:`draw_dial_request` rows, as one
-    :meth:`~repro.runtime.engine.RoundEngine.wrap_dial_chunks` op on
-    ``engine`` (the one-worker default engine when not given)."""
+    :func:`~repro.runtime.worker.wrap_dial_rows` op on ``engine`` (the
+    one-worker default engine when not given)."""
     if not rows:
         return []
-    if engine is None:
-        from ..runtime.engine import default_engine  # the engine imports this module
+    # Imported here: the engine's worker module imports this one.
+    from ..runtime.engine import default_engine
+    from ..runtime.worker import wrap_dial_rows
 
-        engine = default_engine()
-    heads, ephemerals, recipients, senders, *scalars = (list(column) for column in zip(*rows))
-    return engine.wrap_dial_chunks(
-        round_number, server_public_keys, heads, ephemerals, recipients, senders, scalars
-    )
+    columns = [list(column) for column in zip(*rows)]
+    engine = engine or default_engine()
+    (wires,) = engine.run(wrap_dial_rows, columns, server_public_keys, round_number)
+    return wires
 
 
 def build_dial_request(

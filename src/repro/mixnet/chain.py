@@ -237,12 +237,14 @@ class MixServer:
         instead of handled one exception at a time, and chunk ``k`` collected
         while chunk ``k+1`` is still in flight.
         """
+        from ..runtime.worker import peel_rows, wrap_response_rows  # see _engine
+
         engine = self._engine()
         requests = list(requests)
 
         # Step 1: decrypt this server's onion layer of every request.
-        inners, keys = engine.peel_request_chunks(
-            requests, self.keypair.private, self.index, round_number
+        inners, keys = engine.run(
+            peel_rows, [requests], self.keypair.private, self.index, round_number
         )
         valid_positions: list[int | None] = [
             i for i, inner in enumerate(inners) if inner is not None
@@ -280,9 +282,9 @@ class MixServer:
         real_responses = unshuffled[: len(peeled)]
         responses: list[bytes] = [b""] * len(requests)
         keyed = [i for i, key in enumerate(layer_keys) if key is not None]
-        wrapped = engine.wrap_response_chunks(
-            [real_responses[i] for i in keyed],
-            [layer_keys[i] for i in keyed],
+        (wrapped,) = engine.run(
+            wrap_response_rows,
+            [[real_responses[i] for i in keyed], [layer_keys[i] for i in keyed]],
             round_number,
         )
         for i, response in zip(keyed, wrapped):

@@ -19,7 +19,6 @@ from .calibration import (
     TARGET_DELTA,
     TARGET_EPSILON,
     calibrate_conversation_noise,
-    calibrate_dialing_noise,
     noise_for_rounds,
 )
 from .composition import (
@@ -87,7 +86,6 @@ __all__ = [
     "audit_ledger_records",
     "belief_amplification",
     "calibrate_conversation_noise",
-    "calibrate_dialing_noise",
     "compose",
     "conversation_guarantee",
     "conversation_noise_for",

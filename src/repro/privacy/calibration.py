@@ -21,7 +21,7 @@ from typing import Callable
 
 from .composition import DEFAULT_COMPOSITION_D, max_rounds
 from .laplace import LaplaceParams
-from .mechanism import PrivacyGuarantee, conversation_guarantee, dialing_guarantee
+from .mechanism import PrivacyGuarantee, conversation_guarantee
 from ..errors import ConfigurationError
 
 #: The paper's default multi-round privacy target: eps' = ln 2, delta' = 1e-4.
@@ -112,26 +112,6 @@ def calibrate_conversation_noise(
     return _sweep_scale(
         mu,
         conversation_guarantee,
-        target_epsilon,
-        target_delta,
-        d,
-        b_min=max(mu / 500.0, 1.0),
-        b_max=mu / 2.0,
-        steps=steps,
-    )
-
-
-def calibrate_dialing_noise(
-    mu: float,
-    target_epsilon: float = TARGET_EPSILON,
-    target_delta: float = TARGET_DELTA,
-    d: float = DEFAULT_COMPOSITION_D,
-    steps: int = 40,
-) -> NoiseConfiguration:
-    """Best dialing-noise scale ``b`` for mean ``mu`` (§6.5)."""
-    return _sweep_scale(
-        mu,
-        dialing_guarantee,
         target_epsilon,
         target_delta,
         d,

@@ -3,35 +3,39 @@
 A Vuvuzela server's round work — peel a batch, wrap the round's noise, seal
 the responses — a dialing round's trial decryption and the simulated
 clients' wire builds are embarrassingly parallel *within* a round but shaped
-badly for Python: one thread, one giant working set.  :class:`RoundEngine`
-runs every such batch op under one policy:
+badly for Python: one thread, one giant working set.  Each is a *row op*
+(:mod:`.worker`): a pure function over row-aligned columns plus the
+arguments every row shares.  :class:`RoundEngine` runs every op under one
+policy, and :data:`POOL_OPS` is the whole of what differs between them:
+
+================  ===============================================  ============================
+op                work it counts                                   pools from
+================  ===============================================  ============================
+peel              1 curve op per wire                              :data:`POOL_CURVE_OPS`
+response wrap     — (AEAD only)                                    never
+noise wrap        1 per layer per wire                             :data:`POOL_CURVE_OPS`
+client build      1 per layer per wire + 1 per idle row's fake     :data:`POOL_CURVE_OPS`
+dial build        1 per layer per wire + 1 per dialer's seal       :data:`POOL_CURVE_OPS`
+dialing scan      1 trial per recipient per invitation             :data:`SCAN_PARALLEL_TRIALS`
+================  ===============================================  ============================
 
 * **Workers.** One per usable core (``os.sched_getaffinity``); on one core
-  the engine never forks.  There is nothing to configure.
-* **When the pool.** An op goes to the pool only when its own size crosses
-  its measured threshold: :data:`POOL_CURVE_OPS` curve operations for the
-  peel (one per wire), the noise wrap (one per layer per wire), the
-  conversation client build (one per layer per wire, plus one per idle
-  client's fake exchange) and the dialing client build (one per layer per
-  wire, plus one per dialer's invitation seal),
-  :data:`SCAN_PARALLEL_TRIALS` trial decryptions for the dialing scan.  A
-  client build is a whole round's: the swarm's chunk by chunk, and on the
-  per-client path every participating client's wires as one op (each
-  client's draws first, in client order).  The response wrap is AEAD
-  only, and splitting it was measured slower than running it inline, so
-  it never reaches the pool.
-* **Chunks.** Inline, a batch runs in chunks of
-  :data:`~repro.crypto.batch_kernels.PREFERRED_CHUNK`, which keeps the
+  the engine never forks, and neither does an op of one row.  There is
+  nothing to configure.
+* **Chunks.** Inline, an op runs in chunks of
+  :data:`~repro.crypto.batch_kernels.PREFERRED_CHUNK` rows, which keeps the
   vectorized kernels' temporaries cache-resident (100k-message rounds once
-  ran ~40% slower per message than 10k ones).  On the pool, a batch is split
+  ran ~40% slower per message than 10k ones).  On the pool, it is split
   into one chunk per worker, capped at the same size, so a 1,100-wire round
   uses every core and a 1M-wire round still pipelines.
-* **Transport.** Each chunk travels inside its task as one packed list
-  (:mod:`repro.net.packed`) through the executor's pipe, and its
-  results come back the same way.  There is no shared memory: Python's
-  segments need a ``resource_tracker`` process, which outlives its parent and
-  which forked workers start once each when the pool forks first, while the
-  pipe cost the same (under 5% of a chunk's crypto at every measured size).
+* **Transport.** Every pooled chunk is one task of one function,
+  :func:`.worker.run`: the op, its static arguments and the chunk's columns
+  as one packed list (:mod:`repro.net.packed`) travel through the
+  executor's pipe, and its output columns come back the same way.  There
+  is no shared memory: Python's segments need a ``resource_tracker``
+  process, which outlives its parent and which forked workers start once
+  each when the pool forks first, while the pipe cost the same (under 5%
+  of a chunk's crypto at every measured size).
 
 Chunks are *pipelined*, not gang-scheduled: at most ``workers + 2`` are in
 flight, and chunk ``k``'s results are unpacked in the parent while chunks
@@ -81,38 +85,59 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import worker as _worker
 from ..crypto.backend import active_backend
 from ..crypto.batch_kernels import PREFERRED_CHUNK
-from ..crypto.invitation import open_invitations
 from ..crypto.keys import PrivateKey, PublicKey
-from ..crypto.onion import (
-    OnionContext,
-    draw_request_scalars,
-    peel_request_batch,
-    wrap_response_batch,
-)
+from ..crypto.onion import OnionContext, draw_request_scalars
 from ..crypto.rng import RandomSource
 from ..errors import ProtocolError
 from ..net.packed import pack, unpack_owned
 
-#: The fewest curve operations (one per wire for a peel, one per layer per
-#: wire for a noise wrap) that send one batch op to the pool.  Measured on a
-#: 2-core host with the pool warm (``benchmarks/probe_engine_crossover.py``):
-#: split in two, a 2-layer noise wrap ran 1.2-1.3x faster than inline from 32
-#: wires and 1.6-1.7x from 128, while a peel broke even only near 128 wires
-#: and won 1.2x from 256.  One count of curve operations fits both ops.
+#: The fewest curve operations that send a peel, a noise wrap or a client or
+#: dial build to the pool.  Measured on a 2-core host with the pool warm
+#: (``benchmarks/probe_engine_crossover.py``): split in two, a 2-layer noise
+#: wrap ran 1.2-1.3x faster than inline from 32 wires and 1.6-1.7x from 128,
+#: while a peel broke even only near 128 wires and won 1.2x from 256.  One
+#: count of curve operations fits both ops.
 POOL_CURVE_OPS = 256
 
-#: The fewest trial decryptions (recipients x invitations of one dead drop)
-#: that send a dialing scan to the pool.  Measured on a 2-core host: a task's
-#: round trip costs 0.25-0.4 ms and a trial 55-90 us, yet scans of up to ~500
-#: trials ran no faster on two workers than inline (freshly woken workers
-#: share a core for the first few ms), while ~1,000 trials ran 1.9x faster.
-#: Small rounds, the test suite's included, therefore never fork.
+#: The fewest trial decryptions that send a dialing scan to the pool.
+#: Measured on a 2-core host: a task's round trip costs 0.25-0.4 ms and a
+#: trial 55-90 us, yet scans of up to ~500 trials ran no faster on two
+#: workers than inline (freshly woken workers share a core for the first few
+#: ms), while ~1,000 trials ran 1.9x faster.  Small rounds, the test suite's
+#: included, therefore never fork.
 SCAN_PARALLEL_TRIALS = 1024
+
+
+def _given(column: Sequence) -> int:
+    return sum(entry is not None for entry in column)
+
+
+#: Every row op the engine runs: ``{op: (work, threshold)}``.  ``work(columns,
+#: *static)`` counts the op's expensive units (see the module docstring's
+#: table); the op goes to the pool once they reach ``threshold``, never when
+#: it is ``None``.
+POOL_OPS: dict[Callable, tuple[Callable[..., int], int | None]] = {
+    _worker.peel_rows: (lambda columns, *_: len(columns[0]), POOL_CURVE_OPS),
+    _worker.wrap_response_rows: (lambda columns, *_: len(columns[0]), None),
+    _worker.wrap_noise_rows: (lambda columns, keys, _: len(columns[0]) * len(keys), POOL_CURVE_OPS),
+    _worker.wrap_client_rows: (
+        lambda columns, keys, _: len(columns[0]) * len(keys) + _given(columns[0]),
+        POOL_CURVE_OPS,
+    ),
+    _worker.wrap_dial_rows: (
+        lambda columns, keys, _: len(columns[0]) * len(keys) + _given(columns[1]),
+        POOL_CURVE_OPS,
+    ),
+    _worker.scan_rows: (
+        lambda columns, invitations, _: len(columns[0]) * len(invitations),
+        SCAN_PARALLEL_TRIALS,
+    ),
+}
 
 _DEFAULT_ENGINE: "RoundEngine | None" = None
 
@@ -169,8 +194,12 @@ class RoundEngine:
 
     # ------------------------------------------------------------ scheduling
 
-    def _pooled(self, work: int, threshold: int) -> bool:
-        return self.workers > 1 and 0 < work and threshold <= work
+    def _pooled(self, op: Callable, columns: Sequence[Sequence], static: tuple) -> bool:
+        work, threshold = POOL_OPS[op]
+        if self.workers < 2 or len(columns[0]) < 2 or threshold is None:
+            return False
+        units = work(columns, *static)
+        return 0 < units and threshold <= units
 
     def _bounds(self, n: int, pooled: bool) -> list[tuple[int, int]]:
         size = min(PREFERRED_CHUNK, -(-n // self.workers)) if pooled else PREFERRED_CHUNK
@@ -197,10 +226,10 @@ class RoundEngine:
                 self._pool = None
         pool.shutdown(wait=True, cancel_futures=True)
 
-    def _pipelined(self, fn, tasks: Iterable) -> Iterator:
-        """Run chunk tasks with bounded in-flight submission, in order.
+    def _pipelined(self, tasks: Iterable[tuple]) -> Iterator[bytes]:
+        """Run :func:`.worker.run` tasks with bounded in-flight submission.
 
-        Yields chunk results in submission order while later chunks are
+        Yields their results in submission order while later chunks are
         still executing — the pipeline that bounds round memory.  Any
         executor failure (a worker killed mid-chunk, a pool torn down under
         us, an unpicklable task) joins the pool's workers and raises
@@ -212,7 +241,7 @@ class RoundEngine:
             for task in tasks:
                 if len(pending) >= self.workers + 2:
                     yield pending.popleft().result()
-                pending.append(pool.submit(fn, task))
+                pending.append(pool.submit(_worker.run, task))
             while pending:
                 yield pending.popleft().result()
         except Exception as exc:
@@ -221,51 +250,34 @@ class RoundEngine:
 
     # ------------------------------------------------------------- batch ops
 
-    def peel_request_chunks(
-        self,
-        wires: Sequence[bytes],
-        private_key: PrivateKey,
-        server_index: int,
-        round_number: int,
-    ) -> tuple[list[bytes | None], list[bytes | None]]:
-        """Chunked :func:`~repro.crypto.onion.peel_request_batch`."""
-        inners: list[bytes | None] = []
-        keys: list[bytes | None] = []
-        n = len(wires)
-        pooled = self._pooled(n, POOL_CURVE_OPS)
-        bounds = self._bounds(n, pooled)
-        if not pooled:
-            for lo, hi in bounds:
-                chunk_inners, chunk_keys = peel_request_batch(
-                    wires[lo:hi], private_key, server_index, round_number
-                )
-                inners.extend(chunk_inners)
-                keys.extend(chunk_keys)
-            return inners, keys
-        backend_name = active_backend().name
-        tasks = (
-            (private_key.data, pack(b"", wires[lo:hi]), server_index, round_number, backend_name)
-            for lo, hi in bounds
-        )
-        for packed in self._pipelined(_worker.peel_chunk, tasks):
-            entries = unpack_owned(packed)
-            half = len(entries) // 2
-            inners.extend(entries[:half])
-            keys.extend(entries[half:])
-        return inners, keys
+    def run(self, op: Callable, columns: Sequence[Sequence], *static) -> list[list]:
+        """Row op ``op`` over row-aligned ``columns``: its output columns.
 
-    def wrap_response_chunks(
-        self,
-        inners: Sequence[bytes],
-        layer_keys: Sequence[bytes],
-        round_number: int,
-    ) -> list[bytes]:
-        """Chunked :func:`~repro.crypto.onion.wrap_response_batch`, always
-        inline: one AEAD seal per message is cheaper than a pipe hop."""
-        wrapped: list[bytes] = []
-        for lo, hi in self._bounds(len(inners), False):
-            wrapped.extend(wrap_response_batch(inners[lo:hi], layer_keys[lo:hi], round_number))
-        return wrapped
+        The op runs chunk by chunk, inline or on the pool as :data:`POOL_OPS`
+        decides; the output is the same either way.
+        """
+        n = len(columns[0])
+        pooled = self._pooled(op, columns, static)
+        # An op of no rows still runs once, so it returns its (empty) columns.
+        bounds = self._bounds(n, pooled) or [(0, 0)]
+        if pooled:
+            backend_name = active_backend().name
+            tasks = (
+                (op, hi - lo, pack(b"", [entry for column in columns for entry in column[lo:hi]]),
+                 static, backend_name)
+                for lo, hi in bounds
+            )
+            chunks: Iterator = (
+                _worker.split_columns(unpack_owned(packed), hi - lo)
+                for packed, (lo, hi) in zip(self._pipelined(tasks), bounds)
+            )
+        else:
+            chunks = (op([column[lo:hi] for column in columns], *static) for lo, hi in bounds)
+        output = [list(column) for column in next(chunks)]
+        for chunk in chunks:
+            for column, more in zip(output, chunk):
+                column.extend(more)
+        return output
 
     def wrap_noise_chunks(
         self,
@@ -274,140 +286,31 @@ class RoundEngine:
         round_number: int,
         rng: RandomSource,
     ) -> list[bytes]:
-        """Chunked noise wrap, rng draws confined to this thread.
+        """Onion-wrap noise payloads, rng draws confined to this thread.
 
         All ephemeral scalars are drawn up front via
         :func:`~repro.crypto.onion.draw_request_scalars` — in the unchunked
         wrap's exact order — and only the pure crypto is chunked, so the
         resulting wires are byte-identical inline and on the pool.
         """
-        n = len(payloads)
-        if n == 0 or not server_public_keys:
+        if not payloads or not server_public_keys:
             return list(payloads)
-        depth = len(server_public_keys)
-        scalars = draw_request_scalars(n, depth, rng)
-        wires: list[bytes] = []
-        for chunk in self._row_chunks(
-            _worker.wrap_noise_rows,
-            _worker.wrap_noise_chunk,
-            [payloads, *scalars],
-            n * depth,
-            server_public_keys,
-            round_number,
-        ):
-            wires.extend(chunk)
+        scalars = draw_request_scalars(len(payloads), len(server_public_keys), rng)
+        (wires,) = self.run(
+            _worker.wrap_noise_rows, [payloads, *scalars], server_public_keys, round_number
+        )
         return wires
 
     def wrap_client_chunks(
         self,
-        round_number: int,
+        columns: Sequence[Sequence],
         server_public_keys: Sequence[PublicKey],
-        fakes: Sequence[bytes | None],
-        send_keys: Sequence[bytes | None],
-        dead_drops: Sequence[bytes | None],
-        plaintexts: Sequence[bytes],
-        scalars: Sequence[Sequence[bytes]],
+        round_number: int,
     ) -> tuple[list[bytes], list[OnionContext]]:
-        """Chunked :func:`~repro.conversation.client.build_exchange_batch`.
-
-        The caller has made every rng draw (the idle clients' fake exchange
-        scalars and the onion scalars); what is chunked is the pure build,
-        idle fake exchange included, so the wires are byte-identical inline
-        and on the pool.  A pool chunk sends back each wire's per-layer
-        response keys with it, which is what the caller decodes with.
-        """
-        n = len(fakes)
-        depth = len(server_public_keys)
-        curve_ops = n * depth + sum(1 for fake in fakes if fake is not None)
-        wires: list[bytes] = []
-        contexts: list[OnionContext] = []
-        for entries in self._row_chunks(
-            _worker.wrap_client_rows,
-            _worker.wrap_client_chunk,
-            [fakes, send_keys, dead_drops, plaintexts, *scalars],
-            curve_ops,
-            server_public_keys,
-            round_number,
-        ):
-            count = len(entries) // (depth + 1)
-            keys = entries[count:]
-            wires.extend(entries[:count])
-            contexts.extend(
-                OnionContext(round_number, tuple(keys[m * depth : (m + 1) * depth]))
-                for m in range(count)
-            )
-        return wires, contexts
-
-    def wrap_dial_chunks(
-        self,
-        round_number: int,
-        server_public_keys: Sequence[PublicKey],
-        heads: Sequence[bytes],
-        ephemerals: Sequence[bytes | None],
-        recipients: Sequence[bytes | None],
-        senders: Sequence[bytes | None],
-        scalars: Sequence[Sequence[bytes]],
-    ) -> list[bytes]:
-        """Chunked :func:`~repro.dialing.client.build_dial_batch`.
-
-        The callers have made every rng draw (each dialer's invitation
-        scalar or each other client's no-op bytes, then the onion scalars);
-        what is chunked is the pure invitation seal and onion wrap, so the
-        wires are byte-identical inline and on the pool.  A dialing response
-        is an acknowledgement nobody opens, so only the wires come back.
-        """
-        curve_ops = len(heads) * len(server_public_keys) + sum(
-            1 for ephemeral in ephemerals if ephemeral is not None
-        )
-        wires: list[bytes] = []
-        for chunk in self._row_chunks(
-            _worker.wrap_dial_rows,
-            _worker.wrap_dial_chunk,
-            [heads, ephemerals, recipients, senders, *scalars],
-            curve_ops,
-            server_public_keys,
-            round_number,
-        ):
-            wires.extend(chunk)
-        return wires
-
-    def _row_chunks(
-        self,
-        rows,
-        task,
-        columns: list[Sequence],
-        curve_ops: int,
-        server_public_keys: Sequence[PublicKey],
-        round_number: int,
-    ) -> Iterator[list]:
-        """Run a wrap op over row-aligned ``columns`` chunk by chunk.
-
-        ``rows`` is the op's pure function of one chunk's columns; inline it
-        runs here, and on the pool ``task`` runs it in a worker on the same
-        columns, shipped as one packed block.  Yields each chunk's result
-        entries in row order.
-        """
-        n = len(columns[0])
-        pooled = self._pooled(curve_ops, POOL_CURVE_OPS)
-        bounds = self._bounds(n, pooled)
-        if not pooled:
-            for lo, hi in bounds:
-                yield rows([column[lo:hi] for column in columns], server_public_keys, round_number)
-            return
-        backend_name = active_backend().name
-        public_keys = tuple(bytes(key) for key in server_public_keys)
-        tasks = (
-            (
-                pack(b"", [entry for column in columns for entry in column[lo:hi]]),
-                len(columns),
-                public_keys,
-                round_number,
-                backend_name,
-            )
-            for lo, hi in bounds
-        )
-        for packed in self._pipelined(task, tasks):
-            yield unpack_owned(packed)
+        """Clients' conversation wires from :func:`.worker.wrap_client_rows`'
+        ``columns``, and the context each one's response is opened with."""
+        wires, *keys = self.run(_worker.wrap_client_rows, columns, server_public_keys, round_number)
+        return wires, [OnionContext(round_number, layer_keys) for layer_keys in zip(*keys)]
 
     def scan_invitation_chunks(
         self,
@@ -419,20 +322,8 @@ class RoundEngine:
 
         Entry ``i`` of the result is what
         :func:`~repro.dialing.invitation.open_invitations` finds for
-        ``private_keys[i]``: the callers, in bucket order.  On the pool each
-        worker takes one chunk of recipients; a bucket and a chunk of 32-byte
-        keys are a few KB, so they travel in the task as they are.
+        ``private_keys[i]``: the callers, in bucket order.
         """
-        n = len(private_keys)
-        if n < 2 or not self._pooled(n * len(invitations), SCAN_PARALLEL_TRIALS):
-            return [open_invitations(key, invitations, round_number) for key in private_keys]
-        backend_name = active_backend().name
-        size = -(-n // self.workers)
-        tasks = [
-            (tuple(key.data for key in private_keys[lo : lo + size]), invitations, round_number, backend_name)
-            for lo in range(0, n, size)
-        ]
-        found: list[list[PublicKey]] = []
-        for chunk in self._pipelined(_worker.scan_chunk, tasks):
-            found.extend(chunk)
-        return found
+        keys = [key.data for key in private_keys]
+        (found,) = self.run(_worker.scan_rows, [keys], invitations, round_number)
+        return [[PublicKey(caller) for caller in unpack_owned(callers)] for callers in found]

@@ -1,14 +1,14 @@
-"""Worker-process entry points of the round engine's pool.
+"""The round engine's row ops, and the one task its worker pool runs.
 
-Each ``*_chunk`` function here is the body of one *chunk task*.  A wire
-task carries its chunk as one packed list (:mod:`repro.net.packed`),
-runs one batch crypto op over it and returns the results packed the same
-way; the invitation scan's task carries a dead drop and a chunk of recipient
-keys as they are.  Everything crosses the executor's task pipe.  The three
-wrap ops are ``*_rows`` functions of a chunk's columns, which the engine's
-inline path calls directly, so inline and pooled chunks run one function.
+A *row op* is a pure function ``op(columns, *static)``: ``columns`` are
+row-aligned lists of byte strings (``None`` allowed), ``static`` is what
+every row shares (keys, a round number, a dead drop), and the result is a
+list of row-aligned output columns.  :class:`~repro.runtime.engine.RoundEngine`
+runs an op inline on slices of its columns, or ships each slice to a
+worker, where :func:`run` unpacks it, calls the same op and packs its
+output; its table (:data:`~repro.runtime.engine.POOL_OPS`) says which.
 
-Worker-side state is deliberately minimal and round-scoped:
+Worker-side state is deliberately minimal and chunk-scoped:
 
 * the active crypto backend is re-asserted per task from the name the parent
   recorded when it built the task (cheap when unchanged), so inline and
@@ -29,112 +29,87 @@ import os
 from ..conversation.client import build_exchange_batch
 from ..crypto.backend import active_backend, set_backend
 from ..crypto.invitation import open_invitations
-from ..crypto.keys import PrivateKey, PublicKey
-from ..crypto.onion import peel_request_batch, wrap_request_batch
+from ..crypto.keys import PrivateKey
+from ..crypto.onion import peel_request_batch, wrap_request_batch, wrap_response_batch
 from ..crypto.secretbox import clear_derived_key_cache
 from ..dialing.client import build_dial_batch
-from ..net.packed import pack, unpack, unpack_owned
+from ..net.packed import pack, unpack_owned
 
 
-def _use_backend(name: str) -> None:
-    if active_backend().name != name:
-        set_backend(name)
+def split_columns(entries: list, rows: int) -> list[list]:
+    """Columns of ``rows`` entries each, laid back to back in ``entries``."""
+    return [entries[start : start + rows] for start in range(0, len(entries), rows)]
 
 
-def peel_chunk(task: tuple) -> bytes:
-    """Peel one chunk of wires with the server scalar.
+def run(task: tuple) -> bytes:
+    """The pool's one task: a row op over one chunk.
 
-    Returns ``2 * count`` packed entries: the peeled inner payloads followed
-    by the response keys, ``None``-masked at malformed positions.
+    The task is ``(op, rows, block, static, backend_name)``; ``block`` packs
+    the chunk's input columns back to back, exactly as the parent laid them
+    out (and drew their scalars), and the op's output columns come back
+    packed the same way.
     """
-    private_key, block, server_index, round_number, backend_name = task
-    _use_backend(backend_name)
+    op, rows, block, static, backend_name = task
+    if active_backend().name != backend_name:
+        set_backend(backend_name)
     try:
-        inners, keys = peel_request_batch(
-            unpack(block), PrivateKey(private_key), server_index, round_number
-        )
+        output = op(split_columns(unpack_owned(block), rows), *static)
+        return pack(b"", [entry for column in output for entry in column])
     finally:
         clear_derived_key_cache()
-    return pack(b"", [*inners, *keys])
 
 
-def wrap_noise_rows(columns: list, public_keys: list[PublicKey], round_number: int) -> list[bytes]:
-    """Onion-wrap one chunk of noise: ``columns`` are its payloads, then its
-    pre-drawn scalars layer by layer.  Returns the wires."""
+def peel_rows(columns: list, private_key: PrivateKey, server_index: int, round_number: int) -> list:
+    """Peel wires with a server's key: their inner payloads and response
+    keys, ``None`` at malformed positions."""
+    (wires,) = columns
+    return list(peel_request_batch(wires, private_key, server_index, round_number))
+
+
+def wrap_response_rows(columns: list, round_number: int) -> list:
+    """Seal inner responses under their layer keys."""
+    inners, layer_keys = columns
+    return [wrap_response_batch(inners, layer_keys, round_number)]
+
+
+def wrap_noise_rows(columns: list, public_keys: list, round_number: int) -> list:
+    """Onion-wrap noise: ``columns`` are its payloads, then its pre-drawn
+    scalars layer by layer."""
     payloads, *scalars = columns
     wires, _ = wrap_request_batch(payloads, public_keys, round_number, scalars=scalars)
-    return wires
+    return [wires]
 
 
-def wrap_client_rows(columns: list, public_keys: list[PublicKey], round_number: int) -> list[bytes]:
-    """Build one chunk of clients' wires: ``columns`` are
+def wrap_client_rows(columns: list, public_keys: list, round_number: int) -> list:
+    """Build clients' conversation wires: ``columns`` are
     :func:`~repro.conversation.client.build_exchange_batch`'s fake exchanges,
     send keys, dead drops and plaintexts, then the onion scalars layer by
-    layer.  Returns the wires, then each wire's response keys in chain order
-    (wire ``m``'s key for server ``L`` at entry ``count + m * depth + L``)."""
+    layer.  Returns the wires, then one column of response keys per server
+    in chain order."""
     fakes, send_keys, dead_drops, plaintexts, *scalars = columns
     wires, contexts = build_exchange_batch(
         round_number, public_keys, fakes, send_keys, dead_drops, plaintexts, scalars
     )
-    return [*wires, *(key for context in contexts for key in context.layer_keys)]
+    return [wires, *zip(*(context.layer_keys for context in contexts))]
 
 
-def wrap_dial_rows(columns: list, public_keys: list[PublicKey], round_number: int) -> list[bytes]:
-    """Build one chunk of clients' dialing wires: ``columns`` are
+def wrap_dial_rows(columns: list, public_keys: list, round_number: int) -> list:
+    """Build clients' dialing wires: ``columns`` are
     :func:`~repro.dialing.client.build_dial_batch`'s request heads,
     invitation scalars, recipients and senders, then the onion scalars
-    layer by layer.  Returns the wires."""
+    layer by layer."""
     heads, ephemerals, recipients, senders, *scalars = columns
-    return build_dial_batch(
-        round_number, public_keys, heads, ephemerals, recipients, senders, scalars
-    )
-
-
-def wrap_noise_chunk(task: tuple) -> bytes:
-    """:func:`wrap_noise_rows` over one packed chunk."""
-    return _run_rows(wrap_noise_rows, task)
-
-
-def wrap_client_chunk(task: tuple) -> bytes:
-    """:func:`wrap_client_rows` over one packed chunk."""
-    return _run_rows(wrap_client_rows, task)
-
-
-def wrap_dial_chunk(task: tuple) -> bytes:
-    """:func:`wrap_dial_rows` over one packed chunk."""
-    return _run_rows(wrap_dial_rows, task)
-
-
-def _run_rows(rows, task: tuple) -> bytes:
-    """Unpack a chunk's columns, run ``rows`` on them and pack the results.
-
-    The block holds ``width`` equal-length columns back to back, exactly as
-    the parent laid them out (and drew their scalars), so the results are
-    byte-identical to running ``rows`` inline.
-    """
-    block, width, public_keys_bytes, round_number, backend_name = task
-    _use_backend(backend_name)
-    entries = unpack_owned(block)
-    count = len(entries) // width
-    columns = [entries[count * column : count * (column + 1)] for column in range(width)]
-    public_keys = [PublicKey(raw) for raw in public_keys_bytes]
-    try:
-        return pack(b"", rows(columns, public_keys, round_number))
-    finally:
-        clear_derived_key_cache()
-
-
-def scan_chunk(task: tuple) -> list[list[PublicKey]]:
-    """Trial-decrypt one invitation dead drop for a chunk of recipients.
-
-    The task carries the recipients' private scalars, the bucket and the
-    round; the result lists each recipient's callers, in recipient order.
-    """
-    private_keys, invitations, round_number, backend_name = task
-    _use_backend(backend_name)
     return [
-        open_invitations(PrivateKey(key), invitations, round_number) for key in private_keys
+        build_dial_batch(round_number, public_keys, heads, ephemerals, recipients, senders, scalars)
     ]
+
+
+def scan_rows(columns: list, invitations: list, round_number: int) -> list:
+    """Trial-decrypt one invitation dead drop for each recipient's private
+    scalar: its callers' public keys in bucket order, packed."""
+    (private_keys,) = columns
+    found = [open_invitations(PrivateKey(key), invitations, round_number) for key in private_keys]
+    return [[pack(b"", [caller.data for caller in callers]) for callers in found]]
 
 
 def crash(_: object = None) -> None:  # pragma: no cover - runs in a worker

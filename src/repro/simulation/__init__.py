@@ -6,7 +6,6 @@ from .costmodel import (
     DialingRoundEstimate,
     VuvuzelaCostModel,
     best_case_crypto_latency,
-    measure_local_dh_rate,
 )
 from .simulator import DeploymentSimulator, RealRoundResult, run_real_round
 from .swarm import (
@@ -38,6 +37,5 @@ __all__ = [
     "WorkloadSpec",
     "best_case_crypto_latency",
     "generate_population",
-    "measure_local_dh_rate",
     "run_real_round",
 ]

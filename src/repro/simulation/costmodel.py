@@ -240,24 +240,3 @@ def best_case_crypto_latency(num_users: int, noise_requests: float, num_servers:
                              host: HostSpec = PAPER_SERVER) -> float:
     """The paper's §8.2 lower bound: (requests x servers) / DH rate, no overhead."""
     return (num_users + noise_requests) * num_servers / host.dh_ops_per_sec
-
-
-def measure_local_dh_rate(samples: int = 200) -> float:
-    """Measure this machine's X25519 throughput (DH operations per second).
-
-    Used by the crypto micro-benchmark and available to recalibrate the cost
-    model to local hardware instead of the paper's 36-core servers.
-    """
-    import time
-
-    from ..crypto import KeyPair
-    from ..crypto.rng import DeterministicRandom
-
-    rng = DeterministicRandom(1)
-    ours = KeyPair.generate(rng)
-    peers = [KeyPair.generate(rng).public for _ in range(samples)]
-    start = time.perf_counter()
-    for peer in peers:
-        ours.exchange(peer)
-    elapsed = time.perf_counter() - start
-    return samples / elapsed if elapsed > 0 else float("inf")

@@ -29,7 +29,6 @@ from repro.errors import ProtocolError
 from repro.mixnet import DialingNoiseSpec, build_chain
 from repro.privacy import LaplaceParams
 from repro.runtime import RoundEngine
-from repro.runtime import engine as round_engine
 from repro.runtime import worker as engine_worker
 
 SEED = 31
@@ -94,15 +93,14 @@ def queue_round(clients, pairs, round_number) -> dict[tuple[str, str], bytes]:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-def test_batched_build_equals_each_client_alone(where, population, monkeypatch):
+def test_batched_build_equals_each_client_alone(where, population, forced_pool):
     """Two rounds of each protocol: the batch's wires are the wires each twin
     builds alone, the conversation responses decode to every partner's
     message, and every dial is found."""
     slots, pairs, dials = population
     batched, alone = build_population(slots, pairs), build_population(slots, pairs)
     workers = 2 if where == "pool" else 1
-    with monkeypatch.context() as patch, RoundEngine(workers=workers) as engine:
-        patch.setattr(round_engine, "POOL_CURVE_OPS", 0)
+    with RoundEngine(workers=workers) as engine:
         for round_number in range(2):
             expected = queue_round(batched, pairs, round_number)
             queue_round(alone, pairs, round_number)

@@ -9,6 +9,7 @@ from repro.client.client import build_dialing_round
 from repro.crypto import DeterministicRandom, KeyPair
 from repro.errors import ProtocolError
 from repro.runtime.engine import RoundEngine
+from repro.runtime.worker import wrap_dial_rows
 
 
 class TestOutbox:
@@ -119,9 +120,10 @@ class TestVuvuzelaClientUnit:
         first, second = (KeyPair.generate(DeterministicRandom(seed)) for seed in (5, 6))
 
         class DialsMidBuild(RoundEngine):
-            def wrap_dial_chunks(self, *args):
-                client.dial(second.public)
-                return super().wrap_dial_chunks(*args)
+            def run(self, op, *args):
+                if op is wrap_dial_rows:
+                    client.dial(second.public)
+                return super().run(op, *args)
 
         client.dial(first.public)
         build_dialing_round([client], 0, 1, DialsMidBuild(workers=1))

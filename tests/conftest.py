@@ -34,9 +34,12 @@ def bob(rng) -> KeyPair:
 
 @pytest.fixture
 def forced_pool(monkeypatch):
-    """Every batch op of a multi-worker engine goes to its pool."""
-    monkeypatch.setattr(round_engine, "POOL_CURVE_OPS", 0)
-    monkeypatch.setattr(round_engine, "SCAN_PARALLEL_TRIALS", 0)
+    """Every batch op of a multi-worker engine that may pool goes to its
+    pool: each threshold in the engine's op table drops to zero."""
+    monkeypatch.setattr(round_engine, "POOL_OPS", {
+        op: (work, None if threshold is None else 0)
+        for op, (work, threshold) in round_engine.POOL_OPS.items()
+    })
 
 
 @pytest.fixture

@@ -35,7 +35,6 @@ import pytest
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem
 from repro.ledger import LedgerWriter, canonical_json, load_ledger
 from repro.net import LinkRule, MessageKind
-from repro.runtime import engine as round_engine
 from repro.runtime.protocols import ConversationProtocol
 from repro.simulation import ClientSwarm, WorkloadSpec
 
@@ -261,11 +260,11 @@ def tmp(tmp_path):
 
 @pytest.fixture(params=["inline", "pool"])
 def engine(request, monkeypatch):
-    """``pool``: drivers built in the test send every curve op (client
-    builds, peels, noise wraps) to a two-worker pool, and must land on the
-    same committed bytes as inline."""
+    """``pool``: drivers built in the test send every op that may pool
+    (client builds, peels, noise wraps, dialing scans) to a two-worker pool,
+    and must land on the same committed bytes as inline."""
     if request.param == "pool":
-        monkeypatch.setattr(round_engine, "POOL_CURVE_OPS", 0)
+        request.getfixturevalue("forced_pool")
         request.getfixturevalue("two_cores")
     return request.param
 

@@ -24,7 +24,7 @@ from repro.crypto import (
     wrap_request,
     wrap_request_batch,
 )
-from repro.crypto.backend import available_backends, set_backend
+from repro.crypto.backend import active_backend, available_backends, set_backend
 from repro.crypto.invitation import seal_invitation
 from repro.crypto.onion import draw_request_scalars
 from repro.errors import ProtocolError
@@ -32,12 +32,12 @@ from repro.mixnet.chain import build_chain
 from repro.runtime import RoundEngine, default_engine
 from repro.runtime import engine as round_engine
 from repro.runtime import worker as engine_worker
-from repro.net.packed import pack, unpack, unpack_owned
+from repro.net.packed import pack, unpack_owned
 
 
-def _echo_block(block: bytes) -> bytes:
-    """A worker task that unpacks its block and packs it straight back."""
-    return pack(b"", unpack(block))
+def _echo_rows(columns: list) -> list:
+    """A row op that hands its columns straight back."""
+    return columns
 
 
 @pytest.fixture(params=available_backends())
@@ -87,6 +87,92 @@ def make_round(publics, round_number=5, count=45):
     return wires, contexts
 
 
+class Decided(Exception):
+    """Raised by the ``decisions`` spy once an op has decided where to run."""
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """``[(op, pooled)]`` for every op started in the test, each stopped
+    with :class:`Decided` before it runs."""
+    seen: list[tuple] = []
+    pooled = RoundEngine._pooled
+
+    def spy(engine, op, columns, static):
+        seen.append((op, pooled(engine, op, columns, static)))
+        raise Decided
+
+    monkeypatch.setattr(RoundEngine, "_pooled", spy)
+    return seen
+
+
+@pytest.fixture
+def submissions(monkeypatch):
+    """``[(function, op)]`` for every task the engines built in the test
+    submit to their pools."""
+    seen: list[tuple] = []
+
+    class Recording(round_engine.ProcessPoolExecutor):
+        def submit(self, fn, task):
+            seen.append((fn, task[0]))
+            return super().submit(fn, task)
+
+    monkeypatch.setattr(round_engine, "ProcessPoolExecutor", Recording)
+    return seen
+
+
+CHAIN = [KeyPair.generate(DeterministicRandom(f"threshold-{i}")) for i in range(3)]
+PUBLICS = [kp.public for kp in CHAIN]
+ANY = b"\x01" * 32
+
+
+def peel(wires):
+    return lambda engine: engine.run(
+        engine_worker.peel_rows, [[b""] * wires], CHAIN[0].private, 0, 5
+    )
+
+
+def noise(wires, depth):
+    return lambda engine: engine.wrap_noise_chunks(
+        [b"noise"] * wires, PUBLICS[:depth], 5, DeterministicRandom("noise")
+    )
+
+
+def client_build(wires, idle):
+    """``wires`` rows over the three-server chain, the first ``idle`` of them
+    idle (a fake exchange to compute)."""
+    fakes = [ANY + ANY] * idle + [None] * (wires - idle)
+    scalars = [[ANY] * wires for _ in PUBLICS]
+    columns = [fakes, [ANY] * wires, [ANY] * wires, [b""] * wires, *scalars]
+    return lambda engine: engine.wrap_client_chunks(columns, PUBLICS, 5)
+
+
+def dial_build(wires, dialers):
+    """``wires`` rows over the three-server chain, the first ``dialers`` of
+    them dialing (an invitation to seal)."""
+    from repro.dialing.client import wrap_dial_requests
+
+    rows = [
+        [ANY, ANY if i < dialers else None, ANY, ANY, *[ANY] * len(PUBLICS)] for i in range(wires)
+    ]
+    return lambda engine: wrap_dial_requests(5, PUBLICS, rows, engine)
+
+
+def scan(recipients, invitations):
+    keys = [CHAIN[0].private] * recipients
+    return lambda engine: engine.scan_invitation_chunks(keys, [ANY] * invitations, 5)
+
+
+#: ``(op, threshold, one unit below it, at it)``.
+THRESHOLD_CASES = [
+    (engine_worker.peel_rows, 256, peel(255), peel(256)),
+    (engine_worker.wrap_noise_rows, 256, noise(85, 3), noise(128, 2)),
+    (engine_worker.wrap_client_rows, 256, client_build(85, 0), client_build(85, 1)),
+    (engine_worker.wrap_dial_rows, 256, dial_build(85, 0), dial_build(85, 1)),
+    (engine_worker.scan_rows, 1024, scan(3, 341), scan(2, 512)),
+]
+
+
 class TestEntryBlocks:
     def test_pack_unpack_roundtrip(self):
         entries = [b"alpha", None, b"", b"x" * 300, None, b"tail"]
@@ -103,8 +189,9 @@ class TestEntryBlocks:
     def test_pipe_roundtrip(self):
         """A packed block crosses the task pipe to a worker and back intact."""
         entries = [b"wire-one", None, b"", b"wire-three" * 50]
+        task = (_echo_rows, 2, pack(b"", entries), (), active_backend().name)
         with RoundEngine(workers=2) as engine:
-            (packed,) = engine._pipelined(_echo_block, [pack(b"", entries)])
+            (packed,) = engine._pipelined([task])
         assert unpack_owned(packed) == entries
         assert multiprocessing.active_children() == []
 
@@ -177,31 +264,63 @@ class TestEnginePolicy:
         chunk = round_engine.PREFERRED_CHUNK
         assert engine._bounds(4 * chunk, True) == [(i * chunk, (i + 1) * chunk) for i in range(4)]
 
-    def test_ops_below_their_threshold_run_inline(self):
+    @pytest.mark.parametrize(
+        "op, threshold, below, at", THRESHOLD_CASES, ids=[case[0].__name__ for case in THRESHOLD_CASES],
+    )
+    def test_each_op_pools_from_its_threshold(self, decisions, op, threshold, below, at):
+        """Each op, through the call its callers make, counts its work the
+        way the module docstring's table says: one unit below its threshold
+        it runs inline, at the threshold it pools."""
+        assert round_engine.POOL_OPS[op][1] == threshold
         engine = RoundEngine(workers=2)
-        threshold = round_engine.POOL_CURVE_OPS
-        assert not engine._pooled(threshold - 1, threshold)
-        assert engine._pooled(threshold, threshold)
-        assert not RoundEngine(workers=1)._pooled(10**6, threshold)
-        assert not engine._pooled(0, 0)
+        for call in (below, at):
+            with pytest.raises(Decided):
+                call(engine)
+        assert decisions == [(op, False), (op, True)]
 
-    def test_response_wrap_never_reaches_the_pool(self, forced_pool, monkeypatch):
+    def test_no_pool_for_one_worker_one_row_no_work_or_the_response_wrap(self, forced_pool, decisions):
+        """With every threshold at zero: a one-worker engine, an op of one
+        row, an op of no work (two recipients against an empty dead drop)
+        and the AEAD-only response wrap still run inline."""
+        for workers, call in (
+            (1, peel(2)),
+            (2, peel(1)),
+            (2, scan(2, 0)),
+            (2, lambda engine: engine.run(engine_worker.wrap_response_rows, [[b""] * 9_999] * 2, 5)),
+        ):
+            with pytest.raises(Decided):
+                call(RoundEngine(workers=workers))
+        assert [pooled for _, pooled in decisions] == [False, False, False, False]
+
+    def test_response_wrap_never_reaches_the_pool(self, forced_pool, submissions):
         """With every threshold at zero, the pool sees peels and noise wraps
         only: the AEAD-only response wrap stays inline."""
-        submitted: list[str] = []
-        pipelined = RoundEngine._pipelined
-
-        def spy(engine, fn, tasks):
-            submitted.append(fn.__name__)
-            return pipelined(engine, fn, tasks)
-
-        monkeypatch.setattr(RoundEngine, "_pipelined", spy)
         keypairs = [KeyPair.generate(DeterministicRandom(f"resp-{i}")) for i in range(3)]
         wires, _ = make_round([kp.public for kp in keypairs])
         reference = build_test_chain(None, keypairs).run_round(5, wires)
         with RoundEngine(workers=2) as engine:
             assert build_test_chain(engine, keypairs).run_round(5, wires) == reference
-        assert set(submitted) == {"peel_chunk", "wrap_noise_chunk"}
+        ops = {op for _, op in submissions}
+        assert ops == {engine_worker.peel_rows, engine_worker.wrap_noise_rows}
+
+    def test_one_trampoline_runs_every_pooled_op(self, forced_pool, two_cores, submissions):
+        """A pool-forced depth-2 continuous session, conversation and dialing
+        rounds: every task submitted is :func:`worker.run`, and every op the
+        table may pool is among them."""
+        from repro import VuvuzelaConfig, VuvuzelaSystem
+
+        with VuvuzelaSystem(VuvuzelaConfig.small(seed=41)) as system:
+            sessions = {name: system.add_session(name) for name in ("alice", "bob", "carol", "dave")}
+            sessions["carol"].dial(system.client("dave").public_key)
+            report = system.run_continuous(2, dialing_interval=2, pipeline_depth=2)
+            assert len(report.conversation) == 2 and len(report.dialing) == 1
+        assert [call.caller for call in system.client("dave").incoming_calls] == [
+            system.client("carol").public_key
+        ]
+        assert {fn for fn, _ in submissions} == {engine_worker.run}
+        poolable = {op for op, (_, threshold) in round_engine.POOL_OPS.items() if threshold is not None}
+        assert {op for _, op in submissions} == poolable
+        assert multiprocessing.active_children() == []
 
     def test_engine_is_sized_by_the_host(self):
         assert RoundEngine().workers == len(os.sched_getaffinity(0))

@@ -31,11 +31,16 @@ from repro.simulation import ClientSwarm, WorkloadSpec
 ROUND = 4
 
 
+def force_scan_pool(monkeypatch) -> None:
+    """Every dialing scan goes to a two-worker pool, whatever the host."""
+    work, _ = round_engine.POOL_OPS[engine_worker.scan_rows]
+    monkeypatch.setitem(round_engine.POOL_OPS, engine_worker.scan_rows, (work, 0))
+    monkeypatch.setattr(round_engine, "_usable_cores", lambda: 2)
+
+
 @pytest.fixture
 def parallel_scan(monkeypatch):
-    """Every dialing scan goes to a two-worker pool, whatever the host."""
-    monkeypatch.setattr(round_engine, "SCAN_PARALLEL_TRIALS", 0)
-    monkeypatch.setattr(round_engine, "_usable_cores", lambda: 2)
+    force_scan_pool(monkeypatch)
 
 
 def hostile_bucket(recipients: list[KeyPair], strangers: list[KeyPair]) -> list[bytes]:
@@ -100,8 +105,7 @@ def test_driver_scan_records_the_same_calls_on_either_engine(shape, monkeypatch)
 
     def calls_after_scan(parallel: bool) -> dict:
         if parallel:
-            monkeypatch.setattr(round_engine, "SCAN_PARALLEL_TRIALS", 0)
-            monkeypatch.setattr(round_engine, "_usable_cores", lambda: 2)
+            force_scan_pool(monkeypatch)
         driver = shape(config)
         try:
             rng = DeterministicRandom("driver-scan")
@@ -147,18 +151,18 @@ def test_parallel_session_forks_with_no_round_thread_running(parallel_scan, monk
     session_forks_once_with_one_thread(monkeypatch)
 
 
-def test_pooled_session_forks_with_no_round_thread_running(parallel_scan, monkeypatch):
+def test_pooled_session_forks_with_no_round_thread_running(forced_pool, parallel_scan, monkeypatch):
     """The same with every curve op on the pool: the pool forks in the first
     dialing round's batched client build, still in the caller's thread."""
-    monkeypatch.setattr(round_engine, "POOL_CURVE_OPS", 0)
     builds: list[int] = []
-    build = round_engine.RoundEngine.wrap_dial_chunks
+    run = round_engine.RoundEngine.run
 
-    def spy(engine, *args):
-        builds.append(engine._pool is None)
-        return build(engine, *args)
+    def spy(engine, op, *args):
+        if op is engine_worker.wrap_dial_rows:
+            builds.append(engine._pool is None)
+        return run(engine, op, *args)
 
-    monkeypatch.setattr(round_engine.RoundEngine, "wrap_dial_chunks", spy)
+    monkeypatch.setattr(round_engine.RoundEngine, "run", spy)
     session_forks_once_with_one_thread(monkeypatch)
     assert builds[0] is True  # the first pooled op of the session is the build
 
