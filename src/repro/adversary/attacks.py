@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .observer import GlobalObserver
 from ..core.system import VuvuzelaSystem
-from ..net import BlockEndpoints
+from ..net import CLIENTS, LinkRule
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,9 @@ def run_intersection_attack(
 
     The system should already have its clients registered and conversing.
     The attack alternates phases (target online, target blocked) and records
-    the number of dead drops accessed twice in each round.
+    the number of dead drops accessed twice in each round.  The blocked
+    phase is two ``drop`` rules on the ``"clients"`` target, healed
+    afterwards — which also heals any other client-link rule.
     """
     observer = observer or GlobalObserver(system)
     online_counts: list[int] = []
@@ -78,14 +80,19 @@ def run_intersection_attack(
         metrics = system.run_conversation_round()
         online_counts.append(observer.observe_conversation_round(metrics.round_number).m2)
 
-    interference = BlockEndpoints([target])
-    system.network.add_interference(interference)
+    # Knock the target offline with the driver's own link rules, so a
+    # recorded attack replays.  Certain drops draw nothing from the rng, and
+    # the observer still sees every attempt before the rules decide.
+    engine = system.network.link_conditioner
+    seed = engine.seed if engine is not None else 0
+    for match in ({"source": target}, {"destination": target}):
+        system.add_link_rule(CLIENTS, LinkRule(action="drop", **match), seed=seed)
     try:
         for _ in range(rounds_per_phase):
             metrics = system.run_conversation_round()
             offline_counts.append(observer.observe_conversation_round(metrics.round_number).m2)
     finally:
-        system.network.interferences.remove(interference)
+        system.heal_links(CLIENTS)
 
     return IntersectionAttackResult(
         online_pair_counts=online_counts, offline_pair_counts=offline_counts

@@ -39,7 +39,7 @@ class Outbox:
     Vuvuzela clients send at most one message per round; anything the user
     types faster than that is queued (§3.2).  A message stays "in flight"
     until the round's response confirms the exchange happened; if the round
-    is lost (network outage, interference) the message is retransmitted.
+    is lost (network outage, a dropping link rule) the message is retransmitted.
     """
 
     queue: deque[bytes] = field(default_factory=deque)

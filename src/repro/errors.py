@@ -32,10 +32,6 @@ class ProtocolError(ReproError):
     """A peer violated the Vuvuzela protocol (wrong sizes, wrong round, ...)."""
 
 
-class RoundStateError(ProtocolError):
-    """An operation was attempted outside the round phase that allows it."""
-
-
 class RoundAbortedError(ProtocolError):
     """A round's chain drive failed and the round was aborted.
 

@@ -17,25 +17,13 @@ from .faults import (
 )
 from .messages import Envelope, MessageKind, Observation
 from .tcp import TcpTransport, parse_address
-from .transport import (
-    AllowOnlyEndpoints,
-    BlockEndpoints,
-    DropMessageKind,
-    Interference,
-    Network,
-    TrafficStats,
-    Transport,
-)
+from .transport import Network, TrafficStats, Transport
 
 __all__ = [
-    "AllowOnlyEndpoints",
-    "BlockEndpoints",
     "CLIENT_DSL_LINK",
     "CLIENTS",
-    "DropMessageKind",
     "Envelope",
     "HostSpec",
-    "Interference",
     "LinkConditioner",
     "LinkRule",
     "LinkSpec",

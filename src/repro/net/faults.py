@@ -37,7 +37,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 
-from .links import LinkSpec
+from .links import LinkSpec, json_number
 from .messages import Envelope, MessageKind
 from ..crypto.rng import DeterministicRandom
 from ..errors import ConfigurationError, NetworkError, ProtocolError
@@ -92,6 +92,8 @@ class LinkRule:
     * ``kill`` — the send raises :class:`NetworkError`: the link is down.
 
     ``count`` caps how many messages the rule affects (``None``: no cap).
+    An endpoint is a non-empty name and ``count`` a true integer: a rule
+    that could never match, or a truncated budget, is refused, not kept.
     """
 
     action: str
@@ -111,8 +113,13 @@ class LinkRule:
             raise ProtocolError(f"unknown link rule action {self.action!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise ProtocolError("a link rule's probability must be in [0, 1]")
-        if self.count is not None and self.count < 1:
-            raise ProtocolError("a bounded link rule needs count >= 1")
+        for endpoint in (self.source, self.destination):
+            if endpoint is not None and not (isinstance(endpoint, str) and endpoint):
+                raise ProtocolError(f"a link rule endpoint must be a name, not {endpoint!r}")
+        if self.count is not None and (
+            isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1
+        ):
+            raise ProtocolError(f"a bounded link rule needs an integer count >= 1: {self.count!r}")
         if not (0.0 <= self.delay_seconds < math.inf and 0.0 <= self.jitter_seconds < math.inf):
             raise ProtocolError("link rule delays must be finite and non-negative")
         if self.action != DELAY and (self.delay_seconds or self.jitter_seconds or self.spec):
@@ -152,9 +159,11 @@ class LinkRule:
     @classmethod
     def from_dict(cls, data: dict) -> "LinkRule":
         """Parse the JSON form.  Anything malformed — an unknown key, kind or
-        action, a missing action, a non-numeric or out-of-range number — is a
-        :class:`ProtocolError`: a misspelt field must never widen a rule into
-        a wildcard."""
+        action, a missing action, an endpoint that is not a name, a count
+        that is not an integer, a boolean or string where a number belongs,
+        an out-of-range number — is a :class:`ProtocolError`: a misspelt
+        field must never widen a rule into a wildcard, nor narrow it into one
+        that matches nothing."""
         if not isinstance(data, dict):
             raise ProtocolError(f"a link rule must be a JSON object, not {data!r}")
         unknown = set(data) - _JSON_FIELDS
@@ -162,20 +171,20 @@ class LinkRule:
             raise ProtocolError(f"unknown link rule field(s) {sorted(unknown)}")
         if "action" not in data:
             raise ProtocolError("a link rule needs an action")
-        kind, count, spec = data.get("kind"), data.get("count"), data.get("spec")
+        kind, spec = data.get("kind"), data.get("spec")
         try:
             return cls(
                 action=str(data["action"]),
                 source=data.get("source"),
                 destination=data.get("destination"),
                 kind=MessageKind(kind) if kind is not None else None,
-                probability=float(data.get("probability", 1.0)),
-                count=int(count) if count is not None else None,
-                delay_seconds=float(data.get("delay_seconds", 0.0)),
-                jitter_seconds=float(data.get("jitter_seconds", 0.0)),
+                probability=json_number(data.get("probability", 1.0)),
+                count=data.get("count"),
+                delay_seconds=json_number(data.get("delay_seconds", 0.0)),
+                jitter_seconds=json_number(data.get("jitter_seconds", 0.0)),
                 spec=LinkSpec.from_dict(spec) if spec is not None else None,
             )
-        except (TypeError, ValueError, KeyError, AttributeError, ConfigurationError) as exc:
+        except (ValueError, KeyError, ConfigurationError) as exc:
             raise ProtocolError(f"malformed link rule {data!r}: {exc}") from None
 
 
@@ -351,7 +360,11 @@ def conditioner_for(
 ) -> LinkConditioner:
     """The engine a rule seeded with ``seed`` goes into: ``current``, or a
     fresh one when there is none.  Reseeding an existing engine is refused —
-    silently reusing it would break "same seed, same losses"."""
+    silently reusing it would break "same seed, same losses" — and so is a
+    seed that is not an integer of at most 128 bits, the range every
+    message's rng fork accepts."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not -(2**128) < seed < 2**128:
+        raise ProtocolError(f"a link conditioner seed must be a 128-bit integer, not {seed!r}")
     if current is None:
         return LinkConditioner(seed, realtime=realtime)
     if current.seed != seed:
@@ -373,7 +386,7 @@ def apply_link_command(transport, command: dict) -> dict | None:
     cmd = command.get("cmd")
     if cmd == "add-link-rule":
         rule = LinkRule.from_dict(command.get("rule"))
-        engine = conditioner_for(transport.link_conditioner, int(command.get("seed", 0)))
+        engine = conditioner_for(transport.link_conditioner, command.get("seed", 0))
         transport.link_conditioner = engine
         engine.add_rule(rule)
         return {"ok": True, "rules": len(engine.active_rules())}

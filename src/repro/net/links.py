@@ -9,6 +9,7 @@ servers, clients on DSL/3G connections (§8).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -22,10 +23,10 @@ class LinkSpec:
     latency_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_sec <= 0:
-            raise ConfigurationError("link bandwidth must be positive")
-        if self.latency_seconds < 0:
-            raise ConfigurationError("link latency cannot be negative")
+        if not 0 < self.bandwidth_bytes_per_sec < math.inf:
+            raise ConfigurationError("link bandwidth must be positive and finite")
+        if not 0 <= self.latency_seconds < math.inf:
+            raise ConfigurationError("link latency must be finite and non-negative")
 
     def transfer_time(self, num_bytes: float) -> float:
         """Seconds to move ``num_bytes`` across this link (serialisation + propagation)."""
@@ -44,10 +45,25 @@ class LinkSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinkSpec":
+        if not isinstance(data, dict) or not set(data) <= {
+            "bandwidth_bytes_per_sec", "latency_seconds"
+        }:
+            raise ConfigurationError(f"malformed link spec {data!r}")
         return cls(
-            bandwidth_bytes_per_sec=float(data["bandwidth_bytes_per_sec"]),
-            latency_seconds=float(data.get("latency_seconds", 0.0)),
+            bandwidth_bytes_per_sec=json_number(data["bandwidth_bytes_per_sec"]),
+            latency_seconds=json_number(data.get("latency_seconds", 0.0)),
         )
+
+
+def json_number(value) -> float:
+    """A JSON number as a float.  ``true``/``false``, strings, containers and
+    integers too large for a float are refused, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"expected a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{value!r} is out of a float's range") from None
 
 
 @dataclass(frozen=True)

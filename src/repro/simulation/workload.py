@@ -64,11 +64,6 @@ class WorkloadSpec:
         """Every online user sends exactly one exchange request per round."""
         return self.num_users
 
-    @property
-    def requests_per_dialing_round(self) -> int:
-        """Every online user sends exactly one dialing request per round."""
-        return self.num_users
-
     def scaled_to(self, num_users: int) -> "WorkloadSpec":
         """The same workload shape at a different population size."""
         return WorkloadSpec(

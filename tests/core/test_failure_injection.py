@@ -13,7 +13,7 @@ from repro import VuvuzelaConfig, VuvuzelaSystem
 from repro.dialing import DIALING_REQUEST_SIZE
 from repro.crypto import request_size
 from repro.conversation import EXCHANGE_REQUEST_SIZE
-from repro.net import DropMessageKind, MessageKind
+from repro.net import CLIENTS, LinkRule, MessageKind
 from repro.server import ACK, REFUSED
 
 
@@ -29,10 +29,12 @@ class TestLostResponses:
         # Round 0: the exchange happens at the servers (Bob receives the
         # message), but Alice never sees her response, so she cannot know and
         # retransmits.
-        interference = DropMessageKind([MessageKind.CONVERSATION_RESPONSE], endpoints=["alice"])
-        system.network.add_interference(interference)
+        system.add_link_rule(
+            CLIENTS,
+            LinkRule("drop", destination="alice", kind=MessageKind.CONVERSATION_RESPONSE),
+        )
         system.run_conversation_round()
-        system.network.interferences.remove(interference)
+        system.heal_links(CLIENTS)
         assert bob.messages_from(alice.public_key) == [b"exactly once"]
         assert alice.rounds_lost == 1
         assert alice.outbox.pending == 1  # still unacknowledged
@@ -50,31 +52,34 @@ class TestLostResponses:
         bob.start_conversation(alice.public_key)
         alice.send_message("persistent")
 
-        interference = DropMessageKind(
-            [MessageKind.CONVERSATION_REQUEST, MessageKind.CONVERSATION_RESPONSE],
-            endpoints=["alice"],
+        system.add_link_rule(
+            CLIENTS, LinkRule("drop", source="alice", kind=MessageKind.CONVERSATION_REQUEST)
         )
-        system.network.add_interference(interference)
+        system.add_link_rule(
+            CLIENTS,
+            LinkRule("drop", destination="alice", kind=MessageKind.CONVERSATION_RESPONSE),
+        )
         for _ in range(3):
             system.run_conversation_round()
         assert bob.messages_from(alice.public_key) == []
         assert alice.rounds_lost == 3
 
-        system.network.interferences.remove(interference)
+        system.heal_links(CLIENTS)
         system.run_conversation_round()
         assert bob.messages_from(alice.public_key) == [b"persistent"]
         assert bob.duplicates_suppressed == 0
 
     def test_drop_message_kind_scoping(self):
-        """DropMessageKind scoped to several endpoints silences all of them."""
+        """Kind-scoped drop rules for several clients silence all of them."""
         system = VuvuzelaSystem(VuvuzelaConfig.small(seed=23))
         alice, bob = system.add_client("alice"), system.add_client("bob")
         alice.start_conversation(bob.public_key)
         bob.start_conversation(alice.public_key)
         bob.send_message("never arrives this round")
-        system.network.add_interference(
-            DropMessageKind([MessageKind.CONVERSATION_REQUEST], endpoints=["alice", "bob"])
-        )
+        for name in ("alice", "bob"):
+            system.add_link_rule(
+                CLIENTS, LinkRule("drop", source=name, kind=MessageKind.CONVERSATION_REQUEST)
+            )
         metrics = system.run_conversation_round()
         assert metrics.lost_requests == 2
         assert alice.messages_from(bob.public_key) == []

@@ -11,7 +11,7 @@ import pytest
 
 from repro import VuvuzelaConfig, VuvuzelaSystem
 from repro.errors import ProtocolError
-from repro.net import BlockEndpoints
+from repro.net import CLIENTS, LinkRule
 
 
 @pytest.fixture
@@ -71,13 +71,14 @@ class TestConversationRounds:
         bob.start_conversation(alice.public_key)
         alice.send_message("will be delayed")
 
-        system.network.add_interference(BlockEndpoints(["alice"]))
+        for match in ({"source": "alice"}, {"destination": "alice"}):
+            system.add_link_rule(CLIENTS, LinkRule("drop", **match))
         metrics = system.run_conversation_round()
         assert metrics.lost_requests >= 1
         assert bob.messages_from(alice.public_key) == []
         assert alice.rounds_lost == 1
 
-        system.network.clear_interference()
+        system.heal_links(CLIENTS)
         system.run_conversation_round()
         assert bob.messages_from(alice.public_key) == [b"will be delayed"]
 

@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem
+from repro.adversary import run_intersection_attack
 from repro.errors import LedgerError
 from repro.ledger import LedgerWriter, load_ledger, replay_ledger
 from repro.net import LinkRule
@@ -77,6 +78,33 @@ class TestInProcessReplay:
         assert view.of_type("window_close")
         recorded = view.of_type("schedule_done")[-1].data["clients"]
         assert recorded == live_digests
+
+    def test_blocked_client_session_replays_bit_for_bit(self, tmp_path):
+        """The §2.1 attack knocks a client offline with ``"clients"`` link
+        rules, so a session that blocks alice for one round is recorded —
+        the rules, the heal and every lost message — and replays."""
+        path = tmp_path / "ledger.jsonl"
+        with VuvuzelaSystem(scenario_config()) as system:
+            with LedgerWriter(path) as writer:
+                system.attach_ledger(writer)
+                alice = system.add_session("alice")
+                system.add_session("bob")
+                alice.dial(system.client("bob").public_key)
+                alice.say("sent around a blocked round")
+                system.run_continuous(2, dialing_interval=2)
+                result = run_intersection_attack(system, "alice", rounds_per_phase=1)
+                system.run_continuous(2, dialing_interval=2)
+            assert system.link_stats()["lost"] >= 1
+
+        assert len(result.offline_pair_counts) == 1
+        view = load_ledger(path)
+        assert len(view.of_type("link_rule_added")) == 2
+        assert [record.data for record in view.of_type("links_healed")] == [
+            {"target": "clients"}
+        ]
+        assert {record.data["source"] for record in view.of_type("link_lost")} == {"alice"}
+        report = replay_ledger(path)
+        assert report.identical, report.summary()
 
     def test_replay_requires_a_session_start(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

@@ -96,6 +96,20 @@ class TestLinkRule:
             {"action": "delay", "spec": {"latency_seconds": 0.1}},
             {"action": "delay", "spec": {"bandwidth_bytes_per_sec": 0}},
             ["action", "kill"],
+            # Neither a name nor the wildcard: a rule that matches nothing.
+            {"action": "drop", "source": 5},
+            {"action": "drop", "destination": ["a"]},
+            {"action": "drop", "source": ""},
+            # Numbers are never coerced: no truncated budget, no booleans or
+            # strings as numbers.
+            {"action": "drop", "count": 1.7},
+            {"action": "drop", "count": True},
+            {"action": "delay", "delay_seconds": True},
+            {"action": "drop", "probability": "0.5"},
+            # A spec is as strict as the rule around it.
+            {"action": "delay", "spec": {"bandwidth_bytes_per_sec": 10, "latency": 1.0}},
+            {"action": "delay", "spec": {"bandwidth_bytes_per_sec": 1, "latency_seconds": 1e999}},
+            {"action": "delay", "spec": {"bandwidth_bytes_per_sec": 10**400}},
         ],
         ids=repr,
     )
@@ -255,7 +269,7 @@ class TestLinkConditioner:
             for i in range(40)
         ]
         lost = sum(reply is None for reply in replies)
-        assert lost == network.dropped == network.link_conditioner.stats()["lost"]
+        assert lost == network.link_conditioner.stats()["lost"]
         assert 5 < lost < 35
 
     def test_control_command_roundtrip(self):

@@ -1,4 +1,4 @@
-"""Tests for the in-process transport, interference policies and link models."""
+"""Tests for the in-process transport, blocking by link rule, and link models."""
 
 from __future__ import annotations
 
@@ -6,11 +6,11 @@ import pytest
 
 from repro.errors import ConfigurationError, NetworkError
 from repro.net import (
-    AllowOnlyEndpoints,
-    BlockEndpoints,
     CLIENT_DSL_LINK,
     Envelope,
     HostSpec,
+    LinkConditioner,
+    LinkRule,
     LinkSpec,
     MessageKind,
     Network,
@@ -22,6 +22,16 @@ from repro.net import (
 
 def echo_handler(envelope: Envelope) -> bytes:
     return b"echo:" + envelope.payload
+
+
+def _network_blocking(name: str) -> Network:
+    """An echo network whose link rules drop every message to or from
+    ``name`` — CONTROL named, since a wildcard kind never matches it."""
+    net = Network(link_conditioner=LinkConditioner())
+    net.register("server-0", echo_handler)
+    for match in ({"source": name}, {"destination": name}):
+        net.link_conditioner.add_rule(LinkRule("drop", kind=MessageKind.CONTROL, **match))
+    return net
 
 
 class TestNetwork:
@@ -75,39 +85,22 @@ class TestNetwork:
         assert net.total_bytes() == 8
         assert net.total_messages() == 2
 
-    def test_block_endpoints_interference(self):
-        net = Network()
-        net.register("server-0", echo_handler)
-        net.add_interference(BlockEndpoints(["alice"]))
+    def test_drop_rules_block_one_endpoint(self):
+        net = _network_blocking("alice")
         assert net.send("alice", "server-0", b"hi") is None
         assert net.send("bob", "server-0", b"hi") == b"echo:hi"
-        assert net.dropped == 1
+        assert net.link_conditioner.stats()["lost"] == 1
 
-    def test_allow_only_endpoints_interference(self):
-        net = Network()
-        net.register("entry", echo_handler)
-        net.add_interference(AllowOnlyEndpoints(["alice", "bob"]))
-        assert net.send("alice", "entry", b"1") is not None
-        assert net.send("bob", "entry", b"1") is not None
-        assert net.send("charlie", "entry", b"1") is None
-        # Server-to-server traffic still flows.
-        net.register("server-1", echo_handler)
-        assert net.send("entry", "server-1", b"batch") is not None
-
-    def test_clear_interference_restores_traffic(self):
-        net = Network()
-        net.register("server-0", echo_handler)
-        net.add_interference(BlockEndpoints(["alice"]))
-        net.clear_interference()
+    def test_healed_rules_restore_traffic(self):
+        net = _network_blocking("alice")
+        net.link_conditioner.heal()
         assert net.send("alice", "server-0", b"hi") == b"echo:hi"
 
     def test_observers_fire_even_for_dropped_messages(self):
-        net = Network()
-        net.register("server-0", echo_handler)
+        net = _network_blocking("alice")
         seen = []
         net.add_observer(seen.append)
-        net.add_interference(BlockEndpoints(["alice"]))
-        net.send("alice", "server-0", b"hi")
+        assert net.send("alice", "server-0", b"hi") is None
         assert len(seen) == 1
 
 

@@ -12,7 +12,7 @@ from repro.crypto import DeterministicRandom, KeyPair, unwrap_response, wrap_req
 from repro.dialing import DialingProcessor
 from repro.errors import NetworkError, ProtocolError
 from repro.mixnet import MixServer
-from repro.net import BlockEndpoints, MessageKind, Network
+from repro.net import LinkConditioner, LinkRule, MessageKind, Network
 from repro.server import ChainServerEndpoint, EntryServer, decode_batch, encode_batch
 
 
@@ -116,7 +116,8 @@ class TestEntryAndChainEndpoints:
         network, entry, publics, _ = _build_two_server_chain(rng)
         wire, _ = wrap_request(b"x", publics, 2, rng)
         entry.admit(MessageKind.CONVERSATION_REQUEST, 2, "alice", wire)
-        network.add_interference(BlockEndpoints(["server-1/conversation"]))
+        network.link_conditioner = LinkConditioner()
+        network.link_conditioner.add_rule(LinkRule("drop", destination="server-1/conversation"))
         with pytest.raises(NetworkError):
             entry.run_round_grouped(MessageKind.CONVERSATION_REQUEST, 2)
         # The failed batch stays buffered for the coordinator's retry.
