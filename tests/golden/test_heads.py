@@ -1,4 +1,4 @@
-"""Committed golden heads: the bytes seven fixed sessions produce, pinned.
+"""Committed golden heads: the bytes eight fixed sessions produce, pinned.
 
 Every other byte-identity test compares two paths of the *same* commit
 (swarm against per-client, pool against inline, TCP against in-process).
@@ -206,14 +206,16 @@ def swarm_session(tmp: Path, *, pooled: bool = False, driver_class=VuvuzelaSyste
     return {"wires": wires, "messages": messages, "ledger_head": ledger_digests(path)["head"]}
 
 
-def continuous_session(monkeypatch, tmp: Path, *, pooled: bool = False) -> dict:
+def continuous_session(
+    driver_class, monkeypatch, tmp: Path, *, pooled: bool = False
+) -> dict:
     """Sessions that dial, accept and converse under the overlapping
     scheduler at depth 2, a dialing round every second conversation round;
     ``pooled`` says the driver's engine must have forked."""
     config = VuvuzelaConfig.small(seed=SEED)
     tap = WireTap(monkeypatch)
     path = tmp / "ledger.jsonl"
-    with VuvuzelaSystem(config) as system, LedgerWriter(path, fsync="never") as ledger:
+    with driver_class(config) as system, LedgerWriter(path, fsync="never") as ledger:
         system.attach_ledger(ledger)
         alice = system.add_session("alice", greetings=["hello from alice"])
         bob = system.add_session("bob", greetings=["hello from bob"])
@@ -241,7 +243,10 @@ def generate(monkeypatch, tmp: Path) -> dict:
     return {
         "session": per_client_session(VuvuzelaSystem, monkeypatch, tmp / "session"),
         "swarm": swarm_session(tmp / "swarm"),
-        "continuous": continuous_session(monkeypatch, tmp / "continuous"),
+        "continuous": continuous_session(VuvuzelaSystem, monkeypatch, tmp / "continuous"),
+        "continuous_tcp": continuous_session(
+            DeploymentLauncher, monkeypatch, tmp / "continuous_tcp"
+        ),
         "session_tcp": per_client_session(DeploymentLauncher, monkeypatch, tmp / "tcp"),
         "swarm_tcp": swarm_session(tmp / "swarm_tcp", driver_class=DeploymentLauncher),
         "abort": abort_session(VuvuzelaSystem, monkeypatch, tmp / "abort"),
@@ -301,8 +306,17 @@ def test_abort_session_heads_over_tcp(monkeypatch, tmp):
 
 def test_continuous_session_heads(engine, monkeypatch, tmp):
     """Pooled, both scheduler threads share the one pooled engine."""
-    session = continuous_session(monkeypatch, tmp, pooled=engine == "pool")
+    session = continuous_session(VuvuzelaSystem, monkeypatch, tmp, pooled=engine == "pool")
     assert session == committed("continuous")
+
+
+def test_continuous_session_heads_over_tcp(engine, monkeypatch, tmp):
+    """Pre-opened windows and overlapped dialing: the entry process holds
+    several rounds' blocking-mode windows open at once."""
+    session = continuous_session(
+        DeploymentLauncher, monkeypatch, tmp, pooled=engine == "pool"
+    )
+    assert session == committed("continuous_tcp")
 
 
 if __name__ == "__main__":
@@ -310,7 +324,14 @@ if __name__ == "__main__":
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --regenerate")
     with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
         for name in (
-            "session", "swarm", "continuous", "tcp", "swarm_tcp", "abort", "abort_tcp"
+            "session",
+            "swarm",
+            "continuous",
+            "continuous_tcp",
+            "tcp",
+            "swarm_tcp",
+            "abort",
+            "abort_tcp",
         ):
             (Path(scratch) / name).mkdir()
         entries = generate(patch, Path(scratch))
