@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .observer import GlobalObserver
 from ..core.system import VuvuzelaSystem
+from ..errors import ProtocolError
 from ..net import CLIENTS, LinkRule
 
 
@@ -70,8 +71,17 @@ def run_intersection_attack(
     The attack alternates phases (target online, target blocked) and records
     the number of dead drops accessed twice in each round.  The blocked
     phase is two ``drop`` rules on the ``"clients"`` target, healed
-    afterwards — which also heals any other client-link rule.
+    afterwards.  Healing removes every client-link rule, so the attack
+    refuses to start (:class:`~repro.errors.ProtocolError`, before any
+    round runs) while a ``"clients"`` rule the caller installed is active.
     """
+    engine = system.network.link_conditioner
+    installed = engine.active_rules(CLIENTS) if engine is not None else []
+    if installed:
+        raise ProtocolError(
+            f"{len(installed)} client-link rule(s) already active: the attack's "
+            "heal after its blocked phase would remove them"
+        )
     observer = observer or GlobalObserver(system)
     online_counts: list[int] = []
     offline_counts: list[int] = []
@@ -83,7 +93,6 @@ def run_intersection_attack(
     # Knock the target offline with the driver's own link rules, so a
     # recorded attack replays.  Certain drops draw nothing from the rng, and
     # the observer still sees every attempt before the rules decide.
-    engine = system.network.link_conditioner
     seed = engine.seed if engine is not None else 0
     for match in ({"source": target}, {"destination": target}):
         system.add_link_rule(CLIENTS, LinkRule(action="drop", **match), seed=seed)

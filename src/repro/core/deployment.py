@@ -520,14 +520,18 @@ class DeploymentLauncher(RoundDriver):
         status["entry"] = self.is_alive("entry")
         return status
 
+    def _entry_counter(self, name: str) -> int:
+        """One of the entry's running totals (its ``counters`` reply)."""
+        return int(self.entry_control({"cmd": "counters"})[name])
+
     def aborted_total(self) -> int:
-        return int(self.entry_control({"cmd": "aborted-total"})["aborted"])
+        return self._entry_counter("aborted")
 
     def buffered_total(self) -> int:
-        return int(self.entry_control({"cmd": "buffered-total"})["buffered"])
+        return self._entry_counter("buffered")
 
     def resubmission_parked(self) -> dict:
-        parked = int(self.entry_control({"cmd": "resubmission-total"})["parked"])
+        parked = self._entry_counter("parked")
         return {"total": parked} if parked else {}
 
     # -------------------------------------------------------------- link rules
@@ -834,7 +838,7 @@ class DeploymentLauncher(RoundDriver):
         )
 
     def refused_total(self) -> int:
-        return int(self.entry_control({"cmd": "refused-total"})["refused"])
+        return self._entry_counter("refused")
 
     def late_total(self) -> int:
-        return int(self.entry_control({"cmd": "late-total"})["late"])
+        return self._entry_counter("late")

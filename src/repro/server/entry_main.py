@@ -19,9 +19,12 @@ Round lifecycle is driven through the control API (JSON over
     blocks until the round resolves and returns its accounting
     (accepted / refused / late).
 ``register`` / ``revoke``
-    manage the §9 admission-control accounts, and ``refused-total`` reads
-    the entry server's refusal counter.  ``ping`` and ``shutdown`` do what
-    they say.
+    manage the §9 admission-control accounts.
+``{"cmd": "counters"}``
+    reads the entry's running totals in one reply: ``refused``, ``late``,
+    ``aborted`` (round attempts), ``buffered`` (submissions held for open
+    rounds) and ``parked`` (refunds of rounds that failed for good).
+    ``ping`` and ``shutdown`` do what they say.
 
 On startup the process prints ``READY <port>`` to stdout.
 """
@@ -41,10 +44,6 @@ from ..errors import NetworkError, ProtocolError, ReproError, TransportTimeout
 from ..net import Envelope, MessageKind, TcpTransport, parse_address
 from ..net.faults import apply_link_command
 from ..runtime import PROTOCOL_KINDS, RoundCoordinator
-
-#: Protocol name -> submission kind, shared with the round pipeline: the
-#: control plane drives exactly the protocols the pipeline implements.
-_PROTOCOLS = PROTOCOL_KINDS
 
 
 class EntryServerProcess:
@@ -108,7 +107,7 @@ class EntryServerProcess:
             max_round_attempts=config.max_round_attempts,
         )
         self.coordinator.control_handler = self.handle_control
-        self._next_round = {kind: 0 for kind in _PROTOCOLS.values()}
+        self._next_round = {kind: 0 for kind in PROTOCOL_KINDS.values()}
         self._round_lock = threading.Lock()
 
     def listen(self) -> tuple[str, int]:
@@ -153,9 +152,9 @@ class EntryServerProcess:
 
     def _protocol(self, command: dict) -> MessageKind:
         protocol = command.get("protocol")
-        if protocol not in _PROTOCOLS:
+        if protocol not in PROTOCOL_KINDS:
             raise ProtocolError(f"unknown protocol {protocol!r}")
-        return _PROTOCOLS[protocol]
+        return PROTOCOL_KINDS[protocol]
 
     def _dispatch(self, command: dict) -> dict:
         cmd = command.get("cmd")
@@ -167,24 +166,16 @@ class EntryServerProcess:
         if cmd == "revoke":
             self.entry.revoke_account(str(command["name"]))
             return {"ok": True}
-        if cmd == "refused-total":
-            return {"refused": self.entry.refused_requests}
-        if cmd == "late-total":
-            return {"late": self.coordinator.late_requests}
-        if cmd == "aborted-total":
-            return {"aborted": self.coordinator.rounds_aborted}
-        if cmd == "buffered-total":
-            # Submissions buffered at the entry, all open rounds: one side of
-            # the refund-conservation invariant a campaign checks over TCP.
-            return {"buffered": self.entry.buffered_total()}
-        if cmd == "resubmission-total":
-            # Refund payloads parked in the coordinator's resubmission queue
-            # (the other side of the same invariant).
+        if cmd == "counters":
+            # ``buffered`` and ``parked`` are the two sides of the refund
+            # conservation invariant a campaign checks over TCP.
+            coordinator = self.coordinator
             return {
-                "parked": sum(
-                    len(pairs)
-                    for pairs in self.coordinator.resubmission_queue.values()
-                )
+                "refused": self.entry.refused_requests,
+                "late": coordinator.late_requests,
+                "aborted": coordinator.rounds_aborted,
+                "buffered": self.entry.buffered_total(),
+                "parked": sum(map(len, coordinator.resubmission_queue.values())),
             }
         if cmd == "forget-client":
             # Permanent churn: prune the departed client's parked refunds,
@@ -220,7 +211,7 @@ class EntryServerProcess:
                 return {"error": f"round {command['round']} has no window"}
             try:
                 result = self.coordinator.close_round(window)
-            except (ProtocolError, ReproError) as exc:
+            except ReproError as exc:
                 return {"error": str(exc)}
             return {"round": result.round_number, "accepted": result.accepted}
         if cmd == "round-result":
@@ -228,9 +219,7 @@ class EntryServerProcess:
             wait = float(command.get("wait", 60.0))
             try:
                 result = self.coordinator.wait_for_result(kind, int(command["round"]), wait)
-            except TransportTimeout as exc:
-                return {"error": f"timeout: {exc}"}
-            except ProtocolError as exc:
+            except (TransportTimeout, ProtocolError) as exc:
                 return {"error": str(exc)}
             # Stragglers may arrive after the round resolved; the live window
             # counter includes them, the resolution-time snapshot does not.

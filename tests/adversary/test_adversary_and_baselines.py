@@ -22,7 +22,7 @@ from repro.baselines import StrawmanServer, build_unnoised_system
 from repro.conversation import ConversationSession, ExchangeRequest, encrypt_message, round_dead_drop
 from repro.crypto import DeterministicRandom, KeyPair
 from repro.errors import ConfigurationError, ProtocolError
-from repro.net import MessageKind
+from repro.net import CLIENTS, LinkRule, MessageKind
 from repro.privacy import LaplaceParams
 
 
@@ -99,6 +99,19 @@ class TestIntersectionAttack:
         # The one-pair signal is buried in Laplace noise of scale b = mu/20 = 3
         # per server; the adversary cannot clear a 2-sigma decision threshold.
         assert not result.concludes_target_is_conversing()
+
+    def test_attack_refuses_to_heal_a_rule_it_did_not_install(self):
+        """Healing after the blocked phase removes every client-link rule,
+        so an active one the caller installed stops the attack up front."""
+        system, alice, _ = _paired_system(VuvuzelaConfig.small(seed=3))
+        with system:
+            system.add_link_rule(
+                CLIENTS, LinkRule(action="delay", destination="entry", delay_seconds=0.001)
+            )
+            with pytest.raises(ProtocolError, match="already active"):
+                run_intersection_attack(system, target=alice, rounds_per_phase=1)
+            assert len(system.network.link_conditioner.active_rules(CLIENTS)) == 1
+            assert system.coordinator.rounds_run == 0
 
     def test_unnoised_system_builder(self):
         system = build_unnoised_system(seed=5)

@@ -15,6 +15,7 @@ from repro.mixnet import MixServer
 from repro.net import Envelope, MessageKind, Network, TcpTransport
 from repro.runtime import ABORTED, LATE, RoundCoordinator
 from repro.runtime.coordinator import RESPONSE_WINDOWS
+from repro.runtime.window import Phase
 from repro.server import ACK, REFUSED, ChainServerEndpoint, EntryServer
 from repro.server.wire import (
     VERDICT_ACCEPTED,
@@ -251,19 +252,21 @@ class TestTimerLifecycle:
         window = coordinator.open_round(
             MessageKind.CONVERSATION_REQUEST, 0, deadline_seconds=60.0, expected_requests=1
         )
-        assert window.timer is not None and window.timer.is_alive()
+        timer = coordinator._timers[(window.kind, window.round_number)]
+        assert timer.is_alive()
         wire, _ = wrap_request(b"x", publics, 0, rng)
         network.send("alice", "entry", wire, MessageKind.CONVERSATION_REQUEST, 0)
         # The expected-count close must cancel the 60s timer immediately.
-        assert window.timer.finished.is_set()
+        assert timer.finished.is_set()
 
     def test_coordinator_close_cancels_open_window_timers(self, rng):
         network, entry, publics, coordinator = build_stack(rng, blocking_responses=True)
         window = coordinator.open_round(
             MessageKind.CONVERSATION_REQUEST, 0, deadline_seconds=60.0
         )
+        timer = coordinator._timers[(window.kind, window.round_number)]
         coordinator.close()
-        assert window.timer is not None and window.timer.finished.is_set()
+        assert timer.finished.is_set()
         # Shutdown also unblocks anyone waiting on the round.
         with pytest.raises(ProtocolError):
             coordinator.wait_for_result(MessageKind.CONVERSATION_REQUEST, 0, timeout=1.0)
@@ -324,13 +327,13 @@ class TestResponseRetention:
         assert coordinator.window(kind, 0) is None  # past keep_windows: pruned
         for round_number in range(70 - coordinator.keep_windows, 70):
             window = coordinator.window(kind, round_number)
-            held = window.result.responses
+            held = window.outcome.responses
             if round_number >= 70 - RESPONSE_WINDOWS:
                 assert list(held) == ["alice"] and len(held["alice"][0]) > 0
             else:
                 assert held is None
             # The metadata the verdicts are computed from is all still there.
-            assert (window.result.accepted, window.result.responded) == (1, 1)
+            assert (window.outcome.accepted, window.outcome.responded) == (1, 1)
             assert window.per_client == {"alice": 1}
             assert (len(window.submitted.get("alice", [])) == 1) is blocking
             # The caller's own handle is untouched by the release.
@@ -464,7 +467,7 @@ class TestAbortAndRetry:
         assert first == ABORTED
         retry_window = coordinator.window(MessageKind.CONVERSATION_REQUEST, 0)
         assert retry_window is not None and retry_window.attempt == 2
-        assert not retry_window.closed
+        assert retry_window.phase is Phase.OPEN
 
         # Resubmitting the identical wire re-attaches to the original batch
         # slot (no duplicate), closes the retry and returns the real response.
@@ -518,7 +521,7 @@ class TestAbortAndRetry:
             thread.start()
         time.sleep(0.3)  # both of alice's sends are in flight / blocked
         window = coordinator.window(MessageKind.CONVERSATION_REQUEST, 0)
-        assert window is not None and not window.closed  # bob still owed a slot
+        assert window is not None and window.phase is Phase.OPEN  # bob still owed a slot
         submit("bob", "bob", bob_wire)
         for thread in threads:
             thread.join(timeout=30.0)
@@ -564,7 +567,7 @@ class TestAbortAndRetry:
         assert window.refused == 1
         assert window.arrivals == 1
         assert entry.refused_requests == 1
-        assert not window.closed  # alice still has her slot
+        assert window.phase is Phase.OPEN  # alice still has her slot
 
     def test_connect_timeout_is_retried(self, rng):
         """A connect that never completed delivered nothing — the common
@@ -707,7 +710,7 @@ class TestOneFailurePath:
         assert [(data["round"], data["attempt"]) for data in failed] == [(1, 1)]
         assert [client for client, _ in coordinator.resubmission_queue[(kind, 1)]] == ["alice"]
         assert entry.buffered_total() == 0
-        assert window.resolved and window.error is not None
+        assert window.phase is Phase.FAILED
 
 
 class TestDialingRoundsShareThePipeline:
