@@ -42,8 +42,9 @@ SANCTIONED = ("repro/crypto/rng.py",)
 
 #: The zero-copy wire path: TCP framing, the packed-list grammar and the
 #: typed frames over it (server batches and the engine's task blocks), the
-#: coordinator's gate (every networked submission passes through it), the
-#: conditioner's hash-keyed decisions and the batch crypto kernels.
+#: coordinator's gate (every networked submission passes through it) and the
+#: window's payload digest, the conditioner's hash-keyed decisions and the
+#: batch crypto kernels.
 WIRE_PATH = (
     "repro/net/tcp.py",
     "repro/net/faults.py",
@@ -51,6 +52,7 @@ WIRE_PATH = (
     "repro/server/wire.py",
     "repro/server/entry.py",
     "repro/runtime/coordinator.py",
+    "repro/runtime/window.py",
     "repro/crypto/batch_kernels.py",
 )
 

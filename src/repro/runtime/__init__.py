@@ -8,13 +8,15 @@ one forked worker per usable core, and pipelines chunk results back in order
 with bounded in-flight memory — byte-identical either way under a fixed rng.
 
 The package also owns round *sequencing*: :class:`RoundCoordinator`
-(:mod:`repro.runtime.coordinator`) opens a submission window per round,
+(:mod:`repro.runtime.coordinator`) opens a submission window per round (a
+pure :class:`SubmissionWindow` state machine, :mod:`repro.runtime.window`),
 collects client requests until a deadline, refuses stragglers, and drives the
 batch through the chain over any :class:`~repro.net.transport.Transport`.
 """
 
 from .engine import RoundEngine, default_engine
-from .coordinator import ABORTED, LATE, RoundCoordinator, RoundResult, SubmissionWindow
+from .window import RoundResult, SubmissionWindow
+from .coordinator import ABORTED, LATE, RoundCoordinator
 
 # The protocol plug-ins and the scheduler sit above the coordinator and pull
 # in the protocol packages (conversation, dialing, mixnet); they must stay

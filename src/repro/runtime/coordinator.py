@@ -206,7 +206,7 @@ class RoundCoordinator:
             for old in [
                 k
                 for k, other in self._windows.items()
-                if k[0] is kind and k[1] < horizon and other.settled
+                if k[0] is kind and k[1] < horizon and other.outcome is not None
             ]:
                 del self._windows[old]
                 self.resubmission_queue.pop(old, None)
@@ -498,7 +498,7 @@ class RoundCoordinator:
                 (
                     number
                     for (kind, number), other in self._windows.items()
-                    if kind is window.kind and not other.settled
+                    if kind is window.kind and other.outcome is None
                 ),
                 default=window.round_number,
             )
@@ -527,7 +527,7 @@ class RoundCoordinator:
 
         def settled() -> bool:
             window = attempt or self._windows.get(key)
-            return window is not None and window.settled
+            return window is not None and window.outcome is not None
 
         with self._resolved_cond:
             if not self._wait_until(settled, seconds):
@@ -560,7 +560,7 @@ class RoundCoordinator:
             for timer in self._timers.values():
                 timer.cancel()
             for window in self._windows.values():
-                if not window.settled:
+                if window.outcome is None:
                     window.fail(
                         NetworkError(
                             f"round {window.round_number} ({window.kind.value}): "

@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycles are broken at runtime
     from ..core.metrics import RoundMetrics
     from ..crypto.rng import RandomSource
     from ..mixnet.chain import NoiseBuilder, RoundProcessor
-    from .coordinator import RoundResult
+    from .window import RoundResult
     from .engine import RoundEngine
 
 

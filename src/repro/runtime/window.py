@@ -39,10 +39,6 @@ class Phase(Enum):
     ABORTED = "aborted"
 
 
-#: The phases a waiter wakes on: the attempt has its outcome.
-SETTLED = frozenset({Phase.RESOLVED, Phase.FAILED, Phase.ABORTED})
-
-
 def digest(payload: bytes) -> bytes:
     """The idempotency key of one payload (hashes memoryviews without a copy)."""
     return hashlib.sha256(payload).digest()
@@ -91,8 +87,8 @@ class SubmissionWindow:
     #: Idempotent resubmissions re-attached to an existing batch slot.
     resubmissions: int = 0
     phase: Phase = Phase.OPEN
-    #: Once settled: the :class:`RoundResult`, the permanent failure, or the
-    #: :class:`~repro.errors.RoundAbortedError` this attempt ended with.
+    #: ``None`` until the attempt settles; then the :class:`RoundResult`, the
+    #: permanent failure, or the :class:`~repro.errors.RoundAbortedError`.
     outcome: RoundResult | Exception | None = None
     #: Per-client count of accepted submissions, for response alignment.
     per_client: dict[str, int] = field(default_factory=dict)
@@ -106,10 +102,6 @@ class SubmissionWindow:
     #: ``(client, digest)`` of refused payloads: a retried refusal whose
     #: reply was lost is answered again without counting twice.
     refused_digests: set[tuple[str, bytes]] = field(default_factory=set)
-
-    @property
-    def settled(self) -> bool:
-        return self.phase in SETTLED
 
     @property
     def due(self) -> bool:
@@ -180,7 +172,7 @@ class SubmissionWindow:
     def forget(self, name: str) -> None:
         """Drop a departed client's bookkeeping once the attempt settled (an
         in-flight attempt still runs its accepted wires as cover traffic)."""
-        if not self.settled:
+        if self.outcome is None:
             return
         self.per_client.pop(name, None)
         self.submitted.pop(name, None)

@@ -3,6 +3,7 @@ mode, and the abort/retry fault-tolerance path."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -642,6 +643,51 @@ class TestAbortAndRetry:
         assert result.attempts == 2
         assert result.accepted == 1
         assert result.refused == 1  # mallory's refusal survives the abort
+
+    def test_concurrent_duplicates_through_an_abort_land_exactly_once(self, rng):
+        """Sixteen clients each submit twice at once (a retried long-poll
+        racing the original) into one window, the first drive fails and
+        every client resubmits after ABORTED.  Under a short switch interval
+        a lost update to the window shows as a wrong count or response."""
+        kind, clients = MessageKind.CONVERSATION_REQUEST, 16
+        network, entry, publics, coordinator = build_stack(rng, blocking_responses=True)
+        flaky_hop(network, "server-1/conversation", failures=1)
+        coordinator.open_round(kind, 0, expected_requests=clients)
+        wires = {
+            f"c{i}": wrap_request(f"from {i}".encode(), publics, 0, rng) for i in range(clients)
+        }
+        replies: dict[str, list] = {name: [] for name in wires}
+
+        def submit(name):
+            for _ in range(3):
+                reply = network.send(name, "entry", wires[name][0], kind, 0)
+                if reply != ABORTED:
+                    replies[name].append(reply)
+                    return
+
+        threads = [threading.Thread(target=submit, args=(n,)) for n in wires for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        result = coordinator.wait_for_result(kind, 0, timeout=5.0)
+        window = coordinator.window(kind, 0)
+        assert (result.attempts, result.accepted, result.refused) == (2, clients, 0)
+        assert window.arrivals == clients == sum(window.per_client.values())
+        for name, (_, ctx) in wires.items():
+            assert len(result.responses[name]) == 1
+            # A duplicate that lost the race to a close is a straggler; every
+            # other reply is the client's own response.
+            answered = [reply for reply in replies[name] if reply != LATE]
+            assert answered and {unwrap_response(r, ctx) for r in answered} == {
+                f"FROM {name[1:]}".encode()
+            }
 
 
 def build_dialing_stack(rng, **coordinator_kwargs):
