@@ -3,7 +3,7 @@
 Builds a lock-acquisition graph: which locks each class declares (including
 ``Condition(self._lock)`` aliasing — a condition *is* its wrapped lock),
 which locks each method acquires via ``with``, and which calls happen while
-holding them.  Calls are resolved same-class (``self._gate_one(...)``) and
+holding them.  Calls are resolved same-class (``self._gate(...)``) and
 through declared attribute bindings (``self.ledger.append(...)`` →
 ``LedgerWriter.append``), then summaries propagate to a fixpoint — so a
 method that calls into a helper that calls into ``fsync`` is just as
