@@ -7,11 +7,12 @@ its much faster OpenSSL-backed implementations.  Both backends are
 interchangeable at the byte level, and the test suite cross-validates them.
 
 Besides the per-message primitives, every backend exposes *batch* entry
-points shaped for round processing (see :mod:`repro.crypto.batch_kernels`):
-one AEAD nonce and many keys, one X25519 scalar and many points (peel), many
-fresh scalars and one point (wrap: each scalar's public key *and* its shared
-secret, fused).  The pure-Python backend vectorizes these; the
-``cryptography`` backend loops natively in C with per-round object reuse.
+points shaped for round processing: one AEAD nonce and many keys, one X25519
+scalar and many points (peel), many fresh scalars and one point (wrap: each
+scalar's public key *and* its shared secret, fused).  The ``cryptography``
+backend loops natively in C with per-round object reuse; the pure-Python
+backend loops over the per-message reference code, so there is one
+implementation of each primitive to trust.
 
 The active backend can be forced with :func:`set_backend`, which is used by
 the tests and by the crypto micro-benchmarks to measure both paths.
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import batch_kernels as _batch
 from . import chacha20 as _chacha20
 from . import poly1305 as _poly1305
 from . import x25519 as _x25519
@@ -92,53 +92,34 @@ def _aead_mac_data(aad: bytes, ciphertext: bytes) -> bytes:
 def _pure_aead_seal_batch(
     keys: Sequence[bytes], nonce: bytes, plaintexts: Sequence[bytes], aad: bytes = b""
 ) -> list[bytes]:
-    """Batch AEAD seal: one shared nonce, per-message keys.
-
-    Messages are grouped by length so each group shares one keystream
-    schedule (block 0 yields the Poly1305 one-time key, blocks 1.. the
-    cipher keystream) and runs through the vectorized ChaCha20 kernel.
-    """
-    out: list[bytes] = [b""] * len(plaintexts)
-    for length, indices in _group_by_length(plaintexts).items():
-        nblocks = 1 + (length + 63) // 64
-        group_keys = [keys[i] for i in indices]
-        streams = _batch.chacha20_keystreams_batch(group_keys, nonce, 0, nblocks)
-        bodies = _batch.xor_batch([plaintexts[i] for i in indices], [s[64:] for s in streams])
-        for i, stream, body in zip(indices, streams, bodies):
-            tag = _poly1305.poly1305_mac(stream[:32], _aead_mac_data(aad, body))
-            out[i] = body + tag
-    return out
+    """Batch AEAD seal: one shared nonce, per-message keys."""
+    return [
+        _pure_aead_encrypt(key, nonce, plaintext, aad)
+        for key, plaintext in zip(keys, plaintexts)
+    ]
 
 
 def _pure_aead_open_batch(
     keys: Sequence[bytes], nonce: bytes, ciphertexts: Sequence[bytes], aad: bytes = b""
 ) -> list[bytes | None]:
     """Batch AEAD open; returns ``None`` at positions that fail to verify."""
-    out: list[bytes | None] = [None] * len(ciphertexts)
-    long_enough = [
-        i for i, ct in enumerate(ciphertexts) if len(ct) >= _poly1305.TAG_SIZE
-    ]
-    groups = _group_by_length([ciphertexts[i] for i in long_enough])
-    for length, group in groups.items():
-        indices = [long_enough[g] for g in group]
-        body_len = length - _poly1305.TAG_SIZE
-        nblocks = 1 + (body_len + 63) // 64
-        group_keys = [keys[i] for i in indices]
-        streams = _batch.chacha20_keystreams_batch(group_keys, nonce, 0, nblocks)
-        bodies = [bytes(ciphertexts[i][:body_len]) for i in indices]
-        plaintexts = _batch.xor_batch(bodies, [s[64:] for s in streams])
-        for i, stream, body, plaintext in zip(indices, streams, bodies, plaintexts):
-            expected = _poly1305.poly1305_mac(stream[:32], _aead_mac_data(aad, body))
-            if _poly1305.verify_tag(expected, bytes(ciphertexts[i][body_len:])):
-                out[i] = plaintext
+    out: list[bytes | None] = []
+    for key, ciphertext in zip(keys, ciphertexts):
+        try:
+            out.append(_pure_aead_decrypt(key, nonce, ciphertext, aad))
+        except DecryptionError:
+            out.append(None)
     return out
 
 
-def _group_by_length(items: Sequence[bytes]) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {}
-    for index, item in enumerate(items):
-        groups.setdefault(len(item), []).append(index)
-    return groups
+def _pure_x25519_fixed_scalar_batch(k: bytes, us: Sequence[bytes]) -> list[bytes]:
+    return [_x25519.scalar_mult(k, u) for u in us]
+
+
+def _pure_x25519_fixed_point_batch(
+    ks: Sequence[bytes], u: bytes
+) -> tuple[list[bytes], list[bytes]]:
+    return [_x25519.scalar_base_mult(k) for k in ks], [_x25519.scalar_mult(k, u) for k in ks]
 
 
 _PURE_BACKEND = Backend(
@@ -149,8 +130,8 @@ _PURE_BACKEND = Backend(
     aead_decrypt=_pure_aead_decrypt,
     aead_seal_batch=_pure_aead_seal_batch,
     aead_open_batch=_pure_aead_open_batch,
-    x25519_fixed_scalar_batch=_batch.x25519_fixed_scalar_batch,
-    x25519_fixed_point_batch=_batch.x25519_fixed_point_batch,
+    x25519_fixed_scalar_batch=_pure_x25519_fixed_scalar_batch,
+    x25519_fixed_point_batch=_pure_x25519_fixed_point_batch,
 )
 
 

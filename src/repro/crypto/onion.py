@@ -22,7 +22,7 @@ Servers never peel one wire at a time: :func:`peel_request_batch` and
 :func:`wrap_response_batch` process a whole round through the active
 backend's batch primitives (fixed-scalar X25519, shared-nonce AEAD), and
 :func:`wrap_request_batch` onion-wraps a round's worth of cover traffic in
-one vectorized pass per layer (:func:`wrap_request` is its one-payload
+one batched pass per layer (:func:`wrap_request` is its one-payload
 case).  The per-message peel/unwrap functions remain as the reference path;
 the batch path is byte-identical to them.
 """

@@ -42,9 +42,8 @@ SANCTIONED = ("repro/crypto/rng.py",)
 
 #: The zero-copy wire path: TCP framing, the packed-list grammar and the
 #: typed frames over it (server batches and the engine's task blocks), the
-#: coordinator's gate (every networked submission passes through it) and the
-#: window's payload digest, the conditioner's hash-keyed decisions and the
-#: batch crypto kernels.
+#: coordinator's gate (every networked submission passes through it), the
+#: window's payload digest and the conditioner's hash-keyed decisions.
 WIRE_PATH = (
     "repro/net/tcp.py",
     "repro/net/faults.py",
@@ -53,7 +52,6 @@ WIRE_PATH = (
     "repro/server/entry.py",
     "repro/runtime/coordinator.py",
     "repro/runtime/window.py",
-    "repro/crypto/batch_kernels.py",
 )
 
 #: The modules whose locks form the round-lifecycle lock graph.  The shared

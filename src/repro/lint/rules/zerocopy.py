@@ -3,8 +3,8 @@
 PR 8 made the server path memoryview-clean end to end; this rule keeps it
 that way.  ``bytes(view)`` / ``view.tobytes()`` on anything that carries
 wire data re-materialises a buffer the path promised not to copy; each
-deliberate boundary (retention past frame-buffer reuse, numpy kernel
-output) carries an allow-comment or a baseline entry saying why.
+deliberate boundary (retention past frame-buffer reuse) carries an
+allow-comment or a baseline entry saying why.
 
 * ``zero-copy`` — a ``bytes()`` / ``.tobytes()`` copy of a view-carrying
   expression inside a wire-path module.

@@ -13,7 +13,7 @@ encrypt results), while the protocol supplies two callables:
 
 All batch crypto a round performs is routed through a
 :class:`~repro.runtime.RoundEngine`: by default the process-wide serial
-engine (which already chunks kernels to bound their working set), or a
+engine (which already chunks a batch to bound its working set), or a
 driver's host-sized engine shared by the whole chain for multi-core rounds.
 The engine only ever executes pure functions
 of bytes — noise payloads, wrap scalars and the mix permutation are all
@@ -158,7 +158,7 @@ class MixServer:
         goes through the engine's chunked request wrap: the ephemeral scalars
         are drawn from the round's rng up front (in the serial wrap's exact
         order) and only the pure crypto is sharded, so noise generation costs
-        one vectorized pass per remaining layer per chunk and is identical
+        one batched pass per remaining layer per chunk and is identical
         inline and on the pool.
         """
         remaining = self.chain_public_keys[self.index + 1 :]

@@ -22,12 +22,11 @@ dialing scan      1 trial per recipient per invitation             :data:`SCAN_P
 * **Workers.** One per usable core (``os.sched_getaffinity``); on one core
   the engine never forks, and neither does an op of one row.  There is
   nothing to configure.
-* **Chunks.** Inline, an op runs in chunks of
-  :data:`~repro.crypto.batch_kernels.PREFERRED_CHUNK` rows, which keeps the
-  vectorized kernels' temporaries cache-resident (100k-message rounds once
-  ran ~40% slower per message than 10k ones).  On the pool, it is split
-  into one chunk per worker, capped at the same size, so a 1,100-wire round
-  uses every core and a 1M-wire round still pipelines.
+* **Chunks.** Inline, an op runs in chunks of :data:`PREFERRED_CHUNK` rows,
+  which bounds the memory a chunk's columns and outputs hold at once.  On
+  the pool, it is split into one chunk per worker, capped at the same size,
+  so a 1,100-wire round uses every core and a 100k+-wire round still
+  pipelines.
 * **Transport.** Every pooled chunk is one task of one function,
   :func:`.worker.run`: the op, its static arguments and the chunk's columns
   as one packed list (:mod:`repro.net.packed`) travel through the
@@ -89,12 +88,17 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import worker as _worker
 from ..crypto.backend import active_backend
-from ..crypto.batch_kernels import PREFERRED_CHUNK
 from ..crypto.keys import PrivateKey, PublicKey
 from ..crypto.onion import OnionContext, draw_request_scalars
 from ..crypto.rng import RandomSource
 from ..errors import ProtocolError
 from ..net.packed import pack, unpack_owned
+
+#: The most rows an op runs as one chunk.  It bounds the memory one chunk's
+#: columns and outputs hold at once, inline and on the pool, and it is what
+#: keeps a pooled round of 100k+ wires a pipeline of chunks rather than one
+#: task per worker.
+PREFERRED_CHUNK = 8192
 
 #: The fewest curve operations that send a peel, a noise wrap or a client or
 #: dial build to the pool.  Measured on a 2-core host with the pool warm

@@ -1,18 +1,24 @@
-"""Batch crypto entry points: RFC 8439 vectors, kernel equivalence, caching.
+"""Batch crypto entry points: RFC 8439 vectors, reference equivalence, caching.
 
-The batch path must be byte-identical to the per-message reference on every
-backend and on every kernel (numpy-vectorized and pure-Python fallback), and
-must mask failures positionally instead of raising.
+Every backend's four batch fields must be byte-identical to the per-message
+reference at every batch size, and must mask failures positionally instead
+of raising.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.crypto import DeterministicRandom, derive_layer_keys, key_from_shared_secret
-from repro.crypto import batch_kernels, chacha20, x25519
+from repro.crypto import x25519
 from repro.crypto.backend import CRYPTOGRAPHY, available_backends, set_backend
 from repro.crypto.secretbox import derive_layer_key_schedule, open_box_batch, seal_batch
 
@@ -50,7 +56,7 @@ class TestBatchAead:
         assert opened == [AEAD_PLAINTEXT] * 3
 
     def test_batch_matches_scalar_on_mixed_lengths(self, backend, rng):
-        # Mixed lengths exercise the pure path's length grouping.
+        # Empty, sub-block, block-boundary and multi-block messages.
         lengths = [0, 1, 63, 64, 65, 272, 272, 1000]
         keys = [rng.random_bytes(32) for _ in lengths]
         messages = [rng.random_bytes(n) for n in lengths]
@@ -87,115 +93,69 @@ class TestBatchAead:
         assert seal_batch([], nonce, []) == []
         assert open_box_batch([], nonce, []) == []
 
-    def test_large_batch_without_numpy_uses_python_kernels(self, backend, rng, monkeypatch):
-        # With numpy unavailable the batch entry points must produce the same
-        # bytes from the pure-Python kernels, even above the numpy threshold.
-        monkeypatch.setattr(batch_kernels, "HAVE_NUMPY", False)
-        count = batch_kernels.MIN_NUMPY_BATCH + 5
-        keys = [rng.random_bytes(32) for _ in range(count)]
-        messages = [rng.random_bytes(96) for _ in range(count)]
+    def test_memoryview_inputs(self, backend, rng):
+        keys = [rng.random_bytes(32) for _ in range(3)]
+        messages = [rng.random_bytes(n) for n in (0, 40, 100)]
         nonce = rng.random_bytes(12)
         sealed = backend.aead_seal_batch(keys, nonce, messages, b"")
+        assert backend.aead_seal_batch(
+            [memoryview(key) for key in keys], nonce, [memoryview(m) for m in messages], b""
+        ) == sealed
+        assert backend.aead_open_batch(
+            [memoryview(key) for key in keys], nonce, [memoryview(box) for box in sealed], b""
+        ) == messages
+
+
+#: Batch sizes for the reference equivalence: empty, one row, and rows on
+#: either side of every size a batch path has ever switched strategy at.
+BATCH_SIZES = [0, 1, 65, 400]
+
+
+@pytest.mark.parametrize("count", BATCH_SIZES)
+class TestBatchMatchesReference:
+    """Each batch field equals its per-message reference, row by row."""
+
+    def test_aead_seal_and_open(self, backend, rng, count):
+        lengths = [(0, 1, 63, 64, 65, 272)[i % 6] for i in range(count)]
+        keys = [rng.random_bytes(32) for _ in lengths]
+        messages = [rng.random_bytes(n) for n in lengths]
+        nonce = rng.random_bytes(12)
+        sealed = backend.aead_seal_batch(keys, nonce, messages, b"aad")
         assert sealed == [
-            backend.aead_encrypt(key, nonce, message, b"")
+            backend.aead_encrypt(key, nonce, message, b"aad")
             for key, message in zip(keys, messages)
         ]
-        assert backend.aead_open_batch(keys, nonce, sealed, b"") == messages
+        assert backend.aead_open_batch(keys, nonce, sealed, b"aad") == messages
+
+    def test_x25519_fixed_scalar(self, backend, rng, count):
         k = rng.random_bytes(32)
         us = [rng.random_bytes(32) for _ in range(count)]
-        assert backend.x25519_fixed_scalar_batch(k, us[:4]) == [
-            x25519.scalar_mult(k, u) for u in us[:4]
-        ]
-        assert backend.x25519_fixed_point_batch(us[:4], k) == (
-            [x25519.scalar_base_mult(u) for u in us[:4]],
-            [x25519.scalar_mult(u, k) for u in us[:4]],
-        )
+        assert backend.x25519_fixed_scalar_batch(k, us) == [x25519.scalar_mult(k, u) for u in us]
 
-    def test_numpy_batch_crosses_grouping_threshold(self, backend, rng):
-        # Above MIN_NUMPY_BATCH the pure backend switches kernels; results
-        # must not change.
-        count = batch_kernels.MIN_NUMPY_BATCH + 10
-        keys = [rng.random_bytes(32) for _ in range(count)]
-        messages = [rng.random_bytes(272) for _ in range(count)]
-        nonce = rng.random_bytes(12)
-        sealed = backend.aead_seal_batch(keys, nonce, messages, b"")
-        assert sealed[-1] == backend.aead_encrypt(keys[-1], nonce, messages[-1], b"")
-        assert backend.aead_open_batch(keys, nonce, sealed, b"") == messages
-
-
-class TestChaChaKernels:
-    def test_unrolled_keystream_matches_block_function(self, rng):
-        key, nonce = rng.random_bytes(32), rng.random_bytes(12)
-        expected = b"".join(chacha20.chacha20_block(key, counter, nonce) for counter in range(5))
-        assert batch_kernels.chacha20_keystream(key, nonce, 0, 5) == expected
-
-    def test_vectorized_keystreams_match_block_function(self, rng):
-        if not batch_kernels.HAVE_NUMPY:
-            pytest.skip("numpy not installed")
-        keys = [rng.random_bytes(32) for _ in range(batch_kernels.MIN_NUMPY_BATCH)]
-        nonce = rng.random_bytes(12)
-        streams = batch_kernels.chacha20_keystreams_batch(keys, nonce, 3, 2)
-        for key, stream in zip(keys, streams):
-            assert stream == chacha20.chacha20_block(key, 3, nonce) + chacha20.chacha20_block(
-                key, 4, nonce
-            )
-
-
-    @pytest.mark.parametrize("count", [3, batch_kernels.MIN_NUMPY_BATCH])
-    def test_keystreams_batch_matches_single_streams(self, rng, count):
-        """Both kernels (below and at the numpy threshold) against the
-        unrolled single-message kernel, for every block count the AEAD uses."""
-        keys = [rng.random_bytes(32) for _ in range(count)]
-        nonce = rng.random_bytes(12)
-        for nblocks in (0, 1, 2, 5):
-            streams = batch_kernels.chacha20_keystreams_batch(keys, nonce, 1, nblocks)
-            assert streams == [
-                batch_kernels.chacha20_keystream(key, nonce, 1, nblocks) for key in keys
-            ]
-
-    @pytest.mark.parametrize("count", [3, batch_kernels.MIN_NUMPY_BATCH])
-    def test_xor_batch_matches_chacha20_xor(self, rng, count):
-        keys = [rng.random_bytes(32) for _ in range(count)]
-        nonce = rng.random_bytes(12)
-        datas = [rng.random_bytes(100) for _ in range(count)]
-        streams = batch_kernels.chacha20_keystreams_batch(keys, nonce, 1, 2)
-        assert batch_kernels.xor_batch(datas, streams) == [
-            chacha20.chacha20_xor(key, nonce, data, 1) for key, data in zip(keys, datas)
-        ]
-
-    def test_xor_batch_of_nothing_and_of_empty_messages(self):
-        assert batch_kernels.xor_batch([], []) == []
-        assert batch_kernels.xor_batch([b"", b""], [b"\x01" * 64, b"\x02" * 64]) == [b"", b""]
-
-
-class TestX25519Kernels:
-    def test_fixed_scalar_kernels_match_scalar_mult(self, rng):
-        k = rng.random_bytes(32)
-        us = [rng.random_bytes(32) for _ in range(batch_kernels.MIN_NUMPY_LADDER_BATCH + 3)]
-        expected = [x25519.scalar_mult(k, u) for u in us]
-        assert batch_kernels._py_x25519_fixed_scalar(k, us[:6]) == expected[:6]
-        assert batch_kernels.x25519_fixed_scalar_batch(k, us) == expected
-
-    def test_fixed_point_kernels_match_scalar_mult(self, rng):
+    def test_x25519_fixed_point(self, backend, rng, count):
         u = rng.random_bytes(32)
-        ks = [rng.random_bytes(32) for _ in range(batch_kernels.MIN_NUMPY_LADDER_BATCH + 3)]
-        expected = (
+        ks = [rng.random_bytes(32) for _ in range(count)]
+        assert backend.x25519_fixed_point_batch(ks, u) == (
             [x25519.scalar_base_mult(k) for k in ks],
             [x25519.scalar_mult(k, u) for k in ks],
         )
-        assert batch_kernels.x25519_fixed_point_batch(ks, u) == expected
-        assert batch_kernels.x25519_fixed_point_batch(ks[:6], u) == (
-            expected[0][:6],
-            expected[1][:6],
-        )
 
-    def test_small_order_point_yields_all_zero_secret(self, rng):
+
+class TestX25519Batch:
+    def test_small_order_points_yield_all_zero_secrets_without_raising(self, backend, rng):
         k = rng.random_bytes(32)
-        zero_point = bytes(32)
-        count = batch_kernels.MIN_NUMPY_LADDER_BATCH
-        results = batch_kernels.x25519_fixed_scalar_batch(k, [zero_point] * count)
-        assert results == [x25519.scalar_mult(k, zero_point)] * count
-        assert all(x25519.is_all_zero(result) for result in results)
+        good = x25519.scalar_base_mult(rng.random_bytes(32))
+        small_order = [bytes(32), (1).to_bytes(32, "little")]
+        results = backend.x25519_fixed_scalar_batch(k, [good, *small_order, good])
+        assert results == [x25519.scalar_mult(k, good), bytes(32), bytes(32), results[0]]
+        assert not x25519.is_all_zero(results[0])
+
+    def test_memoryview_inputs(self, backend, rng):
+        k = rng.random_bytes(32)
+        us = [rng.random_bytes(32) for _ in range(3)]
+        assert backend.x25519_fixed_scalar_batch(
+            memoryview(k), [memoryview(u) for u in us]
+        ) == backend.x25519_fixed_scalar_batch(k, us)
 
     def test_backend_batch_exchanges_agree_across_backends(self, rng):
         if CRYPTOGRAPHY not in available_backends():
@@ -214,15 +174,15 @@ class TestX25519Kernels:
         assert all(value == values[0] for value in values[1:])
 
     @given(st.integers(min_value=0, max_value=2**255 - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_fixed_scalar_property(self, point_int: int):
+    @settings(
+        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_fixed_scalar_property(self, backend, point_int: int):
         rng = DeterministicRandom(point_int.to_bytes(32, "little"))
         k = rng.random_bytes(32)
         u = point_int.to_bytes(32, "little")
-        assert batch_kernels._py_x25519_fixed_scalar(k, [u]) == [x25519.scalar_mult(k, u)]
-        if batch_kernels.HAVE_NUMPY:
-            assert batch_kernels._np_x25519_fixed_scalar(k, [u]) == [x25519.scalar_mult(k, u)]
-            assert batch_kernels._np_x25519_fixed_point([k], u) == [x25519.scalar_mult(k, u)]
+        assert backend.x25519_fixed_scalar_batch(k, [u]) == [x25519.scalar_mult(k, u)]
+        assert backend.x25519_fixed_point_batch([k], u)[1] == [x25519.scalar_mult(k, u)]
 
 
 # RFC 7748 section 6.1: Alice's and Bob's private keys, public keys, shared secret.
@@ -259,15 +219,16 @@ class TestFusedKeygenExchange:
         assert publics == [RFC7748_BOB_PUBLIC]
         assert shareds == [RFC7748_SHARED]
 
-    @pytest.mark.parametrize("count", [5, batch_kernels.MIN_NUMPY_LADDER_BATCH + 2])
-    def test_unclamped_scalars_match_the_reference_ladder(self, backend, rng, count):
+    def test_unclamped_scalars_match_the_reference_ladder(self, backend, rng):
         # All-ones and all-zero scalars have every bit the clamp touches set
         # the "wrong" way; random ones cover the rest.
-        ks = [b"\xff" * 32, bytes(32)] + [rng.random_bytes(32) for _ in range(count - 2)]
+        ks = [b"\xff" * 32, bytes(32)] + [rng.random_bytes(32) for _ in range(3)]
         u = x25519.scalar_base_mult(rng.random_bytes(32))
         publics, shareds = backend.x25519_fixed_point_batch(ks, u)
         assert publics == [x25519.scalar_base_mult(k) for k in ks]
         assert shareds == [x25519.scalar_mult(k, u) for k in ks]
+        for k in ks[:2]:
+            assert backend.x25519_fixed_scalar_batch(k, [u]) == [x25519.scalar_mult(k, u)]
 
     def test_memoryview_inputs(self, backend, rng):
         ks = [rng.random_bytes(32) for _ in range(3)]
@@ -351,3 +312,20 @@ class TestDerivedKeyCache:
             seal_batch(keys, nonce, [b"only-one"])
         with pytest.raises(ValueError):
             open_box_batch(keys, nonce, [b"x" * 20, b"y" * 20, b"z" * 20])
+
+
+def test_server_processes_do_not_import_numpy():
+    """The library and both server mains start without numpy: every process
+    of a deployment pays for what it imports, once."""
+    source = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, repro, repro.server.entry_main, repro.server.chain_main; "
+        "print('numpy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

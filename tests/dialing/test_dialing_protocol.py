@@ -144,7 +144,7 @@ class TestBucketScan:
             set_backend(available_backends()[-1])
 
     @pytest.mark.parametrize("backend", available_backends())
-    @pytest.mark.parametrize("noise", [3, 80])  # below and above the numpy kernels' threshold
+    @pytest.mark.parametrize("noise", [3, 80])  # mostly callers; mostly noise
     def test_batched_scan_matches_per_invitation_open(self, rng, alice, bob, backend, noise):
         """``fetch_invitations`` trial-decrypts the bucket in one batch; it must
         find the same callers, in the same (download) order, as opening each

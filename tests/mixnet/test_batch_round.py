@@ -153,13 +153,11 @@ class TestBatchRoundPipeline:
                 response = wrap_response(response, key, 4)
             assert unwrap_response(response, context) == payload[::-1]
 
-    def test_large_round_crosses_numpy_threshold(self, backend_name):
-        from repro.crypto import batch_kernels
-
+    def test_large_round_of_72_wires(self, backend_name):
         rng = DeterministicRandom(101)
         keypairs = [KeyPair.generate(rng) for _ in range(1)]
         publics = [kp.public for kp in keypairs]
-        count = batch_kernels.MIN_NUMPY_BATCH + 8
+        count = 72
         payloads = [bytes([i % 256]) * 32 for i in range(count)]
         wires, contexts = wrap_request_batch(payloads, publics, 12, rng)
         server = MixServer(
