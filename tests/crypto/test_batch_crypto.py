@@ -106,8 +106,9 @@ class TestBatchAead:
         ) == messages
 
 
-#: Batch sizes for the reference equivalence: empty, one row, and rows on
-#: either side of every size a batch path has ever switched strategy at.
+#: Empty, one row, and two larger batches: 65 and 400 rows lie above the
+#: 64-row and 384-row marks where earlier pure-Python batch paths changed
+#: strategy, and 1 lies below both.
 BATCH_SIZES = [0, 1, 65, 400]
 
 
