@@ -7,8 +7,8 @@ measures exactly that: one mix server peeling a round of onion requests and
 wrapping the round's responses, through
 
 * the **batched** pipeline (``MixServer.process_round`` → the serial
-  :class:`~repro.runtime.RoundEngine`, which chunks the batch kernels to
-  keep their working set cache-resident),
+  :class:`~repro.runtime.RoundEngine`, which runs the backend's batch
+  entry points in chunks that bound the round's working memory),
 * the **host-sized** engine, ``RoundEngine()`` with one worker per usable
   core (the multi-core path: each batch split into one chunk per worker,
   shipped as packed blocks through the task pipe), against the same round
@@ -23,7 +23,8 @@ Results are printed as a table and written to a JSON artifact (including the
 host's CPU count — scaling numbers are meaningless without it) so later PRs
 have a performance trajectory to compare against.
 
-Run it directly (takes a couple of minutes with the default sizes)::
+Run it directly (~13 minutes on a 2-vCPU host with the default sizes, most
+of it the pure-python 100k round)::
 
     PYTHONPATH=src python benchmarks/bench_round_throughput.py
     PYTHONPATH=src python benchmarks/bench_round_throughput.py \
