@@ -16,7 +16,6 @@ Two pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import messages
 from ..crypto import DEAD_DROP_ID_SIZE, random_dead_drop
@@ -96,16 +95,11 @@ def build_noise_request(rng: RandomSource, dead_drop_id: bytes | None = None) ->
     return messages.ExchangeRequest(dead_drop_id=drop, message_box=box).encode()
 
 
-def conversation_noise_builder(
-    spec: CoverTrafficSpec,
-    counts_log: Callable[[int, int, int], None] | None = None,
-) -> NoiseBuilder:
+def conversation_noise_builder(spec: CoverTrafficSpec) -> NoiseBuilder:
     """Make the noise builder one mixing server runs each round (step 2).
 
-    ``counts_log`` (round_number, singles, pairs), when given, lets tests and
-    the simulator record exactly how much cover traffic was generated.
-
-    The round's randomness is drawn in **one** ``random_bytes`` call and
+    The requests come singles first, then each pair's two requests side by
+    side.  The round's randomness is drawn in **one** ``random_bytes`` call and
     sliced per request instead of paying two rng calls per noise message —
     at the paper's operating point that is ~600k requests per server per
     round.  Both rng flavours are byte streams (``DeterministicRandom``
@@ -132,8 +126,6 @@ def conversation_noise_builder(
             requests.append(blob[offset : offset + single_span])
             requests.append(drop + blob[second_box : second_box + box_size])
             offset += pair_span
-        if counts_log is not None:
-            counts_log(round_number, counts.singles, counts.pairs)
         return requests
 
     return build

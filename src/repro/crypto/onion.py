@@ -112,11 +112,16 @@ def draw_request_scalars(
     the draws from the crypto lets the round engine chunk a wrap — or ship
     chunks to worker processes — while keeping every rng draw in the calling
     thread, so chunked and unchunked wraps stay byte-identical.
+
+    Each layer is one ``random_bytes`` call, sliced per message: both rng
+    flavours are byte streams, so that is byte-identical to one call per
+    scalar.
     """
     rng = rng or default_random()
     scalars: list[list[bytes]] = [[] for _ in range(depth)]
     for index in range(depth - 1, -1, -1):
-        scalars[index] = [rng.random_bytes(KEY_SIZE) for _ in range(count)]
+        layer = rng.random_bytes(KEY_SIZE * count)
+        scalars[index] = [layer[at : at + KEY_SIZE] for at in range(0, len(layer), KEY_SIZE)]
     return scalars
 
 

@@ -18,7 +18,6 @@ Two pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import struct
 
@@ -116,11 +115,7 @@ class DialingProcessor:
         return self.store_for_round(round_number).bucket_sizes()
 
 
-def dialing_noise_builder(
-    spec: DialingNoiseSpec,
-    num_buckets: int,
-    counts_log: Callable[[int, int], None] | None = None,
-) -> NoiseBuilder:
+def dialing_noise_builder(spec: DialingNoiseSpec, num_buckets: int) -> NoiseBuilder:
     """Noise builder for a mixing (non-last) server in a dialing round.
 
     For every invitation dead drop, the server adds a truncated-Laplace number
@@ -146,8 +141,6 @@ def dialing_noise_builder(
             for _ in range(how_many):
                 requests.append(header + blob[offset : offset + INVITATION_SIZE])
                 offset += INVITATION_SIZE
-        if counts_log is not None:
-            counts_log(round_number, len(requests))
         return requests
 
     return build

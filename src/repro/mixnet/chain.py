@@ -24,6 +24,15 @@ that crashed and restarted mid-session draws exactly the bytes it would
 have drawn had it never died (the draws depend on *which* round/attempt is
 processed, not on how many rounds this process handled before it).
 
+Because step 2's noise depends on nothing a round admits, a server prepares
+its cover traffic one round ahead: when its pass of round ``r`` is done it
+draws round ``r + 1``'s noise payloads and wrap scalars (attempt 1) and
+starts their wrap on the engine, which a pooled engine runs while the
+driver does the round's serial work.  The next pass takes that wrap if it
+is for the same ``(round, attempt)`` and its pool is still the engine's;
+otherwise it draws the same bytes afresh.  A serial engine's ops are lazy,
+so TCP chain servers spend no crypto on a wrap they never take.
+
 The chain also exposes the hooks the adversary model needs: a compromised
 server can report everything it sees and can tamper with the batch before
 mixing (e.g. discard all requests except Alice's and Bob's, the §4.2 attack).
@@ -43,6 +52,7 @@ from ..errors import ProtocolError
 
 if TYPE_CHECKING:
     from ..runtime import RoundEngine
+    from ..runtime.engine import PendingRun
 
 #: Builds the innermost payloads of one server's noise requests for a round.
 NoiseBuilder = Callable[[int, RandomSource], list[bytes]]
@@ -120,6 +130,32 @@ class RoundObserver(Protocol):
 
 
 @dataclass
+class _CoverTraffic:
+    """One round attempt's cover traffic: the rng its draws came from (the
+    mix permutation comes next) and its wrap, under way on the engine."""
+
+    #: ``(round, attempt)``.
+    key: tuple[int, int]
+    rng: RandomSource
+    #: ``None`` when there is no noise to wrap.
+    wrap: PendingRun | None
+
+    @property
+    def lost(self) -> bool:
+        return self.wrap is not None and self.wrap.lost
+
+    def cancel(self) -> None:
+        if self.wrap is not None:
+            self.wrap.cancel()
+
+    def wires(self) -> list[bytes]:
+        if self.wrap is None:
+            return []
+        (wires,) = self.wrap.result()
+        return wires
+
+
+@dataclass
 class MixServer:
     """One Vuvuzela server in the chain."""
 
@@ -134,6 +170,8 @@ class MixServer:
     #: process-wide serial engine.  Chains share one engine instance so the
     #: worker pool is shared too.
     engine: RoundEngine | None = None
+    #: The next round's cover traffic, prepared when the last pass was done.
+    _prepared: _CoverTraffic | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_last(self) -> bool:
@@ -149,22 +187,37 @@ class MixServer:
 
         return default_engine()
 
-    def _wrap_noise_batch(
-        self, payloads: list[bytes], round_number: int, rng: RandomSource
-    ) -> list[bytes]:
-        """Onion-wrap a round's noise payloads for the servers after this one.
+    def _prepare(self, round_number: int, attempt: int) -> _CoverTraffic:
+        """Draw one attempt's noise payloads, then its wrap scalars, and
+        start wrapping them for the servers after this one.
 
-        The chain-suffix key list is built once per round and the whole batch
+        The chain-suffix key list is fixed for the round, so the whole batch
         goes through the engine's chunked request wrap: the ephemeral scalars
-        are drawn from the round's rng up front (in the serial wrap's exact
-        order) and only the pure crypto is sharded, so noise generation costs
-        one batched pass per remaining layer per chunk and is identical
-        inline and on the pool.
+        are drawn from the attempt's rng before this returns (in the serial
+        wrap's exact order) and only the pure crypto is sharded, so the wires
+        are identical inline and on the pool.  The mix permutation is drawn
+        from the same rng afterwards.
         """
-        remaining = self.chain_public_keys[self.index + 1 :]
-        if not remaining or not payloads:
-            return list(payloads)
-        return self._engine().wrap_noise_chunks(payloads, remaining, round_number, rng)
+        rng = self.round_rng(round_number, attempt)
+        payloads = self.noise_builder(round_number, rng) if self.noise_builder else []
+        wrap = None
+        if payloads:
+            wrap = self._engine().wrap_noise_chunks(
+                payloads, self.chain_public_keys[self.index + 1 :], round_number, rng
+            )
+        return _CoverTraffic((round_number, attempt), rng, wrap)
+
+    def _cover_traffic(self, round_number: int, attempt: int) -> _CoverTraffic:
+        """The prepared cover traffic for ``(round_number, attempt)``, or a
+        fresh one.  A prepared wrap for an earlier round or attempt is
+        cancelled; one for a later round (a retry runs in between) stays."""
+        prepared, key = self._prepared, (round_number, attempt)
+        if prepared is not None and prepared.key <= key:
+            self._prepared = None
+            if prepared.key == key and not prepared.lost:
+                return prepared
+            prepared.cancel()
+        return self._prepare(round_number, attempt)
 
     def round_rng(self, round_number: int, attempt: int = 1) -> RandomSource:
         """The rng all of one round attempt's draws come from.
@@ -235,12 +288,18 @@ class MixServer:
         fixed-scalar X25519 pass and one shared-nonce AEAD pass per chunk to
         peel, the same to wrap the responses, with malformed wires masked out
         instead of handled one exception at a time, and chunk ``k`` collected
-        while chunk ``k+1`` is still in flight.
+        while chunk ``k+1`` is still in flight.  The attempt's cover traffic
+        is taken as prepared by the previous pass (or drawn and started
+        before the peel), and the next round's is prepared once this pass is
+        done; the rng draws stay payloads, scalars, permutation.
         """
         from ..runtime.worker import peel_rows, wrap_response_rows  # see _engine
 
         engine = self._engine()
         requests = list(requests)
+        # Step 2 comes first: this attempt's cover traffic, wrapping since
+        # the previous pass when it was prepared then.
+        cover = self._cover_traffic(round_number, attempt)
 
         # Step 1: decrypt this server's onion layer of every request.
         inners, keys = engine.run(
@@ -260,16 +319,11 @@ class MixServer:
                 round_number, peeled, layer_keys, valid_positions
             )
 
-        # Step 2: generate cover traffic, wrapped for the rest of the chain.
-        rng = self.round_rng(round_number, attempt)
-        noise_payloads = (
-            self.noise_builder(round_number, rng) if self.noise_builder else []
-        )
-        noise_wires = self._wrap_noise_batch(noise_payloads, round_number, rng)
-
-        # Step 3a: shuffle the combined batch and forward it.
+        # Step 3a: shuffle the combined batch with the cover traffic and
+        # forward it.
+        noise_wires = cover.wires()
         combined = list(peeled) + noise_wires
-        permutation = Permutation.random(len(combined), rng)
+        permutation = Permutation.random(len(combined), cover.rng)
         forwarded = permutation.apply(combined)
         downstream_responses = downstream(round_number, forwarded)
         if len(downstream_responses) != len(forwarded):
@@ -289,6 +343,11 @@ class MixServer:
         )
         for i, response in zip(keyed, wrapped):
             responses[valid_positions[i]] = response
+
+        # The pass is done: start the next round's cover traffic, unless a
+        # retry of this round left it already prepared.
+        if self._prepared is None:
+            self._prepared = self._prepare(round_number + 1, 1)
 
         if self.observer is not None:
             self.observer(

@@ -41,6 +41,16 @@ flight, and chunk ``k``'s results are unpacked in the parent while chunks
 ``k+1 …`` still run, so per-round memory stays proportional to the chunk
 size rather than the round size.
 
+There is one submission pipeline, and it does not have to block:
+:meth:`RoundEngine.start` returns a :class:`PendingRun` and
+:meth:`RoundEngine.run` is ``start(...).result()``.  A pooled op submits its
+first chunks at ``start`` and the rest as :meth:`PendingRun.result` drains
+them; an inline op computes nothing until ``result``.  A mixing server
+starts its next round's noise wrap this way when its pass is done
+(:class:`~repro.mixnet.chain.MixServer`), so the pool wraps cover traffic
+while the driver does a round's serial work — and a serial engine, whose
+ops are lazy, spends nothing on a wrap it never takes.
+
 Determinism is a hard contract: every rng draw a round makes (noise
 payloads, wrap scalars, the mix permutation, the clients' fake exchange,
 invitation and onion scalars) happens in the caller's thread in the inline
@@ -83,8 +93,8 @@ import multiprocessing
 import os
 import threading
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from typing import Callable, Iterator, Sequence
 
 from . import worker as _worker
 from ..crypto.backend import active_backend
@@ -219,69 +229,45 @@ class RoundEngine:
                 )
             return self._pool
 
-    def _abort(self, pool: Executor, pending: deque) -> None:
+    def _abort(self, pool: Executor) -> None:
         """Discard ``pool`` (unless another thread already replaced it) and
         join its workers."""
-        for future in pending:
-            future.cancel()
-        pending.clear()
         with self._pool_lock:
             if self._pool is pool:
                 self._pool = None
         pool.shutdown(wait=True, cancel_futures=True)
 
-    def _pipelined(self, tasks: Iterable[tuple]) -> Iterator[bytes]:
-        """Run :func:`.worker.run` tasks with bounded in-flight submission.
-
-        Yields their results in submission order while later chunks are
-        still executing — the pipeline that bounds round memory.  Any
-        executor failure (a worker killed mid-chunk, a pool torn down under
-        us, an unpicklable task) joins the pool's workers and raises
-        :class:`ProtocolError` instead of hanging the round.
-        """
-        pool = self._executor()
-        pending: deque = deque()
-        try:
-            for task in tasks:
-                if len(pending) >= self.workers + 2:
-                    yield pending.popleft().result()
-                pending.append(pool.submit(_worker.run, task))
-            while pending:
-                yield pending.popleft().result()
-        except Exception as exc:
-            self._abort(pool, pending)
-            raise ProtocolError(f"round engine worker failed: {exc!r}") from exc
-
     # ------------------------------------------------------------- batch ops
 
-    def run(self, op: Callable, columns: Sequence[Sequence], *static) -> list[list]:
-        """Row op ``op`` over row-aligned ``columns``: its output columns.
+    def start(self, op: Callable, columns: Sequence[Sequence], *static) -> "PendingRun":
+        """Start row op ``op`` over row-aligned ``columns``; its
+        :meth:`PendingRun.result` is what :meth:`run` returns.
 
         The op runs chunk by chunk, inline or on the pool as :data:`POOL_OPS`
-        decides; the output is the same either way.
+        decides; the output is the same either way.  Inline, nothing runs
+        before :meth:`PendingRun.result`; on the pool, the first chunks are
+        already submitted when this returns.
         """
         n = len(columns[0])
-        pooled = self._pooled(op, columns, static)
-        # An op of no rows still runs once, so it returns its (empty) columns.
-        bounds = self._bounds(n, pooled) or [(0, 0)]
-        if pooled:
-            backend_name = active_backend().name
-            tasks = (
-                (op, hi - lo, pack(b"", [entry for column in columns for entry in column[lo:hi]]),
-                 static, backend_name)
-                for lo, hi in bounds
+        if not self._pooled(op, columns, static):
+            # An op of no rows still runs once, so it returns its (empty) columns.
+            bounds = self._bounds(n, False) or [(0, 0)]
+            return PendingRun(
+                lambda: _joined(
+                    op([column[lo:hi] for column in columns], *static) for lo, hi in bounds
+                )
             )
-            chunks: Iterator = (
-                _worker.split_columns(unpack_owned(packed), hi - lo)
-                for packed, (lo, hi) in zip(self._pipelined(tasks), bounds)
-            )
-        else:
-            chunks = (op([column[lo:hi] for column in columns], *static) for lo, hi in bounds)
-        output = [list(column) for column in next(chunks)]
-        for chunk in chunks:
-            for column, more in zip(output, chunk):
-                column.extend(more)
-        return output
+        backend_name = active_backend().name
+        tasks = (
+            (op, hi - lo, pack(b"", [entry for column in columns for entry in column[lo:hi]]),
+             static, backend_name)
+            for lo, hi in self._bounds(n, True)
+        )
+        return _PooledRun(self, tasks)
+
+    def run(self, op: Callable, columns: Sequence[Sequence], *static) -> list[list]:
+        """Row op ``op`` over row-aligned ``columns``: its output columns."""
+        return self.start(op, columns, *static).result()
 
     def wrap_noise_chunks(
         self,
@@ -289,21 +275,21 @@ class RoundEngine:
         server_public_keys: Sequence[PublicKey],
         round_number: int,
         rng: RandomSource,
-    ) -> list[bytes]:
-        """Onion-wrap noise payloads, rng draws confined to this thread.
+    ) -> "PendingRun":
+        """Start onion-wrapping noise payloads, rng draws confined to this
+        thread; the pending wrap's result is ``[wires]``.
 
-        All ephemeral scalars are drawn up front via
+        All ephemeral scalars are drawn before this returns, via
         :func:`~repro.crypto.onion.draw_request_scalars` — in the unchunked
         wrap's exact order — and only the pure crypto is chunked, so the
         resulting wires are byte-identical inline and on the pool.
         """
         if not payloads or not server_public_keys:
-            return list(payloads)
+            return PendingRun(lambda: [list(payloads)])
         scalars = draw_request_scalars(len(payloads), len(server_public_keys), rng)
-        (wires,) = self.run(
+        return self.start(
             _worker.wrap_noise_rows, [payloads, *scalars], server_public_keys, round_number
         )
-        return wires
 
     def wrap_client_chunks(
         self,
@@ -331,3 +317,105 @@ class RoundEngine:
         keys = [key.data for key in private_keys]
         (found,) = self.run(_worker.scan_rows, [keys], invitations, round_number)
         return [[PublicKey(caller) for caller in unpack_owned(callers)] for callers in found]
+
+
+def _joined(chunks: Iterator[list[list]]) -> list[list]:
+    """Chunks' output columns, concatenated column by column in order."""
+    output = [list(column) for column in next(chunks)]
+    for chunk in chunks:
+        for column, more in zip(output, chunk):
+            column.extend(more)
+    return output
+
+
+class PendingRun:
+    """An op :meth:`RoundEngine.start` began.
+
+    :meth:`result` returns the op's output columns, once.  This base form is
+    an inline op: it computes nothing until :meth:`result`, so an op started
+    ahead of need costs a serial engine nothing until it is needed, and
+    nothing at all if it is cancelled.
+    """
+
+    def __init__(self, compute: Callable[[], list[list]]) -> None:
+        self._compute: Callable[[], list[list]] | None = compute
+
+    @property
+    def lost(self) -> bool:
+        """Whether the pool this op was submitted to has since been aborted
+        or closed, so that :meth:`result` could only fail."""
+        return False
+
+    def result(self) -> list[list]:
+        compute, self._compute = self._compute, None
+        if compute is None:
+            raise ProtocolError("a pending op's result was already taken or cancelled")
+        return compute()
+
+    def cancel(self) -> None:
+        """Give the op up: an inline op never runs, and a pooled op's chunks
+        that have not started are dropped."""
+        self._compute = None
+
+
+class _PooledRun(PendingRun):
+    """An op on the pool: at most ``workers + 2`` chunks in flight, the rest
+    submitted as results drain, so memory stays proportional to the chunk
+    size rather than the op's size.  A failure aborts the pool (joining its
+    workers) and :meth:`result` raises :class:`~repro.errors.ProtocolError`."""
+
+    def __init__(self, engine: RoundEngine, tasks: Iterator[tuple]) -> None:
+        super().__init__(lambda: _joined(self._chunks()))
+        self._engine = engine
+        self._pool = engine._executor()
+        self._tasks: Iterator[tuple] | None = tasks
+        self._in_flight: deque[tuple[int, Future]] = deque()
+        self._failure: Exception | None = None
+        try:
+            self._top_up()
+        except Exception as exc:
+            self._fail(exc)
+
+    @property
+    def lost(self) -> bool:
+        return self._engine._pool is not self._pool
+
+    def cancel(self) -> None:
+        super().cancel()
+        self._drop()
+
+    def _drop(self) -> None:
+        self._tasks = None
+        for _, future in self._in_flight:
+            future.cancel()
+        self._in_flight.clear()
+
+    def _top_up(self) -> None:
+        """Submit chunks up to the in-flight cap."""
+        while self._tasks is not None and len(self._in_flight) < self._engine.workers + 2:
+            task = next(self._tasks, None)
+            if task is None:
+                self._tasks = None  # every chunk is packed: let the columns go
+                return
+            self._in_flight.append((task[1], self._pool.submit(_worker.run, task)))
+
+    def _fail(self, exc: Exception) -> None:
+        """An executor failure (a worker killed mid-chunk, a pool torn down
+        under us, an unpicklable task): abort the pool, keep the failure for
+        :meth:`result` to raise."""
+        self._drop()
+        self._engine._abort(self._pool)
+        self._failure = exc
+
+    def _chunks(self) -> Iterator[list[list]]:
+        while self._failure is None and self._in_flight:
+            rows, future = self._in_flight.popleft()
+            try:
+                packed = future.result()
+                self._top_up()
+            except Exception as exc:
+                self._fail(exc)
+                break
+            yield _worker.split_columns(unpack_owned(packed), rows)
+        if self._failure is not None:
+            raise ProtocolError(f"round engine worker failed: {self._failure!r}") from self._failure

@@ -183,12 +183,15 @@ class TestProcessorAndNoise:
         assert ExchangeRequest.decode(a).dead_drop_id != ExchangeRequest.decode(b).dead_drop_id
 
     def test_noise_builder_produces_singles_and_pairs(self, rng):
-        logged = []
         spec = CoverTrafficSpec(params=LaplaceParams(mu=20, b=2), exact=True)
-        builder = conversation_noise_builder(spec, counts_log=lambda *args: logged.append(args))
+        builder = conversation_noise_builder(spec)
         requests = builder(1, rng)
-        assert logged == [(1, 20, 10)]
         assert len(requests) == 20 + 2 * 10
+        # Singles first, then each pair's two requests side by side.
+        drops = [ExchangeRequest.decode(r).dead_drop_id for r in requests]
+        assert len(set(drops[:20])) == 20
+        assert all(drops[i] == drops[i + 1] for i in range(20, 40, 2))
+        assert len(set(drops)) == 30
         # The paired requests share dead drops: the processor must see pairs.
         processor = ConversationProcessor()
         processor(1, requests)

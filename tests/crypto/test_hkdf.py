@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hmac
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,3 +77,35 @@ def test_hkdf_output_length_and_determinism(ikm: bytes, length: int):
     second = hkdf(ikm, info=b"label", length=length)
     assert first == second
     assert len(first) == length
+
+
+def reference_expand(prk: bytes, info: bytes, length: int) -> bytes:
+    """RFC 5869's expand, one ``hmac.digest`` per block."""
+    okm = block = b""
+    for counter in range(1, -(-length // 32) + 1):
+        block = hmac.digest(prk, block + info + bytes([counter]), "sha256")
+        okm += block
+    return okm[:length]
+
+
+#: Keys either side of SHA-256's 64-byte block (a longer one is hashed
+#: first; an empty salt stands for 32 zero bytes), and output lengths at
+#: HKDF's bounds and block edges.
+KEYS = st.binary(max_size=64) | st.binary(min_size=65, max_size=200)
+LENGTHS = st.integers(min_value=1, max_value=100) | st.sampled_from([255 * 32 - 1, 255 * 32])
+
+
+@given(ikm=st.binary(max_size=200), salt=KEYS, prk=KEYS, info=st.binary(max_size=80), length=LENGTHS)
+@settings(max_examples=200, deadline=None)
+def test_matches_the_hmac_module(ikm, salt, prk, info, length):
+    extracted = hmac.digest(salt or bytes(32), ikm, "sha256")
+    assert hkdf_extract(salt, ikm) == extracted
+    assert hkdf_expand(prk, info, length) == reference_expand(prk, info, length)
+    assert hkdf(ikm, salt=salt, info=info, length=length) == reference_expand(extracted, info, length)
+    label = info.decode("latin-1")
+    expected = reference_expand(
+        hmac.digest(b"vuvuzela-v1", ikm, "sha256"), label.encode("utf-8"), length
+    )
+    assert derive_key(ikm, label, length) == expected
+    assert derive_key_schedule([ikm, ikm], label, length) == [expected, expected]
+

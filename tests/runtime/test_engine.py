@@ -24,7 +24,7 @@ from repro.crypto import (
     wrap_request,
     wrap_request_batch,
 )
-from repro.crypto.backend import active_backend, available_backends, set_backend
+from repro.crypto.backend import available_backends, set_backend
 from repro.crypto.invitation import seal_invitation
 from repro.crypto.onion import draw_request_scalars
 from repro.errors import ProtocolError
@@ -186,13 +186,13 @@ class TestEntryBlocks:
             with pytest.raises(ProtocolError):
                 unpack_owned(malformed)
 
-    def test_pipe_roundtrip(self):
-        """A packed block crosses the task pipe to a worker and back intact."""
+    def test_pipe_roundtrip(self, monkeypatch, submissions):
+        """Packed blocks cross the task pipe to the workers and back intact."""
+        monkeypatch.setitem(round_engine.POOL_OPS, _echo_rows, (lambda columns: len(columns[0]), 0))
         entries = [b"wire-one", None, b"", b"wire-three" * 50]
-        task = (_echo_rows, 2, pack(b"", entries), (), active_backend().name)
         with RoundEngine(workers=2) as engine:
-            (packed,) = engine._pipelined([task])
-        assert unpack_owned(packed) == entries
+            assert engine.run(_echo_rows, [entries]) == [entries]
+        assert submissions == [(engine_worker.run, _echo_rows)] * 2
         assert multiprocessing.active_children() == []
 
 
@@ -243,7 +243,7 @@ class TestEngineDeterminism:
         payloads = [bytes([i]) * 32 for i in range(20)]
         unchunked, _ = wrap_request_batch(payloads, publics, 9, DeterministicRandom(3))
         with RoundEngine(workers=workers) as engine:
-            chunked = engine.wrap_noise_chunks(payloads, publics, 9, DeterministicRandom(3))
+            (chunked,) = engine.wrap_noise_chunks(payloads, publics, 9, DeterministicRandom(3)).result()
         assert chunked == unchunked
 
     def test_draw_request_scalars_matches_internal_draws(self):
@@ -254,6 +254,17 @@ class TestEngineDeterminism:
         pre_drawn, _ = wrap_request_batch(payloads, publics, 2, scalars=scalars)
         internal, _ = wrap_request_batch(payloads, publics, 2, DeterministicRandom(77))
         assert pre_drawn == internal
+
+    @pytest.mark.parametrize("count, depth", [(0, 3), (1, 1), (7, 3)])
+    def test_draw_request_scalars_is_the_per_scalar_loop(self, count, depth):
+        """One ``random_bytes`` call per layer, sliced, draws the bytes one
+        call per scalar drew, and leaves the rng where that loop left it."""
+        bulk_rng, loop_rng = DeterministicRandom(78), DeterministicRandom(78)
+        loop = [[] for _ in range(depth)]
+        for index in range(depth - 1, -1, -1):
+            loop[index] = [loop_rng.random_bytes(32) for _ in range(count)]
+        assert draw_request_scalars(count, depth, bulk_rng) == loop
+        assert bulk_rng.random_bytes(40) == loop_rng.random_bytes(40)
 
 
 class TestEnginePolicy:

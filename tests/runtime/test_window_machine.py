@@ -5,11 +5,14 @@ Hypothesis drives one round through admissions, resubmissions, retried
 refusals, stragglers, close, abort-into-retry and resolve, in networked
 mode (payload digests kept for idempotent resubmission) and synchronous
 mode (none kept), and checks the window against a small model of what the
-entry buffer and the round's counters must be after every step.
+entry buffer and the round's counters must be after every step.  Two
+boundaries the machine's steps cannot reach are pinned directly: the
+deadline instant itself, and what :meth:`SubmissionWindow.forget` keeps.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 from hypothesis import settings
@@ -217,3 +220,49 @@ TestNetworkedWindow = WindowMachine.TestCase
 TestNetworkedWindow.settings = MACHINE_SETTINGS
 TestSynchronousWindow = SynchronousWindowMachine.TestCase
 TestSynchronousWindow.settings = MACHINE_SETTINGS
+
+
+def window_for(deadline: float | None) -> SubmissionWindow:
+    return SubmissionWindow(
+        kind=MessageKind.CONVERSATION_REQUEST,
+        round_number=7,
+        deadline=deadline,
+        deadline_seconds=deadline,
+        expected_requests=None,
+    )
+
+
+def test_the_deadline_instant_is_still_admitted():
+    window = window_for(DEADLINE)
+    just_after = math.nextafter(DEADLINE, math.inf)
+    assert window.admits(DEADLINE) and not window.admits(just_after)
+    assert window.check_in("alice", digest(b"p0"), DEADLINE) is None
+    assert window.check_in("alice", digest(b"p0"), just_after) == (VERDICT_LATE, -1)
+    assert window.late == 1
+
+
+def test_forget_drops_only_the_departed_clients_bookkeeping():
+    window = window_for(None)
+    for client in CLIENTS:
+        for payload, accepts in ((b"kept", True), (b"refused", False)):
+            key = digest(client.encode() + payload)
+            assert window.check_in(client, key, 0.0) is None
+            window.admit(client, key, accepts)
+    def bookkeeping():
+        return (window.per_client, window.submitted, window.claimed, window.refused_digests)
+
+    unsettled = tuple(entry.copy() for entry in bookkeeping())
+    window.forget("alice")  # an attempt in flight keeps everything
+    assert bookkeeping() == unsettled
+
+    window.close()
+    window.resolve({client: [b"r"] for client in CLIENTS})
+    window.forget("alice")
+    stay = ("bob", "mallory")
+    assert window.per_client == {client: 1 for client in stay}
+    assert window.submitted == {client: [digest(client.encode() + b"kept")] for client in stay}
+    assert window.claimed == {(client, 0) for client in stay}
+    assert window.refused_digests == {
+        (client, digest(client.encode() + b"refused")) for client in stay
+    }
+
