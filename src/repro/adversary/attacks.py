@@ -163,8 +163,7 @@ def run_discard_attack(
     try:
         for _ in range(rounds):
             metrics = system.run_conversation_round()
-            histogram = system.conversation_processor.histogram(metrics.round_number)
-            pair_counts.append(histogram.pairs)
+            pair_counts.append(system.access_histogram(metrics.round_number)["pairs"])
     finally:
         first_server.ingress_filter = None
 

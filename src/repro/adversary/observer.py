@@ -109,18 +109,18 @@ class GlobalObserver:
                 dead_drops_accessed_once=0,
                 dead_drops_accessed_twice=0,
             )
-        histogram = self.system.conversation_processor.histogram(round_number)
+        histogram = self.system.access_histogram(round_number)
         return ConversationRoundObservation(
             round_number=round_number,
             connected_clients=connected,
-            dead_drops_accessed_once=histogram.singles,
-            dead_drops_accessed_twice=histogram.pairs,
+            dead_drops_accessed_once=histogram["singles"],
+            dead_drops_accessed_twice=histogram["pairs"],
         )
 
     def observe_dialing_round(self, round_number: int) -> DialingRoundObservation:
         connected = self.connected_clients(MessageKind.DIALING_REQUEST, round_number)
         bucket_sizes = (
-            self.system.dialing_processor.bucket_sizes(round_number)
+            self.system.invitation_store(round_number).bucket_sizes()
             if self.last_server_compromised
             else {}
         )

@@ -28,14 +28,15 @@ connections submit — each submission long-polls until the round resolves —
 and the launcher collects the round's accounting.
 
 Everything that is not transport or process supervision — population, ledger
-records, ``run_conversation_round`` / ``run_dialing_round`` /
-``run_continuous`` / ``run_swarm_round`` — is inherited from
-:class:`~repro.core.driver.RoundDriver`; this module supplies the TCP seam.
+records, the server observables, ``run_conversation_round`` /
+``run_dialing_round`` / ``run_continuous`` / ``run_swarm_round`` — is
+inherited from :class:`~repro.core.driver.RoundDriver`; this module supplies
+the TCP seam, where ``control`` is one RPC to a server process's control
+endpoint.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -49,7 +50,6 @@ from . import topology
 from .config import VuvuzelaConfig
 from .driver import RoundDriver
 from ..client import ClientConnection, VuvuzelaClient
-from ..deaddrop import InvitationDropStore
 from ..errors import NetworkError, ProtocolError
 from ..net import (
     CLIENTS,
@@ -60,6 +60,7 @@ from ..net import (
     conditioner_for,
     link_target,
 )
+from ..server.control import request
 from ..server.wire import decode_collect_reply, encode_collect_request
 from ..runtime.protocols import RoundProtocol
 from ..runtime.scheduler import ScheduledRound
@@ -321,17 +322,13 @@ class DeploymentLauncher(RoundDriver):
         """
         self._end_session()
         if self._control is not None:
-            for server in self.servers:
+            for server in [*self.servers, self.entry_process]:
                 if not server.alive:
                     continue  # no point in a shutdown RPC to a crashed server
                 try:
-                    self.server_control(server.name, {"cmd": "shutdown"})
+                    self._rpc(server.name, {"cmd": "shutdown"})
                 except (NetworkError, ProtocolError):
                     pass
-            try:
-                self.entry_control({"cmd": "shutdown"})
-            except (NetworkError, ProtocolError):
-                pass
         polite = self._control is not None  # shutdown RPCs were sent above
         for server in self._spawned:
             process = server.process
@@ -388,20 +385,16 @@ class DeploymentLauncher(RoundDriver):
         }
 
     def _retry_transient(self, call, *, timeout: float = 10.0):
-        """Run a control-plane call, tolerating a just-(re)started server.
-
-        A round resolves the instant a crashed server rejoins the chain, but
-        that server's control listener may still be a few milliseconds from
-        accepting — and the launcher's connection pool may hold dead sockets
-        to the old process.  Anything that must talk to a fresh process right
-        after a respawn (round-record observable reads, link-rule
-        re-shipping) retries transient failures instead of losing to the
-        race."""
+        """Run a control-plane call, retrying transient link failures for
+        ``timeout`` seconds: a round resolves the instant a crashed server
+        rejoins the chain, but its listener may be milliseconds from
+        accepting, and the launcher's pool may hold sockets to the old
+        process."""
         deadline = time.monotonic() + timeout
         while True:
             try:
                 return call()
-            except (NetworkError, ProtocolError):
+            except NetworkError:
                 if time.monotonic() >= deadline:
                     raise
                 time.sleep(0.1)
@@ -457,7 +450,7 @@ class DeploymentLauncher(RoundDriver):
             old.process.kill()
         old.process.wait(timeout=10.0)
         old.reap()
-        args = [arg for arg in old.args]
+        args = list(old.args)
         if "--port" in args:
             args[args.index("--port") + 1] = str(old.port)
         else:
@@ -493,15 +486,8 @@ class DeploymentLauncher(RoundDriver):
         server = self._find(name_or_index)
         if not server.alive:
             return False
-        endpoint = (
-            "entry"
-            if server is self.entry_process
-            else topology.control_name(self._chain_index(server.name))
-        )
         try:
-            return bool(
-                self._control_rpc(endpoint, {"cmd": "ping"}, transport=self._probe).get("ok")
-            )
+            return bool(self._rpc(server.name, {"cmd": "ping"}, transport=self._probe).get("ok"))
         except (NetworkError, ProtocolError):
             return False
 
@@ -520,20 +506,6 @@ class DeploymentLauncher(RoundDriver):
         status["entry"] = self.is_alive("entry")
         return status
 
-    def _entry_counter(self, name: str) -> int:
-        """One of the entry's running totals (its ``counters`` reply)."""
-        return int(self.entry_control({"cmd": "counters"})[name])
-
-    def aborted_total(self) -> int:
-        return self._entry_counter("aborted")
-
-    def buffered_total(self) -> int:
-        return self._entry_counter("buffered")
-
-    def resubmission_parked(self) -> dict:
-        parked = self._entry_counter("parked")
-        return {"total": parked} if parked else {}
-
     # -------------------------------------------------------------- link rules
 
     def add_link_rule(self, target: str | int, rule: LinkRule, *, seed: int = 0) -> LinkRule:
@@ -550,7 +522,7 @@ class DeploymentLauncher(RoundDriver):
                 connection.transport.link_conditioner = engine
             return engine.add_rule(rule, CLIENTS)
         data = rule.to_dict()
-        self._process_control(tag, {"cmd": "add-link-rule", "rule": data, "seed": seed})
+        self._rpc(tag, {"cmd": "add-link-rule", "rule": data, "seed": seed})
         self._shipped_rules.setdefault(tag, []).append((data, seed))
         self._record("link_rule_added", {"target": tag, "rule": data, "seed": seed})
         return rule
@@ -562,7 +534,7 @@ class DeploymentLauncher(RoundDriver):
         for name in [name for name in self._shipped_rules if tag in (None, name)]:
             del self._shipped_rules[name]
             try:
-                self._process_control(name, {"cmd": "heal-links"})
+                self._rpc(name, {"cmd": "heal-links"})
             except (NetworkError, ProtocolError):
                 pass  # the process may be mid-crash; healing must not wedge
             self._record("links_healed", {"target": name})
@@ -589,28 +561,25 @@ class DeploymentLauncher(RoundDriver):
             transport.add_route(topology.control_name(index), server.host, server.port)
         return transport
 
-    def _control_rpc(
-        self, endpoint: str, command: dict, transport: TcpTransport | None = None
-    ) -> dict:
+    def _rpc(self, role: str | int, command: dict, transport: TcpTransport | None = None) -> dict:
+        """Send ``command`` to the ``"entry"`` process or a chain server's
+        (``2`` / ``"server-2"``), over the control transport by default."""
         transport = transport if transport is not None else self._control
         if transport is None:
             raise NetworkError("deployment is not running; call start() first")
-        reply = transport.send("launcher", endpoint, json.dumps(command).encode("utf-8"))
-        if reply is None:
-            raise NetworkError(f"control request to {endpoint} got no reply")
-        return json.loads(reply.decode("utf-8"))
+        endpoint = "entry" if role == "entry" else topology.control_name(self._chain_index(role))
+        return request(transport, "launcher", endpoint, command)
 
     def entry_control(self, command: dict) -> dict:
-        return self._control_rpc("entry", command)
+        return self._rpc("entry", command)
 
     def server_control(self, name_or_index: str | int, command: dict) -> dict:
-        return self._control_rpc(topology.control_name(self._chain_index(name_or_index)), command)
+        return self._rpc(name_or_index, command)
 
-    def _process_control(self, tag: str, command: dict) -> dict:
-        """Send ``command`` to the ``"entry"`` or ``"server-N"`` process."""
-        if tag == "entry":
-            return self.entry_control(command)
-        return self.server_control(tag, command)
+    def control(self, role: str, command: dict) -> dict:
+        """One control RPC to ``role``'s process; a just-respawned chain
+        server's transient link failures are retried, a refusal never is."""
+        return self._retry_transient(lambda: self._rpc(role, command))
 
     # --------------------------------------------------- driver seam: population
 
@@ -808,37 +777,3 @@ class DeploymentLauncher(RoundDriver):
                 )
             grouped.update(zip(batch, responses))
         return result, grouped
-
-    # ------------------------------------------------ driver seam: observables
-
-    def _chain_observable(self, index: int, command: dict) -> dict:
-        """One chain server's answer about a resolved round.  A round
-        resolves the instant a crashed server rejoins the chain, so the read
-        tolerates a control listener that is still coming up."""
-        return self._retry_transient(lambda: self.server_control(index, command))
-
-    def invitation_store(self, round_number: int) -> InvitationDropStore:
-        """Download a dialing round's invitation store from the last server
-        (the paper serves this from a CDN; here it is a control RPC)."""
-        reply = self._chain_observable(
-            self.config.num_servers - 1, {"cmd": "invitations", "round": round_number}
-        )
-        return InvitationDropStore.restore(reply["store"])
-
-    def chain_noise(self, protocol: str, round_number: int) -> int:
-        command = {"cmd": "noise", "protocol": protocol, "round": round_number}
-        return sum(
-            self._chain_observable(index, command)["count"]
-            for index in range(self.config.num_servers)
-        )
-
-    def access_histogram(self, round_number: int) -> dict:
-        return self._chain_observable(
-            self.config.num_servers - 1, {"cmd": "histogram", "round": round_number}
-        )
-
-    def refused_total(self) -> int:
-        return self._entry_counter("refused")
-
-    def late_total(self) -> int:
-        return self._entry_counter("late")

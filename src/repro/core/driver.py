@@ -13,8 +13,12 @@ over the in-memory :class:`~repro.net.Network`) and
 subprocesses over :class:`~repro.net.TcpTransport`) subclass
 :class:`RoundDriver` and implement only its abstract methods — the seam:
 connecting one client, opening/driving/discarding a window, the swarm's
-frames, the chain observables the ledger record reads, and the chaos surface
-campaigns drive.
+frames, the chaos surface campaigns drive, and :meth:`RoundDriver.control`.
+Both shapes run the same server roles (:mod:`repro.server.entry_main`,
+:mod:`repro.server.chain_main`); ``control(role, command)`` asks one of
+them a question — a direct ``_dispatch`` call in process, an RPC over TCP —
+so every server observable (chain noise, the access histogram, the
+invitation store, the entry's counters) is read here, once.
 
 Nothing in this module asks which subclass it is running in: a difference
 between the shapes is a seam method, or it is not shared.
@@ -35,7 +39,7 @@ from ..deaddrop import InvitationDropStore
 from ..dialing import own_invitation_bucket
 from ..errors import LedgerError, NetworkError, ProtocolError
 from ..ledger import client_digest
-from ..net import LinkRule, MessageKind
+from ..net import LinkRule, MessageKind, link_target
 from ..privacy import PrivacyAccountant, conversation_guarantee, dialing_guarantee
 from ..runtime import RoundEngine, RoundScheduler, build_protocols
 from ..runtime.protocols import RoundProtocol
@@ -83,7 +87,7 @@ class RoundDriver(ABC):
         self.server_keypairs = topology.server_keypairs(self.config, self._rng)
         self.server_public_keys = [kp.public for kp in self.server_keypairs]
         #: The protocol plug-ins: everything protocol-specific the round
-        #: pipeline needs (the in-process shape also binds its observables).
+        #: pipeline needs.
         self.protocols = build_protocols(self.config)
         #: The driver checkpoints the (ε, δ) composition per resolved round,
         #: whichever process made the noise draws — which is what keeps the
@@ -186,31 +190,42 @@ class RoundDriver(ABC):
         population.update({name: client for name, (client, _) in self._parked.items()})
         return {name: client_digest(population[name]) for name in sorted(population)}
 
-    def _ledger_round_record(self, protocol: RoundProtocol, result: Any) -> dict:
+    def _chain_observables(self, protocol: RoundProtocol, round_number: int) -> tuple[int, Any]:
+        """One resolved round's chain observables, read through :meth:`control`:
+        the cover traffic every server added, and the last server's access
+        histogram (conversation) or invitation store (dialing)."""
+        noise = self.chain_noise(protocol.name, round_number)
+        if protocol.name == "conversation":
+            return noise, self.access_histogram(round_number)
+        return noise, self.invitation_store(round_number)
+
+    def _ledger_round_record(
+        self, protocol: RoundProtocol, result: Any, observed: tuple[int, Any] | None = None
+    ) -> dict:
         """The observables of one resolved round, as the ledger records them.
 
         The result contributes its own window accounting
-        (``ledger_fields()``); the chain's observables — exactly the fields
-        the byte-identity guarantee covers — are read through the seam, so a
-        recording from either shape diffs cleanly against a replay in the
+        (``ledger_fields()``); the chain's side — exactly the fields the
+        byte-identity guarantee covers — is ``observed``, or is read through
+        the seam (:meth:`_chain_observables`) when the caller holds none, so
+        a recording from either shape diffs cleanly against a replay in the
         other.
         """
         round_number = result.round_number
         record = {"protocol": protocol.name, "round": round_number, **result.ledger_fields()}
-        noise = self.chain_noise(protocol.name, round_number)
+        noise, observable = observed or self._chain_observables(protocol, round_number)
         if protocol.name == "conversation":
-            histogram = self.access_histogram(round_number)
             record.update(
                 noise=noise,
-                histogram=[int(histogram[key]) for key in ("singles", "pairs", "collisions")],
+                histogram=[int(observable[key]) for key in ("singles", "pairs", "collisions")],
             )
         else:
-            store = self.invitation_store(round_number)
             record.update(
                 noise_invitations=noise
-                + sum(store.noise_count(bucket) for bucket in range(store.num_buckets)),
+                + sum(observable.noise_count(bucket) for bucket in range(observable.num_buckets)),
                 bucket_sizes={
-                    str(bucket): size for bucket, size in sorted(store.bucket_sizes().items())
+                    str(bucket): size
+                    for bucket, size in sorted(observable.bucket_sizes().items())
                 },
             )
         accountant = self._accountants[protocol.name]
@@ -222,11 +237,15 @@ class RoundDriver(ABC):
         }
         return record
 
-    def _resolve_round(self, protocol: RoundProtocol, result: Any) -> Any:
+    def _resolve_round(
+        self, protocol: RoundProtocol, result: Any, observed: tuple[int, Any] | None = None
+    ) -> Any:
         """Account one resolved round: spend its (ε, δ), record it."""
         self._accountants[protocol.name].spend(1)
         if self.ledger is not None:
-            self.ledger.append("round_metrics", self._ledger_round_record(protocol, result))
+            self.ledger.append(
+                "round_metrics", self._ledger_round_record(protocol, result, observed)
+            )
         return result
 
     def force_attempts(self, plan: dict[tuple[str, int], int]) -> None:
@@ -539,18 +558,55 @@ class RoundDriver(ABC):
     # ------------------------------------------------------------- observables
 
     @abstractmethod
+    def control(self, role: str, command: dict) -> dict:
+        """One server role's reply to one control command (the
+        ``_dispatch`` tables of :mod:`repro.server.entry_main` and
+        :mod:`repro.server.chain_main`).  ``role`` is ``"entry"`` or
+        ``"server-<i>"``; a refused command raises
+        :class:`~repro.errors.ProtocolError`."""
+
     def chain_noise(self, protocol: str, round_number: int) -> int:
         """Total cover traffic the chain added to one round (all servers)."""
+        command = {"cmd": "noise", "protocol": protocol, "round": round_number}
+        return sum(
+            self.control(link_target(index), command)["count"]
+            for index in range(self.config.num_servers)
+        )
 
-    @abstractmethod
     def access_histogram(self, round_number: int) -> dict:
         """The last server's observable (m1, m2) histogram for one round, as
         ``{"singles", "pairs", "collisions"}``."""
+        return self.control(link_target(self.config.num_servers - 1), {"cmd": "histogram", "round": round_number})
 
-    @abstractmethod
     def invitation_store(self, round_number: int) -> InvitationDropStore:
         """A dialing round's invitation dead drops, as the last server holds
-        them."""
+        them (the paper serves this from a CDN)."""
+        reply = self.control(link_target(self.config.num_servers - 1), {"cmd": "invitations", "round": round_number})
+        return InvitationDropStore.restore(reply["store"])
+
+    def _counters(self) -> dict:
+        return self.control("entry", {"cmd": "counters"})
+
+    def refused_total(self) -> int:
+        """Submissions the entry refused (§9 admission control)."""
+        return self._counters()["refused"]
+
+    def late_total(self) -> int:
+        """Submissions that missed their round's window."""
+        return self._counters()["late"]
+
+    def aborted_total(self) -> int:
+        """How many round attempts have been aborted (and retried) so far."""
+        return self._counters()["aborted"]
+
+    def buffered_total(self) -> int:
+        """Submissions buffered at the entry across all open rounds."""
+        return self._counters()["buffered"]
+
+    def resubmission_parked(self) -> dict:
+        """Permanently failed submissions still parked at the entry, as
+        ``{"<kind>/<round>": count}`` (empty when settled)."""
+        return self._counters()["parked"]
 
     # ----------------------------------------------------------- chaos surface
 
@@ -571,19 +627,6 @@ class RoundDriver(ABC):
     @abstractmethod
     def link_stats(self) -> dict:
         """The ``"clients"`` target's conditioner counters."""
-
-    @abstractmethod
-    def aborted_total(self) -> int:
-        """How many round attempts have been aborted (and retried) so far."""
-
-    @abstractmethod
-    def buffered_total(self) -> int:
-        """Submissions buffered at the entry across all open rounds."""
-
-    @abstractmethod
-    def resubmission_parked(self) -> dict:
-        """Permanently failed submissions still parked at the coordinator
-        (empty when settled)."""
 
 
 __all__ = ["RoundDriver", "SwarmRoundReport"]

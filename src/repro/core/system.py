@@ -1,17 +1,17 @@
 """The top-level Vuvuzela system: clients, entry server and the server chain.
 
-:class:`VuvuzelaSystem` wires every substrate together into a runnable
-deployment: it creates the chain servers (each running both protocols), the
-untrusted entry server, and the in-process network they communicate over; it
-hands out :class:`~repro.client.VuvuzelaClient` instances; and it drives
-rounds through the protocol-agnostic pipeline — one
-:class:`~repro.runtime.RoundProtocol` plug-in per protocol, one
-:class:`~repro.runtime.RoundScheduler` for sequencing.  Everything a
-deployment shape shares with the TCP launcher — population, ledger records,
-``run_conversation_round`` / ``run_dialing_round`` / ``run_continuous`` /
-``run_swarm_round`` — is inherited from
-:class:`~repro.core.driver.RoundDriver`; this module supplies the in-process
-seam.
+:class:`VuvuzelaSystem` runs a whole deployment in one process: it hosts one
+:class:`~repro.server.chain_main.ChainServerProcess` per chain position and
+one :class:`~repro.server.entry_main.EntryServerProcess` — the same server
+roles the TCP deployment runs as subprocesses — on one in-memory
+:class:`~repro.net.Network`, hands out :class:`~repro.client.VuvuzelaClient`
+instances, and drives rounds through the protocol-agnostic pipeline.
+Everything a deployment shape shares with the TCP launcher — population,
+ledger records, the server observables, ``run_conversation_round`` /
+``run_dialing_round`` / ``run_continuous`` / ``run_swarm_round`` — is
+inherited from :class:`~repro.core.driver.RoundDriver`; this module supplies
+the in-process seam, where ``control`` calls a hosted role's dispatch table
+directly.
 
 This is the class the examples and the integration tests use; the deployment
 simulator (:mod:`repro.simulation`) reuses its structure but replaces real
@@ -23,13 +23,10 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import asdict, dataclass
 
-from . import topology
 from .config import VuvuzelaConfig
 from .driver import RoundDriver
 from .metrics import RoundMetrics, SystemMetrics
-from .topology import NoiseLedger
 from ..client import VuvuzelaClient
 from ..deaddrop import InvitationDropStore
 from ..errors import ProtocolError
@@ -42,10 +39,9 @@ from ..net import (
     conditioner_for,
     link_target,
 )
-from ..runtime import RoundCoordinator
 from ..runtime.protocols import RoundProtocol
 from ..runtime.scheduler import ScheduledRound
-from ..server import ACK, ChainServerEndpoint, EntryServer
+from ..server import ACK
 
 
 class VuvuzelaSystem(RoundDriver):
@@ -63,69 +59,40 @@ class VuvuzelaSystem(RoundDriver):
     realtime_links = True
 
     def __init__(self, config: VuvuzelaConfig | None = None) -> None:
+        # Not at module level: ``python -m repro.server.entry_main`` imports
+        # this module (through the package) before it runs itself.
+        from ..server.chain_main import ChainServerProcess
+        from ..server.entry_main import EntryServerProcess
+
         super().__init__(config)
         self.network = Network()
         self.metrics = SystemMetrics()
         self._round_lock = threading.Lock()
-
-        self._conversation_noise_ledger = NoiseLedger()
-        self._dialing_noise_ledger = NoiseLedger()
-        self.conversation_processor = topology.build_conversation_processor()
-        self.dialing_processor = topology.build_dialing_processor(self.config, self._rng)
-        self._build_chain_endpoints()
-
-        # Bind the protocol plug-ins to this deployment's observables.
-        self.protocols["conversation"].bind(
-            self.conversation_processor, self._conversation_noise_ledger
-        )
-        self.protocols["dialing"].bind(self.dialing_processor, self._dialing_noise_ledger)
-
-        self.entry = EntryServer(
-            network=self.network,
-            first_server={
-                self.protocols[name].kind: topology.endpoint_name(0, name)
-                for name in self.protocols
-            },
-            require_registration=self.config.require_registration,
-            max_requests_per_account_per_round=self.config.max_conversations_per_client,
-        )
-        # The entry fronts the invitation CDN: one snapshot fetch per dialing
-        # round, served byte-identically to every downloader.
-        self.entry.invitation_fetcher = (
-            lambda round_number: self.dialing_processor.store_for_round(round_number).snapshot()
-        )
-        # The coordinator owns the entry endpoint: every submission passes
-        # through its round window (deadlines, straggler refusal) before
-        # reaching the entry server's admission control.
-        self.coordinator = RoundCoordinator(
-            self.network,
-            self.entry,
-            deadline_seconds=self.config.round_deadline_seconds,
-            response_wait_seconds=self.config.response_wait_seconds,
-            max_round_attempts=self.config.max_round_attempts,
-        )
-
-    # ------------------------------------------------------------------ setup
-
-    def _build_chain_endpoints(self) -> None:
-        self.conversation_endpoints: list[ChainServerEndpoint] = []
-        self.dialing_endpoints: list[ChainServerEndpoint] = []
-        last = self.config.num_servers - 1
-        for index in range(self.config.num_servers):
-            conversation_endpoint, dialing_endpoint = topology.build_server_endpoints(
+        # One hosted process per server role, on the shared network, with the
+        # driver's root rng and key pairs (an unseeded config has no others).
+        chain = [
+            ChainServerProcess(
                 self.config,
                 index,
                 self.network,
                 self._rng,
+                self.server_keypairs,
                 engine=self.engine,
-                keypairs=self.server_keypairs,
-                conversation_processor=self.conversation_processor if index == last else None,
-                dialing_processor=self.dialing_processor if index == last else None,
-                conversation_observer=self._conversation_noise_ledger.observer,
-                dialing_observer=self._dialing_noise_ledger.observer,
             )
-            self.conversation_endpoints.append(conversation_endpoint)
-            self.dialing_endpoints.append(dialing_endpoint)
+            for index in range(self.config.num_servers)
+        ]
+        last = link_target(self.config.num_servers - 1)
+        entry = EntryServerProcess(
+            self.config,
+            self.network,
+            blocking_responses=False,
+            last_server=lambda command: self.control(last, command),
+        )
+        self._roles = {"entry": entry, **{link_target(p.index): p for p in chain}}
+        self.entry = entry.entry
+        self.coordinator = entry.coordinator
+        self.conversation_endpoints = [p.endpoints["conversation"] for p in chain]
+        self.dialing_endpoints = [p.endpoints["dialing"] for p in chain]
 
     # ------------------------------------------------------- driver seam: ledger
 
@@ -187,15 +154,17 @@ class VuvuzelaSystem(RoundDriver):
         bytes_before = self.network.total_bytes()
 
         def finish(closed, **counts) -> RoundMetrics:
+            observed = self._chain_observables(protocol, opened.round_number)
             metrics = protocol.collect_metrics(
                 opened.round_number,
                 closed,
+                *observed,
                 bytes_moved=self.network.total_bytes() - bytes_before,
                 wall_clock_seconds=time.perf_counter() - started,
                 **counts,
             )
             self.metrics.record(metrics)
-            return self._resolve_round(protocol, metrics)
+            return self._resolve_round(protocol, metrics, observed)
 
         return finish
 
@@ -307,19 +276,6 @@ class VuvuzelaSystem(RoundDriver):
         # No conditioner yet is a clear sky: a fresh one's all-zero counters.
         return (self.network.link_conditioner or LinkConditioner()).stats(CLIENTS)
 
-    def aborted_total(self) -> int:
-        return self.coordinator.rounds_aborted
-
-    def buffered_total(self) -> int:
-        return self.entry.buffered_total()
-
-    def resubmission_parked(self) -> dict:
-        return {
-            f"{kind.value}/{round_number}": len(entries)
-            for (kind, round_number), entries in self.coordinator.resubmission_queue.items()
-            if entries
-        }
-
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
@@ -329,7 +285,7 @@ class VuvuzelaSystem(RoundDriver):
         that never forked owns no pool, so closing it is free.
         """
         self._end_session()
-        self.coordinator.close()
+        self._roles["entry"].close()
         self.engine.close()
 
     def __enter__(self) -> "VuvuzelaSystem":
@@ -340,17 +296,14 @@ class VuvuzelaSystem(RoundDriver):
 
     # ------------------------------------------------ driver seam: observables
 
-    def chain_noise(self, protocol: str, round_number: int) -> int:
-        return self.protocols[protocol].noise_ledger.for_round(round_number)
-
-    def access_histogram(self, round_number: int) -> dict:
-        histogram = self.conversation_processor.histograms.get(round_number)
-        if histogram is None:
-            raise ProtocolError(f"conversation round {round_number} has not run here")
-        return asdict(histogram)
-
-    def invitation_store(self, dialing_round: int) -> InvitationDropStore:
-        return self.dialing_processor.store_for_round(dialing_round)
+    def control(self, role: str, command: dict) -> dict:
+        """A direct call into the hosted role's dispatch table.  It never
+        sends an envelope on :attr:`network`: a control read is not traced,
+        counted in ``bytes_moved`` or matched by a link rule."""
+        process = self._roles.get(role)
+        if process is None:
+            raise ProtocolError(f"no server role {role!r}")
+        return process._dispatch(command)
 
     def download_invitations(self, dialing_round: int) -> InvitationDropStore:
         """A dialing round's store as clients receive it: the entry server's

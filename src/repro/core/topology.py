@@ -1,15 +1,18 @@
 """Shared construction of a deployment's components from one config.
 
-:class:`~repro.core.system.VuvuzelaSystem` (everything in one process) and
-the standalone server processes (:mod:`repro.server.entry_main`,
-:mod:`repro.server.chain_main`) must build *the same* deployment from the
-same :class:`~repro.core.config.VuvuzelaConfig`: identical server key pairs,
-identical per-server noise rng streams, identical client keys.  That works
-because :meth:`DeterministicRandom.fork` derives a child stream purely from
-``(seed, label)`` — so a chain server process can re-derive exactly the
-streams the in-process system would have handed it, without ever seeing the
-other servers' material.  This module is the single place those fork labels
-live.
+The server roles (:mod:`repro.server.entry_main`,
+:mod:`repro.server.chain_main`) are built from this module whoever hosts
+them: :class:`~repro.core.system.VuvuzelaSystem`, all in one process, or
+their own ``main()`` as TCP subprocesses.  Both must build *the same*
+deployment from the same :class:`~repro.core.config.VuvuzelaConfig`:
+identical server key pairs, identical per-server noise rng streams,
+identical client keys.  That works because :meth:`DeterministicRandom.fork`
+derives a child stream purely from ``(seed, label)`` — so a chain server
+process can re-derive exactly the streams the in-process system hands its
+hosted servers, without ever seeing the other servers' material.  An
+unseeded config (in process only) draws its root once, in the driver, and
+hands that root to every hosted role.  This module is the single place
+those fork labels live.
 """
 
 from __future__ import annotations
@@ -18,16 +21,14 @@ from dataclasses import dataclass, field
 
 from .config import VuvuzelaConfig
 from ..client import VuvuzelaClient
-from ..conversation import ConversationProcessor
 from ..crypto import DeterministicRandom, KeyPair
 from ..crypto.keys import PublicKey
 from ..crypto.rng import SecureRandom
-from ..dialing import DialingProcessor
 from ..errors import ConfigurationError
 from ..mixnet import MixServer, ServerRoundView
-from ..mixnet.chain import RoundObserver, RoundProcessor
+from ..mixnet.chain import RoundObserver
 from ..net import Transport
-from ..runtime import ConversationProtocol, DialingProtocol, RoundEngine, make_protocol
+from ..runtime import PROTOCOL_KINDS, RoundEngine, make_protocol
 from ..server import ChainServerEndpoint
 
 
@@ -79,11 +80,6 @@ def build_client(
     )
 
 
-def build_dialing_processor(config: VuvuzelaConfig, root: DeterministicRandom) -> DialingProcessor:
-    """The last server's dialing-round processor, §5.3 noise included."""
-    return DialingProtocol(num_buckets=config.num_dialing_buckets).build_processor(config, root)
-
-
 @dataclass
 class NoiseLedger:
     """Accumulates, per round, how much cover traffic a set of servers added."""
@@ -105,38 +101,28 @@ def build_server_endpoints(
     transport: Transport,
     root: DeterministicRandom,
     *,
+    keypairs: list[KeyPair],
+    observers: dict[str, RoundObserver],
     engine: RoundEngine | None = None,
-    keypairs: list[KeyPair] | None = None,
-    conversation_processor: RoundProcessor | None = None,
-    dialing_processor: RoundProcessor | None = None,
-    conversation_observer: RoundObserver | None = None,
-    dialing_observer: RoundObserver | None = None,
-) -> tuple[ChainServerEndpoint, ChainServerEndpoint]:
-    """Build chain server ``index``'s two protocol endpoints on ``transport``.
+) -> dict[str, ChainServerEndpoint]:
+    """Build chain server ``index``'s protocol endpoints on ``transport``,
+    by protocol name.
 
-    Everything protocol-specific — noise builders, fork labels, processors,
-    request kinds — comes from the :class:`~repro.runtime.RoundProtocol`
-    plug-ins, so both protocols flow through one construction path.  The mix
-    servers are configured exactly the way the in-process system configures
-    them — same fork labels, same noise builders, same draw order — so
-    a chain that is split across processes is byte-identical to the
-    single-process one under a fixed seed.  Pass ``keypairs`` when the
-    caller already derived the chain's keys (they come from the same root,
-    so deriving them again is pure redundant keygen).
+    Everything protocol-specific — noise builders, fork labels, the last
+    server's round processors, request kinds — comes from the
+    :class:`~repro.runtime.RoundProtocol` plug-ins, so both protocols flow
+    through one construction path.  Every host builds its servers here —
+    same fork labels, same noise builders, same draw order — so a chain that
+    is split across processes is byte-identical to the single-process one
+    under a fixed seed.  ``keypairs`` are the whole chain's, derived once
+    from ``root``; ``observers`` see each protocol's rounds.
     """
-    if keypairs is None:
-        keypairs = server_keypairs(config, root)
     if not 0 <= index < config.num_servers:
         raise ConfigurationError(f"server index {index} is outside the {config.num_servers}-chain")
     public_keys = [kp.public for kp in keypairs]
     is_last = index == config.num_servers - 1
-    if is_last and (conversation_processor is None or dialing_processor is None):
-        raise ConfigurationError("the last chain server needs both round processors")
-
-    processors = {"conversation": conversation_processor, "dialing": dialing_processor}
-    observers = {"conversation": conversation_observer, "dialing": dialing_observer}
     endpoints: dict[str, ChainServerEndpoint] = {}
-    for name in ("conversation", "dialing"):
+    for name in PROTOCOL_KINDS:
         protocol = make_protocol(name, config)
         mix_server = MixServer(
             index=index,
@@ -152,12 +138,7 @@ def build_server_endpoints(
             mix_server=mix_server,
             network=transport,
             next_endpoint=(None if is_last else endpoint_name(index + 1, name)),
-            processor=processors[name] if is_last else None,
+            processor=protocol.build_processor(config, root) if is_last else None,
             request_kind=protocol.kind,
         )
-    return endpoints["conversation"], endpoints["dialing"]
-
-
-def build_conversation_processor() -> ConversationProcessor:
-    """The last server's conversation-round processor (dead-drop matching)."""
-    return ConversationProtocol().build_processor(None, None)
+    return endpoints

@@ -60,6 +60,7 @@ WIRE_PATH = (
 LOCK_MODULES = (
     "repro/core/driver.py",
     "repro/core/system.py",
+    "repro/server/entry_main.py",
     "repro/runtime/coordinator.py",
     "repro/runtime/engine.py",
     "repro/runtime/scheduler.py",

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Sequence
 
 from ..conversation import ConversationProcessor, conversation_noise_builder
+from ..deaddrop import AccessHistogram
 from ..dialing import DialingProcessor, dialing_noise_builder
 from ..errors import ProtocolError
 from ..mixnet import CoverTrafficSpec, DialingNoiseSpec
@@ -52,12 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycles are broken at runtime
 class RoundProtocol(ABC):
     """One protocol's contribution to the shared round pipeline.
 
-    Instances come in two flavours: *client-side* (no processor bound — all a
-    :class:`~repro.client.ClientConnection` needs to build and consume wires)
-    and *system-side* (``bind()``-ed to the deployment's last-server
-    processor and noise ledger, so the instance can also shape the round's
-    metrics).  The class-level attributes are the protocol's identity on the
-    wire; everything stateful is per-deployment.
+    The class-level attributes are the protocol's identity on the wire; an
+    instance holds no deployment state, so a client connection and a driver
+    use the same plug-in.
     """
 
     name: ClassVar[str]
@@ -69,18 +67,6 @@ class RoundProtocol(ABC):
     push_responses: ClassVar[bool] = False
     #: Whether the round ends with the out-of-band invitation download.
     polls_invitations: ClassVar[bool] = False
-
-    #: Last-server processor of a system-side instance (``None`` client-side).
-    processor: Any = None
-    #: Per-round cover-traffic ledger of a system-side instance (an object
-    #: with ``for_round(round_number) -> int``).
-    noise_ledger: Any = None
-
-    def bind(self, processor: Any, noise_ledger: Any) -> "RoundProtocol":
-        """Attach a deployment's observables; returns self for chaining."""
-        self.processor = processor
-        self.noise_ledger = noise_ledger
-        return self
 
     # ------------------------------------------------------------ client side
 
@@ -133,6 +119,8 @@ class RoundProtocol(ABC):
         self,
         round_number: int,
         result: "RoundResult",
+        noise: int,
+        observed: Any,
         *,
         client_requests: int,
         delivered: int,
@@ -141,7 +129,11 @@ class RoundProtocol(ABC):
         bytes_moved: int,
         wall_clock_seconds: float,
     ) -> "RoundMetrics":
-        """Shape one resolved round's accounting for this protocol."""
+        """Shape one resolved round's accounting for this protocol.
+
+        ``noise`` is the cover traffic the chain added and ``observed`` the
+        last server's view of the round (the access histogram as a dict, or
+        the invitation store), both read once by the driver."""
 
 
 @dataclass
@@ -184,6 +176,8 @@ class ConversationProtocol(RoundProtocol):
         self,
         round_number: int,
         result: "RoundResult",
+        noise: int,
+        observed: Any,
         *,
         client_requests: int,
         delivered: int,
@@ -194,10 +188,6 @@ class ConversationProtocol(RoundProtocol):
     ) -> "RoundMetrics":
         from ..core.metrics import ConversationRoundMetrics
 
-        histogram = None
-        if self.processor is not None:
-            histogram = self.processor.histograms.get(round_number)
-        noise = self.noise_ledger.for_round(round_number) if self.noise_ledger else 0
         return ConversationRoundMetrics(
             round_number=round_number,
             client_requests=client_requests,
@@ -208,7 +198,7 @@ class ConversationProtocol(RoundProtocol):
             late_requests=result.late,
             attempts=result.attempts,
             aborted_attempts=result.attempts - 1,
-            histogram=histogram,
+            histogram=AccessHistogram(**observed),
             bytes_moved=bytes_moved,
             wall_clock_seconds=wall_clock_seconds,
         )
@@ -252,11 +242,10 @@ class DialingProtocol(RoundProtocol):
     def build_processor(
         self, config: "VuvuzelaConfig", root: "RandomSource"
     ) -> "RoundProcessor":
-        rng = root.fork("dialing-last-server-noise") if hasattr(root, "fork") else root
         return DialingProcessor(
             num_buckets=config.num_dialing_buckets,
             noise_spec=DialingNoiseSpec(config.dialing_noise, exact=config.exact_noise),
-            rng=rng,
+            rng=root.fork("dialing-last-server-noise"),
         )
 
     def before_round(self, clients: Mapping[str, "VuvuzelaClient"]) -> dict:
@@ -270,6 +259,8 @@ class DialingProtocol(RoundProtocol):
         self,
         round_number: int,
         result: "RoundResult",
+        noise: int,
+        observed: Any,
         *,
         client_requests: int,
         delivered: int,
@@ -280,15 +271,7 @@ class DialingProtocol(RoundProtocol):
     ) -> "RoundMetrics":
         from ..core.metrics import DialingRoundMetrics
 
-        bucket_sizes: dict[int, int] = {}
-        store_noise = 0
-        if self.processor is not None:
-            store = self.processor.store_for_round(round_number)
-            bucket_sizes = store.bucket_sizes()
-            store_noise = sum(
-                store.noise_count(bucket) for bucket in range(store.num_buckets)
-            )
-        noise = self.noise_ledger.for_round(round_number) if self.noise_ledger else 0
+        store_noise = sum(observed.noise_count(bucket) for bucket in range(observed.num_buckets))
         return DialingRoundMetrics(
             round_number=round_number,
             client_requests=client_requests,
@@ -298,7 +281,7 @@ class DialingProtocol(RoundProtocol):
             late_requests=result.late,
             attempts=result.attempts,
             aborted_attempts=result.attempts - 1,
-            bucket_sizes=bucket_sizes,
+            bucket_sizes=observed.bucket_sizes(),
             bytes_moved=bytes_moved,
             wall_clock_seconds=wall_clock_seconds,
         )

@@ -53,10 +53,8 @@ class EntryServer:
     max_requests_per_account_per_round: int = 1
     #: When set, the entry also plays the paper's CDN: clients fetch a
     #: dialing round's invitation store with a ``DIAL_DOWNLOAD`` envelope,
-    #: and this callable produces the (JSON-safe) store snapshot for a round
-    #: — from the in-process dialing processor, or over TCP from the last
-    #: chain server's control endpoint.  Snapshots are cached per round so a
-    #: deployment's many clients cost one fetch, not one fetch each.
+    #: and this callable asks the last chain server for the round's
+    #: (JSON-safe) store snapshot — once: snapshots are cached per round.
     invitation_fetcher: Callable[[int], dict] | None = None
     #: Cached snapshots are dropped once they fall this many rounds behind
     #: the newest download — continuous operation must not grow memory.

@@ -30,6 +30,8 @@ HOISTED = {
     "add_session", "attach_ledger", "ledger_client_digests", "_ledger_round_record",
     "protocol", "run_conversation_round", "run_dialing_round", "run_continuous",
     "run_swarm_round", "force_attempts", "scan_invitations",
+    "chain_noise", "access_histogram", "invitation_store", "aborted_total",
+    "buffered_total", "resubmission_parked", "refused_total", "late_total",
 }
 
 

@@ -54,7 +54,7 @@ def run_in_process(config: VuvuzelaConfig) -> dict:
             "alice_received": alice.messages_from(bob.public_key),
             "carol_received": list(carol.received),
             "carol_rounds_lost": carol.rounds_lost,
-            "refused_total": system.entry.refused_requests,
+            "refused_total": system.refused_total(),
             "conversation_noise": [m.noise_requests for m in round_metrics],
             "histograms": [
                 (m.histogram.singles, m.histogram.pairs, m.histogram.collisions)
