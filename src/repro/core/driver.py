@@ -26,6 +26,7 @@ between the shapes is a seam method, or it is not shared.
 
 from __future__ import annotations
 
+import math
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
@@ -40,7 +41,7 @@ from ..dialing import own_invitation_bucket
 from ..errors import LedgerError, NetworkError, ProtocolError
 from ..ledger import client_digest
 from ..net import LinkRule, MessageKind, link_target
-from ..privacy import PrivacyAccountant, conversation_guarantee, dialing_guarantee
+from ..privacy import NO_PRIVACY, PrivacyAccountant, conversation_guarantee, dialing_guarantee
 from ..runtime import RoundEngine, RoundScheduler, build_protocols
 from ..runtime.protocols import RoundProtocol
 from ..runtime.scheduler import ClientSession, ScheduledRound, ScheduleReport
@@ -91,10 +92,10 @@ class RoundDriver(ABC):
         self.protocols = build_protocols(self.config)
         #: The driver checkpoints the (ε, δ) composition per resolved round,
         #: whichever process made the noise draws — which is what keeps the
-        #: two shapes' ledgers diffable.
+        #: two shapes' ledgers diffable.  Exact noise guarantees nothing.
         self._accountants = {
             name: PrivacyAccountant(
-                per_round=guarantee(noise),
+                per_round=NO_PRIVACY if self.config.exact_noise else guarantee(noise),
                 target_epsilon=self.config.target_epsilon,
                 target_delta=self.config.target_delta,
                 composition_d=self.config.composition_d,
@@ -232,7 +233,8 @@ class RoundDriver(ABC):
         guarantee = accountant.current_guarantee()
         record["accountant"] = {
             "rounds_used": accountant.rounds_used,
-            "epsilon": guarantee.epsilon,
+            # JSON has no infinity: exact noise's unbounded ε is null.
+            "epsilon": guarantee.epsilon if math.isfinite(guarantee.epsilon) else None,
             "delta": guarantee.delta,
         }
         return record

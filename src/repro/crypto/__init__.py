@@ -39,7 +39,6 @@ from .secretbox import (
     NONCE_SIZE,
     OVERHEAD,
     TAG_SIZE,
-    clear_derived_key_cache,
     derive_layer_keys,
     key_from_shared_secret,
     nonce_for_round,
@@ -67,7 +66,6 @@ __all__ = [
     "TAG_SIZE",
     "active_backend",
     "available_backends",
-    "clear_derived_key_cache",
     "conversation_dead_drop",
     "default_random",
     "derive_key",

@@ -166,8 +166,6 @@ def wrap_request_batch(
         )
         if any(x25519.is_all_zero(shared) for shared in shareds):
             raise OnionError("X25519 exchange produced an all-zero shared secret")
-        # Wrap side: fresh ephemeral secrets, nothing to memoize (see
-        # derive_layer_keys on why clients must not populate the cache).
         request_keys = []
         for message, (request_key, response_key) in enumerate(derive_layer_key_schedule(shareds)):
             request_keys.append(request_key)

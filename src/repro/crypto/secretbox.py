@@ -12,7 +12,6 @@ nonce reuse cannot occur for honest participants.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .backend import active_backend
@@ -98,29 +97,13 @@ def nonce_for_round(round_number: int, label: str = "") -> bytes:
 _LAYER_LABEL = "layer"
 
 
-@lru_cache(maxsize=1 << 16)
-def _derived_key_cached(shared: bytes, label: str, length: int) -> bytes:
-    return derive_key(shared, f"secretbox:{label}", length)
-
-
 def key_from_shared_secret(shared: bytes, label: str) -> bytes:
-    """Derive a secretbox key from a DH shared secret for a specific use.
-
-    Derivations are memoized *per round*: within a round the wrap and peel
-    sides of the simulator hit the same ``(shared, label)`` pairs, and a
-    server that computed a shared secret at peel time never pays HKDF again
-    for the response direction.  The cache is keyed by ephemeral per-round
-    secrets, so the round drivers (``MixChain.run_round``,
-    ``ChainServerEndpoint.handle``) drop it with
-    :func:`clear_derived_key_cache` when their round ends — retaining DH
-    secrets across rounds would undo the forward secrecy the per-round
-    ephemeral keys exist to provide.
-    """
-    return _derived_key_cached(bytes(shared), label, KEY_SIZE)
+    """Derive a secretbox key from a DH shared secret for a specific use."""
+    return derive_key(bytes(shared), f"secretbox:{label}", KEY_SIZE)
 
 
 def derive_layer_keys(shared: bytes) -> tuple[bytes, bytes]:
-    """Both onion keys of one layer from one HKDF expansion, memoized.
+    """Both onion keys of one layer from one HKDF expansion.
 
     Returns ``(request_key, response_key)``.  The request key equals the
     first 32 bytes of the expansion — byte-identical to what
@@ -128,29 +111,19 @@ def derive_layer_keys(shared: bytes) -> tuple[bytes, bytes]:
     prefix property — so request wires are unchanged; the response key is the
     next 32 bytes, giving the two directions fully separated keys.  Both are
     produced at peel time, so sealing the response later costs zero
-    derivations.  The round drivers clear the cache when the round ends.
+    derivations.
     """
-    block = _derived_key_cached(bytes(shared), _LAYER_LABEL, 2 * KEY_SIZE)
+    block = derive_key(bytes(shared), f"secretbox:{_LAYER_LABEL}", 2 * KEY_SIZE)
     return block[:KEY_SIZE], block[KEY_SIZE:]
 
 
 def derive_layer_key_schedule(shareds: Sequence[bytes]) -> list[tuple[bytes, bytes]]:
-    """:func:`derive_layer_keys` for a whole layer of client wraps, uncached.
-
-    Every wrap uses a fresh ephemeral secret (zero repeat derivations to
-    save), and a client process has no round-end hook, so populating the
-    cache would only retain ephemeral DH secrets it never needs again.  The
-    layer goes through the one-pass :func:`~repro.crypto.hkdf.derive_key_schedule`.
-    """
+    """:func:`derive_layer_keys` for a whole layer of wraps, in one pass of
+    :func:`~repro.crypto.hkdf.derive_key_schedule`."""
     blocks = derive_key_schedule(
         [bytes(shared) for shared in shareds], f"secretbox:{_LAYER_LABEL}", 2 * KEY_SIZE
     )
     return [(block[:KEY_SIZE], block[KEY_SIZE:]) for block in blocks]
-
-
-def clear_derived_key_cache() -> None:
-    """Forget all memoized key derivations (tests, long-lived processes)."""
-    _derived_key_cached.cache_clear()
 
 
 def _check_key_nonce(key: bytes, nonce: bytes) -> None:

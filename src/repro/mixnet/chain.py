@@ -42,12 +42,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, Union
 
 from .shuffle import Permutation
 from ..crypto.keys import KeyPair, PublicKey
 from ..crypto.rng import RandomSource, default_random
-from ..crypto.secretbox import clear_derived_key_cache
 from ..errors import ProtocolError
 
 if TYPE_CHECKING:
@@ -71,6 +70,13 @@ IngressFilter = Callable[
     [int, list[bytes]],
     Union[list[bytes], tuple[list[bytes], "list[int | None]"]],
 ]
+
+
+def handover(batch: list[bytes]) -> Iterator[bytes]:
+    """``batch``'s entries, read once; the list is emptied once they are read,
+    so a caller (or a wrapper) that still names it holds none of them."""
+    yield from batch
+    batch.clear()
 
 
 def _align_filtered_payloads(
@@ -272,7 +278,7 @@ class MixServer:
     def process_round(
         self,
         round_number: int,
-        requests: Sequence[bytes],
+        requests: Iterable[bytes],
         downstream: RoundProcessor,
         attempt: int = 1,
     ) -> list[bytes]:
@@ -283,6 +289,11 @@ class MixServer:
         any other server it is the next server's ``process_round`` bound to
         the same round.  Returns one response per incoming request (malformed
         requests receive an empty response).
+
+        A round's batch is held once while it descends: ``requests`` (pass
+        :func:`handover` of a batch the caller is done with) is dropped once
+        peeled, and the forwarded batch is ``downstream``'s to empty.  Only
+        the permutation, the response keys, their positions and counts wait.
 
         The whole round moves through the engine as chunked batches: one
         fixed-scalar X25519 pass and one shared-nonce AEAD pass per chunk to
@@ -297,6 +308,7 @@ class MixServer:
 
         engine = self._engine()
         requests = list(requests)
+        incoming = len(requests)
         # Step 2 comes first: this attempt's cover traffic, wrapping since
         # the previous pass when it was prepared then.
         cover = self._cover_traffic(round_number, attempt)
@@ -305,12 +317,14 @@ class MixServer:
         inners, keys = engine.run(
             peel_rows, [requests], self.keypair.private, self.index, round_number
         )
+        del requests
         valid_positions: list[int | None] = [
             i for i, inner in enumerate(inners) if inner is not None
         ]
         peeled = [inners[i] for i in valid_positions]
         layer_keys: list[bytes | None] = [keys[i] for i in valid_positions]
-        malformed = len(requests) - len(valid_positions)
+        del inners, keys
+        malformed = incoming - len(valid_positions)
 
         # A compromised server may tamper with the peeled batch (drop,
         # reorder, replace or inject requests) before it adds noise and mixes.
@@ -321,24 +335,29 @@ class MixServer:
 
         # Step 3a: shuffle the combined batch with the cover traffic and
         # forward it.
-        noise_wires = cover.wires()
-        combined = list(peeled) + noise_wires
+        real = len(peeled)
+        combined = peeled + cover.wires()
+        noise = len(combined) - real
+        del peeled
         permutation = Permutation.random(len(combined), cover.rng)
+        del cover
         forwarded = permutation.apply(combined)
+        del combined
         downstream_responses = downstream(round_number, forwarded)
-        if len(downstream_responses) != len(forwarded):
+        del forwarded
+        if len(downstream_responses) != real + noise:
             raise ProtocolError(
                 "downstream returned a different number of responses than requests"
             )
 
         # Step 4: unshuffle, discard noise responses, encrypt real responses.
         unshuffled = permutation.invert(downstream_responses)
-        real_responses = unshuffled[: len(peeled)]
-        responses: list[bytes] = [b""] * len(requests)
+        del downstream_responses
+        responses: list[bytes] = [b""] * incoming
         keyed = [i for i, key in enumerate(layer_keys) if key is not None]
         (wrapped,) = engine.run(
             wrap_response_rows,
-            [[real_responses[i] for i in keyed], [layer_keys[i] for i in keyed]],
+            [[unshuffled[i] for i in keyed], [layer_keys[i] for i in keyed]],
             round_number,
         )
         for i, response in zip(keyed, wrapped):
@@ -354,10 +373,10 @@ class MixServer:
                 ServerRoundView(
                     server_index=self.index,
                     round_number=round_number,
-                    incoming_requests=len(requests),
+                    incoming_requests=incoming,
                     malformed_requests=malformed,
-                    noise_requests_added=len(noise_wires),
-                    forwarded_requests=len(forwarded),
+                    noise_requests_added=noise,
+                    forwarded_requests=real + noise,
                 )
             )
         return responses
@@ -387,14 +406,7 @@ class MixChain:
     def run_round(
         self, round_number: int, requests: Sequence[bytes], attempt: int = 1
     ) -> list[bytes]:
-        """Run one complete round through every server and the processor.
-
-        When the round is over, the memoized key derivations it populated
-        (client wraps included, when clients share the process) are dropped:
-        the cache must not outlive the round, or the ephemeral DH secrets it
-        is keyed by would stay recoverable from process memory.  (Engine
-        workers clear their own per-process caches chunk by chunk.)
-        """
+        """Run one complete round through every server and the processor."""
 
         def downstream_for(position: int) -> RoundProcessor:
             if position == len(self.servers):
@@ -410,15 +422,12 @@ class MixChain:
 
             def handle(rn: int, batch: list[bytes]) -> list[bytes]:
                 return self.servers[position].process_round(
-                    rn, batch, downstream_for(position + 1), attempt=attempt
+                    rn, handover(batch), downstream_for(position + 1), attempt=attempt
                 )
 
             return handle
 
-        try:
-            return downstream_for(0)(round_number, list(requests))
-        finally:
-            clear_derived_key_cache()
+        return downstream_for(0)(round_number, list(requests))
 
 
 def build_chain(

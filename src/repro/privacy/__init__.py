@@ -39,6 +39,7 @@ from .laplace import (
     truncated_mean,
 )
 from .mechanism import (
+    NO_PRIVACY,
     PrivacyGuarantee,
     conversation_guarantee,
     conversation_noise_for,
@@ -74,6 +75,7 @@ __all__ = [
     "DIALING_SENSITIVITY",
     "LaplaceParams",
     "LedgerAuditReport",
+    "NO_PRIVACY",
     "NoiseConfiguration",
     "PAPER_CONVERSATION_CONFIGS",
     "PAPER_CONVERSATION_ROUNDS",

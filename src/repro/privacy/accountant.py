@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .composition import DEFAULT_COMPOSITION_D, ComposedGuarantee, compose, max_rounds
-from .mechanism import PrivacyGuarantee
+from .mechanism import NO_PRIVACY, PrivacyGuarantee
 from ..errors import PrivacyBudgetError
 
 
@@ -107,11 +107,16 @@ def audit_ledger_records(
     rounds and checks that the recorded checkpoint matches it exactly —
     which catches a deployment whose accountant lost rounds (e.g. across a
     crash), double-spent, or was recomputed with different noise parameters
-    than the config it claims.
+    than the config it claims.  A leading ``session_start`` payload whose
+    config says ``exact_noise`` voids the guarantee: ε must be ``None``.
     """
     report = LedgerAuditReport(protocol=protocol)
     last: ComposedGuarantee | None = None
+    exact = False
     for data in records:
+        if "config" in data:  # the session_start that opens the trail
+            exact = bool(data["config"].get("exact_noise"))
+            continue
         if data.get("protocol") != protocol:
             continue
         checkpoint = data.get("accountant")
@@ -126,9 +131,11 @@ def audit_ledger_records(
                 f"round {round_number}: recorded rounds_used="
                 f"{checkpoint.get('rounds_used')} but this is resolved round {k}"
             )
-        expected = compose(per_round, k, composition_d)
+        expected = compose(NO_PRIVACY if exact else per_round, k, composition_d)
         for name, recomputed in (("epsilon", expected.epsilon), ("delta", expected.delta)):
             recorded = checkpoint.get(name)
+            if recorded is None and math.isinf(recomputed):
+                continue  # exact noise: no finite ε to record
             if recorded is None or not math.isclose(
                 float(recorded), recomputed, rel_tol=1e-9, abs_tol=0.0
             ):

@@ -59,6 +59,12 @@ class PrivacyGuarantee:
         return math.exp(self.epsilon)
 
 
+#: What exact noise guarantees: nothing.  A server that adds exactly μ every
+#: round makes the observed counts a function of what users do, so no finite
+#: ε holds (``VuvuzelaConfig.exact_noise``).
+NO_PRIVACY = PrivacyGuarantee(epsilon=math.inf, delta=1.0)
+
+
 def single_variable_guarantee(params: LaplaceParams, sensitivity: float) -> PrivacyGuarantee:
     """Lemma 3: noise ``ceil(max(0, Laplace(mu, b)))`` on one count of sensitivity t.
 

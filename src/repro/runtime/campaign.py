@@ -125,7 +125,9 @@ def check_invariants(driver, ledger_path: str | Path, segment: int) -> list[tupl
         )
 
     config = driver.config
-    rounds = [record.data for record in load_ledger(ledger_path).of_type("round_metrics")]
+    ledger = load_ledger(ledger_path)
+    session = [record.data for record in ledger.of_type("session_start")[:1]]
+    rounds = [record.data for record in ledger.of_type("round_metrics")]
     for protocol, accountant, guarantee in (
         (
             "conversation",
@@ -144,7 +146,7 @@ def check_invariants(driver, ledger_path: str | Path, segment: int) -> list[tupl
                 )
             )
         audit = audit_ledger_records(
-            recorded,
+            session + recorded,
             protocol=protocol,
             per_round=guarantee,
             target_epsilon=config.target_epsilon,

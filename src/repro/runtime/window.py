@@ -13,11 +13,11 @@ or ledger — the :class:`~repro.runtime.coordinator.RoundCoordinator` calls
 them under its lock and asks the entry server for the §9 admission verdict
 on each fresh arrival.
 
-Invariants, after every method: ``accepted == sum(per_client.values())``;
-``arrivals`` counts distinct check-ins (a fresh verdict, or an accepted
-slot's first claim on this attempt); a resubmitted digest gets its original
-slot index back and is never admitted twice; nothing is admitted once the
-window stops being OPEN.
+Invariants, after every method: ``accepted == sum(per_client.values())``
+until the per-client state is released; ``arrivals`` counts distinct
+check-ins (a fresh verdict, or an accepted slot's first claim on this
+attempt); a resubmitted digest gets its original slot index back and is
+never admitted twice; nothing is admitted once the window stops being OPEN.
 """
 
 from __future__ import annotations
@@ -245,7 +245,15 @@ class SubmissionWindow:
         return retry
 
     def release_responses(self) -> None:
-        """Drop the held response payloads; a caller already handed the
-        :class:`RoundResult` keeps its own."""
+        """Drop the held response payloads and the per-client state (a late
+        submission is answered before :meth:`check_in` reads it); the counts
+        stay, and a caller already handed the :class:`RoundResult` keeps its
+        own."""
+        if self.outcome is None:
+            return
         if isinstance(self.outcome, RoundResult) and self.outcome.responses is not None:
             self.outcome = replace(self.outcome, responses=None)
+        self.per_client = {}
+        self.submitted = {}
+        self.claimed = set()
+        self.refused_digests = set()

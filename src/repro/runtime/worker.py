@@ -8,14 +8,10 @@ runs an op inline on slices of its columns, or ships each slice to a
 worker, where :func:`run` unpacks it, calls the same op and packs its
 output; its table (:data:`~repro.runtime.engine.POOL_OPS`) says which.
 
-Worker-side state is deliberately minimal and chunk-scoped:
-
-* the active crypto backend is re-asserted per task from the name the parent
-  recorded when it built the task (cheap when unchanged), so inline and
-  pooled execution always run the same primitives;
-* the memoized layer-key derivations a chunk populates are dropped before
-  the task returns — a worker must not retain DH shared secrets past the
-  chunk, mirroring what ``MixChain.run_round`` does for the whole round.
+Worker-side state is deliberately minimal: the active crypto backend is
+re-asserted per task from the name the parent recorded when it built the
+task (cheap when unchanged), so inline and pooled execution always run the
+same primitives.
 
 Everything a task receives is deterministic (wire bytes, pre-drawn scalars,
 round numbers); the rng lives exclusively in the parent, which is what makes
@@ -31,7 +27,6 @@ from ..crypto.backend import active_backend, set_backend
 from ..crypto.invitation import open_invitations
 from ..crypto.keys import PrivateKey
 from ..crypto.onion import peel_request_batch, wrap_request_batch, wrap_response_batch
-from ..crypto.secretbox import clear_derived_key_cache
 from ..dialing.client import build_dial_batch
 from ..net.packed import pack, unpack_owned
 
@@ -52,11 +47,8 @@ def run(task: tuple) -> bytes:
     op, rows, block, static, backend_name = task
     if active_backend().name != backend_name:
         set_backend(backend_name)
-    try:
-        output = op(split_columns(unpack_owned(block), rows), *static)
-        return pack(b"", [entry for column in output for entry in column])
-    finally:
-        clear_derived_key_cache()
+    output = op(split_columns(unpack_owned(block), rows), *static)
+    return pack(b"", [entry for column in output for entry in column])
 
 
 def peel_rows(columns: list, private_key: PrivateKey, server_index: int, round_number: int) -> list:

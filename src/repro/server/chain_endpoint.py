@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .wire import decode_batch, encode_batch
-from ..crypto.secretbox import clear_derived_key_cache
 from ..errors import NetworkError, ProtocolError
-from ..mixnet.chain import MixServer, RoundProcessor
+from ..mixnet.chain import MixServer, RoundProcessor, handover
 from ..net import Envelope, MessageKind, Transport
 
 
@@ -46,9 +45,8 @@ class ChainServerEndpoint:
     def handle(self, envelope: Envelope) -> bytes:
         """Process one round batch arriving from the previous hop.
 
-        Once the round's responses are encoded, the key-derivation cache the
-        round populated is dropped — a server must not retain DH shared
-        secrets past the round they belong to (forward secrecy).
+        The decoded requests are handed over to the mix server, which drops
+        them once peeled: they are not held while the round descends.
         """
         round_number, attempt, requests = decode_batch(envelope.payload)
         if self.highest_round is not None and round_number < self.highest_round:
@@ -61,16 +59,17 @@ class ChainServerEndpoint:
         # in-order gate, so stashing the attempt for the downstream hop of
         # the drive currently in flight is race-free.
         self._attempt = attempt
-        try:
-            responses = self.mix_server.process_round(
-                round_number, requests, self._downstream, attempt=attempt
-            )
-            return encode_batch(round_number, responses, attempt)
-        finally:
-            clear_derived_key_cache()
+        responses = self.mix_server.process_round(
+            round_number, handover(requests), self._downstream, attempt=attempt
+        )
+        return encode_batch(round_number, responses, attempt)
 
     def _downstream(self, round_number: int, batch: list[bytes]) -> list[bytes]:
-        """Forward the mixed batch to the next server, or process it here."""
+        """Forward the mixed batch to the next server, or process it here.
+
+        The batch is this hop's to consume: once it is encoded into the next
+        hop's frame it is emptied, so only the frame carries it on.
+        """
         attempt = getattr(self, "_attempt", 1)
         if self.next_endpoint is None:
             assert self.processor is not None  # enforced in __post_init__
@@ -78,10 +77,12 @@ class ChainServerEndpoint:
             if begin_attempt is not None:
                 begin_attempt(round_number, attempt)
             return self.processor(round_number, batch)
+        frame = encode_batch(round_number, batch, attempt)
+        batch.clear()
         reply = self.network.send(
             self.name,
             self.next_endpoint,
-            encode_batch(round_number, batch, attempt),
+            frame,
             kind=self.request_kind,
             round_number=round_number,
         )

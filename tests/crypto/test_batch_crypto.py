@@ -20,7 +20,7 @@ import repro
 from repro.crypto import DeterministicRandom, derive_layer_keys, key_from_shared_secret
 from repro.crypto import x25519
 from repro.crypto.backend import CRYPTOGRAPHY, available_backends, set_backend
-from repro.crypto.secretbox import derive_layer_key_schedule, open_box_batch, seal_batch
+from repro.crypto.secretbox import open_box_batch, seal_batch
 
 # RFC 8439 section 2.8.2 AEAD vector.
 AEAD_KEY = bytes.fromhex(
@@ -257,46 +257,6 @@ class TestDerivedKeyCache:
         assert request_key == key_from_shared_secret(shared, "layer")
         assert len(response_key) == 32
         assert response_key != request_key
-
-    def test_derivation_is_memoized(self, rng):
-        from repro.crypto.secretbox import _derived_key_cached
-
-        shared = rng.random_bytes(32)
-        _derived_key_cached.cache_clear()
-        derive_layer_keys(shared)
-        hits_before = _derived_key_cached.cache_info().hits
-        derive_layer_keys(shared)
-        derive_layer_keys(bytearray(shared))  # bytes-like input hits the same entry
-        assert _derived_key_cached.cache_info().hits >= hits_before + 2
-        # uncached derivation: same bytes, no new cache entry
-        _derived_key_cached.cache_clear()
-        assert derive_layer_key_schedule([shared]) == [derive_layer_keys(shared)]
-        assert _derived_key_cached.cache_info().currsize == 1
-
-    def test_client_wrap_does_not_populate_the_cache(self, rng):
-        # Clients have no round-end hook, so wrapping must not retain
-        # ephemeral DH secrets in the derivation cache.
-        from repro.crypto import KeyPair, clear_derived_key_cache, wrap_request
-        from repro.crypto.onion import wrap_request_batch
-        from repro.crypto.secretbox import _derived_key_cached
-
-        servers = [KeyPair.generate(rng) for _ in range(2)]
-        publics = [server.public for server in servers]
-        clear_derived_key_cache()
-        wrap_request(b"payload", publics, 1, rng)
-        wrap_request_batch([b"a", b"b"], publics, 1, rng)
-        assert _derived_key_cached.cache_info().currsize == 0
-
-    def test_round_drivers_clear_the_cache(self, rng):
-        from repro.crypto import KeyPair, wrap_request
-        from repro.crypto.secretbox import _derived_key_cached
-        from repro.mixnet import build_chain
-
-        keypairs = [KeyPair.generate(rng) for _ in range(2)]
-        chain = build_chain(keypairs, lambda rn, batch: [bytes(b) for b in batch], rng=rng)
-        wire, _ = wrap_request(b"x" * 16, [kp.public for kp in keypairs], 3, rng)
-        chain.run_round(3, [wire])
-        assert _derived_key_cached.cache_info().currsize == 0
 
     def test_batch_helpers_reject_malformed_keys_anywhere(self, rng):
         nonce = rng.random_bytes(12)

@@ -335,8 +335,8 @@ class TestResponseRetention:
                 assert held is None
             # The metadata the verdicts are computed from is all still there.
             assert (window.outcome.accepted, window.outcome.responded) == (1, 1)
-            assert window.per_client == {"alice": 1}
-            assert (len(window.submitted.get("alice", [])) == 1) is blocking
+            assert window.per_client == ({} if held is None else {"alice": 1})
+            assert (len(window.submitted.get("alice", [])) == 1) is (blocking and held is not None)
             # The caller's own handle is untouched by the release.
             assert len(results[round_number].responses["alice"][0]) > 0
 
