@@ -27,7 +27,6 @@ from .core import (
     ConversationRoundMetrics,
     DeploymentLauncher,
     DialingRoundMetrics,
-    SystemMetrics,
     VuvuzelaConfig,
     VuvuzelaSystem,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "DeploymentLauncher",
     "DialingRoundMetrics",
     "ReproError",
-    "SystemMetrics",
     "VuvuzelaClient",
     "VuvuzelaConfig",
     "VuvuzelaSystem",

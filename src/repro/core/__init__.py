@@ -2,7 +2,7 @@
 
 from .config import VuvuzelaConfig
 from .deployment import DeploymentLauncher, NetworkRoundResult
-from .metrics import ConversationRoundMetrics, DialingRoundMetrics, SystemMetrics
+from .metrics import ConversationRoundMetrics, DialingRoundMetrics
 from .system import VuvuzelaSystem
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "DeploymentLauncher",
     "DialingRoundMetrics",
     "NetworkRoundResult",
-    "SystemMetrics",
     "VuvuzelaConfig",
     "VuvuzelaSystem",
 ]

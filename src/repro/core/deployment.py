@@ -22,17 +22,19 @@ Typical use::
         deployment.run_dialing_round([alice, bob])
         ...
 
-Rounds are driven through the entry server's control API: the launcher opens
-a submission window (deadline and/or expected request count), the client
-connections submit — each submission long-polls until the round resolves —
-and the launcher collects the round's accounting.
+Rounds are driven through the entry server's control API, as in process: the
+driver opens a submission window — over TCP with the deadline and, unless
+windows are deadline-only, the expected request count — the client
+connections submit (each submission long-polls until the round resolves),
+and the driver reads the round's accounting back.
 
-Everything that is not transport or process supervision — population, ledger
-records, the server observables, ``run_conversation_round`` /
-``run_dialing_round`` / ``run_continuous`` / ``run_swarm_round`` — is
-inherited from :class:`~repro.core.driver.RoundDriver`; this module supplies
-the TCP seam, where ``control`` is one RPC to a server process's control
-endpoint.
+Everything that is not transport or process supervision — population, the
+round lifecycle, ledger records, the server observables,
+``run_conversation_round`` / ``run_dialing_round`` / ``run_continuous`` /
+``run_swarm_round`` — is inherited from
+:class:`~repro.core.driver.RoundDriver`; this module supplies the TCP seam,
+where ``control`` is one RPC to a server process's control endpoint and a
+swarm round's responses come back in ``RESPONSE_COLLECT`` frames.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from ..server.control import request
 from ..server.wire import decode_collect_reply, encode_collect_request
 from ..runtime.protocols import RoundProtocol
 from ..runtime.scheduler import ScheduledRound
+from ..runtime.window import RoundResult
 
 #: Client names per ``RESPONSE_COLLECT`` frame when a swarm round's responses
 #: are pulled down from the entry.
@@ -190,9 +193,6 @@ class DeploymentLauncher(RoundDriver):
         #: ``servers`` is only assigned once the whole chain is up, so a
         #: failed startup must still be able to reap its partial chain.
         self._spawned: list[ServerProcess] = []
-        #: Every known client's connection, online or parked (a parked one
-        #: keeps its counters and gets a fresh transport on resume).
-        self._connections: dict[str, ClientConnection] = {}
         self._control: TcpTransport | None = None
         self._probe: TcpTransport | None = None
         self._started = False
@@ -265,8 +265,6 @@ class DeploymentLauncher(RoundDriver):
         if self._started:
             return self
         self._started = True
-        # A fresh entry process allocates rounds from zero again.
-        self._next_rounds = {"conversation": 0, "dialing": 0}
         config_json = self.config.to_json()
         next_port: int | None = None
         chain: list[ServerProcess] = []
@@ -345,9 +343,9 @@ class DeploymentLauncher(RoundDriver):
                     process.wait()
             server.reap()
         self.engine.close()
-        for connection in self._connections.values():
+        for connection in self._handles.values():
             connection.transport.close()  # idempotent: parked ones closed at park time
-        self._connections = {}
+        self._handles = {}
         self.clients = {}
         self._parked = {}
         if self._control is not None:
@@ -461,16 +459,10 @@ class DeploymentLauncher(RoundDriver):
                 f"{old.name} restarted on port {replacement.port}, expected {old.port}"
             )
         self._spawned.remove(old)
-        if old is self.entry_process:
-            self.entry_process = replacement
-        else:
-            self.servers[self.servers.index(old)] = replacement
+        self.servers[self.servers.index(old)] = replacement
         reshipped = self._shipped_rules.get(replacement.name, [])
         for rule, seed in reshipped:
-            command = {"cmd": "add-link-rule", "rule": rule, "seed": seed}
-            self._retry_transient(
-                lambda: self.server_control(replacement.name, command)
-            )
+            self.control(replacement.name, {"cmd": "add-link-rule", "rule": rule, "seed": seed})
         self._record(
             "restart_server", {"name": replacement.name, "reinjected": len(reshipped)}
         )
@@ -518,7 +510,7 @@ class DeploymentLauncher(RoundDriver):
             engine = conditioner_for(self._client_conditioner, seed)
             self._client_conditioner = engine
             engine.ledger = self.ledger
-            for connection in self._connections.values():
+            for connection in self._handles.values():
                 connection.transport.link_conditioner = engine
             return engine.add_rule(rule, CLIENTS)
         data = rule.to_dict()
@@ -570,15 +562,13 @@ class DeploymentLauncher(RoundDriver):
         endpoint = "entry" if role == "entry" else topology.control_name(self._chain_index(role))
         return request(transport, "launcher", endpoint, command)
 
-    def entry_control(self, command: dict) -> dict:
-        return self._rpc("entry", command)
-
-    def server_control(self, name_or_index: str | int, command: dict) -> dict:
-        return self._rpc(name_or_index, command)
-
     def control(self, role: str, command: dict) -> dict:
-        """One control RPC to ``role``'s process; a just-respawned chain
-        server's transient link failures are retried, a refusal never is."""
+        """One control RPC to ``role``'s process.  A just-respawned chain
+        server's transient link failures are retried; an entry command never
+        is (``open-round`` is not idempotent, and the entry never respawns),
+        and a refusal never is."""
+        if role == "entry":
+            return self._rpc(role, command)
         return self._retry_transient(lambda: self._rpc(role, command))
 
     # --------------------------------------------------- driver seam: population
@@ -595,86 +585,65 @@ class DeploymentLauncher(RoundDriver):
         transport = TcpTransport(request_timeout=self.request_timeout)
         transport.add_route("entry", self.entry_process.host, self.entry_process.port)
         transport.link_conditioner = self._client_conditioner
-        connection = self._connections.get(client.name)
+        connection = self._handles.get(client.name)
         if connection is None:
-            connection = self._connections[client.name] = ClientConnection(
-                client=client, transport=transport, **retry_options
-            )
+            connection = ClientConnection(client=client, transport=transport, **retry_options)
         else:
+            # A parked client keeps its connection and its counters.
             connection.transport = transport
             connection.reconnects += 1
         if register and self.config.require_registration:
-            self.entry_control({"cmd": "register", "name": client.name})
+            self.control("entry", {"cmd": "register", "name": client.name})
         return connection
 
     def _disconnect_client(self, name: str) -> None:
         if self.config.require_registration:
             try:
-                self.entry_control({"cmd": "revoke", "name": name})
+                self.control("entry", {"cmd": "revoke", "name": name})
             except (NetworkError, ProtocolError):
                 pass  # the entry may be mid-crash; churn must not wedge
-        self._connections[name].transport.close()
-
-    def _forget_client(self, name: str) -> None:
-        try:
-            self.entry_control({"cmd": "forget-client", "name": name})
-        except (NetworkError, ProtocolError):
-            pass  # best-effort pruning, same crash caveat as the revoke
-        del self._connections[name]
+        self._handles[name].transport.close()
 
     def connection(self, name: str) -> ClientConnection:
-        return self._connections[name]
+        return self._handles[name]
 
     # --------------------------------------------- driver seam: scheduled rounds
 
     def _participants(self, given: list | None) -> list[ClientConnection]:
         if given is not None:
             return list(given)
-        return [self._connections[name] for name in self.clients]
+        return [self._handles[name] for name in self.clients]
 
-    def open_scheduled_round(
-        self, protocol: RoundProtocol, participants: list | None = None
-    ) -> ScheduledRound:
-        """Open the protocol's next round window on the entry process.
-
-        Unless the deployment runs deadline-only windows, the window closes
-        as soon as every participating client's requests arrived (or at the
-        deadline, whichever is first).
-        """
-        expected = None
+    def _window_options(self, protocol: RoundProtocol, participants: list | None) -> dict:
+        """The deadline, and — unless the deployment runs deadline-only
+        windows — the expected request count, so the window closes as soon
+        as every participating client's requests arrived."""
+        options: dict = {}
+        if self.round_deadline_seconds is not None:
+            options["deadline"] = self.round_deadline_seconds
         if not self.deadline_only_windows:
             connections = self._participants(participants)
-            expected = sum(protocol.requests_per_client(c.client) for c in connections) or None
-        round_number = self.open_round(protocol.name, expected=expected)
-        return ScheduledRound(protocol.name, round_number, participants=participants)
-
-    def discard_scheduled_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> None:
-        try:
-            self._close_round(protocol, opened)
-        except (NetworkError, ProtocolError):
-            pass  # best-effort: the entry may be the thing that failed
-
-    def _close_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> dict:
-        return self.entry_control(
-            {"cmd": "close-round", "protocol": protocol.name, "round": opened.round_number}
-        )
+            expected = sum(protocol.requests_per_client(c.client) for c in connections)
+            if expected:
+                options["expected"] = expected
+        return options
 
     def _measure_round(self, protocol: RoundProtocol, opened: ScheduledRound):
         started = time.perf_counter()
 
-        def finish(result: dict, **_client_side_counts) -> NetworkRoundResult:
+        def finish(result: RoundResult, **_client_side_counts) -> NetworkRoundResult:
             # The entry's own window accounting supersedes client-side counts.
             return self._resolve_round(
                 protocol,
                 NetworkRoundResult(
                     protocol=protocol.name,
                     round_number=opened.round_number,
-                    accepted=result["accepted"],
-                    refused=result["refused"],
-                    late=result["late"],
-                    responded=result["responded"],
+                    accepted=result.accepted,
+                    refused=result.refused,
+                    late=result.late,
+                    responded=result.responded,
                     wall_clock_seconds=time.perf_counter() - started,
-                    aborts=int(result.get("aborts", 0)),
+                    aborts=result.attempts - 1,
                 ),
             )
 
@@ -702,7 +671,7 @@ class DeploymentLauncher(RoundDriver):
                         built,
                     )
                 )
-        result = self.wait_round(protocol.name, round_number)
+        result = self._round_result(protocol, opened)
         if protocol.polls_invitations:
             # Every client downloads its invitation dead drop from the entry
             # over the same envelope path it submits on (DIAL_DOWNLOAD).
@@ -712,38 +681,6 @@ class DeploymentLauncher(RoundDriver):
             )
         return finish(result)
 
-    # ------------------------------------------------------------------ rounds
-
-    def open_round(
-        self,
-        protocol: str,
-        *,
-        deadline: float | None = None,
-        expected: int | None = None,
-    ) -> int:
-        command: dict = {"cmd": "open-round", "protocol": protocol}
-        if deadline is not None or self.round_deadline_seconds is not None:
-            command["deadline"] = deadline if deadline is not None else self.round_deadline_seconds
-        if expected is not None:
-            command["expected"] = expected
-        # The entry allocates the round number, but it allocates sequentially
-        # from zero, so the launcher's mirror predicts it — which lets a
-        # replay ship the recorded first-attempt number with the open.
-        forced = self._forced_attempts.get((protocol, self._next_rounds[protocol]))
-        if forced is not None:
-            command["attempt"] = forced
-        round_number = int(self.entry_control(command)["round"])
-        self._next_rounds[protocol] = round_number + 1
-        return round_number
-
-    def wait_round(self, protocol: str, round_number: int, *, wait: float = 60.0) -> dict:
-        result = self.entry_control(
-            {"cmd": "round-result", "protocol": protocol, "round": round_number, "wait": wait}
-        )
-        if "error" in result:
-            raise ProtocolError(f"{protocol} round {round_number}: {result['error']}")
-        return result
-
     # ---------------------------------------------- driver seam: swarm transport
 
     def _swarm_send(self, frame: bytes, kind: MessageKind, round_number: int) -> bytes | None:
@@ -752,14 +689,11 @@ class DeploymentLauncher(RoundDriver):
         collect) frame."""
         return self._control.send("swarm", "entry", frame, kind=kind, round_number=round_number)
 
-    def _close_swarm_round(
-        self, protocol: RoundProtocol, opened: ScheduledRound, names: list[str]
-    ) -> tuple[dict, dict]:
-        """Close the round explicitly, then pull the onion responses down
-        with ``RESPONSE_COLLECT`` frames in name-chunks."""
-        round_number = opened.round_number
-        self._close_round(protocol, opened)
-        result = self.wait_round(protocol.name, round_number)
+    def _collect_responses(
+        self, protocol: RoundProtocol, round_number: int, names: list[str]
+    ) -> dict[str, list[bytes]]:
+        """Pull the onion responses down with ``RESPONSE_COLLECT`` frames in
+        name-chunks on the control connection."""
         grouped: dict[str, list[bytes]] = {}
         for start in range(0, len(names), COLLECT_CHUNK):
             batch = names[start : start + COLLECT_CHUNK]
@@ -776,4 +710,4 @@ class DeploymentLauncher(RoundDriver):
                     f"collected responses for round {got_round}, expected {round_number}"
                 )
             grouped.update(zip(batch, responses))
-        return result, grouped
+        return grouped

@@ -3,22 +3,27 @@
 A Vuvuzela round is a pure function of ``(seed, label, round, attempt)``
 whichever shape runs it, so everything *about* rounds that is not transport
 lives here, once: the protocol map and the two (ε, δ) accountants, the
-active/parked client population and its ledger records, the ledger's round
-record, round resolution, replay's forced attempts, the continuous session,
-the single-round wrappers and the swarm round.
+active/parked client population and its ledger records, the round lifecycle,
+the ledger's round record, round resolution, replay's forced attempts, the
+continuous session, the single-round wrappers and the swarm round.
 
 :class:`~repro.core.system.VuvuzelaSystem` (every component in this process,
 over the in-memory :class:`~repro.net.Network`) and
 :class:`~repro.core.deployment.DeploymentLauncher` (entry + chain servers as
 subprocesses over :class:`~repro.net.TcpTransport`) subclass
 :class:`RoundDriver` and implement only its abstract methods — the seam:
-connecting one client, opening/driving/discarding a window, the swarm's
-frames, the chaos surface campaigns drive, and :meth:`RoundDriver.control`.
-Both shapes run the same server roles (:mod:`repro.server.entry_main`,
-:mod:`repro.server.chain_main`); ``control(role, command)`` asks one of
-them a question — a direct ``_dispatch`` call in process, an RPC over TCP —
-so every server observable (chain noise, the access histogram, the
-invitation store, the entry's counters) is read here, once.
+connecting one client, driving a round's submissions and responses, the
+swarm's frames, the chaos surface campaigns drive, and
+:meth:`RoundDriver.control`.  Both shapes run the same server roles
+(:mod:`repro.server.entry_main`, :mod:`repro.server.chain_main`);
+``control(role, command)`` asks one of them a question — a direct
+``_dispatch`` call in process, an RPC over TCP.  So every round is opened,
+closed, discarded and read back here, through the entry's control plane
+(the entry allocates every round number), and every server observable
+(chain noise, the access histogram, the invitation store, the entry's
+counters) is read here, once.  A shape differs only in how wires are
+submitted, how responses come back, and the window options it sends
+(:meth:`RoundDriver._window_options`).
 
 Nothing in this module asks which subclass it is running in: a difference
 between the shapes is a seam method, or it is not shared.
@@ -45,6 +50,7 @@ from ..privacy import NO_PRIVACY, PrivacyAccountant, conversation_guarantee, dia
 from ..runtime import RoundEngine, RoundScheduler, build_protocols
 from ..runtime.protocols import RoundProtocol
 from ..runtime.scheduler import ClientSession, ScheduledRound, ScheduleReport
+from ..runtime.window import RoundResult
 from ..server.wire import decode_batch_verdicts, encode_submission_batch
 
 @dataclass
@@ -113,11 +119,10 @@ class RoundDriver(ABC):
         #: and its session survive off-network so a later resume keeps §3.1
         #: sequence state and undelivered outbox messages.
         self._parked: dict[str, tuple[VuvuzelaClient, ClientSession | None]] = {}
-        #: The next round number per protocol: the in-process shape allocates
-        #: from it, the launcher mirrors the entry's allocation in it.
-        self._next_rounds: dict[str, int] = {"conversation": 0, "dialing": 0}
-        #: Replay support: forced first-attempt numbers by (protocol, round).
-        self._forced_attempts: dict[tuple[str, int], int] = {}
+        #: Every known client's handle (what ``_connect_client`` returned),
+        #: online or parked: a resume reconnects the same handle, a removal
+        #: forgets it.
+        self._handles: dict[str, Any] = {}
         #: Optional round ledger (attach with :meth:`attach_ledger`).
         self.ledger: Any = None
         self.scheduler = RoundScheduler(
@@ -136,11 +141,12 @@ class RoundDriver(ABC):
 
     @property
     def next_conversation_round(self) -> int:
-        return self._next_rounds["conversation"]
+        """The number the entry allocates to the next conversation round."""
+        return self._counters()["next"]["conversation"]
 
     @property
     def next_dialing_round(self) -> int:
-        return self._next_rounds["dialing"]
+        return self._counters()["next"]["dialing"]
 
     # ------------------------------------------------------------------ ledger
 
@@ -257,9 +263,16 @@ class RoundDriver(ABC):
         its window *at* attempt N — the chain then draws N's noise streams
         directly instead of re-living the aborted attempts (which leave no
         trace in any observable: their noise is discarded with the failed
-        batch).
+        batch).  The plan is shipped to the entry once, which keeps it
+        beside its allocator; a bad entry refuses the whole plan.
         """
-        self._forced_attempts.update(plan)
+        self.control(
+            "entry",
+            {
+                "cmd": "force-attempts",
+                "plan": [[name, number, attempt] for (name, number), attempt in plan.items()],
+            },
+        )
 
     # -------------------------------------------------------------- population
 
@@ -272,10 +285,14 @@ class RoundDriver(ABC):
     def _disconnect_client(self, name: str) -> None:
         """Take an online client off the network (its account is revoked)."""
 
-    @abstractmethod
     def _forget_client(self, name: str) -> None:
         """Prune a permanently departed client's server-side state (parked
-        refunds, dedup digests, per-round pending entries)."""
+        refunds, dedup digests, per-round pending entries) and its handle."""
+        try:
+            self.control("entry", {"cmd": "forget-client", "name": name})
+        except (NetworkError, ProtocolError):
+            pass  # best-effort pruning: the entry may be mid-crash
+        del self._handles[name]
 
     def add_client(self, name: str, **link_options) -> Any:
         """Create a client with deployment-deterministic keys and connect it.
@@ -286,7 +303,7 @@ class RoundDriver(ABC):
         if name in self.clients or name in self._parked:
             raise ProtocolError(f"a client named {name!r} already exists")
         client = topology.build_client(self.config, name, self._rng, self.server_public_keys)
-        handle = self._connect_client(client, **link_options)
+        handle = self._handles[name] = self._connect_client(client, **link_options)
         self.clients[name] = client
         self._record("client_added", {"name": name})
         return handle
@@ -334,7 +351,7 @@ class RoundDriver(ABC):
         if name not in self._parked:
             raise ProtocolError(f"no parked client named {name!r}")
         client, session = self._parked.pop(name)
-        handle = self._connect_client(client)
+        handle = self._handles[name] = self._connect_client(client)
         self.clients[name] = client
         if session is not None:
             self.scheduler.restore_session(session)
@@ -359,22 +376,64 @@ class RoundDriver(ABC):
 
     # -------------------------------------------------------- scheduled rounds
 
-    @abstractmethod
+    def _window_options(self, protocol: RoundProtocol, participants: list | None) -> dict:
+        """The ``open-round`` options this shape sends (none by default: the
+        entry's configured deadline and no expected count)."""
+        return {}
+
     def open_scheduled_round(
         self, protocol: RoundProtocol, participants: list | None = None
     ) -> ScheduledRound:
-        """Allocate the next round number and open its submission window.
+        """Open the protocol's next submission window on the entry, which
+        allocates its round number.
 
         ``participants`` (client handles) restricts the round to a subset of
-        the online population.
+        the online population.  An open is never retried: it is not
+        idempotent.
         """
+        reply = self.control(
+            "entry",
+            {
+                "cmd": "open-round",
+                "protocol": protocol.name,
+                **self._window_options(protocol, participants),
+            },
+        )
+        return ScheduledRound(protocol.name, reply["round"], participants=participants)
+
+    def _close_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> None:
+        """Close ``opened``'s window and drive its round; a round that fails
+        for good raises the entry's typed error."""
+        self.control(
+            "entry",
+            {"cmd": "close-round", "protocol": protocol.name, "round": opened.round_number},
+        )
+
+    def _round_result(self, protocol: RoundProtocol, opened: ScheduledRound) -> RoundResult:
+        """Wait for ``opened`` to resolve (across its aborts) and read the
+        entry's window accounting back; the responses travel separately."""
+        round_number = opened.round_number
+        reply = self.control(
+            "entry", {"cmd": "round-result", "protocol": protocol.name, "round": round_number}
+        )
+        if "error" in reply:
+            raise ProtocolError(f"{protocol.name} round {round_number}: {reply['error']}")
+        return RoundResult(
+            kind=protocol.kind,
+            round_number=reply["round"],
+            accepted=reply["accepted"],
+            refused=reply["refused"],
+            late=reply["late"],
+            responses=None,
+            attempts=reply["attempts"],
+            responded=reply["responded"],
+        )
 
     @abstractmethod
     def drive_scheduled_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> Any:
         """Submit every participant, resolve the round, finish it (invitation
         polling included) and return the round's result.  Blocking."""
 
-    @abstractmethod
     def discard_scheduled_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> None:
         """Resolve a window that will never be driven (failure cleanup).
 
@@ -382,6 +441,10 @@ class RoundDriver(ABC):
         drive gate for every later round of its kind, so it is closed as an
         (empty) round instead.  Best-effort by contract.
         """
+        try:
+            self._close_round(protocol, opened)
+        except (NetworkError, ProtocolError):
+            pass  # the entry, or the round, may be the thing that failed
 
     @contextmanager
     def _discarding(self, protocol: RoundProtocol, opened: ScheduledRound) -> Iterator[None]:
@@ -408,9 +471,9 @@ class RoundDriver(ABC):
 
     @abstractmethod
     def _measure_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> Callable:
-        """Start measuring one round; returns ``finish(closed, *,
-        client_requests, delivered, lost, extra)``, which shapes the closed
-        round into this shape's result and resolves it
+        """Start measuring one round; returns ``finish(result, *,
+        client_requests, delivered, lost, extra)``, which shapes the
+        :meth:`_round_result` into this shape's result and resolves it
         (:meth:`_resolve_round`)."""
 
     def run_conversation_round(self, participants: list | None = None):
@@ -476,11 +539,11 @@ class RoundDriver(ABC):
         """Ship one swarm frame to the entry; its reply (``None`` = lost)."""
 
     @abstractmethod
-    def _close_swarm_round(
-        self, protocol: RoundProtocol, opened: ScheduledRound, names: list[str]
-    ) -> tuple[Any, dict]:
-        """Close the window, drive the chain and collect the responses:
-        ``(closed round, {client name: [response, ...]})``."""
+    def _collect_responses(
+        self, protocol: RoundProtocol, round_number: int, names: list[str]
+    ) -> dict[str, list[bytes]]:
+        """A resolved round's onion responses as the entry holds them,
+        ``{client name: [response, ...]}`` for (at least) ``names``."""
 
     def run_swarm_round(self, swarm, *, chunk_size: int = 0) -> SwarmRoundReport:
         """Drive one conversation round offered by a whole client swarm.
@@ -533,7 +596,9 @@ class RoundDriver(ABC):
         stats.peak_server_buffer = peak_buffer
         # repro-lint: allow[nd-wallclock] phase split of the report; never feeds wire/digest/ledger payloads
         chain_started = time.perf_counter()
-        closed, grouped = self._close_swarm_round(protocol, opened, swarm.names)
+        self._close_round(protocol, opened)
+        closed = self._round_result(protocol, opened)
+        grouped = self._collect_responses(protocol, round_number, swarm.names)
         # repro-lint: allow[nd-wallclock] same phase split
         chain_seconds = time.perf_counter() - chain_started
         decode_started = time.perf_counter()  # repro-lint: allow[nd-wallclock] same phase split

@@ -89,43 +89,3 @@ class DialingRoundMetrics(RoundMetrics):
     @property
     def total_invitations(self) -> int:
         return self.real_invitations + self.noise_invitations
-
-
-@dataclass
-class SystemMetrics:
-    """Aggregated metrics over the lifetime of one system instance."""
-
-    conversation_rounds: list[ConversationRoundMetrics] = field(default_factory=list)
-    dialing_rounds: list[DialingRoundMetrics] = field(default_factory=list)
-
-    def record_conversation(self, metrics: ConversationRoundMetrics) -> None:
-        self.conversation_rounds.append(metrics)
-
-    def record_dialing(self, metrics: DialingRoundMetrics) -> None:
-        self.dialing_rounds.append(metrics)
-
-    def record(self, metrics: RoundMetrics) -> None:
-        """Protocol-agnostic recording: dispatch on the metrics shape."""
-        if isinstance(metrics, ConversationRoundMetrics):
-            self.record_conversation(metrics)
-        elif isinstance(metrics, DialingRoundMetrics):
-            self.record_dialing(metrics)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown round metrics shape: {type(metrics).__name__}")
-
-    @property
-    def total_messages_exchanged(self) -> int:
-        return sum(m.messages_exchanged for m in self.conversation_rounds)
-
-    @property
-    def total_bytes_moved(self) -> int:
-        return sum(m.bytes_moved for m in self.conversation_rounds) + sum(
-            m.bytes_moved for m in self.dialing_rounds
-        )
-
-    def average_round_seconds(self) -> float:
-        if not self.conversation_rounds:
-            return 0.0
-        return sum(m.wall_clock_seconds for m in self.conversation_rounds) / len(
-            self.conversation_rounds
-        )

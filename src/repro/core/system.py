@@ -7,11 +7,13 @@ roles the TCP deployment runs as subprocesses — on one in-memory
 :class:`~repro.net.Network`, hands out :class:`~repro.client.VuvuzelaClient`
 instances, and drives rounds through the protocol-agnostic pipeline.
 Everything a deployment shape shares with the TCP launcher — population,
-ledger records, the server observables, ``run_conversation_round`` /
-``run_dialing_round`` / ``run_continuous`` / ``run_swarm_round`` — is
-inherited from :class:`~repro.core.driver.RoundDriver`; this module supplies
-the in-process seam, where ``control`` calls a hosted role's dispatch table
-directly.
+the round lifecycle (open, close, discard and result through the entry's
+control plane), ledger records, the server observables,
+``run_conversation_round`` / ``run_dialing_round`` / ``run_continuous`` /
+``run_swarm_round`` — is inherited from
+:class:`~repro.core.driver.RoundDriver`; this module supplies the in-process
+seam, where ``control`` calls a hosted role's dispatch table directly and
+responses are read straight off the hosted entry's resolved round.
 
 This is the class the examples and the integration tests use; the deployment
 simulator (:mod:`repro.simulation`) reuses its structure but replaces real
@@ -21,12 +23,11 @@ cryptography with a calibrated cost model to reach the paper's scale.
 from __future__ import annotations
 
 import json
-import threading
 import time
 
 from .config import VuvuzelaConfig
 from .driver import RoundDriver
-from .metrics import RoundMetrics, SystemMetrics
+from .metrics import RoundMetrics
 from ..client import VuvuzelaClient
 from ..deaddrop import InvitationDropStore
 from ..errors import ProtocolError
@@ -41,15 +42,16 @@ from ..net import (
 )
 from ..runtime.protocols import RoundProtocol
 from ..runtime.scheduler import ScheduledRound
+from ..runtime.window import RoundResult
 from ..server import ACK
 
 
 class VuvuzelaSystem(RoundDriver):
     """A complete, runnable Vuvuzela deployment in one process.
 
-    The in-process :class:`~repro.core.driver.RoundDriver`: it opens
-    submission windows on its own coordinator and drives each round by
-    submitting every client over the in-memory network, closing the window,
+    The in-process :class:`~repro.core.driver.RoundDriver`: it drives each
+    round the hosted entry opened by submitting every client over the
+    in-memory network, closing the window through the entry's control plane,
     distributing responses and collecting the protocol's metrics.
     """
 
@@ -66,8 +68,6 @@ class VuvuzelaSystem(RoundDriver):
 
         super().__init__(config)
         self.network = Network()
-        self.metrics = SystemMetrics()
-        self._round_lock = threading.Lock()
         # One hosted process per server role, on the shared network, with the
         # driver's root rng and key pairs (an unseeded config has no others).
         chain = [
@@ -111,37 +111,15 @@ class VuvuzelaSystem(RoundDriver):
         # Clients are passive endpoints: the system pushes responses to them.
         self.network.register(client.name, lambda envelope: b"")
         if self.config.require_registration:
-            self.entry.register_account(client.name)
+            self.control("entry", {"cmd": "register", "name": client.name})
         return client
 
     def _disconnect_client(self, name: str) -> None:
         self.network.unregister(name)
         if self.config.require_registration:
-            self.entry.revoke_account(name)
-
-    def _forget_client(self, name: str) -> None:
-        self.coordinator.forget_client(name)
+            self.control("entry", {"cmd": "revoke", "name": name})
 
     # --------------------------------------------- driver seam: scheduled rounds
-
-    def open_scheduled_round(
-        self, protocol: RoundProtocol, participants: list | None = None
-    ) -> ScheduledRound:
-        """Allocate the protocol's next round number and open its window."""
-        with self._round_lock:
-            round_number = self._next_rounds[protocol.name]
-            self._next_rounds[protocol.name] += 1
-        window = self.coordinator.open_round(
-            protocol.kind,
-            round_number,
-            attempt=self._forced_attempts.get((protocol.name, round_number), 1),
-        )
-        return ScheduledRound(
-            protocol.name, round_number, handle=window, participants=participants
-        )
-
-    def discard_scheduled_round(self, protocol: RoundProtocol, opened: ScheduledRound) -> None:
-        self.coordinator.close_round(opened.handle)
 
     def _measure_round(self, protocol: RoundProtocol, opened: ScheduledRound):
         """``bytes_moved`` is a whole-network byte delta over the round's wall
@@ -153,17 +131,16 @@ class VuvuzelaSystem(RoundDriver):
         started = time.perf_counter()
         bytes_before = self.network.total_bytes()
 
-        def finish(closed, **counts) -> RoundMetrics:
+        def finish(result: RoundResult, **counts) -> RoundMetrics:
             observed = self._chain_observables(protocol, opened.round_number)
             metrics = protocol.collect_metrics(
                 opened.round_number,
-                closed,
+                result,
                 *observed,
                 bytes_moved=self.network.total_bytes() - bytes_before,
                 wall_clock_seconds=time.perf_counter() - started,
                 **counts,
             )
-            self.metrics.record(metrics)
             return self._resolve_round(protocol, metrics, observed)
 
         return finish
@@ -202,8 +179,9 @@ class VuvuzelaSystem(RoundDriver):
             submitted[name] = flags
             total_requests += len(flags)
 
-        result = self.coordinator.close_round(opened.handle)
-        grouped = result.responses
+        self._close_round(protocol, opened)
+        result = self._round_result(protocol, opened)
+        grouped = self._collect_responses(protocol, round_number, list(clients))
 
         delivered = lost = 0
         for name, client in clients.items():
@@ -249,10 +227,11 @@ class VuvuzelaSystem(RoundDriver):
             "swarm", self.entry.name, frame, kind=kind, round_number=round_number
         )
 
-    def _close_swarm_round(self, protocol: RoundProtocol, opened: ScheduledRound, names):
-        # No per-client push: the swarm consumes the grouped responses directly.
-        result = self.coordinator.close_round(opened.handle)
-        return result, result.responses
+    def _collect_responses(self, protocol: RoundProtocol, round_number: int, names):
+        """A direct read of the hosted entry's resolved round, every client's
+        responses at once.  No envelope goes on :attr:`network`, so no link
+        rule can act on the read."""
+        return self.coordinator.wait_for_result(protocol.kind, round_number).responses
 
     # --------------------------------------------- driver seam: chaos surface
 

@@ -56,9 +56,6 @@ class ScheduledRound:
 
     protocol_name: str
     round_number: int
-    #: Shape-specific handle (the coordinator window in-process; nothing
-    #: over TCP, where the entry process owns the window).
-    handle: Any = None
     #: The client handles that submit in this round; ``None`` = everyone
     #: online when the round is driven.
     participants: list | None = None

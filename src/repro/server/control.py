@@ -93,6 +93,16 @@ def text(command: dict, key: str) -> str:
     )
 
 
+def rows(command: dict, key: str, width: int) -> list[list]:
+    """A list of ``width``-element lists; the caller checks each element."""
+    return _field(
+        command, key, _REQUIRED,
+        lambda value: isinstance(value, list)
+        and all(isinstance(row, list) and len(row) == width for row in value),
+        f"a list of {width}-element lists",
+    )
+
+
 def protocol_name(command: dict) -> str:
     """One of the pipeline's protocol names."""
     return _field(

@@ -23,13 +23,19 @@ endpoint, or a direct ``_dispatch`` call in process; see
 - ``counters`` — the running totals ``refused``, ``late``, ``aborted``
   (round attempts), ``buffered`` (submissions held for open rounds) and
   ``parked`` (refunds of rounds that failed for good, ``{"<kind>/<round>":
-  count}``);
+  count}``), and ``next``, the round number the next ``open-round`` of each
+  protocol allocates (``{"<protocol>": round}``);
 - ``add-link-rule`` / ``heal-links`` / ``link-stats`` — rules on what the
   entry sends (:func:`~repro.net.faults.apply_link_command`);
-- ``open-round`` (``protocol``; optional ``deadline``, ``expected``,
-  ``attempt``) — open the protocol's next window, return its number; it
-  closes at the deadline or on the ``expected``-th submission;
-- ``close-round`` (``protocol``, ``round``) — force a window closed early;
+- ``force-attempts`` (``plan``: ``[protocol, round, attempt]`` entries) —
+  replay support: the open that allocates ``round`` starts it at
+  ``attempt``;
+- ``open-round`` (``protocol``; optional ``deadline``, ``expected``) — open
+  the protocol's next window, return its number; it closes at the deadline
+  or on the ``expected``-th submission.  The entry is the one allocator of
+  round numbers, in either deployment shape;
+- ``close-round`` (``protocol``, ``round``) — force a window closed early and
+  drive its round; a round that fails for good raises its typed error;
 - ``round-result`` (``protocol``, ``round``; optional ``wait``) — block
   until the round resolves, return its accounting;
 - ``shutdown`` — end :func:`main`.
@@ -49,6 +55,7 @@ from .control import (
     integer,
     protocol_name,
     request,
+    rows,
     seconds,
     serve,
     text,
@@ -56,8 +63,8 @@ from .control import (
 from .entry import EntryServer
 from ..core import topology
 from ..core.config import VuvuzelaConfig
-from ..errors import ProtocolError, ReproError, TransportTimeout
-from ..net import TcpTransport, Transport, parse_address
+from ..errors import ProtocolError, RoundAbortedError, TransportTimeout
+from ..net import MessageKind, TcpTransport, Transport, parse_address
 from ..net.faults import apply_link_command
 from ..runtime import PROTOCOL_KINDS, RoundCoordinator
 
@@ -106,7 +113,11 @@ class EntryServerProcess(ControlledProcess):
             max_round_attempts=config.max_round_attempts,
         )
         self.coordinator.control_handler = self.handle_control
+        #: The one round-number allocator: the next round per kind.
         self._next_round = {kind: 0 for kind in PROTOCOL_KINDS.values()}
+        #: Replay support, beside the allocator: forced first-attempt
+        #: numbers by (kind, round), spent by the open that allocates them.
+        self._forced_attempts: dict[tuple[MessageKind, int], int] = {}
         self._round_lock = threading.Lock()
 
     def close(self) -> None:
@@ -140,6 +151,7 @@ class EntryServerProcess(ControlledProcess):
                     )
                     if entries
                 },
+                "next": {name: self._next_round[kind] for name, kind in PROTOCOL_KINDS.items()},
             }
         if cmd == "forget-client":
             # Permanent churn: prune the departed client's parked refunds,
@@ -148,39 +160,48 @@ class EntryServerProcess(ControlledProcess):
         link_reply = apply_link_command(self.transport, command)
         if link_reply is not None:
             return link_reply
+        if cmd == "force-attempts":
+            # Replay support: a recorded round that resolved on attempt N
+            # jumps straight to N's noise streams.  The whole plan is
+            # checked before any of it is kept.
+            plan = _attempt_plan(command)
+            with self._round_lock:
+                self._forced_attempts.update(plan)
+            return {"forced": len(plan)}
         if cmd == "open-round":
             kind = PROTOCOL_KINDS[protocol_name(command)]
             deadline = seconds(command, "deadline", default=None)
             expected = integer(command, "expected", default=None)
-            # Replay support: a recorded round that resolved on attempt N
-            # can jump straight to N's noise streams.
-            attempt = integer(command, "attempt", minimum=1, maximum=MAX_ATTEMPT, default=1)
-            # The number is spent only once its window is open: a refused
-            # open must not shift the numbers the launcher predicts.
+            # The number (and its forced attempt) is spent only once its
+            # window is open: a refused open leaves the allocator as it was.
             with self._round_lock:
-                round_number = self._next_round[kind]
+                key = (kind, self._next_round[kind])
                 coordinator.open_round(
                     kind,
-                    round_number,
+                    key[1],
                     deadline_seconds=deadline,
                     expected_requests=expected,
-                    attempt=attempt,
+                    attempt=self._forced_attempts.get(key, 1),
                 )
+                self._forced_attempts.pop(key, None)
                 self._next_round[kind] += 1
-            return {"round": round_number}
+            return {"round": key[1]}
         if cmd == "close-round":
-            # Force-close a window early (scheduler failure cleanup): the
-            # round runs with whatever submissions arrived, so the in-order
-            # drive gate is never wedged on an abandoned open window.
+            # Close a window and drive its round: the driver's explicit close,
+            # and failure cleanup — the round runs with whatever submissions
+            # arrived, so the in-order drive gate is never wedged on an
+            # abandoned open window.  A round that fails for good raises.
             kind = PROTOCOL_KINDS[protocol_name(command)]
             round_number = integer(command, "round")
             window = coordinator.window(kind, round_number)
             if window is None:
-                return {"error": f"round {round_number} has no window"}
+                raise ProtocolError(f"{kind.value} round {round_number} has no window")
             try:
                 result = coordinator.close_round(window)
-            except ReproError as exc:
-                return {"error": str(exc)}
+            except RoundAbortedError:
+                # Long-poll mode: the attempt was refunded and its retry
+                # window is open; ``round-result`` waits the retry out.
+                return {"round": round_number}
             return {"round": result.round_number, "accepted": result.accepted}
         if cmd == "round-result":
             kind = PROTOCOL_KINDS[protocol_name(command)]
@@ -200,12 +221,23 @@ class EntryServerProcess(ControlledProcess):
                 "late": window.late if window is not None else result.late,
                 "responded": result.responded,
                 "attempts": result.attempts,
-                "aborts": result.attempts - 1,
             }
         if cmd == "shutdown":
             self.shutdown.set()
             return {"ok": True}
         raise ProtocolError(f"unknown control command {cmd!r}")
+
+
+def _attempt_plan(command: dict) -> dict[tuple[MessageKind, int], int]:
+    """``force-attempts``' ``plan``, every entry checked: ``{(kind, round):
+    attempt}``."""
+    plan = {}
+    for protocol, round_number, attempt in rows(command, "plan", 3):
+        entry = {"cmd": command["cmd"], "protocol": protocol, "round": round_number,
+                 "attempt": attempt}
+        key = (PROTOCOL_KINDS[protocol_name(entry)], integer(entry, "round"))
+        plan[key] = integer(entry, "attempt", minimum=1, maximum=MAX_ATTEMPT)
+    return plan
 
 
 def _add_arguments(parser) -> None:

@@ -1,7 +1,8 @@
-"""The population contract of :class:`~repro.core.driver.RoundDriver`, run
-against both deployment shapes: the same add → park → resume → remove script
-leaves the same ledger trail and the same client digests whichever transport
-carried it.
+"""The population and round-lifecycle contract of
+:class:`~repro.core.driver.RoundDriver`, run against both deployment shapes:
+the same add → park → resume → remove script leaves the same ledger trail and
+the same client digests whichever transport carried it, the entry allocates
+the same round numbers, and a failed round raises the same error.
 """
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro import DeploymentLauncher, VuvuzelaConfig, VuvuzelaSystem
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ReproError
+from repro.net import LinkRule
+from repro.simulation import ClientSwarm, WorkloadSpec
 
 SEED = 2112
 
@@ -121,3 +124,48 @@ class TestPopulationContract:
             for operation in (driver.park_client, driver.resume_client, driver.remove_client):
                 with pytest.raises(ProtocolError, match="client named"):
                     operation("nobody")
+
+
+def config_with(**overrides) -> VuvuzelaConfig:
+    return VuvuzelaConfig.from_dict({**VuvuzelaConfig.small(seed=SEED).to_dict(), **overrides})
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_the_entry_allocates_the_same_rounds(shape):
+    """A refused plan spends nothing, a discarded window spends its number,
+    and both shapes read the entry's allocator afterwards."""
+    with SHAPES[shape](VuvuzelaConfig.small(seed=SEED)) as driver:
+        driver.add_client("alice")
+        with pytest.raises(ProtocolError, match="'attempt'"):
+            driver.force_attempts({("conversation", 0): 0})
+        assert (driver.next_conversation_round, driver.next_dialing_round) == (0, 0)
+        conversation = driver.protocol("conversation")
+        driver.discard_scheduled_round(conversation, driver.open_scheduled_round(conversation))
+        result = driver.run_conversation_round()
+        assert result.round_number == 1
+        assert (driver.next_conversation_round, driver.next_dialing_round) == (2, 0)
+
+
+def failed_swarm_round(shape: str) -> tuple[type, str]:
+    """A swarm round whose server-0 → server-1 link is dead, with no retry
+    budget: the error it raises.  Healed, the next round delivers every wire."""
+    config = config_with(max_round_attempts=1)
+    swarm = ClientSwarm.from_spec(
+        config, WorkloadSpec(num_users=8, conversing_fraction=0.5, dialing_fraction=0.0)
+    )
+    kill = LinkRule(
+        action="kill", source="server-0/conversation", destination="server-1/conversation"
+    )
+    with SHAPES[shape](config) as driver:
+        driver.add_link_rule(0, kill, seed=7)
+        with pytest.raises(ReproError) as caught:
+            driver.run_swarm_round(swarm)
+        driver.heal_links()
+        report = driver.run_swarm_round(swarm)
+        assert report.outcome.delivered == len(swarm) and report.outcome.lost == 0
+    return type(caught.value), str(caught.value)
+
+
+def test_a_failed_round_raises_the_same_error_in_both_shapes():
+    in_process = failed_swarm_round("in-process")
+    assert failed_swarm_round("tcp") == in_process

@@ -2,8 +2,11 @@
 
 ``VuvuzelaSystem`` and ``DeploymentLauncher`` once mirrored 21 methods.  They
 now subclass :class:`~repro.core.driver.RoundDriver` and may both define only
-the seam it declares abstract (19 methods, three of them the one way to make
-a link misbehave); callers never ask a driver which shape it is.
+the seam it declares abstract (11 methods, three of them the one way to make
+a link misbehave); callers never ask a driver which shape it is.  The round
+lifecycle — open, close, discard, result — is the driver's, through the
+entry's control plane: no shape opens or closes a coordinator window itself
+or keeps a round counter.
 No subprocesses here — this is a sub-second check on the class surface and
 the source text.
 """
@@ -30,6 +33,7 @@ HOISTED = {
     "add_session", "attach_ledger", "ledger_client_digests", "_ledger_round_record",
     "protocol", "run_conversation_round", "run_dialing_round", "run_continuous",
     "run_swarm_round", "force_attempts", "scan_invitations",
+    "open_scheduled_round", "discard_scheduled_round", "_forget_client", "_round_result",
     "chain_noise", "access_histogram", "invitation_store", "aborted_total",
     "buffered_total", "resubmission_parked", "refused_total", "late_total",
 }
@@ -52,7 +56,7 @@ def test_the_seam_has_one_chaos_surface():
     """Faults and WAN weather are one link-rule concept: three seam methods,
     not one family per kind of bad network."""
     abstract = set(RoundDriver.__abstractmethods__)
-    assert len(abstract) <= 19, sorted(abstract)
+    assert len(abstract) <= 11, sorted(abstract)
     chaos = {name for name in abstract if re.search(r"link|fault|condition|heal|inject", name)}
     assert chaos == {"add_link_rule", "heal_links", "link_stats"}
 
@@ -63,6 +67,17 @@ def test_hoisted_methods_have_one_definition():
         assert name not in vars(VuvuzelaSystem), name
         assert name not in vars(DeploymentLauncher), name
     assert not hasattr(RoundDriver, "run_session")  # one name: run_continuous
+
+
+def test_the_entry_owns_the_round_lifecycle():
+    """Nothing under ``core/`` opens or closes a coordinator window, or
+    allocates round numbers: every round goes through ``control("entry")``."""
+    found = []
+    for path in sorted((SRC / "core").rglob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if re.search(r"coordinator\.(open|close)_round\(|_next_rounds?\b|_round_lock\b", line):
+                found.append(f"{path.relative_to(SRC)}:{number}")
+    assert found == []
 
 
 def test_no_caller_sniffs_the_shape():

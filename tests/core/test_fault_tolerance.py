@@ -100,7 +100,7 @@ class TestInProcessKillMidRound:
             with pytest.raises(NetworkError):
                 system.run_conversation_round()
             assert system.coordinator.rounds_aborted == 1
-            assert system.metrics.conversation_rounds == []  # nothing recorded
+            assert system.conversation_accountant.rounds_used == 0  # nothing resolved
             system.heal_links(0)
             # The client saw nothing resolve, so its message is still queued
             # and the next round delivers it (§3.1 retransmission).
@@ -301,7 +301,10 @@ class TestNetworkedPartition:
             assert dave.late_rounds == 1
             assert dave.client.rounds_lost == 1
             assert deployment.late_total() == 1
-            late_result = deployment.wait_round("dialing", result.round_number)
+            late_result = deployment.control(
+                "entry",
+                {"cmd": "round-result", "protocol": "dialing", "round": result.round_number},
+            )
             assert late_result["late"] == 1
 
     def test_entry_side_drop_aborts_and_recovers(self):
@@ -442,10 +445,10 @@ class TestNetworkedLinkRulePersistence:
         and installs nothing."""
         command = {"cmd": "add-link-rule", "rule": {"action": "kill", "kind": "bogus"}}
         with DeploymentLauncher(scenario_config()) as deployment:
-            for control in (deployment.entry_control, lambda c: deployment.server_control(0, c)):
+            for role in ("entry", "server-0"):
                 with pytest.raises(ProtocolError, match="malformed link rule"):
-                    control(command)
-                assert control({"cmd": "link-stats"})["rules"] == 0
+                    deployment.control(role, command)
+                assert deployment.control(role, {"cmd": "link-stats"})["rules"] == 0
 
 
 class TestLauncherLifecycle:

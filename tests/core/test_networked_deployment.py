@@ -159,7 +159,10 @@ def test_straggler_is_refused_and_retransmits():
         assert straggler.late_rounds == 1
         assert straggler.client.rounds_lost == 1
         assert deployment.late_total() == 1
-        late_result = deployment.wait_round("conversation", result.round_number)
+        late_result = deployment.control(
+            "entry",
+            {"cmd": "round-result", "protocol": "conversation", "round": result.round_number},
+        )
         assert late_result["late"] == 1
 
         # Next round everyone is on time and the queued message lands.
@@ -171,8 +174,14 @@ def test_deadline_closes_an_empty_round():
     """A round with no submissions resolves at its deadline, not never."""
     config = scenario_config()
     with DeploymentLauncher(config, request_timeout=60.0) as deployment:
-        round_number = deployment.open_round("conversation", deadline=0.2)
-        result = deployment.wait_round("conversation", round_number, wait=30.0)
+        opened = deployment.control(
+            "entry", {"cmd": "open-round", "protocol": "conversation", "deadline": 0.2}
+        )
+        result = deployment.control(
+            "entry",
+            {"cmd": "round-result", "protocol": "conversation", "round": opened["round"],
+             "wait": 30.0},
+        )
         assert result["accepted"] == 0
         assert result["responded"] == 0
 

@@ -154,18 +154,3 @@ class TestDialingRounds:
         system.add_client("alice")
         system.run_dialing_round()
         assert system.dialing_accountant.rounds_used == 1
-
-
-class TestSystemMetrics:
-    def test_metrics_accumulate(self, system):
-        alice, bob = system.add_client("alice"), system.add_client("bob")
-        alice.start_conversation(bob.public_key)
-        bob.start_conversation(alice.public_key)
-        alice.send_message("one")
-        system.run_conversation_round()
-        system.run_dialing_round()
-        assert len(system.metrics.conversation_rounds) == 1
-        assert len(system.metrics.dialing_rounds) == 1
-        assert system.metrics.total_messages_exchanged >= 1
-        assert system.metrics.total_bytes_moved > 0
-        assert system.metrics.average_round_seconds() > 0

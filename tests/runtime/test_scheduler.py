@@ -251,9 +251,16 @@ class TestDriveOrdering:
             order: list[int] = []
             started = threading.Event()
 
+            def close(opened) -> None:
+                system.control(
+                    "entry",
+                    {"cmd": "close-round", "protocol": "conversation",
+                     "round": opened.round_number},
+                )
+
             def close_second() -> None:
                 started.set()
-                system.coordinator.close_round(second.handle)
+                close(second)
                 order.append(second.round_number)
 
             closer = threading.Thread(target=close_second, daemon=True)
@@ -261,7 +268,7 @@ class TestDriveOrdering:
             started.wait(timeout=5.0)
             # The second round's drive is gated on the first's resolution.
             assert closer.is_alive()
-            system.coordinator.close_round(first.handle)
+            close(first)
             order.append(first.round_number)
             closer.join(timeout=10.0)
             assert not closer.is_alive()

@@ -51,8 +51,15 @@ ENTRY = [
     ({"cmd": "open-round", "protocol": "dialing", "deadline": 10**400}, "'deadline'"),
     ({"cmd": "open-round", "protocol": "dialing", "expected": "3"}, "'expected'"),
     ({"cmd": "open-round", "protocol": "dialing", "expected": True}, "'expected'"),
-    ({"cmd": "open-round", "protocol": "dialing", "attempt": 0}, "'attempt'"),
-    ({"cmd": "open-round", "protocol": "dialing", "attempt": 2**32}, "'attempt'"),
+    ({"cmd": "force-attempts"}, "'plan' must be a list of 3-element lists, got nothing"),
+    ({"cmd": "force-attempts", "plan": {"dialing": 2}}, "'plan' must be a list"),
+    ({"cmd": "force-attempts", "plan": [["dialing", 0]]}, "'plan' must be a list"),
+    ({"cmd": "force-attempts", "plan": [["dialing", 0, 2], ["dialing", 1, 2, 3]]}, "'plan'"),
+    ({"cmd": "force-attempts", "plan": [["dialing", 0, 2], ["voting", 1, 2]]}, "'protocol'"),
+    ({"cmd": "force-attempts", "plan": [["dialing", -1, 2]]}, "'round' must be an integer"),
+    ({"cmd": "force-attempts", "plan": [["dialing", 0, 2], ["dialing", 1, 0]]}, "'attempt'"),
+    ({"cmd": "force-attempts", "plan": [["dialing", 0, 2**32]]}, "'attempt'"),
+    ({"cmd": "force-attempts", "plan": [["dialing", 0, True]]}, "'attempt'"),
     ({"cmd": "close-round", "protocol": "dialing"}, "'round' must be an integer"),
     ({"cmd": "close-round", "protocol": "dialing", "round": "x"}, "'round'"),
     ({"cmd": "close-round", "protocol": "dialing", "round": True}, "'round'"),
@@ -120,19 +127,27 @@ def test_every_refusal_is_a_protocol_error(role, command, match):
     )
     with pytest.raises(ProtocolError, match=match):
         process.handle_control(envelope)
-    # Nothing acted: no link rule was installed.
+    # Nothing acted: no link rule was installed, no attempt was forced.
     assert process._dispatch({"cmd": "link-stats"})["rules"] == 0
+    if role == "entry":
+        assert process._forced_attempts == {}
 
 
 def test_a_refused_open_spends_no_round_number():
     """A refused ``open-round`` used to allocate its round first, so the
-    next open skipped a number the launcher's mirror still predicted."""
+    next open skipped a number the launcher's mirror still predicted.  Nor
+    does it spend the round's forced attempt."""
     entry = _processes()["entry"]
     try:
-        for bad in ({"deadline": "abc"}, {"attempt": 0}, {"expected": True}):
+        plan = [["dialing", 0, 3]]
+        assert entry._dispatch({"cmd": "force-attempts", "plan": plan}) == {"forced": 1}
+        for bad in ({"deadline": "abc"}, {"expected": -1}, {"expected": True}):
             with pytest.raises(ProtocolError):
                 entry._dispatch({"cmd": "open-round", "protocol": "dialing", **bad})
         assert entry._dispatch({"cmd": "open-round", "protocol": "dialing"}) == {"round": 0}
+        assert entry.coordinator.window(MessageKind.DIALING_REQUEST, 0).attempt == 3
+        assert entry._forced_attempts == {}
+        assert entry._dispatch({"cmd": "counters"})["next"] == {"conversation": 0, "dialing": 1}
         entry.close()
         with pytest.raises(ProtocolError, match="shut down"):
             entry._dispatch({"cmd": "open-round", "protocol": "dialing"})
